@@ -43,6 +43,8 @@ __all__ = [
     "BGP_DECISIONS",
     "BGP_ITERATIONS",
     "BGP_CONVERGENCE",
+    "ROUTING_SPF_TREES",
+    "ROUTING_SPF_SECONDS",
     "FAULTS_INJECTED",
     "FAULTS_LINK_TRANSITIONS",
     "FAULTS_ROUTER_TRANSITIONS",
@@ -145,6 +147,14 @@ BGP_ITERATIONS = "bgp.iterations"
 #: wall-clock span of each convergence run (span timer)
 BGP_CONVERGENCE = "bgp.convergence"
 
+# --- OSPF shortest path first (repro.routing.ospf) --------------------
+# Every process builds its own trees, so on a multi-process run these
+# sum over workers: replicated work, not a share of one total.
+#: reverse shortest-path trees built (scalar)
+ROUTING_SPF_TREES = "routing.spf.trees"
+#: wall-clock building trees, member-graph rebuilds included (span timer)
+ROUTING_SPF_SECONDS = "routing.spf.seconds"
+
 # --- fault injection (repro.faults) -----------------------------------
 #: scheduled fault events applied by the injector (scalar)
 FAULTS_INJECTED = "faults.injected"
@@ -240,6 +250,8 @@ HELP: dict[str, str] = {
     BGP_DECISIONS: "Decision-process (best-route selection) invocations.",
     BGP_ITERATIONS: "Synchronous propagation rounds to the last fixed point.",
     BGP_CONVERGENCE: "Wall-clock span of each convergence run.",
+    ROUTING_SPF_TREES: "Reverse shortest-path trees built by OSPF domains.",
+    ROUTING_SPF_SECONDS: "Wall-clock building OSPF trees, member-graph rebuilds included.",
     FAULTS_INJECTED: "Scheduled fault events applied by the injector.",
     FAULTS_LINK_TRANSITIONS: "Link state transitions (down and up) applied.",
     FAULTS_ROUTER_TRANSITIONS: "Router crash and restart transitions applied.",

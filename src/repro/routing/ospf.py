@@ -1,20 +1,34 @@
 """OSPF-style intra-AS shortest path routing.
 
 MaSSF routes inside an AS (and the whole network in the single-AS
-experiments) with shortest path first. We implement per-destination
-reverse shortest-path trees with Dijkstra over link latency (plus a tiny
-bandwidth tie-break so fat pipes win among equal-latency paths), computed
-lazily and cached — large networks only ever need trees toward actual
-traffic destinations and border routers.
+experiments) with shortest path first. Each domain keeps its member
+graph once, as a CSR matrix of link metrics (latency plus a tiny
+bandwidth tie-break so fat pipes win among equal-latency paths), and
+computes per-destination reverse shortest-path trees lazily — large
+networks only ever need trees toward actual traffic destinations and
+border routers. A tree is a next-hop *array* indexed by member row.
+
+Tie-break rule (part of a run's identity, see
+``tests/test_routing_ospf.py``): with ``D`` the distance to the
+destination, the next hop of ``u`` is the neighbour ``v`` with
+``D[v] + metric(v, u) == D[u]`` that is smallest under ``(D[v], v)``,
+parallel links counting at their minimum metric. That is the order in
+which a binary-heap Dijkstra keyed ``(dist, node)`` and relaxing on
+strict ``<`` finalises parents. Distances come from
+``scipy.sparse.csgraph.dijkstra``, which accumulates the same float64
+sums destination-outwards, so the rule is evaluated on identical floats.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import dijkstra
 
+from ..obs import names as obs_names
+from ..obs.registry import get_registry
 from ..topology.models import Network
 
 __all__ = ["OspfRouting", "ospf_link_metric"]
@@ -29,6 +43,37 @@ def ospf_link_metric(latency_s: float, bandwidth_bps: float) -> float:
     practice.
     """
     return latency_s + 1e-3 / bandwidth_bps
+
+
+@dataclass(frozen=True, slots=True)
+class _DomainGraph:
+    """A domain's in-service member graph, flattened for SPF.
+
+    Rows are members in node-id order, so comparing columns compares
+    node ids. Down links, down nodes and non-members are already gone.
+    A *leaf* is a member with one neighbour that itself has more: it
+    keeps its edge towards that neighbour but loses the edge back, so a
+    search never enters a leaf it did not start from — every host of a
+    flat network drops out of every search but its own.
+    """
+
+    #: directed metrics, column-sorted within each row
+    matrix: csr_array
+    #: row of each stored entry (``matrix.indices`` is its column)
+    entry_row: np.ndarray
+    #: rows with at least one entry, and where each one's entries start
+    filled_rows: np.ndarray
+    filled_start: np.ndarray
+    #: node id of each row
+    node_of_row: np.ndarray
+    #: rows of the leaves, and the metric of each one's only edge
+    leaf_rows: np.ndarray
+    leaf_metric: np.ndarray
+    #: per row, the row it attaches to as a leaf (-1: not a leaf)
+    attach_of_row: np.ndarray
+    #: ``(row, row)`` with the smaller first -> minimum metric over the
+    #: pair's in-service parallel links
+    pair_metric: dict[tuple[int, int], float]
 
 
 class OspfRouting:
@@ -46,60 +91,114 @@ class OspfRouting:
     def __init__(self, net: Network, members: list[int]) -> None:
         self.net = net
         self.members = list(members)
-        self._member_set = set(members)
-        # destination -> {node: next_hop_node}
-        self._trees: dict[int, dict[int, int]] = {}
+        # node id -> row of the domain's arrays, in node-id order
+        self._row = {node: i for i, node in enumerate(sorted(self.members))}
+        # destination -> next-hop node id per row (-1: none)
+        self._trees: dict[int, np.ndarray] = {}
+        # Built by the first tree after construction or a state change.
+        self._graph: _DomainGraph | None = None
         # Fault state (repro.faults): links/nodes currently out of service.
-        # Both sets are empty on a healthy network, so the tree build pays
-        # only a truthiness check per edge and next_hop() is unchanged.
         self._down_links: set[int] = set()
         self._down_nodes: set[int] = set()
         #: topology-state changes that invalidated the cached trees
         self.invalidations = 0
         #: reverse SPTs built since construction (re-convergence signal)
         self.trees_built = 0
+        # Observability hook points (resolved once; writes are guarded).
+        reg = get_registry()
+        self._obs_trees = reg.counter(obs_names.ROUTING_SPF_TREES)
+        self._obs_seconds = reg.timer(obs_names.ROUTING_SPF_SECONDS)
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self._member_set
+        return node_id in self._row
 
-    def _build_tree(self, dest: int) -> dict[int, int]:
-        """Reverse SPT: next hop from every member toward ``dest``.
-
-        Links are symmetric, so Dijkstra *from* the destination gives the
-        shortest distance from every node to it; the next hop of ``v`` is
-        the neighbor through which ``v`` was finalized.
-        """
-        if dest not in self._member_set:
-            raise KeyError(f"destination {dest} not in this OSPF domain")
-        self.trees_built += 1
-        if self._down_nodes and dest in self._down_nodes:
-            return {}
+    def _build_graph(self) -> _DomainGraph:
+        row = self._row
         down_links = self._down_links
         down_nodes = self._down_nodes
-        dist: dict[int, float] = {dest: 0.0}
-        next_hop: dict[int, int] = {}
-        heap: list[tuple[float, int, int]] = [(0.0, dest, dest)]
-        done: set[int] = set()
-        while heap:
-            d, v, toward = heapq.heappop(heap)
-            if v in done:
+        pair_metric: dict[tuple[int, int], float] = {}
+        for u, a in row.items():
+            if u in down_nodes:
                 continue
-            done.add(v)
-            if v != dest:
-                next_hop[v] = toward
-            for u, link in self.net.neighbors(v):
-                if u not in self._member_set or u in done:
+            for v, link in self.net.neighbors(u):
+                b = row.get(v)
+                # Each link is seen from both ends; take it from the lower.
+                if b is None or b < a or v in down_nodes or link.link_id in down_links:
                     continue
-                if down_links and link.link_id in down_links:
-                    continue
-                if down_nodes and u in down_nodes:
-                    continue
-                nd = d + ospf_link_metric(link.latency_s, link.bandwidth_bps)
-                if nd < dist.get(u, np.inf):
-                    dist[u] = nd
-                    # From u, the first hop toward dest is v itself.
-                    heapq.heappush(heap, (nd, u, v))
-        return next_hop
+                metric = ospf_link_metric(link.latency_s, link.bandwidth_bps)
+                if metric < pair_metric.get((a, b), np.inf):
+                    pair_metric[(a, b)] = metric
+        n = len(row)
+        ends = np.array(list(pair_metric), dtype=np.int64).reshape(-1, 2)
+        metrics = np.array(list(pair_metric.values()), dtype=np.float64)
+        src = np.concatenate([ends[:, 0], ends[:, 1]])
+        dst = np.concatenate([ends[:, 1], ends[:, 0]])
+        metrics = np.concatenate([metrics, metrics])
+        degree = np.bincount(src, minlength=n)
+        only_neighbour = np.zeros(n, dtype=np.int64)
+        only_neighbour[src] = dst  # meaningful where degree == 1
+        is_leaf = (degree == 1) & (degree[only_neighbour] > 1)
+        keep = np.flatnonzero(~is_leaf[dst])
+        keep = keep[np.lexsort((dst[keep], src[keep]))]
+        src, dst, metrics = src[keep], dst[keep], metrics[keep]
+        leaf_entry = is_leaf[src]
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        filled_rows = np.flatnonzero(indptr[1:] > indptr[:-1])
+        return _DomainGraph(
+            matrix=csr_array((metrics, dst.astype(np.int32), indptr), shape=(n, n)),
+            entry_row=src,
+            filled_rows=filled_rows,
+            filled_start=indptr[filled_rows],
+            node_of_row=np.array(list(row), dtype=np.int32),
+            leaf_rows=src[leaf_entry],
+            leaf_metric=metrics[leaf_entry],
+            attach_of_row=np.where(is_leaf, only_neighbour, -1),
+            pair_metric=pair_metric,
+        )
+
+    def _build_tree(self, dest: int) -> np.ndarray:
+        """Reverse SPT: next hop from every member toward ``dest``.
+
+        Links are symmetric, so distances *from* the destination are the
+        distances to it. The parent pick applies the module docstring's
+        tie-break rule to every stored entry at once.
+        """
+        root = self._row.get(dest)
+        if root is None:
+            raise KeyError(f"destination {dest} not in this OSPF domain")
+        token = self._obs_seconds.start()
+        self.trees_built += 1
+        self._obs_trees.inc()
+        graph = self._graph
+        if graph is None:
+            graph = self._graph = self._build_graph()
+        dist = dijkstra(graph.matrix, directed=True, indices=root)
+        # No search enters a leaf; its distance is one hop past its
+        # attachment, which makes its only entry tight like any other.
+        leaves = graph.leaf_rows
+        dist[leaves] = dist[graph.attach_of_row[leaves]] + graph.leaf_metric
+        dist[root] = 0.0  # a leaf root was just overwritten
+        # A (dist, node) heap finalises rows in this order, and a row's
+        # parent is the first-finalised column its entry is tight with.
+        n = len(dist)
+        order = np.argsort(dist, kind="stable")
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        cols = graph.matrix.indices
+        dist_row = dist[graph.entry_row]
+        tight = (dist[cols] + graph.matrix.data == dist_row) & (dist_row < np.inf)
+        parent_rank = np.minimum.reduceat(np.where(tight, rank[cols], n), graph.filled_start)
+        found = parent_rank < n
+        tree = np.full(n, -1, dtype=np.int32)
+        tree[graph.filled_rows[found]] = graph.node_of_row[order[parent_rank[found]]]
+        # A leaf destination is its attachment's parent over the one
+        # edge the matrix does not store in that direction.
+        attach = graph.attach_of_row[root]
+        if attach >= 0:
+            tree[attach] = dest
+        self._obs_seconds.stop(token)
+        return tree
 
     def next_hop(self, node: int, dest: int) -> int | None:
         """Next node on the shortest path from ``node`` to ``dest``.
@@ -111,12 +210,19 @@ class OspfRouting:
             return None
         tree = self._trees.get(dest)
         if tree is None:
-            tree = self._build_tree(dest)
-            self._trees[dest] = tree
-        return tree.get(node)
+            tree = self._trees[dest] = self._build_tree(dest)
+        row = self._row.get(node)
+        if row is None:
+            return None
+        hop = tree.item(row)
+        return hop if hop >= 0 else None
 
     def distance(self, node: int, dest: int) -> float:
-        """Shortest-path metric distance (inf if unreachable)."""
+        """Shortest-path metric distance (inf if unreachable).
+
+        Summed hop by hop from ``node``, each hop at the metric SPF used
+        for it (the cheapest in-service link of the pair).
+        """
         if node == dest:
             return 0.0
         total = 0.0
@@ -127,9 +233,9 @@ class OspfRouting:
             nxt = self.next_hop(current, dest)
             if nxt is None:
                 return float("inf")
-            link = self.net.link_between(current, nxt)
-            assert link is not None
-            total += ospf_link_metric(link.latency_s, link.bandwidth_bps)
+            a, b = self._row[current], self._row[nxt]
+            assert self._graph is not None  # next_hop built the tree
+            total += self._graph.pair_metric[(a, b) if a < b else (b, a)]
             current = nxt
         return total if current == dest else float("inf")
 
@@ -159,9 +265,9 @@ class OspfRouting:
     def set_link_state(self, link_id: int, up: bool) -> None:
         """Mark a link in or out of service; recompute routes lazily.
 
-        An out-of-service link is excluded from subsequent tree builds —
-        the OSPF analogue of flooding an LSA and re-running SPF. The
-        cached trees are invalidated so the next ``next_hop`` query
+        An out-of-service link is excluded from the member graph — the
+        OSPF analogue of flooding an LSA and re-running SPF. Graph and
+        cached trees are dropped so the next ``next_hop`` query
         recomputes against the current topology state.
         """
         changed = (link_id in self._down_links) if up else (link_id not in self._down_links)
@@ -184,4 +290,5 @@ class OspfRouting:
 
     def _invalidate(self) -> None:
         self._trees.clear()
+        self._graph = None
         self.invalidations += 1

@@ -10,6 +10,7 @@ procs 1, 2, and 4, under both fork and spawn start methods. Plus the
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ import pytest
 import repro.obs.registry as registry_mod
 import repro.obs.trace as trace_mod
 from repro.engine.parallel import ParallelConservativeEngine
-from repro.experiments.shard import chain_spec, run_reference
+from repro.experiments.shard import build_chain_scenario, chain_spec, run_reference
+from repro.obs import names
 from repro.obs.distributed import (
     RegistrySnapshot,
     merged_registry_snapshot,
@@ -34,6 +36,9 @@ DURATION = 0.02
 #: Instruments only a distributed run records; excluded from the
 #: single-process identity comparison by construction.
 MP_ONLY = ("parallel.", "calibration.")
+#: Work every process repeats for itself (each worker builds its own
+#: OSPF trees): it sums over workers, so no single process can equal it.
+PER_PROCESS = ("routing.spf.",)
 
 
 def spec():
@@ -44,7 +49,7 @@ def deterministic_view(snap: RegistrySnapshot) -> dict:
     """Deterministic instrument values (timers are wall-clock; skipped)."""
 
     def keep(name: str) -> bool:
-        return not name.startswith(MP_ONLY)
+        return not name.startswith(MP_ONLY + PER_PROCESS)
 
     return {
         "counters": {n: v for n, v in snap.counters.items() if keep(n)},
@@ -109,6 +114,45 @@ class TestMergedSnapshotIdentity:
         assert [p["label"] for p in merged.provenance] == [
             "controller", "worker-0", "worker-1",
         ]
+
+
+def build_chain_reporting_trees(engine, params):
+    """``build_chain_scenario`` whose ``collect()`` adds the shard's own
+    ``trees_built`` — the ground truth the merged counter must sum to."""
+    scenario = build_chain_scenario(engine, params)
+    collect = scenario.collect
+    fib = collect.__self__.sim.fib
+
+    def collect_with_trees():
+        out = collect()
+        out["trees_built"] = fib.route_recompute_stats()["trees_built"]
+        return out
+
+    scenario.collect = collect_with_trees
+    return scenario
+
+
+class TestPerWorkerSpf:
+    def test_merged_spf_trees_sum_the_workers_trees_built(self):
+        reporting = replace(spec(), builder=f"{__name__}:build_chain_reporting_trees")
+        with observed_run():
+            engine = ParallelConservativeEngine(
+                ASSIGNMENT, NUM_LPS, LOOKAHEAD, procs=2, start_method="fork"
+            )
+            result = engine.run_scenario(reporting, until=DURATION)
+            merged = merged_registry_snapshot(result)
+        built = [part["trees_built"] for part in result.collected]
+        # Packets cross the chain both ways, so both workers need both
+        # trees: the work is replicated, and the merge must say so.
+        assert built == [2, 2]
+        assert merged.counters[names.ROUTING_SPF_TREES] == sum(built)
+        count, total_s = merged.timers[names.ROUTING_SPF_SECONDS]
+        assert count == sum(built) and total_s > 0.0
+        per_worker = [
+            snap.counters[names.ROUTING_SPF_TREES]
+            for snap in result.registry_snapshots
+        ]
+        assert per_worker == built
 
 
 class TestMeasuredChannelEndToEnd:
