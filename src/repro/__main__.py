@@ -145,7 +145,6 @@ def _cmd_experiment_mp(args, scale) -> int:
         return run_executed_workload(
             net, mapping, scale.profile_duration_s,
             scale=scale, seed=args.seed, procs=args.procs,
-            incremental_obs=args.incremental_obs,
             rebalance=rebalance,
             recovery=recovery,
         )
@@ -227,9 +226,6 @@ def _cmd_experiment_mp(args, scale) -> int:
                   f"{len(run.calibration['windows'])} windows; worst window "
                   f"{worst['window']} (measured {worst['measured_s'] * 1e3:.3f} ms, "
                   f"predicted {worst['predicted_s'] * 1e3:.3f} ms)")
-        if args.incremental_obs:
-            print(f"incremental obs deltas: {s['obs_bytes']:,} control-plane "
-                  f"bytes (never mail)")
         print(f"\nmerged observability snapshot written to {out}")
     return 0
 
@@ -570,11 +566,6 @@ def main(argv: list[str] | None = None) -> int:
                        "predicted wall-clock")
     p_exp.add_argument("--procs", type=int, default=2,
                        help="worker processes for --backend mp (default: 2)")
-    p_exp.add_argument("--incremental-obs", dest="incremental_obs",
-                       action="store_true",
-                       help="with --backend mp and --obs-out: workers also ship "
-                       "per-window registry deltas on the control plane (live "
-                       "merged view; end-of-run snapshot is always shipped)")
     p_exp.add_argument("--rebalance", action="store_true",
                        help="with --backend mp: watch per-window blame "
                        "concentration and migrate LPs between workers at "

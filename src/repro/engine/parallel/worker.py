@@ -1,0 +1,257 @@
+"""The worker's window loop — written once, pumped by either transport.
+
+:class:`ShardWorker` is one shard's side of the barrier protocol as a
+resumable step object: :meth:`ShardWorker.run` is a generator that
+yields every outbound wire message and yields ``None`` wherever it needs
+the next inbound one (``msg = yield``). ``PipeTransport``'s child entry
+pumps it over an ``mp.Pipe`` inside a worker process; ``InlineTransport``
+pumps the very same object by direct call. Who sends which message in
+which phase, and which config stanza enables it, is tabulated once in
+docs/architecture.md ("Barrier protocol: message × phase").
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Generator
+
+from ...obs.distributed import RegistrySnapshot, TraceSnapshot
+from ...obs.timers import Stopwatch
+from ..recovery import checkpoint_digest
+from ..windows import iter_windows
+from .shard import (
+    ShardEngine,
+    _build_shard,
+    _deliver_encoded_mail,
+    _encode_lp_migration,
+    _encode_outbound,
+    _encode_worker_checkpoint,
+    _expect,
+    _install_lp_migration,
+    _restore_shard_from_blob,
+    _ser,
+    _shard_result,
+)
+
+__all__ = ["ShardWorker"]
+
+
+class ShardWorker:
+    """One shard's window loop, driven from outside one message at a time.
+
+    ``config`` is the dict the coordinator builds per (shard,
+    incarnation). Its optional ``obs`` / ``rebalance`` / ``recovery``
+    stanzas switch on everything beyond the plain ``window``/``mail``
+    round; with a stanza absent none of its code runs and every message
+    is byte-identical to a build without the feature. ``obs_on`` is what
+    applying the ``obs`` stanza to this process returned. ``fire(kind)``
+    realises a planned process fault however the transport can (a real
+    SIGKILL, or an exception the in-process pump turns into the same
+    typed loss).
+    """
+
+    def __init__(
+        self, config: dict, obs_on: bool, fire: Callable[[Any], None]
+    ) -> None:
+        self.config = config
+        self.obs_on = obs_on
+        self._fire = fire
+        self.shard_id = config["shard_id"]
+        self.procs = config["procs"]
+        rec = config.get("recovery") or {}
+        self.ckpt_every = int(rec.get("checkpoint_every_n_windows", 0))
+        self.incarnation = int(config.get("incarnation", 0))
+        plan = rec.get("fault_plan")
+        self.faults = tuple(plan.for_shard(self.shard_id)) if plan is not None else ()
+        rb = config.get("rebalance")
+        self.rb_on = bool(rb)
+        self.rb_measured = self.rb_on and rb.get("source") == "measured"
+        self.shard_of = list(config["shard_of"])
+        self.boundaries = list(
+            iter_windows(0.0, config["lookahead"], config["until"])
+        )
+        self.mail_bytes = 0
+
+    # -- shard construction -------------------------------------------
+    def _build(self, owned_lps) -> int:
+        """Fresh shard over ``owned_lps`` (setup replay); next window 0."""
+        cfg = self.config
+        self.engine = ShardEngine(
+            cfg["assignment"], cfg["num_lps"], cfg["lookahead"], owned_lps,
+            strict=cfg["strict"], queue=cfg["queue"],
+            shard_id=self.shard_id, num_shards=self.procs,
+        )
+        self.scenario, self.fn_to_name, self.name_to_fn = _build_shard(
+            self.engine, cfg["spec"]
+        )
+        self.mail_bytes = 0
+        return 0
+
+    def _restore(self, blob: bytes) -> int:
+        """Shard rebuilt from a checkpoint; next window after its cut."""
+        cfg = self.config
+        restored = _restore_shard_from_blob(
+            blob, cfg["assignment"], cfg["num_lps"], cfg["lookahead"],
+            cfg["spec"], cfg["strict"], cfg["queue"], self.procs,
+        )
+        self.engine, self.scenario, self.fn_to_name, self.name_to_fn, payload = restored
+        self.mail_bytes = int(payload["acc"]["mail_bytes"])
+        return int(payload["window_index"]) + 1
+
+    def _install(self, payloads: dict[int, bytes]) -> None:
+        for lp in sorted(payloads):
+            _install_lp_migration(
+                self.engine, self.scenario, self.name_to_fn, payloads[lp]
+            )
+
+    # -- recovery ------------------------------------------------------
+    def _fault(self, window_index: int, after_send: bool) -> None:
+        """Fire the planned fault matching this (window, incarnation, phase)."""
+        for pf in self.faults:
+            if (
+                pf.window == window_index
+                and pf.incarnation == self.incarnation
+                and bool(pf.after_send) == after_send
+            ):
+                self._fire(pf.kind)
+
+    def _replay(self, replay_buffer: bytes, next_w: int) -> int:
+        """Private replay after a respawn; returns the window to rejoin at.
+
+        Re-runs the crashed windows from controller-retained mail.
+        Regenerated outbound mail is counted (the totals must match an
+        uninterrupted run) but discarded — the live recipients consumed
+        the originals.
+        """
+        for rw, inbound in _ser().decode_replay_buffer(replay_buffer):
+            rw = int(rw)
+            self._fault(rw, False)
+            end = self.boundaries[rw][2]
+            self.engine.run_window(rw, end)
+            payloads = _encode_outbound(
+                self.engine, self.shard_of, self.fn_to_name, self.procs
+            )
+            self.mail_bytes += sum(len(p) for p in payloads)
+            self._fault(rw, True)
+            _deliver_encoded_mail(self.engine, inbound, end, self.name_to_fn)
+            next_w = rw + 1
+        return next_w
+
+    def _rollback(self, msg: tuple) -> int:
+        """Apply ``("rollback", c, blob, installs, shard_of)``.
+
+        A sibling died and respawns are exhausted — every survivor
+        rewinds to the committed checkpoint window ``c``; the adopter
+        additionally installs the dead shard's LPs. With nothing
+        committed yet the shard restarts from window 0 under the
+        post-adoption placement (the adopter owns the dead shard's LPs
+        from setup — there is no state to install).
+        """
+        _tag, _c, blob, installs, shard_of = msg
+        if blob is not None:
+            next_w = self._restore(blob)
+        else:
+            next_w = self._build(
+                [lp for lp, s in enumerate(shard_of) if int(s) == self.shard_id]
+            )
+        self._install(installs)
+        self.shard_of = [int(v) for v in shard_of]
+        return next_w
+
+    # -- the loop ------------------------------------------------------
+    def run(self) -> Generator[tuple | None, tuple | None, None]:
+        """Build (or resume) the shard, run every window, report ``done``."""
+        cfg = self.config
+        resume = cfg.get("resume") or {}
+        if resume.get("checkpoint") is not None:
+            i = self._restore(resume["checkpoint"])
+        else:
+            i = self._build(cfg["owned_lps"])
+        if resume.get("replay"):
+            i = self._replay(resume["replay"], i)
+        obs_on = self.obs_on
+        measure_exec = obs_on or self.rb_measured
+        clock = Stopwatch()
+        waiting = Stopwatch()
+        barrier_wait_s = 0.0
+        while i < len(self.boundaries):
+            w, _start, end = self.boundaries[i]
+            engine = self.engine
+            self._fault(w, False)
+            if measure_exec:
+                clock.restart()
+            executed = engine.run_window(w, end)
+            execute_s = clock.elapsed() if measure_exec else 0.0
+            if obs_on:
+                clock.restart()
+            payloads = _encode_outbound(
+                engine, self.shard_of, self.fn_to_name, self.procs
+            )
+            encode_s = clock.elapsed() if obs_on else 0.0
+            window_mail = sum(len(p) for p in payloads)
+            self.mail_bytes += window_mail
+            message = (
+                "window",
+                w,
+                payloads,
+                engine.events_this_window.tolist(),
+                engine.remote_this_window.tolist(),
+                engine.xshard_this_window.tolist(),
+            )
+            if self.rb_measured:
+                # Measured regardless of obs: the controller's blame
+                # needs it.
+                message = message + (execute_s,)
+            yield message
+            self._fault(w, True)
+            waiting.restart()
+            msg = yield
+            wait_s = waiting.elapsed()
+            barrier_wait_s += wait_s
+            if msg[0] == "rollback":
+                i = self._rollback(msg)
+                continue
+            _expect(msg, "mail", w, "the coordinator")
+            if obs_on:
+                clock.restart()
+            _deliver_encoded_mail(engine, msg[2], end, self.name_to_fn)
+            decode_s = clock.elapsed() if obs_on else 0.0
+            plan = msg[3] if self.rb_on and len(msg) > 3 else None
+            if plan:
+                # Mail was routed by the *old* placement, so inbound
+                # events sit in the departing LP's queue before it is
+                # extracted. Payloads ride these control messages only —
+                # never barrier mail.
+                outgoing: dict[int, bytes] = {}
+                for mig_lp, mig_src, mig_dst in plan:
+                    mig_lp = int(mig_lp)
+                    if int(mig_src) == self.shard_id:
+                        outgoing[mig_lp] = _encode_lp_migration(
+                            engine, self.scenario, self.fn_to_name, mig_lp
+                        )
+                    self.shard_of[mig_lp] = int(mig_dst)
+                yield ("migrate", w, outgoing)
+                inst = yield
+                _expect(inst, "install", w, "the coordinator")
+                self._install(inst[2])
+            if self.ckpt_every and (w + 1) % self.ckpt_every == 0:
+                blob = _encode_worker_checkpoint(
+                    engine, self.scenario, self.fn_to_name, w, self.mail_bytes
+                )
+                yield ("ckpt", w, checkpoint_digest(blob), blob)
+            if obs_on:
+                engine.observe_window_walls(
+                    w, executed, execute_s, wait_s, encode_s, decode_s, window_mail
+                )
+            i += 1
+        result = _shard_result(self.engine, self.scenario)
+        result["barrier_wait_s"] = barrier_wait_s
+        result["mail_bytes"] = self.mail_bytes
+        if obs_on:
+            label = f"worker-{self.shard_id}"
+            result["obs"] = {
+                "registry": RegistrySnapshot.capture(
+                    shard_id=self.shard_id, label=label
+                ),
+                "trace": TraceSnapshot.capture(shard_id=self.shard_id, label=label),
+            }
+        yield ("done", _ser().encode_payload(result))

@@ -309,7 +309,6 @@ class ExecutedParallelRun:
             "barrier_wait_s": list(self.result.barrier_wait_s),
             "mail_bytes": self.result.total_mail_bytes,
             "num_windows": len(self.result.window_stats),
-            "obs_bytes": sum(self.result.obs_bytes),
             **(
                 {"migrations": len(self.result.migrations)}
                 if self.result.migrations
@@ -346,7 +345,6 @@ def run_executed_workload(
     start_method: str = "fork",
     record_deliveries: bool = False,
     window_timeout_s: float = 120.0,
-    incremental_obs: bool = False,
     rebalance=None,
     recovery=None,
     faults: list | None = None,
@@ -421,7 +419,6 @@ def run_executed_workload(
         strict=strict,
         start_method=start_method,
         window_timeout_s=window_timeout_s,
-        incremental_obs=incremental_obs,
         rebalance=rebalance,
         recovery=recovery,
     )

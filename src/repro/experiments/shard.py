@@ -34,7 +34,8 @@ from typing import Any
 import numpy as np
 
 from ..engine.conservative import ConservativeEngine
-from ..engine.parallel import ScenarioSpec, ShardScenario, _resolve_builder
+from ..engine.parallel import ScenarioSpec, ShardScenario
+from ..engine.parallel.shard import _resolve_builder
 from ..faults import FaultInjector, FaultSchedule
 from ..netsim.packet import Packet, Protocol
 from ..netsim.simulator import NetworkSimulator

@@ -224,7 +224,7 @@ class RegistrySnapshot:
         )
 
     def diff(self, prev: "RegistrySnapshot") -> "RegistrySnapshot":
-        """The delta ``self - prev`` (incremental per-window shipping).
+        """The delta ``self - prev``; merging it onto ``prev`` restores ``self``.
 
         Counters, vectors, histograms, timers, and series subtract;
         high-water gauges keep the *current* values (their merge is max,
@@ -500,7 +500,6 @@ class TraceSnapshot:
 def worker_obs_config(
     registry: Registry | None = None,
     tracer: TraceBuffer | None = None,
-    incremental: bool = False,
 ) -> dict | None:
     """The obs stanza of a worker config — ``None`` when obs is off.
 
@@ -520,7 +519,6 @@ def worker_obs_config(
         "capacity": tr.capacity,
         "event_cost_s": tr.event_cost_s,
         "remote_event_cost_s": tr.remote_event_cost_s,
-        "incremental": bool(incremental),
     }
 
 

@@ -222,8 +222,8 @@ def lp_affinity(
 class Rebalancer:
     """Controller-side trigger/candidate/score loop over barrier windows.
 
-    One instance lives on the multi-process controller (or the
-    :class:`~repro.engine.parallel.LocalShardGroup` driver). Each
+    One instance lives on the run's
+    :class:`~repro.engine.parallel.coordinator.Coordinator`. Each
     barrier, :meth:`observe_window` ingests the window's merged per-LP
     counters; when the trailing blame concentration crosses the
     configured threshold it generates single-LP moves off the blamed
@@ -234,7 +234,7 @@ class Rebalancer:
     the barrier; ``shard_of`` here tracks the *decided* placement.
 
     LP 0 never migrates: the control-plane replica schedule is owned by
-    LP 0's shard structurally (see ``engine/parallel.py``), so its
+    LP 0's shard structurally (see ``engine/parallel/shard.py``), so its
     placement is part of the protocol, not the load balance.
     """
 

@@ -314,9 +314,9 @@ def encode_snapshot(snapshot: Any) -> bytes:
     """Serialize an observability snapshot for the control plane.
 
     Registry/trace snapshots (:mod:`repro.obs.distributed`) ride the
-    worker result envelope or, with incremental obs on, a per-window
-    delta slot — never barrier mail, so a disabled-obs run ships zero
-    snapshot bytes (``tests/test_obs_overhead.py`` proves it). Same
+    worker result envelope — never barrier mail, so a disabled-obs run
+    ships zero snapshot bytes (``tests/test_obs_overhead.py`` proves
+    it). Same
     versioned wire framing as every other cross-process payload.
     """
     return encode_payload(snapshot)

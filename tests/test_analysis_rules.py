@@ -504,7 +504,7 @@ class TestDriver:
 class TestWorkerRegistryMutation:
     """SIM108: worker-side code must not mutate the global registry."""
 
-    MP_PATH = "src/repro/engine/parallel.py"
+    MP_PATH = "src/repro/engine/parallel/worker.py"
 
     def test_chained_reset_fires(self):
         findings = lint(
@@ -605,7 +605,19 @@ class TestWorkerRegistryMutation:
 
         from repro.analysis import lint_source
 
-        for rel in ("src/repro/engine/parallel.py", "src/repro/experiments/shard.py"):
-            src = Path(rel).read_text()
-            found = [f for f in lint_source(src, rel) if f.rule_id == "SIM108"]
+        from repro.analysis.rules import get_rule
+
+        sim108 = get_rule("SIM108")
+        package = sorted(Path("src/repro/engine/parallel").glob("*.py"))
+        assert {p.name for p in package} >= {
+            "shard.py", "worker.py", "transport.py", "coordinator.py"
+        }
+        for path in [*package, Path("src/repro/experiments/shard.py")]:
+            rel = path.as_posix()
+            # The rule is path-scoped: every module of the package must
+            # still fall inside its scope fragments after the split.
+            assert sim108.applies_to(rel), rel
+            found = [
+                f for f in lint_source(path.read_text(), rel) if f.rule_id == "SIM108"
+            ]
             assert not found, [f.message for f in found]

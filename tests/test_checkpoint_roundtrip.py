@@ -20,7 +20,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.parallel import (
+from repro.engine.parallel.shard import (
     ShardEngine,
     _build_shard,
     _encode_worker_checkpoint,

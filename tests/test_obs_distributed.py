@@ -345,7 +345,7 @@ class TestWorkerObsConfig:
         reg = Registry(enabled=True, bin_s=0.25)
         tr = TraceBuffer(capacity=128, enabled=True)
         tr.set_costs(1e-6, 2e-6)
-        cfg = worker_obs_config(reg, tr, incremental=True)
+        cfg = worker_obs_config(reg, tr)
         assert cfg == {
             "registry": True,
             "bin_s": 0.25,
@@ -353,7 +353,6 @@ class TestWorkerObsConfig:
             "capacity": 128,
             "event_cost_s": 1e-6,
             "remote_event_cost_s": 2e-6,
-            "incremental": True,
         }
 
     def test_configure_none_is_inert_and_false(self):

@@ -174,20 +174,6 @@ class TestMeasuredChannelEndToEnd:
             result.total_mail_bytes
         )
 
-    def test_incremental_deltas_accumulate_to_the_final_snapshot(self):
-        with observed_run():
-            engine = ParallelConservativeEngine(
-                ASSIGNMENT, NUM_LPS, LOOKAHEAD,
-                procs=2, start_method="fork", incremental_obs=True,
-            )
-            result = engine.run_scenario(spec(), until=DURATION)
-            merged = merged_registry_snapshot(result)
-        assert sum(result.obs_bytes) > 0
-        with observed_run() as reg:
-            run_reference(spec(), ASSIGNMENT, NUM_LPS, LOOKAHEAD, DURATION)
-            single = deterministic_view(RegistrySnapshot.capture(reg))
-        assert deterministic_view(merged) == single
-
 
 class TestObsOutCli:
     def test_backend_mp_obs_out_writes_merged_document(

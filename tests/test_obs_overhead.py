@@ -147,8 +147,8 @@ def test_every_instrument_has_its_record_layer(cls, meth):
 # ----------------------------------------------------------------------
 import numpy as np
 
-import repro.engine.parallel as parallel_mod
 from repro.engine.parallel import ParallelConservativeEngine
+from repro.engine.parallel.coordinator import Coordinator
 from repro.experiments.shard import chain_spec, delivery_log_bytes, merge_collected
 from repro.obs.distributed import RegistrySnapshot, TraceSnapshot
 from repro.obs.trace import traced_run
@@ -157,7 +157,7 @@ CHAIN_ASSIGNMENT = np.array([0, 0, 0, 0, 1, 1, 1, 1])
 CHAIN_DURATION = 0.02
 
 
-def run_chain_mp(procs: int = 2, incremental: bool = False):
+def run_chain_mp(procs: int = 2):
     spec = chain_spec(num_nodes=8, latency_s=1e-4, packets=20)
     engine = ParallelConservativeEngine(
         CHAIN_ASSIGNMENT,
@@ -165,7 +165,6 @@ def run_chain_mp(procs: int = 2, incremental: bool = False):
         1e-4,
         procs=procs,
         start_method="fork",  # fork propagates monkeypatched tripwires
-        incremental_obs=incremental,
     )
     return engine.run_scenario(spec, until=CHAIN_DURATION)
 
@@ -185,26 +184,23 @@ class TestDistributedDisabledMeansNoObs:
         result = run_chain_mp()
         assert result.registry_snapshots == []
         assert result.trace_snapshots == []
-        assert result.obs_bytes == [0, 0]
         assert result.events_executed > 0
 
     def test_disabled_mail_is_byte_identical_without_obs_layer(self, monkeypatch):
-        import repro.serialization as ser
-
         monkeypatch.setattr(get_registry(), "enabled", False)
         monkeypatch.setattr(get_tracer(), "enabled", False)
         with_layer = run_chain_mp()
 
         # Re-run with the `obs` stanza stripped from every worker config:
         # the wire a build without the observability layer would speak.
-        orig = ParallelConservativeEngine._worker_config
+        orig = Coordinator.worker_config
 
-        def stripped(self, shard_id, spec, until, **kwargs):
-            cfg = ser.decode_payload(orig(self, shard_id, spec, until, **kwargs))
+        def stripped(self, shard_id, **kwargs):
+            cfg = orig(self, shard_id, **kwargs)
             cfg.pop("obs", None)
-            return ser.encode_payload(cfg)
+            return cfg
 
-        monkeypatch.setattr(ParallelConservativeEngine, "_worker_config", stripped)
+        monkeypatch.setattr(Coordinator, "worker_config", stripped)
         without_layer = run_chain_mp()
 
         assert with_layer.mail_bytes == without_layer.mail_bytes
@@ -220,16 +216,13 @@ class TestDistributedDisabledMeansNoObs:
 
         with observed_run(), traced_run(get_tracer()):
             enabled = run_chain_mp()
-            incremental = run_chain_mp(incremental=True)
 
         # Positive control: the enabled runs really shipped snapshots...
         assert len(enabled.registry_snapshots) == 2
         assert len(enabled.trace_snapshots) == 2
-        assert sum(incremental.obs_bytes) > 0
-        # ...and none of it rode the mail batches. Snapshots and deltas
-        # travel the control plane; mail volume is invariant.
+        # ...and none of it rode the mail batches. Snapshots travel the
+        # control plane; mail volume is invariant.
         assert enabled.mail_bytes == disabled.mail_bytes
-        assert incremental.mail_bytes == disabled.mail_bytes
 
     def test_worker_snapshots_carry_provenance(self):
         with observed_run(), traced_run(get_tracer()):

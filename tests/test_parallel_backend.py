@@ -29,11 +29,10 @@ from repro.engine.parallel import (
     ShardScenario,
     UnregisteredHandlerError,
     WorkerCrashError,
-    _deliver_encoded_mail,
-    _encode_outbound,
     shard_lps,
     validate_mail_batch,
 )
+from repro.engine.parallel.shard import _deliver_encoded_mail, _encode_outbound
 from repro.experiments.shard import chain_spec, delivery_log_bytes, merge_collected, run_reference
 from repro.serialization import encode_mail_batch
 
@@ -280,6 +279,22 @@ class TestWorkerFailureModes:
         deadline = time.monotonic() + 5.0
         while multiprocessing.active_children() and time.monotonic() < deadline:
             time.sleep(0.05)
+        assert not multiprocessing.active_children()
+
+    def test_abandoned_fork_run_returns_promptly(self):
+        # Shard 0 raises at t=0.25 while shard 1 is blocked waiting for
+        # mail. Under fork the survivor used to hold an inherited copy of
+        # its own controller-side pipe end, never saw EOF when the
+        # controller hung up, and the teardown sat out the full exit
+        # grace (5 s) before terminating it.
+        engine = ParallelConservativeEngine(
+            ASSIGNMENT, 2, LOOKAHEAD, procs=2, start_method="fork"
+        )
+        spec = ScenarioSpec(builder=f"{__name__}:raise_builder")
+        watch = time.monotonic()
+        with pytest.raises(ParallelWorkerError):
+            engine.run_scenario(spec, until=1.0)
+        assert time.monotonic() - watch < 2.0
         assert not multiprocessing.active_children()
 
     def test_worker_exception_carries_remote_traceback(self):
