@@ -9,7 +9,6 @@ Usage::
     python -m repro trace --timeline --out timeline.json
     python -m repro synccost
     python -m repro lint src/repro [--format json] [--strict]
-    python -m repro bench [--quick] [--out-dir .] [--threshold 0.8] [--seed 0]
     python -m repro chaos multi-as scalapack --scenario chaos-mixed [--seed 0]
     python -m repro chaos single-as scalapack --kill-workers 2 --procs 2
 
@@ -22,12 +21,10 @@ snapshot (with ``--timeline`` it instead replays the scenario on the
 parallel engine under the structured tracer and prints straggler blame,
 the critical path, and what-if mapping scores alongside a Chrome trace
 JSON); ``synccost`` prints the Figure 5 model; ``lint`` runs the
-simlint static analysis (:mod:`repro.analysis`); ``bench`` runs the
-committed benchmark trajectory (:mod:`repro.bench`), writes
-``BENCH_<date>.json``, and exits 1 on a performance regression against
-the previous file; ``chaos`` runs a seeded fault scenario
-(:mod:`repro.faults`), prints the convergence/recovery report, and
-exits 1 when the network failed to heal within the run horizon.
+simlint static analysis (:mod:`repro.analysis`); ``chaos`` runs a seeded
+fault scenario (:mod:`repro.faults`), prints the convergence/recovery
+report, and exits 1 when the network failed to heal within the run
+horizon.
 """
 
 from __future__ import annotations
@@ -474,17 +471,6 @@ def cmd_lint(args) -> int:
     return run_lint(args)
 
 
-def cmd_bench(args) -> int:
-    from .bench import format_bench, run_bench, write_bench
-
-    doc = run_bench(quick=args.quick, seed=args.seed, suite=args.suite)
-    path = write_bench(doc, args.out_dir, threshold=args.threshold)
-    print(format_bench(doc))
-    print(f"wrote {path}")
-    cmp = doc["comparison"]
-    return 1 if (cmp is not None and not cmp["ok"]) else 0
-
-
 def cmd_chaos(args) -> int:
     import json
 
@@ -657,28 +643,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p_sync = sub.add_parser("synccost", help="print the Figure 5 sync cost model")
     p_sync.set_defaults(fn=cmd_synccost)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the event/packet hot-path benchmarks, write BENCH_<date>.json, "
-        "compare against the previous file (exit 1 on regression)",
-    )
-    p_bench.add_argument("--quick", action="store_true",
-                         help="reduced workload for CI smoke runs (compared "
-                         "only against other --quick documents)")
-    p_bench.add_argument("--out-dir", default=".", metavar="DIR",
-                         help="where BENCH_<date>.json is written and previous "
-                         "files are looked up (default: repo root)")
-    p_bench.add_argument("--threshold", type=float, default=0.8,
-                         help="better-direction ratio below which a metric is "
-                         "a regression (default: 0.8)")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--suite", choices=["hotpath", "parallel", "all"],
-                         default="all",
-                         help="hotpath: queue/packet benchmarks; parallel: "
-                         "executed multi-process speedup vs the cost model; "
-                         "all (default): both")
-    p_bench.set_defaults(fn=cmd_bench)
 
     p_chaos = sub.add_parser(
         "chaos",

@@ -8,7 +8,6 @@ real worker processes; :mod:`repro.engine.costmodel` converts either's
 per-window counters into modeled wall-clock time.
 """
 
-from .calqueue import AdaptiveQueue, CalendarQueue, make_queue
 from .conservative import ConservativeEngine, LookaheadViolation
 from .parallel import (
     LocalShardGroup,
@@ -40,9 +39,6 @@ from .kernel import SimKernel
 __all__ = [
     "Event",
     "EventQueue",
-    "CalendarQueue",
-    "AdaptiveQueue",
-    "make_queue",
     "SimKernel",
     "ConservativeEngine",
     "LookaheadViolation",

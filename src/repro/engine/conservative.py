@@ -26,8 +26,7 @@ import numpy as np
 from ..obs import names as obs_names
 from ..obs.registry import get_registry
 from ..obs.trace import get_tracer
-from .calqueue import make_queue
-from .events import Event, _seq
+from .events import Event, EventQueue, _seq
 from .windows import WindowStats, iter_windows
 
 __all__ = ["LookaheadViolation", "WindowStats", "ConservativeEngine"]
@@ -56,11 +55,6 @@ class ConservativeEngine:
         ``strict=False`` violations are counted but tolerated (events are
         delivered late at the next barrier — the accuracy erosion a real
         optimistic/approximate engine would suffer).
-    queue:
-        Per-LP pending-set backend: ``"adaptive"`` (default),
-        ``"heap"``, or ``"calendar"`` (see :mod:`repro.engine.calqueue`).
-        Every backend pops the identical ``(time, seq)`` order, so the
-        choice never changes simulation outcomes.
     """
 
     def __init__(
@@ -69,7 +63,6 @@ class ConservativeEngine:
         num_lps: int,
         lookahead: float,
         strict: bool = True,
-        queue: str = "adaptive",
     ) -> None:
         if lookahead <= 0:
             raise ValueError("lookahead must be positive")
@@ -83,7 +76,7 @@ class ConservativeEngine:
         self.strict = strict
 
         self.now: float = 0.0  # barrier time (start of current window)
-        self._queues = [make_queue(queue) for _ in range(self.num_lps)]
+        self._queues = [EventQueue() for _ in range(self.num_lps)]
         self._mailboxes: list[list[Event]] = [[] for _ in range(self.num_lps)]
         self._current_lp: int | None = None
         self._window_end: float = 0.0

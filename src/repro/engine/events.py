@@ -147,7 +147,7 @@ class EventQueue:
         return None
 
     # ------------------------------------------------------------------
-    # Migration support (AdaptiveQueue moves entries between backends)
+    # Raw-entry access (the checkpoint snapshot reads a queue this way)
     # ------------------------------------------------------------------
     def drain_entries(self) -> list[tuple[float, int, Event]]:
         """Remove and return all raw entries (cancelled ones included)."""

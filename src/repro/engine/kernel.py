@@ -14,8 +14,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .calqueue import make_queue
-from .events import Event
+from .events import Event, EventQueue
 
 __all__ = ["SimKernel"]
 
@@ -28,17 +27,11 @@ class SimKernel:
     record_trace:
         Record (time, node) of every executed event for post-hoc
         partition evaluation (:mod:`repro.engine.costmodel`).
-    queue:
-        Pending-set backend: ``"adaptive"`` (default; binary heap that
-        promotes to a calendar queue under dense schedules), ``"heap"``,
-        or ``"calendar"``. All backends pop the identical ``(time, seq)``
-        order, so the choice never changes simulation outcomes (proven
-        by the differential determinism tests).
     """
 
-    def __init__(self, record_trace: bool = False, queue: str = "adaptive") -> None:
+    def __init__(self, record_trace: bool = False) -> None:
         self.now: float = 0.0
-        self.queue = make_queue(queue)
+        self.queue = EventQueue()
         self.events_executed: int = 0
         self.record_trace = record_trace
         self._trace_times: list[float] = []
@@ -73,9 +66,11 @@ class SimKernel:
         """Execute events until the queue drains, ``until`` is reached, or
         ``max_events`` have run. Returns the number executed this call.
 
-        Events stamped exactly at ``until`` are *not* executed, and
-        ``now`` advances to ``until`` (if given), so back-to-back windows
-        compose exactly.
+        Events stamped exactly at ``until`` are *not* executed, and once
+        nothing earlier than ``until`` is queued ``now`` advances to
+        ``until``, so back-to-back windows compose exactly. A call that
+        stops on ``max_events`` leaves ``now`` at the last executed event:
+        work before ``until`` may still be pending.
         """
         executed = 0
         bound = float("inf") if until is None else until
@@ -83,6 +78,8 @@ class SimKernel:
         while max_events is None or executed < max_events:
             ev = queue.pop_until(bound)
             if ev is None:
+                if until is not None and self.now < until:
+                    self.now = until
                 break
             self.now = ev.time
             ev.fn(*ev.args)
@@ -90,8 +87,6 @@ class SimKernel:
             if self.record_trace:
                 self._trace_times.append(ev.time)
                 self._trace_nodes.append(ev.node)
-        if until is not None and self.now < until:
-            self.now = until
         self.events_executed += executed
         return executed
 

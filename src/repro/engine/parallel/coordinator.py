@@ -296,7 +296,6 @@ class Coordinator:
             "lookahead": backend.lookahead,
             "owned_lps": self.shards[shard_id],
             "strict": backend.strict,
-            "queue": backend.queue,
             "spec": self.spec,
             "shard_of": self.shard_of(),
             "procs": self.procs,
@@ -725,7 +724,6 @@ class ParallelConservativeEngine:
         lookahead: float,
         procs: int = 2,
         strict: bool = True,
-        queue: str = "adaptive",
         start_method: str = "fork",
         window_timeout_s: float = 120.0,
         shards: list[list[int]] | None = None,
@@ -745,7 +743,6 @@ class ParallelConservativeEngine:
         self.num_lps = int(num_lps)
         self.lookahead = float(lookahead)
         self.strict = strict
-        self.queue = queue
         self.start_method = start_method
         self.window_timeout_s = float(window_timeout_s)
         self.shards = shards if shards is not None else shard_lps(self.num_lps, procs)

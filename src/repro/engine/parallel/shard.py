@@ -17,9 +17,8 @@ import numpy as np
 from ...obs import names as obs_names
 from ...obs.registry import get_registry
 from ...obs.trace import get_tracer
-from ..calqueue import make_queue
 from ..conservative import LookaheadViolation
-from ..events import Event
+from ..events import Event, EventQueue
 from ..windows import WINDOW_EPSILON_FRACTION
 
 
@@ -174,7 +173,6 @@ class ShardEngine:
         lookahead: float,
         owned_lps: Sequence[int],
         strict: bool = True,
-        queue: str = "adaptive",
         shard_id: int = 0,
         num_shards: int = 1,
     ) -> None:
@@ -200,9 +198,8 @@ class ShardEngine:
         #: True when this shard owns LP 0 and therefore runs the real
         #: control plane (other shards replay a replica of it).
         self.has_control = bool(owned) and owned[0] == 0
-        self._queue_kind = queue
-        self._queues = [make_queue(queue) for _ in owned]
-        self._control_queue = None if self.has_control else make_queue(queue)
+        self._queues = [EventQueue() for _ in owned]
+        self._control_queue = None if self.has_control else EventQueue()
         # Cross-LP mail between two LPs of the *same* shard still waits
         # for the barrier, mirroring the single-process mailboxes.
         self._local_mail: list[list[Event]] = [[] for _ in owned]
@@ -550,7 +547,7 @@ class ShardEngine:
             )
         pos = int(np.searchsorted(np.asarray(self.owned_lps), lp))
         self.owned_lps.insert(pos, int(lp))
-        self._queues.insert(pos, make_queue(self._queue_kind))
+        self._queues.insert(pos, EventQueue())
         self._local_mail.insert(pos, [])
         self._reindex_owned()
         for ev in events:
@@ -762,8 +759,8 @@ def _snapshot_queue_items(queue, fn_to_name: dict[Any, str]) -> list[tuple]:
     """Non-destructively list one queue's live events by wire name.
 
     Entries come back in canonical ``(time, key)`` order so the encoded
-    checkpoint (and therefore its digest) is independent of the queue
-    backend's internal layout.
+    checkpoint (and therefore its digest) is independent of the heap's
+    internal layout.
     """
     entries = queue.drain_entries()
     queue.extend_entries(entries)
@@ -835,7 +832,6 @@ def _restore_shard_from_blob(
     lookahead: float,
     spec: ScenarioSpec,
     strict: bool,
-    queue: str,
     procs: int,
 ):
     """Rebuild a shard from a checkpoint: fresh setup replay + restore.
@@ -849,7 +845,6 @@ def _restore_shard_from_blob(
         lookahead,
         payload["owned_lps"],
         strict=strict,
-        queue=queue,
         shard_id=int(payload["shard_id"]),
         num_shards=procs,
     )

@@ -77,8 +77,7 @@ class ShardWorker:
         cfg = self.config
         self.engine = ShardEngine(
             cfg["assignment"], cfg["num_lps"], cfg["lookahead"], owned_lps,
-            strict=cfg["strict"], queue=cfg["queue"],
-            shard_id=self.shard_id, num_shards=self.procs,
+            strict=cfg["strict"], shard_id=self.shard_id, num_shards=self.procs,
         )
         self.scenario, self.fn_to_name, self.name_to_fn = _build_shard(
             self.engine, cfg["spec"]
@@ -91,7 +90,7 @@ class ShardWorker:
         cfg = self.config
         restored = _restore_shard_from_blob(
             blob, cfg["assignment"], cfg["num_lps"], cfg["lookahead"],
-            cfg["spec"], cfg["strict"], cfg["queue"], self.procs,
+            cfg["spec"], cfg["strict"], self.procs,
         )
         self.engine, self.scenario, self.fn_to_name, self.name_to_fn, payload = restored
         self.mail_bytes = int(payload["acc"]["mail_bytes"])

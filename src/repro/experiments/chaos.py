@@ -11,7 +11,7 @@ does, with the same protocols doing the recovering.
 Determinism contract: the same ``(scenario, seed)`` pair produces the
 same fault schedule (:meth:`FaultSchedule.digest`), the same fault
 trace (:attr:`ChaosResult.fault_trace_digest`), and the same delivery
-counters, on every queue backend.
+counters.
 """
 
 from __future__ import annotations
@@ -98,7 +98,6 @@ def run_chaos_experiment(
     duration_s: float | None = None,
     schedule: FaultSchedule | None = None,
     obs_out: str | None = None,
-    queue_backend: str = "adaptive",
 ) -> ChaosResult:
     """Run one workload under one fault scenario and report recovery.
 
@@ -114,7 +113,7 @@ def run_chaos_experiment(
         schedule = FaultSchedule.from_scenario(scenario, net, seed)
 
     with observed_run() as reg, traced_run() as tracer:
-        kernel = SimKernel(queue=queue_backend)
+        kernel = SimKernel()
         sim = NetworkSimulator(net, fib, kernel)
         agent = Agent(sim)
         sessions: BgpSessionManager | None = None

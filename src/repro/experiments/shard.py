@@ -625,7 +625,6 @@ def run_reference(
     num_lps: int,
     lookahead: float,
     until: float,
-    queue: str = "adaptive",
     strict: bool = True,
 ) -> tuple[ConservativeEngine, dict[str, Any]]:
     """Run ``spec`` on the single-process conservative engine.
@@ -635,9 +634,7 @@ def run_reference(
     control shard) and the returned ``collect()`` dict is directly
     comparable to :func:`merge_collected` over a multi-process run.
     """
-    engine = ConservativeEngine(
-        assignment, num_lps, lookahead, strict=strict, queue=queue
-    )
+    engine = ConservativeEngine(assignment, num_lps, lookahead, strict=strict)
     scenario = _resolve_builder(spec.builder)(engine, spec.params)
     engine.run(until=until)
     collected = scenario.collect() if scenario.collect is not None else None

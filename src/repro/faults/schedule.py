@@ -149,8 +149,8 @@ class FaultSchedule:
         """SHA-256 over the canonical event list — the determinism witness.
 
         Two schedules with the same digest inject byte-identical fault
-        sequences; the determinism tests compare digests across queue
-        backends and repeated runs.
+        sequences; the determinism tests compare digests across repeated
+        runs.
         """
         h = hashlib.sha256()
         for ev in self.events:

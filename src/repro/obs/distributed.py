@@ -223,69 +223,6 @@ class RegistrySnapshot:
             series=series,
         )
 
-    def diff(self, prev: "RegistrySnapshot") -> "RegistrySnapshot":
-        """The delta ``self - prev``; merging it onto ``prev`` restores ``self``.
-
-        Counters, vectors, histograms, timers, and series subtract;
-        high-water gauges keep the *current* values (their merge is max,
-        so re-applying the running maximum is the correct delta). An
-        instrument absent from ``prev`` contributes its full value.
-        Zero deltas are dropped entirely — merging with the accumulated
-        snapshot restores them — which is what keeps a quiet window's
-        delta payload near-empty instead of a full snapshot's size.
-        """
-        counters = {
-            n: v - prev.counters.get(n, 0.0)
-            for n, v in self.counters.items()
-            if v != prev.counters.get(n, 0.0)
-        }
-        vectors = {}
-        for n, v in self.vectors.items():
-            old = prev.vectors.get(n)
-            if old is None or old.shape != v.shape:
-                if v.any():
-                    vectors[n] = v.copy()
-            elif (v != old).any():
-                vectors[n] = v - old
-        gauges = {}
-        for n, v in self.gauges.items():
-            old = prev.gauges.get(n)
-            if old is None or old.shape != v.shape or (v != old).any():
-                gauges[n] = v.copy()
-        histograms = {}
-        for n, (bounds, counts, total) in self.histograms.items():
-            old = prev.histograms.get(n)
-            if old is None or old[0] != bounds:
-                if counts.any() or total:
-                    histograms[n] = (bounds, counts.copy(), total)
-            elif (counts != old[1]).any() or total != old[2]:
-                histograms[n] = (bounds, counts - old[1], total - old[2])
-        timers = {}
-        for n, (count, total_s) in self.timers.items():
-            oc, ot = prev.timers.get(n, (0, 0.0))
-            if count != oc or total_s != ot:
-                timers[n] = (count - oc, total_s - ot)
-        series = {}
-        for n, (size, bin_s, matrix) in self.series.items():
-            old = prev.series.get(n)
-            if old is None or old[0] != size or old[1] != bin_s:
-                if matrix.any():
-                    series[n] = (size, bin_s, matrix.copy())
-            else:
-                bins = max(matrix.shape[0], old[2].shape[0])
-                delta = _pad_bins(matrix, bins, size) - _pad_bins(old[2], bins, size)
-                if delta.any():
-                    series[n] = (size, bin_s, delta)
-        return RegistrySnapshot(
-            provenance=self.provenance,
-            counters=counters,
-            vectors=vectors,
-            gauges=gauges,
-            histograms=histograms,
-            timers=timers,
-            series=series,
-        )
-
     def restore(self, bin_s: float | None = None) -> Registry:
         """Materialize a *disabled* :class:`Registry` holding these values.
 

@@ -38,8 +38,6 @@ __all__ = [
     "decode_payload",
     "encode_mail_batch",
     "decode_mail_batch",
-    "encode_snapshot",
-    "decode_snapshot",
     "encode_migration",
     "decode_migration",
     "encode_checkpoint",
@@ -308,23 +306,6 @@ def decode_mail_batch(data: bytes) -> list[tuple]:
     if not isinstance(items, list):
         raise PayloadFormatError("mail batch payload must decode to a list")
     return items
-
-
-def encode_snapshot(snapshot: Any) -> bytes:
-    """Serialize an observability snapshot for the control plane.
-
-    Registry/trace snapshots (:mod:`repro.obs.distributed`) ride the
-    worker result envelope — never barrier mail, so a disabled-obs run
-    ships zero snapshot bytes (``tests/test_obs_overhead.py`` proves
-    it). Same
-    versioned wire framing as every other cross-process payload.
-    """
-    return encode_payload(snapshot)
-
-
-def decode_snapshot(data: bytes) -> Any:
-    """Inverse of :func:`encode_snapshot`."""
-    return decode_payload(data)
 
 
 def encode_migration(payload: dict) -> bytes:

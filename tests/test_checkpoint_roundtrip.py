@@ -70,7 +70,7 @@ def test_capture_encode_decode_restore_is_a_fixpoint(packets, seed, stop_window)
 
     # Restore into a freshly built shard and re-checkpoint: byte-equal.
     r_engine, r_scenario, r_f2n, _n2f, payload = _restore_shard_from_blob(
-        blob, ASSIGNMENT, 2, LATENCY_S, spec, True, "adaptive", 1
+        blob, ASSIGNMENT, 2, LATENCY_S, spec, True, 1
     )
     again = _encode_worker_checkpoint(r_engine, r_scenario, r_f2n, w, 0)
     assert again == blob
@@ -99,7 +99,7 @@ def test_restored_shard_replays_identical_windows(packets, seed, stop_window):
     )
     blob = _encode_worker_checkpoint(engine, scenario, fn_to_name, w, 0)
     r_engine, r_scenario, r_f2n, _n2f, _payload = _restore_shard_from_blob(
-        blob, ASSIGNMENT, 2, LATENCY_S, spec, True, "adaptive", 1
+        blob, ASSIGNMENT, 2, LATENCY_S, spec, True, 1
     )
     windows = list(iter_windows(0.0, LATENCY_S, UNTIL))
     if w + 1 < len(windows):

@@ -5,12 +5,24 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import (
     ConservativeEngine,
     EventQueue,
     LookaheadViolation,
     SimKernel,
+)
+
+# Each op is (kind, value): push at a time, cancel a previously returned
+# handle (index derived from the value), pop, or pop_until a bound.
+_QUEUE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["push", "pop", "pop_until", "cancel"]),
+        st.floats(min_value=0.0, max_value=100.0, allow_nan=False, width=32),
+    ),
+    max_size=200,
 )
 
 
@@ -51,6 +63,71 @@ class TestEventQueue:
         assert not q
         q.push(1.0, lambda: None)
         assert q and len(q) == 1
+
+    def test_pop_until_boundary_exclusive(self):
+        q = EventQueue()
+        q.push(1.0, lambda: None)
+        q.push(2.0, lambda: None)
+        assert q.pop_until(1.0) is None  # head at the bound stays queued
+        assert len(q) == 2
+        assert q.pop_until(1.5).time == 1.0
+        assert q.pop_until(1.5) is None
+        assert q.pop_until(float("inf")).time == 2.0
+
+    def test_drain_and_extend_roundtrip_keeps_cancelled_entries(self):
+        # The checkpoint snapshot drains a queue and loads the entries
+        # straight back: order and cancellations must survive the trip.
+        q = EventQueue()
+        for t in (3.0, 1.0, 2.0):
+            q.push(t, lambda: None)
+        cancelled = q.push(1.5, lambda: None)
+        cancelled.cancel()
+        entries = q.drain_entries()
+        assert len(entries) == 4
+        assert len(q) == 0 and q.pop() is None
+        q.extend_entries(entries)
+        assert len(q) == 4
+        assert [q.pop().time for _ in range(3)] == [1.0, 2.0, 3.0]
+        assert q.pop() is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=_QUEUE_OPS)
+    def test_matches_sorted_list_model_under_interleavings(self, ops):
+        # The model is a plain list of live (time, push index) pairs whose
+        # minimum is the next pop: the heap must agree under any
+        # interleaving of pushes, cancellations, pops and bounded pops.
+        q = EventQueue()
+        model: list[tuple[float, int]] = []
+        handles: list = []
+
+        def model_pop(bound: float):
+            head = min(model, default=None)
+            if head is None or head[0] >= bound:
+                return None
+            model.remove(head)
+            return head
+
+        def check(ev, expected) -> None:
+            got = None if ev is None else (ev.time, ev.args[0])
+            assert got == expected
+
+        for op, value in ops:
+            if op == "push":
+                index = len(handles)
+                handles.append(q.push(value, lambda: None, args=(index,)))
+                model.append((value, index))
+            elif op == "cancel" and handles:
+                index = int(value * 1e3) % len(handles)
+                handles[index].cancel()
+                if (handles[index].time, index) in model:
+                    model.remove((handles[index].time, index))
+            elif op == "pop_until":
+                check(q.pop_until(value), model_pop(value))
+            else:
+                check(q.pop(), model_pop(float("inf")))
+        while model:
+            check(q.pop(), model_pop(float("inf")))
+        assert q.pop() is None
 
 
 class TestSimKernel:
@@ -111,6 +188,21 @@ class TestSimKernel:
             k.schedule_at(float(t), lambda: None)
         assert k.run(max_events=3) == 3
         assert k.pending == 2
+
+    def test_max_events_stop_leaves_clock_at_last_event(self):
+        # Stopping on max_events with work still pending before ``until``
+        # must not jump the clock to ``until``: that would reject later
+        # schedule_at calls and run the next event in the past.
+        k = SimKernel()
+        seen = []
+        k.schedule_at(1.0, lambda: seen.append(1.0))
+        k.schedule_at(2.0, lambda: seen.append(2.0))
+        assert k.run(until=10.0, max_events=1) == 1
+        assert k.now == 1.0
+        k.schedule_at(1.5, lambda: seen.append(1.5))
+        assert k.run(until=10.0) == 2
+        assert seen == [1.0, 1.5, 2.0]
+        assert k.now == 10.0
 
     def test_step(self):
         k = SimKernel()

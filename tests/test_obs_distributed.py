@@ -80,7 +80,7 @@ class TestRegistrySnapshotCapture:
 
     def test_pickle_round_trip_over_the_wire_codec(self):
         snap = RegistrySnapshot.capture(populated_registry(), shard_id=1, label="w1")
-        back = ser.decode_snapshot(ser.encode_snapshot(snap))
+        back = ser.decode_payload(ser.encode_payload(snap))
         assert back.provenance == snap.provenance
         assert back.counters == snap.counters
         assert back.histograms["h.wait"][0] == BOUNDS
@@ -189,49 +189,6 @@ class TestHistogramMergeExact:
         assert ha.quantile(0.5) == pytest.approx(1.0)
         assert ha.quantile(0.25) <= 1.0
         assert ha.quantile(0.9) >= 4.0
-
-
-class TestRegistrySnapshotDiff:
-    def test_diff_prunes_unchanged_instruments(self):
-        reg = populated_registry()
-        base = RegistrySnapshot.capture(reg)
-        reg.get_counter("c.events").inc(5)
-        delta = RegistrySnapshot.capture(reg).diff(base)
-        assert delta.counters == {"c.events": 5.0}
-        assert delta.vectors == {}
-        assert delta.histograms == {}
-        assert delta.timers == {}
-        assert delta.series == {}
-
-    def test_quiet_window_delta_is_empty(self):
-        reg = populated_registry()
-        base = RegistrySnapshot.capture(reg)
-        delta = RegistrySnapshot.capture(reg).diff(base)
-        assert not delta.counters and not delta.vectors and not delta.gauges
-        assert not delta.histograms and not delta.timers and not delta.series
-
-    def test_accumulated_deltas_restore_the_final_snapshot(self):
-        reg = populated_registry()
-        base = RegistrySnapshot.capture(reg, shard_id=0, label="w0")
-        accumulated = base
-        prev = base
-        for step in range(3):
-            reg.get_counter("c.events").inc(step + 1)
-            reg.get_vector("v.per_lp").inc(step % 4)
-            reg.get_histogram("h.wait").observe(float(step))
-            snap = RegistrySnapshot.capture(reg, shard_id=0, label="w0")
-            delta = snap.diff(prev)
-            # the controller merges each delta into its running total
-            accumulated = RegistrySnapshot.merge([accumulated, delta])
-            prev = snap
-        final = RegistrySnapshot.capture(reg)
-        assert accumulated.counters == final.counters
-        np.testing.assert_array_equal(
-            accumulated.vectors["v.per_lp"], final.vectors["v.per_lp"]
-        )
-        np.testing.assert_array_equal(
-            accumulated.histograms["h.wait"][1], final.histograms["h.wait"][1]
-        )
 
 
 class TestRegistrySnapshotRestore:
