@@ -82,7 +82,7 @@ def evaluate_partition(
     """
     assignment = np.asarray(assignment, dtype=np.int64)
     weights = graph.partition_weights(assignment, num_parts)
-    mll = graph.min_cut_latency(assignment)
+    edge_cut, mll = graph.cut_summary(assignment)
     es = sync_efficiency(mll, sync_cost_s)
     ec = balance_efficiency(weights)
     mean = weights.mean()
@@ -94,5 +94,5 @@ def evaluate_partition(
         efficiency=es * ec,
         predicted_imbalance=imbalance,
         part_weights=weights,
-        edge_cut=graph.edge_cut(assignment),
+        edge_cut=edge_cut,
     )

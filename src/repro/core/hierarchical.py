@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..partition.graph import WeightedGraph
+from ..partition.graph import WeightedGraph, component_labels
 from ..partition.kway import partition_kway
 from .evaluate import PartitionEvaluation, evaluate_partition
 
@@ -102,6 +102,16 @@ def hierarchical_partition(
     the original graph is always evaluated too (threshold 0), so the
     hierarchical scheme can never do worse than its flat counterpart
     under the E metric.
+
+    Later thresholds are accumulated by repeated ``tmll += tmll_step_s``,
+    not computed as multiples: starting from 0.1 ms, nine additions of
+    ``1e-4`` give ``0.0010000000000000002``, so an edge of exactly 1 ms is
+    already collapsed at the "1.0 ms" candidate. Computing multiples would
+    move ``tmll_s`` of recorded results (``benchmarks/e2e/expected.json``),
+    so it is left to the change that re-records them (ROADMAP, sweep
+    stage (b)). A candidate is partitioned only at steps where the dumped
+    graph differs from the previous step's; see docs/performance.md,
+    "Mapping: the ``Tmll`` sweep".
     """
     if num_parts < 1:
         raise ValueError("num_parts must be >= 1")
@@ -110,7 +120,7 @@ def hierarchical_partition(
     if sync_cost_s < 0:
         raise ValueError("sync_cost_s must be non-negative")
 
-    _, _, _, latencies = graph.edge_list()
+    edge_u, edge_v, _, latencies = graph.edge_list()
     finite = latencies[np.isfinite(latencies)]
     if tmll_max_s is None:
         tmll_max_s = float(finite.max()) if finite.size else 0.0
@@ -138,23 +148,29 @@ def hierarchical_partition(
     # "Loop through all reasonable Tmll."
     start = (int(np.floor(sync_cost_s / tmll_step_s)) + 1) * tmll_step_s
     tmll = start
-    prev_coarse_vertices = -1
+    # The dumped graph changes only where the set of sub-threshold edges
+    # grows, and then only if the new edges join two clusters: the other
+    # steps pass without collapsing anything.
+    prev_below = prev_coarse_vertices = -1
     while tmll <= tmll_max_s + 1e-12:
-        contraction = graph.collapse_below_latency(tmll)
-        coarse = contraction.coarse
-        if coarse.num_vertices < min_coarse_factor * num_parts:
-            break  # not enough parallelism left
-        if coarse.num_vertices == prev_coarse_vertices:
-            # Identical collapse as the previous threshold -> identical
-            # candidate; skip the redundant partitioning work.
-            tmll += tmll_step_s
-            continue
-        prev_coarse_vertices = coarse.num_vertices
-        result = partitioner(
-            coarse, num_parts, seed=seed, imbalance_tolerance=imbalance_tolerance
-        )
-        projected = contraction.project(result.assignment)
-        consider(tmll, projected, coarse.num_vertices)
+        dumped = latencies < tmll
+        below = int(np.count_nonzero(dumped))
+        if below != prev_below:
+            prev_below = below
+            labels = component_labels(graph.num_vertices, edge_u[dumped], edge_v[dumped])
+            coarse_vertices = int(labels.max()) + 1 if labels.size else 0
+            if coarse_vertices < min_coarse_factor * num_parts:
+                break  # not enough parallelism left
+            if coarse_vertices != prev_coarse_vertices:
+                prev_coarse_vertices = coarse_vertices
+                contraction = graph.contract(labels)
+                result = partitioner(
+                    contraction.coarse,
+                    num_parts,
+                    seed=seed,
+                    imbalance_tolerance=imbalance_tolerance,
+                )
+                consider(tmll, contraction.project(result.assignment), coarse_vertices)
         tmll += tmll_step_s
 
     assert best_assignment is not None and best_eval is not None

@@ -36,11 +36,10 @@ def heavy_edge_matching(
         exceed this cap — this keeps coarse vertices partitionable.
     """
     n = graph.num_vertices
-    match = np.full(n, -1, dtype=np.int64)
-    order = rng.permutation(n)
-    xadj, adjncy, adjwgt, vwgt = graph.xadj, graph.adjncy, graph.adjwgt, graph.vwgt
+    match = [-1] * n
+    xadj, adjncy, adjwgt, vwgt = graph.csr_lists()
 
-    for v in order:
+    for v in rng.permutation(n).tolist():
         if match[v] >= 0:
             continue
         best = -1
@@ -54,18 +53,18 @@ def heavy_edge_matching(
                 continue
             w = adjwgt[idx]
             if w > best_w or (w == best_w and vwgt[u] < best_vw):
-                best, best_w, best_vw = int(u), float(w), float(vwgt[u])
+                best, best_w, best_vw = u, w, vwgt[u]
         if best >= 0:
             match[v] = best
             match[best] = v
         else:
             match[v] = v  # matched with itself
 
-    # Densify labels: representative is min(v, match[v]).
-    rep = np.minimum(np.arange(n, dtype=np.int64), match)
-    uniq, labels = np.unique(rep, return_inverse=True)
-    del uniq
-    return labels.astype(np.int64)
+    # Densify labels: the representative of a pair is min(v, match[v]),
+    # and representatives are numbered in ascending order.
+    vertices = np.arange(n, dtype=np.int64)
+    rep = np.minimum(vertices, np.array(match, dtype=np.int64))
+    return (np.cumsum(rep == vertices) - 1)[rep]
 
 
 def coarsen_once(

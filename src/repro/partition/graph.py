@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 __all__ = ["WeightedGraph", "GraphContraction"]
 
@@ -30,6 +32,30 @@ def _as_f64(a: Sequence[float] | np.ndarray) -> np.ndarray:
 
 def _as_i64(a: Sequence[int] | np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(a, dtype=np.int64))
+
+
+def sum_by_index(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """``out = np.zeros(size); np.add.at(out, index, weights)``, only faster.
+
+    ``np.bincount`` also adds in input order, so every float comes out
+    the same; for an empty input it returns integers, hence the cast.
+    """
+    return np.bincount(index, weights=weights, minlength=size).astype(np.float64, copy=False)
+
+
+def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Connected components of ``n`` vertices under the edges ``u[i]-v[i]``.
+
+    Component ids ascend with each component's smallest vertex. Coarse
+    vertex numbering, hence every partition of a collapsed graph, depends
+    on that order, so it is imposed here, not inherited from the search.
+    """
+    adjacency = coo_array((np.ones(u.shape[0], dtype=np.int8), (u, v)), shape=(n, n))
+    count, found = connected_components(adjacency, directed=False)
+    _, first_member = np.unique(found, return_index=True)
+    rank = np.empty(count, dtype=np.int64)
+    rank[np.argsort(first_member)] = np.arange(count, dtype=np.int64)
+    return rank[found]
 
 
 @dataclass(frozen=True)
@@ -86,10 +112,14 @@ class WeightedGraph:
     -----
     The adjacency is stored both ways, so ``xadj``/``adjncy`` have ``2m``
     entries. All arrays are immutable by convention; mutating them breaks
-    cached invariants.
+    cached invariants: the once-per-edge arrays of :meth:`edge_list`, the
+    CSR row index and the list views the partitioner kernels loop over are
+    derived on first use and kept (``_edges``, ``_rows``, ``_lists``).
+    They are never pickled.
     """
 
     __slots__ = ("xadj", "adjncy", "adjwgt", "adjlat", "vwgt", "_total_vwgt")
+    __slots__ += ("_edges", "_rows", "_lists")  # derived on first use
 
     def __init__(
         self,
@@ -140,10 +170,8 @@ class WeightedGraph:
             np.not_equal(key_s[1:], key_s[:-1], out=uniq_mask[1:])
             group = np.cumsum(uniq_mask) - 1
             n_uniq = int(group[-1]) + 1
-            w_m = np.zeros(n_uniq)
-            np.add.at(w_m, group, w[order])
-            lat_m = np.full(n_uniq, np.inf)
-            np.minimum.at(lat_m, group, lat[order])
+            w_m = sum_by_index(group, w[order], n_uniq)
+            lat_m = np.minimum.reduceat(lat[order], np.flatnonzero(uniq_mask))
             lo_m = lo[order][uniq_mask]
             hi_m = hi[order][uniq_mask]
         else:
@@ -158,8 +186,7 @@ class WeightedGraph:
         order = np.argsort(src, kind="stable")
         src, dst, ew, el = src[order], dst[order], ew[order], el[order]
         xadj = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(xadj, src + 1, 1)
-        np.cumsum(xadj, out=xadj)
+        np.cumsum(np.bincount(src, minlength=n), out=xadj[1:])
 
         self.xadj = xadj
         self.adjncy = dst
@@ -202,12 +229,37 @@ class WeightedGraph:
         """Edge latencies aligned with :meth:`neighbors` (a CSR view)."""
         return self.adjlat[self.xadj[v] : self.xadj[v + 1]]
 
+    def __getstate__(self) -> tuple[None, dict]:
+        """Pickle the six defining slots; what is derived from them is rebuilt."""
+        return None, {name: getattr(self, name) for name in self.__slots__[:6]}
+
+    def csr_rows(self) -> np.ndarray:
+        """Row (source vertex) of every ``adjncy`` entry; do not mutate."""
+        try:
+            return self._rows
+        except AttributeError:
+            n = self.num_vertices
+            self._rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.xadj))
+            return self._rows
+
+    def csr_lists(self) -> tuple[list[int], list[int], list[float], list[float]]:
+        """``(xadj, adjncy, adjwgt, vwgt)`` as Python lists, for scalar loops."""
+        try:
+            return self._lists
+        except AttributeError:
+            arrays = (self.xadj, self.adjncy, self.adjwgt, self.vwgt)
+            self._lists = tuple(a.tolist() for a in arrays)
+            return self._lists
+
     def edge_list(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Return ``(u, v, weight, latency)`` with each undirected edge once."""
-        n = self.num_vertices
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.xadj))
-        keep = src < self.adjncy
-        return src[keep], self.adjncy[keep], self.adjwgt[keep], self.adjlat[keep]
+        try:
+            return self._edges
+        except AttributeError:
+            src = self.csr_rows()
+            keep = src < self.adjncy
+            self._edges = src[keep], self.adjncy[keep], self.adjwgt[keep], self.adjlat[keep]
+            return self._edges
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.num_vertices))
@@ -266,8 +318,12 @@ class WeightedGraph:
         lookahead of a conservative engine is bounded by the smallest
         cross-partition link latency.
         """
-        _, _, _, lat = self.cut_edges(part)
-        return float(lat.min()) if lat.size else float("inf")
+        return self.cut_summary(part)[1]
+
+    def cut_summary(self, part: Sequence[int] | np.ndarray) -> tuple[float, float]:
+        """``(edge_cut, min_cut_latency)`` from one pass over the cut edges."""
+        _, _, w, lat = self.cut_edges(part)
+        return float(w.sum()), float(lat.min()) if lat.size else float("inf")
 
     def partition_weights(
         self, part: Sequence[int] | np.ndarray, num_parts: int | None = None
@@ -275,8 +331,9 @@ class WeightedGraph:
         """Sum of vertex weights per partition."""
         part = self._check_partition(part)
         k = int(num_parts) if num_parts is not None else (int(part.max()) + 1 if part.size else 0)
-        out = np.zeros(k)
-        np.add.at(out, part, self.vwgt)
+        out = sum_by_index(part, self.vwgt, k)
+        if out.shape[0] != k:
+            raise IndexError(f"part id {out.shape[0] - 1} out of range for {k} parts")
         return out
 
     def balance(self, part: Sequence[int] | np.ndarray, num_parts: int | None = None) -> float:
@@ -291,23 +348,15 @@ class WeightedGraph:
     # Structure operations
     # ------------------------------------------------------------------
     def connected_components(self) -> np.ndarray:
-        """Label vertices by connected component (0-based, BFS order)."""
-        n = self.num_vertices
-        labels = np.full(n, -1, dtype=np.int64)
-        comp = 0
-        for seed in range(n):
-            if labels[seed] >= 0:
-                continue
-            stack = [seed]
-            labels[seed] = comp
-            while stack:
-                x = stack.pop()
-                for y in self.neighbors(x):
-                    if labels[y] < 0:
-                        labels[y] = comp
-                        stack.append(int(y))
-            comp += 1
-        return labels
+        """Label vertices by connected component, 0-based and dense.
+
+        Component ids ascend with each component's smallest vertex (the
+        component of vertex 0 is 0, the next unlabelled vertex starts
+        1, ...). :meth:`collapse_below_latency` hands these labels to
+        :meth:`contract`, so coarse vertex numbering follows from it.
+        """
+        u, v, _, _ = self.edge_list()
+        return component_labels(self.num_vertices, u, v)
 
     def is_connected(self) -> bool:
         """True when every vertex is reachable from vertex 0 (or empty)."""
@@ -328,11 +377,10 @@ class WeightedGraph:
         if labels.shape[0] != self.num_vertices:
             raise ValueError("labels length mismatch")
         k = int(labels.max()) + 1 if labels.size else 0
-        if labels.size and (labels.min() < 0 or len(np.unique(labels)) != k):
+        if labels.size and (labels.min() < 0 or not np.bincount(labels).all()):
             raise ValueError("labels must be dense 0..k-1")
 
-        cvwgt = np.zeros(k)
-        np.add.at(cvwgt, labels, self.vwgt)
+        cvwgt = sum_by_index(labels, self.vwgt, k)
 
         u, v, w, lat = self.edge_list()
         cu, cv = labels[u], labels[v]
@@ -350,9 +398,7 @@ class WeightedGraph:
         """
         u, v, _, lat = self.edge_list()
         mask = lat < threshold
-        sub = WeightedGraph(self.num_vertices, u[mask], v[mask])
-        labels = sub.connected_components()
-        return self.contract(labels)
+        return self.contract(component_labels(self.num_vertices, u[mask], v[mask]))
 
     # ------------------------------------------------------------------
     # Conversions

@@ -17,6 +17,17 @@ from .graph import WeightedGraph
 __all__ = ["greedy_graph_growing", "best_bisection"]
 
 
+def _initial_gains(graph: WeightedGraph) -> list[float]:
+    """Gain of every vertex while the region is empty: minus its edge weight.
+
+    ``np.add.reduce`` on the row is what ``ndarray.sum`` runs; a
+    sequential or ``reduceat`` sum rounds differently on long rows.
+    """
+    xadj = graph.csr_lists()[0]
+    adjwgt, row_sum = graph.adjwgt, np.add.reduce
+    return [-float(row_sum(adjwgt[xadj[v] : xadj[v + 1]])) for v in range(graph.num_vertices)]
+
+
 def greedy_graph_growing(
     graph: WeightedGraph,
     rng: np.random.Generator,
@@ -30,77 +41,68 @@ def greedy_graph_growing(
     ``(edge weight to region) - (edge weight to outside)``; absorbing
     high-gain vertices keeps the running cut small.
     """
-    n = graph.num_vertices
-    if n == 0:
+    if graph.num_vertices == 0:
         return np.empty(0, dtype=np.int64)
     if not 0.0 < target_fraction < 1.0:
         raise ValueError("target_fraction must be in (0, 1)")
-    total = graph.total_vertex_weight
-    target = target_fraction * total
+    seed = int(seed_vertex) if seed_vertex is not None else int(rng.integers(graph.num_vertices))
+    return _grow(graph, seed, target_fraction, _initial_gains(graph))
 
-    part = np.ones(n, dtype=np.int64)
-    seed = int(seed_vertex) if seed_vertex is not None else int(rng.integers(n))
-    in_region = np.zeros(n, dtype=bool)
+
+def _grow(
+    graph: WeightedGraph, seed: int, target_fraction: float, initial_gains: list[float]
+) -> np.ndarray:
+    """One greedy growth from ``seed``; ``initial_gains`` is not modified."""
+    n = graph.num_vertices
+    target = target_fraction * graph.total_vertex_weight
+    xadj, adjncy, adjwgt, vwgt = graph.csr_lists()
+    heappush, heappop = heapq.heappush, heapq.heappop
 
     # gain[v] tracked lazily: heap entries may be stale, validated on pop.
-    gain = np.empty(n)
-    ext = graph.adjwgt  # alias
-    for v in range(n):
-        gain[v] = -float(ext[graph.xadj[v] : graph.xadj[v + 1]].sum())
-
+    gain = initial_gains.copy()
+    in_region = [False] * n
+    stamp = [0] * n
     heap: list[tuple[float, int, int]] = []
-    stamp = np.zeros(n, dtype=np.int64)
-
-    def push(v: int) -> None:
-        stamp[v] += 1
-        heapq.heappush(heap, (-gain[v], int(stamp[v]), v))
-
     region_weight = 0.0
-
-    def absorb(v: int) -> None:
-        nonlocal region_weight
+    v = seed
+    while True:
         in_region[v] = True
-        part[v] = 0
-        region_weight += float(graph.vwgt[v])
-        lo, hi = graph.xadj[v], graph.xadj[v + 1]
-        for idx in range(lo, hi):
-            u = int(graph.adjncy[idx])
+        region_weight += vwgt[v]
+        for idx in range(xadj[v], xadj[v + 1]):
+            u = adjncy[idx]
             if not in_region[u]:
-                gain[u] += 2.0 * float(graph.adjwgt[idx])
-                push(u)
-
-    absorb(seed)
-    while region_weight < target and heap:
+                gain[u] += 2.0 * adjwgt[idx]
+                stamp[u] += 1
+                heappush(heap, (-gain[u], stamp[u], u))
+        if region_weight >= target:
+            break
+        # Next: the best frontier vertex whose heap entry is still current.
         while heap:
-            neg_g, st, v = heapq.heappop(heap)
-            if in_region[v] or st != stamp[v]:
-                continue
-            break
-        else:  # pragma: no cover - loop exhausted without break
-            break
-        if in_region[v] or st != stamp[v]:
-            break
+            _, st, v = heappop(heap)
+            if not in_region[v] and st == stamp[v]:
+                break
+        else:
+            break  # frontier dried up
         # Stop before overshooting badly past the target.
-        vw = float(graph.vwgt[v])
+        vw = vwgt[v]
         if region_weight + vw > target and region_weight > 0.5 * target:
             overshoot = region_weight + vw - target
             undershoot = target - region_weight
             if overshoot > undershoot:
                 break
-        absorb(v)
 
     # The frontier may dry up in a disconnected graph: top up with the
     # lightest remaining vertices until the balance target is met.
+    region = np.array(in_region)
     if region_weight < target:
-        remaining = np.flatnonzero(~in_region)
+        remaining = np.flatnonzero(~region)
         order = remaining[np.argsort(graph.vwgt[remaining], kind="stable")]
-        for v in order:
+        for v in order.tolist():
             if region_weight >= target:
                 break
-            in_region[v] = True
-            part[v] = 0
-            region_weight += float(graph.vwgt[v])
-    return part
+            region[v] = True
+            region_weight += vwgt[v]
+    return np.where(region, 0, 1).astype(np.int64)
 
 
 def best_bisection(
@@ -119,13 +121,16 @@ def best_bisection(
     n = graph.num_vertices
     if n <= 1:
         return np.zeros(n, dtype=np.int64)
+    if not 0.0 < target_fraction < 1.0:
+        raise ValueError("target_fraction must be in (0, 1)")
     total = graph.total_vertex_weight
     targets = np.array([target_fraction * total, (1 - target_fraction) * total])
 
     best: np.ndarray | None = None
     best_key: tuple[int, float, float] | None = None
-    for t in range(max(1, trials)):
-        part = greedy_graph_growing(graph, rng, target_fraction)
+    initial_gains = _initial_gains(graph)
+    for _ in range(max(1, trials)):
+        part = _grow(graph, int(rng.integers(n)), target_fraction, initial_gains)
         weights = graph.partition_weights(part, 2)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(targets > 0, weights / targets, 1.0)

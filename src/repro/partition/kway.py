@@ -35,12 +35,13 @@ class PartitionResult:
     def from_assignment(
         cls, graph: WeightedGraph, assignment: np.ndarray, num_parts: int
     ) -> "PartitionResult":
+        edge_cut, min_cut_latency = graph.cut_summary(assignment)
         return cls(
             assignment=np.asarray(assignment, dtype=np.int64),
             num_parts=int(num_parts),
-            edge_cut=graph.edge_cut(assignment),
+            edge_cut=edge_cut,
             balance=graph.balance(assignment, num_parts),
-            min_cut_latency=graph.min_cut_latency(assignment),
+            min_cut_latency=min_cut_latency,
         )
 
 

@@ -13,7 +13,7 @@ import heapq
 
 import numpy as np
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, sum_by_index
 
 __all__ = ["fm_refine", "balance_partition", "kway_refine"]
 
@@ -23,12 +23,11 @@ def _external_internal(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-vertex external (cross-cut) and internal edge weight sums."""
     n = graph.num_vertices
-    ed = np.zeros(n)
-    idw = np.zeros(n)
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.xadj))
+    src = graph.csr_rows()
     cross = part[src] != part[graph.adjncy]
-    np.add.at(ed, src[cross], graph.adjwgt[cross])
-    np.add.at(idw, src[~cross], graph.adjwgt[~cross])
+    # Each sum adds a row's entries in CSR order, starting from 0.0.
+    ed = sum_by_index(src[cross], graph.adjwgt[cross], n)
+    idw = sum_by_index(src[~cross], graph.adjwgt[~cross], n)
     return ed, idw
 
 
@@ -59,18 +58,19 @@ def fm_refine(
     if n == 0:
         return part
     total = graph.total_vertex_weight
-    targets = np.array(target_fractions, dtype=np.float64) * total
-    side_weight = graph.partition_weights(part, 2)
+    targets = [float(f) * total for f in target_fractions]
+    side_weight = graph.partition_weights(part, 2).tolist()
+    xadj, adjncy, adjwgt, vwgt = graph.csr_lists()
+    heappush, heappop = heapq.heappush, heapq.heappop
 
     for _ in range(max_passes):
         ed, idw = _external_internal(graph, part)
-        gain = ed - idw
-        locked = np.zeros(n, dtype=bool)
-        stamp = np.zeros(n, dtype=np.int64)
-        heap: list[tuple[float, int, int]] = []
-        boundary = np.flatnonzero(ed > 0)
-        for v in boundary:
-            heapq.heappush(heap, (-gain[v], 0, int(v)))
+        gain = (ed - idw).tolist()
+        side = part.tolist()
+        locked = [False] * n
+        stamp = [0] * n
+        heap = [(-gain[v], 0, v) for v in np.flatnonzero(ed > 0).tolist()]
+        heapq.heapify(heap)
 
         best_cut_delta = 0.0
         cut_delta = 0.0
@@ -79,13 +79,12 @@ def fm_refine(
         negatives = 0
 
         while heap and negatives < max_negative_moves:
-            neg_g, st, v = heapq.heappop(heap)
+            neg_g, st, v = heappop(heap)
             if locked[v] or st != stamp[v]:
                 continue
-            g = -neg_g
-            src_side = int(part[v])
+            src_side = side[v]
             dst_side = 1 - src_side
-            vw = float(graph.vwgt[v])
+            vw = vwgt[v]
             new_dst = side_weight[dst_side] + vw
             new_src = side_weight[src_side] - vw
             balance_ok = new_dst <= imbalance_tolerance * targets[dst_side]
@@ -93,16 +92,15 @@ def fm_refine(
                 side_weight[src_side] - targets[src_side]
                 > new_dst - targets[dst_side]
             )
+            locked[v] = True
             if not (balance_ok or improves_balance):
-                locked[v] = True
                 continue
 
             # Execute the move.
-            part[v] = dst_side
+            side[v] = dst_side
             side_weight[src_side] = new_src
             side_weight[dst_side] = new_dst
-            locked[v] = True
-            cut_delta -= g
+            cut_delta += neg_g
             moves.append(v)
             if cut_delta < best_cut_delta - 1e-12:
                 best_cut_delta = cut_delta
@@ -112,27 +110,24 @@ def fm_refine(
                 negatives += 1
 
             # Update neighbor gains.
-            lo, hi = graph.xadj[v], graph.xadj[v + 1]
-            for idx in range(lo, hi):
-                u = int(graph.adjncy[idx])
+            for idx in range(xadj[v], xadj[v + 1]):
+                u = adjncy[idx]
                 if locked[u]:
                     continue
-                w = float(graph.adjwgt[idx])
                 # v moved to u's side? then the u-v edge went internal/external.
-                if part[u] == part[v]:
-                    gain[u] -= 2.0 * w
+                if side[u] == dst_side:
+                    gain[u] -= 2.0 * adjwgt[idx]
                 else:
-                    gain[u] += 2.0 * w
+                    gain[u] += 2.0 * adjwgt[idx]
                 stamp[u] += 1
-                heapq.heappush(heap, (-gain[u], int(stamp[u]), u))
+                heappush(heap, (-gain[u], stamp[u], u))
 
         # Roll back moves after the best prefix.
         for v in moves[best_prefix:]:
-            side = int(part[v])
-            part[v] = 1 - side
-            vw = float(graph.vwgt[v])
-            side_weight[side] -= vw
-            side_weight[1 - side] += vw
+            side[v] = 1 - side[v]
+            side_weight[1 - side[v]] -= vwgt[v]
+            side_weight[side[v]] += vwgt[v]
+        part = np.array(side, dtype=np.int64)
 
         if best_prefix == 0:
             break
@@ -160,42 +155,42 @@ def kway_refine(
         return part
     total = graph.total_vertex_weight
     cap = imbalance_tolerance * total / num_parts
-    weights = graph.partition_weights(part, num_parts)
-    counts = np.bincount(part, minlength=num_parts)
+    weights = graph.partition_weights(part, num_parts).tolist()
+    counts = np.bincount(part, minlength=num_parts).tolist()
+    xadj, adjncy, adjwgt, vwgt = graph.csr_lists()
+    src = graph.csr_rows()
 
     for _ in range(max_passes):
         moved = 0
         # Boundary vertices: any with a neighbor in another part.
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.xadj))
-        boundary = np.unique(src[part[src] != part[graph.adjncy]])
-        for v in boundary:
-            home = int(part[v])
+        cross = part[src] != part[graph.adjncy]
+        boundary = np.flatnonzero(np.bincount(src[cross], minlength=n))
+        home_of = part.tolist()
+        for v in boundary.tolist():
+            home = home_of[v]
             # Connectivity of v to each adjacent part.
-            nbrs = graph.neighbors(v)
-            wts = graph.neighbor_weights(v)
             conn: dict[int, float] = {}
-            for u, w in zip(nbrs, wts):
-                conn[int(part[u])] = conn.get(int(part[u]), 0.0) + float(w)
+            for idx in range(xadj[v], xadj[v + 1]):
+                p = home_of[adjncy[idx]]
+                conn[p] = conn.get(p, 0.0) + adjwgt[idx]
             internal = conn.get(home, 0.0)
-            vw = float(graph.vwgt[v])
+            vw = vwgt[v]
             best_part, best_gain = home, 0.0
-            for p, c in conn.items():
-                if p == home:
-                    continue
-                gain = c - internal
-                if gain > best_gain and weights[p] + vw <= cap:
-                    # Don't empty the home part (by vertex count — a
-                    # weight test is fragile to float rounding when the
-                    # home part holds exactly one vertex).
-                    if counts[home] > 1:
-                        best_part, best_gain = p, gain
+            # Don't empty the home part (by vertex count — a weight test
+            # is fragile to float rounding when the home part holds
+            # exactly one vertex).
+            if counts[home] > 1:
+                for p, c in conn.items():
+                    if p != home and c - internal > best_gain and weights[p] + vw <= cap:
+                        best_part, best_gain = p, c - internal
             if best_part != home:
-                part[v] = best_part
+                home_of[v] = best_part
                 weights[home] -= vw
                 weights[best_part] += vw
                 counts[home] -= 1
                 counts[best_part] += 1
                 moved += 1
+        part = np.array(home_of, dtype=np.int64)
         if moved == 0:
             break
     return part
@@ -214,23 +209,43 @@ def balance_partition(
     """
     part = part.astype(np.int64).copy()
     total = graph.total_vertex_weight
-    targets = np.array(target_fractions, dtype=np.float64) * total
-    side_weight = graph.partition_weights(part, 2)
+    limits = [imbalance_tolerance * (float(f) * total) for f in target_fractions]
+    side_weight = graph.partition_weights(part, 2).tolist()
+    xadj, adjncy, adjwgt, vwgt = graph.csr_lists()
+    ed, idw = _external_internal(graph, part)
+    gain = ed - idw
+    side = part.tolist()
 
-    guard = graph.num_vertices + 1
-    while guard > 0:
-        guard -= 1
-        over = int(np.argmax(side_weight - imbalance_tolerance * targets))
-        if side_weight[over] <= imbalance_tolerance * targets[over]:
+    last_best, weights_before_last = -1, None
+    for moves_left in range(graph.num_vertices, -1, -1):
+        over = 1 if side_weight[1] - limits[1] > side_weight[0] - limits[0] else 0
+        if side_weight[over] <= limits[over]:
             break
-        ed, idw = _external_internal(graph, part)
-        gain = ed - idw
-        candidates = np.flatnonzero(part == over)
-        if candidates.size == 0:
+        best = int(np.argmax(np.where(part == over, gain, -np.inf)))
+        if side[best] != over:
+            break  # nobody left on the heavy side
+        weights_before = side_weight.copy()
+        part[best] = side[best] = 1 - over
+        side_weight[over] -= vwgt[best]
+        side_weight[1 - over] += vwgt[best]
+        if best == last_best and side_weight == weights_before_last:
+            # A vertex too heavy for either side went over and came back,
+            # to the very state of two moves ago: the moves that are left
+            # would swing it to and fro, so only their parity matters.
+            if moves_left % 2:
+                part[best] = over
             break
-        best = candidates[np.argmax(gain[candidates])]
-        part[best] = 1 - over
-        vw = float(graph.vwgt[best])
-        side_weight[over] -= vw
-        side_weight[1 - over] += vw
+        last_best, weights_before_last = best, weights_before
+        # Only the moved vertex and its neighbours see a different cut.
+        # Each row is summed again from 0.0 in CSR order, which is the sum
+        # a whole-graph _external_internal would return, bit for bit (an
+        # incremental +-2w update is not).
+        for x in [best, *adjncy[xadj[best] : xadj[best + 1]]]:
+            external = internal = 0.0
+            for idx in range(xadj[x], xadj[x + 1]):
+                if side[adjncy[idx]] != side[x]:
+                    external += adjwgt[idx]
+                else:
+                    internal += adjwgt[idx]
+            gain[x] = external - internal
     return part
