@@ -19,6 +19,7 @@ sequential kernel's whenever cross-LP event times respect the lookahead
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -74,9 +75,15 @@ class ConservativeEngine:
         self.num_lps = int(num_lps)
         self.lookahead = float(lookahead)
         self.strict = strict
+        # assignment as a Python list: the per-event lookup of
+        # schedule_at (a numpy scalar index costs several times a list's)
+        self._lp_of_node: list[int] = self.assignment.tolist()
 
         self.now: float = 0.0  # barrier time (start of current window)
         self._queues = [EventQueue() for _ in range(self.num_lps)]
+        # The per-event paths work on each queue's heap list itself
+        # (EventQueue.heap documents the layout and why this is allowed).
+        self._heaps = [q.heap for q in self._queues]
         self._mailboxes: list[list[Event]] = [[] for _ in range(self.num_lps)]
         self._current_lp: int | None = None
         self._window_end: float = 0.0
@@ -123,7 +130,7 @@ class ConservativeEngine:
     # ------------------------------------------------------------------
     def lp_of(self, node: int) -> int:
         """The LP owning ``node`` (engine-internal events run on LP 0)."""
-        return 0 if node < 0 else int(self.assignment[node])
+        return 0 if node < 0 else self._lp_of_node[node]
 
     def schedule_at(
         self, time: float, fn: Callable[..., Any], node: int = -1, args: tuple = ()
@@ -139,7 +146,8 @@ class ConservativeEngine:
         lookahead: the event must not land before the current window
         ends (it will be delivered at the barrier).
         """
-        if self._current_lp is None:
+        current_lp = self._current_lp
+        if current_lp is None:
             if time < self.now:
                 raise ValueError("cannot schedule into the past")
         elif time < self._lp_now:
@@ -147,13 +155,14 @@ class ConservativeEngine:
                 f"cannot schedule into the executing LP's past "
                 f"(t={time:.9f} < LP-local now {self._lp_now:.9f})"
             )
-        target_lp = self.lp_of(node)
+        target_lp = 0 if node < 0 else self._lp_of_node[node]  # lp_of, inlined
         # Shared tiebreak counter: required for byte-identical ordering on
         # one core; the process-parallel backend owns replacing it with
         # per-LP sequences merged deterministically at barriers.
-        ev = Event(time, next(_seq), fn, args, node)  # simlint: disable=SIM201
-        if self._current_lp is None or target_lp == self._current_lp:
-            self._queues[target_lp].push_event(ev)
+        seq = next(_seq)  # simlint: disable=SIM201
+        ev = Event(time, seq, fn, args, node)
+        if current_lp is None or target_lp == current_lp:
+            heappush(self._heaps[target_lp], (time, seq, ev))
         else:
             # Relative tolerance: an absolute epsilon falls below one
             # float ULP once simulated time passes ~0.01 s, turning
@@ -167,10 +176,10 @@ class ConservativeEngine:
                         f"window ending at {self._window_end:.9f} "
                         f"(lookahead {self.lookahead:.9f})"
                     )
-            self._remote_this_window[self._current_lp] += 1
+            self._remote_this_window[current_lp] += 1
             self._mailboxes[target_lp].append(ev)
             if self._trace.enabled:
-                self._trace.edge(self._current_lp, target_lp, self._lp_now, time)
+                self._trace.edge(current_lp, target_lp, self._lp_now, time)
         return ev
 
     def schedule(
@@ -182,18 +191,21 @@ class ConservativeEngine:
 
     # ------------------------------------------------------------------
     def _run_lp_window(self, lp: int, window_end: float) -> int:
-        queue = self._queues[lp]
+        heap = self._heaps[lp]
         tracer = self._trace
         executed = 0
-        while True:
-            ev = queue.pop_until(window_end)
-            if ev is None:
-                break
-            self._lp_now = ev.time
+        # EventQueue.pop_until, inlined: the head stays queued once it is
+        # at or past the window end, cancelled events are dropped as they
+        # surface.
+        while heap and heap[0][0] < window_end:
+            time, _, ev = heappop(heap)
+            if ev.cancelled:
+                continue
+            self._lp_now = time
             ev.fn(*ev.args)
             executed += 1
             if tracer.enabled:
-                tracer.event(ev.time, ev.node)
+                tracer.event(time, ev.node)
         return executed
 
     def run(self, until: float) -> int:

@@ -92,6 +92,22 @@ class EventQueue:
     def __bool__(self) -> bool:
         return bool(self._heap)
 
+    @property
+    def heap(self) -> list[tuple[float, Any, Event]]:
+        """The heap list itself, for the engines' per-event loops.
+
+        The one sanctioned way past the methods below: a run loop that
+        pops an event per packet hop cannot afford a ``pop_until`` call
+        per event, so it reads ``heap[0]`` and calls ``heappop`` /
+        ``heappush`` on this list directly. The layout is owned here and
+        is exactly what :meth:`push` builds — ``(time, seq, event)`` with
+        ``time == event.time`` and ``seq == event.seq``, cancelled events
+        left in place until they surface. The list object stays the same
+        for the queue's whole life (:meth:`drain_entries` empties it in
+        place), so an engine may hold on to it.
+        """
+        return self._heap
+
     def push(
         self,
         time: float,
@@ -132,9 +148,8 @@ class EventQueue:
         """Pop the earliest live event strictly before ``bound``.
 
         Returns ``None`` when the queue is empty or the head is at or
-        past ``bound`` (the head stays queued). One call replaces the
-        peek-then-pop pair of the engine run loops, halving queue
-        traversals per executed event.
+        past ``bound`` (the head stays queued). The engines' per-event
+        loops do exactly this on :attr:`heap`, without the call.
         """
         heap = self._heap
         while heap:
@@ -151,7 +166,8 @@ class EventQueue:
     # ------------------------------------------------------------------
     def drain_entries(self) -> list[tuple[float, int, Event]]:
         """Remove and return all raw entries (cancelled ones included)."""
-        entries, self._heap = self._heap, []
+        entries = self._heap[:]
+        self._heap.clear()  # in place: engines hold the list (see ``heap``)
         return entries
 
     def extend_entries(self, entries: list[tuple[float, int, Event]]) -> None:

@@ -10,11 +10,12 @@ network's behavior does not depend on the mapping).
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 import numpy as np
 
-from .events import Event, EventQueue
+from .events import Event, EventQueue, _seq
 
 __all__ = ["SimKernel"]
 
@@ -32,6 +33,9 @@ class SimKernel:
     def __init__(self, record_trace: bool = False) -> None:
         self.now: float = 0.0
         self.queue = EventQueue()
+        # The per-event paths below work on the queue's heap list itself
+        # (EventQueue.heap documents the layout and why this is allowed).
+        self._heap = self.queue.heap
         self.events_executed: int = 0
         self.record_trace = record_trace
         self._trace_times: list[float] = []
@@ -59,7 +63,11 @@ class SimKernel:
         """Schedule ``fn(*args)`` at absolute simulated ``time`` at ``node``."""
         if time < self.now:
             raise ValueError("cannot schedule into the past")
-        return self.queue.push(time, fn, node, args)
+        # EventQueue.push, inlined: one of these per packet hop.
+        seq = next(_seq)  # simlint: disable=SIM201
+        ev = Event(time, seq, fn, args, node)
+        heappush(self._heap, (time, seq, ev))
+        return ev
 
     # ------------------------------------------------------------------
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
@@ -74,19 +82,27 @@ class SimKernel:
         """
         executed = 0
         bound = float("inf") if until is None else until
-        queue = self.queue
-        while max_events is None or executed < max_events:
-            ev = queue.pop_until(bound)
-            if ev is None:
+        limit = float("inf") if max_events is None else max_events
+        heap = self._heap
+        record_trace = self.record_trace
+        trace_times, trace_nodes = self._trace_times, self._trace_nodes
+        # EventQueue.pop_until, inlined: the head stays queued once it is
+        # at or past the bound, cancelled events are dropped as they
+        # surface.
+        while executed < limit:
+            if not heap or heap[0][0] >= bound:
                 if until is not None and self.now < until:
                     self.now = until
                 break
-            self.now = ev.time
+            time, _, ev = heappop(heap)
+            if ev.cancelled:
+                continue
+            self.now = time
             ev.fn(*ev.args)
             executed += 1
-            if self.record_trace:
-                self._trace_times.append(ev.time)
-                self._trace_nodes.append(ev.node)
+            if record_trace:
+                trace_times.append(time)
+                trace_nodes.append(ev.node)
         self.events_executed += executed
         return executed
 

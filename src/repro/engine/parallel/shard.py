@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -192,13 +193,18 @@ class ShardEngine:
         if any(lp < 0 or lp >= self.num_lps for lp in owned):
             raise ValueError("owned LP out of range")
         self.owned_lps = owned
-        self._local_index = np.full(self.num_lps, -1, dtype=np.int64)
-        for i, lp in enumerate(owned):
-            self._local_index[lp] = i
+        # assignment as a Python list: the per-event lookup of
+        # schedule_at (a numpy scalar index costs several times a list's)
+        self._lp_of_node: list[int] = self.assignment.tolist()
         #: True when this shard owns LP 0 and therefore runs the real
         #: control plane (other shards replay a replica of it).
         self.has_control = bool(owned) and owned[0] == 0
         self._queues = [EventQueue() for _ in owned]
+        # _local_index[lp] is the position of an owned LP in owned_lps /
+        # _queues / _local_mail, -1 for an LP another shard owns; _heaps
+        # are the queues' heap lists, which the per-event paths work on
+        # directly (EventQueue.heap documents the layout and why).
+        self._reindex_owned()
         self._control_queue = None if self.has_control else EventQueue()
         # Cross-LP mail between two LPs of the *same* shard still waits
         # for the barrier, mirroring the single-process mailboxes.
@@ -289,11 +295,7 @@ class ShardEngine:
 
     def lp_of(self, node: int) -> int:
         """The LP owning ``node`` (engine-internal events run on LP 0)."""
-        return 0 if node < 0 else int(self.assignment[node])
-
-    def _next_key(self) -> tuple[int, int, int]:
-        self._kcount += 1
-        return (self._epoch, self._lane, self._kcount)
+        return 0 if node < 0 else self._lp_of_node[node]
 
     def schedule_at(
         self, time: float, fn: Callable[..., Any], node: int = -1, args: tuple = ()
@@ -307,8 +309,8 @@ class ShardEngine:
         events are kept; during window execution, off-LP events go to
         the local mailbox or the cross-shard outbound batch.
         """
-        executing = self._current_lp is not None or self._in_replica_control
-        if not executing:
+        current_lp = self._current_lp
+        if current_lp is None and not self._in_replica_control:
             if time < self.now:
                 raise ValueError("cannot schedule into the past")
         elif time < self._lp_now:
@@ -316,9 +318,15 @@ class ShardEngine:
                 f"cannot schedule into the executing LP's past "
                 f"(t={time:.9f} < LP-local now {self._lp_now:.9f})"
             )
-        target_lp = self.lp_of(node)
-        ev = Event(time, self._next_key(), fn, args, node)
-        local = int(self._local_index[target_lp])
+        target_lp = 0 if node < 0 else self._lp_of_node[node]  # lp_of, inlined
+        self._kcount = kcount = self._kcount + 1
+        key = (self._epoch, self._lane, kcount)
+        ev = Event(time, key, fn, args, node)
+        local = self._local_index[target_lp]
+        if target_lp == current_lp:
+            # The per-hop case: an executing event schedules onto its own LP.
+            heappush(self._heaps[local], (time, key, ev))
+            return ev
         if self._in_replica_control:
             if node < 0 and self._control_queue is not None:
                 self._control_queue.push_event(ev)
@@ -331,10 +339,10 @@ class ShardEngine:
                     "handlers must only mutate control-plane state"
                 )
             return ev
-        if self._current_lp is None:
+        if current_lp is None:
             # Setup (or barrier-time) scheduling: replicated replay.
             if local >= 0:
-                self._queues[local].push_event(ev)
+                heappush(self._heaps[local], (time, key, ev))
             elif node < 0 and self._control_queue is not None:
                 self._control_queue.push_event(ev)
             elif not self._phase_setup:
@@ -342,9 +350,6 @@ class ShardEngine:
                     "cannot schedule onto an unowned LP at a barrier; "
                     "cross-shard events must originate from executing events"
                 )
-            return ev
-        if target_lp == self._current_lp:
-            self._queues[local].push_event(ev)
             return ev
         # Cross-LP send during window execution: lookahead fence, then
         # local mailbox (same shard) or outbound mail (other shard).
@@ -357,14 +362,14 @@ class ShardEngine:
                     f"window ending at {self._window_end:.9f} "
                     f"(lookahead {self.lookahead:.9f})"
                 )
-        self.remote_this_window[self._current_lp] += 1
+        self.remote_this_window[current_lp] += 1
         if local >= 0:
             self._local_mail[local].append(ev)
         else:
-            self.xshard_this_window[self._current_lp] += 1
+            self.xshard_this_window[current_lp] += 1
             self._outbound.append((target_lp, ev))
         if self._trace.enabled:
-            self._trace.edge(self._current_lp, target_lp, self._lp_now, time)
+            self._trace.edge(current_lp, target_lp, self._lp_now, time)
         return ev
 
     def schedule(
@@ -444,18 +449,21 @@ class ShardEngine:
         self._in_replica_control = False
 
     def _run_lp_queue(self, local: int, window_end: float) -> int:
-        queue = self._queues[local]
+        heap = self._heaps[local]
         tracer = self._trace
         executed = 0
-        while True:
-            ev = queue.pop_until(window_end)
-            if ev is None:
-                break
-            self._lp_now = ev.time
+        # EventQueue.pop_until, inlined: the head stays queued once it is
+        # at or past the window end, cancelled events are dropped as they
+        # surface.
+        while heap and heap[0][0] < window_end:
+            time, _, ev = heappop(heap)
+            if ev.cancelled:
+                continue
+            self._lp_now = time
             ev.fn(*ev.args)
             executed += 1
             if tracer.enabled:
-                tracer.event(ev.time, ev.node)
+                tracer.event(time, ev.node)
         return executed
 
     # -- mail ----------------------------------------------------------
@@ -467,7 +475,7 @@ class ShardEngine:
 
     def push_remote(self, target_lp: int, ev: Event) -> None:
         """Enqueue a decoded mail event onto an owned LP's queue."""
-        local = int(self._local_index[target_lp])
+        local = self._local_index[target_lp]
         if local < 0:
             raise ParallelBackendError(
                 f"mail for LP {target_lp} routed to a shard that does not own it"
@@ -483,9 +491,10 @@ class ShardEngine:
 
     # -- barrier-time LP migration (online re-partitioning) ------------
     def _reindex_owned(self) -> None:
-        self._local_index[:] = -1
+        self._local_index: list[int] = [-1] * self.num_lps
         for i, lp in enumerate(self.owned_lps):
             self._local_index[lp] = i
+        self._heaps = [q.heap for q in self._queues]
 
     def release_lp(self, lp: int) -> list[Event]:
         """Disown ``lp`` at a barrier; returns its still-pending events.
@@ -502,7 +511,7 @@ class ShardEngine:
             raise ParallelBackendError(
                 "LP 0 owns the control plane and cannot migrate"
             )
-        local = int(self._local_index[lp])
+        local = self._local_index[lp]
         if local < 0:
             raise ParallelBackendError(
                 f"cannot release LP {lp}: this shard does not own it"
@@ -537,7 +546,7 @@ class ShardEngine:
         remains ascending — the same order the single-process engine
         interleaves them in.
         """
-        if int(self._local_index[lp]) >= 0:
+        if self._local_index[lp] >= 0:
             raise ParallelBackendError(
                 f"cannot adopt LP {lp}: this shard already owns it"
             )

@@ -287,9 +287,7 @@ class ShardCheckpointPort:
         counters.packets_dropped_queue = int(values["dropped_queue"])
         counters.packets_dropped_ttl = int(values["dropped_ttl"])
         counters.packets_unroutable = int(values["unroutable"])
-        self.sim.node_packets[:] = np.asarray(
-            sim_state["node_packets"], dtype=np.int64
-        )
+        self.sim.node_packets = sim_state["node_packets"]
         self.sim._down_nodes = set(int(n) for n in sim_state["down_nodes"])
         self.sim.dropped_fault = int(sim_state["dropped_fault"])
         self.recorder.records[:] = [

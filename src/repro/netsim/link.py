@@ -19,6 +19,14 @@ bytes already waiting when it arrives:
 This O(1) backlog model is standard for packet-level simulators at scale
 and preserves the behaviors TCP cares about: queueing delay and loss
 under congestion.
+
+:meth:`LinkRuntime.transmit` is the whole model. The simulator's per-hop
+path (``NetworkSimulator._handle_at``) computes the one case that is
+nearly every hop — a drop-tail link with no fault armed that accepts the
+packet — itself, with the expressions of ``transmit`` in the order they
+have there so that every time is the same float, and hands everything
+else (a failed link, a loss or corruption burst, RED, a full queue) to
+``transmit`` (docs/performance.md, "Per-hop path").
 """
 
 from __future__ import annotations
@@ -97,6 +105,11 @@ class LinkRuntime:
     def __post_init__(self) -> None:
         if self.discipline not in ("droptail", "red"):
             raise ValueError(f"unknown queue discipline {self.discipline!r}")
+        # The frozen Link's figures, one attribute away instead of two:
+        # they are read on every hop.
+        self.bandwidth_bps = self.link.bandwidth_bps
+        self.latency_s = self.link.latency_s
+        self.queue_bytes = self.link.queue_bytes
         # Per-link deterministic stream keeps RED runs reproducible and
         # independent of event interleaving across links.
         self._rng = np.random.default_rng(0x9E3779B9 ^ self.link.link_id)
@@ -130,8 +143,8 @@ class LinkRuntime:
         """
         if self.discipline != "red":
             return False
-        min_th = self.red.min_th_fraction * self.link.queue_bytes
-        max_th = self.red.max_th_fraction * self.link.queue_bytes
+        min_th = self.red.min_th_fraction * self.queue_bytes
+        max_th = self.red.max_th_fraction * self.queue_bytes
         if backlog_bytes <= min_th:
             return False
         if backlog_bytes < max_th:
@@ -156,17 +169,17 @@ class LinkRuntime:
             self.packets_lost[d] += 1
             return TransmitResult(accepted=False, faulted=True)
         start = max(now, self.busy_until[d])
-        backlog_bytes = (start - now) * self.link.bandwidth_bps / 8.0
+        backlog_bytes = (start - now) * self.bandwidth_bps / 8.0
         # Admission counts the packet itself: admitting on backlog alone
         # overshoots the buffer by up to one packet and lets a packet
         # larger than the whole buffer into an empty queue.
         if (
-            backlog_bytes + packet.size_bytes > self.link.queue_bytes
+            backlog_bytes + packet.size_bytes > self.queue_bytes
             or self._early_drop(backlog_bytes)
         ):
             self.packets_dropped[d] += 1
             return TransmitResult(accepted=False, backlog_bytes=backlog_bytes)
-        tx_time = packet.size_bytes * 8.0 / self.link.bandwidth_bps
+        tx_time = packet.size_bytes * 8.0 / self.bandwidth_bps
         finish = start + tx_time
         self.busy_until[d] = finish
         if self.corrupt_prob > 0.0 and self._fault_draw() < self.corrupt_prob:
@@ -177,7 +190,7 @@ class LinkRuntime:
             return TransmitResult(
                 accepted=False,
                 start_time=start,
-                arrival_time=finish + self.link.latency_s,
+                arrival_time=finish + self.latency_s,
                 backlog_bytes=backlog_bytes,
                 faulted=True,
             )

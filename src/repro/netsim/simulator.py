@@ -19,6 +19,7 @@ from ..obs import names as obs_names
 from ..obs.registry import get_registry
 from ..obs.trace import get_tracer
 from ..routing.fib import ForwardingPlane
+from ..routing.ospf import ospf_link_metric
 from ..topology.models import Network
 from .link import LinkRuntime
 from .packet import Packet, Protocol
@@ -29,6 +30,12 @@ __all__ = ["Scheduler", "NetworkSimulator", "TrafficCounters"]
 HOP_PROCESSING_S = 5e-6
 #: Delivery delay for loopback traffic (src == dst): kernel/IPC overhead.
 LOOPBACK_LATENCY_S = 10e-6
+#: hop-cache miss (``None`` is an answer: the pair is unroutable)
+_UNRESOLVED = object()
+
+
+def _ospf_metric(runtime: LinkRuntime) -> float:
+    return ospf_link_metric(runtime.latency_s, runtime.bandwidth_bps)
 
 
 class Scheduler(TypingProtocol):
@@ -101,17 +108,25 @@ class NetworkSimulator:
         self.sched = scheduler
         self.hop_processing_s = hop_processing_s
         self.links = [LinkRuntime(l, discipline=queue_discipline) for l in net.links]
-        # Hot-path index: (from, to) -> LinkRuntime, replacing the
-        # per-hop adjacency scan of net.link_between. setdefault keeps
-        # link_between's first-created-link-wins tie-break for parallel
-        # links.
-        self._runtime_by_pair: dict[tuple[int, int], LinkRuntime] = {}
+        # (from, to) -> the pair's links in creation order; almost always
+        # one. Read when a hop is resolved, not per hop.
+        self._links_by_pair: dict[tuple[int, int], list[LinkRuntime]] = {}
         for lr in self.links:
-            self._runtime_by_pair.setdefault((lr.link.u, lr.link.v), lr)
-            self._runtime_by_pair.setdefault((lr.link.v, lr.link.u), lr)
+            self._links_by_pair.setdefault((lr.link.u, lr.link.v), []).append(lr)
+            self._links_by_pair.setdefault((lr.link.v, lr.link.u), []).append(lr)
+        # Hop cache: _hops[node][dst] -> (next node, LinkRuntime, direction),
+        # or None for an unroutable pair. Filled one pair at a time through
+        # fib.next_hop, so the forwarding plane's own cache — and with it
+        # fib.digest() — holds exactly the pairs some packet asked for, and
+        # dropped whole when fib.epoch moves (see _resolve_hop).
+        self._hops: list[dict[int, tuple[int, LinkRuntime, int] | None]] = [
+            {} for _ in range(net.num_nodes)
+        ]
+        self._hops_epoch = fib.epoch
         self.counters = TrafficCounters()
-        #: per-node handled packet count (the PROF node-weight signal)
-        self.node_packets = np.zeros(net.num_nodes, dtype=np.int64)
+        # Per-node handled packet count, as a Python list: one is bumped
+        # per event, and a numpy scalar add costs several times a list's.
+        self._node_packets = [0] * net.num_nodes
         # Fault state (repro.faults): crashed nodes black-hole every
         # packet that reaches them. Kept outside TrafficCounters so the
         # regression fingerprint's counter dict is unchanged; empty on a
@@ -163,6 +178,19 @@ class NetworkSimulator:
         """Current simulated time (the executing event's timestamp)."""
         return self.sched.current_time
 
+    @property
+    def node_packets(self) -> np.ndarray:
+        """Per-node handled packet count (the PROF node-weight signal).
+
+        A fresh ``int64`` array on every read; assign a whole array to
+        replace the counts (checkpoint restore does).
+        """
+        return np.asarray(self._node_packets, dtype=np.int64)
+
+    @node_packets.setter
+    def node_packets(self, counts: Any) -> None:
+        self._node_packets[:] = np.asarray(counts, dtype=np.int64).tolist()
+
     # ------------------------------------------------------------------
     # Transport registration (used by tcp.py / udp.py / online layer)
     # ------------------------------------------------------------------
@@ -198,12 +226,13 @@ class NetworkSimulator:
         IPC delay — important both for realism and to keep two local
         endpoints from recursing into each other synchronously.
         """
-        packet.created_at = self.now
+        now = self.sched.current_time
+        packet.created_at = now
         self.counters.packets_sent += 1
         self._obs_sent.inc()
         if packet.src == packet.dst:
             self.sched.schedule_at(
-                self.now + LOOPBACK_LATENCY_S,
+                now + LOOPBACK_LATENCY_S,
                 self._handle_at,
                 node=packet.dst,
                 args=(packet.dst, packet),
@@ -212,65 +241,134 @@ class NetworkSimulator:
         self._handle_at(packet.src, packet)
 
     def _handle_at(self, node: int, packet: Packet) -> None:
-        """Process a packet at ``node``: deliver locally or forward."""
+        """Process a packet at ``node``: deliver locally or forward.
+
+        The hot path of the whole simulator: one of these runs per packet
+        hop. A forwarded hop is one hop-cache lookup, one block of float
+        arithmetic and one ``schedule_at``; ``current_time`` and the
+        ``enabled`` flags are read once (docs/performance.md, "Per-hop
+        path").
+        """
         if self._down_nodes and node in self._down_nodes:
             self.dropped_fault += 1
             return
-        self.node_packets[node] += 1
-        if self._obs.enabled:
+        self._node_packets[node] += 1
+        sched = self.sched
+        now = sched.current_time
+        obs_on = self._obs.enabled
+        if obs_on:
             self._obs_node_events.inc(node)
-            self._obs_rate_bins.observe(self.now, node)
-        if node == packet.dst:
+            self._obs_rate_bins.observe(now, node)
+        dst = packet.dst
+        if node == dst:
             self._deliver(node, packet)
             return
         if packet.ttl <= 0:
             self.counters.packets_dropped_ttl += 1
             self._obs_dropped_ttl.inc()
             return
-        next_node = self.fib.next_hop(node, packet.dst)
-        if next_node is None:
+        if self.fib.epoch != self._hops_epoch:
+            self._drop_hops()
+        hop = self._hops[node].get(dst, _UNRESOLVED)
+        if hop is _UNRESOLVED:
+            hop = self._resolve_hop(node, dst)
+        if hop is None:
             self.counters.packets_unroutable += 1
             self._obs_unroutable.inc()
             return
-        runtime = self._runtime_by_pair.get((node, next_node))
-        assert runtime is not None, "forwarding plane returned a non-adjacent hop"
-        depart = self.now + (self.hop_processing_s if node != packet.src else 0.0)
-        result = runtime.transmit(node, packet, depart)
-        if self._obs.enabled:
-            self._obs_queue_hwm.observe(runtime.link.link_id, result.backlog_bytes)
-        if not result.accepted:
-            if result.faulted:
-                # Injected loss/corruption — accounted separately so the
-                # queue-drop counter (and the regression fingerprint)
-                # keeps its meaning under fault scenarios.
-                self.dropped_fault += 1
+        next_node, runtime, d = hop
+        depart = now + (self.hop_processing_s if node != packet.src else 0.0)
+        size = packet.size_bytes
+        # LinkRuntime.transmit's accepting drop-tail case, inline: its
+        # expressions in its order, so every time is the same float.
+        # Whatever else can happen — a fault armed on the link, RED, a
+        # full queue — goes through transmit() itself, which has touched
+        # nothing yet.
+        accepted = False
+        if not (
+            runtime.failed
+            or runtime.loss_prob > 0.0
+            or runtime.corrupt_prob > 0.0
+            or runtime.discipline != "droptail"
+        ):
+            busy_until = runtime.busy_until
+            start = busy_until[d]
+            if start < depart:
+                start = depart
+            bandwidth_bps = runtime.bandwidth_bps
+            backlog_bytes = (start - depart) * bandwidth_bps / 8.0
+            if backlog_bytes + size <= runtime.queue_bytes:
+                accepted = True
+                finish = start + size * 8.0 / bandwidth_bps
+                busy_until[d] = finish
+                runtime.bytes_carried[d] += size
+                runtime.packets_carried[d] += 1
+                arrival = finish + runtime.latency_s
+        if not accepted:
+            result = runtime.transmit(node, packet, depart)
+            backlog_bytes = result.backlog_bytes
+            if not result.accepted:
+                if obs_on:
+                    self._obs_queue_hwm.observe(runtime.link.link_id, backlog_bytes)
+                if result.faulted:
+                    # Injected loss/corruption — accounted separately so the
+                    # queue-drop counter (and the regression fingerprint)
+                    # keeps its meaning under fault scenarios.
+                    self.dropped_fault += 1
+                    return
+                self.counters.packets_dropped_queue += 1
+                if obs_on:
+                    self._obs_dropped_queue.inc()
+                    self._obs_link_drops.inc(runtime.link.link_id)
                 return
-            self.counters.packets_dropped_queue += 1
-            if self._obs.enabled:
-                self._obs_dropped_queue.inc()
-                self._obs_link_drops.inc(runtime.link.link_id)
-            return
+            start = result.start_time
+            arrival = result.arrival_time
         packet.ttl -= 1
         packet.hops += 1
-        if self._obs.enabled:
+        if obs_on:
             link_id = runtime.link.link_id
+            self._obs_queue_hwm.observe(link_id, backlog_bytes)
             self._obs_link_packets.inc(link_id)
-            self._obs_link_bytes.inc(link_id, packet.size_bytes)
+            self._obs_link_bytes.inc(link_id, size)
         if self.record_transmissions:
-            self.tx_times.append(result.start_time)
+            self.tx_times.append(start)
             self.tx_from.append(node)
             self.tx_to.append(next_node)
-        if self._trace.enabled:
-            self._trace.tx(result.start_time, node, next_node)
+        trace = self._trace
+        if trace.enabled:
+            trace.tx(start, node, next_node)
         # Closure-free forwarding: bound method + argument slots on the
-        # Event itself — no per-hop lambda allocation (the hot path of
-        # the whole simulator; see docs/performance.md).
-        self.sched.schedule_at(
-            result.arrival_time,
-            self._handle_at,
-            node=next_node,
-            args=(next_node, packet),
-        )
+        # Event itself — no per-hop lambda allocation.
+        sched.schedule_at(arrival, self._handle_at, next_node, (next_node, packet))
+
+    def _resolve_hop(self, node: int, dst: int) -> tuple[int, LinkRuntime, int] | None:
+        """Ask the forwarding plane for one ``(node, dst)`` and keep the answer.
+
+        Between a pair with parallel links the packet rides the one SPF
+        routed over: of those in service the cheapest by the OSPF metric,
+        the first-created among equals (``min`` returns the first of
+        equal minima). Only a link failed behind the forwarding plane's
+        back — ``fail_link`` without ``fib.set_link_state`` — can leave
+        none in service; the packet is then offered to the cheapest and
+        dropped there.
+        """
+        next_node = self.fib.next_hop(node, dst)
+        hop = None
+        if next_node is not None:
+            links = self._links_by_pair.get((node, next_node))
+            assert links, "forwarding plane returned a non-adjacent hop"
+            runtime = links[0]
+            if len(links) > 1:
+                runtime = min([lr for lr in links if not lr.failed] or links, key=_ospf_metric)
+            hop = (next_node, runtime, runtime.direction(node))
+        self._hops[node][dst] = hop
+        return hop
+
+    def _drop_hops(self) -> None:
+        """Forget every resolved hop (routes or link states changed)."""
+        for hops in self._hops:
+            hops.clear()
+        self._hops_epoch = self.fib.epoch
 
     def _deliver(self, node: int, packet: Packet) -> None:
         self.counters.packets_delivered += 1
@@ -299,10 +397,12 @@ class NetworkSimulator:
         exercise.
         """
         self.links[link_id].failed = True
+        self._drop_hops()
 
     def restore_link(self, link_id: int) -> None:
         """Bring a failed link back into service."""
         self.links[link_id].failed = False
+        self._drop_hops()
 
     def set_node_down(self, node: int) -> None:
         """Crash a node: packets reaching it are silently discarded.

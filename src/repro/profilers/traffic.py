@@ -96,7 +96,7 @@ class TrafficProfile:
     def from_simulation(cls, sim, duration_s: float) -> "TrafficProfile":
         """Snapshot the counters of a :class:`NetworkSimulator` run."""
         return cls(
-            node_events=np.asarray(sim.node_packets, dtype=np.float64).copy(),
+            node_events=sim.node_packets.astype(np.float64),
             link_bytes=sim.link_bytes(),
             link_packets=np.asarray(sim.link_packets(), dtype=np.float64),
             duration_s=float(duration_s),

@@ -48,6 +48,10 @@ class ForwardingPlane:
             self._ospf[as_id] = OspfRouting(net, mem)
         # (node, dest) -> next node; flows hammer the same pairs.
         self._cache: dict[tuple[int, int], int | None] = {}
+        #: bumped by every :meth:`flush_cache`: whoever keeps decisions
+        #: of :meth:`next_hop` (the simulator's hop cache) drops them
+        #: when it moves
+        self.epoch = 0
         # Inter-AS border links currently out of service (repro.faults),
         # keyed by the canonical (min, max) endpoint pair. Empty on a
         # healthy network: _toward_border pays one truthiness check.
@@ -138,6 +142,7 @@ class ForwardingPlane:
     def flush_cache(self) -> None:
         """Drop every cached forwarding decision (route recomputation)."""
         self._cache.clear()
+        self.epoch += 1
 
     def set_link_state(self, link_id: int, up: bool) -> None:
         """Propagate a link state change into the routing layers.

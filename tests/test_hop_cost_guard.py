@@ -1,0 +1,145 @@
+"""Operation counts of one packet hop: a cost guard without a stopwatch.
+
+A forwarded hop is one hop-cache lookup, one block of float arithmetic
+and one heap push (docs/performance.md, "Per-hop path"). Each term below
+was a per-hop call before that and can come back through an
+innocent-looking refactor while a timing on a noisy host still reads
+"within bound", so they are counted, not timed, on a fixed scenario:
+datagrams between the hosts of the shared ``flat_net`` over its default
+drop-tail queues with no fault armed. The second half pins the other
+side of the cache: it must not outlive the routes it was filled from.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.engine import SimKernel
+from repro.netsim import NetworkSimulator, Packet, Protocol, link
+from repro.routing import ForwardingPlane
+from repro.topology import Network, NodeKind
+
+DATAGRAMS = 400
+
+
+class ClockCountingKernel(SimKernel):
+    """Counts reads of ``current_time``, the simulator's only clock."""
+
+    clock_reads = 0
+
+    @property
+    def current_time(self) -> float:
+        self.clock_reads += 1
+        return self.now
+
+
+@pytest.fixture(scope="module")
+def counted_run(flat_net):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return _counted_run(flat_net, monkeypatch)
+
+
+def _counted_run(flat_net, monkeypatch):
+    counts = {"next_hop": 0, "transmit": 0, "transmit_results": 0}
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    fib = ForwardingPlane(flat_net)
+    monkeypatch.setattr(fib, "next_hop", counting("next_hop", fib.next_hop))
+    monkeypatch.setattr(
+        link.LinkRuntime, "transmit", counting("transmit", link.LinkRuntime.transmit)
+    )
+    monkeypatch.setattr(
+        link, "TransmitResult", counting("transmit_results", link.TransmitResult)
+    )
+    kernel = ClockCountingKernel()
+    sim = NetworkSimulator(flat_net, fib, kernel)
+    hosts = flat_net.host_ids()
+    rng = np.random.default_rng(3)
+    for i in range(DATAGRAMS):
+        # a handful of pairs, hammered: what a flow does to the cache
+        src, dst = hosts[int(rng.integers(0, 6))], hosts[int(rng.integers(6, 12))]
+        packet = Packet(src=src, dst=dst, size_bytes=500, protocol=Protocol.UDP, flow_id=i)
+        kernel.schedule_at(i * 1e-3, sim.inject, node=src, args=(packet,))
+    kernel.run(until=2.0)
+    assert sim.counters.packets_delivered == DATAGRAMS  # nothing dropped: every hop is the common case
+    return sim, fib, kernel, counts
+
+
+def test_the_forwarding_plane_is_asked_once_per_pair_not_once_per_hop(counted_run):
+    sim, fib, _, counts = counted_run
+    hops = int(sim.link_packets().sum())
+    pairs = len(fib._cache)
+    assert hops > 10 * pairs  # or asking at every hop would pass too
+    assert 0 < counts["next_hop"] <= pairs
+
+
+def test_an_unfaulted_drop_tail_hop_builds_no_transmit_result(counted_run):
+    _, _, _, counts = counted_run
+    assert counts["transmit"] == 0
+    assert counts["transmit_results"] == 0
+
+
+def test_the_clock_is_read_once_per_handled_packet(counted_run):
+    sim, _, kernel, _ = counted_run
+    handled = int(sim.node_packets.sum())  # every hop, the delivering one included
+    # ... and once by inject, which stamps the packet's creation time
+    assert kernel.clock_reads == sim.counters.packets_sent + handled
+
+
+# ----------------------------------------------------------------------
+# The hop cache follows the forwarding plane's epoch
+# ----------------------------------------------------------------------
+def _diamond():
+    """0 - 1 - 3 and 0 - 2 - 3; the way over 1 is the shorter."""
+    net = Network()
+    for _ in range(4):
+        net.add_node(NodeKind.ROUTER)
+    near_link = net.add_link(0, 1, 1e8, 1e-3)
+    net.add_link(1, 3, 1e8, 1e-3)
+    net.add_link(0, 2, 1e8, 2e-3)
+    net.add_link(2, 3, 1e8, 2e-3)
+    fib = ForwardingPlane(net)
+    kernel = SimKernel()
+    sim = NetworkSimulator(net, fib, kernel)
+
+    def send():
+        sim.inject(Packet(src=0, dst=3, size_bytes=500, protocol=Protocol.UDP, flow_id=0))
+        kernel.run(until=kernel.now + 0.1)
+
+    send()
+    assert sim.node_packets.tolist() == [1, 1, 0, 1]
+    return sim, fib, near_link, send
+
+
+@pytest.mark.parametrize("change", ["link", "node"])
+def test_a_route_change_moves_the_next_packet(change):
+    # Only the forwarding plane is told; the simulator's own link and
+    # node state stay up, so nothing but the epoch can move the packet.
+    sim, fib, near_link, send = _diamond()
+    if change == "link":
+        fib.set_link_state(near_link, False)
+    else:
+        fib.set_node_state(1, False)
+    send()
+    assert sim.node_packets.tolist() == [2, 1, 1, 2]
+    assert sim.counters.packets_delivered == 2
+
+
+def test_a_bare_flush_makes_the_next_hop_ask_again(monkeypatch):
+    sim, fib, _, send = _diamond()
+    asked = []
+    next_hop = fib.next_hop
+    monkeypatch.setattr(fib, "next_hop", lambda node, dst: asked.append(node) or next_hop(node, dst))
+    send()
+    assert asked == []  # both hops came from the cache
+    fib.flush_cache()
+    send()
+    assert asked == [0, 1]
+    assert len(fib._cache) == 2  # the digest covers the flushed run's pairs again

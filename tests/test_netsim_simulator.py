@@ -156,3 +156,49 @@ class TestOnConservativeEngine:
         eng.schedule_at(0.0, lambda: send_datagram(sim_par, h0, h1, 500, port=9), node=h0)
         eng.run(until=0.01)
         assert t_par == pytest.approx(t_seq)
+
+
+class TestParallelLinks:
+    """Two links between one router pair: the packet rides the one SPF
+    routed over, the cheapest in service (the first-created among equals)."""
+
+    @staticmethod
+    def _pair(latencies=(5e-3, 1e-3)):
+        net = Network()
+        a = net.add_node(NodeKind.ROUTER)
+        b = net.add_node(NodeKind.ROUTER)
+        for latency in latencies:
+            net.add_link(a, b, 1e8, latency)
+        fib = ForwardingPlane(net)
+        kernel = SimKernel()
+        sim = NetworkSimulator(net, fib, kernel)
+        got = []
+        sim.udp_bind(b, 9, lambda p: got.append(sim.now))
+        return kernel, sim, fib, (a, b), got
+
+    def test_healthy_run_uses_the_cheaper_link(self):
+        kernel, sim, fib, (a, b), got = self._pair()
+        send_datagram(sim, a, b, 500, port=9)
+        kernel.run(until=1.0)
+        assert sim.link_packets().tolist() == [0, 1]
+        assert got == [pytest.approx(1e-3, rel=0.1)]
+
+    def test_equal_links_tie_break_to_the_first_created(self):
+        kernel, sim, _, (a, b), _ = self._pair(latencies=(1e-3, 1e-3))
+        send_datagram(sim, a, b, 500, port=9)
+        kernel.run(until=1.0)
+        assert sim.link_packets().tolist() == [1, 0]
+
+    def test_packet_is_delivered_over_the_survivor_after_link_down(self):
+        from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultSchedule
+
+        kernel, sim, fib, (a, b), got = self._pair(latencies=(1e-3, 5e-3))
+        schedule = FaultSchedule.from_events([FaultEvent(0.1, FaultKind.LINK_DOWN, (0,))])
+        FaultInjector(sim, fib, schedule).install(kernel)
+        for t in (0.0, 0.2):
+            kernel.schedule_at(t, lambda: send_datagram(sim, a, b, 500, port=9), node=a)
+        kernel.run(until=1.0)
+        assert fib.next_hop(a, b) == b  # link 1 keeps the pair adjacent
+        assert sim.link_packets().tolist() == [1, 1]
+        assert sim.counters.packets_delivered == 2
+        assert sim.counters.packets_dropped_queue == 0

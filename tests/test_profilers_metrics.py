@@ -54,7 +54,10 @@ class TestTrafficProfile:
         k = SimKernel()
         sim = NetworkSimulator(flat_net, flat_fib, k)
         p = TrafficProfile.from_simulation(sim, 1.0)
-        sim.node_packets[0] = 999
+        counts = sim.node_packets  # a fresh array: written back whole
+        counts[0] = 999
+        sim.node_packets = counts
+        assert sim.node_packets[0] == 999
         assert p.node_events[0] == 0
 
 
