@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core import Approach, MappingPipeline
 from repro.experiments import ExperimentScale, build_network
-from repro.experiments.parallel import predict_from_window_stats, run_parallel_workload
+from repro.experiments.parallel import predict_from_windows, run_parallel_workload
 from repro.experiments.runner import cluster_for_scale
 from repro.metrics import load_imbalance
 
@@ -64,7 +64,7 @@ def main() -> None:
     print(f"HTTP responses completed: {handles.http.stats.responses_completed}; "
           f"app finished: {handles.apps_finished}")
 
-    pred = predict_from_window_stats(engine, cluster)
+    pred = predict_from_windows(engine.window_stats, engine.num_lps, cluster)
     print(f"\ncost model on measured windows: T = {pred.total_s:.2f}s "
           f"(compute {pred.compute_s:.2f}s + sync {pred.sync_s:.2f}s, "
           f"{pred.sync_fraction * 100:.0f}% synchronization)")

@@ -134,8 +134,7 @@ def _cmd_experiment_mp(args, scale) -> int:
             cooldown=args.rebalance_cooldown,
             max_migrations=args.rebalance_max_moves,
             source=args.rebalance_source,
-            event_cost_s=cluster.event_cost_s,
-            remote_event_cost_s=cluster.remote_event_cost_s,
+            cluster=cluster,
         )
 
     def execute():
@@ -300,7 +299,7 @@ def _cmd_trace_timeline(args) -> int:
     from .core import Approach, MappingPipeline
     from .core.mapping import run_profiling_simulation
     from .experiments import build_network, install_workload
-    from .experiments.parallel import predict_from_window_stats, run_traced_workload
+    from .experiments.parallel import predict_from_windows, run_traced_workload
     from .experiments.runner import cluster_for_scale
     from .obs import blame
     from .obs.registry import Registry
@@ -328,14 +327,13 @@ def _cmd_trace_timeline(args) -> int:
     base = candidates[approach]
 
     engine, sim, handles, reg, tr = run_traced_workload(
-        net, fib, args.app, scale, base, duration, cluster,
+        net, fib, args.app, scale, base, duration,
         seed=args.seed, trace_capacity=args.trace_capacity,
     )
 
-    report = blame.analyze(tr, num_lps=engine.num_lps)
-    sync_cost = cluster.sync_cost_s(scale.num_engines)
-    write_chrome_trace(args.out, tr, sync_cost_s=sync_cost)
-    prediction = predict_from_window_stats(engine, cluster)
+    report = blame.analyze(tr, cluster, num_lps=engine.num_lps)
+    write_chrome_trace(args.out, tr, cluster)
+    prediction = predict_from_windows(engine.window_stats, engine.num_lps, cluster)
 
     print(f"timeline: {args.network}/{args.app} under {approach.value} "
           f"on {scale.num_engines} engines, {duration:g}s simulated")

@@ -273,9 +273,12 @@ class ProgramIndex:
         self.modules[module] = ctx
         self.module_of_path[ctx.rel_path] = module
         imports = dict(ctx.from_imports)
+        # A package's ``__init__`` is named after the package itself, so
+        # its level-1 imports are relative to ``module``, not its parent.
+        anchor = f"{module}.__init__" if ctx.rel_path.endswith("__init__.py") else module
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ImportFrom) and node.level > 0:
-                base = _resolve_relative(module, node.module, node.level)
+                base = _resolve_relative(anchor, node.module, node.level)
                 for alias in node.names:
                     imports[alias.asname or alias.name] = f"{base}.{alias.name}"
         self.imports[module] = imports

@@ -1,6 +1,5 @@
 """Simulation cluster models (TeraGrid sync cost, Figure 5)."""
 
-from .calibrate import calibrated_cluster, measure_barrier_cost, measure_event_cost
 from .syncmodel import TERAGRID_SYNC_POINTS, ClusterSpec, SyncCostModel, teragrid_cluster
 
 __all__ = [
@@ -8,7 +7,4 @@ __all__ = [
     "ClusterSpec",
     "teragrid_cluster",
     "TERAGRID_SYNC_POINTS",
-    "measure_event_cost",
-    "measure_barrier_cost",
-    "calibrated_cluster",
 ]

@@ -8,7 +8,12 @@ pays to ship cross-partition events). Given a recorded event trace
 
 ``T = sum over windows [ max_lp( events*t_event + remote_sends*t_remote ) + C(N) ]``
 
-which is also exactly how the real engine's wall-clock decomposes. All
+which is also exactly how the real engine's wall-clock decomposes. This
+is the only module that multiplies a count by a rate: every consumer —
+the figure pipeline, blame, the calibration table, the Chrome timeline,
+the online re-balancer — calls :func:`lp_busy_seconds` and
+:func:`window_walls` (or :func:`predict_wallclock`, their sum plus
+``W * C(N)``) with the :class:`ClusterSpec` it was handed. All
 partition-quality metrics (load imbalance, parallel efficiency) derive
 from the same buckets. One simulation run therefore scores every mapping
 approach — the virtual network's behavior does not depend on the mapping.
@@ -17,6 +22,7 @@ approach — the virtual network's behavior does not depend on the mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +32,8 @@ __all__ = [
     "bucket_event_counts",
     "remote_send_counts",
     "WallclockPrediction",
+    "lp_busy_seconds",
+    "window_walls",
     "predict_wallclock",
     "predict_from_trace",
     "sequential_time_estimate",
@@ -130,6 +138,9 @@ class WallclockPrediction:
     events_per_lp: np.ndarray
     #: total cross-LP sends per LP
     remote_per_lp: np.ndarray
+    #: modeled wall per window, barrier included (dense predictions only:
+    #: the sparse trace path never materialises its empty windows)
+    window_wall_s: np.ndarray | None = None
 
     @property
     def total_events(self) -> int:
@@ -142,50 +153,90 @@ class WallclockPrediction:
         return self.sync_s / self.total_s if self.total_s > 0 else 0.0
 
 
+def lp_busy_seconds(
+    event_counts: np.ndarray,
+    remote_counts: np.ndarray,
+    cluster: ClusterSpec,
+    busy_multipliers: np.ndarray | None = None,
+) -> np.ndarray:
+    """Modeled busy seconds per LP: ``events*t_event + remote*t_remote``.
+
+    The one place a count meets a rate. Works elementwise on any shape —
+    a ``(windows, lps)`` matrix or one window's ``(lps,)`` vector.
+    ``busy_multipliers``, when given, is a same-shape array of per-LP
+    slowdown factors (>= 1) applied to the compute cost — how a
+    straggler fault (:mod:`repro.faults` LP slowdown spans) enters the
+    model: a slowed LP takes proportionally longer per window and drags
+    every barrier it bounds.
+    """
+    event_counts = np.asarray(event_counts, dtype=np.float64)
+    remote_counts = np.asarray(remote_counts, dtype=np.float64)
+    if event_counts.shape != remote_counts.shape:
+        raise ValueError("event and remote count shapes differ")
+    busy = event_counts * cluster.event_cost_s + remote_counts * cluster.remote_event_cost_s
+    if busy_multipliers is not None:
+        busy_multipliers = np.asarray(busy_multipliers, dtype=np.float64)
+        if busy_multipliers.shape != busy.shape:
+            raise ValueError("busy_multipliers shape must match the count arrays")
+        if (busy_multipliers < 1.0).any():
+            raise ValueError("busy multipliers must be >= 1")
+        busy = busy * busy_multipliers
+    return busy
+
+
+def window_walls(busy: np.ndarray, groups: Sequence | None = None) -> np.ndarray:
+    """Modeled compute wall per window: the busiest group's busy seconds.
+
+    ``busy`` is a ``(windows, lps)`` matrix from :func:`lp_busy_seconds`.
+    With ``groups`` ``None`` every LP is its own engine node; otherwise
+    each group is a column selector (an LP-id list or a boolean mask —
+    one worker shard, or one shard of a candidate LP -> shard layout)
+    whose LPs share a node, so their busy seconds add up before the max.
+    """
+    busy = np.asarray(busy, dtype=np.float64)
+    if busy.ndim != 2:
+        raise ValueError("busy must be a (windows, lps) matrix")
+    if groups is not None:
+        busy = np.stack([busy[:, g].sum(axis=1) for g in groups], axis=1)
+    return busy.max(axis=1) if busy.shape[1] else np.zeros(busy.shape[0])
+
+
 def predict_wallclock(
     event_counts: np.ndarray,
     remote_counts: np.ndarray,
     cluster: ClusterSpec,
     num_lps: int | None = None,
     busy_multipliers: np.ndarray | None = None,
+    groups: Sequence | None = None,
 ) -> WallclockPrediction:
     """Apply the window-max cost model to bucketed counts.
 
     ``event_counts`` and ``remote_counts`` are ``(windows, lps)`` arrays
     (from :func:`bucket_event_counts` / :func:`remote_send_counts`, or the
-    conservative engine's :attr:`window_stats`). ``busy_multipliers``,
-    when given, is a ``(windows, lps)`` array of per-LP slowdown factors
-    (>= 1) applied to the compute cost — how a straggler fault
-    (:mod:`repro.faults` LP slowdown spans) enters the model: a slowed
-    LP takes proportionally longer per window and drags every barrier it
-    bounds.
+    conservative engine's :attr:`window_stats`); ``busy_multipliers`` and
+    ``groups`` are those of :func:`lp_busy_seconds` and
+    :func:`window_walls`. The barrier is modeled over ``num_lps`` nodes —
+    by default one per group, or one per LP when ungrouped.
     """
     event_counts = np.asarray(event_counts, dtype=np.float64)
     remote_counts = np.asarray(remote_counts, dtype=np.float64)
-    if event_counts.shape != remote_counts.shape:
-        raise ValueError("event and remote count shapes differ")
-    W, L = event_counts.shape
-    n = num_lps if num_lps is not None else L
-    per_lp_cost = (
-        event_counts * cluster.event_cost_s + remote_counts * cluster.remote_event_cost_s
-    )
-    if busy_multipliers is not None:
-        busy_multipliers = np.asarray(busy_multipliers, dtype=np.float64)
-        if busy_multipliers.shape != per_lp_cost.shape:
-            raise ValueError("busy_multipliers shape must match the count arrays")
-        if (busy_multipliers < 1.0).any():
-            raise ValueError("busy multipliers must be >= 1")
-        per_lp_cost = per_lp_cost * busy_multipliers
-    compute = float(per_lp_cost.max(axis=1).sum()) if W else 0.0
-    sync = W * cluster.sync_cost_s(n) if n > 1 else 0.0
+    busy = lp_busy_seconds(event_counts, remote_counts, cluster, busy_multipliers)
+    walls = window_walls(busy, groups)
+    W = walls.shape[0]
+    if num_lps is None:
+        num_lps = len(groups) if groups is not None else busy.shape[1]
+    compute = float(walls.sum())
+    barrier = cluster.sync_cost_s(num_lps) if num_lps > 1 else 0.0
+    sync = W * barrier
     return WallclockPrediction(
         total_s=compute + sync,
         compute_s=compute,
         sync_s=sync,
         num_windows=W,
-        num_lps=n,
+        num_lps=num_lps,
         events_per_lp=event_counts.sum(axis=0),
         remote_per_lp=remote_counts.sum(axis=0),
+        window_wall_s=walls + barrier,
     )
 
 

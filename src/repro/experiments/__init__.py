@@ -4,7 +4,7 @@ from .aggregate import MetricStats, aggregate_results, format_aggregate, run_see
 from .chaos import ChaosResult, format_chaos_report, run_chaos_experiment
 from .claims import PAPER_CLAIMS, ClaimCheck, evaluate_claims, format_claims
 from .config import PAPER_SCALE, SCALES, ExperimentScale, default_scale
-from .parallel import predict_from_window_stats, run_parallel_workload
+from .parallel import predict_from_windows, run_parallel_workload
 from .report import FIGURE_METRICS, format_bars, format_figure, format_result
 from .runner import (
     DEFAULT_APPROACHES,
@@ -36,7 +36,7 @@ __all__ = [
     "format_figure",
     "FIGURE_METRICS",
     "run_parallel_workload",
-    "predict_from_window_stats",
+    "predict_from_windows",
     "format_bars",
     "MetricStats",
     "aggregate_results",

@@ -62,9 +62,7 @@ __all__ = [
     "ExecutedParallelRun",
     "migration_summary",
     "calibrated_cluster",
-    "predict_from_window_stats",
     "predict_from_windows",
-    "predicted_window_walls",
 ]
 
 
@@ -123,23 +121,18 @@ def run_traced_workload(
     scale: ExperimentScale,
     mapping: NetworkMapping,
     duration_s: float,
-    cluster: ClusterSpec,
     seed: int = 0,
     strict: bool = True,
     trace_capacity: int | None = None,
 ) -> tuple[ConservativeEngine, NetworkSimulator, WorkloadHandles, Registry, TraceBuffer]:
     """Execute the workload with both the registry and the tracer live.
 
-    The structured-trace variant of :func:`run_parallel_workload`: the
-    tracer's cost-model calibration is taken from ``cluster`` (so window
-    records carry comparable modeled busy times), both the registry and
-    the trace buffer are reset and enabled for the run, and their
-    post-run state is returned for blame analysis
+    The structured-trace variant of :func:`run_parallel_workload`: both
+    the registry and the trace buffer are reset and enabled for the run,
+    and their post-run state is returned for blame analysis
     (:mod:`repro.obs.blame`) and what-if replay (:mod:`repro.obs.whatif`).
     """
-    tracer = get_tracer()
-    tracer.set_costs(cluster.event_cost_s, cluster.remote_event_cost_s)
-    with observed_run() as reg, traced_run(tracer, capacity=trace_capacity) as tr:
+    with observed_run() as reg, traced_run(capacity=trace_capacity) as tr:
         engine, sim, handles = run_parallel_workload(
             net, fib, app_kind, scale, mapping, duration_s, seed=seed, strict=strict
         )
@@ -173,47 +166,6 @@ def predict_from_windows(
         remotes = np.stack([remotes[:, lps].sum(axis=1) for lps in shards], axis=1)
         return predict_wallclock(events, remotes, cluster, len(shards))
     return predict_wallclock(events, remotes, cluster, num_lps)
-
-
-def predicted_window_walls(
-    window_stats: list[WindowStats],
-    cluster: ClusterSpec,
-    shards: list[list[int]],
-) -> dict[int, float]:
-    """Cost-model wall-clock *per window*, keyed by window index.
-
-    The per-window slice of :func:`predict_from_windows` under the shard
-    deployment shape: each window costs the busiest shard's compute
-    (events at the local rate plus cross-LP sends at the remote rate)
-    plus one barrier over ``len(shards)`` nodes. This is what the
-    measured-vs-modeled calibration table
-    (:func:`repro.obs.distributed.window_calibration`) compares against
-    the workers' measured window spans.
-    """
-    sync = cluster.sync_cost_s(len(shards)) if shards else 0.0
-    out: dict[int, float] = {}
-    for ws in window_stats:
-        busy = 0.0
-        for lps in shards:
-            shard_busy = (
-                float(ws.events_per_lp[lps].sum()) * cluster.event_cost_s
-                + float(ws.remote_sends_per_lp[lps].sum()) * cluster.remote_event_cost_s
-            )
-            busy = max(busy, shard_busy)
-        out[ws.window_index] = busy + sync
-    return out
-
-
-def predict_from_window_stats(
-    engine: ConservativeEngine, cluster: ClusterSpec
-) -> WallclockPrediction:
-    """Cost-model prediction from the engine's *measured* window counters.
-
-    This is the ground-truth variant of :func:`repro.engine.costmodel
-    .predict_from_trace`: the same window-max formula applied to the
-    per-window per-LP counts the parallel engine actually recorded.
-    """
-    return predict_from_windows(engine.window_stats, engine.num_lps, cluster)
 
 
 def calibrated_cluster(
@@ -406,11 +358,6 @@ def run_executed_workload(
         reg.enabled = reg_was
         tracer.enabled = tracer_was
     cluster = calibrated_cluster(procs, reference_wall_s, ref_engine.events_executed)
-    if tracer.enabled:
-        # Workers inherit these costs through the obs config stanza, so
-        # their window records carry modeled busy times comparable to the
-        # calibration table's predictions.
-        tracer.set_costs(cluster.event_cost_s, cluster.remote_event_cost_s)
     engine = ParallelConservativeEngine(
         mapping.assignment,
         mapping.num_engines,
@@ -435,7 +382,10 @@ def run_executed_workload(
         merged_trace = merged_trace_snapshot(result)
         calibration = window_calibration(
             merged_trace.measured,
-            predicted_window_walls(result.window_stats, cluster, engine.shards),
+            {
+                ws.window_index: wall
+                for ws, wall in zip(result.window_stats, predicted.window_wall_s)
+            },
         )
         merged_registry = merged_registry_snapshot(result)
     return ExecutedParallelRun(

@@ -1,7 +1,5 @@
 """Packet-level network simulation (links, IP forwarding, TCP/UDP, apps)."""
 
-from .analysis import as_traffic_matrix, drop_report, top_links
-from .flowstats import FlowLog, FlowRecord
 from .link import LinkRuntime, RedParams, TransmitResult
 from .packet import (
     Packet,
@@ -23,11 +21,6 @@ __all__ = [
     "LinkRuntime",
     "TransmitResult",
     "RedParams",
-    "FlowLog",
-    "FlowRecord",
-    "as_traffic_matrix",
-    "top_links",
-    "drop_report",
     "NetworkSimulator",
     "TrafficCounters",
     "HOP_PROCESSING_S",

@@ -1,15 +1,6 @@
-"""Traffic applications: HTTP background, CBR, and the live-app models
+"""Traffic applications: HTTP background and the live-app models
 (ScaLapack, GridNPB) run through the online layer."""
 
-from .cbr import CbrStream
-from .collectives import (
-    CollectiveGroup,
-    all_to_all,
-    broadcast,
-    gather,
-    reduce_tree,
-    ring_exchange,
-)
 from .gridnpb import (
     GridNpbApp,
     Workflow,
@@ -19,14 +10,12 @@ from .gridnpb import (
     mixed_bag,
     visualization_pipeline,
 )
-from .onoff import ParetoOnOffStream
 from .http import HttpStats, HttpTraffic
 from .scalapack import AppRunStats, ScaLapackApp
 
 __all__ = [
     "HttpTraffic",
     "HttpStats",
-    "CbrStream",
     "ScaLapackApp",
     "AppRunStats",
     "GridNpbApp",
@@ -36,11 +25,4 @@ __all__ = [
     "visualization_pipeline",
     "mixed_bag",
     "embarrassingly_distributed",
-    "ParetoOnOffStream",
-    "CollectiveGroup",
-    "broadcast",
-    "gather",
-    "all_to_all",
-    "ring_exchange",
-    "reduce_tree",
 ]

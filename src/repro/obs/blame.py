@@ -29,11 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..cluster.syncmodel import ClusterSpec
+from ..engine.costmodel import lp_busy_seconds, window_walls
 from .trace import EdgeRecord, TraceBuffer, WindowRecord
 
 __all__ = [
     "CriticalStep",
     "BlameReport",
+    "modeled_busy",
     "analyze",
     "blame_shares",
     "node_blame",
@@ -134,56 +137,79 @@ def _edges_by_window(
 
 
 def _critical_path(
-    windows: list[WindowRecord], edges: list[EdgeRecord]
+    windows: list[WindowRecord],
+    edges: list[EdgeRecord],
+    stragglers: np.ndarray,
+    walls: np.ndarray,
 ) -> list[CriticalStep]:
     by_window = _edges_by_window(edges, windows)
     path: list[CriticalStep] = []
     prev: WindowRecord | None = None
     for i, w in enumerate(windows):
-        straggler = w.straggler_lp
+        straggler = int(stragglers[i])
         handoff = False
         if prev is not None:
-            prev_straggler = prev.straggler_lp
+            prev_straggler = int(stragglers[i - 1])
             handoff = any(
                 e.dst_lp == straggler
                 and e.src_lp == prev_straggler
                 and prev.start <= e.send_time < prev.end
                 for e in by_window.get(i, ())
             )
-        path.append(CriticalStep(w.window_index, straggler, w.max_busy_s, handoff))
+        path.append(CriticalStep(w.window_index, straggler, float(walls[i]), handoff))
         prev = w
     return path
 
 
-def analyze(trace: TraceBuffer, num_lps: int | None = None) -> BlameReport:
+def modeled_busy(
+    windows: list[WindowRecord], cluster: ClusterSpec, num_lps: int
+) -> np.ndarray:
+    """``(windows, lps)`` modeled busy seconds of recorded window counts."""
+    shape = (len(windows), num_lps)
+    return lp_busy_seconds(
+        np.array([w.events_per_lp for w in windows]).reshape(shape),
+        np.array([w.remote_per_lp for w in windows]).reshape(shape),
+        cluster,
+    )
+
+
+def analyze(
+    trace: TraceBuffer, cluster: ClusterSpec, num_lps: int | None = None
+) -> BlameReport:
     """Compute the blame report for a traced run.
 
-    ``num_lps`` defaults to the width of the recorded window vectors;
-    pass it explicitly to analyze an empty trace against a known engine
-    size. Blame attribution is *straggler-takes-all*: the whole barrier
-    wait of a window is charged to that window's straggler, so
+    The trace's window records carry counts; ``cluster`` prices them
+    (:func:`repro.engine.costmodel.lp_busy_seconds`). ``num_lps``
+    defaults to the width of the recorded window vectors; pass it
+    explicitly to analyze an empty trace against a known engine size.
+    Blame attribution is *straggler-takes-all*: the whole barrier wait
+    of a window is charged to that window's straggler, so
     ``lp_blame_s.sum() == total_wait_s`` exactly.
     """
     windows = list(trace.windows)
     if num_lps is None:
         num_lps = windows[0].num_lps if windows else 0
     L = int(num_lps)
+    for w in windows:
+        if w.num_lps != L:
+            raise ValueError(
+                f"window {w.window_index} has {w.num_lps} LPs, expected {L}"
+            )
+    busy = modeled_busy(windows, cluster, L)
+    walls = window_walls(busy)
+    stragglers = busy.argmax(axis=1) if L else np.zeros(len(windows), dtype=np.int64)
     lp_blame = np.zeros(L, dtype=np.float64)
     lp_busy = np.zeros(L, dtype=np.float64)
     lp_straggler = np.zeros(L, dtype=np.int64)
     window_wait = np.zeros(len(windows), dtype=np.float64)
     critical = 0.0
-    for i, w in enumerate(windows):
-        if w.num_lps != L:
-            raise ValueError(
-                f"window {w.window_index} has {w.num_lps} LPs, expected {L}"
-            )
-        lp_busy += w.busy_s_per_lp
-        wait = w.wait_s
+    for i in range(len(windows)):
+        lp_busy += busy[i]
+        wait = float((walls[i] - busy[i]).sum())
         window_wait[i] = wait
-        lp_blame[w.straggler_lp] += wait
-        lp_straggler[w.straggler_lp] += 1
-        critical += w.max_busy_s
+        lp_blame[stragglers[i]] += wait
+        lp_straggler[stragglers[i]] += 1
+        critical += float(walls[i])
     # Summing the blame vector (not the window-wait array) makes the
     # decomposition invariant lp_blame_s.sum() == total_wait_s exact in
     # float arithmetic, not just mathematically.
@@ -196,7 +222,7 @@ def analyze(trace: TraceBuffer, num_lps: int | None = None) -> BlameReport:
         total_wait_s=float(lp_blame.sum()),
         critical_s=critical,
         window_wait_s=window_wait,
-        critical_path=_critical_path(windows, list(trace.edges)),
+        critical_path=_critical_path(windows, list(trace.edges), stragglers, walls),
         dropped_records=trace.dropped_records,
     )
 

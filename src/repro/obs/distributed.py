@@ -277,8 +277,6 @@ class TraceSnapshot:
     faults: tuple[FaultRecord, ...]
     measured: tuple[MeasuredWindowRecord, ...]
     dropped_records: int
-    event_cost_s: float
-    remote_event_cost_s: float
     #: accepted mid-run LP migrations (controller-recorded, so merging
     #: concatenates without deduplication)
     rebalance: tuple[RebalanceRecord, ...] = ()
@@ -304,8 +302,6 @@ class TraceSnapshot:
             faults=tuple(tr.faults),
             measured=tuple(tr.measured),
             dropped_records=tr.dropped_records,
-            event_cost_s=tr.event_cost_s,
-            remote_event_cost_s=tr.remote_event_cost_s,
             rebalance=tuple(tr.rebalance),
             recovery=tuple(tr.recovery),
         )
@@ -334,13 +330,9 @@ class TraceSnapshot:
         rebalance: list[RebalanceRecord] = []
         recovery: list[RecoveryRecord] = []
         dropped = 0
-        event_cost_s = 10e-6
-        remote_event_cost_s = 25e-6
         for snap in snapshots:
             provenance.extend(dict(p) for p in snap.provenance)
             dropped += snap.dropped_records
-            event_cost_s = snap.event_cost_s
-            remote_event_cost_s = snap.remote_event_cost_s
             for w in snap.windows:
                 prev = by_window.get(w.window_index)
                 if prev is None:
@@ -362,7 +354,6 @@ class TraceSnapshot:
                     w.end,
                     prev.events_per_lp + w.events_per_lp,
                     prev.remote_per_lp + w.remote_per_lp,
-                    prev.busy_s_per_lp + w.busy_s_per_lp,
                 )
             edges.extend(snap.edges)
             spans.extend(snap.spans)
@@ -394,8 +385,6 @@ class TraceSnapshot:
             ),
             measured=tuple(measured),
             dropped_records=dropped,
-            event_cost_s=event_cost_s,
-            remote_event_cost_s=remote_event_cost_s,
             rebalance=tuple(rebalance),
             recovery=tuple(recovery),
         )
@@ -412,12 +401,7 @@ class TraceSnapshot:
             len(self.events), len(self.transmissions), len(self.faults),
             len(self.measured), len(self.rebalance), len(self.recovery), 1,
         )
-        tr = TraceBuffer(
-            capacity=cap,
-            enabled=False,
-            event_cost_s=self.event_cost_s,
-            remote_event_cost_s=self.remote_event_cost_s,
-        )
+        tr = TraceBuffer(capacity=cap, enabled=False)
         tr.windows.extend(self.windows)
         tr.edges.extend(self.edges)
         tr.spans.extend(self.spans)
@@ -454,8 +438,6 @@ def worker_obs_config(
         "bin_s": reg.bin_s,
         "trace": tr.enabled,
         "capacity": tr.capacity,
-        "event_cost_s": tr.event_cost_s,
-        "remote_event_cost_s": tr.remote_event_cost_s,
     }
 
 
@@ -477,10 +459,6 @@ def configure_worker_observability(config: Mapping[str, Any] | None) -> bool:
     reg.enabled = bool(config.get("registry", False))
     tr.reset()
     tr.capacity = int(config.get("capacity", tr.capacity))
-    tr.set_costs(
-        float(config.get("event_cost_s", tr.event_cost_s)),
-        float(config.get("remote_event_cost_s", tr.remote_event_cost_s)),
-    )
     tr.enabled = bool(config.get("trace", False))
     return reg.enabled or tr.enabled
 

@@ -61,7 +61,12 @@ DEFAULT_TRACE_CAPACITY = 262_144
 
 @dataclass(frozen=True)
 class WindowRecord:
-    """One barrier window as the conservative engine executed it."""
+    """One barrier window as the conservative engine executed it.
+
+    Counts only — the tracer records facts; modeled busy seconds are
+    applied at read time by :mod:`repro.engine.costmodel` from the
+    :class:`~repro.cluster.syncmodel.ClusterSpec` the reader is handed.
+    """
 
     window_index: int
     #: simulated window bounds
@@ -71,29 +76,11 @@ class WindowRecord:
     events_per_lp: np.ndarray
     #: cross-LP events sent per LP in this window
     remote_per_lp: np.ndarray
-    #: modeled busy time per LP (events*event_cost + remote*remote_cost,
-    #: the cost model of :mod:`repro.engine.costmodel`)
-    busy_s_per_lp: np.ndarray
 
     @property
     def num_lps(self) -> int:
         """Number of logical processes in this window."""
         return int(self.events_per_lp.shape[0])
-
-    @property
-    def straggler_lp(self) -> int:
-        """The LP whose modeled busy time bounds this window's wall time."""
-        return int(np.argmax(self.busy_s_per_lp))
-
-    @property
-    def max_busy_s(self) -> float:
-        """The window's modeled wall time (the straggler's busy time)."""
-        return float(self.busy_s_per_lp.max()) if self.busy_s_per_lp.size else 0.0
-
-    @property
-    def wait_s(self) -> float:
-        """Total modeled barrier wait: sum over LPs of (max busy - busy)."""
-        return float((self.max_busy_s - self.busy_s_per_lp).sum())
 
 
 @dataclass(frozen=True)
@@ -135,8 +122,8 @@ class FaultRecord:
 class MeasuredWindowRecord:
     """One barrier window as one *worker process* actually spent it.
 
-    Where :class:`WindowRecord` carries modeled busy time derived from
-    event counts, this record carries measured wall-clock: the worker's
+    Where :class:`WindowRecord` carries the event counts the cost model
+    prices, this record carries measured wall-clock: the worker's
     window decomposed into executing events, serializing outbound mail,
     blocking on the barrier round-trip, and decoding inbound mail.
     Recorded per shard per window by the multi-process backend
@@ -247,26 +234,15 @@ class TraceBuffer:
     enabled:
         Initial state; the process-global tracer starts disabled so
         untraced runs pay only the guard branch per hook point.
-    event_cost_s, remote_event_cost_s:
-        Cost-model calibration used to compute each window record's
-        modeled per-LP busy time; defaults match
-        :class:`repro.cluster.syncmodel.ClusterSpec`. Set per run with
-        :meth:`set_costs` (e.g. from the experiment scale's calibration).
     """
 
     def __init__(
-        self,
-        capacity: int = DEFAULT_TRACE_CAPACITY,
-        enabled: bool = False,
-        event_cost_s: float = 10e-6,
-        remote_event_cost_s: float = 25e-6,
+        self, capacity: int = DEFAULT_TRACE_CAPACITY, enabled: bool = False
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
         self.enabled = enabled
-        self.event_cost_s = float(event_cost_s)
-        self.remote_event_cost_s = float(remote_event_cost_s)
         self.windows: deque[WindowRecord] = deque()
         self.edges: deque[EdgeRecord] = deque()
         self.spans: deque[SpanRecord] = deque()
@@ -301,13 +277,6 @@ class TraceBuffer:
             channel.clear()
         self.dropped_records = 0
 
-    def set_costs(self, event_cost_s: float, remote_event_cost_s: float) -> None:
-        """Calibrate the modeled busy time of subsequent window records."""
-        if event_cost_s <= 0 or remote_event_cost_s <= 0:
-            raise ValueError("event costs must be positive")
-        self.event_cost_s = float(event_cost_s)
-        self.remote_event_cost_s = float(remote_event_cost_s)
-
     def _channels(self) -> tuple[deque, ...]:
         return (
             self.windows,
@@ -339,11 +308,10 @@ class TraceBuffer:
         if self.enabled:
             events = np.asarray(events_per_lp, dtype=np.int64).copy()
             remote = np.asarray(remote_per_lp, dtype=np.int64).copy()
-            busy = events * self.event_cost_s + remote * self.remote_event_cost_s
             self._append(
                 self.windows,
                 WindowRecord(int(window_index), float(start), float(end),
-                             events, remote, busy),
+                             events, remote),
             )
 
     def edge(self, src_lp: int, dst_lp: int, send_time: float, deliver_time: float) -> None:

@@ -10,7 +10,7 @@ The resulting JSON object follows the Chrome trace-event format
 https://ui.perfetto.dev unchanged.
 
 The timeline is *modeled*: simulated event counts are converted to
-seconds with the cost model calibration the trace recorded, and windows
+seconds by the :class:`ClusterSpec` the exporter is handed, and windows
 are laid out back to back the way the barrier-synchronized engine would
 execute them. Straggler slices carry ``args.straggler = true`` so the
 slowest LP of every window is one query away.
@@ -29,6 +29,8 @@ import json
 
 import numpy as np
 
+from ..cluster.syncmodel import ClusterSpec
+from .blame import modeled_busy
 from .trace import TraceBuffer
 
 __all__ = ["to_chrome_trace", "write_chrome_trace", "MAX_FLOW_EVENTS"]
@@ -45,14 +47,15 @@ _MEASURED_PID = 1
 
 def to_chrome_trace(
     trace: TraceBuffer,
-    sync_cost_s: float = 0.0,
+    cluster: ClusterSpec,
     max_flows: int = MAX_FLOW_EVENTS,
 ) -> dict:
     """The trace as a Chrome trace-event JSON object (plain dict).
 
-    ``sync_cost_s`` is the modeled per-barrier cost ``C(N)`` appended to
-    every window (0 hides the barrier track). Timestamps are in
-    microseconds of *modeled wall-clock*, starting at 0.
+    ``cluster`` prices the recorded counts into busy slices and supplies
+    the per-barrier cost ``C(N)`` appended to every window (a single-LP
+    trace never synchronizes and gets no barrier track). Timestamps are
+    in microseconds of *modeled wall-clock*, starting at 0.
     """
     windows = list(trace.windows)
     events: list[dict] = [
@@ -65,6 +68,8 @@ def to_chrome_trace(
         }
     ]
     num_lps = windows[0].num_lps if windows else 0
+    sync_cost_s = cluster.sync_cost_s(num_lps) if num_lps > 1 else 0.0
+    busy_by_window = modeled_busy(windows, cluster, num_lps)
     for lp in range(num_lps):
         events.append(
             {
@@ -91,10 +96,10 @@ def to_chrome_trace(
     wall_us = 0.0
     #: window_index -> (wall start us, busy_us per lp) for flow placement
     layout: dict[int, tuple[float, np.ndarray]] = {}
-    for w in windows:
-        busy_us = w.busy_s_per_lp * 1e6
+    for w, busy_s in zip(windows, busy_by_window):
+        busy_us = busy_s * 1e6
         layout[w.window_index] = (wall_us, busy_us)
-        straggler = w.straggler_lp
+        straggler = int(np.argmax(busy_s))
         for lp in range(w.num_lps):
             if busy_us[lp] <= 0.0:
                 continue
@@ -264,10 +269,10 @@ def _flow_events(
 def write_chrome_trace(
     path: str,
     trace: TraceBuffer,
-    sync_cost_s: float = 0.0,
+    cluster: ClusterSpec,
     max_flows: int = MAX_FLOW_EVENTS,
 ) -> None:
     """Write the Chrome trace-event JSON document to ``path``."""
-    doc = to_chrome_trace(trace, sync_cost_s=sync_cost_s, max_flows=max_flows)
+    doc = to_chrome_trace(trace, cluster, max_flows=max_flows)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=None, separators=(",", ":"))

@@ -20,21 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..cluster.syncmodel import ClusterSpec
 from ..core.mapping import NetworkMapping
 from ..engine.costmodel import (
     WallclockPrediction,
-    bucket_event_counts,
     predict_from_trace,
-    remote_send_counts,
     window_for_mapping,
 )
 from .trace import TraceBuffer
 
-__all__ = ["WhatIfScore", "replay_counts", "score_mapping", "score_mappings",
-           "score_lp_placements", "format_whatif_table"]
+__all__ = ["WhatIfScore", "score_mapping", "score_mappings", "format_whatif_table"]
 
 
 @dataclass(frozen=True)
@@ -51,29 +46,6 @@ class WhatIfScore:
     def total_s(self) -> float:
         """Modeled wall-clock of the recorded run under this mapping."""
         return self.prediction.total_s
-
-
-def replay_counts(
-    trace: TraceBuffer,
-    assignment: np.ndarray,
-    num_lps: int,
-    window_s: float,
-    end_time: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Re-bin the trace's per-node event/send samples under a mapping.
-
-    Returns dense ``(windows, lps)`` event and remote-send count arrays
-    — the re-binning primitive behind :func:`score_mapping`, exposed so
-    tests and notebooks can cross-check the sparse scoring path against
-    :func:`~repro.engine.costmodel.predict_wallclock` on dense counts.
-    """
-    times, nodes = trace.event_samples()
-    tx_t, tx_f, tx_to = trace.tx_samples()
-    events = bucket_event_counts(times, nodes, assignment, num_lps, window_s, end_time)
-    remotes = remote_send_counts(
-        tx_t, tx_f, tx_to, assignment, num_lps, window_s, end_time
-    )
-    return events, remotes
 
 
 def score_mapping(
@@ -117,47 +89,6 @@ def score_mappings(
         for label, mapping in mappings.items()
     ]
     scores.sort(key=lambda s: s.total_s)
-    return scores
-
-
-def score_lp_placements(
-    busy_per_lp: np.ndarray,
-    layouts: list[np.ndarray],
-    num_shards: int,
-    sync_cost_s: float = 0.0,
-) -> list[float]:
-    """Window-max wall of candidate LP -> shard layouts, no re-simulation.
-
-    The mid-run variant of :func:`score_mapping`: where the offline
-    what-if replay re-bins node samples under a whole candidate
-    *mapping* (its own window length), the online re-balancer keeps the
-    run's window structure and node -> LP assignment fixed and varies
-    only LP -> shard placement. ``busy_per_lp`` is a ``(windows, lps)``
-    modeled busy-time matrix (the trailing history the re-balancer
-    maintains); each layout is an LP -> shard vector. A layout's score
-    is the paper's window-max model over that history::
-
-        sum over windows of ( max over shards of shard busy + sync )
-
-    so candidates are comparable with the cost model the blame report
-    already speaks, and the choice is deterministic given the history.
-    """
-    busy = np.asarray(busy_per_lp, dtype=np.float64)
-    if busy.ndim != 2:
-        raise ValueError("busy_per_lp must be a (windows, lps) matrix")
-    num_windows = busy.shape[0]
-    scores: list[float] = []
-    for layout in layouts:
-        shard_of = np.asarray(layout, dtype=np.int64)
-        if shard_of.shape[0] != busy.shape[1]:
-            raise ValueError("layout length must match the LP count")
-        shard_busy = np.zeros((num_windows, num_shards), dtype=np.float64)
-        for shard in range(num_shards):
-            cols = shard_of == shard
-            if cols.any():
-                shard_busy[:, shard] = busy[:, cols].sum(axis=1)
-        walls = shard_busy.max(axis=1) if num_shards else np.zeros(num_windows)
-        scores.append(float(walls.sum() + sync_cost_s * num_windows))
     return scores
 
 

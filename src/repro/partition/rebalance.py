@@ -7,10 +7,11 @@ the controller of the multi-process backend watches per-window blame
 concentration, and when one shard's straggler blame stays above a
 threshold, it tries *diffusion-style local moves* — single-LP
 migrations off the blamed shard — scores each candidate placement with
-the what-if cost model over the trailing window history
-(:func:`repro.obs.whatif.score_lp_placements`, no re-simulation), and
-accepts the best move only if the model predicts a real gain. The
-engine then migrates the LP at the next barrier.
+the cluster cost model over the trailing window history
+(:func:`repro.engine.costmodel.window_walls` grouped by the candidate
+LP -> shard layout, no re-simulation), and accepts the best move only
+if the model predicts a real gain. The engine then migrates the LP at
+the next barrier.
 
 Three design rules keep this sound:
 
@@ -33,19 +34,22 @@ Three design rules keep this sound:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from ..cluster.syncmodel import ClusterSpec, teragrid_cluster
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.schedule import FaultEvent
 
-# NOTE: every repro-internal import in this module is deferred into the
-# function that needs it. The partition package sits at the bottom of
-# the import graph (topology.models pulls partition.graph), so a
-# module-level import of engine/faults/obs here would close a cycle the
-# moment ``import repro.faults`` (or anything reaching topology) runs.
+# NOTE: every other repro-internal import in this module is deferred
+# into the function that needs it. The partition package sits at the
+# bottom of the import graph (topology.models pulls partition.graph), so
+# a module-level import of engine/faults/obs here would close a cycle
+# the moment ``import repro.faults`` (or anything reaching topology)
+# runs. ``cluster.syncmodel`` imports nothing of repro's.
 
 __all__ = [
     "RebalanceConfig",
@@ -87,12 +91,10 @@ class RebalanceConfig:
     #: ``'modeled'`` (deterministic, from window counters + fault
     #: schedule) or ``'measured'`` (worker wall-clock, mp backend only)
     source: str = "modeled"
-    #: cost-model rates for the modeled busy time (match the tracer's);
-    #: the remote premium is charged per cross-shard send only
-    event_cost_s: float = 10e-6
-    remote_event_cost_s: float = 25e-6
-    #: per-window synchronization cost added to every candidate's score
-    sync_cost_s: float = 0.0
+    #: the cluster whose rates price the modeled busy time (the one the
+    #: run's predictions and blame tables use); the remote premium is
+    #: charged per cross-shard send only
+    cluster: ClusterSpec = field(default_factory=teragrid_cluster)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.threshold <= 1.0:
@@ -109,10 +111,6 @@ class RebalanceConfig:
             raise ValueError("min_gain_fraction must be >= 0")
         if self.source not in _SOURCES:
             raise ValueError(f"source must be one of {_SOURCES}")
-        if self.event_cost_s <= 0 or self.remote_event_cost_s <= 0:
-            raise ValueError("event costs must be positive")
-        if self.sync_cost_s < 0:
-            raise ValueError("sync_cost_s must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -228,8 +226,8 @@ class Rebalancer:
     counters; when the trailing blame concentration crosses the
     configured threshold it generates single-LP moves off the blamed
     shard, scores every candidate placement with
-    :func:`repro.obs.whatif.score_lp_placements` over the trailing busy
-    history, and returns an accepted :class:`MigrationDecision` (or
+    :meth:`placement_score` over the trailing busy history, and returns
+    an accepted :class:`MigrationDecision` (or
     ``None``). The caller is responsible for executing the migration at
     the barrier; ``shard_of`` here tracks the *decided* placement.
 
@@ -317,13 +315,14 @@ class Rebalancer:
             # (workers sit idle until mail is routed), so dead trigger
             # arithmetic is pure added wall time.
             return None
-        events = np.asarray(events_per_lp, dtype=np.float64)
-        remote = np.asarray(remote_per_lp, dtype=np.float64)
-        if events.shape[0] != self.num_lps or remote.shape[0] != self.num_lps:
+        from ..engine.costmodel import lp_busy_seconds
+
+        if len(events_per_lp) != self.num_lps or len(remote_per_lp) != self.num_lps:
             raise ValueError("window counters must have num_lps entries")
-        busy = events * cfg.event_cost_s + remote * cfg.remote_event_cost_s
-        if self.spans:
-            busy *= span_multipliers(self.spans, start, end, self.num_lps)
+        multipliers = (
+            span_multipliers(self.spans, start, end, self.num_lps) if self.spans else None
+        )
+        busy = lp_busy_seconds(events_per_lp, remote_per_lp, cfg.cluster, multipliers)
         self._busy_history.append(busy)
 
         if cfg.source == "measured" and measured_shard_busy is not None:
@@ -419,13 +418,25 @@ class Rebalancer:
         toward = float(row[self.shard_of == dst].sum())
         return toward - internal
 
+    def placement_score(self, shard_of: np.ndarray | None = None) -> float:
+        """Modeled compute wall of the trailing history under a layout.
+
+        The window-max model the blame report and the run's prediction
+        speak (:func:`repro.engine.costmodel.window_walls`), with the
+        run's window structure and node -> LP assignment fixed and only
+        the LP -> shard placement (default: the decided one) varied. The
+        barrier term is the same for every layout over the same shards,
+        so it is left out of the comparison.
+        """
+        from ..engine.costmodel import window_walls
+
+        layout = self.shard_of if shard_of is None else np.asarray(shard_of)
+        groups = [layout == shard for shard in range(self.num_shards)]
+        return float(window_walls(np.stack(self._busy_history), groups).sum())
+
     def _decide(
         self, window_index: int, blamed: int, concentration: float
     ) -> MigrationDecision | None:
-        # Deferred import: obs.whatif pulls in core.mapping, which
-        # imports back into the partition package at module load.
-        from ..obs.whatif import score_lp_placements
-
         cfg = self.config
         on_blamed = [
             int(lp)
@@ -444,23 +455,16 @@ class Rebalancer:
         ]
         if not moves:
             return None
-        history = np.stack(self._busy_history)
-        layouts = [self.shard_of]
+        current = self.placement_score()
+        ranked = []
         for lp, dst in moves:
             layout = self.shard_of.copy()
             layout[lp] = dst
-            layouts.append(layout)
-        scores = score_lp_placements(
-            history, layouts, self.num_shards, cfg.sync_cost_s
-        )
+            ranked.append(
+                (self.placement_score(layout), -self._connectivity_gain(lp, dst), lp, dst)
+            )
+        ranked.sort()
         self.candidates_scored += len(moves)
-        current = scores[0]
-        ranked = sorted(
-            (
-                (scores[i + 1], -self._connectivity_gain(lp, dst), lp, dst)
-                for i, (lp, dst) in enumerate(moves)
-            ),
-        )
         best_score, _, lp, dst = ranked[0]
         gain = current - best_score
         if gain <= 0.0 or gain < cfg.min_gain_fraction * current:

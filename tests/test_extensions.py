@@ -1,49 +1,13 @@
-"""Tests for the extension features: calibration, failure injection,
-ED workflow, and Pareto on/off traffic."""
+"""Tests for the extension features: failure injection and the ED workflow."""
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
-from repro.cluster import (
-    calibrated_cluster,
-    measure_barrier_cost,
-    measure_event_cost,
-)
 from repro.engine import SimKernel
 from repro.netsim import NetworkSimulator, start_transfer
-from repro.netsim.app import (
-    GridNpbApp,
-    ParetoOnOffStream,
-    embarrassingly_distributed,
-)
+from repro.netsim.app import GridNpbApp, embarrassingly_distributed
 from repro.online import Agent
 from repro.routing import ForwardingPlane
 from repro.topology import Network, NodeKind
-
-
-class TestCalibration:
-    def test_event_cost_positive_and_small(self):
-        cost = measure_event_cost(num_events=2_000, repeats=2)
-        assert 0 < cost < 1e-3  # a no-op event is far under a millisecond
-
-    def test_barrier_cost_positive(self):
-        cost = measure_barrier_cost(4, num_windows=200, repeats=2)
-        assert cost > 0
-
-    def test_calibrated_cluster_usable(self):
-        spec = calibrated_cluster(lp_counts=(2, 4), num_engine_nodes=4)
-        assert spec.event_cost_s > 0
-        assert spec.remote_event_cost_s > spec.event_cost_s
-        assert spec.sync_cost_s(4) >= spec.sync_cost_s(2)
-        assert spec.sync_cost_s(1) == 0.0
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            measure_event_cost(num_events=0)
-        with pytest.raises(ValueError):
-            measure_barrier_cost(0)
 
 
 def path_net():
@@ -115,49 +79,3 @@ class TestEdWorkflow:
     def test_collector_waits_for_all(self):
         wf = embarrassingly_distributed(width=4)
         assert len(wf.tasks[4].predecessors) == 4
-
-
-class TestParetoOnOff:
-    def _run(self, **kwargs):
-        net, h0, h1, _ = path_net()
-        k = SimKernel()
-        sim = NetworkSimulator(net, ForwardingPlane(net), k)
-        got = []
-        sim.udp_bind(h1, 5, lambda p: got.append(k.now))
-        stream = ParetoOnOffStream(
-            sim, h0, h1, rate_bps=2e6, stop_at=20.0, port=5, **kwargs
-        )
-        stream.start(at=0.0)
-        k.run(until=20.0)
-        return stream, got
-
-    def test_sends_packets_in_bursts(self):
-        stream, got = self._run(seed=1)
-        assert stream.packets_sent > 10
-        assert stream.on_periods >= 2
-        # Burstiness: inter-arrival gaps are bimodal (within-burst spacing
-        # vs off-period silences) — the max gap dwarfs the median gap.
-        gaps = np.diff(got)
-        assert gaps.max() > 10 * np.median(gaps)
-
-    def test_respects_stop(self):
-        stream, got = self._run(seed=2)
-        assert all(t <= 20.0 for t in got)
-
-    def test_heavier_tail_with_smaller_shape(self):
-        # Pareto mean parameterization: both shapes keep the same mean ON
-        # length, so total volume is comparable; the tail differs.
-        a, _ = self._run(seed=3, shape=1.2)
-        b, _ = self._run(seed=3, shape=5.0)
-        assert a.packets_sent > 0 and b.packets_sent > 0
-
-    def test_invalid_params(self):
-        net, h0, h1, _ = path_net()
-        k = SimKernel()
-        sim = NetworkSimulator(net, ForwardingPlane(net), k)
-        with pytest.raises(ValueError):
-            ParetoOnOffStream(sim, h0, h1, rate_bps=0.0, stop_at=1.0)
-        with pytest.raises(ValueError):
-            ParetoOnOffStream(sim, h0, h1, rate_bps=1e6, stop_at=1.0, shape=0.9)
-        with pytest.raises(ValueError):
-            ParetoOnOffStream(sim, h0, h1, rate_bps=1e6, stop_at=1.0, mean_on_s=0.0)

@@ -1,20 +1,11 @@
-"""Tests for coordinate bisection and the traffic analysis helpers."""
+"""Tests for coordinate bisection."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.engine import SimKernel
-from repro.netsim import (
-    NetworkSimulator,
-    as_traffic_matrix,
-    drop_report,
-    send_datagram,
-    top_links,
-)
 from repro.partition import WeightedGraph, coordinate_bisection
-from repro.routing import ForwardingPlane
 
 
 class TestCoordinateBisection:
@@ -63,41 +54,3 @@ class TestCoordinateBisection:
 
         rnd = random_partition(g, 8, seed=0)
         assert res.edge_cut <= rnd.edge_cut
-
-
-class TestAnalysis:
-    @pytest.fixture()
-    def loaded_sim(self, multi_net, multi_fib):
-        k = SimKernel()
-        sim = NetworkSimulator(multi_net, multi_fib, k)
-        hosts = multi_net.host_ids()
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            a, b = rng.choice(hosts, 2, replace=False)
-            sim.udp_bind(int(b), 1, lambda p: None) if (int(b), 1) not in sim._udp_handlers else None
-            send_datagram(sim, int(a), int(b), 3000, port=1)
-        k.run(until=5.0)
-        return sim
-
-    def test_traffic_matrix_shape_and_symmetry(self, loaded_sim, multi_net):
-        m = as_traffic_matrix(loaded_sim, multi_net)
-        k = max(multi_net.as_domains) + 1
-        assert m.shape == (k, k)
-        assert np.allclose(m, m.T)
-        assert m.sum() > 0
-
-    def test_diagonal_holds_intra_as_traffic(self, loaded_sim, multi_net):
-        m = as_traffic_matrix(loaded_sim, multi_net)
-        assert np.trace(m) > 0  # access links are intra-AS
-
-    def test_top_links_sorted(self, loaded_sim):
-        ranked = top_links(loaded_sim, count=5)
-        byte_counts = [b for _, b, _ in ranked]
-        assert byte_counts == sorted(byte_counts, reverse=True)
-        with pytest.raises(ValueError):
-            top_links(loaded_sim, 0)
-
-    def test_drop_report_consistent(self, loaded_sim):
-        rep = drop_report(loaded_sim)
-        assert 0.0 <= rep["drop_rate"] <= 1.0
-        assert rep["offered_packet_hops"] >= rep["dropped_packet_hops"]

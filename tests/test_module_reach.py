@@ -1,0 +1,144 @@
+"""No module under ``src/repro`` is reachable from its own test alone.
+
+Three delete-or-justify passes each found modules nothing but their unit
+test imported. This guard makes the fourth unnecessary: every module
+must have a name that another module of ``src/``, ``benchmarks/`` or
+``examples/`` imports — directly, or through a package ``__init__`` that
+re-exports it — or be named in the *Kept, and why* table of
+docs/architecture.md. It is built on the import map
+:class:`repro.analysis.symbols.ProgramIndex` computes (relative imports
+resolved), extended with plain ``import a.b.c`` statements.
+
+A second, smaller guard pins the cost model's rates to the one module
+that may multiply by them.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+from repro.analysis.astlint import iter_python_files, lint_sources
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+
+#: a module nothing imports, indexed beside the real tree so the one
+#: whole-program build also proves the checker catches an orphan
+ORPHAN = ("def helper():\n    return 1\n", "src/repro/netsim/orphan_fixture.py")
+
+
+def _sources() -> list[tuple[str, str]]:
+    paths = iter_python_files([str(SRC), str(ROOT / "benchmarks"), str(ROOT / "examples")])
+    found = [(Path(p).read_text(), Path(p).relative_to(ROOT).as_posix()) for p in paths]
+    return found + [ORPHAN]
+
+
+def _reached_modules(sources: list[tuple[str, str]]) -> tuple[set[str], set[str]]:
+    """``(modules of src/repro, those some other module reaches)``."""
+    _, program = lint_sources(sources, rules=[])
+    index = program.index
+
+    def owner(qualified: str, seen: frozenset = frozenset()) -> str | None:
+        """The module a fully qualified import finally lands in."""
+        parts = qualified.split(".")
+        for cut in range(len(parts), 0, -1):
+            module = ".".join(parts[:cut])
+            if module not in index.modules:
+                continue
+            relayed = index.imports[module].get(parts[cut]) if cut < len(parts) else None
+            if relayed is None or relayed in seen:
+                return module
+            return owner(relayed, seen | {qualified})  # a package re-export
+        return None
+
+    reached: set[str] = set()
+    for module, ctx in index.modules.items():
+        if ctx.rel_path.endswith("__init__.py"):
+            continue  # a package __init__ relays names, it does not use them
+        targets = set(index.imports[module].values())
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Import):
+                targets.update(alias.name for alias in node.names)
+        for target in targets:
+            landed = owner(target)
+            if landed is not None and landed != module:
+                reached.add(landed)
+    modules = {
+        module
+        for module, ctx in index.modules.items()
+        if ctx.rel_path.startswith("src/repro/")
+        and not ctx.rel_path.endswith(("__init__.py", "__main__.py"))
+    }
+    return modules, reached
+
+
+def _kept_table() -> set[str]:
+    """Modules the ledger's *Kept, and why* table names (as dotted names)."""
+    text = (ROOT / "docs" / "architecture.md").read_text()
+    section = text.split("### Kept, and why", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    paths = (re.search(r"`src/(repro/[\w/]+)\.py`", row.split("|")[1]) for row in rows)
+    return {m.group(1).replace("/", ".") for m in paths if m}
+
+
+@pytest.fixture(scope="module")
+def reach() -> tuple[set[str], set[str]]:
+    return _reached_modules(_sources())
+
+
+def test_every_module_is_reached_by_more_than_its_own_test(reach):
+    modules, reached = reach
+    orphans = sorted(modules - reached - _kept_table())
+    assert orphans == ["repro.netsim.orphan_fixture"], (
+        "beside the planted orphan_fixture, nothing under src/, benchmarks/ or "
+        "examples/ imports these (delete them, or add a row to "
+        f"docs/architecture.md 'Kept, and why'): {orphans}"
+    )
+
+
+def test_checker_follows_a_package_reexport(reach):
+    # examples/ import `required_slowdown` from the `repro.online` package,
+    # which relays it from online/realtime.py.
+    assert "repro.online.realtime" in reach[1]
+
+
+def test_kept_table_names_existing_modules():
+    kept = _kept_table()
+    assert kept, "docs/architecture.md lost its 'Kept, and why' table"
+    missing = sorted(m for m in kept if not (ROOT / "src" / (m.replace(".", "/") + ".py")).exists())
+    assert not missing, f"'Kept, and why' names modules that no longer exist: {missing}"
+
+
+def test_cost_model_rates_are_read_in_one_place():
+    """``remote_event_cost_s`` appears only where a ClusterSpec is defined
+    or built, and in ``engine/costmodel.py`` — the one multiplication."""
+    allowed = {
+        "cluster/syncmodel.py": None,
+        "engine/costmodel.py": None,
+        "experiments/config.py": None,
+        "experiments/runner.py": "cluster_for_scale",
+        "experiments/parallel.py": "calibrated_cluster",
+    }
+    stray = []
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        if "remote_event_cost_s" not in text:
+            continue
+        rel = path.relative_to(SRC).as_posix()
+        if rel not in allowed:
+            stray.append(rel)
+        elif allowed[rel] is not None:
+            fn = next(
+                n for n in ast.walk(ast.parse(text))
+                if isinstance(n, ast.FunctionDef) and n.name == allowed[rel]
+            )
+            stray += [
+                f"{rel}:{i}"
+                for i, line in enumerate(text.splitlines(), 1)
+                if "remote_event_cost_s" in line and not fn.lineno <= i <= fn.end_lineno
+            ]
+    assert not stray, f"cost-model rates read outside engine/costmodel.py: {stray}"

@@ -1,4 +1,4 @@
-"""Tests for the traffic applications: HTTP, CBR, ScaLapack, GridNPB."""
+"""Tests for the traffic applications: HTTP, ScaLapack, GridNPB."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 from repro.engine import SimKernel
 from repro.netsim import NetworkSimulator, send_datagram
 from repro.netsim.app import (
-    CbrStream,
     GridNpbApp,
     HttpTraffic,
     ScaLapackApp,
@@ -77,26 +76,6 @@ class TestHttp:
             k.run(until=5.0)
             counts.append(http.stats.requests_started)
         assert counts[0] == counts[1]
-
-
-class TestCbr:
-    def test_packet_pacing(self, sim_env, flat_net):
-        k, sim = sim_env
-        hosts = flat_net.host_ids()
-        stream = CbrStream(sim, hosts[0], hosts[1], rate_bps=1e6,
-                           stop_at=1.0, packet_bytes=1250)
-        stream.start(at=0.0)
-        k.run(until=2.0)
-        # 1 Mb/s at 1250 B/pkt = 100 pkt/s for 1 s
-        assert stream.packets_sent == pytest.approx(100, abs=2)
-
-    def test_rejects_bad_params(self, sim_env, flat_net):
-        k, sim = sim_env
-        h = flat_net.host_ids()
-        with pytest.raises(ValueError):
-            CbrStream(sim, h[0], h[1], rate_bps=0.0, stop_at=1.0)
-        with pytest.raises(ValueError):
-            CbrStream(sim, h[0], h[1], rate_bps=1e6, stop_at=1.0, packet_bytes=10_000)
 
 
 class TestScaLapack:

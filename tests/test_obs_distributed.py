@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import repro.serialization as ser
+from repro.cluster import teragrid_cluster
 from repro.obs import blame, names, trace_export
 from repro.obs.counters import HistogramMergeError
 from repro.obs.distributed import (
@@ -32,6 +33,7 @@ from repro.obs.registry import Registry
 from repro.obs.trace import MeasuredWindowRecord, TraceBuffer
 
 BOUNDS = (1.0, 2.0, 4.0)
+CLUSTER = teragrid_cluster(2)
 
 
 def populated_registry(scale: float = 1.0) -> Registry:
@@ -301,15 +303,12 @@ class TestWorkerObsConfig:
     def test_enabled_stanza_carries_settings(self):
         reg = Registry(enabled=True, bin_s=0.25)
         tr = TraceBuffer(capacity=128, enabled=True)
-        tr.set_costs(1e-6, 2e-6)
         cfg = worker_obs_config(reg, tr)
         assert cfg == {
             "registry": True,
             "bin_s": 0.25,
             "trace": True,
             "capacity": 128,
-            "event_cost_s": 1e-6,
-            "remote_event_cost_s": 2e-6,
         }
 
     def test_configure_none_is_inert_and_false(self):
@@ -417,7 +416,7 @@ class TestMeasuredPerfettoTracks:
                 measured(0, 1, 0.2, wait=0.01),
             ]
         )
-        doc = trace_export.to_chrome_trace(tr)
+        doc = trace_export.to_chrome_trace(tr, CLUSTER)
         events = doc["traceEvents"]
         worker_pids = {e["pid"] for e in events if e.get("cat") == "measured"}
         assert worker_pids == {trace_export._MEASURED_PID}
@@ -432,5 +431,5 @@ class TestMeasuredPerfettoTracks:
 
     def test_no_measured_records_means_no_worker_tracks(self):
         tr = tracer_with([], windows=[(0, 0.0, 1.0, [1, 0], [0, 0])])
-        doc = trace_export.to_chrome_trace(tr)
+        doc = trace_export.to_chrome_trace(tr, CLUSTER)
         assert all(e.get("cat") != "measured" for e in doc["traceEvents"])

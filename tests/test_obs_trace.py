@@ -20,16 +20,21 @@ import json
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterSpec
+from repro.cluster import ClusterSpec, SyncCostModel
 from repro.core import Approach, MappingPipeline
-from repro.engine.costmodel import predict_wallclock, window_for_mapping
+from repro.engine.costmodel import (
+    bucket_event_counts,
+    predict_wallclock,
+    remote_send_counts,
+    window_for_mapping,
+)
 from repro.experiments import ExperimentScale, build_network
 from repro.experiments.parallel import run_traced_workload
 from repro.experiments.runner import cluster_for_scale
 from repro.obs import blame
 from repro.obs.trace import TraceBuffer, get_tracer, traced_run
 from repro.obs.trace_export import to_chrome_trace
-from repro.obs.whatif import replay_counts, score_mapping, score_mappings
+from repro.obs.whatif import score_mapping, score_mappings
 
 SCALE = ExperimentScale(
     name="trace-test",
@@ -50,6 +55,24 @@ SCALE = ExperimentScale(
 
 DURATION = 0.4
 
+#: 1 us per event and per remote send, 10 us per barrier: synthetic
+#: windows price to round numbers.
+UNIT = ClusterSpec(
+    "unit", 2, event_cost_s=1e-6, remote_event_cost_s=1e-6,
+    sync_cost=SyncCostModel({2: 10e-6, 3: 10e-6}),
+)
+
+
+def rebin(tr, mapping, window):
+    """Dense ``(windows, lps)`` counts of the trace under ``mapping``."""
+    times, nodes = tr.event_samples()
+    tx_t, tx_f, tx_to = tr.tx_samples()
+    args = (mapping.assignment, mapping.num_engines, window, DURATION)
+    return (
+        bucket_event_counts(times, nodes, *args),
+        remote_send_counts(tx_t, tx_f, tx_to, *args),
+    )
+
 
 @pytest.fixture(autouse=True)
 def _isolate_global_tracer():
@@ -68,13 +91,11 @@ def traced_run_result():
     candidates = pipeline.run_all([Approach.TOP, Approach.HTOP])
     cluster = cluster_for_scale(SCALE)
     engine, sim, handles, reg, tr = run_traced_workload(
-        net, fib, "scalapack", SCALE, candidates[Approach.HTOP], DURATION, cluster,
-        seed=0,
+        net, fib, "scalapack", SCALE, candidates[Approach.HTOP], DURATION, seed=0
     )
     # run_traced_workload hands back the process-global tracer, which the
     # per-test isolation fixture resets; keep an independent copy.
     snap = TraceBuffer(capacity=tr.capacity)
-    snap.set_costs(tr.event_cost_s, tr.remote_event_cost_s)
     for src, dst in zip(tr._channels(), snap._channels()):
         dst.extend(src)
     snap.dropped_records = tr.dropped_records
@@ -108,18 +129,17 @@ class TestTraceBuffer:
         assert tr.capacity == TraceBuffer().capacity
         assert list(tr.events) == [(0.2, 2)]
 
-    def test_window_records_modeled_busy_time(self):
+    def test_window_records_carry_counts_priced_at_read_time(self):
         tr = TraceBuffer(enabled=True)
-        tr.set_costs(2e-6, 5e-6)
         tr.window(0, 0.0, 1.0, np.array([10, 0]), np.array([3, 0]))
         w = tr.windows[0]
-        assert w.busy_s_per_lp[0] == pytest.approx(10 * 2e-6 + 3 * 5e-6)
-        assert w.straggler_lp == 0
-        assert w.wait_s == pytest.approx(w.max_busy_s)  # LP 1 idles fully
-
-    def test_set_costs_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            TraceBuffer().set_costs(0.0, 1e-6)
+        assert w.events_per_lp.tolist() == [10, 0]
+        assert w.remote_per_lp.tolist() == [3, 0]
+        cluster = ClusterSpec("c", 2, event_cost_s=2e-6, remote_event_cost_s=5e-6)
+        report = blame.analyze(tr, cluster)
+        assert report.lp_busy_s[0] == pytest.approx(10 * 2e-6 + 3 * 5e-6)
+        assert report.critical_path[0].lp == 0
+        assert report.total_wait_s == pytest.approx(report.critical_s)  # LP 1 idles fully
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -145,7 +165,6 @@ class TestTraceBuffer:
 def _synthetic_trace() -> TraceBuffer:
     """Three windows over 2 LPs with a known straggler sequence 1,1,0."""
     tr = TraceBuffer(enabled=True)
-    tr.set_costs(1e-6, 1e-6)
     tr.window(0, 0.0, 1.0, np.array([10, 30]), np.array([0, 0]))
     tr.window(1, 1.0, 2.0, np.array([5, 20]), np.array([0, 0]))
     tr.window(2, 2.0, 3.0, np.array([40, 10]), np.array([0, 0]))
@@ -156,7 +175,7 @@ def _synthetic_trace() -> TraceBuffer:
 
 class TestBlame:
     def test_blame_sums_exactly_to_total_wait(self):
-        report = blame.analyze(_synthetic_trace())
+        report = blame.analyze(_synthetic_trace(), UNIT)
         expected_wait = (30 - 10) * 1e-6 + (20 - 5) * 1e-6 + (40 - 10) * 1e-6
         assert report.total_wait_s == pytest.approx(expected_wait, rel=0, abs=0)
         assert report.lp_blame_s.sum() == report.total_wait_s
@@ -166,7 +185,7 @@ class TestBlame:
         assert report.critical_s == pytest.approx((30 + 20 + 40) * 1e-6)
 
     def test_critical_path_marks_causal_handoff(self):
-        report = blame.analyze(_synthetic_trace())
+        report = blame.analyze(_synthetic_trace(), UNIT)
         assert [s.lp for s in report.critical_path] == [1, 1, 0]
         # Windows 0->1: same straggler but no recorded edge -> no handoff.
         assert not report.critical_path[1].handoff_from_prev
@@ -178,21 +197,20 @@ class TestBlame:
         tr = _synthetic_trace()
         tr.window(3, 3.0, 4.0, np.array([1, 2, 3]), np.array([0, 0, 0]))
         with pytest.raises(ValueError, match="LPs"):
-            blame.analyze(tr)
+            blame.analyze(tr, UNIT)
 
     def test_empty_trace_analyzes_to_zero(self):
-        report = blame.analyze(TraceBuffer(), num_lps=3)
+        report = blame.analyze(TraceBuffer(), UNIT, num_lps=3)
         assert report.num_windows == 0 and report.total_wait_s == 0.0
         assert report.lp_blame_s.shape == (3,)
 
     def test_blame_on_overflowed_trace_covers_retained_suffix(self):
         tr = TraceBuffer(capacity=2, enabled=True)
-        tr.set_costs(1e-6, 1e-6)
         tr.window(0, 0.0, 1.0, np.array([100, 0]), np.array([0, 0]))  # evicted
         tr.window(1, 1.0, 2.0, np.array([10, 30]), np.array([0, 0]))
         tr.window(2, 2.0, 3.0, np.array([40, 10]), np.array([0, 0]))
         assert tr.dropped_records == 1
-        report = blame.analyze(tr)
+        report = blame.analyze(tr, UNIT)
         assert report.num_windows == 2
         assert report.dropped_records == 1
         assert report.lp_blame_s.sum() == report.total_wait_s
@@ -207,7 +225,7 @@ class TestBlame:
         tr.event(0.5, 3)
         tr.event(0.5, 0)
         tr.event(2.5, -1)  # engine-internal: never attributed
-        report = blame.analyze(tr)
+        report = blame.analyze(tr, UNIT)
         assignment = np.array([0, 0, 1, 1])
         share = blame.node_blame(tr, report, assignment)
         assert share[2] == pytest.approx(0.75 * report.lp_blame_s[1])
@@ -216,7 +234,7 @@ class TestBlame:
         assert share[1] == 0.0
 
     def test_format_blame_table_cross_checks_sum(self):
-        report = blame.analyze(_synthetic_trace())
+        report = blame.analyze(_synthetic_trace(), UNIT)
         table = blame.format_blame_table(report)
         assert "blame sums to it exactly" in table
         assert f"{report.total_wait_s * 1e3:.3f}" in table
@@ -235,11 +253,10 @@ class TestBlame:
         # window contributes zero wait. The table must render (no NaN,
         # shares all 0.0%) and the report's invariants must still hold.
         tr = TraceBuffer(enabled=True)
-        tr.set_costs(1e-6, 1e-6)
         tr.window(0, 0.0, 1.0, np.array([10]), np.array([0]))
         tr.window(1, 1.0, 2.0, np.array([20]), np.array([0]))
         with np.errstate(divide="raise", invalid="raise"):
-            report = blame.analyze(tr)
+            report = blame.analyze(tr, UNIT)
             table = blame.format_blame_table(report)
         assert report.total_wait_s == 0.0
         assert report.shares.tolist() == [0.0]
@@ -264,7 +281,7 @@ class TestBlame:
 # ---------------------------------------------------------------------------
 class TestChromeExport:
     def test_export_structure_and_json_round_trip(self):
-        doc = to_chrome_trace(_synthetic_trace(), sync_cost_s=10e-6)
+        doc = to_chrome_trace(_synthetic_trace(), UNIT)
         doc = json.loads(json.dumps(doc))  # must be plain-JSON serializable
         events = doc["traceEvents"]
         phases = {e["ph"] for e in events}
@@ -279,18 +296,19 @@ class TestChromeExport:
         assert len(barriers) == 3 and all(b["dur"] == 10.0 for b in barriers)
 
     def test_windows_laid_out_back_to_back(self):
-        doc = to_chrome_trace(_synthetic_trace(), sync_cost_s=0.0)
+        doc = to_chrome_trace(_synthetic_trace(), UNIT)
         slices = [e for e in doc["traceEvents"]
                   if e["ph"] == "X" and e["cat"] == "window"]
         by_window: dict[str, list] = {}
         for s in slices:
             by_window.setdefault(s["name"], []).append(s)
-        # Window 1 starts where window 0's straggler (30us) ended.
-        assert by_window["window 1"][0]["ts"] == pytest.approx(30.0)
-        assert by_window["window 2"][0]["ts"] == pytest.approx(50.0)
+        # Window 1 starts where window 0's straggler (30us) and its
+        # barrier (10us) ended.
+        assert by_window["window 1"][0]["ts"] == pytest.approx(40.0)
+        assert by_window["window 2"][0]["ts"] == pytest.approx(70.0)
 
     def test_flow_pair_links_sender_to_receiver(self):
-        doc = to_chrome_trace(_synthetic_trace())
+        doc = to_chrome_trace(_synthetic_trace(), UNIT)
         flows = [e for e in doc["traceEvents"] if e["ph"] in ("s", "f")]
         assert len(flows) == 2
         start, finish = flows
@@ -302,11 +320,11 @@ class TestChromeExport:
         tr = _synthetic_trace()
         for _ in range(50):
             tr.edge(1, 0, 1.5, 2.5)
-        doc = to_chrome_trace(tr, max_flows=5)
+        doc = to_chrome_trace(tr, UNIT, max_flows=5)
         assert sum(e["ph"] == "s" for e in doc["traceEvents"]) == 5
 
     def test_empty_trace_exports_metadata_only(self):
-        doc = to_chrome_trace(TraceBuffer())
+        doc = to_chrome_trace(TraceBuffer(), UNIT)
         assert all(e["ph"] == "M" for e in doc["traceEvents"])
 
 
@@ -324,17 +342,12 @@ class TestTracedRunIntegration:
             assert np.array_equal(w.events_per_lp, ws.events_per_lp)
             assert np.array_equal(w.remote_per_lp, ws.remote_sends_per_lp)
 
-    def test_tracer_costs_follow_the_cluster(self, traced_run_result):
-        net, engine, tr, candidates, cluster = traced_run_result
-        assert tr.event_cost_s == cluster.event_cost_s
-        assert tr.remote_event_cost_s == cluster.remote_event_cost_s
-
     def test_global_tracer_disabled_after_traced_run(self, traced_run_result):
         assert not get_tracer().enabled
 
     def test_blame_totals_on_real_run(self, traced_run_result):
         net, engine, tr, candidates, cluster = traced_run_result
-        report = blame.analyze(tr, num_lps=engine.num_lps)
+        report = blame.analyze(tr, cluster, num_lps=engine.num_lps)
         assert report.num_windows == len(engine.window_stats)
         assert report.lp_blame_s.sum() == report.total_wait_s
         assert report.total_wait_s == pytest.approx(float(report.window_wait_s.sum()))
@@ -350,9 +363,7 @@ class TestTracedRunIntegration:
         assert len(candidates) >= 2
         for mapping in candidates.values():
             window = window_for_mapping(mapping.achieved_mll_s, DURATION)
-            events, remotes = replay_counts(
-                tr, mapping.assignment, mapping.num_engines, window, DURATION
-            )
+            events, remotes = rebin(tr, mapping, window)
             dense = predict_wallclock(events, remotes, cluster, mapping.num_engines)
             sparse = score_mapping(tr, mapping, cluster, DURATION)
             assert sparse.total_s == pytest.approx(dense.total_s, rel=1e-9)
@@ -376,9 +387,7 @@ class TestTracedRunIntegration:
         net, engine, tr, candidates, cluster = traced_run_result
         base = candidates[Approach.HTOP]
         window = window_for_mapping(base.achieved_mll_s, DURATION)
-        events, remotes = replay_counts(
-            tr, base.assignment, base.num_engines, window, DURATION
-        )
+        events, remotes = rebin(tr, base, window)
         # Every executed event lands in the trace (node == -1 goes to
         # LP 0 in both accountings), so re-binned totals reproduce the
         # engine's count exactly. Remote sends only approximately: the

@@ -14,7 +14,7 @@ import pytest
 from repro.core import Approach, MappingPipeline
 from repro.engine import ConservativeEngine, SimKernel
 from repro.experiments import ExperimentScale, build_network, install_workload
-from repro.experiments.parallel import predict_from_window_stats, run_parallel_workload
+from repro.experiments.parallel import predict_from_windows, run_parallel_workload
 from repro.experiments.runner import cluster_for_scale
 from repro.netsim import NetworkSimulator
 from repro.netsim.app import HttpTraffic
@@ -126,7 +126,7 @@ class TestFullWorkloadParallel:
             net, fib, "scalapack", SCALE, mapping, duration_s=6.0, seed=1
         )
         cluster = cluster_for_scale(SCALE)
-        pred = predict_from_window_stats(engine, cluster)
+        pred = predict_from_windows(engine.window_stats, engine.num_lps, cluster)
         assert pred.total_events == engine.events_executed
         assert pred.num_windows == len(engine.window_stats)
         assert pred.total_s > 0
@@ -136,5 +136,5 @@ class TestFullWorkloadParallel:
     def test_empty_engine_prediction(self):
         engine = ConservativeEngine(np.zeros(1, dtype=np.int64), 2, lookahead=1.0)
         cluster = cluster_for_scale(SCALE)
-        pred = predict_from_window_stats(engine, cluster)
+        pred = predict_from_windows(engine.window_stats, engine.num_lps, cluster)
         assert pred.total_events == 0
