@@ -21,7 +21,7 @@ from repro.core import Approach, MappingPipeline
 from repro.engine import SimKernel, predict_from_trace
 from repro.netsim import NetworkSimulator
 from repro.netsim.app import GridNpbApp, ScaLapackApp, helical_chain
-from repro.online import Agent, VirtualTimeController, WrapSocket, required_slowdown
+from repro.online import Agent, VirtualTimeController, required_slowdown
 from repro.profilers import TrafficProfile
 from repro.routing import ForwardingPlane
 from repro.topology import generate_flat_network
@@ -31,7 +31,6 @@ NUM_ENGINES = 12
 
 
 def main() -> None:
-    WrapSocket.reset_listeners()
     net = generate_flat_network(num_routers=250, num_hosts=60, seed=5)
     fib = ForwardingPlane(net)
     kernel = SimKernel(record_trace=True)

@@ -81,7 +81,7 @@ def _cmd_experiment_mp(args, scale) -> int:
     """The ``--backend mp`` path: really execute across worker processes.
 
     Only the packet-mediated UDP background workload shards (the online
-    application layer holds process-wide state — see
+    application layer schedules closures — see
     ``repro/experiments/shard.py``), so this path partitions the network
     with the TOP approach, executes the seeded UDP workload on the
     multi-process backend, and prints measured wall-clock next to the
@@ -133,7 +133,6 @@ def _cmd_experiment_mp(args, scale) -> int:
             patience=args.rebalance_patience,
             cooldown=args.rebalance_cooldown,
             max_migrations=args.rebalance_max_moves,
-            source=args.rebalance_source,
             cluster=cluster,
         )
 
@@ -193,8 +192,7 @@ def _cmd_experiment_mp(args, scale) -> int:
                   f"window(s) replayed, {r['adoptions']} adoption(s)")
     if rebalance is not None:
         moves = run.result.migrations
-        print(f"  rebalance          {len(moves):>12} migration(s) "
-              f"[source={rebalance.source}]")
+        print(f"  rebalance          {len(moves):>12} migration(s)")
         for d in moves:
             print(f"    window {d.window_index}: LP {d.lp} shard "
                   f"{d.src_shard} -> {d.dst_shard} "
@@ -565,11 +563,6 @@ def main(argv: list[str] | None = None) -> int:
                        "re-arming (default: 4)")
     p_exp.add_argument("--rebalance-max-moves", type=int, default=4,
                        help="migration budget for the whole run (default: 4)")
-    p_exp.add_argument("--rebalance-source", choices=["modeled", "measured"],
-                       default="modeled",
-                       help="blame source: 'modeled' (window counters x cost "
-                       "model; deterministic) or 'measured' (workers' measured "
-                       "window walls)")
     p_exp.add_argument("--checkpoint-every", dest="checkpoint_every",
                        type=int, default=None, metavar="N",
                        help="with --backend mp: capture a barrier-aligned "

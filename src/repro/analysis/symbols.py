@@ -16,8 +16,8 @@ for every linted module:
   across instances,
 - an import map with *relative imports resolved* (the per-file
   ``ModuleContext`` only resolves absolute ones), so a global defined in
-  ``engine/events.py`` and mutated through ``from .events import _seq``
-  is recognized as the same object.
+  one module (say ``_seq`` in an ``events.py``) and mutated through
+  ``from .events import _seq`` is recognized as the same object.
 
 The index is deliberately conservative: where a receiver's type cannot
 be resolved, consumers fall back to by-name matching (every known method
@@ -445,7 +445,7 @@ class ProgramIndex:
 
         Checks the module's own globals first, then its (relative-import
         aware) import map — so ``from .events import _seq as _g; next(_g)``
-        resolves to ``repro.engine.events._seq``.
+        resolves to the ``_seq`` of that package's ``events`` module.
         """
         own = self.globals_mutable.get(f"{module}.{name}")
         if own is not None:

@@ -19,6 +19,7 @@ sequential kernel's whenever cross-LP event times respect the lookahead
 
 from __future__ import annotations
 
+import itertools
 from heapq import heappop, heappush
 from typing import Any, Callable, Sequence
 
@@ -27,7 +28,7 @@ import numpy as np
 from ..obs import names as obs_names
 from ..obs.registry import get_registry
 from ..obs.trace import get_tracer
-from .events import Event, EventQueue, _seq
+from .events import Event, EventQueue
 from .windows import WindowStats, iter_windows
 
 __all__ = ["LookaheadViolation", "WindowStats", "ConservativeEngine"]
@@ -85,6 +86,10 @@ class ConservativeEngine:
         # (EventQueue.heap documents the layout and why this is allowed).
         self._heaps = [q.heap for q in self._queues]
         self._mailboxes: list[list[Event]] = [[] for _ in range(self.num_lps)]
+        # One (time, seq) tiebreak sequence over all LP queues: what makes
+        # the order the sequential kernel's. Per engine, so two engines in
+        # one process number their events independently.
+        self._seq = itertools.count()
         self._current_lp: int | None = None
         self._window_end: float = 0.0
         self.events_executed = 0
@@ -156,10 +161,7 @@ class ConservativeEngine:
                 f"(t={time:.9f} < LP-local now {self._lp_now:.9f})"
             )
         target_lp = 0 if node < 0 else self._lp_of_node[node]  # lp_of, inlined
-        # Shared tiebreak counter: required for byte-identical ordering on
-        # one core; the process-parallel backend owns replacing it with
-        # per-LP sequences merged deterministically at barriers.
-        seq = next(_seq)  # simlint: disable=SIM201
+        seq = next(self._seq)
         ev = Event(time, seq, fn, args, node)
         if current_lp is None or target_lp == current_lp:
             heappush(self._heaps[target_lp], (time, seq, ev))

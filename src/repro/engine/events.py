@@ -27,8 +27,6 @@ from typing import Any, Callable
 
 __all__ = ["Event", "EventQueue"]
 
-_seq = itertools.count()
-
 
 class Event:
     """A scheduled callback.
@@ -81,10 +79,14 @@ class EventQueue:
     both unchanged from the original implementation.
     """
 
-    __slots__ = ("_heap",)
+    __slots__ = ("_heap", "counter")
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Event]] = []
+        #: the tiebreak sequence :meth:`push` stamps with; a kernel over
+        #: this one queue draws from it too (``SimKernel``), an engine with
+        #: one sequence over many queues keeps its own (:meth:`push_event`)
+        self.counter = itertools.count()
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -116,10 +118,7 @@ class EventQueue:
         args: tuple = (),
     ) -> Event:
         """Create and enqueue an event; returns it (for cancellation)."""
-        # The global tiebreak counter is load-bearing for byte-identical
-        # (time, seq) ordering; the multi-core backend must replace it with
-        # per-LP counters + deterministic merge, not silently fork it.
-        seq = next(_seq)  # simlint: disable=SIM201
+        seq = next(self.counter)
         ev = Event(time, seq, fn, args, node)
         heappush(self._heap, (time, seq, ev))
         return ev

@@ -15,7 +15,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .events import Event, EventQueue, _seq
+from .events import Event, EventQueue
 
 __all__ = ["SimKernel"]
 
@@ -36,6 +36,9 @@ class SimKernel:
         # The per-event paths below work on the queue's heap list itself
         # (EventQueue.heap documents the layout and why this is allowed).
         self._heap = self.queue.heap
+        # One (time, seq) sequence per kernel: the queue's own, so the
+        # inlined push below and ``queue.push`` stamp from the same one.
+        self._seq = self.queue.counter
         self.events_executed: int = 0
         self.record_trace = record_trace
         self._trace_times: list[float] = []
@@ -64,7 +67,7 @@ class SimKernel:
         if time < self.now:
             raise ValueError("cannot schedule into the past")
         # EventQueue.push, inlined: one of these per packet hop.
-        seq = next(_seq)  # simlint: disable=SIM201
+        seq = next(self._seq)
         ev = Event(time, seq, fn, args, node)
         heappush(self._heap, (time, seq, ev))
         return ev

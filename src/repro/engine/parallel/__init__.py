@@ -14,8 +14,8 @@ every channel's lookahead is the global MLL).
 
 Byte-identity with the single-process engine comes from three rules:
 
-1. **Deterministic tiebreak keys.** The global ``seq`` counter cannot
-   exist across processes, so events carry ``(epoch, lane, counter)``
+1. **Deterministic tiebreak keys.** One engine-wide ``seq`` counter
+   cannot exist across processes, so events carry ``(epoch, lane, counter)``
    tuples: ``epoch`` is 0 during setup and ``window_index + 1`` during
    execution, ``lane`` is the scheduling LP (0 for setup and control),
    and ``counter`` is a per-worker monotone int. Within one destination
@@ -42,8 +42,10 @@ Byte-identity with the single-process engine comes from three rules:
    lookahead fence is the identical float everywhere.
 
 What does *not* shard: scenarios whose construction cannot be replayed
-per-process (live sockets, the online wrapper layer's process-wide
-listener table) and cross-shard event cancellation (all cancellations
+per-process (live sockets), events whose callback is a closure — no
+wire name to cross a boundary under, which is what the online wrapper
+layer and its applications still schedule — and cross-shard event
+cancellation (all cancellations
 in the codebase are LP-local timers). This mirrors the feasibility
 boundary reported for distributed BGP simulation — shared mutable
 routing/daemon state is the hard part, packet-mediated traffic shards

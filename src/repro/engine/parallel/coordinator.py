@@ -120,14 +120,12 @@ def _build_rebalancer(config, shards, num_lps, spec, until, affinity=None):
     return Rebalancer(config, shards, num_lps, spans=spans, affinity=affinity)
 
 
-
 class _AdoptionNeeded(Exception):
     """Internal: respawns exhausted, degrade by adopting the dead shard."""
 
     def __init__(self, shard_id: int):
         super().__init__(f"shard {shard_id} needs adoption")
         self.shard_id = int(shard_id)
-
 
 
 def _register_recovery_instruments(reg) -> None:
@@ -244,18 +242,11 @@ class Coordinator:
                 backend.rebalance, backend.shards, num_lps, spec, until,
                 affinity=backend.rebalance_affinity,
             )
-        #: workers append measured execute seconds to ``window`` messages
-        #: (only endpoints with a wall-clock of their own can)
-        self.rb_measured = (
-            self.rebalancer is not None
-            and backend.rebalance.source == "measured"
-            and transport.isolated
-        )
 
         # Supervision state of the respawn → adopt → fail ladder.
         rec = self.rec = backend.recovery
         self.mode = rec.on_worker_loss if rec is not None else "fail"
-        self.store = CheckpointStore(rec.spill_dir) if rec is not None else None
+        self.store = CheckpointStore() if rec is not None else None
         #: mail retained since the last committed checkpoint: window ->
         #: {dest shard -> per-sender payload list}. Replayed into a
         #: respawned worker; pruned at every commit, so the buffer is
@@ -302,11 +293,7 @@ class Coordinator:
             "until": self.until,
             "shard_id": shard_id,
             "obs": worker_obs_config() if self.transport.isolated else None,
-            "rebalance": (
-                {"source": "measured" if self.rb_measured else "modeled"}
-                if self.rebalancer is not None
-                else None
-            ),
+            "rebalance": self.rebalancer is not None,
             "recovery": self.rec.stanza() if self.rec is not None else None,
         }
         if self.incarnations[shard_id]:
@@ -333,8 +320,6 @@ class Coordinator:
             results = self.collect_results()
         finally:
             self.transport.close()
-            if self.store is not None:
-                self.store.close()
         return self.assemble(results, wall.elapsed())
 
     def run_window(self, w: int, start: float, end: float) -> None:
@@ -378,12 +363,7 @@ class Coordinator:
             return None
         ordered = [msgs[s] for s in range(self.procs)]
         xshard_sum = np.sum([m[5] for m in ordered], axis=0, dtype=np.int64)
-        measured = (
-            np.asarray([float(m[-1]) for m in ordered]) if self.rb_measured else None
-        )
-        decision = rebalancer.observe_window(
-            w, start, end, self.events[w], xshard_sum, measured
-        )
+        decision = rebalancer.observe_window(w, start, end, self.events[w], xshard_sum)
         self.rb_counts = _record_rebalance_counters(rebalancer, self.rb_counts)
         return decision
 

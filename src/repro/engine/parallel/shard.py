@@ -110,6 +110,12 @@ class ShardScenario:
     Scenarios without them still checkpoint engine state (pending
     events, clocks, tiebreak counters) but restore with pristine
     scenario dynamics.
+
+    Every hook's return value is opaque to the backend: it is pickled,
+    carried and handed back to the matching hook, never looked into. A
+    checkpoint also stores ``capture_lp`` of every owned LP and
+    ``collect()`` — what an adopter and the merged result need from a
+    shard that died after the cut.
     """
 
     handlers: dict[str, Callable[..., Any]]
@@ -163,7 +169,7 @@ class ShardEngine:
     (``schedule_at`` / ``schedule`` / ``current_time`` /
     ``next_barrier_time`` / ``lp_of``) so the packet simulator, fault
     injector, and applications run unchanged. Events carry ``(epoch,
-    lane, counter)`` tiebreak keys instead of the process-global ``seq``
+    lane, counter)`` tiebreak keys instead of one engine-wide ``seq``
     (see the package docstring for why the order is identical).
     """
 
@@ -771,10 +777,9 @@ def _snapshot_queue_items(queue, fn_to_name: dict[Any, str]) -> list[tuple]:
     checkpoint (and therefore its digest) is independent of the heap's
     internal layout.
     """
-    entries = queue.drain_entries()
-    queue.extend_entries(entries)
-    live = [e for e in entries if not e[2].cancelled]
-    live.sort(key=lambda e: (e[0], e[1]))
+    live = sorted(
+        (e for e in queue.heap if not e[2].cancelled), key=lambda e: (e[0], e[1])
+    )
     return [
         (
             int(ev.node),
@@ -821,6 +826,9 @@ def _encode_worker_checkpoint(
             else None
         ),
     }
+    # What the controller needs back out of a dead shard's blob (per-LP
+    # migration states, the partial result) is asked of the scenario here
+    # and stored beside ``shard_state``, which nobody on this side opens.
     payload = {
         "shard_id": int(engine.shard_id),
         "window_index": int(window_index),
@@ -829,6 +837,12 @@ def _encode_worker_checkpoint(
         "shard_state": (
             scenario.capture_shard() if scenario.capture_shard is not None else None
         ),
+        "lp_states": (
+            {lp: scenario.capture_lp(lp) for lp in owned_lps}
+            if scenario.capture_lp is not None
+            else {}
+        ),
+        "collect": scenario.collect() if scenario.collect is not None else None,
         "acc": {"mail_bytes": int(mail_bytes)},
     }
     return _ser().encode_checkpoint(payload)
@@ -907,19 +921,17 @@ def _dead_shard_legacy(blob: bytes | None) -> tuple[dict[int, bytes], dict[str, 
         return {}, result
     payload = _ser().decode_checkpoint(blob)
     engine_state = payload["engine"]
-    shard_state = payload.get("shard_state") or {}
-    lp_states = shard_state.get("lp", {})
     installs = {
         int(lp): _ser().encode_migration(
             {
                 "lp": int(lp),
                 "events": [(int(lp), *item) for item in engine_state["queues"][lp]],
-                "state": lp_states.get(int(lp)),
+                "state": payload["lp_states"].get(int(lp)),
             }
         )
         for lp in engine_state["owned_lps"]
     }
-    result["collect"] = shard_state.get("collect")
+    result["collect"] = payload["collect"]
     result["events_executed"] = int(engine_state["events_executed"])
     result["lookahead_violations"] = int(engine_state["lookahead_violations"])
     result["mail_bytes"] = int(payload["acc"]["mail_bytes"])

@@ -35,10 +35,8 @@ class Transport:
     """What the coordinator needs from a way of reaching its workers."""
 
     #: True when every endpoint is its own OS process: it has a private
-    #: obs registry to snapshot and a wall-clock of its own to measure.
-    #: In-process endpoints share the controller's registry (nothing to
-    #: ship) and have no independently measurable walls, so a rebalance
-    #: ``source="measured"`` falls back to the modeled source there.
+    #: obs registry to snapshot. In-process endpoints share the
+    #: controller's registry (nothing to ship).
     isolated: bool
 
     def spawn(self, shard_id: int, config: dict) -> None:

@@ -62,9 +62,7 @@ class ShardWorker:
         self.incarnation = int(config.get("incarnation", 0))
         plan = rec.get("fault_plan")
         self.faults = tuple(plan.for_shard(self.shard_id)) if plan is not None else ()
-        rb = config.get("rebalance")
-        self.rb_on = bool(rb)
-        self.rb_measured = self.rb_on and rb.get("source") == "measured"
+        self.rb_on = bool(config.get("rebalance"))
         self.shard_of = list(config["shard_of"])
         self.boundaries = list(
             iter_windows(0.0, config["lookahead"], config["until"])
@@ -168,7 +166,6 @@ class ShardWorker:
         if resume.get("replay"):
             i = self._replay(resume["replay"], i)
         obs_on = self.obs_on
-        measure_exec = obs_on or self.rb_measured
         clock = Stopwatch()
         waiting = Stopwatch()
         barrier_wait_s = 0.0
@@ -176,10 +173,10 @@ class ShardWorker:
             w, _start, end = self.boundaries[i]
             engine = self.engine
             self._fault(w, False)
-            if measure_exec:
+            if obs_on:
                 clock.restart()
             executed = engine.run_window(w, end)
-            execute_s = clock.elapsed() if measure_exec else 0.0
+            execute_s = clock.elapsed() if obs_on else 0.0
             if obs_on:
                 clock.restart()
             payloads = _encode_outbound(
@@ -188,7 +185,7 @@ class ShardWorker:
             encode_s = clock.elapsed() if obs_on else 0.0
             window_mail = sum(len(p) for p in payloads)
             self.mail_bytes += window_mail
-            message = (
+            yield (
                 "window",
                 w,
                 payloads,
@@ -196,11 +193,6 @@ class ShardWorker:
                 engine.remote_this_window.tolist(),
                 engine.xshard_this_window.tolist(),
             )
-            if self.rb_measured:
-                # Measured regardless of obs: the controller's blame
-                # needs it.
-                message = message + (execute_s,)
-            yield message
             self._fault(w, True)
             waiting.restart()
             msg = yield

@@ -17,13 +17,14 @@ Protocol sketch (details in docs/robustness.md):
 
 * At a configurable cadence (``checkpoint_every_n_windows``) each
   worker captures its whole shard at the barrier *after* mail delivery
-  — pending event queues, tiebreak counters, scenario dynamics via the
-  ``LpStatePort`` path, fault-injector position — encodes it through
+  — pending event queues, tiebreak counters, and whatever the scenario's
+  ``capture_shard`` composes from its state owners (simulator and links,
+  fault injector, logs) — encodes it through
   :func:`repro.serialization.encode_checkpoint`, and ships it on the
   control plane (never barrier mail: checkpointing off is bit-identical
   to the pre-recovery wire protocol, zero extra mail bytes).
 * The controller verifies a sha256 digest, stores the blob in a
-  :class:`CheckpointStore` (in memory, or spilled to disk), and retains
+  :class:`CheckpointStore` (in controller memory), and retains
   every cross-shard mail batch *since* the last checkpoint.
 * Worker liveness rides the window acks. On a detected crash or hang
   the controller respawns the worker with exponential backoff, hands it
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 __all__ = [
@@ -84,10 +84,9 @@ def checkpoint_digest(blob: bytes) -> str:
     """The sha256 hex digest identifying a checkpoint blob.
 
     Digests serve two purposes: corruption detection on the control
-    plane (and on disk, for spilled checkpoints), and the *digest
-    stability* proof — the same shard state captured twice, or captured
-    in different processes, must encode to identical bytes and therefore
-    identical digests (tests/test_checkpoint_roundtrip.py).
+    plane, and the *digest stability* proof — the same shard state
+    captured twice, or in different processes, must encode to identical
+    bytes and digests (tests/test_checkpoint_roundtrip.py).
     """
     return hashlib.sha256(blob).hexdigest()
 
@@ -116,9 +115,6 @@ class RecoveryConfig:
     backoff_base_s: float = 0.05
     #: Upper bound on a single backoff sleep.
     backoff_cap_s: float = 2.0
-    #: When set, checkpoint blobs spill to files under this directory
-    #: instead of living in controller memory.
-    spill_dir: str | None = None
     #: Optional deterministic process-level fault plan
     #: (:class:`repro.faults.plan.FaultPlan`) handed to workers for
     #: chaos testing; ``None`` injects nothing.
@@ -167,28 +163,17 @@ class RecoveryConfig:
 
 
 @dataclass
-class _StoredCheckpoint:
-    window_index: int
-    digest: str
-    blob: bytes | None  # None when spilled to disk
-    path: Path | None = None
-    nbytes: int = 0
-
-
-@dataclass
 class CheckpointStore:
     """Controller-held store of the latest checkpoint per shard.
 
     Only the *most recent* checkpoint per shard is retained — recovery
     always restores the last consistent cut, so older blobs (and the
     mail retained to replay past them) are pruned as soon as a newer
-    checkpoint for every live shard lands. With ``spill_dir`` set,
-    blobs live on disk under ``ckpt-shard<k>-w<window>.bin`` and only
-    digests stay in memory.
+    checkpoint for every live shard lands.
     """
 
-    spill_dir: str | None = None
-    _latest: dict[int, _StoredCheckpoint] = field(default_factory=dict)
+    #: shard -> (window index, blob) of its latest checkpoint
+    _latest: dict[int, tuple[int, bytes]] = field(default_factory=dict)
     #: running totals for the recovery.* instruments
     checkpoints_taken: int = 0
     checkpoint_bytes: int = 0
@@ -200,69 +185,14 @@ class CheckpointStore:
                 f"checkpoint for shard {shard_id} at window {window_index} "
                 "does not match its digest"
             )
-        prev = self._latest.get(shard_id)
-        if prev is not None and prev.path is not None:
-            prev.path.unlink(missing_ok=True)
-        stored = _StoredCheckpoint(
-            window_index=window_index, digest=digest, blob=blob, nbytes=len(blob)
-        )
-        if self.spill_dir is not None:
-            root = Path(self.spill_dir)
-            root.mkdir(parents=True, exist_ok=True)
-            path = root / f"ckpt-shard{shard_id}-w{window_index}.bin"
-            path.write_bytes(blob)
-            stored = _StoredCheckpoint(
-                window_index=window_index,
-                digest=digest,
-                blob=None,
-                path=path,
-                nbytes=len(blob),
-            )
-        self._latest[shard_id] = stored
+        self._latest[shard_id] = (window_index, blob)
         self.checkpoints_taken += 1
         self.checkpoint_bytes += len(blob)
 
     def latest_window(self, shard_id: int) -> int:
         """Window index of the shard's latest checkpoint, or ``-1``."""
-        stored = self._latest.get(shard_id)
-        return -1 if stored is None else stored.window_index
+        return self._latest.get(shard_id, (-1, None))[0]
 
     def get(self, shard_id: int) -> bytes | None:
-        """The shard's latest checkpoint blob (digest-verified), or None."""
-        stored = self._latest.get(shard_id)
-        if stored is None:
-            return None
-        blob = stored.blob
-        if blob is None:
-            assert stored.path is not None
-            blob = stored.path.read_bytes()
-        if checkpoint_digest(blob) != stored.digest:
-            raise CheckpointDigestError(
-                f"stored checkpoint for shard {shard_id} failed digest "
-                "verification on read-back"
-            )
-        return blob
-
-    def common_window(self, shard_ids: list[int]) -> int:
-        """The newest window checkpointed by *every* listed shard.
-
-        The consistent cut a global rollback (degraded adoption) can
-        restore to; ``-1`` when some shard has no checkpoint yet, in
-        which case rollback means a fresh rebuild from window 0.
-        """
-        if not shard_ids:
-            return -1
-        windows = [self.latest_window(s) for s in shard_ids]
-        low = min(windows)
-        return low
-
-    def drop(self, shard_id: int) -> None:
-        """Forget a shard's checkpoint (after its LPs were adopted)."""
-        stored = self._latest.pop(shard_id, None)
-        if stored is not None and stored.path is not None:
-            stored.path.unlink(missing_ok=True)
-
-    def close(self) -> None:
-        """Remove any spilled checkpoint files."""
-        for shard_id in list(self._latest):
-            self.drop(shard_id)
+        """The shard's latest checkpoint blob, or None."""
+        return self._latest.get(shard_id, (-1, None))[1]

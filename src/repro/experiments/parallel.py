@@ -4,13 +4,13 @@ The figure pipeline scores mappings against a sequentially recorded trace
 (sound, because virtual-network behavior is mapping-independent). This
 module closes the loop twice:
 
-- **Modeled** (:func:`run_parallel_workload` default): the workload runs
+- **Modeled** (:func:`run_parallel_workload`): the workload runs
   on the single-process :class:`repro.engine.ConservativeEngine` under a
   given mapping — per-LP event queues, cross-LP mailboxes, barrier
   windows of one achieved-MLL — exactly the structure of MaSSF's
   distributed engine, and the cost model converts its window counters
   into predicted cluster wall-clock.
-- **Executed** (``executed=True``, or :func:`run_executed_workload`):
+- **Executed** (:func:`run_executed_workload`):
   the packet-mediated UDP workload actually runs across real worker
   processes on the :class:`repro.engine.ParallelConservativeEngine`, and
   the *measured* multi-process wall-clock is returned next to the cost
@@ -60,7 +60,6 @@ __all__ = [
     "run_traced_workload",
     "run_executed_workload",
     "ExecutedParallelRun",
-    "migration_summary",
     "calibrated_cluster",
     "predict_from_windows",
 ]
@@ -75,34 +74,13 @@ def run_parallel_workload(
     duration_s: float,
     seed: int = 0,
     strict: bool = True,
-    executed: bool = False,
-    procs: int = 2,
-    start_method: str = "fork",
-):
+) -> tuple[ConservativeEngine, NetworkSimulator, WorkloadHandles]:
     """Execute the workload on the parallel engine under ``mapping``.
 
     The engine's lookahead is the mapping's achieved MLL (clamped to the
     run length when nothing is cut), which the partition guarantees is a
     lower bound on every cross-LP link latency.
-
-    With ``executed=True`` the run is dispatched to
-    :func:`run_executed_workload`: ``procs`` real worker processes
-    execute the packet-mediated UDP workload (the online application mix
-    cannot shard — see :mod:`repro.experiments.shard`) and the return
-    value is an :class:`ExecutedParallelRun` instead of the
-    ``(engine, sim, handles)`` triple.
     """
-    if executed:
-        return run_executed_workload(
-            net,
-            mapping,
-            duration_s,
-            scale=scale,
-            seed=seed,
-            strict=strict,
-            procs=procs,
-            start_method=start_method,
-        )
     lookahead = window_for_mapping(mapping.achieved_mll_s, duration_s)
     engine = ConservativeEngine(
         mapping.assignment, mapping.num_engines, lookahead, strict=strict
@@ -292,16 +270,10 @@ def run_executed_workload(
     scale: ExperimentScale | None = None,
     packets: int | None = None,
     seed: int = 0,
-    strict: bool = True,
     procs: int = 2,
-    start_method: str = "fork",
-    record_deliveries: bool = False,
-    window_timeout_s: float = 120.0,
     rebalance=None,
     recovery=None,
     faults: list | None = None,
-    hot_fraction: float = 0.0,
-    hot_span: int | None = None,
 ) -> ExecutedParallelRun:
     """Execute UDP background traffic across real worker processes.
 
@@ -324,19 +296,15 @@ def run_executed_workload(
     on barrier-aligned checkpointing plus worker respawn/adoption — the
     two are mutually exclusive (the engine constructor refuses the
     combination); ``faults`` injects a fault schedule into the workload
-    (both the
-    reference and the multi-process pass see it, so the byte-identity
-    guarantee still holds); ``hot_fraction``/``hot_span`` skew the
-    traffic onto a hot node prefix (see :func:`repro.experiments.shard
-    .udp_spec`) — the concentrated-load shape re-balancing targets.
+    (both the reference and the multi-process pass see it, so the
+    byte-identity guarantee still holds).
     """
     if packets is None:
         packets = 4 * scale.http_clients if scale is not None else 2000
     lookahead = window_for_mapping(mapping.achieved_mll_s, duration_s)
     spec = udp_spec(
         net, duration_s, packets=packets, seed=seed,
-        record_deliveries=record_deliveries, faults=faults,
-        hot_fraction=hot_fraction, hot_span=hot_span,
+        record_deliveries=False, faults=faults,
     )
     # The reference pass is a timing baseline, not an observed run: shield
     # the process-global registry and tracer so the merged multi-process
@@ -350,8 +318,7 @@ def run_executed_workload(
     watch = Stopwatch()
     try:
         ref_engine, _ref_collected = run_reference(
-            spec, mapping.assignment, mapping.num_engines, lookahead, duration_s,
-            strict=strict,
+            spec, mapping.assignment, mapping.num_engines, lookahead, duration_s
         )
     finally:
         reference_wall_s = watch.elapsed()
@@ -363,9 +330,6 @@ def run_executed_workload(
         mapping.num_engines,
         lookahead,
         procs=procs,
-        strict=strict,
-        start_method=start_method,
-        window_timeout_s=window_timeout_s,
         rebalance=rebalance,
         recovery=recovery,
     )
@@ -398,17 +362,8 @@ def run_executed_workload(
         reference_events=ref_engine.events_executed,
         cluster=cluster,
         predicted=predicted,
-        meta={"packets": packets, "seed": seed, "start_method": start_method},
+        meta={"packets": packets, "seed": seed},
         merged_registry=merged_registry,
         merged_trace=merged_trace,
         calibration=calibration,
     )
-
-
-def migration_summary(result: ParallelRunResult) -> dict:
-    """Flat summary of a run's accepted LP migrations (bench/CLI rows)."""
-    return {
-        "migrations": len(result.migrations),
-        "moves": [d.as_dict() for d in result.migrations],
-        "final_shards": [list(s) for s in result.shards],
-    }

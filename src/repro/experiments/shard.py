@@ -18,17 +18,26 @@ Two scenarios live here:
   generated topology, the executed-parallelism experiment and bench
   workload.
 
-Only *packet-mediated* workloads shard: the online wrapper layer
-(:mod:`repro.online`) registers callbacks in a process-wide listener
-table and hands nested closures to the scheduler, so its applications
-(HTTP, ScaLAPACK, GridNPB) cannot be replayed per-process — the same
-shared-state boundary the BGP distributed-simulation feasibility study
-reports (PAPERS.md). Executed multi-process runs use the UDP scenario;
-modeled runs keep the full application mix.
+Only *packet-mediated* workloads shard. No simulation state is
+process-wide (listeners live on the :class:`~repro.online.Agent`, flow
+ids on the simulator, the event sequence on the engine), but the online
+layer and its applications (HTTP, ScaLAPACK, GridNPB) hand closures to
+the scheduler — ``on_complete`` callbacks, nested lambdas — and a
+closure has no wire name to cross a shard boundary or a checkpoint
+under: the registered-callback obstacle of the BGP distributed-simulation
+feasibility study (PAPERS.md), and what is left of ROADMAP item 3.
+Executed multi-process runs use the UDP scenario; modeled runs keep the
+full application mix.
+
+The classes here own no simulation state: they compose the
+``capture()`` / ``restore()`` of the objects that do (every
+``LinkRuntime``, the ``NetworkSimulator``, the ``FaultInjector``), so a
+field one of those declares dynamic is in every checkpoint and migration.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -90,243 +99,81 @@ class DeliveryRecorder:
 class LpStatePort:
     """``capture_lp`` / ``restore_lp`` hooks for the packet scenarios.
 
-    An LP's *dynamic* scenario state is the per-direction link busy
-    horizons of the directions it transmits on (direction ``d`` of a
-    link is owned by the LP of the endpoint traffic leaves from), plus
-    the RED/fault RNG bit-generator states of links *both* of whose
-    endpoints live on the LP — those streams are drawn exclusively by
-    the LP's events, so the adopting shard must resume them mid-stream.
-    Counters never migrate: they are partial sums that merge by
-    summation across shards regardless of where the LP finishes the
-    run. Link indices align across shards because construction is
-    replayed identically everywhere.
+    What moves with an LP is a *selection* of each link's own capture
+    (:meth:`LinkRuntime.capture` with the directions the LP transmits
+    in — direction ``d`` of a link belongs to the LP of the endpoint
+    traffic leaves from): the busy horizons of those directions, and the
+    RED / fault streams of links *both* of whose endpoints live on the
+    LP — drawn exclusively by the LP's events, so the adopting shard
+    must resume them mid-stream. Counters never migrate: they are
+    partial sums that merge by summation across shards regardless of
+    where the LP finishes the run. Link indices align across shards
+    because construction is replayed identically everywhere.
     """
 
     def __init__(self, sim: NetworkSimulator, assignment: Any) -> None:
         self.sim = sim
-        self.assignment = np.asarray(assignment, dtype=np.int64)
+        self.assignment = np.asarray(assignment, dtype=np.int64).tolist()
 
-    def _direction_owners(self, lr: Any) -> tuple[int, int]:
-        return (
-            int(self.assignment[lr.link.u]),
-            int(self.assignment[lr.link.v]),
-        )
-
-    def capture(self, lp: int) -> dict[str, Any]:
-        """Picklable blob of LP-owned link state (see class docstring)."""
-        busy: list[tuple[int, int, float]] = []
-        rngs: list[tuple[int, Any, Any]] = []
+    def capture(self, lp: int) -> dict[int, dict[str, Any]]:
+        """Link index -> the slice of that link's state ``lp`` owns."""
+        out: dict[int, dict[str, Any]] = {}
         for idx, lr in enumerate(self.sim.links):
-            owners = self._direction_owners(lr)
-            for d in (0, 1):
-                if owners[d] == lp:
-                    busy.append((idx, d, float(lr.busy_until[d])))
-            if owners[0] == lp and owners[1] == lp:
-                fault_state = (
-                    lr._fault_rng.bit_generator.state
-                    if lr._fault_rng is not None
-                    else None
-                )
-                rngs.append((idx, lr._rng.bit_generator.state, fault_state))
-        return {"busy": busy, "rng": rngs}
+            owned = (self.assignment[lr.link.u] == lp, self.assignment[lr.link.v] == lp)
+            if any(owned):
+                out[idx] = lr.capture(owned)
+        return out
 
-    def restore(self, lp: int, state: dict[str, Any]) -> None:
+    def restore(self, lp: int, state: dict[int, dict[str, Any]]) -> None:
         """Apply a :meth:`capture` blob on the adopting shard."""
-        for idx, d, value in state["busy"]:
-            self.sim.links[idx].busy_until[d] = value
-        for idx, rng_state, fault_state in state["rng"]:
-            lr = self.sim.links[idx]
-            lr._rng.bit_generator.state = rng_state
-            if fault_state is not None:
-                # Vessel generator, never drawn from: its bit-generator
-                # state is overwritten with the migrated stream state on
-                # the next line (no seeded stream is ever created here).
-                gen = np.random.Generator(
-                    type(lr._rng.bit_generator)()
-                )
-                gen.bit_generator.state = fault_state
-                lr._fault_rng = gen
+        for idx, link_state in state.items():
+            self.sim.links[idx].restore(link_state)
 
 
+@dataclass(eq=False)
 class ShardCheckpointPort:
     """``capture_shard`` / ``restore_shard`` hooks for barrier checkpoints.
 
-    Where :class:`LpStatePort` captures the *migratable* slice of one
-    LP's state (busy horizons and exclusively-owned RNG streams — never
-    counters), a checkpoint must restore a shard to *exactly* its own
-    partial view at a barrier: per-link dynamics **including** the
-    partial traffic/loss counters this shard accumulated, the replica
-    RNG streams of boundary links, the simulator's global counters and
-    fault state, the delivery log, and the fault injector's position.
-    Restore happens over a freshly rebuilt scenario (setup replayed from
-    the spec), so the forwarding plane starts all-up and is re-derived
-    from the captured down sets — routing is a pure function of the
-    up/down topology, so re-applying the surviving state transitions
-    reconverges to the identical tables.
-
-    The ``lp`` section reuses :meth:`LpStatePort.capture` per owned LP.
-    It is *not* read by the shard's own restore (the link section
-    supersedes it); the controller uses it to build adoption payloads in
-    the migration wire format when a dead shard's LPs move to a
-    survivor — adopted links then resume with restored busy/RNG state
-    but pristine counters, so the dead shard's checkpointed partial
-    sums and the adopter's re-accumulated remainder still sum to the
-    reference totals.
+    A checkpoint restores a shard to *exactly* its own partial view at a
+    barrier, so it is every owner's whole capture side by side: the
+    simulator's (its links included — partial counters, the replica
+    streams of boundary links, fault flags), the fault injector's, and
+    the two logs this module keeps per shard, deliveries and the fault
+    trace. Restore happens over a freshly rebuilt scenario (setup
+    replayed from the spec); pending events are the engine's to restore.
     """
 
-    def __init__(
-        self,
-        engine: Any,
-        sim: NetworkSimulator,
-        fib: ForwardingPlane,
-        recorder: DeliveryRecorder,
-        port: LpStatePort,
-        collector: "ShardCollector",
-        injector: FaultInjector | None = None,
-        tracer: TraceBuffer | None = None,
-    ) -> None:
-        self.engine = engine
-        self.sim = sim
-        self.fib = fib
-        self.recorder = recorder
-        self.port = port
-        self.collector = collector
-        self.injector = injector
-        self.tracer = tracer
+    sim: NetworkSimulator
+    recorder: DeliveryRecorder
+    injector: FaultInjector | None = None
+    tracer: TraceBuffer | None = None
 
     def capture(self) -> dict[str, Any]:
         """Picklable blob of the whole shard's dynamic scenario state.
 
-        Deterministic by construction — fixed key order, sets emitted as
-        sorted lists — so the same shard state always encodes to the
-        same bytes (the digest-stability contract of
-        ``tests/test_checkpoint_roundtrip.py``).
+        Deterministic — every owner's capture is canonical — so the same
+        shard state always encodes to the same bytes (the
+        digest-stability contract of ``tests/test_checkpoint_roundtrip.py``).
         """
-        links: list[dict[str, Any]] = []
-        for lr in self.sim.links:
-            links.append(
-                {
-                    "busy_until": [float(v) for v in lr.busy_until],
-                    "bytes_carried": [int(v) for v in lr.bytes_carried],
-                    "packets_carried": [int(v) for v in lr.packets_carried],
-                    "packets_dropped": [int(v) for v in lr.packets_dropped],
-                    "packets_lost": [int(v) for v in lr.packets_lost],
-                    "packets_corrupted": [int(v) for v in lr.packets_corrupted],
-                    "failed": bool(lr.failed),
-                    "loss_prob": float(lr.loss_prob),
-                    "corrupt_prob": float(lr.corrupt_prob),
-                    "rng": lr._rng.bit_generator.state,
-                    "fault_rng": (
-                        lr._fault_rng.bit_generator.state
-                        if lr._fault_rng is not None
-                        else None
-                    ),
-                }
-            )
-        sim_state = {
-            "counters": self.sim.counters.as_dict(),
-            "node_packets": self.sim.node_packets.tolist(),
-            "down_nodes": sorted(self.sim._down_nodes),
-            "dropped_fault": int(self.sim.dropped_fault),
-        }
-        inj = None
-        if self.injector is not None:
-            inj = {
-                "counts": self.injector.counts.as_dict(),
-                "links_down": sorted(self.injector.links_down),
-                "nodes_down": sorted(self.injector.nodes_down),
-                "slowdown_spans": [
-                    list(span) for span in self.injector.slowdown_spans
-                ],
-                "open_slowdowns": sorted(
-                    (lp, t0, factor)
-                    for lp, (t0, factor) in self.injector._open_slowdowns.items()
-                ),
-                "faults": (
-                    list(self.tracer.faults) if self.tracer is not None else []
-                ),
-            }
-        lp_blobs = {
-            int(lp): self.port.capture(int(lp))
-            for lp in getattr(self.engine, "owned_lps", [])
-        }
+        faulted = self.injector is not None
         return {
-            "links": links,
-            "sim": sim_state,
-            "injector": inj,
-            "lp": lp_blobs,
-            "collect": self.collector.collect(),
+            "sim": self.sim.capture(),
+            "log": list(self.recorder.records),
+            "injector": self.injector.capture() if faulted else None,
+            "faults": list(self.tracer.faults) if faulted else None,
         }
 
     def restore(self, state: dict[str, Any]) -> None:
         """Apply a :meth:`capture` blob over a freshly rebuilt scenario."""
-        for lr, ls in zip(self.sim.links, state["links"]):
-            lr.busy_until[:] = [float(v) for v in ls["busy_until"]]
-            lr.bytes_carried[:] = [int(v) for v in ls["bytes_carried"]]
-            lr.packets_carried[:] = [int(v) for v in ls["packets_carried"]]
-            lr.packets_dropped[:] = [int(v) for v in ls["packets_dropped"]]
-            lr.packets_lost[:] = [int(v) for v in ls["packets_lost"]]
-            lr.packets_corrupted[:] = [int(v) for v in ls["packets_corrupted"]]
-            lr.failed = bool(ls["failed"])
-            lr.loss_prob = float(ls["loss_prob"])
-            lr.corrupt_prob = float(ls["corrupt_prob"])
-            lr._rng.bit_generator.state = ls["rng"]
-            if ls["fault_rng"] is not None:
-                # Vessel generator, never drawn from: its state is
-                # overwritten on the next line (no new seeded stream).
-                gen = np.random.Generator(type(lr._rng.bit_generator)())
-                gen.bit_generator.state = ls["fault_rng"]
-                lr._fault_rng = gen
-            else:
-                lr._fault_rng = None
-        sim_state = state["sim"]
-        counters = self.sim.counters
-        values = sim_state["counters"]
-        counters.packets_sent = int(values["sent"])
-        counters.packets_delivered = int(values["delivered"])
-        counters.packets_dropped_queue = int(values["dropped_queue"])
-        counters.packets_dropped_ttl = int(values["dropped_ttl"])
-        counters.packets_unroutable = int(values["unroutable"])
-        self.sim.node_packets = sim_state["node_packets"]
-        self.sim._down_nodes = set(int(n) for n in sim_state["down_nodes"])
-        self.sim.dropped_fault = int(sim_state["dropped_fault"])
-        self.recorder.records[:] = [
-            tuple(rec) for rec in state["collect"]["log"]
-        ]
-        # Re-derive the forwarding plane from the captured down sets:
-        # the fresh build starts all-up, and routing state is a pure
-        # function of the up/down topology.
-        for link_id, lr in enumerate(self.sim.links):
-            if lr.failed:
-                self.fib.set_link_state(link_id, False)
-        for node in sorted(self.sim._down_nodes):
-            self.fib.set_node_state(int(node), False)
-        inj = state["injector"]
-        if inj is not None and self.injector is not None:
-            counts = self.injector.counts
-            values = inj["counts"]
-            counts.injected = int(values["injected"])
-            counts.link_transitions = int(values["link_transitions"])
-            counts.router_transitions = int(values["router_transitions"])
-            counts.loss_transitions = int(values["loss_transitions"])
-            counts.lp_transitions = int(values["lp_transitions"])
-            counts.bgp_resets = int(values["bgp_resets"])
-            counts.bgp_reestablished = int(values["bgp_reestablished"])
-            counts.bgp_gave_up = int(values["bgp_gave_up"])
-            self.injector.links_down = set(int(v) for v in inj["links_down"])
-            self.injector.nodes_down = set(int(v) for v in inj["nodes_down"])
-            self.injector.slowdown_spans = [
-                tuple(span) for span in inj["slowdown_spans"]
-            ]
-            self.injector._open_slowdowns = {
-                int(lp): (float(t0), float(factor))
-                for lp, t0, factor in inj["open_slowdowns"]
-            }
-            if self.tracer is not None:
-                self.tracer.faults.clear()
-                self.tracer.faults.extend(inj["faults"])
+        self.sim.restore(state["sim"])
+        self.recorder.records[:] = state["log"]
+        if self.injector is not None:
+            self.injector.restore(state["injector"])
+            self.tracer.faults.clear()
+            self.tracer.faults.extend(state["faults"])
 
 
+@dataclass(eq=False)
 class ShardCollector:
     """Bound-method ``collect()`` target assembling one shard's results.
 
@@ -337,19 +184,11 @@ class ShardCollector:
     copies, not new ground truth).
     """
 
-    def __init__(
-        self,
-        engine: Any,
-        sim: NetworkSimulator,
-        recorder: DeliveryRecorder,
-        injector: FaultInjector | None = None,
-        tracer: TraceBuffer | None = None,
-    ) -> None:
-        self.engine = engine
-        self.sim = sim
-        self.recorder = recorder
-        self.injector = injector
-        self.tracer = tracer
+    engine: Any
+    sim: NetworkSimulator
+    recorder: DeliveryRecorder
+    injector: FaultInjector | None = None
+    tracer: TraceBuffer | None = None
 
     def collect(self) -> dict[str, Any]:
         """Picklable per-shard result for the controller to merge."""
@@ -396,6 +235,32 @@ def _install_faults(
     return injector, tracer
 
 
+def _scenario(
+    engine: Any,
+    sim: NetworkSimulator,
+    recorder: DeliveryRecorder,
+    injector: FaultInjector | None,
+    tracer: TraceBuffer | None,
+    extra_handlers: dict[str, Any],
+) -> ShardScenario:
+    """The shared tail of both builders: wire names and the five hooks."""
+    handlers = {"handle_at": sim._handle_at, "inject": sim.inject, **extra_handlers}
+    if injector is not None:
+        # Pending fault applications must survive mail and a checkpoint
+        # round trip, so the injector's apply method needs a wire name.
+        handlers["fault_apply"] = injector._apply
+    port = LpStatePort(sim, getattr(engine, "assignment", [0]))
+    ckpt = ShardCheckpointPort(sim, recorder, injector, tracer)
+    return ShardScenario(
+        handlers=handlers,
+        collect=ShardCollector(engine, sim, recorder, injector, tracer).collect,
+        capture_lp=port.capture,
+        restore_lp=port.restore,
+        capture_shard=ckpt.capture,
+        restore_shard=ckpt.restore,
+    )
+
+
 def build_chain_scenario(engine: Any, params: dict) -> ShardScenario:
     """The differential-determinism chain workload, shard-replayable.
 
@@ -428,24 +293,7 @@ def build_chain_scenario(engine: Any, params: dict) -> ShardScenario:
             flow_id=i, seq=i,
         )
         engine.schedule_at(t, sim.inject, node=src, args=(packet,))
-    collector = ShardCollector(engine, sim, recorder, injector, tracer)
-    port = LpStatePort(sim, getattr(engine, "assignment", np.zeros(1, dtype=np.int64)))
-    ckpt = ShardCheckpointPort(
-        engine, sim, fib, recorder, port, collector, injector, tracer
-    )
-    handlers = {"handle_at": sim._handle_at, "inject": sim.inject}
-    if injector is not None:
-        # Pending fault applications must survive a checkpoint round
-        # trip, so the injector's apply method needs a wire name.
-        handlers["fault_apply"] = injector._apply
-    return ShardScenario(
-        handlers=handlers,
-        collect=collector.collect,
-        capture_lp=port.capture,
-        restore_lp=port.restore,
-        capture_shard=ckpt.capture,
-        restore_shard=ckpt.restore,
-    )
+    return _scenario(engine, sim, recorder, injector, tracer, {})
 
 
 def build_udp_scenario(engine: Any, params: dict) -> ShardScenario:
@@ -455,15 +303,7 @@ def build_udp_scenario(engine: Any, params: dict) -> ShardScenario:
     .network_to_dict` output — workers rebuild the identical topology
     without regenerating it), ``packets``, ``seed``, ``duration_s``,
     optional ``faults`` and ``record_deliveries`` (default True; large
-    runs can drop the log and keep counters only). ``hot_fraction`` > 0
-    skews traffic: that fraction of packets is redrawn inside the first
-    ``hot_span`` nodes (default a quarter of the network), producing the
-    concentrated load the online re-balancer exists to fix.
-    ``flow_fraction`` > 0 additionally pins that fraction of packets to
-    the single ``flow_src -> flow_dst`` pair — a point-to-point elephant
-    flow, the knob bench workloads use to put heavy mail on a specific
-    LP boundary. With both knobs at 0.0 the packet stream is
-    draw-for-draw identical to builds that predate them.
+    runs can drop the log and keep counters only).
     ``chain_injects`` switches from scheduling the whole trace upfront
     to per-node streaming (same draws, same traffic) so pending queues
     — and therefore live-migration payloads — stay O(in-flight).
@@ -480,19 +320,7 @@ def build_udp_scenario(engine: Any, params: dict) -> ShardScenario:
     duration_s = float(params["duration_s"])
     times = np.sort(rng.uniform(0.0, 0.8 * duration_s, size=packets))
     pairs = rng.integers(0, net.num_nodes, size=(packets, 2))
-    hot = float(params.get("hot_fraction", 0.0))
-    if hot > 0.0:
-        hot_span = int(params.get("hot_span") or max(2, net.num_nodes // 4))
-        flags = rng.random(packets) < hot
-        hot_pairs = rng.integers(0, hot_span, size=(packets, 2))
-        pairs = np.where(flags[:, None], hot_pairs, pairs)
-    flow = float(params.get("flow_fraction", 0.0))
-    if flow > 0.0:
-        flow_pair = np.asarray(
-            [int(params["flow_src"]), int(params["flow_dst"])], dtype=pairs.dtype
-        )
-        flow_flags = rng.random(packets) < flow
-        pairs = np.where(flow_flags[:, None], flow_pair[None, :], pairs)
+
     def _packet(i: int) -> Packet:
         src = int(pairs[i, 0])
         dst = int(pairs[i, 1])
@@ -503,7 +331,7 @@ def build_udp_scenario(engine: Any, params: dict) -> ShardScenario:
             flow_id=i, seq=i,
         )
 
-    handlers = {"handle_at": sim._handle_at, "inject": sim.inject}
+    handlers = {}
     if params.get("chain_injects"):
         # Stream the offered load: each node's inject schedules that
         # node's next one, so pending queues hold O(in-flight) work
@@ -537,21 +365,7 @@ def build_udp_scenario(engine: Any, params: dict) -> ShardScenario:
             engine.schedule_at(
                 float(times[i]), sim.inject, node=packet.src, args=(packet,)
             )
-    collector = ShardCollector(engine, sim, recorder, injector, tracer)
-    port = LpStatePort(sim, getattr(engine, "assignment", np.zeros(1, dtype=np.int64)))
-    ckpt = ShardCheckpointPort(
-        engine, sim, fib, recorder, port, collector, injector, tracer
-    )
-    if injector is not None:
-        handlers["fault_apply"] = injector._apply
-    return ShardScenario(
-        handlers=handlers,
-        collect=collector.collect,
-        capture_lp=port.capture,
-        restore_lp=port.restore,
-        capture_shard=ckpt.capture,
-        restore_shard=ckpt.restore,
-    )
+    return _scenario(engine, sim, recorder, injector, tracer, handlers)
 
 
 def chain_spec(
@@ -582,11 +396,6 @@ def udp_spec(
     seed: int = 0,
     record_deliveries: bool = True,
     faults: list | None = None,
-    hot_fraction: float = 0.0,
-    hot_span: int | None = None,
-    flow_fraction: float = 0.0,
-    flow_src: int = 0,
-    flow_dst: int = 1,
     chain_injects: bool = False,
 ) -> ScenarioSpec:
     """Spec for :func:`build_udp_scenario` over an already-built net."""
@@ -599,14 +408,6 @@ def udp_spec(
     }
     if faults:
         params["faults"] = list(faults)
-    if hot_fraction > 0.0:
-        params["hot_fraction"] = float(hot_fraction)
-        if hot_span is not None:
-            params["hot_span"] = int(hot_span)
-    if flow_fraction > 0.0:
-        params["flow_fraction"] = float(flow_fraction)
-        params["flow_src"] = int(flow_src)
-        params["flow_dst"] = int(flow_dst)
     if chain_injects:
         params["chain_injects"] = True
     return ScenarioSpec(

@@ -22,7 +22,6 @@ from ..netsim.app.http import HttpTraffic
 from ..netsim.app.scalapack import ScaLapackApp
 from ..netsim.simulator import NetworkSimulator
 from ..online.agent import Agent
-from ..online.wrapsocket import WrapSocket
 from ..topology.models import Network
 from .config import ExperimentScale
 
@@ -88,7 +87,6 @@ def install_workload(
     """
     if app_kind not in APP_KINDS:
         raise ValueError(f"unknown app kind {app_kind!r}; expected one of {APP_KINDS}")
-    WrapSocket.reset_listeners()
     rng = rng if rng is not None else np.random.default_rng(seed)
     clients, servers, app_hosts = _split_hosts(net, scale, rng)
     stop = duration_s if duration_s is not None else scale.duration_s

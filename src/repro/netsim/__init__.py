@@ -6,7 +6,6 @@ from .packet import (
     Protocol,
     TCP_HEADER_BYTES,
     TCP_MSS_BYTES,
-    new_flow_id,
 )
 from .simulator import HOP_PROCESSING_S, LOOPBACK_LATENCY_S, NetworkSimulator, TrafficCounters
 from .tcp import TcpReceiver, TcpSender, TcpStats, start_transfer
@@ -15,7 +14,6 @@ from .udp import UDP_HEADER_BYTES, UDP_MTU_BYTES, send_datagram
 __all__ = [
     "Packet",
     "Protocol",
-    "new_flow_id",
     "TCP_MSS_BYTES",
     "TCP_HEADER_BYTES",
     "LinkRuntime",

@@ -31,8 +31,8 @@ else (a failed link, a loss or corruption burst, RED, a full queue) to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field, fields
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -77,6 +77,26 @@ class TransmitResult(NamedTuple):
     faulted: bool = False
 
 
+# How each LinkRuntime field is declared, as dataclass-field metadata — the
+# one place that says which fields are simulation state and who they travel
+# with. STATIC: fixed at construction, a rebuilt twin already has it. The
+# others are dynamic, and a checkpoint of the shard holds them all; they
+# differ in what an LP takes along when it moves to another shard
+# (LinkRuntime.capture): PER_DIRECTION state goes with the LP that transmits
+# in that direction, WHOLE_LINK state only with an LP that owns both, and
+# SHARD_LOCAL state — partial counters that sum across shards, flags every
+# shard's control replay sets alike — never.
+_STATIC = {"state": "static"}
+_PER_DIRECTION = {"state": "direction"}
+_WHOLE_LINK = {"state": "link"}
+_SHARD_LOCAL = {"state": "shard"}
+
+
+def _pair(zero: Any, metadata: dict) -> Any:
+    """A ``[direction 0, direction 1]`` field starting at ``zero``."""
+    return field(default_factory=lambda: [zero, zero], metadata=metadata)
+
+
 @dataclass
 class LinkRuntime:
     """Mutable per-link transmission state (both directions).
@@ -85,38 +105,90 @@ class LinkRuntime:
     ``discipline`` is ``'droptail'`` (default) or ``'red'``.
     """
 
-    link: Link
-    discipline: str = "droptail"
-    red: RedParams = field(default_factory=RedParams)
-    busy_until: list[float] = field(default_factory=lambda: [0.0, 0.0])
-    bytes_carried: list[int] = field(default_factory=lambda: [0, 0])
-    packets_carried: list[int] = field(default_factory=lambda: [0, 0])
-    packets_dropped: list[int] = field(default_factory=lambda: [0, 0])
+    link: Link = field(metadata=_STATIC)
+    discipline: str = field(default="droptail", metadata=_STATIC)
+    red: RedParams = field(default_factory=RedParams, metadata=_STATIC)
+    busy_until: list[float] = _pair(0.0, _PER_DIRECTION)
+    bytes_carried: list[int] = _pair(0, _SHARD_LOCAL)
+    packets_carried: list[int] = _pair(0, _SHARD_LOCAL)
+    packets_dropped: list[int] = _pair(0, _SHARD_LOCAL)
     #: failure injection: a failed link drops every offered packet
-    failed: bool = False
+    failed: bool = field(default=False, metadata=_SHARD_LOCAL)
     #: fault injection (repro.faults): probabilistic loss before transmit
-    loss_prob: float = 0.0
+    loss_prob: float = field(default=0.0, metadata=_SHARD_LOCAL)
     #: fault injection: probabilistic corruption — the packet occupies the
     #: transmitter (capacity is burned) but is discarded at the receiver
-    corrupt_prob: float = 0.0
-    packets_lost: list[int] = field(default_factory=lambda: [0, 0])
-    packets_corrupted: list[int] = field(default_factory=lambda: [0, 0])
+    corrupt_prob: float = field(default=0.0, metadata=_SHARD_LOCAL)
+    packets_lost: list[int] = _pair(0, _SHARD_LOCAL)
+    packets_corrupted: list[int] = _pair(0, _SHARD_LOCAL)
+    # The frozen Link's figures, one attribute away instead of two: they
+    # are read on every hop.
+    bandwidth_bps: float = field(init=False, metadata=_STATIC)
+    latency_s: float = field(init=False, metadata=_STATIC)
+    queue_bytes: int = field(init=False, metadata=_STATIC)
+    # Per-link deterministic stream keeps RED runs reproducible and
+    # independent of event interleaving across links.
+    _rng: np.random.Generator = field(
+        init=False, repr=False, compare=False, metadata=_WHOLE_LINK
+    )
+    # Fault draws come from a second, lazily created per-link stream
+    # so a loss burst never perturbs the RED sequence: a no-fault run
+    # stays bit-identical whether or not faults were ever configured.
+    _fault_rng: np.random.Generator | None = field(
+        default=None, init=False, repr=False, compare=False, metadata=_WHOLE_LINK
+    )
 
     def __post_init__(self) -> None:
         if self.discipline not in ("droptail", "red"):
             raise ValueError(f"unknown queue discipline {self.discipline!r}")
-        # The frozen Link's figures, one attribute away instead of two:
-        # they are read on every hop.
         self.bandwidth_bps = self.link.bandwidth_bps
         self.latency_s = self.link.latency_s
         self.queue_bytes = self.link.queue_bytes
-        # Per-link deterministic stream keeps RED runs reproducible and
-        # independent of event interleaving across links.
         self._rng = np.random.default_rng(0x9E3779B9 ^ self.link.link_id)
-        # Fault draws come from a second, lazily created per-link stream
-        # so a loss burst never perturbs the RED sequence: a no-fault run
-        # stays bit-identical whether or not faults were ever configured.
-        self._fault_rng: np.random.Generator | None = None
+
+    # -- snapshot ------------------------------------------------------
+    def capture(self, owned: tuple[bool, bool] | None = None) -> dict[str, Any]:
+        """Picklable copy of the dynamic fields, by name.
+
+        All of them by default — what a checkpoint holds. With ``owned =
+        (d0, d1)`` only the slice that moves with an LP transmitting in
+        the flagged directions (see the declarations above), the other
+        direction's per-direction values as ``None``. A random stream is
+        captured as its bit-generator state (``None``: never drawn from).
+        """
+        state: dict[str, Any] = {}
+        for name in _DYNAMIC if owned is None else _MIGRATES:
+            value = getattr(self, name)
+            if type(value) is list:
+                value = value[:]
+                if owned is not None:
+                    value = [v if mine else None for v, mine in zip(value, owned)]
+            elif owned is not None and not all(owned):
+                continue  # whole-link state stays unless both directions go
+            elif isinstance(value, np.random.Generator):
+                value = value.bit_generator.state
+            state[name] = value
+        return state
+
+    def restore(self, state: dict[str, Any]) -> None:
+        """Apply a :meth:`capture` — whole, or the slice an LP brought along.
+
+        Fields the capture left out, and per-direction entries it left
+        ``None``, keep their present values.
+        """
+        for name, saved in state.items():
+            current = getattr(self, name)
+            if isinstance(current, list):
+                for d, value in enumerate(saved):
+                    if value is not None:
+                        current[d] = value
+            elif isinstance(saved, dict):
+                # A stream resumes mid-sequence; the lazy fault stream, if
+                # missing here, is created as its first draw would have.
+                stream = current if current is not None else self._fault_stream()
+                stream.bit_generator.state = saved
+            else:
+                setattr(self, name, saved)
 
     def direction(self, from_node: int) -> int:
         """Direction index for traffic leaving ``from_node`` (0 or 1)."""
@@ -126,12 +198,16 @@ class LinkRuntime:
             return 1
         raise ValueError(f"node {from_node} not on link {self.link.link_id}")
 
-    def _fault_draw(self) -> float:
-        """Uniform draw from the lazily created fault stream."""
+    def _fault_stream(self) -> np.random.Generator:
+        """The fault stream, created on first use."""
         rng = self._fault_rng
         if rng is None:
             rng = self._fault_rng = np.random.default_rng(0x7F4A7C15 ^ self.link.link_id)
-        return float(rng.random())
+        return rng
+
+    def _fault_draw(self) -> float:
+        """Uniform draw from the lazily created fault stream."""
+        return float(self._fault_stream().random())
 
     def _early_drop(self, backlog_bytes: float) -> bool:
         """Gentle-RED drop decision for the observed ``backlog_bytes``.
@@ -234,3 +310,10 @@ class LinkRuntime:
             return 0.0
         byte_max = max(self.bytes_carried)
         return min(1.0, byte_max * 8.0 / (self.link.bandwidth_bps * duration_s))
+
+
+#: Every dynamic field, and those an LP takes along — from the metadata.
+_DYNAMIC = tuple(f.name for f in fields(LinkRuntime) if f.metadata != _STATIC)
+_MIGRATES = tuple(
+    f.name for f in fields(LinkRuntime) if f.metadata not in (_STATIC, _SHARD_LOCAL)
+)

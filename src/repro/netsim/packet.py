@@ -3,24 +3,14 @@
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 
-__all__ = ["Protocol", "Packet", "new_flow_id", "TCP_MSS_BYTES", "TCP_HEADER_BYTES"]
+__all__ = ["Protocol", "Packet", "TCP_MSS_BYTES", "TCP_HEADER_BYTES"]
 
 #: TCP maximum segment size used for bulk transfers (Ethernet MTU - headers).
 TCP_MSS_BYTES = 1460
 #: Combined IP+TCP header overhead per segment.
 TCP_HEADER_BYTES = 40
-
-_flow_counter = itertools.count(1)
-
-
-def new_flow_id() -> int:
-    """Globally unique flow identifier (per TCP connection / UDP stream)."""
-    # Flow ids only need uniqueness, not global order; the multi-core
-    # backend can partition the id space per process (e.g. rank-striped).
-    return next(_flow_counter)  # simlint: disable=SIM201
 
 
 class Protocol(enum.Enum):
@@ -50,10 +40,6 @@ class Packet:
     created_at: float = 0.0
     hops: int = 0
     ttl: int = 64
-
-    def is_control(self) -> bool:
-        """True for SYN/FIN control packets."""
-        return bool(self.flags & {"SYN", "FIN"})
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "+".join(sorted(self.flags)) or ("DATA" if self.ack < 0 else "ACK")

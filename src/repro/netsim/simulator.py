@@ -10,8 +10,8 @@ one per network packet").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol as TypingProtocol
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Any, Callable, Iterable, Protocol as TypingProtocol
 
 import numpy as np
 
@@ -24,7 +24,13 @@ from ..topology.models import Network
 from .link import LinkRuntime
 from .packet import Packet, Protocol
 
-__all__ = ["Scheduler", "NetworkSimulator", "TrafficCounters"]
+__all__ = [
+    "Scheduler",
+    "NetworkSimulator",
+    "TrafficCounters",
+    "capture_fields",
+    "restore_fields",
+]
 
 #: Per-hop router processing delay (lookup + queueing into the NIC).
 HOP_PROCESSING_S = 5e-6
@@ -69,14 +75,63 @@ class TrafficCounters:
     packets_unroutable: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        """The counters as a plain dict (logging and assertions)."""
-        return {
-            "sent": self.packets_sent,
-            "delivered": self.packets_delivered,
-            "dropped_queue": self.packets_dropped_queue,
-            "dropped_ttl": self.packets_dropped_ttl,
-            "unroutable": self.packets_unroutable,
-        }
+        """The counters as a plain dict: ``sent``, ``delivered``, ... (the
+        field names without ``packets_``; the regression fingerprint's keys)."""
+        return {f.name[len("packets_"):]: getattr(self, f.name) for f in fields(self)}
+
+
+# ----------------------------------------------------------------------
+# Snapshots: how a state owner captures the fields it declares dynamic
+# ----------------------------------------------------------------------
+def capture_fields(owner: Any, names: Iterable[str]) -> dict[str, Any]:
+    """Picklable, canonical copy of ``owner``'s named fields.
+
+    What :class:`NetworkSimulator` and :class:`repro.faults.FaultInjector`
+    build their capture from: each lists its dynamic fields once and
+    hands the list here. Equal state gives equal bytes — a set becomes a
+    sorted list, a dict is emitted in key order. A dataclass of counters
+    contributes its ``vars``; a list of owners (the simulator's links)
+    each one's own ``capture()``, as one table — field names once, a row
+    per owner — which keeps a checkpoint of a thousand links small.
+    """
+    return {name: _captured(getattr(owner, name)) for name in names}
+
+
+def _captured(value: Any) -> Any:
+    if is_dataclass(value):
+        return dict(vars(value))
+    if isinstance(value, set):
+        return sorted(value)
+    if isinstance(value, dict):
+        return dict(sorted(value.items()))
+    if isinstance(value, list):
+        if value and hasattr(value[0], "capture"):
+            rows = [part.capture() for part in value]
+            return {"fields": tuple(rows[0]), "rows": [tuple(r.values()) for r in rows]}
+        return list(value)
+    return value
+
+
+def restore_fields(owner: Any, state: dict[str, Any]) -> None:
+    """Apply a :func:`capture_fields` dict onto ``owner`` (a rebuilt twin).
+
+    Containers are refilled in place — per-event paths may hold them.
+    """
+    for name, saved in state.items():
+        current = getattr(owner, name)
+        if is_dataclass(current):
+            vars(current).update(saved)
+        elif isinstance(current, list):
+            if current and hasattr(current[0], "restore"):
+                for part, row in zip(current, saved["rows"]):
+                    part.restore(dict(zip(saved["fields"], row)))
+            else:
+                current[:] = saved
+        elif isinstance(current, (set, dict)):
+            current.clear()
+            current.update(saved)
+        else:
+            setattr(owner, name, saved)
 
 
 class NetworkSimulator:
@@ -93,6 +148,23 @@ class NetworkSimulator:
         Keep a per-hop record ``(time, from_node, to_node)`` used by the
         cost model to count cross-partition events under any mapping.
     """
+
+    #: The dynamic fields: what :meth:`capture` / :meth:`restore` carry,
+    #: listed here and nowhere else. ``links`` contributes each
+    #: :class:`LinkRuntime`'s own capture.
+    DYNAMIC = (
+        "links", "counters", "_node_packets", "_down_nodes", "dropped_fault",
+        "_flow_ids", "tx_times", "tx_from", "tx_to",
+    )
+    #: Everything else ``__init__`` sets (observability instruments
+    #: aside): configuration, caches a rebuilt twin re-derives, and the
+    #: transport demux tables — callbacks only the replayed setup
+    #: registers in every scenario that shards today (ROADMAP item 3).
+    #: tests/test_state_owners.py fails on an attribute in neither tuple.
+    STATIC = (
+        "net", "fib", "sched", "hop_processing_s", "record_transmissions",
+        "_links_by_pair", "_hops", "_hops_epoch", "_tcp_endpoints", "_udp_handlers",
+    )
 
     def __init__(
         self,
@@ -135,6 +207,9 @@ class NetworkSimulator:
         #: packets discarded by injected faults (crashed node, loss or
         #: corruption burst) — deliberately not part of TrafficCounters
         self.dropped_fault = 0
+        # Flow ids handed out so far (TCP connections, UDP datagrams):
+        # unique within this simulation, starting at 1 in every one.
+        self._flow_ids = 0
 
         self.record_transmissions = record_transmissions
         self.tx_times: list[float] = []
@@ -183,13 +258,27 @@ class NetworkSimulator:
         """Per-node handled packet count (the PROF node-weight signal).
 
         A fresh ``int64`` array on every read; assign a whole array to
-        replace the counts (checkpoint restore does).
+        replace the counts.
         """
         return np.asarray(self._node_packets, dtype=np.int64)
 
     @node_packets.setter
     def node_packets(self, counts: Any) -> None:
         self._node_packets[:] = np.asarray(counts, dtype=np.int64).tolist()
+
+    def next_flow_id(self) -> int:
+        """A flow identifier unused in this simulation (1, 2, ...)."""
+        self._flow_ids += 1
+        return self._flow_ids
+
+    def capture(self) -> dict[str, Any]:
+        """Picklable copy of the dynamic state (:attr:`DYNAMIC`)."""
+        return capture_fields(self, self.DYNAMIC)
+
+    def restore(self, state: dict[str, Any]) -> None:
+        """Apply a :meth:`capture` onto a freshly built twin."""
+        restore_fields(self, state)
+        self._drop_hops()  # link states may have changed under the cache
 
     # ------------------------------------------------------------------
     # Transport registration (used by tcp.py / udp.py / online layer)

@@ -20,7 +20,6 @@ from .packet import (
     Protocol,
     TCP_HEADER_BYTES,
     TCP_MSS_BYTES,
-    new_flow_id,
 )
 from .simulator import NetworkSimulator
 
@@ -359,7 +358,7 @@ def start_transfer(
     anything the destination does in response (it executes on the
     destination's LP).
     """
-    flow_id = new_flow_id()
+    flow_id = sim.next_flow_id()
     sender = TcpSender(sim, flow_id, src, dst, payload_bytes, on_complete)
     receiver = TcpReceiver(
         sim,

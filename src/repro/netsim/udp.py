@@ -8,9 +8,8 @@ reliability.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
-from .packet import Packet, Protocol, new_flow_id
+from .packet import Packet, Protocol
 
 __all__ = ["send_datagram", "UDP_MTU_BYTES", "UDP_HEADER_BYTES"]
 
@@ -33,7 +32,7 @@ def send_datagram(
     """
     if payload_bytes <= 0:
         raise ValueError("payload must be positive")
-    flow_id = new_flow_id()
+    flow_id = sim.next_flow_id()
     fragments = max(1, math.ceil(payload_bytes / UDP_MTU_BYTES))
     remaining = payload_bytes
     for i in range(fragments):

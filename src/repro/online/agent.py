@@ -11,7 +11,7 @@ the simulated network completes the operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
 
@@ -48,6 +48,10 @@ class Agent:
         self.sim = sim
         self.mapper = mapper if mapper is not None else VirtualIpMapper()
         self.stats = AgentStats()
+        #: stream listeners by node: ``(the WrapSocket that registered it,
+        #: on_stream(src_node, nbytes, t))``, written by
+        #: :meth:`WrapSocket.listen`; per agent, so per simulation
+        self.listeners: dict[int, tuple[Any, Callable[[int, int, float], None]]] = {}
 
     # ------------------------------------------------------------------
     # Time/scheduling passthrough (applications model compute with these)

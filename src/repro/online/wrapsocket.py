@@ -9,7 +9,6 @@ applications use the same API surface: ``connect`` by virtual IP,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,12 +31,6 @@ class SocketClosed(RuntimeError):
     """Operation on a closed WrapSocket."""
 
 
-@dataclass
-class _Listener:
-    node: int
-    on_stream: Callable[[int, int, float], None]  # (src_node, nbytes, t)
-
-
 class WrapSocket:
     """A virtual socket bound to one simulated host.
 
@@ -51,8 +44,6 @@ class WrapSocket:
         Identifier of the live process (registered with the IP mapper;
         auto-generated when omitted).
     """
-
-    _listeners: dict[int, _Listener] = {}
 
     def __init__(self, agent: Agent, node: int, real_endpoint: str | None = None) -> None:
         self.agent = agent
@@ -116,9 +107,9 @@ class WrapSocket:
         src = self.node
 
         def _received(t: float) -> None:
-            listener = WrapSocket._listeners.get(peer)
+            listener = self.agent.listeners.get(peer)
             if listener is not None:
-                listener.on_stream(src, nbytes, t)
+                listener[1](src, nbytes, t)
             if on_received is not None:
                 on_received(t)
 
@@ -127,22 +118,8 @@ class WrapSocket:
             return
         if timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
-        self._send_guarded(
-            nbytes, on_complete, _received, timeout_s, max_retries, on_timeout
-        )
-
-    def _send_guarded(
-        self,
-        nbytes: int,
-        on_complete: Callable[[float], None] | None,
-        received: Callable[[float], None],
-        timeout_s: float,
-        max_retries: int,
-        on_timeout: Callable[[OnlineTimeoutError], None] | None,
-    ) -> None:
-        """Issue a transfer under a retry-with-backoff watchdog."""
         _GuardedSend(
-            self, nbytes, on_complete, received, timeout_s, max_retries, on_timeout
+            self, nbytes, on_complete, _received, timeout_s, max_retries, on_timeout
         ).attempt(timeout_s)
 
     def _backoff_timeout(self, base_s: float, attempt: int) -> float:
@@ -153,24 +130,26 @@ class WrapSocket:
         return capped * (1.0 + TIMEOUT_JITTER * float(rng.random()))
 
     def listen(self, on_stream: Callable[[int, int, float], None]) -> None:
-        """Register a stream-received callback for this node."""
+        """Register a stream-received callback for this node.
+
+        One listener per node and agent: the latest registration wins.
+        """
         self._check_open()
-        WrapSocket._listeners[self.node] = _Listener(self.node, on_stream)
+        self.agent.listeners[self.node] = (self, on_stream)
 
     def close(self) -> None:
-        """Close the socket and remove its listener registration."""
+        """Close the socket and remove the listener it registered, if any.
+
+        A listener another socket on the same host registered stays.
+        """
         self._open = False
-        WrapSocket._listeners.pop(self.node, None)
+        listeners = self.agent.listeners
+        if listeners.get(self.node, (None,))[0] is self:
+            del listeners[self.node]
 
     def _check_open(self) -> None:
         if not self._open:
             raise SocketClosed("socket is closed")
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def reset_listeners(cls) -> None:
-        """Clear class-level listener state (between simulations/tests)."""
-        cls._listeners.clear()
 
 
 class _GuardedSend:

@@ -18,12 +18,12 @@ Three design rules keep this sound:
 1. **Decisions are made once, centrally.** Only the controller runs a
    :class:`Rebalancer`; workers receive finished migration plans over
    the control plane. There is no per-shard vote to diverge.
-2. **Decisions are deterministic (by default).** The ``modeled`` blame
-   source derives per-LP busy time from the window's event counters and
-   the fault schedule's slowdown spans — pure functions of simulated
-   quantities — so the same run always migrates the same LPs at the
-   same barriers. The ``measured`` source trades that determinism for
-   real wall-clock blame (PR 8's ``analyze_measured`` view).
+2. **Decisions are deterministic.** Blame is *modeled*: per-LP busy
+   time derived from the window's event counters and the fault
+   schedule's slowdown spans — pure functions of simulated quantities —
+   so the same run always migrates the same LPs at the same barriers.
+   (Measured wall-clock blame stays a reporting view,
+   ``obs.blame.analyze_measured``; it never steers a run.)
 3. **Placement changes execution, never outcomes.** The rebalancer only
    rewrites LP -> shard placement; the node -> LP assignment, window
    boundaries, and event keys are untouched, which is what keeps
@@ -60,10 +60,6 @@ __all__ = [
     "lp_affinity",
 ]
 
-#: Blame sources a :class:`RebalanceConfig` may name.
-_SOURCES = ("modeled", "measured")
-
-
 @dataclass(frozen=True)
 class RebalanceConfig:
     """Tuning knobs of the online re-balancer (all validated).
@@ -88,9 +84,6 @@ class RebalanceConfig:
     history: int = 8
     max_migrations: int = 4
     min_gain_fraction: float = 0.02
-    #: ``'modeled'`` (deterministic, from window counters + fault
-    #: schedule) or ``'measured'`` (worker wall-clock, mp backend only)
-    source: str = "modeled"
     #: the cluster whose rates price the modeled busy time (the one the
     #: run's predictions and blame tables use); the remote premium is
     #: charged per cross-shard send only
@@ -109,8 +102,6 @@ class RebalanceConfig:
             raise ValueError("max_migrations must be >= 0")
         if self.min_gain_fraction < 0.0:
             raise ValueError("min_gain_fraction must be >= 0")
-        if self.source not in _SOURCES:
-            raise ValueError(f"source must be one of {_SOURCES}")
 
 
 @dataclass(frozen=True)
@@ -287,7 +278,6 @@ class Rebalancer:
         end: float,
         events_per_lp: Sequence[int],
         remote_per_lp: Sequence[int],
-        measured_shard_busy: Sequence[float] | None = None,
     ) -> MigrationDecision | None:
         """Ingest one merged window; maybe decide a migration.
 
@@ -299,13 +289,9 @@ class Rebalancer:
         count instead makes every post-migration window look as
         expensive as before the move and the trigger oscillates.
 
-        ``measured_shard_busy`` (per-shard wall-clock seconds, workers'
-        execute spans) feeds the trigger when the config's source is
-        ``'measured'``; candidate *scoring* always uses the modeled
-        per-LP history, because measured data has shard granularity
-        only. The modeled busy time applies the fault schedule's
-        slowdown multipliers so modeled blame matches what the injector
-        does to the cost model.
+        The modeled busy time applies the fault schedule's slowdown
+        multipliers so modeled blame matches what the injector does to
+        the cost model.
         """
         cfg = self.config
         if len(self.migrations) >= cfg.max_migrations:
@@ -325,12 +311,7 @@ class Rebalancer:
         busy = lp_busy_seconds(events_per_lp, remote_per_lp, cfg.cluster, multipliers)
         self._busy_history.append(busy)
 
-        if cfg.source == "measured" and measured_shard_busy is not None:
-            shard_busy = np.asarray(measured_shard_busy, dtype=np.float64)
-            if shard_busy.shape[0] != self.num_shards:
-                raise ValueError("measured busy must have num_shards entries")
-        else:
-            shard_busy = self._shard_busy(busy)
+        shard_busy = self._shard_busy(busy)
         # Straggler-takes-all at shard granularity: the whole window's
         # wait is blamed on the slowest shard (obs.blame semantics).
         blame = np.zeros(self.num_shards, dtype=np.float64)

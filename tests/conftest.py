@@ -8,19 +8,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.online.wrapsocket import WrapSocket
 from repro.partition import WeightedGraph
 from repro.routing import ForwardingPlane
 from repro.routing.bgp import configure_bgp
 from repro.topology import generate_flat_network, generate_multi_as_network
-
-
-@pytest.fixture(autouse=True)
-def _reset_wrapsocket_listeners():
-    """WrapSocket keeps class-level listener state; isolate tests."""
-    WrapSocket.reset_listeners()
-    yield
-    WrapSocket.reset_listeners()
 
 
 @pytest.fixture(scope="session")

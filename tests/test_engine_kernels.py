@@ -228,6 +228,32 @@ class TestSimKernel:
         assert t.size == 0
 
 
+class TestSequenceOwnership:
+    """The ``(time, seq)`` tiebreak counter belongs to the engine that
+    stamps with it: a fresh engine numbers from 0 whatever ran before."""
+
+    def test_fresh_engines_number_from_zero(self):
+        warm = SimKernel()
+        for i in range(5):
+            warm.schedule_at(float(i), lambda: None)
+        warm.run()
+        assert SimKernel().schedule_at(1.0, lambda: None).seq == 0
+        assert SimKernel().schedule(1.0, lambda: None).seq == 0
+        eng = ConservativeEngine(np.array([0, 1]), 2, lookahead=0.1)
+        assert eng.schedule_at(0.5, lambda: None, node=1).seq == 0
+        assert eng.schedule_at(0.5, lambda: None, node=0).seq == 1
+        assert EventQueue().push(0.0, lambda: None).seq == 0
+
+    def test_kernel_schedule_and_schedule_at_share_one_sequence(self):
+        k = SimKernel()
+        seqs = [
+            k.schedule(1.0, lambda: None).seq,
+            k.schedule_at(1.0, lambda: None).seq,
+            k.schedule(1.0, lambda: None).seq,
+        ]
+        assert seqs == [0, 1, 2]
+
+
 class TestConservativeEngine:
     def test_window_count(self):
         eng = ConservativeEngine(np.zeros(1, dtype=np.int64), 1, lookahead=0.1)

@@ -19,6 +19,7 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.experiments.runner import cluster_for_scale
+from repro.experiments.shard import DeliveryRecorder
 from repro.engine import SimKernel
 from repro.netsim import NetworkSimulator
 from repro.online import Agent
@@ -139,6 +140,24 @@ class TestInstallWorkload:
             return (h.clients, h.servers, h.app_hosts)
 
         assert split(seed=9) == split(rng=np.random.default_rng(9))
+
+    def test_same_seeded_run_twice_in_one_process_delivers_identically(self):
+        """Flow ids are the simulator's, not the process's: the second run
+        in a process repeats the first's ``(time, node, flow_id, seq)``."""
+        net, fib = build_network("single-as", MICRO, seed=1)
+
+        def deliveries():
+            k = SimKernel()
+            sim = NetworkSimulator(net, fib, k)
+            recorder = DeliveryRecorder(sim, k)
+            install_workload(sim, Agent(sim), net, "scalapack", MICRO, seed=0,
+                             duration_s=3.0)
+            k.run(until=3.0)
+            return [rec[2:] for rec in recorder.records]
+
+        first = deliveries()
+        assert first and min(rec[2] for rec in first) == 1
+        assert deliveries() == first
 
 
 class TestRunExperiment:

@@ -11,7 +11,6 @@ from repro.netsim import (
     NetworkSimulator,
     Packet,
     Protocol,
-    new_flow_id,
     send_datagram,
 )
 from repro.routing import ForwardingPlane
@@ -72,7 +71,7 @@ class TestForwarding:
         net, (r0, r1, h0, h1) = line_net
         k, sim = mk_sim(net)
         p = Packet(src=h0, dst=h1, size_bytes=100, protocol=Protocol.UDP,
-                   flow_id=new_flow_id(), ttl=1)
+                   flow_id=sim.next_flow_id(), ttl=1)
         sim.inject(p)
         k.run(until=1.0)
         assert sim.counters.packets_dropped_ttl == 1
@@ -83,7 +82,7 @@ class TestForwarding:
         iso = net.add_node(NodeKind.HOST)  # no link
         k, sim = mk_sim(net)
         p = Packet(src=h0, dst=iso, size_bytes=100, protocol=Protocol.UDP,
-                   flow_id=new_flow_id())
+                   flow_id=sim.next_flow_id())
         sim.inject(p)
         k.run(until=1.0)
         assert sim.counters.packets_unroutable == 1
@@ -124,6 +123,19 @@ class TestForwarding:
             sim.udp_bind(h0, 5, lambda p: None)
         sim.udp_unbind(h0, 5)
         sim.udp_bind(h0, 5, lambda p: None)
+
+
+class TestFlowIds:
+    def test_every_fresh_simulator_numbers_flows_from_one(self, line_net):
+        net, (r0, r1, h0, h1) = line_net
+        seen = []
+        for _ in range(2):
+            k, sim = mk_sim(net)
+            sim.udp_bind(h1, 9, lambda p, log=seen: log.append(p.flow_id))
+            send_datagram(sim, h0, h1, 500, port=9)
+            send_datagram(sim, h0, h1, 500, port=9)
+            k.run(until=1.0)
+        assert seen == [1, 2, 1, 2]
 
 
 class TestOnConservativeEngine:

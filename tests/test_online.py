@@ -157,6 +157,50 @@ class TestWrapSocket:
         k.run(until=5.0)
         assert received == []
 
+    def test_sibling_close_keeps_the_listener_another_socket_registered(
+        self, agent_env, flat_net
+    ):
+        # GridNPB opens one socket per task per host: closing one must
+        # not silence the listener a sibling on the same host registered.
+        k, sim, agent = agent_env
+        hosts = flat_net.host_ids()
+        a = WrapSocket(agent, hosts[1], "task0@test")
+        received = []
+        a.listen(lambda src, n, t: received.append((src, n)))
+        b = WrapSocket(agent, hosts[1], "task1@test")
+        b.close()
+        sender = WrapSocket(agent, hosts[0], "peer@test")
+        sender.connect_node(hosts[1])
+        sender.send(4000)
+        k.run(until=5.0)
+        assert received == [(hosts[0], 4000)]
+        a.close()
+        assert hosts[1] not in agent.listeners
+
+    def test_two_simulations_in_one_process_keep_their_own_listeners(
+        self, flat_net, flat_fib
+    ):
+        # Same node id listening in both simulations: each stream reaches
+        # its own simulation's listener and only it.
+        hosts = flat_net.host_ids()
+        got = {}
+        sims = {}
+        for name in ("A", "B"):
+            k = SimKernel()
+            agent = Agent(NetworkSimulator(flat_net, flat_fib, k))
+            got[name] = []
+            listener = WrapSocket(agent, hosts[1], f"srv{name}@test")
+            listener.listen(lambda src, n, t, log=got[name]: log.append((src, n)))
+            sims[name] = (k, agent)
+        for name, nbytes in (("A", 5000), ("B", 7000)):
+            k, agent = sims[name]
+            sender = WrapSocket(agent, hosts[0], f"cli{name}@test")
+            sender.connect_node(hosts[1])
+            sender.send(nbytes)
+        for k, _agent in sims.values():
+            k.run(until=5.0)
+        assert got == {"A": [(hosts[0], 5000)], "B": [(hosts[0], 7000)]}
+
 
 class TestSendTimeout:
     """send(timeout_s=...): the watchdog-with-backoff path.

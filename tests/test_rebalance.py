@@ -41,7 +41,7 @@ def _cfg(**overrides):
     return RebalanceConfig(**defaults)
 
 
-def _feed(rb, events, windows=1, start=0.0, measured=None):
+def _feed(rb, events, windows=1, start=0.0):
     """Feed identical windows; returns the last decision (or None)."""
     decision = None
     for k in range(windows):
@@ -51,7 +51,6 @@ def _feed(rb, events, windows=1, start=0.0, measured=None):
             start + (k + 1) * 1e-3,
             events,
             [0] * len(events),
-            measured_shard_busy=measured,
         )
     return decision
 
@@ -117,16 +116,6 @@ class TestTriggerRules:
         assert _feed(rb, HOT, windows=5) is None
         # Retired observe_window returns before touching the history.
         assert len(rb._busy_history) == 0 and rb.triggers == 0
-
-    def test_measured_source_feeds_the_trigger(self):
-        # Modeled counters are perfectly balanced, but the measured
-        # per-shard walls say shard 1 straggles: the trigger must arm
-        # from the measured view (scoring still uses modeled history,
-        # which calls every move a wash here, so nothing is accepted).
-        rb = Rebalancer(_cfg(source="measured", patience=1), SHARDS, 4)
-        _feed(rb, BALANCED, windows=4, measured=[1e-3, 9e-3])
-        assert rb.triggers >= 1
-        assert not rb.migrations
 
 
 class TestCandidateConstraints:
@@ -210,7 +199,5 @@ class TestPureHelpers:
             RebalanceConfig(patience=0)
         with pytest.raises(ValueError, match="history"):
             RebalanceConfig(history=0)
-        with pytest.raises(ValueError, match="source"):
-            RebalanceConfig(source="psychic")
         with pytest.raises(ValueError, match="shards must cover"):
             Rebalancer(RebalanceConfig(), [[0, 1]], 4)

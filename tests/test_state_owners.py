@@ -1,0 +1,287 @@
+"""Every stateful object snapshots itself — and forgets no field.
+
+Three objects own the dynamic state of a packet simulation:
+:class:`LinkRuntime`, :class:`NetworkSimulator` (with its
+:class:`TrafficCounters`) and :class:`FaultInjector` (with its
+:class:`FaultCounts`). Each declares once which of its fields are
+dynamic and builds one ``capture()`` / ``restore()`` from that
+declaration; ``experiments/shard.py`` only composes them.
+
+- *Classification guards*: every field / instance attribute of an owner
+  is declared dynamic or static, so a field added tomorrow fails here
+  instead of silently missing from checkpoints and migrations.
+- *Round trip* (hypothesis): perturb every dynamic field — a drawn-from
+  RED stream and a lazily created fault stream included — capture,
+  restore onto a freshly built twin: every dynamic field equal, static
+  ones untouched, and the twin captures to the same bytes.
+- *Source guards*: ``engine/parallel`` never looks inside a value a
+  scenario hook returned, and ``experiments/shard.py`` never reaches
+  into an owner's private state.
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.engine import SimKernel
+from repro.faults import FaultCounts, FaultInjector, FaultSchedule
+from repro.netsim import LinkRuntime, NetworkSimulator, TrafficCounters
+from repro.routing import ForwardingPlane
+from repro.serialization import decode_payload, encode_payload
+from repro.topology import Network, NodeKind
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+NUM_NODES = 5
+
+
+def _net() -> Network:
+    net = Network()
+    for _ in range(NUM_NODES):
+        net.add_node(NodeKind.ROUTER)
+    for u in range(NUM_NODES - 1):
+        net.add_link(u, u + 1, 1e8, 1e-3, 1 << 16)
+    return net
+
+
+def _build(net: Network, discipline: str = "red"):
+    kernel = SimKernel()
+    fib = ForwardingPlane(net)
+    sim = NetworkSimulator(net, fib, kernel, queue_discipline=discipline)
+    injector = FaultInjector(sim, fib, FaultSchedule.from_events([]))
+    injector.install(kernel)
+    return sim, injector
+
+
+def _is_instrument(name: str) -> bool:
+    return name.startswith("_obs") or name == "_trace"
+
+
+# ----------------------------------------------------------------------
+# Classification guards
+# ----------------------------------------------------------------------
+def test_every_link_field_is_declared_dynamic_or_static():
+    kinds = {f.name: f.metadata.get("state") for f in fields(LinkRuntime)}
+    unclassified = sorted(n for n, k in kinds.items() if k is None)
+    assert not unclassified, f"LinkRuntime fields without a declaration: {unclassified}"
+    assert set(kinds.values()) <= {"static", "direction", "link", "shard"}
+    # ... and nothing is set on an instance behind the dataclass's back
+    # (the lazy fault stream starts as its class-level default).
+    lr = LinkRuntime(_net().links[0])
+    assert set(vars(lr)) <= set(kinds)
+    lr._fault_draw()
+    assert set(vars(lr)) == set(kinds)
+    # capture() carries exactly the fields declared dynamic.
+    assert set(lr.capture()) == {n for n, k in kinds.items() if k != "static"}
+
+
+def _assert_classified(owner) -> None:
+    cls = type(owner)
+    dynamic, static = set(cls.DYNAMIC), set(cls.STATIC)
+    assert not dynamic & static
+    attrs = {name for name in vars(owner) if not _is_instrument(name)}
+    assert attrs - dynamic - static == set(), (
+        f"{cls.__name__} attributes declared neither DYNAMIC nor STATIC: "
+        f"{sorted(attrs - dynamic - static)}"
+    )
+    assert (dynamic | static) - attrs == set(), "declared but never set"
+    assert set(owner.capture()) == dynamic
+
+
+def test_every_simulator_attribute_is_declared_dynamic_or_static():
+    sim, injector = _build(_net())
+    _assert_classified(sim)
+    _assert_classified(injector)
+
+
+def test_counter_dataclasses_are_flat_ints():
+    # capture_fields copies a counters dataclass by its vars.
+    for cls in (TrafficCounters, FaultCounts):
+        assert all(isinstance(getattr(cls(), f.name), int) for f in fields(cls))
+    assert list(TrafficCounters(packets_sent=3).as_dict().items())[0] == ("sent", 3)
+    assert set(TrafficCounters().as_dict()) == {
+        "sent", "delivered", "dropped_queue", "dropped_ttl", "unroutable",
+    }
+
+
+# ----------------------------------------------------------------------
+# Round trip
+# ----------------------------------------------------------------------
+def _perturb(sim: NetworkSimulator, injector: FaultInjector, seed: int, data) -> None:
+    """Move every dynamic field of every owner off its initial value."""
+    rng = np.random.default_rng(seed)
+
+    def count() -> int:
+        return int(rng.integers(1, 1 << 40))
+
+    for lr in sim.links:
+        for name, kind in ((f.name, f.metadata["state"]) for f in fields(LinkRuntime)):
+            value = getattr(lr, name)
+            if kind == "static" or isinstance(value, np.random.Generator) or value is None:
+                continue
+            if isinstance(value, list):
+                value[:] = [
+                    float(rng.random()) if isinstance(v, float) else count() for v in value
+                ]
+            elif isinstance(value, bool):
+                setattr(lr, name, bool(rng.integers(0, 2)))
+            else:
+                setattr(lr, name, float(rng.random()))
+        for _ in range(data.draw(st.integers(0, 5), label="red draws")):
+            lr._rng.random()
+        for _ in range(data.draw(st.integers(0, 3), label="fault draws")):
+            lr._fault_draw()  # 0 draws: the lazy stream stays uncreated
+    for f in fields(TrafficCounters):
+        setattr(sim.counters, f.name, count())
+    sim.node_packets = rng.integers(1, 1000, size=NUM_NODES)
+    sim._down_nodes.update(int(n) for n in rng.integers(0, NUM_NODES, size=2))
+    sim.dropped_fault = count()
+    for _ in range(int(rng.integers(1, 9))):
+        sim.next_flow_id()
+    sim.tx_times.append(float(rng.random()))
+    sim.tx_from.append(1)
+    sim.tx_to.append(2)
+    for f in fields(FaultCounts):
+        setattr(injector.counts, f.name, count())
+    injector.slowdown_spans.append((1, float(rng.random()), 2.0, 3.0))
+    injector._open_slowdowns[int(rng.integers(0, 4))] = (float(rng.random()), 2.5)
+    injector._open_slowdowns[7] = (0.25, 4.0)
+    injector.links_down.add(int(rng.integers(0, NUM_NODES - 1)))
+    injector.nodes_down.add(int(rng.integers(0, NUM_NODES)))
+
+
+def _static_view(sim: NetworkSimulator, injector: FaultInjector) -> list:
+    statics = [
+        (name, getattr(lr, name))
+        for lr in sim.links
+        for name in (f.name for f in fields(LinkRuntime) if f.metadata["state"] == "static")
+    ]
+    statics += [(n, id(getattr(sim, n))) for n in sim.STATIC if n != "_hops_epoch"]
+    statics += [(n, id(getattr(injector, n))) for n in injector.STATIC]
+    return statics
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_capture_restores_onto_a_fresh_twin_exactly(seed, data):
+    net = _net()
+    sim, injector = _build(net)
+    _perturb(sim, injector, seed, data)
+    blob = encode_payload({"sim": sim.capture(), "injector": injector.capture()})
+
+    twin_sim, twin_injector = _build(net)
+    before = _static_view(twin_sim, twin_injector)
+    state = decode_payload(blob)
+    twin_sim.restore(state["sim"])
+    twin_injector.restore(state["injector"])
+
+    # Dynamic fields equal, field by field ...
+    for lr, twin in zip(sim.links, twin_sim.links):
+        for name in lr.capture():
+            mine, theirs = getattr(lr, name), getattr(twin, name)
+            if isinstance(mine, np.random.Generator):
+                assert theirs.bit_generator.state == mine.bit_generator.state
+            else:
+                assert theirs == mine and type(theirs) is type(mine), name
+        # ... and the streams resume mid-sequence.
+        assert twin._rng.random() == lr._rng.random()
+        assert twin._fault_draw() == lr._fault_draw()
+    for name in set(sim.DYNAMIC) - {"links"}:
+        assert getattr(twin_sim, name) == getattr(sim, name), name
+    for name in injector.DYNAMIC:
+        assert getattr(twin_injector, name) == getattr(injector, name), name
+    # The outages in force were re-applied to the twin's forwarding plane.
+    assert twin_sim.fib.epoch > 0
+    # Static fields untouched.
+    assert _static_view(twin_sim, twin_injector) == before
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_restored_twin_captures_to_the_same_bytes(seed, data):
+    net = _net()
+    sim, injector = _build(net)
+    _perturb(sim, injector, seed, data)
+    blob = encode_payload({"sim": sim.capture(), "injector": injector.capture()})
+    assert encode_payload({"sim": sim.capture(), "injector": injector.capture()}) == blob
+    twin_sim, twin_injector = _build(net)
+    state = decode_payload(blob)
+    twin_sim.restore(state["sim"])
+    twin_injector.restore(state["injector"])
+    again = encode_payload(
+        {"sim": twin_sim.capture(), "injector": twin_injector.capture()}
+    )
+    assert again == blob
+
+
+def test_an_lp_slice_is_a_selection_of_the_link_capture():
+    sim, _ = _build(_net())
+    lr = sim.links[1]
+    lr.busy_until[:] = [0.5, 0.75]
+    lr.packets_carried[:] = [3, 4]
+    lr._fault_draw()
+    whole = lr.capture()
+    one_way = lr.capture((False, True))
+    assert one_way == {"busy_until": [None, 0.75]}
+    both = lr.capture((True, True))
+    assert both == {k: whole[k] for k in ("busy_until", "_rng", "_fault_rng")}
+    # Restoring a slice leaves what it does not name alone.
+    twin = _build(_net())[0].links[1]
+    twin.busy_until[:] = [9.0, 9.0]
+    twin.restore(one_way)
+    assert twin.busy_until == [9.0, 0.75] and twin.packets_carried == [0, 0]
+    twin.restore(both)
+    assert twin._fault_draw() == lr._fault_draw()
+
+
+# ----------------------------------------------------------------------
+# Source guards
+# ----------------------------------------------------------------------
+#: a subscript or ``.get`` of ``shard_state`` / ``payload["shard_state"]``
+_LOOKS_INSIDE = re.compile(
+    r"""shard_state\s*(\[|\.get\()|\[["']shard_state["']\]\s*(\[|\.get\()"""
+)
+
+
+def test_engine_parallel_never_looks_inside_a_hook_returned_value():
+    """``shard_state`` is carried and handed back, never subscripted."""
+    stray = [
+        f"{path.relative_to(SRC)}:{i}"
+        for path in sorted((SRC / "engine" / "parallel").glob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if _LOOKS_INSIDE.search(line)
+    ]
+    assert not stray, f"engine/parallel indexes into a scenario's blob: {stray}"
+
+
+def test_the_guard_pattern_catches_what_it_is_for():
+    assert _LOOKS_INSIDE.search('shard_state["lp"]')
+    assert _LOOKS_INSIDE.search('lp_states = shard_state.get("lp", {})')
+    assert _LOOKS_INSIDE.search('payload["shard_state"]["collect"]')
+    assert not _LOOKS_INSIDE.search('scenario.restore_shard(payload["shard_state"])')
+    assert not _LOOKS_INSIDE.search('payload.get("shard_state") is not None')
+
+
+def test_experiments_shard_reaches_into_no_owner():
+    text = (SRC / "experiments" / "shard.py").read_text()
+    for private in ("._rng", "._fault_rng", "._down_nodes", "._open_slowdowns"):
+        assert private not in text, f"experiments/shard.py touches {private}"
+
+
+def test_no_process_wide_simulation_state_is_left():
+    """Move (1): the three process-wide bindings and their resets are gone."""
+    gone = {
+        "engine/events.py": ("_seq = itertools.count()",),
+        "netsim/packet.py": ("_flow_counter", "def new_flow_id"),
+        "online/wrapsocket.py": ("_listeners: dict", "reset_listeners"),
+        "experiments/workloads.py": ("reset_listeners",),
+    }
+    for rel, needles in gone.items():
+        text = (SRC / rel).read_text()
+        for needle in needles:
+            assert needle not in text, f"{rel} still has {needle!r}"
