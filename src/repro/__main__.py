@@ -88,8 +88,8 @@ def _cmd_experiment_mp(args, scale) -> int:
     cost model's prediction over the same window counters.
 
     With ``--obs-out`` the run executes under both the registry and the
-    tracer: every worker ships its instrument and trace snapshots back on
-    the control plane, and the merged, shard-labeled snapshot — with the
+    tracer: every worker ships its registry and tracer back on the
+    control plane, and the merged, shard-labeled snapshot — with the
     measured per-window worker spans and the measured-vs-modeled
     calibration table — is written as one JSON document
     (:func:`repro.obs.distributed.merged_snapshot_document`).
@@ -162,6 +162,7 @@ def _cmd_experiment_mp(args, scale) -> int:
                 "executed": run.summary(),
             },
             calibration=run.calibration,
+            shards=list(run.result.worker_registries),
         )
         out.write_text(json.dumps(doc, indent=2))
     else:
@@ -201,18 +202,13 @@ def _cmd_experiment_mp(args, scale) -> int:
     if args.obs_out:
         print()
         print("measured per-shard wall decomposition:")
-        mreport = blame.analyze_measured(
-            run.merged_trace.restore(), num_shards=run.procs
-        )
+        mreport = blame.analyze_measured(run.merged_trace, num_shards=run.procs)
         print(blame.format_measured_table(mreport))
-        wait = run.merged_registry.histograms.get(obs_names.PARALLEL_BARRIER_WAIT)
-        if wait is not None and wait[1].sum() > 0:
-            hist = run.merged_registry.restore().histogram(
-                obs_names.PARALLEL_BARRIER_WAIT, tuple(wait[0])
-            )
-            print(f"barrier wait per window: p50 {hist.quantile(0.5) * 1e3:.4f} ms, "
-                  f"p95 {hist.quantile(0.95) * 1e3:.4f} ms, "
-                  f"p99 {hist.quantile(0.99) * 1e3:.4f} ms")
+        wait = run.merged_registry.histograms().get(obs_names.PARALLEL_BARRIER_WAIT)
+        if wait is not None and wait.count:
+            print(f"barrier wait per window: p50 {wait.quantile(0.5) * 1e3:.4f} ms, "
+                  f"p95 {wait.quantile(0.95) * 1e3:.4f} ms, "
+                  f"p99 {wait.quantile(0.99) * 1e3:.4f} ms")
         if run.calibration and run.calibration["worst_window"] is not None:
             worst = run.calibration["worst_window"]
             print(f"calibration: measured/predicted wall ratio "

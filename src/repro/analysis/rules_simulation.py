@@ -180,7 +180,7 @@ def check_silent_except(ctx: ModuleContext) -> Iterator[tuple[ast.AST, str]]:
             )
 
 
-_REGISTRY_MUTATORS = frozenset({"enable", "disable", "reset", "clear"})
+_REGISTRY_MUTATORS = frozenset({"enable", "disable", "reset", "clear", "merge_from"})
 _REGISTRY_GETTERS = frozenset({"get_registry", "get_tracer"})
 
 
@@ -197,9 +197,10 @@ def check_worker_registry_mutation(ctx: ModuleContext) -> Iterator[tuple[ast.AST
     observability through ``repro.obs.distributed
     .configure_worker_observability`` — it clears fork-inherited state
     and applies the controller's config stanza atomically. Ad-hoc
-    ``get_registry().reset()`` / ``.enabled = ...`` in the shard/worker
-    modules bypasses that layer, desynchronizing worker snapshots from
-    the controller's merge expectations.
+    ``get_registry().reset()`` / ``.merge_from(...)`` / ``.enabled =
+    ...`` in the shard/worker modules bypasses that layer: the registry
+    a worker ships would no longer hold exactly its own run, and the
+    controller's merge would count something twice or not at all.
     """
     # Names bound from get_registry()/get_tracer() anywhere in the module
     # (coarse on purpose: shard/worker modules should not hold a mutable

@@ -21,10 +21,10 @@ from typing import Any, Sequence
 import numpy as np
 
 from ...obs import names as obs_names
-from ...obs.distributed import RegistrySnapshot, TraceSnapshot, worker_obs_config
-from ...obs.registry import get_registry
+from ...obs.distributed import worker_obs_config
+from ...obs.registry import Registry, get_registry
 from ...obs.timers import Stopwatch
-from ...obs.trace import get_tracer
+from ...obs.trace import TraceBuffer, get_tracer
 from ..recovery import CheckpointStore, RecoveryExhaustedError
 from ..windows import WindowStats, iter_windows
 from .shard import (
@@ -186,10 +186,11 @@ class ParallelRunResult:
     worker_events: list[int]
     #: per-shard ``ShardScenario.collect()`` values
     collected: list[Any]
-    #: per-worker registry snapshots (empty when the run was unobserved)
-    registry_snapshots: list[RegistrySnapshot] = field(default_factory=list)
-    #: per-worker trace snapshots (empty when the run was unobserved)
-    trace_snapshots: list[TraceSnapshot] = field(default_factory=list)
+    #: each worker's shipped registry by shard id (empty when the run
+    #: was unobserved)
+    worker_registries: dict[int, Registry] = field(default_factory=dict)
+    #: each worker's shipped tracer by shard id (empty when unobserved)
+    worker_traces: dict[int, TraceBuffer] = field(default_factory=dict)
     #: accepted mid-run LP migrations, in decision order (empty unless
     #: the run was launched with a rebalance config); ``shards`` above
     #: reports the *final* placement after these moves
@@ -647,8 +648,12 @@ class Coordinator:
             mail_bytes=[r["mail_bytes"] for r in results],
             worker_events=worker_events,
             collected=[r["collect"] for r in results],
-            registry_snapshots=[r["obs"]["registry"] for r in results if "obs" in r],
-            trace_snapshots=[r["obs"]["trace"] for r in results if "obs" in r],
+            worker_registries={
+                s: r["obs"]["registry"] for s, r in enumerate(results) if "obs" in r
+            },
+            worker_traces={
+                s: r["obs"]["trace"] for s, r in enumerate(results) if "obs" in r
+            },
             migrations=self.migrations,
             recovery=recovery,
         )

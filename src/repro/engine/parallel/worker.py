@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator
 
-from ...obs.distributed import RegistrySnapshot, TraceSnapshot
+from ...obs.registry import get_registry
 from ...obs.timers import Stopwatch
+from ...obs.trace import get_tracer
 from ..recovery import checkpoint_digest
 from ..windows import iter_windows
 from .shard import (
@@ -238,11 +239,6 @@ class ShardWorker:
         result["barrier_wait_s"] = barrier_wait_s
         result["mail_bytes"] = self.mail_bytes
         if obs_on:
-            label = f"worker-{self.shard_id}"
-            result["obs"] = {
-                "registry": RegistrySnapshot.capture(
-                    shard_id=self.shard_id, label=label
-                ),
-                "trace": TraceSnapshot.capture(shard_id=self.shard_id, label=label),
-            }
+            # The process-global owners themselves; encoding pickles a copy.
+            result["obs"] = {"registry": get_registry(), "trace": get_tracer()}
         yield ("done", _ser().encode_payload(result))

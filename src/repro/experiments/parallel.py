@@ -39,8 +39,6 @@ from ..engine.windows import WindowStats
 from ..cluster.syncmodel import ClusterSpec
 from ..netsim.simulator import NetworkSimulator
 from ..obs.distributed import (
-    RegistrySnapshot,
-    TraceSnapshot,
     merged_registry_snapshot,
     merged_trace_snapshot,
     window_calibration,
@@ -196,10 +194,10 @@ class ExecutedParallelRun:
     cluster: ClusterSpec
     predicted: WallclockPrediction
     meta: dict = field(default_factory=dict)
-    #: merged worker+controller instrument snapshot (obs enabled only)
-    merged_registry: RegistrySnapshot | None = None
-    #: merged worker+controller trace snapshot (obs enabled only)
-    merged_trace: TraceSnapshot | None = None
+    #: merged worker+controller registry, disabled (obs enabled only)
+    merged_registry: Registry | None = None
+    #: merged worker+controller tracer, disabled (obs enabled only)
+    merged_trace: TraceBuffer | None = None
     #: measured-vs-modeled per-window wall table (obs enabled only)
     calibration: dict | None = None
 
@@ -339,10 +337,10 @@ def run_executed_workload(
         result.window_stats, mapping.num_engines, cluster, shards=engine.shards
     )
     merged_registry = merged_trace = calibration = None
-    if result.registry_snapshots or result.trace_snapshots:
+    if result.worker_registries:
         # Order matters: calibration records its calibration.* instruments
-        # into the controller registry, and the merged registry snapshot
-        # is captured afterwards so it includes them.
+        # into the controller registry, and the registries are merged
+        # afterwards so the merge includes them.
         merged_trace = merged_trace_snapshot(result)
         calibration = window_calibration(
             merged_trace.measured,

@@ -84,7 +84,7 @@ class FaultInjector:
         defaults to the process-global one. Replica (non-control) shards
         of the multi-process backend pass a private disabled registry so
         their replayed fault applications are not double-counted when
-        worker snapshots merge (:mod:`repro.obs.distributed`).
+        the workers' registries merge (:mod:`repro.obs.distributed`).
     """
 
     #: The dynamic fields: what :meth:`capture` / :meth:`restore` carry,

@@ -356,8 +356,8 @@ def analyze_measured(
     """Decompose measured worker spans into a per-shard blame report.
 
     Works on any trace carrying ``measured`` records — a worker's own
-    buffer, or (the usual case) the restored merge of every worker's
-    snapshot (:meth:`repro.obs.distributed.TraceSnapshot.restore`).
+    buffer, or (the usual case) the merge of every worker's buffer
+    (:func:`repro.obs.distributed.merged_trace_snapshot`).
     ``num_shards`` defaults to one past the largest shard id seen.
     """
     records = list(trace.measured)

@@ -15,6 +15,15 @@ at construction — see :mod:`repro.obs.registry`).
 All recorded quantities are simulated-domain values (event counts,
 bytes, simulated seconds), so instrument state is exactly reproducible
 across runs with the same seed.
+
+Every instrument also folds a same-kind instrument into itself
+(``merge_from``) — how per-worker observations of the multi-process
+backend become one global view (:mod:`repro.obs.distributed`). An
+instrument that holds nothing (an all-zero vector or gauge, a histogram
+with zero count and sum, a series with no bins) is the merge identity
+whatever its shape — an empty target takes the incoming instrument's
+shape — and two non-empty instruments that disagree on shape raise a
+typed error and leave the target untouched.
 """
 
 from __future__ import annotations
@@ -33,12 +42,32 @@ __all__ = [
     "MaxGauge",
     "Histogram",
     "BinnedSeries",
+    "SnapshotMergeError",
     "HistogramMergeError",
 ]
 
 
-class HistogramMergeError(ValueError):
+class SnapshotMergeError(ValueError):
+    """Two instruments disagree structurally and cannot merge losslessly."""
+
+
+class HistogramMergeError(SnapshotMergeError):
     """Two histograms with different bucket bounds cannot merge exactly."""
+
+
+def _merged_array(
+    kind: str, name: str, mine: np.ndarray, theirs: np.ndarray, op
+) -> np.ndarray:
+    """``op(mine, theirs)`` in place into ``mine``; an all-zero side is the identity."""
+    if not mine.any():
+        return theirs.copy()
+    if not theirs.any():
+        return mine
+    if mine.shape != theirs.shape:
+        raise SnapshotMergeError(
+            f"{kind} {name!r} size {theirs.shape[0]} != merged size {mine.shape[0]}"
+        )
+    return op(mine, theirs, out=mine)
 
 
 class Counter:
@@ -63,6 +92,10 @@ class Counter:
     def value(self) -> float:
         """The accumulated count."""
         return self._value
+
+    def merge_from(self, other: "Counter") -> None:
+        """Add ``other``'s count into this counter."""
+        self._value += other._value
 
     def reset(self) -> None:
         """Zero the counter."""
@@ -116,6 +149,12 @@ class VectorCounter:
         """Sum over all slots."""
         return float(self._values.sum())
 
+    def merge_from(self, other: "VectorCounter") -> None:
+        """Add ``other``'s slots into this vector, element-wise."""
+        self._values = _merged_array(
+            "vector", self.name, self._values, other._values, np.add
+        )
+
     def reset(self) -> None:
         """Zero every slot."""
         self._values[:] = 0.0
@@ -150,6 +189,12 @@ class MaxGauge:
     def values(self) -> np.ndarray:
         """The live high-water array (copy before mutating a snapshot)."""
         return self._values
+
+    def merge_from(self, other: "MaxGauge") -> None:
+        """Raise each slot to ``other``'s high-water mark (element-wise max)."""
+        self._values = _merged_array(
+            "gauge", self.name, self._values, other._values, np.maximum
+        )
 
     def reset(self) -> None:
         """Zero every high-water mark."""
@@ -249,12 +294,21 @@ class Histogram:
         """Fold ``other`` into this histogram, exactly.
 
         Merging is lossless only when both histograms bucket identically,
-        so identical bounds add bin-wise (counts and sums); any bounds
-        mismatch raises :class:`HistogramMergeError` — re-binning would
-        silently fabricate data, and the merged ``quantile`` would lie.
-        This is how per-worker barrier-wait histograms combine into the
-        global distribution (:mod:`repro.obs.distributed`).
+        so identical bounds add bin-wise (counts and sums); a bounds
+        mismatch between two non-empty histograms raises
+        :class:`HistogramMergeError` — re-binning would silently
+        fabricate data, and the merged ``quantile`` would lie. An empty
+        histogram takes ``other``'s bounds. This is how per-worker
+        barrier-wait histograms combine into the global distribution
+        (:mod:`repro.obs.distributed`).
         """
+        if not (self._counts.any() or self._sum):
+            self.bounds = other.bounds
+            self._counts = other._counts.copy()
+            self._sum = other._sum
+            return
+        if not (other._counts.any() or other._sum):
+            return
         if self.bounds != other.bounds:
             raise HistogramMergeError(
                 f"histogram {self.name!r} bounds {self.bounds} cannot merge "
@@ -318,6 +372,31 @@ class BinnedSeries:
         """``(bin_start_times, rates[bins, size])`` in events/second."""
         starts = np.arange(self.num_bins, dtype=np.float64) * self.bin_s
         return starts, self.matrix() / self.bin_s
+
+    def merge_from(self, other: "BinnedSeries") -> None:
+        """Add ``other``'s bins into this series, padding the shorter run.
+
+        A series with no bins takes ``other``'s size and bin width; two
+        non-empty series of different size or bin width raise
+        :class:`SnapshotMergeError`.
+        """
+        if not self._bins:
+            self.size, self.bin_s = other.size, other.bin_s
+            self._bins = [counts.copy() for counts in other._bins]
+            return
+        if not other._bins:
+            return
+        if (self.size, self.bin_s) != (other.size, other.bin_s):
+            raise SnapshotMergeError(
+                f"series {self.name!r} shape (size={other.size}, "
+                f"bin_s={other.bin_s}) != merged (size={self.size}, "
+                f"bin_s={self.bin_s})"
+            )
+        bins = self._bins
+        for b, counts in enumerate(other._bins):
+            if b == len(bins):
+                bins.append(np.zeros(self.size, dtype=np.float64))
+            bins[b] += counts
 
     def reset(self) -> None:
         """Drop all bins."""

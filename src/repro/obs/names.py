@@ -41,8 +41,9 @@ ENGINE_LOOKAHEAD_VIOLATIONS = _declare(
 )
 
 # --- multi-process backend (repro.engine.parallel) --------------------
-# These are recorded *inside each worker process* (shard-labeled) and
-# reach the controller through repro.obs.distributed snapshot merging.
+# These are recorded *inside each worker process* and reach the
+# controller in the worker's shipped registry, merged by
+# repro.obs.distributed.merged_registry_snapshot.
 PARALLEL_BARRIER_WAIT = _declare(
     "parallel.barrier.wait_s",
     "Per-worker wall-clock blocked at multi-process barriers, one sample per window.",

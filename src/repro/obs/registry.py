@@ -23,6 +23,7 @@ Instruments are accumulated per process; call :meth:`Registry.reset`
 
 from __future__ import annotations
 
+import copy
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -90,6 +91,23 @@ class Registry:
         """Drop every instrument registration entirely."""
         for group in self._groups():
             group.clear()
+
+    def merge_from(self, other: "Registry") -> None:
+        """Fold every instrument of ``other`` into this registry.
+
+        A name both registries hold merges through the instrument's own
+        ``merge_from``; a name only ``other`` holds is copied in whole.
+        Never goes through the factories below: they replace an
+        instrument of a different size, which would drop its data. The
+        copies share no array with ``other``.
+        """
+        for mine, theirs in zip(self._groups(), other._groups()):
+            for name, inst in theirs.items():
+                if name in mine:
+                    mine[name].merge_from(inst)
+                else:
+                    # A deep copy whose registry back-reference is this one.
+                    mine[name] = copy.deepcopy(inst, {id(other): self})
 
     def _groups(self) -> tuple[dict, ...]:
         return (

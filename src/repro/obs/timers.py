@@ -63,9 +63,9 @@ class SpanTimer:
         """Record one externally measured span of ``elapsed_s`` seconds.
 
         For call sites that already hold a wall-clock duration (a
-        :class:`Stopwatch` shared with another sink, a merged snapshot)
-        and must not pay a second pair of clock reads. Guarded like
-        every public write method.
+        :class:`Stopwatch` shared with another sink) and must not pay a
+        second pair of clock reads. Guarded like every public write
+        method.
         """
         if self._reg.enabled:
             self._record(elapsed_s)
@@ -97,6 +97,11 @@ class SpanTimer:
     def mean_s(self) -> float:
         """Mean span duration (0 when no spans completed)."""
         return self._total_s / self._count if self._count else 0.0
+
+    def merge_from(self, other: "SpanTimer") -> None:
+        """Add ``other``'s span count and total time into this timer."""
+        self._total_s += other._total_s
+        self._count += other._count
 
     def reset(self) -> None:
         """Zero the accumulated time and count."""

@@ -34,10 +34,12 @@ from __future__ import annotations
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
+
+from .counters import SnapshotMergeError
 
 __all__ = [
     "WindowRecord",
@@ -128,8 +130,8 @@ class MeasuredWindowRecord:
     blocking on the barrier round-trip, and decoding inbound mail.
     Recorded per shard per window by the multi-process backend
     (:mod:`repro.engine.parallel`); merged across workers by
-    :class:`repro.obs.distributed.TraceSnapshot`. Wall-clock values are
-    *not* part of a run's deterministic fingerprint.
+    :meth:`TraceBuffer.merge_from`. Wall-clock values are *not* part of
+    a run's deterministic fingerprint.
     """
 
     window_index: int
@@ -236,6 +238,31 @@ class TraceBuffer:
         untraced runs pay only the guard branch per hook point.
     """
 
+    #: Every channel, once: ``(attribute, merge order)``. Each is a deque
+    #: of records; :meth:`merge_from` lays the folded records out sorted
+    #: by the merge order (``None``: the records' natural order).
+    CHANNELS = (
+        # WindowRecord per barrier window; same-index records sum on merge
+        ("windows", lambda w: w.window_index),
+        # EdgeRecord per cross-LP message
+        ("edges", lambda e: (e.send_time, e.src_lp, e.dst_lp, e.deliver_time)),
+        # SpanRecord per wall-clock span (BGP convergence)
+        ("spans", lambda s: (s.start_s, s.end_s, s.kind)),
+        # (time, node) per executed event — what-if replay raw material
+        ("events", None),
+        # (time, from_node, to_node) per accepted link transmission
+        ("transmissions", None),
+        # FaultRecord per fault transition (repro.faults); every worker
+        # replays the control-plane schedule, so merging de-duplicates
+        ("faults", lambda f: (f.time, f.kind, f.phase)),
+        # MeasuredWindowRecord per worker per window (repro.engine.parallel)
+        ("measured", lambda m: (m.window_index, m.shard_id)),
+        # RebalanceRecord per accepted LP migration (repro.partition.rebalance)
+        ("rebalance", lambda r: (r.window_index, r.lp)),
+        # RecoveryRecord per fault-tolerance action (repro.engine.recovery)
+        ("recovery", lambda r: (r.window_index, r.shard_id, r.kind)),
+    )
+
     def __init__(
         self, capacity: int = DEFAULT_TRACE_CAPACITY, enabled: bool = False
     ) -> None:
@@ -243,21 +270,8 @@ class TraceBuffer:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
         self.enabled = enabled
-        self.windows: deque[WindowRecord] = deque()
-        self.edges: deque[EdgeRecord] = deque()
-        self.spans: deque[SpanRecord] = deque()
-        #: (time, node) per executed event — what-if replay raw material
-        self.events: deque[tuple[float, int]] = deque()
-        #: (time, from_node, to_node) per accepted link transmission
-        self.transmissions: deque[tuple[float, int, int]] = deque()
-        #: fault injections and recovery transitions (repro.faults)
-        self.faults: deque[FaultRecord] = deque()
-        #: measured per-worker window decompositions (repro.engine.parallel)
-        self.measured: deque[MeasuredWindowRecord] = deque()
-        #: accepted mid-run LP migrations (repro.partition.rebalance)
-        self.rebalance: deque[RebalanceRecord] = deque()
-        #: fault-tolerance actions (repro.engine.recovery)
-        self.recovery: deque[RecoveryRecord] = deque()
+        for name, _ in self.CHANNELS:
+            setattr(self, name, deque())
         self.dropped_records = 0
 
     # ------------------------------------------------------------------
@@ -273,25 +287,37 @@ class TraceBuffer:
 
     def reset(self) -> None:
         """Drop every record and zero the drop counter."""
-        for channel in self._channels():
-            channel.clear()
+        for name, _ in self.CHANNELS:
+            getattr(self, name).clear()
         self.dropped_records = 0
 
-    def _channels(self) -> tuple[deque, ...]:
-        return (
-            self.windows,
-            self.edges,
-            self.spans,
-            self.events,
-            self.transmissions,
-            self.faults,
-            self.measured,
-            self.rebalance,
-            self.recovery,
-        )
-
     def __len__(self) -> int:
-        return sum(len(c) for c in self._channels())
+        return sum(len(getattr(self, name)) for name, _ in self.CHANNELS)
+
+    def merge_from(self, other: "TraceBuffer") -> None:
+        """Fold ``other``'s records into this buffer, channel by channel.
+
+        Window records with the same index sum their per-LP vectors —
+        each worker records full-width arrays with only its owned
+        columns nonzero, so the sum is the single-process record (window
+        bounds and widths must agree, else :class:`SnapshotMergeError`
+        and this buffer is untouched). Fault records every worker
+        replayed are kept once. Every channel ends sorted by its merge
+        order; drop counts add. The merged buffer shares no array with
+        ``other``, and its capacity grows to hold every record.
+        """
+        merged = {}
+        for name, order in self.CHANNELS:
+            records = [*getattr(self, name), *getattr(other, name)]
+            if name == "windows":
+                records = _sum_windows(records)
+            elif name == "faults":
+                records = _unique_faults(records)
+            merged[name] = sorted(records, key=order)
+        for name, records in merged.items():
+            setattr(self, name, deque(records))
+            self.capacity = max(self.capacity, len(records))
+        self.dropped_records += other.dropped_records
 
     # ------------------------------------------------------------------
     # Record methods (guarded public layer; all writes funnel to _append)
@@ -440,6 +466,45 @@ class TraceBuffer:
             np.asarray(src, dtype=np.int64),
             np.asarray(dst, dtype=np.int64),
         )
+
+
+def _sum_windows(records: list[WindowRecord]) -> list[WindowRecord]:
+    """One record per window index, per-LP vectors summed into copies."""
+    by_index: dict[int, WindowRecord] = {}
+    for w in records:
+        prev = by_index.get(w.window_index)
+        if prev is None:
+            by_index[w.window_index] = replace(
+                w,
+                events_per_lp=w.events_per_lp.copy(),
+                remote_per_lp=w.remote_per_lp.copy(),
+            )
+            continue
+        if prev.start != w.start or prev.end != w.end:
+            raise SnapshotMergeError(
+                f"window {w.window_index} bounds "
+                f"({w.start}, {w.end}) != ({prev.start}, {prev.end})"
+            )
+        if prev.num_lps != w.num_lps:
+            raise SnapshotMergeError(
+                f"window {w.window_index} has {w.num_lps} LPs, "
+                f"merged record has {prev.num_lps}"
+            )
+        by_index[w.window_index] = replace(
+            prev,
+            events_per_lp=prev.events_per_lp + w.events_per_lp,
+            remote_per_lp=prev.remote_per_lp + w.remote_per_lp,
+        )
+    return list(by_index.values())
+
+
+def _unique_faults(records: list[FaultRecord]) -> list[FaultRecord]:
+    """The first of every set of identical fault records, in input order."""
+    unique: dict[tuple, FaultRecord] = {}
+    for f in records:
+        key = (f.time, f.kind, f.phase, f.target, repr(sorted(f.detail.items())))
+        unique.setdefault(key, f)
+    return list(unique.values())
 
 
 #: The process-global tracer every instrumented component binds to.

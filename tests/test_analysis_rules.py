@@ -533,6 +533,20 @@ class TestWorkerRegistryMutation:
         )
         assert ids(findings) == ["SIM108", "SIM108"]
 
+    def test_merge_into_global_registry_fires(self):
+        # Folding another registry into a worker's own would ship it
+        # twice: the controller merges every worker's registry itself.
+        findings = lint(
+            """
+            from repro.obs.registry import get_registry
+
+            def worker_main(shipped):
+                get_registry().merge_from(shipped)
+            """,
+            path=self.MP_PATH,
+        )
+        assert ids(findings) == ["SIM108"]
+
     def test_tracer_mutation_fires(self):
         findings = lint(
             """

@@ -1,31 +1,38 @@
 """Unit tests for the distributed observability layer (``obs.distributed``).
 
-Snapshot/merge/diff/restore per instrument kind, trace-channel merging,
-measured blame decomposition, measured-vs-modeled calibration, and the
-``--obs-out`` document — all pure in-process, no worker processes.
-The end-to-end merge-identity proof lives in
+The owners' ``merge_from`` per instrument kind and per trace channel (the
+empty-instrument identity, typed errors that leave the target untouched,
+a hypothesis property that k merged parts equal one sink), a registry
+and a tracer over the wire codec, measured blame decomposition,
+measured-vs-modeled calibration, the ``--obs-out`` document, and a
+source guard on instrument state — all pure in-process, no worker
+processes. The end-to-end merge-identity proof lives in
 ``tests/test_obs_distributed_mp.py``.
 """
 
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.serialization as ser
 from repro.cluster import teragrid_cluster
-from repro.obs import blame, names, trace_export
+from repro.obs import blame, export, names, trace_export
 from repro.obs.counters import HistogramMergeError
 from repro.obs.distributed import (
     CALIBRATION_RATIO_BOUNDS,
     CalibrationRecorder,
-    RegistrySnapshot,
     SnapshotMergeError,
-    TraceSnapshot,
     configure_worker_observability,
+    merged_registry_snapshot,
     merged_snapshot_document,
+    merged_trace_snapshot,
     window_calibration,
     worker_obs_config,
 )
@@ -34,6 +41,7 @@ from repro.obs.trace import MeasuredWindowRecord, TraceBuffer
 
 BOUNDS = (1.0, 2.0, 4.0)
 CLUSTER = teragrid_cluster(2)
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 def populated_registry(scale: float = 1.0) -> Registry:
@@ -56,85 +64,101 @@ def populated_registry(scale: float = 1.0) -> Registry:
     return reg
 
 
-class TestRegistrySnapshotCapture:
-    def test_capture_copies_every_instrument_kind(self):
-        snap = RegistrySnapshot.capture(populated_registry(), shard_id=3, label="w3")
-        assert snap.provenance == ({"shard_id": 3, "label": "w3"},)
-        assert snap.counters["c.events"] == 10.0
-        assert snap.vectors["v.per_lp"].tolist() == [1.0, 2.0, 3.0, 4.0]
-        assert snap.gauges["g.depth"].tolist() == [5.0, 0.0, 1.0]
-        bounds, counts, total = snap.histograms["h.wait"]
-        assert bounds == BOUNDS
-        assert counts.tolist() == [1, 0, 1, 0]
-        assert total == 3.5
-        assert snap.timers["t.span"] == (1, 0.25)
-        size, bin_s, matrix = snap.series["s.rate"]
-        assert (size, bin_s) == (2, 0.5)
-        assert matrix.shape == (2, 2)
+def merged(*parts: Registry) -> Registry:
+    out = Registry()
+    for part in parts:
+        out.merge_from(part)
+    return out
 
-    def test_capture_is_a_copy_not_a_view(self):
+
+class FakeResult:
+    """The two fields of ``ParallelRunResult`` the merge reads."""
+
+    def __init__(self, registries=(), traces=()):
+        self.worker_registries = dict(enumerate(registries))
+        self.worker_traces = dict(enumerate(traces))
+
+
+class TestRegistryCopy:
+    def test_merge_into_empty_copies_every_instrument_kind(self):
+        reg = merged(populated_registry())
+        assert reg.get_counter("c.events").value == 10.0
+        assert reg.get_vector("v.per_lp").values.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert reg.get_gauge("g.depth").values.tolist() == [5.0, 0.0, 1.0]
+        hist = reg.get_histogram("h.wait")
+        assert hist.bounds == BOUNDS
+        assert hist.counts.tolist() == [1, 0, 1, 0]
+        assert hist.sum == 3.5
+        timer = reg.get_timer("t.span")
+        assert (timer.count, timer.total_s) == (1, 0.25)
+        series = reg.get_series("s.rate")
+        assert (series.size, series.bin_s) == (2, 0.5)
+        assert series.matrix().shape == (2, 2)
+
+    def test_merge_is_a_copy_not_a_view(self):
         reg = populated_registry()
-        snap = RegistrySnapshot.capture(reg)
+        copy = merged(reg)
         reg.get_counter("c.events").inc(99)
         reg.get_vector("v.per_lp").inc(0, 99)
-        assert snap.counters["c.events"] == 10.0
-        assert snap.vectors["v.per_lp"][0] == 1.0
+        reg.get_histogram("h.wait").observe(0.5)
+        reg.get_series("s.rate").observe(0.1, 0)
+        assert copy.get_counter("c.events").value == 10.0
+        assert copy.get_vector("v.per_lp").values[0] == 1.0
+        assert copy.get_histogram("h.wait").count == 2
+        assert copy.get_series("s.rate").matrix()[0, 0] == 2.0
+        # ...and the copy records into its own registry, not the part's
+        assert copy.get_counter("c.events")._reg is copy
 
     def test_pickle_round_trip_over_the_wire_codec(self):
-        snap = RegistrySnapshot.capture(populated_registry(), shard_id=1, label="w1")
-        back = ser.decode_payload(ser.encode_payload(snap))
-        assert back.provenance == snap.provenance
-        assert back.counters == snap.counters
-        assert back.histograms["h.wait"][0] == BOUNDS
-        np.testing.assert_array_equal(
-            back.vectors["v.per_lp"], snap.vectors["v.per_lp"]
-        )
+        reg = populated_registry()
+        back = ser.decode_payload(ser.encode_payload(reg))
+        assert export.snapshot(back) == export.snapshot(reg)
+        assert back.get_vector("v.per_lp").values is not reg.get_vector("v.per_lp").values
+
+    def test_tracer_round_trips_over_the_wire_codec(self):
+        tr = tracer_with([measured(0, 1, 0.5)], windows=[(0, 0.0, 1.0, [1, 2], [0, 1])])
+        back = ser.decode_payload(ser.encode_payload(tr))
+        assert list(back.measured) == list(tr.measured)
+        assert back.windows[0].events_per_lp.tolist() == [1, 2]
 
 
-class TestRegistrySnapshotMerge:
+class TestRegistryMerge:
     def test_merge_semantics_per_kind(self):
-        a = RegistrySnapshot.capture(populated_registry(1.0), shard_id=0, label="w0")
-        b = RegistrySnapshot.capture(populated_registry(2.0), shard_id=1, label="w1")
-        merged = RegistrySnapshot.merge([a, b])
+        out = merged(populated_registry(1.0), populated_registry(2.0))
         # counters / vectors / histograms / timers / series sum
-        assert merged.counters["c.events"] == 30.0
-        assert merged.vectors["v.per_lp"].tolist() == [3.0, 6.0, 9.0, 12.0]
+        assert out.get_counter("c.events").value == 30.0
+        assert out.get_vector("v.per_lp").values.tolist() == [3.0, 6.0, 9.0, 12.0]
         # scale=1 observed (0.5, 3.0) -> [1,0,1,0]; scale=2 observed
         # (1.0, 6.0) -> [1,0,0,1] (bounds are upper-inclusive)
-        assert merged.histograms["h.wait"][1].tolist() == [2, 0, 1, 1]
-        assert merged.histograms["h.wait"][2] == 3.5 + 7.0
-        assert merged.timers["t.span"] == (2, 0.75)
+        hist = out.get_histogram("h.wait")
+        assert hist.counts.tolist() == [2, 0, 1, 1]
+        assert hist.sum == 3.5 + 7.0
+        timer = out.get_timer("t.span")
+        assert (timer.count, timer.total_s) == (2, 0.75)
         # high-water gauges take the element-wise max
-        assert merged.gauges["g.depth"].tolist() == [10.0, 0.0, 2.0]
-        # provenance concatenates in merge order
-        assert [p["label"] for p in merged.provenance] == ["w0", "w1"]
+        assert out.get_gauge("g.depth").values.tolist() == [10.0, 0.0, 2.0]
+        assert not out.enabled
 
     def test_merge_handles_disjoint_instruments(self):
         reg = Registry(enabled=True)
         reg.counter("only.here").inc(7)
-        a = RegistrySnapshot.capture(reg)
-        b = RegistrySnapshot.capture(populated_registry())
-        merged = RegistrySnapshot.merge([a, b])
-        assert merged.counters["only.here"] == 7.0
-        assert merged.counters["c.events"] == 10.0
+        out = merged(reg, populated_registry())
+        assert out.get_counter("only.here").value == 7.0
+        assert out.get_counter("c.events").value == 10.0
 
     def test_vector_size_mismatch_is_a_typed_error(self):
         ra, rb = Registry(enabled=True), Registry(enabled=True)
         ra.vector_counter("v", 2).inc(0)
         rb.vector_counter("v", 3).inc(0)
         with pytest.raises(SnapshotMergeError, match="vector 'v'"):
-            RegistrySnapshot.merge(
-                [RegistrySnapshot.capture(ra), RegistrySnapshot.capture(rb)]
-            )
+            merged(ra, rb)
 
     def test_histogram_bounds_mismatch_is_a_typed_error(self):
         ra, rb = Registry(enabled=True), Registry(enabled=True)
         ra.histogram("h", (1.0, 2.0)).observe(0.5)
         rb.histogram("h", (1.0, 3.0)).observe(0.5)
         with pytest.raises(HistogramMergeError, match="histogram 'h' bounds"):
-            RegistrySnapshot.merge(
-                [RegistrySnapshot.capture(ra), RegistrySnapshot.capture(rb)]
-            )
+            merged(ra, rb)
 
     def test_series_pad_to_longest_run(self):
         ra, rb = Registry(enabled=True), Registry(enabled=True)
@@ -142,13 +166,70 @@ class TestRegistrySnapshotMerge:
         sb = rb.series("s", 2, 1.0)
         sb.observe(0.5, 0, 2.0)
         sb.observe(2.5, 1, 4.0)  # three bins
-        merged = RegistrySnapshot.merge(
-            [RegistrySnapshot.capture(ra), RegistrySnapshot.capture(rb)]
-        )
-        _, _, matrix = merged.series["s"]
+        matrix = merged(ra, rb).get_series("s").matrix()
         assert matrix.shape == (3, 2)
         assert matrix[0].tolist() == [3.0, 0.0]
         assert matrix[2].tolist() == [0.0, 4.0]
+
+    def test_merged_registry_snapshot_is_disabled(self):
+        reg = merged_registry_snapshot(FakeResult([populated_registry()]), Registry())
+        assert not reg.enabled
+        reg.get_counter("c.events").inc()  # guarded: must be a no-op
+        assert reg.get_counter("c.events").value == 10.0
+
+
+class TestEmptyIsTheIdentity:
+    """An instrument that holds nothing merges away whatever its shape."""
+
+    def test_stale_zero_vector_takes_the_workers_size(self):
+        controller, worker = Registry(enabled=True), Registry(enabled=True)
+        controller.vector_counter("v", 12)  # zeroed, from a bigger network
+        controller.max_gauge("g", 12)
+        worker.vector_counter("v", 8).inc(3, 2.0)
+        worker.max_gauge("g", 8).observe(5, 4.0)
+        out = merged(controller, worker)
+        assert out.get_vector("v").values.tolist() == [0, 0, 0, 2.0, 0, 0, 0, 0]
+        assert out.get_gauge("g").size == 8
+        # and the other way round: a zeroed part changes nothing
+        again = merged(worker, controller)
+        assert export.snapshot(again) == export.snapshot(out)
+
+    def test_empty_histogram_takes_the_other_bounds(self):
+        ra, rb = Registry(enabled=True), Registry(enabled=True)
+        ra.histogram("h", (9.0,))
+        rb.histogram("h", BOUNDS).observe(3.0)
+        for out in (merged(ra, rb), merged(rb, ra)):
+            hist = out.get_histogram("h")
+            assert hist.bounds == BOUNDS and hist.counts.tolist() == [0, 0, 1, 0]
+
+    def test_series_without_bins_takes_the_other_shape(self):
+        ra, rb = Registry(enabled=True), Registry(enabled=True)
+        ra.series("s", 5, 0.1)
+        rb.series("s", 2, 1.0).observe(1.5, 1)
+        for out in (merged(ra, rb), merged(rb, ra)):
+            series = out.get_series("s")
+            assert (series.size, series.bin_s) == (2, 1.0)
+            assert series.matrix().tolist() == [[0.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("kind", ["vector", "gauge", "histogram", "series"])
+    def test_disagreeing_instruments_raise_without_mutating(self, kind):
+        ra, rb = Registry(enabled=True), Registry(enabled=True)
+        if kind == "vector":
+            ra.vector_counter("x", 2).inc(0)
+            rb.vector_counter("x", 3).inc(0)
+        elif kind == "gauge":
+            ra.max_gauge("x", 2).observe(0, 1.0)
+            rb.max_gauge("x", 3).observe(0, 1.0)
+        elif kind == "histogram":
+            ra.histogram("x", (1.0,)).observe(0.5)
+            rb.histogram("x", (2.0,)).observe(0.5)
+        else:
+            ra.series("x", 2, 1.0).observe(0.5, 0)
+            rb.series("x", 2, 0.5).observe(0.5, 0)
+        before = export.snapshot(ra)
+        with pytest.raises(SnapshotMergeError):
+            ra.merge_from(rb)
+        assert export.snapshot(ra) == before
 
 
 class TestHistogramMergeExact:
@@ -193,33 +274,6 @@ class TestHistogramMergeExact:
         assert ha.quantile(0.9) >= 4.0
 
 
-class TestRegistrySnapshotRestore:
-    def test_restore_round_trips_every_kind(self):
-        snap = RegistrySnapshot.capture(populated_registry())
-        reg = snap.restore(bin_s=0.5)
-        again = RegistrySnapshot.capture(reg)
-        assert again.counters == snap.counters
-        np.testing.assert_array_equal(
-            again.vectors["v.per_lp"], snap.vectors["v.per_lp"]
-        )
-        np.testing.assert_array_equal(
-            again.gauges["g.depth"], snap.gauges["g.depth"]
-        )
-        assert again.histograms["h.wait"][1].tolist() == (
-            snap.histograms["h.wait"][1].tolist()
-        )
-        assert again.timers == snap.timers
-        np.testing.assert_array_equal(
-            again.series["s.rate"][2], snap.series["s.rate"][2]
-        )
-
-    def test_restored_registry_is_disabled(self):
-        reg = RegistrySnapshot.capture(populated_registry()).restore()
-        assert not reg.enabled
-        reg.get_counter("c.events").inc()  # guarded: must be a no-op
-        assert reg.get_counter("c.events").value == 10.0
-
-
 def measured(w, shard, execute, wait=0.0, encode=0.0, decode=0.0, events=10, mb=0):
     return MeasuredWindowRecord(w, shard, execute, wait, encode, decode, events, mb)
 
@@ -237,32 +291,31 @@ def tracer_with(records, windows=(), capacity=64) -> TraceBuffer:
     return tr
 
 
-class TestTraceSnapshotMerge:
+def merged_trace(*parts: TraceBuffer) -> TraceBuffer:
+    return merged_trace_snapshot(FakeResult(traces=parts), TraceBuffer())
+
+
+class TestTraceBufferMerge:
     def test_windows_with_same_index_sum_per_lp_vectors(self):
         ta = tracer_with([], windows=[(0, 0.0, 1.0, [3, 0], [1, 0])])
         tb = tracer_with([], windows=[(0, 0.0, 1.0, [0, 5], [0, 2])])
-        merged = TraceSnapshot.merge(
-            [TraceSnapshot.capture(ta, 0, "w0"), TraceSnapshot.capture(tb, 1, "w1")]
-        )
-        assert len(merged.windows) == 1
-        assert merged.windows[0].events_per_lp.tolist() == [3, 5]
-        assert merged.windows[0].remote_per_lp.tolist() == [1, 2]
+        out = merged_trace(ta, tb)
+        assert len(out.windows) == 1
+        assert out.windows[0].events_per_lp.tolist() == [3, 5]
+        assert out.windows[0].remote_per_lp.tolist() == [1, 2]
+        assert not out.enabled
 
     def test_window_bounds_mismatch_is_a_typed_error(self):
         ta = tracer_with([], windows=[(0, 0.0, 1.0, [1, 0], [0, 0])])
         tb = tracer_with([], windows=[(0, 0.0, 2.0, [1, 0], [0, 0])])
         with pytest.raises(SnapshotMergeError, match="window 0 bounds"):
-            TraceSnapshot.merge(
-                [TraceSnapshot.capture(ta), TraceSnapshot.capture(tb)]
-            )
+            ta.merge_from(tb)
+        assert len(ta.windows) == 1 and ta.windows[0].end == 1.0
 
     def test_measured_records_sort_by_window_then_shard(self):
         ta = tracer_with([measured(1, 1, 0.2), measured(0, 1, 0.1)])
         tb = tracer_with([measured(0, 0, 0.3)])
-        merged = TraceSnapshot.merge(
-            [TraceSnapshot.capture(ta), TraceSnapshot.capture(tb)]
-        )
-        assert [(m.window_index, m.shard_id) for m in merged.measured] == [
+        assert [(m.window_index, m.shard_id) for m in merged_trace(ta, tb).measured] == [
             (0, 0), (0, 1), (1, 1),
         ]
 
@@ -273,17 +326,14 @@ class TestTraceSnapshotMerge:
             tr.enable()
             tr.fault(1.0, "link_down", "inject", (3, 4))
             tr.disable()
-        merged = TraceSnapshot.merge(
-            [TraceSnapshot.capture(ta), TraceSnapshot.capture(tb)]
-        )
-        assert len(merged.faults) == 1
+        assert len(merged_trace(ta, tb).faults) == 1
 
-    def test_restore_feeds_the_blame_pipeline(self):
-        tr = tracer_with(
-            [measured(0, 0, 0.5, wait=0.1), measured(0, 1, 0.2, wait=0.4)]
+    def test_merged_buffer_feeds_the_blame_pipeline(self):
+        tr = merged_trace(
+            tracer_with([measured(0, 0, 0.5, wait=0.1)]),
+            tracer_with([measured(0, 1, 0.2, wait=0.4)]),
         )
-        snap = TraceSnapshot.capture(tr, None, "merged")
-        report = blame.analyze_measured(snap.restore(), num_shards=2)
+        report = blame.analyze_measured(tr, num_shards=2)
         assert report.num_shards == 2
         assert report.num_windows == 1
         assert report.shard_execute_s.tolist() == [0.5, 0.2]
@@ -292,6 +342,128 @@ class TestTraceSnapshotMerge:
         assert report.critical_s == pytest.approx(0.6)
         table = blame.format_measured_table(report)
         assert "shard" in table and "critical path" in table
+
+
+# ----------------------------------------------------------------------
+# Property: k merged parts equal one sink that saw every write
+# ----------------------------------------------------------------------
+SIZE = 4
+#: one integer-valued write: (part, kind, index, value)
+WRITE = st.tuples(
+    st.integers(0, 3),
+    st.sampled_from(
+        ["counter", "vector", "gauge", "histogram", "timer", "series",
+         "measured", "event", "edge"]
+    ),
+    st.integers(0, SIZE - 1),
+    st.integers(0, 6),
+)
+
+
+def apply_write(reg: Registry, tr: TraceBuffer, kind: str, i: int, v: int) -> None:
+    if kind == "counter":
+        reg.counter("c").inc(v)
+    elif kind == "vector":
+        reg.vector_counter("v", SIZE).inc(i, v)
+    elif kind == "gauge":
+        reg.max_gauge("g", SIZE).observe(i, v)
+    elif kind == "histogram":
+        reg.histogram("h", BOUNDS).observe(v)
+    elif kind == "timer":
+        reg.timer("t").add(v)
+    elif kind == "series":
+        reg.series("s", SIZE, 1.0).observe(float(v), i, 1.0)
+    elif kind == "measured":
+        tr.measured_window(v, i, float(v), 1.0, 0.0, 0.0, v)
+    elif kind == "event":
+        tr.event(float(v), i)
+    else:
+        tr.edge(i, (i + 1) % SIZE, float(v), float(v) + 1.0)
+
+
+def channels(tr: TraceBuffer) -> dict:
+    """Every channel as comparable plain data (window arrays as lists)."""
+    out = {name: list(getattr(tr, name)) for name, _ in TraceBuffer.CHANNELS}
+    out["windows"] = [
+        (w.window_index, w.start, w.end, w.events_per_lp.tolist(), w.remote_per_lp.tolist())
+        for w in tr.windows
+    ]
+    return out
+
+
+def scribble(reg: Registry, tr: TraceBuffer) -> None:
+    """Bump, in place, every array a part owns."""
+    for inst in (*reg.vectors().values(), *reg.gauges().values()):
+        inst.values[:] += 1
+    for hist in reg.histograms().values():
+        hist.counts[:] += 1
+    for series in reg.series_map().values():
+        for b in range(series.num_bins):
+            series.observe(b * series.bin_s, 0)
+    for w in tr.windows:
+        w.events_per_lp[:] += 1
+        w.remote_per_lp[:] += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    writes=st.lists(WRITE, max_size=40),
+    windows=st.lists(
+        st.tuples(st.lists(st.integers(0, 9), min_size=SIZE, max_size=SIZE),
+                  st.lists(st.integers(0, 9), min_size=SIZE, max_size=SIZE)),
+        max_size=4,
+    ),
+    faults=st.lists(st.tuples(st.integers(0, 5), st.integers(0, SIZE - 1)), max_size=4),
+)
+def test_merged_parts_equal_one_sink(k, writes, windows, faults):
+    parts = [(Registry(True, 0.5), TraceBuffer(1024, True)) for _ in range(k)]
+    sink_reg, sink_tr = Registry(True, 0.5), TraceBuffer(1024, True)
+    for part, kind, i, v in writes:
+        apply_write(*parts[part % k], kind, i, v)
+        apply_write(sink_reg, sink_tr, kind, i, v)
+    for w, (events, remote) in enumerate(windows):
+        events, remote = np.array(events), np.array(remote)
+        sink_tr.window(w, float(w), w + 1.0, events, remote)
+        for p, (_, tr) in enumerate(parts):
+            owned = np.arange(SIZE) % k == p  # disjoint owned columns
+            tr.window(w, float(w), w + 1.0, events * owned, remote * owned)
+    for t, node in faults:
+        sink_tr.fault(float(t), "node.down", "inject", (node,), attempt=1)
+        for _, tr in parts:  # every worker replays the control plane
+            tr.fault(float(t), "node.down", "inject", (node,), attempt=1)
+
+    result = FakeResult([reg for reg, _ in parts], [tr for _, tr in parts])
+    reg = merged_registry_snapshot(result, Registry())
+    tr = merged_trace_snapshot(result, TraceBuffer())
+    sink_order = TraceBuffer()
+    sink_order.merge_from(sink_tr)  # the sink's records in merge order
+
+    assert export.snapshot(reg) == export.snapshot(sink_reg)
+    assert channels(tr) == channels(sink_order)
+    # The merge shares no array with any part.
+    before = (export.snapshot(reg), channels(tr))
+    for part in parts:
+        scribble(*part)
+    assert (export.snapshot(reg), channels(tr)) == before
+
+
+# ----------------------------------------------------------------------
+# Source guard: an instrument's state is named only where it is defined
+# ----------------------------------------------------------------------
+_INSTRUMENT_STATE = {"_value", "_values", "_counts", "_sum", "_count", "_total_s", "_bins"}
+_DEFINING_MODULES = {"obs/counters.py", "obs/timers.py"}
+
+
+def test_only_the_defining_module_names_instrument_state():
+    stray = [
+        f"{path.relative_to(SRC)}:{node.lineno} .{node.attr}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.relative_to(SRC).as_posix() not in _DEFINING_MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in _INSTRUMENT_STATE
+    ]
+    assert not stray, f"instrument state named outside its class: {stray}"
 
 
 class TestWorkerObsConfig:
@@ -381,19 +553,18 @@ class TestWindowCalibration:
 
 class TestMergedSnapshotDocument:
     def test_document_schema_and_json_round_trip(self):
-        reg_snap = RegistrySnapshot.capture(
-            populated_registry(), shard_id=0, label="worker-0"
-        )
-        tr_snap = TraceSnapshot.capture(
-            tracer_with([measured(0, 0, 0.1, mb=64)]), 0, "worker-0"
-        )
+        tr = tracer_with([measured(0, 0, 0.1, mb=64)])
         calibration = window_calibration(
-            tr_snap.measured, {0: 0.1}, registry=Registry(enabled=True)
+            tr.measured, {0: 0.1}, registry=Registry(enabled=True)
         )
         doc = merged_snapshot_document(
-            reg_snap, tr_snap, meta={"backend": "mp"}, calibration=calibration
+            populated_registry(), tr, meta={"backend": "mp"},
+            calibration=calibration, shards=[0],
         )
-        assert doc["shards"] == [{"shard_id": 0, "label": "worker-0"}]
+        assert doc["shards"] == [
+            {"shard_id": None, "label": "controller"},
+            {"shard_id": 0, "label": "worker-0"},
+        ]
         assert doc["measured_windows"][0]["mail_bytes"] == 64
         assert doc["calibration"]["overall_ratio"] == pytest.approx(1.0)
         assert doc["meta"]["backend"] == "mp"
@@ -401,9 +572,7 @@ class TestMergedSnapshotDocument:
         json.loads(json.dumps(doc))  # strictly JSON-serializable
 
     def test_trace_and_calibration_sections_are_optional(self):
-        doc = merged_snapshot_document(
-            RegistrySnapshot.capture(populated_registry())
-        )
+        doc = merged_snapshot_document(populated_registry())
         assert "measured_windows" not in doc
         assert "calibration" not in doc
 

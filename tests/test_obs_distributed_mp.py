@@ -1,10 +1,12 @@
 """End-to-end distributed observability over real worker processes.
 
 The headline invariant of ``obs.distributed``: for deterministic
-instruments, the merge of N worker snapshots (plus the controller's own
-capture) *equals* the single-process observed run on the same workload —
-procs 1, 2, and 4, under both fork and spawn start methods. Plus the
-``--backend mp --obs-out`` CLI path writing one merged JSON document.
+instruments, the merge of N shipped worker registries (plus the
+controller's own) *equals* the single-process observed run on the same
+workload — procs 1, 2, and 4, under both fork and spawn start methods —
+even after an observed run on a bigger network in the same process.
+Plus the ``--backend mp --obs-out`` CLI path writing one merged JSON
+document.
 """
 
 from __future__ import annotations
@@ -15,18 +17,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import repro.obs.registry as registry_mod
-import repro.obs.trace as trace_mod
 from repro.engine.parallel import ParallelConservativeEngine
 from repro.experiments.shard import build_chain_scenario, chain_spec, run_reference
-from repro.obs import names
+from repro.obs import export, names
 from repro.obs.distributed import (
-    RegistrySnapshot,
     merged_registry_snapshot,
+    merged_snapshot_document,
     merged_trace_snapshot,
 )
 from repro.obs.registry import Registry, observed_run
-from repro.obs.trace import TraceBuffer, get_tracer, traced_run
+from repro.obs.trace import get_tracer, traced_run
 
 ASSIGNMENT = np.array([0, 0, 0, 0, 1, 1, 1, 1])
 NUM_LPS = 2
@@ -45,47 +45,24 @@ def spec():
     return chain_spec(num_nodes=8, latency_s=LOOKAHEAD, packets=20)
 
 
-def deterministic_view(snap: RegistrySnapshot) -> dict:
-    """Deterministic instrument values (timers are wall-clock; skipped)."""
-
-    def keep(name: str) -> bool:
-        return not name.startswith(MP_ONLY + PER_PROCESS)
-
-    return {
-        "counters": {n: v for n, v in snap.counters.items() if keep(n)},
-        "vectors": {n: v.tolist() for n, v in snap.vectors.items() if keep(n)},
-        "histograms": {
-            n: (h[0], h[1].tolist(), h[2])
-            for n, h in snap.histograms.items()
-            if keep(n)
-        },
-        "series": {
-            n: (s[0], s[1], s[2].tolist())
-            for n, s in snap.series.items()
-            if keep(n)
-        },
-    }
-
-
-@pytest.fixture(autouse=True)
-def fresh_obs_globals(monkeypatch):
-    """Fresh process-global registry/tracer per test.
-
-    Other test modules register instruments sized to *their* scenarios
-    in the process-global registry; `observed_run` resets values but
-    keeps registrations, and the controller's capture of those
-    foreign-shaped (zero-valued) vectors would collide with the
-    workers' in merge. Fork workers inherit the patched globals.
-    """
-    monkeypatch.setattr(registry_mod, "_GLOBAL", Registry())
-    monkeypatch.setattr(trace_mod, "_GLOBAL", TraceBuffer())
+def deterministic_view(reg: Registry) -> dict:
+    """``export.snapshot`` minus the wall-clock timers and the names no
+    single process can match."""
+    doc = export.snapshot(reg)
+    del doc["timers"]
+    for section in ("counters", "vectors", "gauges", "histograms", "series"):
+        doc[section] = {
+            n: v for n, v in doc[section].items()
+            if not n.startswith(MP_ONLY + PER_PROCESS)
+        }
+    return doc
 
 
 @pytest.fixture()
 def single_process_view():
     with observed_run() as reg:
         run_reference(spec(), ASSIGNMENT, NUM_LPS, LOOKAHEAD, DURATION)
-        return deterministic_view(RegistrySnapshot.capture(reg))
+        return deterministic_view(reg)
 
 
 class TestMergedSnapshotIdentity:
@@ -101,7 +78,7 @@ class TestMergedSnapshotIdentity:
             )
             result = engine.run_scenario(spec(), until=DURATION)
             merged = merged_registry_snapshot(result)
-        assert len(result.registry_snapshots) == procs
+        assert len(result.worker_registries) == procs
         assert deterministic_view(merged) == single_process_view
 
     def test_provenance_lists_controller_then_workers(self):
@@ -110,10 +87,28 @@ class TestMergedSnapshotIdentity:
                 ASSIGNMENT, NUM_LPS, LOOKAHEAD, procs=2, start_method="fork"
             )
             result = engine.run_scenario(spec(), until=DURATION)
-            merged = merged_registry_snapshot(result)
-        assert [p["label"] for p in merged.provenance] == [
+            doc = merged_snapshot_document(
+                merged_registry_snapshot(result), shards=result.worker_registries
+            )
+        assert [p["label"] for p in doc["shards"]] == [
             "controller", "worker-0", "worker-1",
         ]
+
+    def test_two_networks_then_mp_in_one_process(self, single_process_view):
+        """A 12-node observed run leaves zeroed 12-wide vectors in the
+        controller's registry; the 8-node workers' vectors still merge,
+        and to the single-process values."""
+        with observed_run():
+            bigger = chain_spec(num_nodes=12, latency_s=LOOKAHEAD, packets=20)
+            run_reference(bigger, np.repeat([0, 1], 6), NUM_LPS, LOOKAHEAD, DURATION)
+        with observed_run():
+            engine = ParallelConservativeEngine(
+                ASSIGNMENT, NUM_LPS, LOOKAHEAD, procs=2, start_method="fork"
+            )
+            result = engine.run_scenario(spec(), until=DURATION)
+            merged = merged_registry_snapshot(result)
+        assert merged.get_vector(names.NETSIM_NODE_EVENTS).size == 8
+        assert deterministic_view(merged) == single_process_view
 
 
 def build_chain_reporting_trees(engine, params):
@@ -145,12 +140,12 @@ class TestPerWorkerSpf:
         # Packets cross the chain both ways, so both workers need both
         # trees: the work is replicated, and the merge must say so.
         assert built == [2, 2]
-        assert merged.counters[names.ROUTING_SPF_TREES] == sum(built)
-        count, total_s = merged.timers[names.ROUTING_SPF_SECONDS]
-        assert count == sum(built) and total_s > 0.0
+        assert merged.get_counter(names.ROUTING_SPF_TREES).value == sum(built)
+        timer = merged.get_timer(names.ROUTING_SPF_SECONDS)
+        assert timer.count == sum(built) and timer.total_s > 0.0
         per_worker = [
-            snap.counters[names.ROUTING_SPF_TREES]
-            for snap in result.registry_snapshots
+            reg.get_counter(names.ROUTING_SPF_TREES).value
+            for reg in result.worker_registries.values()
         ]
         assert per_worker == built
 

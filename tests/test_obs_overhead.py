@@ -150,8 +150,8 @@ import numpy as np
 from repro.engine.parallel import ParallelConservativeEngine
 from repro.engine.parallel.coordinator import Coordinator
 from repro.experiments.shard import chain_spec, delivery_log_bytes, merge_collected
-from repro.obs.distributed import RegistrySnapshot, TraceSnapshot
-from repro.obs.trace import traced_run
+from repro.obs.registry import Registry
+from repro.obs.trace import TraceBuffer, traced_run
 
 CHAIN_ASSIGNMENT = np.array([0, 0, 0, 0, 1, 1, 1, 1])
 CHAIN_DURATION = 0.02
@@ -170,20 +170,19 @@ def run_chain_mp(procs: int = 2):
 
 
 class TestDistributedDisabledMeansNoObs:
-    """Disabled-mode mp runs never touch the snapshot layer at all."""
+    """Disabled-mode mp runs never ship a registry or tracer at all."""
 
     def test_disabled_mp_run_never_builds_a_snapshot(self, monkeypatch):
         monkeypatch.setattr(get_registry(), "enabled", False)
         monkeypatch.setattr(get_tracer(), "enabled", False)
-        for cls in (RegistrySnapshot, TraceSnapshot):
+        for cls in (Registry, TraceBuffer):
             def tripwire(*a, _cls=cls, **kw):
-                raise AssertionError(
-                    f"{_cls.__name__}.capture reached with obs disabled"
-                )
-            monkeypatch.setattr(cls, "capture", tripwire)
+                raise AssertionError(f"{_cls.__name__} shipped with obs disabled")
+            # fork children inherit the patch: pickling one fails the run
+            monkeypatch.setattr(cls, "__reduce_ex__", tripwire)
         result = run_chain_mp()
-        assert result.registry_snapshots == []
-        assert result.trace_snapshots == []
+        assert result.worker_registries == {}
+        assert result.worker_traces == {}
         assert result.events_executed > 0
 
     def test_disabled_mail_is_byte_identical_without_obs_layer(self, monkeypatch):
@@ -217,16 +216,15 @@ class TestDistributedDisabledMeansNoObs:
         with observed_run(), traced_run(get_tracer()):
             enabled = run_chain_mp()
 
-        # Positive control: the enabled runs really shipped snapshots...
-        assert len(enabled.registry_snapshots) == 2
-        assert len(enabled.trace_snapshots) == 2
-        # ...and none of it rode the mail batches. Snapshots travel the
+        # Positive control: the enabled runs really shipped the owners...
+        assert len(enabled.worker_registries) == 2
+        assert len(enabled.worker_traces) == 2
+        # ...and none of it rode the mail batches. They travel the
         # control plane; mail volume is invariant.
         assert enabled.mail_bytes == disabled.mail_bytes
 
     def test_worker_snapshots_carry_provenance(self):
         with observed_run(), traced_run(get_tracer()):
             result = run_chain_mp()
-        provenance = [p for s in result.registry_snapshots for p in s.provenance]
-        assert [p["shard_id"] for p in provenance] == [0, 1]
-        assert [p["label"] for p in provenance] == ["worker-0", "worker-1"]
+        assert list(result.worker_registries) == [0, 1]
+        assert list(result.worker_traces) == [0, 1]

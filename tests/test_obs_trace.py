@@ -15,6 +15,7 @@ Covers the four layers of the causal-tracing subsystem:
 
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
@@ -95,10 +96,7 @@ def traced_run_result():
     )
     # run_traced_workload hands back the process-global tracer, which the
     # per-test isolation fixture resets; keep an independent copy.
-    snap = TraceBuffer(capacity=tr.capacity)
-    for src, dst in zip(tr._channels(), snap._channels()):
-        dst.extend(src)
-    snap.dropped_records = tr.dropped_records
+    snap = copy.deepcopy(tr)
     return net, engine, snap, candidates, cluster
 
 
