@@ -25,7 +25,7 @@ from ...obs.distributed import worker_obs_config
 from ...obs.registry import Registry, get_registry
 from ...obs.timers import Stopwatch
 from ...obs.trace import TraceBuffer, get_tracer
-from ..recovery import CheckpointStore, RecoveryExhaustedError
+from ..recovery import CheckpointStore, RecoveryExhaustedError, is_checkpoint_window
 from ..windows import WindowStats, iter_windows
 from .shard import (
     ParallelBackendError,
@@ -330,7 +330,9 @@ class Coordinator:
         respawned = self.route_mail(w, msgs, decision)
         if decision is not None:
             self.migration_round(w, decision)
-        if self.rec is not None and self.rec.is_checkpoint_window(w):
+        if self.rec is not None and is_checkpoint_window(
+            w, self.rec.checkpoint_every_n_windows
+        ):
             self.commit_checkpoint(w, skip=respawned)
         self.record_window(w)
 

@@ -96,12 +96,14 @@ class ShardScenario:
     last window and must return a picklable result for the controller.
 
     ``capture_lp`` / ``restore_lp`` are the optional migration hooks the
-    online re-balancer uses: ``capture_lp(lp)`` returns a picklable blob
-    of the LP's *dynamic* scenario state (link busy horizons, RNG
-    states of exclusively-owned links — never counters, never
-    control-replicated state), and ``restore_lp(lp, blob)`` applies it
-    on the adopting shard. Scenarios without the hooks simply cannot be
-    rebalanced mid-run.
+    online re-balancer uses: ``capture_lp(lp, cut=None)`` returns a
+    picklable blob of the LP's *dynamic* scenario state (link busy
+    horizons, RNG states of exclusively-owned links — never counters,
+    never control-replicated state), and ``restore_lp(lp, blob)``
+    applies it on the adopting shard. At a checkpoint ``cut`` is the
+    same barrier's ``capture_shard()`` value, handed back so the hook can
+    select from it instead of capturing the same state twice. Scenarios
+    without the hooks simply cannot be rebalanced mid-run.
 
     ``capture_shard`` / ``restore_shard`` are the optional checkpoint
     hooks fault-tolerant recovery uses: ``capture_shard()`` returns a
@@ -120,7 +122,7 @@ class ShardScenario:
 
     handlers: dict[str, Callable[..., Any]]
     collect: Callable[[], Any] | None = None
-    capture_lp: Callable[[int], Any] | None = None
+    capture_lp: Callable[..., Any] | None = None
     restore_lp: Callable[[int, Any], None] | None = None
     capture_shard: Callable[[], Any] | None = None
     restore_shard: Callable[[Any], None] | None = None
@@ -270,6 +272,7 @@ class ShardEngine:
         self._obs_window_execute = reg.timer(obs_names.PARALLEL_WINDOW_EXECUTE)
         self._obs_mail_encode = reg.timer(obs_names.PARALLEL_MAIL_ENCODE)
         self._obs_mail_decode = reg.timer(obs_names.PARALLEL_MAIL_DECODE)
+        self._obs_checkpoint = reg.timer(obs_names.PARALLEL_CHECKPOINT)
         self._trace = get_tracer()
 
     # -- scheduler protocol -------------------------------------------
@@ -578,6 +581,7 @@ class ShardEngine:
         mail_encode_s: float,
         mail_decode_s: float,
         mail_bytes: int,
+        checkpoint_s: float,
     ) -> None:
         """Record one window's *measured* wall-clock decomposition.
 
@@ -586,6 +590,8 @@ class ShardEngine:
         round-trip, which the engine cannot see). Feeds the per-worker
         ``parallel.*`` instruments and the tracer's measured channel;
         every write is guarded, so an unobserved run records nothing.
+        ``checkpoint_s`` is the checkpoint cut after the window, ``0.0``
+        for a window without one (the timer counts cuts, not windows).
         """
         if self._obs.enabled:
             self._obs_window_execute.add(execute_s)
@@ -593,6 +599,8 @@ class ShardEngine:
             self._obs_mail_encode.add(mail_encode_s)
             self._obs_mail_decode.add(mail_decode_s)
             self._obs_mail_bytes.inc(float(mail_bytes))
+            if checkpoint_s > 0.0:
+                self._obs_checkpoint.add(checkpoint_s)
         self._trace.measured_window(
             window_index,
             self.shard_id,
@@ -602,6 +610,7 @@ class ShardEngine:
             mail_decode_s,
             executed,
             mail_bytes,
+            checkpoint_s,
         )
 
 
@@ -775,11 +784,10 @@ def _snapshot_queue_items(queue, fn_to_name: dict[Any, str]) -> list[tuple]:
 
     Entries come back in canonical ``(time, key)`` order so the encoded
     checkpoint (and therefore its digest) is independent of the heap's
-    internal layout.
+    internal layout. The heap's ``(time, key, event)`` entries sort as
+    they are: keys are unique, so two events are never compared.
     """
-    live = sorted(
-        (e for e in queue.heap if not e[2].cancelled), key=lambda e: (e[0], e[1])
-    )
+    live = sorted(e for e in queue.heap if not e[2].cancelled)
     return [
         (
             int(ev.node),
@@ -828,17 +836,17 @@ def _encode_worker_checkpoint(
     }
     # What the controller needs back out of a dead shard's blob (per-LP
     # migration states, the partial result) is asked of the scenario here
-    # and stored beside ``shard_state``, which nobody on this side opens.
+    # and stored beside ``shard_state``, which nobody on this side opens:
+    # it is handed back to ``capture_lp`` to select the LP states from.
+    cut = scenario.capture_shard() if scenario.capture_shard is not None else None
     payload = {
         "shard_id": int(engine.shard_id),
         "window_index": int(window_index),
         "owned_lps": owned_lps,
         "engine": engine_state,
-        "shard_state": (
-            scenario.capture_shard() if scenario.capture_shard is not None else None
-        ),
+        "shard_state": cut,
         "lp_states": (
-            {lp: scenario.capture_lp(lp) for lp in owned_lps}
+            {lp: scenario.capture_lp(lp, cut) for lp in owned_lps}
             if scenario.capture_lp is not None
             else {}
         ),

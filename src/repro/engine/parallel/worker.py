@@ -17,7 +17,7 @@ from typing import Any, Callable, Generator
 from ...obs.registry import get_registry
 from ...obs.timers import Stopwatch
 from ...obs.trace import get_tracer
-from ..recovery import checkpoint_digest
+from ..recovery import checkpoint_digest, is_checkpoint_window
 from ..windows import iter_windows
 from .shard import (
     ShardEngine,
@@ -225,14 +225,21 @@ class ShardWorker:
                 inst = yield
                 _expect(inst, "install", w, "the coordinator")
                 self._install(inst[2])
-            if self.ckpt_every and (w + 1) % self.ckpt_every == 0:
+            checkpoint_s = 0.0
+            if is_checkpoint_window(w, self.ckpt_every):
+                if obs_on:
+                    clock.restart()
                 blob = _encode_worker_checkpoint(
                     engine, self.scenario, self.fn_to_name, w, self.mail_bytes
                 )
-                yield ("ckpt", w, checkpoint_digest(blob), blob)
+                digest = checkpoint_digest(blob)
+                if obs_on:
+                    checkpoint_s = clock.elapsed()
+                yield ("ckpt", w, digest, blob)
             if obs_on:
                 engine.observe_window_walls(
-                    w, executed, execute_s, wait_s, encode_s, decode_s, window_mail
+                    w, executed, execute_s, wait_s, encode_s, decode_s, window_mail,
+                    checkpoint_s,
                 )
             i += 1
         result = _shard_result(self.engine, self.scenario)

@@ -50,6 +50,7 @@ __all__ = [
     "CheckpointDigestError",
     "CheckpointStore",
     "ON_WORKER_LOSS_MODES",
+    "is_checkpoint_window",
 ]
 
 #: Valid degradation policies when a worker dies.
@@ -89,6 +90,16 @@ def checkpoint_digest(blob: bytes) -> str:
     bytes and digests (tests/test_checkpoint_roundtrip.py).
     """
     return hashlib.sha256(blob).hexdigest()
+
+
+def is_checkpoint_window(window_index: int, every: int) -> bool:
+    """Whether a checkpoint is cut after window ``window_index`` at a
+    cadence of one per ``every`` windows (``0``: checkpointing is off).
+
+    The controller and every worker call this with the same index, so
+    the cadence needs no negotiation on the wire.
+    """
+    return every > 0 and (window_index + 1) % every == 0
 
 
 @dataclass(frozen=True)
@@ -134,14 +145,6 @@ class RecoveryConfig:
             raise ValueError("backoff_base_s must be >= 0")
         if self.backoff_cap_s < 0:
             raise ValueError("backoff_cap_s must be >= 0")
-
-    def is_checkpoint_window(self, window_index: int) -> bool:
-        """Whether a checkpoint is captured after window ``window_index``.
-
-        Both controller and every worker call this with the same index,
-        so the cadence needs no negotiation on the wire.
-        """
-        return (window_index + 1) % self.checkpoint_every_n_windows == 0
 
     def backoff_s(self, attempt: int) -> float:
         """Backoff before respawn ``attempt`` (1-based), capped."""

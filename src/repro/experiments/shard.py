@@ -46,6 +46,7 @@ from ..engine.conservative import ConservativeEngine
 from ..engine.parallel import ScenarioSpec, ShardScenario
 from ..engine.parallel.shard import _resolve_builder
 from ..faults import FaultInjector, FaultSchedule
+from ..netsim.link import LinkRuntime
 from ..netsim.packet import Packet, Protocol
 from ..netsim.simulator import NetworkSimulator
 from ..obs.registry import Registry
@@ -109,20 +110,35 @@ class LpStatePort:
     partial sums that merge by summation across shards regardless of
     where the LP finishes the run. Link indices align across shards
     because construction is replayed identically everywhere.
+
+    The assignment and the links are static, so which links an LP
+    touches, and in which directions, is worked out once here. At a
+    checkpoint the slices are selected from the cut's link table
+    (:meth:`LinkRuntime.select`) instead of capturing the links again.
     """
 
     def __init__(self, sim: NetworkSimulator, assignment: Any) -> None:
         self.sim = sim
-        self.assignment = np.asarray(assignment, dtype=np.int64).tolist()
+        lp_of = np.asarray(assignment, dtype=np.int64).tolist()
+        #: lp -> [(link index, owned directions)], in link order
+        self.picks: dict[int, list[tuple[int, tuple[bool, bool]]]] = {}
+        for idx, lr in enumerate(sim.links):
+            lp_u, lp_v = lp_of[lr.link.u], lp_of[lr.link.v]
+            self.picks.setdefault(lp_u, []).append((idx, (True, lp_u == lp_v)))
+            if lp_v != lp_u:
+                self.picks.setdefault(lp_v, []).append((idx, (False, True)))
 
-    def capture(self, lp: int) -> dict[int, dict[str, Any]]:
-        """Link index -> the slice of that link's state ``lp`` owns."""
-        out: dict[int, dict[str, Any]] = {}
-        for idx, lr in enumerate(self.sim.links):
-            owned = (self.assignment[lr.link.u] == lp, self.assignment[lr.link.v] == lp)
-            if any(owned):
-                out[idx] = lr.capture(owned)
-        return out
+    def capture(self, lp: int, cut: dict[str, Any] | None = None) -> dict[int, dict[str, Any]]:
+        """Link index -> the slice of that link's state ``lp`` owns.
+
+        ``cut`` is the same barrier's :meth:`ShardCheckpointPort.capture`,
+        when there is one: the slices are then selected from its table.
+        """
+        picks = self.picks.get(lp, [])
+        if cut is not None:
+            return LinkRuntime.select(cut["sim"]["links"], picks)
+        links = self.sim.links
+        return {idx: links[idx].capture(owned) for idx, owned in picks}
 
     def restore(self, lp: int, state: dict[int, dict[str, Any]]) -> None:
         """Apply a :meth:`capture` blob on the adopting shard."""
@@ -136,11 +152,12 @@ class ShardCheckpointPort:
 
     A checkpoint restores a shard to *exactly* its own partial view at a
     barrier, so it is every owner's whole capture side by side: the
-    simulator's (its links included — partial counters, the replica
-    streams of boundary links, fault flags), the fault injector's, and
-    the two logs this module keeps per shard, deliveries and the fault
-    trace. Restore happens over a freshly rebuilt scenario (setup
-    replayed from the spec); pending events are the engine's to restore.
+    simulator's (its links as one sparse table — partial counters, the
+    replica streams of boundary links, fault flags, for every link not in
+    its freshly built state), the fault injector's, and the two logs this
+    module keeps per shard, deliveries and the fault trace. Restore
+    happens over a freshly rebuilt scenario (setup replayed from the
+    spec); pending events are the engine's to restore.
     """
 
     sim: NetworkSimulator

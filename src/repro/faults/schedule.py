@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -58,6 +59,18 @@ class FaultEvent:
     kind: FaultKind
     target: tuple[int, ...] = ()
     params: tuple[tuple[str, float], ...] = ()
+
+    def __post_init__(self) -> None:
+        # Parameter names are interned — also when unpickled, which goes
+        # through the constructor (__reduce__): a checkpoint holding a
+        # pending fault then encodes to the same bytes before and after a
+        # restore, whichever equal strings happen to be one object.
+        object.__setattr__(
+            self, "params", tuple((sys.intern(k), v) for k, v in self.params)
+        )
+
+    def __reduce__(self):
+        return (FaultEvent, (self.time, self.kind, self.target, self.params))
 
     def param(self, name: str, default: float = 0.0) -> float:
         """The value of parameter ``name`` (``default`` if absent)."""

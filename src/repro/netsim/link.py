@@ -31,8 +31,9 @@ else (a failed link, a loss or corruption burst, RED, a full queue) to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Any, NamedTuple
+from dataclasses import MISSING, dataclass, field, fields
+from operator import attrgetter
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,21 +81,30 @@ class TransmitResult(NamedTuple):
 # How each LinkRuntime field is declared, as dataclass-field metadata — the
 # one place that says which fields are simulation state and who they travel
 # with. STATIC: fixed at construction, a rebuilt twin already has it. The
-# others are dynamic, and a checkpoint of the shard holds them all; they
-# differ in what an LP takes along when it moves to another shard
+# others are dynamic, and a checkpoint of the shard holds them all for every
+# link not in its freshly built state; they differ in what an LP takes
+# along when it moves to another shard
 # (LinkRuntime.capture): PER_DIRECTION state goes with the LP that transmits
-# in that direction, WHOLE_LINK state only with an LP that owns both, and
-# SHARD_LOCAL state — partial counters that sum across shards, flags every
-# shard's control replay sets alike — never.
+# in that direction, whole-link state — the random streams, _stream — only
+# with an LP that owns both, and SHARD_LOCAL state — partial counters that
+# sum across shards, flags every shard's control replay sets alike — never.
 _STATIC = {"state": "static"}
 _PER_DIRECTION = {"state": "direction"}
-_WHOLE_LINK = {"state": "link"}
 _SHARD_LOCAL = {"state": "shard"}
 
 
 def _pair(zero: Any, metadata: dict) -> Any:
     """A ``[direction 0, direction 1]`` field starting at ``zero``."""
     return field(default_factory=lambda: [zero, zero], metadata=metadata)
+
+
+def _stream(seed_base: int) -> Any:
+    """A per-link random stream, ``None`` until its first draw creates it
+    seeded ``seed_base ^ link_id`` (:meth:`LinkRuntime._create_stream`)."""
+    return field(
+        default=None, init=False, repr=False, compare=False,
+        metadata={"state": "link", "seed": seed_base},
+    )
 
 
 @dataclass
@@ -126,17 +136,14 @@ class LinkRuntime:
     bandwidth_bps: float = field(init=False, metadata=_STATIC)
     latency_s: float = field(init=False, metadata=_STATIC)
     queue_bytes: int = field(init=False, metadata=_STATIC)
-    # Per-link deterministic stream keeps RED runs reproducible and
-    # independent of event interleaving across links.
-    _rng: np.random.Generator = field(
-        init=False, repr=False, compare=False, metadata=_WHOLE_LINK
-    )
-    # Fault draws come from a second, lazily created per-link stream
-    # so a loss burst never perturbs the RED sequence: a no-fault run
-    # stays bit-identical whether or not faults were ever configured.
-    _fault_rng: np.random.Generator | None = field(
-        default=None, init=False, repr=False, compare=False, metadata=_WHOLE_LINK
-    )
+    # Per-link deterministic streams keep RED runs reproducible and
+    # independent of event interleaving across links. Fault draws come
+    # from a second stream so a loss burst never perturbs the RED
+    # sequence: a no-fault run stays bit-identical whether or not faults
+    # were ever configured. Both are created by their first draw, so a
+    # link that never draws — every drop-tail link — carries none.
+    _rng: np.random.Generator | None = _stream(0x9E3779B9)
+    _fault_rng: np.random.Generator | None = _stream(0x7F4A7C15)
 
     def __post_init__(self) -> None:
         if self.discipline not in ("droptail", "red"):
@@ -144,31 +151,19 @@ class LinkRuntime:
         self.bandwidth_bps = self.link.bandwidth_bps
         self.latency_s = self.link.latency_s
         self.queue_bytes = self.link.queue_bytes
-        self._rng = np.random.default_rng(0x9E3779B9 ^ self.link.link_id)
 
     # -- snapshot ------------------------------------------------------
     def capture(self, owned: tuple[bool, bool] | None = None) -> dict[str, Any]:
         """Picklable copy of the dynamic fields, by name.
 
-        All of them by default — what a checkpoint holds. With ``owned =
-        (d0, d1)`` only the slice that moves with an LP transmitting in
-        the flagged directions (see the declarations above), the other
-        direction's per-direction values as ``None``. A random stream is
-        captured as its bit-generator state (``None``: never drawn from).
+        All of them by default. With ``owned = (d0, d1)`` only the slice
+        that moves with an LP transmitting in the flagged directions (see
+        the declarations above), the other direction's per-direction
+        values as ``None``. A random stream is captured as its
+        bit-generator state (``None``: not created yet).
         """
-        state: dict[str, Any] = {}
-        for name in _DYNAMIC if owned is None else _MIGRATES:
-            value = getattr(self, name)
-            if type(value) is list:
-                value = value[:]
-                if owned is not None:
-                    value = [v if mine else None for v, mine in zip(value, owned)]
-            elif owned is not None and not all(owned):
-                continue  # whole-link state stays unless both directions go
-            elif isinstance(value, np.random.Generator):
-                value = value.bit_generator.state
-            state[name] = value
-        return state
+        row = _captured_row(_dynamic_values(self))
+        return dict(zip(_DYNAMIC, row)) if owned is None else _select(row, owned)
 
     def restore(self, state: dict[str, Any]) -> None:
         """Apply a :meth:`capture` — whole, or the slice an LP brought along.
@@ -177,18 +172,57 @@ class LinkRuntime:
         ``None``, keep their present values.
         """
         for name, saved in state.items():
-            current = getattr(self, name)
-            if isinstance(current, list):
+            if name in _PAIRS:
+                current = getattr(self, name)
                 for d, value in enumerate(saved):
                     if value is not None:
                         current[d] = value
-            elif isinstance(saved, dict):
-                # A stream resumes mid-sequence; the lazy fault stream, if
-                # missing here, is created as its first draw would have.
-                stream = current if current is not None else self._fault_stream()
+            elif name in _STREAM_SEEDS and saved is not None:
+                # A stream resumes mid-sequence; one not created here yet
+                # is created as its first draw would have created it.
+                stream = getattr(self, name)
+                if stream is None:
+                    stream = self._create_stream(name)
                 stream.bit_generator.state = saved
             else:
                 setattr(self, name, saved)
+
+    @staticmethod
+    def capture_table(links: Sequence[LinkRuntime]) -> dict[str, Any]:
+        """Every link's dynamic state as one sparse table.
+
+        Field names once, and ``rows``: link index -> captured row (the
+        field values in :data:`_DYNAMIC` order), only for a link whose
+        state differs from a freshly built one's — the others are what a
+        rebuilt twin already has. :meth:`restore_table` is the inverse,
+        :meth:`select` cuts LP slices out of it.
+        """
+        rows = {}
+        for index, lr in enumerate(links):
+            values = _dynamic_values(lr)
+            if values != _FRESH_VALUES:
+                rows[index] = _captured_row(values)
+        return {"fields": _DYNAMIC, "rows": rows}
+
+    @staticmethod
+    def restore_table(links: Sequence[LinkRuntime], table: dict[str, Any]) -> None:
+        """Apply a :meth:`capture_table` onto freshly built links: a link
+        without a row keeps the state it was built with."""
+        names = table["fields"]
+        for index, row in table["rows"].items():
+            links[index].restore(dict(zip(names, row)))
+
+    @staticmethod
+    def select(
+        table: dict[str, Any], picks: Sequence[tuple[int, tuple[bool, bool]]]
+    ) -> dict[int, dict[str, Any]]:
+        """LP slices cut out of a :meth:`capture_table`, without capturing.
+
+        ``picks`` lists ``(link index, owned)`` pairs; each gets what
+        ``links[index].capture(owned)`` returned when the table was taken.
+        """
+        rows = table["rows"]
+        return {index: _select(rows.get(index, _FRESH_ROW), owned) for index, owned in picks}
 
     def direction(self, from_node: int) -> int:
         """Direction index for traffic leaving ``from_node`` (0 or 1)."""
@@ -198,12 +232,21 @@ class LinkRuntime:
             return 1
         raise ValueError(f"node {from_node} not on link {self.link.link_id}")
 
+    def _create_stream(self, name: str) -> np.random.Generator:
+        """Create random stream ``name`` from its declared seed base."""
+        rng = np.random.default_rng(_STREAM_SEEDS[name] ^ self.link.link_id)
+        setattr(self, name, rng)
+        return rng
+
+    def _red_stream(self) -> np.random.Generator:
+        """The RED stream, created on first use."""
+        rng = self._rng
+        return rng if rng is not None else self._create_stream("_rng")
+
     def _fault_stream(self) -> np.random.Generator:
         """The fault stream, created on first use."""
         rng = self._fault_rng
-        if rng is None:
-            rng = self._fault_rng = np.random.default_rng(0x7F4A7C15 ^ self.link.link_id)
-        return rng
+        return rng if rng is not None else self._create_stream("_fault_rng")
 
     def _fault_draw(self) -> float:
         """Uniform draw from the lazily created fault stream."""
@@ -229,7 +272,7 @@ class LinkRuntime:
             p = self.red.max_p + (1.0 - self.red.max_p) * (backlog_bytes - max_th) / max_th
         else:
             return True
-        return bool(self._rng.random() < p)
+        return bool(self._red_stream().random() < p)
 
     def transmit(self, from_node: int, packet: Packet, now: float) -> TransmitResult:
         """Offer ``packet`` for transmission; returns timing or a drop.
@@ -312,8 +355,56 @@ class LinkRuntime:
         return min(1.0, byte_max * 8.0 / (self.link.bandwidth_bps * duration_s))
 
 
+# The snapshot layout, derived once from the declarations above.
 #: Every dynamic field, and those an LP takes along — from the metadata.
 _DYNAMIC = tuple(f.name for f in fields(LinkRuntime) if f.metadata != _STATIC)
 _MIGRATES = tuple(
     f.name for f in fields(LinkRuntime) if f.metadata not in (_STATIC, _SHARD_LOCAL)
 )
+#: the random streams and their seed bases
+_STREAM_SEEDS = {f.name: f.metadata["seed"] for f in fields(LinkRuntime) if "seed" in f.metadata}
+#: the dynamic fields' values on a freshly built link, in _DYNAMIC order
+_FRESH_VALUES = tuple(
+    f.default if f.default is not MISSING else f.default_factory()
+    for f in fields(LinkRuntime)
+    if f.name in _DYNAMIC
+)
+#: the [direction 0, direction 1] fields
+_PAIRS = frozenset(n for n, v in zip(_DYNAMIC, _FRESH_VALUES) if type(v) is list)
+#: every dynamic field's value in one C-level call
+_dynamic_values = attrgetter(*_DYNAMIC)
+_PAIR_AT = tuple(i for i, name in enumerate(_DYNAMIC) if name in _PAIRS)
+_STREAM_AT = tuple(i for i, name in enumerate(_DYNAMIC) if name in _STREAM_SEEDS)
+#: (name, row position) of what an LP takes along: per direction, whole-link
+_MOVES_PER_DIRECTION = tuple((n, _DYNAMIC.index(n)) for n in _MIGRATES if n in _PAIRS)
+_MOVES_WHOLE = tuple((n, _DYNAMIC.index(n)) for n in _MIGRATES if n not in _PAIRS)
+
+
+def _captured_row(values: tuple) -> tuple:
+    """A link's captured row from its :data:`_dynamic_values`: pairs
+    copied, a stream as its bit-generator state (``None`` if uncreated)."""
+    row = list(values)
+    for i in _PAIR_AT:
+        row[i] = row[i][:]
+    for i in _STREAM_AT:
+        if row[i] is not None:
+            row[i] = row[i].bit_generator.state
+    return tuple(row)
+
+
+def _select(row: tuple, owned: tuple[bool, bool]) -> dict[str, Any]:
+    """The slice of a captured row an LP transmitting in the ``owned``
+    directions takes along: its directions of the per-direction fields
+    (the other as ``None``), the whole-link ones only if it owns both."""
+    d0, d1 = owned
+    state = {}
+    for name, i in _MOVES_PER_DIRECTION:
+        pair = row[i]
+        state[name] = [pair[0] if d0 else None, pair[1] if d1 else None]
+    if d0 and d1:
+        for name, i in _MOVES_WHOLE:
+            state[name] = row[i]
+    return state
+
+
+_FRESH_ROW = _captured_row(_FRESH_VALUES)

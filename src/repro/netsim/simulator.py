@@ -91,8 +91,9 @@ def capture_fields(owner: Any, names: Iterable[str]) -> dict[str, Any]:
     hands the list here. Equal state gives equal bytes — a set becomes a
     sorted list, a dict is emitted in key order. A dataclass of counters
     contributes its ``vars``; a list of owners (the simulator's links)
-    each one's own ``capture()``, as one table — field names once, a row
-    per owner — which keeps a checkpoint of a thousand links small.
+    the owners' own table (:meth:`LinkRuntime.capture_table`: field names
+    once, and a row only for an owner not in its freshly built state),
+    which keeps a checkpoint of a thousand links small.
     """
     return {name: _captured(getattr(owner, name)) for name in names}
 
@@ -105,9 +106,8 @@ def _captured(value: Any) -> Any:
     if isinstance(value, dict):
         return dict(sorted(value.items()))
     if isinstance(value, list):
-        if value and hasattr(value[0], "capture"):
-            rows = [part.capture() for part in value]
-            return {"fields": tuple(rows[0]), "rows": [tuple(r.values()) for r in rows]}
+        if value and hasattr(value[0], "capture_table"):
+            return value[0].capture_table(value)
         return list(value)
     return value
 
@@ -122,9 +122,8 @@ def restore_fields(owner: Any, state: dict[str, Any]) -> None:
         if is_dataclass(current):
             vars(current).update(saved)
         elif isinstance(current, list):
-            if current and hasattr(current[0], "restore"):
-                for part, row in zip(current, saved["rows"]):
-                    part.restore(dict(zip(saved["fields"], row)))
+            if current and hasattr(current[0], "restore_table"):
+                current[0].restore_table(current, saved)
             else:
                 current[:] = saved
         elif isinstance(current, (set, dict)):
@@ -150,8 +149,8 @@ class NetworkSimulator:
     """
 
     #: The dynamic fields: what :meth:`capture` / :meth:`restore` carry,
-    #: listed here and nowhere else. ``links`` contributes each
-    #: :class:`LinkRuntime`'s own capture.
+    #: listed here and nowhere else. ``links`` contributes
+    #: :meth:`LinkRuntime.capture_table`.
     DYNAMIC = (
         "links", "counters", "_node_packets", "_down_nodes", "dropped_fault",
         "_flow_ids", "tx_times", "tx_from", "tx_to",

@@ -302,7 +302,7 @@ class MeasuredBlameReport:
     Where :class:`BlameReport` works on modeled busy times (event counts
     times cost-model rates), this report decomposes the wall clock the
     multi-process backend actually spent: each worker records execute /
-    mail-encode / barrier-wait / mail-decode spans per window
+    mail-encode / barrier-wait / mail-decode / checkpoint spans per window
     (:class:`~repro.obs.trace.MeasuredWindowRecord`), and the straggler
     of a window is the shard with the largest measured total.
     """
@@ -314,6 +314,7 @@ class MeasuredBlameReport:
     shard_encode_s: np.ndarray
     shard_wait_s: np.ndarray
     shard_decode_s: np.ndarray
+    shard_checkpoint_s: np.ndarray
     #: events executed and mail bytes shipped per shard
     shard_events: np.ndarray
     shard_mail_bytes: np.ndarray
@@ -332,6 +333,7 @@ class MeasuredBlameReport:
             + self.shard_encode_s
             + self.shard_wait_s
             + self.shard_decode_s
+            + self.shard_checkpoint_s
         )
 
     @property
@@ -368,6 +370,7 @@ def analyze_measured(
     encode = np.zeros(S, dtype=np.float64)
     wait = np.zeros(S, dtype=np.float64)
     decode = np.zeros(S, dtype=np.float64)
+    checkpoint = np.zeros(S, dtype=np.float64)
     events = np.zeros(S, dtype=np.float64)
     mail = np.zeros(S, dtype=np.float64)
     straggler = np.zeros(S, dtype=np.int64)
@@ -379,6 +382,7 @@ def analyze_measured(
         encode[r.shard_id] += r.mail_encode_s
         wait[r.shard_id] += r.barrier_wait_s
         decode[r.shard_id] += r.mail_decode_s
+        checkpoint[r.shard_id] += r.checkpoint_s
         events[r.shard_id] += r.events
         mail[r.shard_id] += r.mail_bytes
         best = by_window.get(r.window_index)
@@ -395,6 +399,7 @@ def analyze_measured(
         shard_encode_s=encode,
         shard_wait_s=wait,
         shard_decode_s=decode,
+        shard_checkpoint_s=checkpoint,
         shard_events=events,
         shard_mail_bytes=mail,
         shard_straggler_windows=straggler,
@@ -407,7 +412,7 @@ def format_measured_table(report: MeasuredBlameReport) -> str:
     """Render the per-shard measured decomposition table."""
     lines = [
         f"{'shard':>6}{'execute (ms)':>14}{'encode (ms)':>13}"
-        f"{'wait (ms)':>11}{'decode (ms)':>13}{'events':>9}"
+        f"{'wait (ms)':>11}{'decode (ms)':>13}{'ckpt (ms)':>11}{'events':>9}"
         f"{'mail (B)':>10}{'straggler wins':>16}"
     ]
     for s in range(report.num_shards):
@@ -416,6 +421,7 @@ def format_measured_table(report: MeasuredBlameReport) -> str:
             f"{report.shard_encode_s[s] * 1e3:>13.3f}"
             f"{report.shard_wait_s[s] * 1e3:>11.3f}"
             f"{report.shard_decode_s[s] * 1e3:>13.3f}"
+            f"{report.shard_checkpoint_s[s] * 1e3:>11.3f}"
             f"{int(report.shard_events[s]):>9}"
             f"{int(report.shard_mail_bytes[s]):>10}"
             f"{report.shard_straggler_windows[s]:>16}"
@@ -425,6 +431,7 @@ def format_measured_table(report: MeasuredBlameReport) -> str:
         f"{report.shard_encode_s.sum() * 1e3:>13.3f}"
         f"{report.shard_wait_s.sum() * 1e3:>11.3f}"
         f"{report.shard_decode_s.sum() * 1e3:>13.3f}"
+        f"{report.shard_checkpoint_s.sum() * 1e3:>11.3f}"
         f"{int(report.shard_events.sum()):>9}"
         f"{int(report.shard_mail_bytes.sum()):>10}"
         f"{int(report.shard_straggler_windows.sum()):>16}"

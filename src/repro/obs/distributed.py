@@ -254,6 +254,7 @@ def merged_snapshot_document(
                 "barrier_wait_s": m.barrier_wait_s,
                 "mail_encode_s": m.mail_encode_s,
                 "mail_decode_s": m.mail_decode_s,
+                "checkpoint_s": m.checkpoint_s,
                 "events": m.events,
                 "mail_bytes": m.mail_bytes,
             }

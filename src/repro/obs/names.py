@@ -61,6 +61,10 @@ PARALLEL_MAIL_ENCODE = _declare(
 PARALLEL_MAIL_DECODE = _declare(
     "parallel.mail.decode", "Per-worker wall-clock decoding and enqueueing inbound mail."
 )
+PARALLEL_CHECKPOINT = _declare(
+    "parallel.checkpoint.seconds",
+    "Per-worker wall-clock cutting barrier checkpoints: capture, encode and digest.",
+)
 
 # --- measured-vs-modeled window calibration (repro.obs.distributed) ---
 CALIBRATION_WINDOWS = _declare(

@@ -31,6 +31,7 @@ The tracer follows the registry's design contract exactly:
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import deque
 from contextlib import contextmanager
@@ -119,6 +120,20 @@ class FaultRecord:
     target: tuple[int, ...] = ()
     detail: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # Strings interned, also when unpickled (__reduce__), for the
+        # reason FaultEvent gives: checkpoints carry the fault trace.
+        object.__setattr__(self, "kind", sys.intern(self.kind))
+        object.__setattr__(self, "phase", sys.intern(self.phase))
+        object.__setattr__(
+            self, "detail", {sys.intern(k): v for k, v in self.detail.items()}
+        )
+
+    def __reduce__(self):
+        return (
+            FaultRecord, (self.time, self.kind, self.phase, self.target, self.detail)
+        )
+
 
 @dataclass(frozen=True)
 class MeasuredWindowRecord:
@@ -127,7 +142,8 @@ class MeasuredWindowRecord:
     Where :class:`WindowRecord` carries the event counts the cost model
     prices, this record carries measured wall-clock: the worker's
     window decomposed into executing events, serializing outbound mail,
-    blocking on the barrier round-trip, and decoding inbound mail.
+    blocking on the barrier round-trip, decoding inbound mail, and — on
+    a checkpoint window — cutting the checkpoint.
     Recorded per shard per window by the multi-process backend
     (:mod:`repro.engine.parallel`); merged across workers by
     :meth:`TraceBuffer.merge_from`. Wall-clock values are *not* part of
@@ -149,13 +165,16 @@ class MeasuredWindowRecord:
     events: int
     #: serialized outbound mail bytes this window
     mail_bytes: int = 0
+    #: wall-clock capturing, encoding and digesting the checkpoint cut
+    #: after this window (0.0: no cut)
+    checkpoint_s: float = 0.0
 
     @property
     def total_s(self) -> float:
         """The worker's full measured wall-clock for this window."""
         return (
             self.execute_s + self.barrier_wait_s
-            + self.mail_encode_s + self.mail_decode_s
+            + self.mail_encode_s + self.mail_decode_s + self.checkpoint_s
         )
 
     @property
@@ -382,6 +401,7 @@ class TraceBuffer:
         mail_decode_s: float,
         events: int,
         mail_bytes: int = 0,
+        checkpoint_s: float = 0.0,
     ) -> None:
         """Record one worker's measured window decomposition (mp backend)."""
         if self.enabled:
@@ -391,6 +411,7 @@ class TraceBuffer:
                     int(window_index), int(shard_id), float(execute_s),
                     float(barrier_wait_s), float(mail_encode_s),
                     float(mail_decode_s), int(events), int(mail_bytes),
+                    float(checkpoint_s),
                 ),
             )
 

@@ -181,6 +181,7 @@ def _measured_events(trace: TraceBuffer) -> list[dict]:
             ("mail-encode", r.mail_encode_s),
             ("barrier-wait", r.barrier_wait_s),
             ("mail-decode", r.mail_decode_s),
+            ("checkpoint", r.checkpoint_s),
         )
         for name, span_s in spans:
             dur_us = float(span_s) * 1e6

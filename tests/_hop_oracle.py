@@ -52,7 +52,7 @@ class OracleLinkRuntime(LinkRuntime):
             p = self.red.max_p + (1.0 - self.red.max_p) * (backlog_bytes - max_th) / max_th
         else:
             return True
-        return bool(self._rng.random() < p)
+        return bool(self._red_stream().random() < p)
 
     def transmit(self, from_node: int, packet: Packet, now: float) -> TransmitResult:
         """Offer ``packet`` for transmission; returns timing or a drop.

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.engine.parallel import ParallelConservativeEngine
+from repro.engine.recovery import RecoveryConfig, is_checkpoint_window
 from repro.experiments.shard import build_chain_scenario, chain_spec, run_reference
 from repro.obs import export, names
 from repro.obs.distributed import (
@@ -168,6 +169,24 @@ class TestMeasuredChannelEndToEnd:
         assert sum(m.mail_bytes for m in merged.measured) == (
             result.total_mail_bytes
         )
+
+    def test_the_checkpoint_cut_is_measured_on_the_windows_that_cut(self):
+        every = 5
+        with observed_run(), traced_run(get_tracer()):
+            engine = ParallelConservativeEngine(
+                ASSIGNMENT, NUM_LPS, LOOKAHEAD, procs=2, start_method="fork",
+                recovery=RecoveryConfig(checkpoint_every_n_windows=every),
+            )
+            result = engine.run_scenario(spec(), until=DURATION)
+            merged = merged_trace_snapshot(result)
+            registry = merged_registry_snapshot(result)
+        cut = [m for m in merged.measured if is_checkpoint_window(m.window_index, every)]
+        assert len(cut) == result.recovery["checkpoints_taken"] > 0
+        assert all(m.checkpoint_s > 0.0 for m in cut)
+        assert all(m.checkpoint_s == 0.0 for m in merged.measured if m not in cut)
+        timer = registry.get_timer(names.PARALLEL_CHECKPOINT)
+        assert timer.count == len(cut)
+        assert timer.total_s == pytest.approx(sum(m.checkpoint_s for m in cut))
 
 
 class TestObsOutCli:

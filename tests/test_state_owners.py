@@ -71,9 +71,10 @@ def test_every_link_field_is_declared_dynamic_or_static():
     assert not unclassified, f"LinkRuntime fields without a declaration: {unclassified}"
     assert set(kinds.values()) <= {"static", "direction", "link", "shard"}
     # ... and nothing is set on an instance behind the dataclass's back
-    # (the lazy fault stream starts as its class-level default).
+    # (the lazy streams start as their class-level defaults).
     lr = LinkRuntime(_net().links[0])
     assert set(vars(lr)) <= set(kinds)
+    lr._red_stream()
     lr._fault_draw()
     assert set(vars(lr)) == set(kinds)
     # capture() carries exactly the fields declared dynamic.
@@ -133,7 +134,7 @@ def _perturb(sim: NetworkSimulator, injector: FaultInjector, seed: int, data) ->
             else:
                 setattr(lr, name, float(rng.random()))
         for _ in range(data.draw(st.integers(0, 5), label="red draws")):
-            lr._rng.random()
+            lr._red_stream().random()
         for _ in range(data.draw(st.integers(0, 3), label="fault draws")):
             lr._fault_draw()  # 0 draws: the lazy stream stays uncreated
     for f in fields(TrafficCounters):
@@ -189,7 +190,7 @@ def test_capture_restores_onto_a_fresh_twin_exactly(seed, data):
             else:
                 assert theirs == mine and type(theirs) is type(mine), name
         # ... and the streams resume mid-sequence.
-        assert twin._rng.random() == lr._rng.random()
+        assert twin._red_stream().random() == lr._red_stream().random()
         assert twin._fault_draw() == lr._fault_draw()
     for name in set(sim.DYNAMIC) - {"links"}:
         assert getattr(twin_sim, name) == getattr(sim, name), name
@@ -237,6 +238,12 @@ def test_an_lp_slice_is_a_selection_of_the_link_capture():
     assert twin.busy_until == [9.0, 0.75] and twin.packets_carried == [0, 0]
     twin.restore(both)
     assert twin._fault_draw() == lr._fault_draw()
+    # A capture is a copy: the link moving on leaves it as it was.
+    lr.busy_until[0] = 9.5
+    table = LinkRuntime.capture_table([lr])
+    lr.busy_until[1] = 1.0
+    assert whole["busy_until"] == [0.5, 0.75]
+    assert dict(zip(table["fields"], table["rows"][0]))["busy_until"] == [9.5, 0.75]
 
 
 # ----------------------------------------------------------------------
