@@ -202,8 +202,9 @@ def _cmd_experiment_mp(args, scale) -> int:
     if args.obs_out:
         print()
         print("measured per-shard wall decomposition:")
-        mreport = blame.analyze_measured(run.merged_trace, num_shards=run.procs)
-        print(blame.format_measured_table(mreport))
+        print(blame.format_blame_table(blame.analyze(
+            run.result.window_stats, run.merged_trace, num_units=run.procs
+        )))
         wait = run.merged_registry.histograms().get(obs_names.PARALLEL_BARRIER_WAIT)
         if wait is not None and wait.count:
             print(f"barrier wait per window: p50 {wait.quantile(0.5) * 1e3:.4f} ms, "
@@ -325,8 +326,8 @@ def _cmd_trace_timeline(args) -> int:
         seed=args.seed, trace_capacity=args.trace_capacity,
     )
 
-    report = blame.analyze(tr, cluster, num_lps=engine.num_lps)
-    write_chrome_trace(args.out, tr, cluster)
+    report = blame.analyze(engine.window_stats, tr, cluster, num_units=engine.num_lps)
+    write_chrome_trace(args.out, engine.window_stats, tr, cluster)
     prediction = predict_from_windows(engine.window_stats, engine.num_lps, cluster)
 
     print(f"timeline: {args.network}/{args.app} under {approach.value} "
@@ -368,8 +369,9 @@ def _cmd_trace_timeline(args) -> int:
     )
     print(format_whatif_table(scores))
     if tr.dropped_records:
-        print(f"note: trace overflowed ({tr.dropped_records} dropped); "
-              f"analyses cover the retained suffix")
+        print(f"note: trace overflowed ({tr.dropped_records} dropped); blame "
+              f"covers every window, handoffs, node blame and what-if the "
+              f"retained suffix")
     print(f"chrome trace written to {args.out} "
           f"(load in chrome://tracing or ui.perfetto.dev)")
     return 0

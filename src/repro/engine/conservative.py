@@ -114,7 +114,7 @@ class ConservativeEngine:
         )
         self._obs_barrier = reg.timer(obs_names.ENGINE_BARRIER_WAIT)
         # Structured trace hook points (same resolve-once contract): per
-        # executed event, per cross-LP mailbox edge, per barrier window.
+        # executed event and per cross-LP mailbox edge.
         self._trace = get_tracer()
 
     @property
@@ -246,14 +246,6 @@ class ConservativeEngine:
                 self._obs_lp_events.add_array(self._events_this_window)
                 self._obs_lp_remote.add_array(self._remote_this_window)
                 self._obs_window_hist.observe(float(self._events_this_window.sum()))
-            if self._trace.enabled:
-                self._trace.window(
-                    window_index,
-                    self.now,
-                    window_end,
-                    self._events_this_window,
-                    self._remote_this_window,
-                )
             self.window_stats.append(
                 WindowStats(
                     window_index=window_index,

@@ -34,6 +34,7 @@ __all__ = [
     "WallclockPrediction",
     "lp_busy_seconds",
     "window_walls",
+    "window_blame",
     "predict_wallclock",
     "predict_from_trace",
     "sequential_time_estimate",
@@ -184,6 +185,15 @@ def lp_busy_seconds(
     return busy
 
 
+def _grouped(busy: np.ndarray, groups: Sequence | None) -> np.ndarray:
+    busy = np.asarray(busy, dtype=np.float64)
+    if busy.ndim != 2:
+        raise ValueError("busy must be a (windows, lps) matrix")
+    if groups is not None:
+        busy = np.stack([busy[:, g].sum(axis=1) for g in groups], axis=1)
+    return busy
+
+
 def window_walls(busy: np.ndarray, groups: Sequence | None = None) -> np.ndarray:
     """Modeled compute wall per window: the busiest group's busy seconds.
 
@@ -193,12 +203,29 @@ def window_walls(busy: np.ndarray, groups: Sequence | None = None) -> np.ndarray
     one worker shard, or one shard of a candidate LP -> shard layout)
     whose LPs share a node, so their busy seconds add up before the max.
     """
-    busy = np.asarray(busy, dtype=np.float64)
-    if busy.ndim != 2:
-        raise ValueError("busy must be a (windows, lps) matrix")
-    if groups is not None:
-        busy = np.stack([busy[:, g].sum(axis=1) for g in groups], axis=1)
+    busy = _grouped(busy, groups)
     return busy.max(axis=1) if busy.shape[1] else np.zeros(busy.shape[0])
+
+
+def window_blame(
+    busy: np.ndarray, groups: Sequence | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Straggler-takes-all attribution: ``(stragglers, walls, waits)``.
+
+    ``busy`` and ``groups`` are those of :func:`window_walls`, and the
+    busy seconds may be modeled or measured. Per window, the straggler is
+    the unit (LP or group) with the most busy time, the first on a tie;
+    the wall is its busy time; the wait ``sum(wall - busy)`` is what the
+    other units idle at the barrier, all of it charged to the straggler.
+    This is the only place a straggler is picked: blame reports, the
+    Chrome timeline and the online re-balancer all call it.
+    """
+    busy = _grouped(busy, groups)
+    if not busy.shape[1]:
+        zeros = np.zeros(busy.shape[0])
+        return np.zeros(busy.shape[0], dtype=np.int64), zeros, zeros.copy()
+    walls = busy.max(axis=1)
+    return busy.argmax(axis=1), walls, (walls[:, None] - busy).sum(axis=1)
 
 
 def predict_wallclock(

@@ -541,7 +541,7 @@ class Coordinator:
         ]
         resume = {
             "checkpoint": self.store.get(shard_id),
-            "replay": _ser().encode_replay_buffer(entries),
+            "replay": _ser().encode_payload(entries),
         }
         self.transport.spawn(shard_id, self.worker_config(shard_id, resume=resume))
         self.stats["respawns"] += 1

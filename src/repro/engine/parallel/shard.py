@@ -430,14 +430,6 @@ class ShardEngine:
             self._obs_lp_events.add_array(self.events_this_window)
             self._obs_lp_remote.add_array(self.remote_this_window)
             self._obs_worker_events.inc(self.shard_id, float(executed))
-        if self._trace.enabled:
-            self._trace.window(
-                window_index,
-                self.now,
-                window_end,
-                self.events_this_window,
-                self.remote_this_window,
-            )
         self.now = window_end
         self.events_executed += executed
         return executed
@@ -737,8 +729,8 @@ def _encode_lp_migration(
     The payload carries the LP's still-pending events (re-encoded by
     handler wire name, keeping their original ``(epoch, lane, counter)``
     keys) plus the scenario's opaque ``capture_lp`` state blob. It rides
-    the control plane via :func:`repro.serialization.encode_migration`
-    — never barrier mail, so mail bytes and mail ordering are untouched.
+    the control plane via :func:`repro.serialization.encode_payload` —
+    never barrier mail, so mail bytes and mail ordering are untouched.
     """
     items = [
         (
@@ -752,7 +744,7 @@ def _encode_lp_migration(
         for ev in engine.release_lp(lp)
     ]
     state = scenario.capture_lp(lp) if scenario.capture_lp is not None else None
-    return _ser().encode_migration({"lp": int(lp), "events": items, "state": state})
+    return _ser().encode_payload({"lp": int(lp), "events": items, "state": state})
 
 
 def _install_lp_migration(
@@ -762,7 +754,7 @@ def _install_lp_migration(
     payload_bytes: bytes,
 ) -> int:
     """Adopt a migrated LP from its wire payload; returns payload size."""
-    payload = _ser().decode_migration(payload_bytes)
+    payload = _ser().decode_payload(payload_bytes)
     lp = int(payload["lp"])
     engine.adopt_lp(
         lp,
@@ -853,7 +845,7 @@ def _encode_worker_checkpoint(
         "collect": scenario.collect() if scenario.collect is not None else None,
         "acc": {"mail_bytes": int(mail_bytes)},
     }
-    return _ser().encode_checkpoint(payload)
+    return _ser().encode_payload(payload)
 
 
 def _restore_shard_from_blob(
@@ -869,7 +861,7 @@ def _restore_shard_from_blob(
 
     Returns ``(engine, scenario, fn_to_name, name_to_fn, payload)``.
     """
-    payload = _ser().decode_checkpoint(blob)
+    payload = _ser().decode_payload(blob)
     engine = ShardEngine(
         assignment,
         num_lps,
@@ -908,7 +900,7 @@ def _dead_shard_legacy(blob: bytes | None) -> tuple[dict[int, bytes], dict[str, 
     """What an adopted (dead) shard leaves behind: ``(installs, result)``.
 
     ``installs`` turns its last committed checkpoint into per-LP
-    payloads in the re-partitioning wire format (`encode_migration`), so
+    payloads in the format `_encode_lp_migration` sends, so
     the adopting survivor installs the orphaned LPs with the exact code
     path a planned migration uses. The replica control queue is *not*
     shipped — every survivor replays the identical control schedule
@@ -927,10 +919,10 @@ def _dead_shard_legacy(blob: bytes | None) -> tuple[dict[int, bytes], dict[str, 
     }
     if blob is None:
         return {}, result
-    payload = _ser().decode_checkpoint(blob)
+    payload = _ser().decode_payload(blob)
     engine_state = payload["engine"]
     installs = {
-        int(lp): _ser().encode_migration(
+        int(lp): _ser().encode_payload(
             {
                 "lp": int(lp),
                 "events": [(int(lp), *item) for item in engine_state["queues"][lp]],

@@ -120,7 +120,7 @@ class ShardWorker:
         uninterrupted run) but discarded — the live recipients consumed
         the originals.
         """
-        for rw, inbound in _ser().decode_replay_buffer(replay_buffer):
+        for rw, inbound in _ser().decode_payload(replay_buffer):
             rw = int(rw)
             self._fault(rw, False)
             end = self.boundaries[rw][2]

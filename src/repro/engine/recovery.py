@@ -20,7 +20,7 @@ Protocol sketch (details in docs/robustness.md):
   — pending event queues, tiebreak counters, and whatever the scenario's
   ``capture_shard`` composes from its state owners (simulator and links,
   fault injector, logs) — encodes it through
-  :func:`repro.serialization.encode_checkpoint`, and ships it on the
+  :func:`repro.serialization.encode_payload`, and ships it on the
   control plane (never barrier mail: checkpointing off is bit-identical
   to the pre-recovery wire protocol, zero extra mail bytes).
 * The controller verifies a sha256 digest, stores the blob in a

@@ -12,21 +12,23 @@ worker, and the controller that merges their results) computes the
 interval everywhere.
 
 :class:`WindowStats` — the per-window per-LP execution counters the
-cluster cost model consumes — lives here for the same reason: workers
-report partial columns and the controller sums them into the same
-structure the single-process engine records directly.
+cluster cost model consumes, and the only per-window record (blame and
+the Chrome timeline read it too) — lives here for the same reason:
+workers report partial columns and the controller sums them into the
+same structure the single-process engine records directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "WindowStats",
     "iter_windows",
+    "window_rows",
     "window_overlap",
     "WINDOW_EPSILON_FRACTION",
 ]
@@ -80,6 +82,23 @@ def iter_windows(
         yield index, now, window_end
         index += 1
         now = window_end
+
+
+def window_rows(window_stats: Sequence[WindowStats], times) -> np.ndarray:
+    """Index into ``window_stats`` of the window holding each time (-1: none).
+
+    The one edge-to-window bucketing: blame's causal handoffs and the
+    Chrome export's flow arrows place a message's send and delivery
+    times with it. ``window_stats`` is in window order; a time belongs to
+    the row whose ``[start, end)`` contains it.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    if not window_stats:
+        return np.full(times.shape, -1, dtype=np.int64)
+    starts = np.array([ws.start for ws in window_stats])
+    ends = np.array([ws.end for ws in window_stats])
+    rows = np.searchsorted(starts, times, side="right") - 1
+    return np.where((rows >= 0) & (times < ends[rows]), rows, -1)
 
 
 def window_overlap(

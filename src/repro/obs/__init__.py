@@ -42,7 +42,6 @@ from .trace import (
     EdgeRecord,
     SpanRecord,
     TraceBuffer,
-    WindowRecord,
     get_tracer,
     traced_run,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "export",
     "names",
     "TraceBuffer",
-    "WindowRecord",
     "EdgeRecord",
     "SpanRecord",
     "get_tracer",

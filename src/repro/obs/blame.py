@@ -1,37 +1,53 @@
-"""Straggler blame and critical-path analysis over a recorded trace.
+"""Straggler blame and critical-path analysis over barrier windows.
 
 The conservative engine's wall clock decomposes per barrier window as
-``max_lp(busy) + C(N)``: every LP that finishes its window early idles
-until the slowest LP (the *straggler*) reaches the barrier. This module
-turns the tracer's window records into that accounting:
+``max_unit(busy) + C(N)``: every unit that finishes its window early
+idles until the slowest one (the *straggler*) reaches the barrier. This
+module turns a run's :class:`~repro.engine.windows.WindowStats` rows into
+that accounting, with the busy time priced one of two ways:
 
-- **per-window straggler identity** — the LP whose modeled busy time set
-  the window's wall time;
-- **per-LP cumulative blame** — the wall-clock all other LPs spent
-  waiting on that LP at barriers, attributed in full to each window's
-  straggler (so blame totals sum exactly to the modeled barrier-wait
-  time, which is what the timeline report cross-checks);
+- **modeled**, per LP — the rows' event and remote-send counts priced by
+  :func:`repro.engine.costmodel.lp_busy_seconds` with the
+  :class:`ClusterSpec` the caller hands over;
+- **measured**, per worker shard of the multi-process backend — each
+  shard's non-waiting wall-clock of the window
+  (:attr:`~repro.obs.trace.MeasuredWindowRecord.busy_s`), with its
+  execute / encode / wait / decode / checkpoint / events / mail totals
+  kept beside the blame.
+
+Either way :func:`repro.engine.costmodel.window_blame` picks each
+window's straggler, and the report carries:
+
+- **per-unit cumulative blame** — the wall-clock all other units spent
+  waiting on that unit at barriers, attributed in full to each window's
+  straggler (so blame totals sum exactly to the barrier-wait time, which
+  is what the timeline report cross-checks);
 - **per-node blame** — an LP's blame split over its simulated nodes in
   proportion to the events each node executed (from the trace's event
   samples), naming the hot routers behind a slow partition;
 - **the cross-window critical path** — the straggler sequence, with
   *causal handoffs* marked wherever a recorded cross-LP message edge
-  shows the previous window's straggler feeding the next one.
+  shows the previous window's straggler feeding the next one (modeled
+  reports only: edges name LPs, not shards).
 
-Everything here is a pure function of recorded simulated quantities, so
-blame reports are exactly reproducible. On an overflowed trace the
-analysis covers the retained suffix (check ``trace.dropped_records``).
+Every engine records its ``WindowStats`` whether or not tracing is on,
+so blame covers every window. On an overflowed trace only what comes
+from trace samples — handoffs, node blame, measured busy times — covers
+the retained suffix (check ``dropped_records``). Modeled reports are a
+pure function of simulated quantities, so they are exactly reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from ..cluster.syncmodel import ClusterSpec
-from ..engine.costmodel import lp_busy_seconds, window_walls
-from .trace import EdgeRecord, TraceBuffer, WindowRecord
+from ..engine.costmodel import lp_busy_seconds, window_blame
+from ..engine.windows import WindowStats, window_rows
+from .trace import EdgeRecord, TraceBuffer
 
 __all__ = [
     "CriticalStep",
@@ -41,10 +57,15 @@ __all__ = [
     "blame_shares",
     "node_blame",
     "format_blame_table",
-    "MeasuredBlameReport",
-    "analyze_measured",
-    "format_measured_table",
 ]
+
+#: Measured totals a shard's report row carries beside its blame:
+#: column -> the :class:`~repro.obs.trace.MeasuredWindowRecord` field summed.
+_MEASURED_EXTRAS = {
+    "execute": "execute_s", "encode": "mail_encode_s", "wait": "barrier_wait_s",
+    "decode": "mail_decode_s", "ckpt": "checkpoint_s", "events": "events",
+    "mail (B)": "mail_bytes",
+}
 
 
 @dataclass(frozen=True)
@@ -52,7 +73,8 @@ class CriticalStep:
     """One window of the critical path: who bounded it, for how long."""
 
     window_index: int
-    lp: int
+    #: the window's straggler (an LP, or a shard for measured reports)
+    unit: int
     busy_s: float
     #: True when a recorded message edge shows the previous step's
     #: straggler sent work delivered to this straggler in this window.
@@ -61,46 +83,51 @@ class CriticalStep:
 
 @dataclass(frozen=True)
 class BlameReport:
-    """Straggler attribution for one traced run."""
+    """Straggler attribution for one run, per LP or per worker shard."""
 
-    num_lps: int
+    #: ``"LP"`` (modeled pricing) or ``"shard"`` (measured pricing)
+    unit: str
+    num_units: int
     num_windows: int
-    #: cumulative blame per LP: barrier wait attributed to its windows
-    lp_blame_s: np.ndarray
-    #: total modeled busy time per LP over all retained windows
-    lp_busy_s: np.ndarray
-    #: number of windows each LP was the straggler of
-    lp_straggler_windows: np.ndarray
-    #: sum over windows of sum over LPs of (max busy - busy) — the
-    #: quantity ``lp_blame_s`` decomposes exactly
+    #: cumulative blame per unit: barrier wait attributed to its windows
+    blame_s: np.ndarray
+    #: total busy time per unit over all windows
+    busy_s: np.ndarray
+    #: number of windows each unit was the straggler of
+    straggler_windows: np.ndarray
+    #: sum over windows of sum over units of (max busy - busy) — the
+    #: quantity ``blame_s`` decomposes exactly
     total_wait_s: float
-    #: sum over windows of the straggler's busy time (the modeled
-    #: compute part of the wall clock, before barrier costs)
+    #: sum over windows of the straggler's busy time (the compute part of
+    #: the wall clock, before barrier costs)
     critical_s: float
-    #: modeled barrier wait per window (for distribution summaries)
+    #: barrier wait per window (for distribution summaries)
     window_wait_s: np.ndarray
     critical_path: list[CriticalStep] = field(default_factory=list)
+    #: measured reports: per-shard execute / encode / wait / decode /
+    #: ckpt seconds and events / mail bytes, by column name
+    extras: dict[str, np.ndarray] = field(default_factory=dict)
     #: records evicted from the trace before analysis (0 = complete)
     dropped_records: int = 0
 
     @property
     def handoff_fraction(self) -> float:
         """Share of critical-path steps causally fed by the previous one."""
-        steps = [s for s in self.critical_path[1:]]
+        steps = self.critical_path[1:]
         if not steps:
             return 0.0
         return sum(s.handoff_from_prev for s in steps) / len(steps)
 
     @property
     def shares(self) -> np.ndarray:
-        """Per-LP blame shares in ``[0, 1]`` (:func:`blame_shares`)."""
-        return blame_shares(self.lp_blame_s, self.total_wait_s)
+        """Per-unit blame shares in ``[0, 1]`` (:func:`blame_shares`)."""
+        return blame_shares(self.blame_s, self.total_wait_s)
 
 
 def blame_shares(
     blame_s: np.ndarray, total_wait_s: float | None = None
 ) -> np.ndarray:
-    """Per-LP blame shares, exactly zero when there is no wait at all.
+    """Per-unit blame shares, exactly zero when there is no wait at all.
 
     A single-LP shard or an all-idle run records zero barrier wait in
     every window; dividing by that total would be a ``0/0``. This is the
@@ -117,112 +144,138 @@ def blame_shares(
     return blame / total
 
 
-def _edges_by_window(
-    edges: list[EdgeRecord], windows: list[WindowRecord]
-) -> dict[int, list[EdgeRecord]]:
-    """Bucket edges by the window their delivery time falls into."""
-    if not windows:
-        return {}
-    starts = np.asarray([w.start for w in windows])
-    ends = np.asarray([w.end for w in windows])
-    out: dict[int, list[EdgeRecord]] = {}
-    for e in edges:
-        # Cross-LP mail is delivered at the barrier ending the window the
-        # send happened in and executes in a later window; attribute the
-        # edge to the window containing its deliver time.
-        i = int(np.searchsorted(starts, e.deliver_time, side="right")) - 1
-        if 0 <= i < len(windows) and e.deliver_time < ends[i]:
-            out.setdefault(i, []).append(e)
-    return out
-
-
 def _critical_path(
-    windows: list[WindowRecord],
+    window_stats: Sequence[WindowStats],
     edges: list[EdgeRecord],
     stragglers: np.ndarray,
     walls: np.ndarray,
 ) -> list[CriticalStep]:
-    by_window = _edges_by_window(edges, windows)
-    path: list[CriticalStep] = []
-    prev: WindowRecord | None = None
-    for i, w in enumerate(windows):
-        straggler = int(stragglers[i])
-        handoff = False
-        if prev is not None:
-            prev_straggler = int(stragglers[i - 1])
-            handoff = any(
-                e.dst_lp == straggler
-                and e.src_lp == prev_straggler
-                and prev.start <= e.send_time < prev.end
-                for e in by_window.get(i, ())
-            )
-        path.append(CriticalStep(w.window_index, straggler, float(walls[i]), handoff))
-        prev = w
-    return path
+    handoff = np.zeros(len(window_stats), dtype=bool)
+    if edges and window_stats:
+        sent = window_rows(window_stats, [e.send_time for e in edges])
+        got = window_rows(window_stats, [e.deliver_time for e in edges])
+        src = np.array([e.src_lp for e in edges])
+        dst = np.array([e.dst_lp for e in edges])
+        # Cross-LP mail is delivered at the barrier ending the window the
+        # send happened in and executes in a later window: an edge hands
+        # off when it leaves the previous window's straggler and executes
+        # on this window's.
+        hit = (
+            (got > 0) & (sent == got - 1)
+            & (src == stragglers[sent]) & (dst == stragglers[got])
+        )
+        handoff[got[hit]] = True
+    return [
+        CriticalStep(ws.window_index, int(unit), float(wall), bool(h))
+        for ws, unit, wall, h in zip(window_stats, stragglers, walls, handoff)
+    ]
 
 
 def modeled_busy(
-    windows: list[WindowRecord], cluster: ClusterSpec, num_lps: int
+    window_stats: Sequence[WindowStats],
+    cluster: ClusterSpec,
+    num_lps: int | None = None,
 ) -> np.ndarray:
-    """``(windows, lps)`` modeled busy seconds of recorded window counts."""
-    shape = (len(windows), num_lps)
+    """``(windows, lps)`` modeled busy seconds of recorded window counts.
+
+    ``num_lps`` defaults to the width of the first row; a row of another
+    width is a :class:`ValueError`.
+    """
+    if num_lps is None:
+        num_lps = len(window_stats[0].events_per_lp) if window_stats else 0
+    for ws in window_stats:
+        if len(ws.events_per_lp) != num_lps:
+            raise ValueError(
+                f"window {ws.window_index} has {len(ws.events_per_lp)} LPs, "
+                f"expected {num_lps}"
+            )
+    shape = (len(window_stats), num_lps)
     return lp_busy_seconds(
-        np.array([w.events_per_lp for w in windows]).reshape(shape),
-        np.array([w.remote_per_lp for w in windows]).reshape(shape),
+        np.array([ws.events_per_lp for ws in window_stats]).reshape(shape),
+        np.array([ws.remote_sends_per_lp for ws in window_stats]).reshape(shape),
         cluster,
     )
 
 
-def analyze(
-    trace: TraceBuffer, cluster: ClusterSpec, num_lps: int | None = None
-) -> BlameReport:
-    """Compute the blame report for a traced run.
+def _measured_busy(
+    window_stats: Sequence[WindowStats],
+    trace: TraceBuffer,
+    num_shards: int | None = None,
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """``(windows, shards)`` measured busy seconds, and per-shard totals.
 
-    The trace's window records carry counts; ``cluster`` prices them
-    (:func:`repro.engine.costmodel.lp_busy_seconds`). ``num_lps``
-    defaults to the width of the recorded window vectors; pass it
-    explicitly to analyze an empty trace against a known engine size.
-    Blame attribution is *straggler-takes-all*: the whole barrier wait
-    of a window is charged to that window's straggler, so
-    ``lp_blame_s.sum() == total_wait_s`` exactly.
+    A shard's busy time in a window is its measured wall-clock minus its
+    barrier wait (:attr:`~repro.obs.trace.MeasuredWindowRecord.busy_s`).
+    Its total would not do: it includes the wait the straggler caused,
+    so every shard's total is about the window wall and the busiest
+    would be picked by pipe jitter. Works on any trace carrying
+    ``measured`` records — usually the merge of every worker's
+    (:func:`repro.obs.distributed.merged_trace_snapshot`); records of a
+    window not among ``window_stats`` count only towards the totals.
+    ``num_shards`` defaults to one past the largest shard id seen.
     """
-    windows = list(trace.windows)
-    if num_lps is None:
-        num_lps = windows[0].num_lps if windows else 0
-    L = int(num_lps)
-    for w in windows:
-        if w.num_lps != L:
-            raise ValueError(
-                f"window {w.window_index} has {w.num_lps} LPs, expected {L}"
-            )
-    busy = modeled_busy(windows, cluster, L)
-    walls = window_walls(busy)
-    stragglers = busy.argmax(axis=1) if L else np.zeros(len(windows), dtype=np.int64)
-    lp_blame = np.zeros(L, dtype=np.float64)
-    lp_busy = np.zeros(L, dtype=np.float64)
-    lp_straggler = np.zeros(L, dtype=np.int64)
-    window_wait = np.zeros(len(windows), dtype=np.float64)
-    critical = 0.0
-    for i in range(len(windows)):
-        lp_busy += busy[i]
-        wait = float((walls[i] - busy[i]).sum())
-        window_wait[i] = wait
-        lp_blame[stragglers[i]] += wait
-        lp_straggler[stragglers[i]] += 1
-        critical += float(walls[i])
+    records = list(trace.measured)
+    if num_shards is None:
+        num_shards = 1 + max((r.shard_id for r in records), default=-1)
+    S = max(int(num_shards), 0)
+    row = {ws.window_index: i for i, ws in enumerate(window_stats)}
+    busy = np.zeros((len(window_stats), S))
+    extras = {
+        column: np.zeros(S, dtype=np.float64 if name.endswith("_s") else np.int64)
+        for column, name in _MEASURED_EXTRAS.items()
+    }
+    for r in records:
+        if not 0 <= r.shard_id < S:
+            raise ValueError(f"measured record names shard {r.shard_id} of {S}")
+        if r.window_index in row:
+            busy[row[r.window_index], r.shard_id] += r.busy_s
+        for column, name in _MEASURED_EXTRAS.items():
+            extras[column][r.shard_id] += getattr(r, name)
+    return busy, extras
+
+
+def analyze(
+    window_stats: Sequence[WindowStats],
+    trace: TraceBuffer,
+    cluster: ClusterSpec | None = None,
+    num_units: int | None = None,
+) -> BlameReport:
+    """Straggler-takes-all blame over a run's ``WindowStats`` rows.
+
+    With ``cluster``, each LP's counts are priced by it
+    (:func:`modeled_busy`) and the trace's message edges mark the causal
+    handoffs; without one, each shard's measured non-waiting time from
+    ``trace.measured`` is the busy time (``MeasuredWindowRecord.busy_s``).
+    ``num_units`` defaults to the rows' LP width, or one past the largest
+    measured shard id; pass it to analyze an empty run against a known
+    size. The whole barrier wait of a window is charged to that window's
+    straggler, so ``blame_s.sum() == total_wait_s`` exactly.
+    """
+    if cluster is not None:
+        unit, busy, extras = "LP", modeled_busy(window_stats, cluster, num_units), {}
+        edges = list(trace.edges)
+    else:
+        busy, extras = _measured_busy(window_stats, trace, num_units)
+        unit, edges = "shard", []
+    stragglers, walls, waits = window_blame(busy)
+    num = busy.shape[1]
+    blame = np.zeros(num)
+    np.add.at(blame, stragglers, waits)
     # Summing the blame vector (not the window-wait array) makes the
-    # decomposition invariant lp_blame_s.sum() == total_wait_s exact in
+    # decomposition invariant blame_s.sum() == total_wait_s exact in
     # float arithmetic, not just mathematically.
     return BlameReport(
-        num_lps=L,
-        num_windows=len(windows),
-        lp_blame_s=lp_blame,
-        lp_busy_s=lp_busy,
-        lp_straggler_windows=lp_straggler,
-        total_wait_s=float(lp_blame.sum()),
-        critical_s=critical,
-        window_wait_s=window_wait,
-        critical_path=_critical_path(windows, list(trace.edges), stragglers, walls),
+        unit=unit,
+        num_units=num,
+        num_windows=len(window_stats),
+        blame_s=blame,
+        busy_s=busy.sum(axis=0),
+        straggler_windows=np.bincount(stragglers, minlength=num),
+        total_wait_s=float(blame.sum()),
+        critical_s=float(walls.sum()),
+        window_wait_s=waits,
+        critical_path=_critical_path(window_stats, edges, stragglers, walls),
+        extras=extras,
         dropped_records=trace.dropped_records,
     )
 
@@ -238,7 +291,7 @@ def node_blame(
     Uses the trace's event samples to weigh nodes within their LP; an LP
     whose blame is nonzero but whose nodes recorded no samples (trace
     overflow, engine-internal events) keeps its blame unattributed —
-    the returned vector then sums to less than ``report.lp_blame_s``.
+    the returned vector then sums to less than ``report.blame_s``.
     Events with ``node < 0`` (engine-internal) are never attributed.
     """
     assignment = np.asarray(assignment, dtype=np.int64)
@@ -248,8 +301,8 @@ def node_blame(
     valid = (nodes >= 0) & (nodes < n)
     np.add.at(counts, nodes[valid], 1.0)
     out = np.zeros(n, dtype=np.float64)
-    for lp in range(report.num_lps):
-        blame = report.lp_blame_s[lp]
+    for lp in range(report.num_units):
+        blame = report.blame_s[lp]
         if blame <= 0:
             continue
         mask = assignment[:n] == lp
@@ -261,24 +314,42 @@ def node_blame(
 
 
 def format_blame_table(report: BlameReport) -> str:
-    """Render the per-LP blame table (with the sum cross-check row)."""
+    """Render the per-unit blame table (with the sum cross-check row).
+
+    A measured report adds one column per entry of ``report.extras``,
+    seconds shown in milliseconds.
+    """
+    w = max(4, len(report.unit) + 1)
+    extras = [
+        (f"{name} (ms)", totals * 1e3) if totals.dtype.kind == "f" else (name, totals)
+        for name, totals in report.extras.items()
+    ]
+
+    def cells(pick) -> str:
+        return "".join(
+            f"{pick(v):>{len(label) + 2}.3f}" if v.dtype.kind == "f"
+            else f"{int(pick(v)):>{len(label) + 2}}"
+            for label, v in extras
+        )
+
     lines = [
-        f"{'LP':>4}{'busy (ms)':>12}{'blame (ms)':>12}"
+        f"{report.unit:>{w}}{'busy (ms)':>12}{'blame (ms)':>12}"
         f"{'blame %':>9}{'straggler wins':>16}"
+        + "".join(f"{label:>{len(label) + 2}}" for label, _ in extras)
     ]
     total = report.total_wait_s
     shares = report.shares
-    for lp in range(report.num_lps):
-        share = 100.0 * shares[lp]
+    for u in range(report.num_units):
+        share = 100.0 * shares[u]
         lines.append(
-            f"{lp:>4}{report.lp_busy_s[lp] * 1e3:>12.3f}"
-            f"{report.lp_blame_s[lp] * 1e3:>12.3f}{share:>8.1f}%"
-            f"{report.lp_straggler_windows[lp]:>16}"
+            f"{u:>{w}}{report.busy_s[u] * 1e3:>12.3f}"
+            f"{report.blame_s[u] * 1e3:>12.3f}{share:>8.1f}%"
+            f"{report.straggler_windows[u]:>16}" + cells(lambda v: v[u])
         )
     lines.append(
-        f"{'sum':>4}{report.lp_busy_s.sum() * 1e3:>12.3f}"
-        f"{report.lp_blame_s.sum() * 1e3:>12.3f}{'':>9}"
-        f"{int(report.lp_straggler_windows.sum()):>16}"
+        f"{'sum':>{w}}{report.busy_s.sum() * 1e3:>12.3f}"
+        f"{report.blame_s.sum() * 1e3:>12.3f}{'':>9}"
+        f"{int(report.straggler_windows.sum()):>16}" + cells(np.sum)
     )
     lines.append(
         f"barrier wait total {total * 1e3:.3f} ms over "
@@ -287,162 +358,7 @@ def format_blame_table(report: BlameReport) -> str:
     if report.dropped_records:
         lines.append(
             f"note: trace overflowed ({report.dropped_records} records "
-            f"dropped); blame covers the retained suffix"
-        )
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Measured mode: wall-clock decomposition from worker-recorded spans
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class MeasuredBlameReport:
-    """Wall-clock attribution from *measured* per-window worker spans.
-
-    Where :class:`BlameReport` works on modeled busy times (event counts
-    times cost-model rates), this report decomposes the wall clock the
-    multi-process backend actually spent: each worker records execute /
-    mail-encode / barrier-wait / mail-decode / checkpoint spans per window
-    (:class:`~repro.obs.trace.MeasuredWindowRecord`), and the straggler
-    of a window is the shard with the largest measured total.
-    """
-
-    num_shards: int
-    num_windows: int
-    #: measured seconds per shard, one vector per span kind
-    shard_execute_s: np.ndarray
-    shard_encode_s: np.ndarray
-    shard_wait_s: np.ndarray
-    shard_decode_s: np.ndarray
-    shard_checkpoint_s: np.ndarray
-    #: events executed and mail bytes shipped per shard
-    shard_events: np.ndarray
-    shard_mail_bytes: np.ndarray
-    #: windows each shard was the measured straggler of
-    shard_straggler_windows: np.ndarray
-    #: sum over windows of the straggler's measured total — the measured
-    #: analogue of the modeled ``critical_s``
-    critical_s: float
-    dropped_records: int = 0
-
-    @property
-    def shard_total_s(self) -> np.ndarray:
-        """Total measured seconds per shard across all span kinds."""
-        return (
-            self.shard_execute_s
-            + self.shard_encode_s
-            + self.shard_wait_s
-            + self.shard_decode_s
-            + self.shard_checkpoint_s
-        )
-
-    @property
-    def shares(self) -> np.ndarray:
-        """Per-shard measured blame shares (:func:`blame_shares`).
-
-        Blame here is the wait *other* shards spent on each shard's
-        straggler windows, approximated by the shard's straggler-window
-        share of total measured wait; exactly zero everywhere when no
-        shard ever waited (single-shard runs).
-        """
-        wait_total = float(self.shard_wait_s.sum())
-        if wait_total <= 0.0 or self.num_windows == 0:
-            return np.zeros(self.num_shards, dtype=np.float64)
-        wins = self.shard_straggler_windows.astype(np.float64)
-        return blame_shares(wins, float(wins.sum()))
-
-
-def analyze_measured(
-    trace: TraceBuffer, num_shards: int | None = None
-) -> MeasuredBlameReport:
-    """Decompose measured worker spans into a per-shard blame report.
-
-    Works on any trace carrying ``measured`` records — a worker's own
-    buffer, or (the usual case) the merge of every worker's buffer
-    (:func:`repro.obs.distributed.merged_trace_snapshot`).
-    ``num_shards`` defaults to one past the largest shard id seen.
-    """
-    records = list(trace.measured)
-    if num_shards is None:
-        num_shards = 1 + max((r.shard_id for r in records), default=-1)
-    S = max(int(num_shards), 0)
-    execute = np.zeros(S, dtype=np.float64)
-    encode = np.zeros(S, dtype=np.float64)
-    wait = np.zeros(S, dtype=np.float64)
-    decode = np.zeros(S, dtype=np.float64)
-    checkpoint = np.zeros(S, dtype=np.float64)
-    events = np.zeros(S, dtype=np.float64)
-    mail = np.zeros(S, dtype=np.float64)
-    straggler = np.zeros(S, dtype=np.int64)
-    by_window: dict[int, tuple[int, float]] = {}
-    for r in records:
-        if not 0 <= r.shard_id < S:
-            raise ValueError(f"measured record names shard {r.shard_id} of {S}")
-        execute[r.shard_id] += r.execute_s
-        encode[r.shard_id] += r.mail_encode_s
-        wait[r.shard_id] += r.barrier_wait_s
-        decode[r.shard_id] += r.mail_decode_s
-        checkpoint[r.shard_id] += r.checkpoint_s
-        events[r.shard_id] += r.events
-        mail[r.shard_id] += r.mail_bytes
-        best = by_window.get(r.window_index)
-        if best is None or r.total_s > best[1]:
-            by_window[r.window_index] = (r.shard_id, r.total_s)
-    critical = 0.0
-    for shard_id, total in by_window.values():
-        straggler[shard_id] += 1
-        critical += total
-    return MeasuredBlameReport(
-        num_shards=S,
-        num_windows=len(by_window),
-        shard_execute_s=execute,
-        shard_encode_s=encode,
-        shard_wait_s=wait,
-        shard_decode_s=decode,
-        shard_checkpoint_s=checkpoint,
-        shard_events=events,
-        shard_mail_bytes=mail,
-        shard_straggler_windows=straggler,
-        critical_s=critical,
-        dropped_records=trace.dropped_records,
-    )
-
-
-def format_measured_table(report: MeasuredBlameReport) -> str:
-    """Render the per-shard measured decomposition table."""
-    lines = [
-        f"{'shard':>6}{'execute (ms)':>14}{'encode (ms)':>13}"
-        f"{'wait (ms)':>11}{'decode (ms)':>13}{'ckpt (ms)':>11}{'events':>9}"
-        f"{'mail (B)':>10}{'straggler wins':>16}"
-    ]
-    for s in range(report.num_shards):
-        lines.append(
-            f"{s:>6}{report.shard_execute_s[s] * 1e3:>14.3f}"
-            f"{report.shard_encode_s[s] * 1e3:>13.3f}"
-            f"{report.shard_wait_s[s] * 1e3:>11.3f}"
-            f"{report.shard_decode_s[s] * 1e3:>13.3f}"
-            f"{report.shard_checkpoint_s[s] * 1e3:>11.3f}"
-            f"{int(report.shard_events[s]):>9}"
-            f"{int(report.shard_mail_bytes[s]):>10}"
-            f"{report.shard_straggler_windows[s]:>16}"
-        )
-    lines.append(
-        f"{'sum':>6}{report.shard_execute_s.sum() * 1e3:>14.3f}"
-        f"{report.shard_encode_s.sum() * 1e3:>13.3f}"
-        f"{report.shard_wait_s.sum() * 1e3:>11.3f}"
-        f"{report.shard_decode_s.sum() * 1e3:>13.3f}"
-        f"{report.shard_checkpoint_s.sum() * 1e3:>11.3f}"
-        f"{int(report.shard_events.sum()):>9}"
-        f"{int(report.shard_mail_bytes.sum()):>10}"
-        f"{int(report.shard_straggler_windows.sum()):>16}"
-    )
-    lines.append(
-        f"measured critical path {report.critical_s * 1e3:.3f} ms over "
-        f"{report.num_windows} windows (straggler totals)"
-    )
-    if report.dropped_records:
-        lines.append(
-            f"note: trace overflowed ({report.dropped_records} records "
-            f"dropped); decomposition covers the retained suffix"
+            f"dropped); blame covers every window, handoffs and measured "
+            f"busy times the retained suffix"
         )
     return "\n".join(lines)

@@ -1,13 +1,16 @@
-"""Bounded structured trace: causal window records behind one guard branch.
+"""Bounded structured trace: causal records behind one guard branch.
 
 Where the registry (:mod:`repro.obs.registry`) aggregates — totals,
 histograms, high-water marks — the tracer keeps *individual records*:
-one record per barrier window, per cross-LP message edge, per executed
-event, per link transmission, per BGP convergence span, per fault
-injection or recovery transition (:mod:`repro.faults`). That is the raw
-material for straggler attribution (:mod:`repro.obs.blame`), the Chrome
+one record per cross-LP message edge, per executed event, per link
+transmission, per BGP convergence span, per fault injection or recovery
+transition (:mod:`repro.faults`), per worker window measured by the
+multi-process backend. That is the raw material for the causal handoffs
+of straggler attribution (:mod:`repro.obs.blame`), the Chrome
 trace-event export (:mod:`repro.obs.trace_export`), and the what-if
-mapping replay (:mod:`repro.obs.whatif`).
+mapping replay (:mod:`repro.obs.whatif`). Per-window counts are not
+traced: every engine records them as
+:class:`~repro.engine.windows.WindowStats` rows, traced or not.
 
 The tracer follows the registry's design contract exactly:
 
@@ -22,8 +25,8 @@ The tracer follows the registry's design contract exactly:
    appending to a full channel evicts the oldest record and increments
    :attr:`TraceBuffer.dropped_records`. Analyses over an overflowed trace
    operate on the retained suffix (and say so via ``dropped_records``).
-3. **Deterministic where it can be.** Window, edge, event, and
-   transmission records carry *simulated* quantities only. Span records
+3. **Deterministic where it can be.** Edge, event, and transmission
+   records carry *simulated* quantities only. Span records
    (BGP convergence) are wall-clock and use the sanctioned
    ``perf_counter`` site (this module lives in ``repro/obs``, the one
    package simlint SIM106 exempts).
@@ -35,15 +38,12 @@ import sys
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
-from .counters import SnapshotMergeError
-
 __all__ = [
-    "WindowRecord",
     "EdgeRecord",
     "SpanRecord",
     "FaultRecord",
@@ -60,30 +60,6 @@ __all__ = [
 #: scenarios fit without eviction while a runaway trace stays bounded
 #: (eight channels of tuples/records, a few tens of MB worst case).
 DEFAULT_TRACE_CAPACITY = 262_144
-
-
-@dataclass(frozen=True)
-class WindowRecord:
-    """One barrier window as the conservative engine executed it.
-
-    Counts only — the tracer records facts; modeled busy seconds are
-    applied at read time by :mod:`repro.engine.costmodel` from the
-    :class:`~repro.cluster.syncmodel.ClusterSpec` the reader is handed.
-    """
-
-    window_index: int
-    #: simulated window bounds
-    start: float
-    end: float
-    #: events executed per LP in this window
-    events_per_lp: np.ndarray
-    #: cross-LP events sent per LP in this window
-    remote_per_lp: np.ndarray
-
-    @property
-    def num_lps(self) -> int:
-        """Number of logical processes in this window."""
-        return int(self.events_per_lp.shape[0])
 
 
 @dataclass(frozen=True)
@@ -139,11 +115,12 @@ class FaultRecord:
 class MeasuredWindowRecord:
     """One barrier window as one *worker process* actually spent it.
 
-    Where :class:`WindowRecord` carries the event counts the cost model
-    prices, this record carries measured wall-clock: the worker's
-    window decomposed into executing events, serializing outbound mail,
-    blocking on the barrier round-trip, decoding inbound mail, and — on
-    a checkpoint window — cutting the checkpoint.
+    Where :class:`~repro.engine.windows.WindowStats` carries the event
+    counts the cost model prices, this record carries measured
+    wall-clock: the worker's window decomposed into executing events,
+    serializing outbound mail, blocking on the barrier round-trip,
+    decoding inbound mail, and — on a checkpoint window — cutting the
+    checkpoint.
     Recorded per shard per window by the multi-process backend
     (:mod:`repro.engine.parallel`); merged across workers by
     :meth:`TraceBuffer.merge_from`. Wall-clock values are *not* part of
@@ -170,17 +147,16 @@ class MeasuredWindowRecord:
     checkpoint_s: float = 0.0
 
     @property
-    def total_s(self) -> float:
-        """The worker's full measured wall-clock for this window."""
+    def busy_s(self) -> float:
+        """Measured non-waiting wall-clock: ``total_s - barrier_wait_s``."""
         return (
-            self.execute_s + self.barrier_wait_s
-            + self.mail_encode_s + self.mail_decode_s + self.checkpoint_s
+            self.execute_s + self.mail_encode_s + self.mail_decode_s + self.checkpoint_s
         )
 
     @property
-    def busy_s(self) -> float:
-        """Measured non-blocked wall-clock (execute + encode + decode)."""
-        return self.execute_s + self.mail_encode_s + self.mail_decode_s
+    def total_s(self) -> float:
+        """The worker's full measured wall-clock for this window."""
+        return self.busy_s + self.barrier_wait_s
 
 
 @dataclass(frozen=True)
@@ -261,8 +237,6 @@ class TraceBuffer:
     #: of records; :meth:`merge_from` lays the folded records out sorted
     #: by the merge order (``None``: the records' natural order).
     CHANNELS = (
-        # WindowRecord per barrier window; same-index records sum on merge
-        ("windows", lambda w: w.window_index),
         # EdgeRecord per cross-LP message
         ("edges", lambda e: (e.send_time, e.src_lp, e.dst_lp, e.deliver_time)),
         # SpanRecord per wall-clock span (BGP convergence)
@@ -316,21 +290,15 @@ class TraceBuffer:
     def merge_from(self, other: "TraceBuffer") -> None:
         """Fold ``other``'s records into this buffer, channel by channel.
 
-        Window records with the same index sum their per-LP vectors —
-        each worker records full-width arrays with only its owned
-        columns nonzero, so the sum is the single-process record (window
-        bounds and widths must agree, else :class:`SnapshotMergeError`
-        and this buffer is untouched). Fault records every worker
-        replayed are kept once. Every channel ends sorted by its merge
-        order; drop counts add. The merged buffer shares no array with
-        ``other``, and its capacity grows to hold every record.
+        Fault records every worker replayed are kept once. Every channel
+        ends sorted by its merge order; drop counts add. The merged
+        buffer shares no channel with ``other``, and its capacity grows
+        to hold every record.
         """
         merged = {}
         for name, order in self.CHANNELS:
             records = [*getattr(self, name), *getattr(other, name)]
-            if name == "windows":
-                records = _sum_windows(records)
-            elif name == "faults":
+            if name == "faults":
                 records = _unique_faults(records)
             merged[name] = sorted(records, key=order)
         for name, records in merged.items():
@@ -341,24 +309,6 @@ class TraceBuffer:
     # ------------------------------------------------------------------
     # Record methods (guarded public layer; all writes funnel to _append)
     # ------------------------------------------------------------------
-    def window(
-        self,
-        window_index: int,
-        start: float,
-        end: float,
-        events_per_lp: np.ndarray,
-        remote_per_lp: np.ndarray,
-    ) -> None:
-        """Record one completed barrier window (engine barrier hook)."""
-        if self.enabled:
-            events = np.asarray(events_per_lp, dtype=np.int64).copy()
-            remote = np.asarray(remote_per_lp, dtype=np.int64).copy()
-            self._append(
-                self.windows,
-                WindowRecord(int(window_index), float(start), float(end),
-                             events, remote),
-            )
-
     def edge(self, src_lp: int, dst_lp: int, send_time: float, deliver_time: float) -> None:
         """Record one cross-LP message edge (engine mailbox hook)."""
         if self.enabled:
@@ -489,36 +439,6 @@ class TraceBuffer:
         )
 
 
-def _sum_windows(records: list[WindowRecord]) -> list[WindowRecord]:
-    """One record per window index, per-LP vectors summed into copies."""
-    by_index: dict[int, WindowRecord] = {}
-    for w in records:
-        prev = by_index.get(w.window_index)
-        if prev is None:
-            by_index[w.window_index] = replace(
-                w,
-                events_per_lp=w.events_per_lp.copy(),
-                remote_per_lp=w.remote_per_lp.copy(),
-            )
-            continue
-        if prev.start != w.start or prev.end != w.end:
-            raise SnapshotMergeError(
-                f"window {w.window_index} bounds "
-                f"({w.start}, {w.end}) != ({prev.start}, {prev.end})"
-            )
-        if prev.num_lps != w.num_lps:
-            raise SnapshotMergeError(
-                f"window {w.window_index} has {w.num_lps} LPs, "
-                f"merged record has {prev.num_lps}"
-            )
-        by_index[w.window_index] = replace(
-            prev,
-            events_per_lp=prev.events_per_lp + w.events_per_lp,
-            remote_per_lp=prev.remote_per_lp + w.remote_per_lp,
-        )
-    return list(by_index.values())
-
-
 def _unique_faults(records: list[FaultRecord]) -> list[FaultRecord]:
     """The first of every set of identical fault records, in input order."""
     unique: dict[tuple, FaultRecord] = {}
@@ -549,7 +469,7 @@ def traced_run(
 
         with traced_run() as tr:
             engine.run(until=duration)
-        report = blame.analyze(tr, cluster)
+        report = blame.analyze(engine.window_stats, tr, cluster)
 
     The previous enabled state (and capacity, if overridden) is restored
     on exit, so nesting inside an already-traced region keeps tracing on.

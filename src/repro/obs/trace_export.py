@@ -1,6 +1,7 @@
-"""Chrome trace-event (Perfetto-loadable) export of a recorded trace.
+"""Chrome trace-event (Perfetto-loadable) export of a recorded run.
 
-Renders the tracer's window records as a *modeled wall-clock timeline*:
+Renders a run's :class:`~repro.engine.windows.WindowStats` rows as a
+*modeled wall-clock timeline*:
 each LP is a thread track, each window contributes one complete slice
 per LP covering its modeled busy time, a ``barrier`` slice on a
 dedicated track covers the synchronization cost, and cross-LP message
@@ -13,7 +14,8 @@ The timeline is *modeled*: simulated event counts are converted to
 seconds by the :class:`ClusterSpec` the exporter is handed, and windows
 are laid out back to back the way the barrier-synchronized engine would
 execute them. Straggler slices carry ``args.straggler = true`` so the
-slowest LP of every window is one query away.
+slowest LP of every window is one query away; the straggler is the one
+:func:`repro.engine.costmodel.window_blame` picks.
 
 Traces from the multi-process backend additionally carry *measured*
 per-window worker spans (:class:`~repro.obs.trace.MeasuredWindowRecord`);
@@ -26,10 +28,13 @@ wall-clock — the measured timeline next to the modeled one.
 from __future__ import annotations
 
 import json
+from typing import Sequence
 
 import numpy as np
 
 from ..cluster.syncmodel import ClusterSpec
+from ..engine.costmodel import window_blame
+from ..engine.windows import WindowStats, window_rows
 from .blame import modeled_busy
 from .trace import TraceBuffer
 
@@ -46,18 +51,20 @@ _MEASURED_PID = 1
 
 
 def to_chrome_trace(
+    window_stats: Sequence[WindowStats],
     trace: TraceBuffer,
     cluster: ClusterSpec,
     max_flows: int = MAX_FLOW_EVENTS,
 ) -> dict:
-    """The trace as a Chrome trace-event JSON object (plain dict).
+    """The run as a Chrome trace-event JSON object (plain dict).
 
-    ``cluster`` prices the recorded counts into busy slices and supplies
-    the per-barrier cost ``C(N)`` appended to every window (a single-LP
-    trace never synchronizes and gets no barrier track). Timestamps are
-    in microseconds of *modeled wall-clock*, starting at 0.
+    ``window_stats`` are the run's windows, ``trace`` its message edges
+    and measured worker spans. ``cluster`` prices the window counts into
+    busy slices and supplies the per-barrier cost ``C(N)`` appended to
+    every window (a single-LP run never synchronizes and gets no barrier
+    track). Timestamps are in microseconds of *modeled wall-clock*,
+    starting at 0.
     """
-    windows = list(trace.windows)
     events: list[dict] = [
         {
             "name": "process_name",
@@ -67,9 +74,10 @@ def to_chrome_trace(
             "args": {"name": "repro conservative engine (modeled)"},
         }
     ]
-    num_lps = windows[0].num_lps if windows else 0
+    busy_by_window = modeled_busy(window_stats, cluster)
+    num_lps = busy_by_window.shape[1]
     sync_cost_s = cluster.sync_cost_s(num_lps) if num_lps > 1 else 0.0
-    busy_by_window = modeled_busy(windows, cluster, num_lps)
+    stragglers, walls, _ = window_blame(busy_by_window)
     for lp in range(num_lps):
         events.append(
             {
@@ -94,13 +102,14 @@ def to_chrome_trace(
     # Lay the windows out on a modeled wall clock: window wall start ->
     # per-LP busy slices -> barrier slice -> next window.
     wall_us = 0.0
-    #: window_index -> (wall start us, busy_us per lp) for flow placement
-    layout: dict[int, tuple[float, np.ndarray]] = {}
-    for w, busy_s in zip(windows, busy_by_window):
+    #: per window: (wall start us, busy_us per lp) for flow placement
+    layout: list[tuple[float, np.ndarray]] = []
+    for w, busy_s, straggler, wall_s in zip(
+        window_stats, busy_by_window, stragglers, walls
+    ):
         busy_us = busy_s * 1e6
-        layout[w.window_index] = (wall_us, busy_us)
-        straggler = int(np.argmax(busy_s))
-        for lp in range(w.num_lps):
+        layout.append((wall_us, busy_us))
+        for lp in range(num_lps):
             if busy_us[lp] <= 0.0:
                 continue
             events.append(
@@ -114,14 +123,14 @@ def to_chrome_trace(
                     "tid": lp,
                     "args": {
                         "events": int(w.events_per_lp[lp]),
-                        "remote_sends": int(w.remote_per_lp[lp]),
+                        "remote_sends": int(w.remote_sends_per_lp[lp]),
                         "sim_start_s": w.start,
                         "sim_end_s": w.end,
-                        "straggler": lp == straggler,
+                        "straggler": lp == int(straggler),
                     },
                 }
             )
-        max_busy_us = float(busy_us.max()) if busy_us.size else 0.0
+        max_busy_us = float(wall_s * 1e6)
         if sync_cost_s > 0:
             events.append(
                 {
@@ -137,7 +146,7 @@ def to_chrome_trace(
             )
         wall_us += max_busy_us + sync_cost_s * 1e6
 
-    events.extend(_flow_events(trace, windows, layout, max_flows))
+    events.extend(_flow_events(trace, window_stats, layout, max_flows))
     events.extend(_measured_events(trace))
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
@@ -210,8 +219,8 @@ def _measured_events(trace: TraceBuffer) -> list[dict]:
 
 def _flow_events(
     trace: TraceBuffer,
-    windows: list,
-    layout: dict[int, tuple[float, np.ndarray]],
+    window_stats: Sequence[WindowStats],
+    layout: list[tuple[float, np.ndarray]],
     max_flows: int,
 ) -> list[dict]:
     """Message edges as ``s``/``f`` flow pairs between LP slices.
@@ -221,25 +230,18 @@ def _flow_events(
     slice in the window containing the delivery time — the modeled
     wall-clock shadow of the cross-LP mail the barrier carried.
     """
-    if not windows or not trace.edges:
-        return []
-    starts = np.asarray([w.start for w in windows])
+    edges = list(trace.edges)
+    sent = window_rows(window_stats, [e.send_time for e in edges])
+    got = window_rows(window_stats, [e.deliver_time for e in edges])
     out: list[dict] = []
     emitted = 0
-    for i, e in enumerate(trace.edges):
+    for i, (e, send_i, recv_i) in enumerate(zip(edges, sent, got)):
         if emitted >= max_flows:
             break
-        send_i = int(np.searchsorted(starts, e.send_time, side="right")) - 1
-        recv_i = int(np.searchsorted(starts, e.deliver_time, side="right")) - 1
-        if not (0 <= send_i < len(windows) and 0 <= recv_i < len(windows)):
+        if send_i < 0 or recv_i < 0:
             continue
-        send_w, recv_w = windows[send_i], windows[recv_i]
-        if not (send_w.start <= e.send_time < send_w.end):
-            continue
-        if not (recv_w.start <= e.deliver_time < recv_w.end):
-            continue
-        send_wall, send_busy = layout[send_w.window_index]
-        recv_wall, _ = layout[recv_w.window_index]
+        send_wall, send_busy = layout[send_i]
+        recv_wall, _ = layout[recv_i]
         out.append(
             {
                 "name": "xlp-mail",
@@ -269,11 +271,12 @@ def _flow_events(
 
 def write_chrome_trace(
     path: str,
+    window_stats: Sequence[WindowStats],
     trace: TraceBuffer,
     cluster: ClusterSpec,
     max_flows: int = MAX_FLOW_EVENTS,
 ) -> None:
     """Write the Chrome trace-event JSON document to ``path``."""
-    doc = to_chrome_trace(trace, cluster, max_flows=max_flows)
+    doc = to_chrome_trace(window_stats, trace, cluster, max_flows=max_flows)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=None, separators=(",", ":"))

@@ -22,8 +22,10 @@ Three design rules keep this sound:
    time derived from the window's event counters and the fault
    schedule's slowdown spans — pure functions of simulated quantities —
    so the same run always migrates the same LPs at the same barriers.
-   (Measured wall-clock blame stays a reporting view,
-   ``obs.blame.analyze_measured``; it never steers a run.)
+   (Measured wall-clock blame stays a reporting view — ``obs.blame``
+   with measured pricing; it never steers a run.) The straggler is
+   picked by :func:`repro.engine.costmodel.window_blame`, the kernel
+   every blame report and the Chrome timeline use.
 3. **Placement changes execution, never outcomes.** The rebalancer only
    rewrites LP -> shard placement; the node -> LP assignment, window
    boundaries, and event keys are untouched, which is what keeps
@@ -301,7 +303,7 @@ class Rebalancer:
             # (workers sit idle until mail is routed), so dead trigger
             # arithmetic is pure added wall time.
             return None
-        from ..engine.costmodel import lp_busy_seconds
+        from ..engine.costmodel import lp_busy_seconds, window_blame
 
         if len(events_per_lp) != self.num_lps or len(remote_per_lp) != self.num_lps:
             raise ValueError("window counters must have num_lps entries")
@@ -311,13 +313,11 @@ class Rebalancer:
         busy = lp_busy_seconds(events_per_lp, remote_per_lp, cfg.cluster, multipliers)
         self._busy_history.append(busy)
 
-        shard_busy = self._shard_busy(busy)
         # Straggler-takes-all at shard granularity: the whole window's
         # wait is blamed on the slowest shard (obs.blame semantics).
+        (straggler,), _, (wait,) = window_blame(self._shard_busy(busy)[None, :])
         blame = np.zeros(self.num_shards, dtype=np.float64)
-        if self.num_shards > 0:
-            wait = float((shard_busy.max() - shard_busy).sum())
-            blame[int(np.argmax(shard_busy))] = wait
+        blame[straggler] = wait
         self._blame_history.append(blame)
 
         if len(self._busy_history) < cfg.history:
@@ -365,16 +365,17 @@ class Rebalancer:
         exactly zero concentration and no blamed shard — the trigger
         can never divide by zero.
         """
+        from ..engine.costmodel import window_blame
         from ..obs.blame import blame_shares
 
         if not self._blame_history:
             return 0.0, -1
-        totals = np.sum(self._blame_history, axis=0)
-        shares = blame_shares(totals)
+        shares = blame_shares(np.sum(self._blame_history, axis=0))
         if not shares.any():
             return 0.0, -1
-        blamed = int(np.argmax(shares))
-        return float(shares[blamed]), blamed
+        # The most-blamed shard is the straggler of the history's shares.
+        (blamed,), (share,), _ = window_blame(shares[None, :])
+        return float(share), int(blamed)
 
     def _shard_busy(self, busy: np.ndarray) -> np.ndarray:
         shard_busy = np.zeros(self.num_shards, dtype=np.float64)

@@ -38,12 +38,6 @@ __all__ = [
     "decode_payload",
     "encode_mail_batch",
     "decode_mail_batch",
-    "encode_migration",
-    "decode_migration",
-    "encode_checkpoint",
-    "decode_checkpoint",
-    "encode_replay_buffer",
-    "decode_replay_buffer",
     "PayloadFormatError",
 ]
 
@@ -259,8 +253,9 @@ def encode_payload(obj: Any) -> bytes:
     """Serialize ``obj`` for transport across a process boundary.
 
     Every object the multi-process backend ships between controller and
-    workers — worker configs, barrier mail, result envelopes — goes
-    through this one choke point: a versioned, magic-prefixed pickle.
+    workers — worker configs, barrier mail, LP migrations, checkpoints,
+    replay buffers, result envelopes — goes through this one choke
+    point: a versioned, magic-prefixed pickle.
     The version header turns controller/worker skew into a
     :class:`PayloadFormatError` instead of silent corruption, and the
     single entry point is what the SIM203 closure rule protects — only
@@ -306,84 +301,3 @@ def decode_mail_batch(data: bytes) -> list[tuple]:
     if not isinstance(items, list):
         raise PayloadFormatError("mail batch payload must decode to a list")
     return items
-
-
-def encode_migration(payload: dict) -> bytes:
-    """Serialize one LP's migration payload for the control plane.
-
-    The payload is ``{"lp": int, "events": [...], "state": Any}`` —
-    the LP's still-pending queue events (mail-item tuples carrying their
-    original ``(epoch, lane, counter)`` keys and handler wire names) plus
-    whatever opaque per-LP dynamics the scenario's ``capture_lp`` hook
-    returned. Like obs snapshots, migrations ride the worker pipes
-    (control plane), never barrier mail — a non-rebalanced run ships
-    zero migration bytes.
-    """
-    if not isinstance(payload, dict) or "lp" not in payload:
-        raise PayloadFormatError("migration payload must be a dict with 'lp'")
-    return encode_payload(payload)
-
-
-def decode_migration(data: bytes) -> dict:
-    """Inverse of :func:`encode_migration`."""
-    payload = decode_payload(data)
-    if not isinstance(payload, dict) or "lp" not in payload:
-        raise PayloadFormatError("migration payload must decode to a dict with 'lp'")
-    return payload
-
-
-#: Keys every checkpoint envelope must carry. ``engine`` holds the shard
-#: engine's replayable core (queues, clocks, tiebreak counters);
-#: ``shard_state`` whatever the scenario's ``capture_shard`` hook returns.
-_CHECKPOINT_KEYS = ("shard_id", "window_index", "engine")
-
-
-def encode_checkpoint(payload: dict) -> bytes:
-    """Serialize one shard's barrier checkpoint for the control plane.
-
-    The payload is a plain dict with at least ``shard_id``,
-    ``window_index``, and ``engine`` (see
-    :mod:`repro.engine.recovery` for the full structure). Checkpoints
-    ride the worker pipes — control plane, never barrier mail — so a
-    run with checkpointing disabled ships zero extra mail bytes, and the
-    encoding is deterministic: the same shard state captured twice must
-    produce byte-identical blobs (the digest-stability proof).
-    """
-    if not isinstance(payload, dict) or any(k not in payload for k in _CHECKPOINT_KEYS):
-        raise PayloadFormatError(
-            f"checkpoint payload must be a dict with keys {_CHECKPOINT_KEYS}"
-        )
-    return encode_payload(payload)
-
-
-def decode_checkpoint(data: bytes) -> dict:
-    """Inverse of :func:`encode_checkpoint`."""
-    payload = decode_payload(data)
-    if not isinstance(payload, dict) or any(k not in payload for k in _CHECKPOINT_KEYS):
-        raise PayloadFormatError(
-            f"checkpoint payload must decode to a dict with keys {_CHECKPOINT_KEYS}"
-        )
-    return payload
-
-
-def encode_replay_buffer(entries: list[tuple]) -> bytes:
-    """Serialize the retained-mail replay buffer for a respawned worker.
-
-    Each entry is ``(window_index, inbound_payloads)`` — exactly the
-    mail the controller sent (or would have sent) the dead worker at
-    that barrier, so the respawned incarnation can re-execute the
-    missed windows privately before rejoining the live protocol.
-    Migration plans never appear here: recovery and online rebalancing
-    are mutually exclusive by construction.
-    """
-    if not isinstance(entries, list):
-        raise PayloadFormatError("replay buffer payload must be a list")
-    return encode_payload(list(entries))
-
-
-def decode_replay_buffer(data: bytes) -> list[tuple]:
-    """Inverse of :func:`encode_replay_buffer`."""
-    entries = decode_payload(data)
-    if not isinstance(entries, list):
-        raise PayloadFormatError("replay buffer payload must decode to a list")
-    return entries

@@ -22,7 +22,7 @@ from repro.engine.windows import iter_windows
 from repro.experiments.shard import udp_spec
 from repro.netsim import NetworkSimulator, link
 from repro.routing import ForwardingPlane
-from repro.serialization import decode_checkpoint
+from repro.serialization import decode_payload
 from repro.topology import generate_flat_network
 
 NET = generate_flat_network(num_routers=10, num_hosts=6, seed=3)
@@ -61,7 +61,7 @@ def _counted_cut(monkeypatch):
     )
     blob = _encode_worker_checkpoint(engine, scenario, fn_to_name, WINDOWS - 1, 0)
     sim = scenario.capture_shard.__self__.sim
-    return sim, decode_checkpoint(blob), rows["captured"]
+    return sim, decode_payload(blob), rows["captured"]
 
 
 def test_each_link_is_captured_at_most_once_per_cut(counted_cut):

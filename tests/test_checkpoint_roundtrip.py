@@ -47,7 +47,7 @@ from repro.faults import FaultEvent, FaultKind
 from repro.netsim import LinkRuntime, NetworkSimulator
 from repro.netsim.link import _MIGRATES
 from repro.routing import ForwardingPlane
-from repro.serialization import decode_checkpoint, decode_payload, encode_payload
+from repro.serialization import decode_payload, encode_payload
 from repro.topology import Network, NodeKind, generate_flat_network
 
 NUM_NODES = 8
@@ -176,7 +176,7 @@ def test_digest_is_stable_across_processes():
     )
     blob = _encode_worker_checkpoint(engine, scenario, fn_to_name, w, 0)
     assert _digest_in_subprocess(blob) == checkpoint_digest(blob)
-    payload = decode_checkpoint(blob)
+    payload = decode_payload(blob)
     assert payload["shard_id"] == 0
     assert sorted(payload["engine"]["queues"]) == [0, 1]
 

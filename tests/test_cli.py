@@ -244,3 +244,5 @@ class TestTraceCommand:
         printed = capsys.readouterr().out
         assert "trace overflowed" in printed
         assert "retained suffix" in printed
+        # windows come from the engine's WindowStats, not the ring
+        assert "blame covers every window" in printed

@@ -1,16 +1,19 @@
 """Every consumer of the cost model reports the same number.
 
 ``engine/costmodel.py`` is the one place a count is multiplied by a rate
-(``lp_busy_seconds``) and the one place the window max is taken
-(``window_walls``). This property drives random ``WindowStats`` lists,
+(``lp_busy_seconds``), the one place the window max is taken
+(``window_walls``) and the one place a straggler is picked
+(``window_blame``). This property drives random ``WindowStats`` lists,
 shard partitions and straggler spans through every reader that used to
 carry its own copy of the formula — the dense predictor, the
 ``WindowStats`` adapter, the per-window walls the calibration table is
-handed, straggler blame and the online re-balancer's placement score —
-and holds them to one value: float-hex equal where the summation order
-is the same, within 1e-12 relative where it is not (a Python running sum
-against numpy's pairwise one; shard busy as a sum of per-LP products
-against a product of per-shard count sums).
+handed, the modeled and measured blame reports, the Chrome export's
+straggler flags, and the online re-balancer's placement score and
+per-window blame — and holds them to one value: float-hex equal where
+the summation order is the same, within 1e-12 relative where it is not
+(shard busy as a sum of per-LP products against a product of per-shard
+count sums; numpy's pairwise grouped sum against the re-balancer's
+``np.add.at``).
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec
-from repro.engine.costmodel import predict_wallclock
+from repro.engine.costmodel import lp_busy_seconds, predict_wallclock, window_blame
 from repro.engine.windows import WindowStats
 from repro.experiments.parallel import predict_from_windows
 from repro.obs import blame
 from repro.obs.distributed import window_calibration
 from repro.obs.registry import Registry
 from repro.obs.trace import MeasuredWindowRecord, TraceBuffer
+from repro.obs.trace_export import to_chrome_trace
 from repro.partition.rebalance import RebalanceConfig, Rebalancer, span_multipliers
 
 REL = 1e-12
@@ -89,13 +93,29 @@ def test_every_consumer_reports_the_same_wall(scenario):
     for field in ("total_s", "compute_s", "sync_s", "window_wall_s"):
         assert hexes(getattr(adapted, field)) == hexes(getattr(dense, field))
 
-    # Blame reads the same windows back from a trace: its critical path
-    # is the compute term (a Python running sum, so within tolerance).
-    tracer = TraceBuffer(enabled=True)
-    for ws in windows:
-        tracer.window(ws.window_index, ws.start, ws.end, ws.events_per_lp, ws.remote_sends_per_lp)
-    report = blame.analyze(tracer, cluster)
-    assert report.critical_s == pytest.approx(dense.compute_s, rel=REL)
+    # The modeled blame report over the same rows is the kernel's
+    # attribution, and its critical path is the compute term.
+    busy = lp_busy_seconds(events, remotes, cluster)
+    stragglers, walls, waits = window_blame(busy)
+    report = blame.analyze(windows, TraceBuffer(), cluster)
+    charged = np.zeros(num_lps)
+    np.add.at(charged, stragglers, waits)
+    assert [step.unit for step in report.critical_path] == stragglers.tolist()
+    assert hexes(report.window_wait_s) == hexes(waits)
+    assert hexes(report.blame_s) == hexes(charged)
+    assert report.critical_s.hex() == dense.compute_s.hex()
+
+    # The Chrome export flags the same straggler of every window that
+    # has a slice at all (zero busy time draws none).
+    doc = to_chrome_trace(windows, TraceBuffer(), cluster)
+    flagged = {
+        (e["name"], e["tid"]) for e in doc["traceEvents"]
+        if e.get("cat") == "window" and e["args"]["straggler"]
+    }
+    assert flagged == {
+        (f"window {ws.window_index}", int(lp))
+        for ws, lp, wall in zip(windows, stragglers, walls) if wall > 0
+    }
 
     # LPs sharing worker shards: the adapter sums counts per shard, the
     # grouped kernel sums busy seconds per shard.
@@ -104,6 +124,22 @@ def test_every_consumer_reports_the_same_wall(scenario):
     assert sharded.sync_s.hex() == grouped.sync_s.hex()
     assert sharded.compute_s == pytest.approx(grouped.compute_s, rel=REL)
     assert sharded.window_wall_s == pytest.approx(grouped.window_wall_s, rel=REL)
+
+    # Measured blame over synthetic worker records whose busy time is the
+    # grouped busy time, and whose wait fills the window: every shard's
+    # total is the wall, so only busy time can name the straggler.
+    shard_busy = np.stack([busy[:, g].sum(axis=1) for g in shards], axis=1)
+    tracer = TraceBuffer(enabled=True)
+    for ws, row in zip(windows, shard_busy):
+        for shard, b in enumerate(row):
+            tracer.measured_window(ws.window_index, shard, b, row.max() - b, 0.0, 0.0, 1)
+    measured_report = blame.analyze(windows, tracer, num_units=len(shards))
+    stragglers_s, walls_s, waits_s = window_blame(busy, groups=shards)
+    charged = np.zeros(len(shards))
+    np.add.at(charged, stragglers_s, waits_s)
+    assert [s.unit for s in measured_report.critical_path] == stragglers_s.tolist()
+    assert hexes(measured_report.blame_s) == hexes(charged)
+    assert measured_report.critical_s.hex() == grouped.compute_s.hex()
 
     # The calibration table is handed the sharded prediction's own
     # per-window walls, so its predicted total is that prediction.
@@ -136,3 +172,15 @@ def test_every_consumer_reports_the_same_wall(scenario):
     assert rebalancer.placement_score().hex() == slowed.compute_s.hex()
     if not spans:
         assert rebalancer.placement_score() == pytest.approx(sharded.compute_s, rel=REL)
+
+    # Its per-window shard blame is the kernel over its own shard sums
+    # (np.add.at), and those agree with the grouped kernel to rounding.
+    own = np.stack([rebalancer._shard_busy(b) for b in rebalancer._busy_history])
+    picked, own_walls, own_waits = window_blame(own)
+    expected = np.zeros_like(own)
+    expected[np.arange(num_windows), picked] = own_waits
+    assert hexes(np.stack(rebalancer._blame_history).ravel()) == hexes(expected.ravel())
+    slowed_busy = lp_busy_seconds(events, remotes, cluster, busy_multipliers=multipliers)
+    _, slowed_walls, slowed_waits = window_blame(slowed_busy, groups=shards)
+    assert own_walls == pytest.approx(slowed_walls, rel=REL)
+    assert own_waits == pytest.approx(slowed_waits, rel=REL, abs=REL * slowed_walls.max())

@@ -9,8 +9,8 @@ docs/architecture.md. It is built on the import map
 :class:`repro.analysis.symbols.ProgramIndex` computes (relative imports
 resolved), extended with plain ``import a.b.c`` statements.
 
-A second, smaller guard pins the cost model's rates to the one module
-that may multiply by them.
+Two smaller guards pin the cost model's rates to the one module that may
+multiply by them, and the straggler pick to the one kernel that makes it.
 """
 
 from __future__ import annotations
@@ -142,3 +142,37 @@ def test_cost_model_rates_are_read_in_one_place():
                 if "remote_event_cost_s" in line and not fn.lineno <= i <= fn.end_lineno
             ]
     assert not stray, f"cost-model rates read outside engine/costmodel.py: {stray}"
+
+
+def _straggler_picks(tree: ast.AST) -> list[int]:
+    """Lines taking an ``argmax``, or a ``max`` by ``key=``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "argmax")
+        or (isinstance(node, ast.Name) and node.id == "argmax")
+        or (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "max" and any(k.arg == "key" for k in node.keywords)
+        )
+    ]
+
+
+def test_one_kernel_picks_a_straggler():
+    """Under ``obs``, ``partition`` and ``engine`` only ``engine/costmodel.py``
+    (``window_blame``) picks a largest unit; blame, the Chrome export and the
+    re-balancer call it. The partitioner modules below pick something else."""
+    allowed = {
+        "engine/costmodel.py",
+        "partition/baselines.py",  # the heaviest unassigned vertex seeds a cluster
+        "partition/geographic.py",  # the widest coordinate axis to cut
+        "partition/refine.py",  # the best-gain FM move
+    }
+    stray = [
+        f"{rel}:{line}"
+        for package in ("obs", "partition", "engine")
+        for path in sorted((SRC / package).rglob("*.py"))
+        if (rel := path.relative_to(SRC).as_posix()) not in allowed
+        for line in _straggler_picks(ast.parse(path.read_text()))
+    ]
+    assert not stray, f"a straggler picked outside engine/costmodel.py: {stray}"

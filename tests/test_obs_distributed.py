@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import repro.serialization as ser
 from repro.cluster import teragrid_cluster
+from repro.engine.windows import WindowStats
 from repro.obs import blame, export, names, trace_export
 from repro.obs.counters import HistogramMergeError
 from repro.obs.distributed import (
@@ -116,10 +117,10 @@ class TestRegistryCopy:
         assert back.get_vector("v.per_lp").values is not reg.get_vector("v.per_lp").values
 
     def test_tracer_round_trips_over_the_wire_codec(self):
-        tr = tracer_with([measured(0, 1, 0.5)], windows=[(0, 0.0, 1.0, [1, 2], [0, 1])])
+        tr = tracer_with([measured(0, 1, 0.5)])
         back = ser.decode_payload(ser.encode_payload(tr))
         assert list(back.measured) == list(tr.measured)
-        assert back.windows[0].events_per_lp.tolist() == [1, 2]
+        assert back.measured is not tr.measured
 
 
 class TestRegistryMerge:
@@ -278,15 +279,13 @@ def measured(w, shard, execute, wait=0.0, encode=0.0, decode=0.0, events=10, mb=
     return MeasuredWindowRecord(w, shard, execute, wait, encode, decode, events, mb)
 
 
-def tracer_with(records, windows=(), capacity=64) -> TraceBuffer:
+def tracer_with(records, capacity=64) -> TraceBuffer:
     tr = TraceBuffer(capacity=capacity, enabled=True)
     for r in records:
         tr.measured_window(
             r.window_index, r.shard_id, r.execute_s, r.barrier_wait_s,
             r.mail_encode_s, r.mail_decode_s, r.events, r.mail_bytes,
         )
-    for w, start, end, ev, rem in windows:
-        tr.window(w, start, end, np.array(ev), np.array(rem))
     tr.disable()
     return tr
 
@@ -296,28 +295,14 @@ def merged_trace(*parts: TraceBuffer) -> TraceBuffer:
 
 
 class TestTraceBufferMerge:
-    def test_windows_with_same_index_sum_per_lp_vectors(self):
-        ta = tracer_with([], windows=[(0, 0.0, 1.0, [3, 0], [1, 0])])
-        tb = tracer_with([], windows=[(0, 0.0, 1.0, [0, 5], [0, 2])])
-        out = merged_trace(ta, tb)
-        assert len(out.windows) == 1
-        assert out.windows[0].events_per_lp.tolist() == [3, 5]
-        assert out.windows[0].remote_per_lp.tolist() == [1, 2]
-        assert not out.enabled
-
-    def test_window_bounds_mismatch_is_a_typed_error(self):
-        ta = tracer_with([], windows=[(0, 0.0, 1.0, [1, 0], [0, 0])])
-        tb = tracer_with([], windows=[(0, 0.0, 2.0, [1, 0], [0, 0])])
-        with pytest.raises(SnapshotMergeError, match="window 0 bounds"):
-            ta.merge_from(tb)
-        assert len(ta.windows) == 1 and ta.windows[0].end == 1.0
-
     def test_measured_records_sort_by_window_then_shard(self):
         ta = tracer_with([measured(1, 1, 0.2), measured(0, 1, 0.1)])
         tb = tracer_with([measured(0, 0, 0.3)])
-        assert [(m.window_index, m.shard_id) for m in merged_trace(ta, tb).measured] == [
+        out = merged_trace(ta, tb)
+        assert [(m.window_index, m.shard_id) for m in out.measured] == [
             (0, 0), (0, 1), (1, 1),
         ]
+        assert not out.enabled
 
     def test_replayed_faults_deduplicate(self):
         ta = tracer_with([])
@@ -333,15 +318,17 @@ class TestTraceBufferMerge:
             tracer_with([measured(0, 0, 0.5, wait=0.1)]),
             tracer_with([measured(0, 1, 0.2, wait=0.4)]),
         )
-        report = blame.analyze_measured(tr, num_shards=2)
-        assert report.num_shards == 2
+        rows = [WindowStats(0, 0.0, 1.0, np.zeros(2), np.zeros(2))]
+        report = blame.analyze(rows, tr, num_units=2)
+        assert report.num_units == 2
         assert report.num_windows == 1
-        assert report.shard_execute_s.tolist() == [0.5, 0.2]
-        # shard 0's 0.6s total beats shard 1's 0.6s tie -> max picks one;
-        # critical path is the straggler's total
-        assert report.critical_s == pytest.approx(0.6)
-        table = blame.format_measured_table(report)
-        assert "shard" in table and "critical path" in table
+        assert report.extras["execute"].tolist() == [0.5, 0.2]
+        # Both totals are 0.6 s; the straggler is the busier shard 0, and
+        # the critical path is its busy time.
+        assert report.straggler_windows.tolist() == [1, 0]
+        assert report.critical_s == pytest.approx(0.5)
+        table = blame.format_blame_table(report)
+        assert "shard" in table and "execute (ms)" in table
 
 
 # ----------------------------------------------------------------------
@@ -382,16 +369,11 @@ def apply_write(reg: Registry, tr: TraceBuffer, kind: str, i: int, v: int) -> No
 
 
 def channels(tr: TraceBuffer) -> dict:
-    """Every channel as comparable plain data (window arrays as lists)."""
-    out = {name: list(getattr(tr, name)) for name, _ in TraceBuffer.CHANNELS}
-    out["windows"] = [
-        (w.window_index, w.start, w.end, w.events_per_lp.tolist(), w.remote_per_lp.tolist())
-        for w in tr.windows
-    ]
-    return out
+    """Every channel as comparable plain data."""
+    return {name: list(getattr(tr, name)) for name, _ in TraceBuffer.CHANNELS}
 
 
-def scribble(reg: Registry, tr: TraceBuffer) -> None:
+def scribble(reg: Registry) -> None:
     """Bump, in place, every array a part owns."""
     for inst in (*reg.vectors().values(), *reg.gauges().values()):
         inst.values[:] += 1
@@ -400,34 +382,20 @@ def scribble(reg: Registry, tr: TraceBuffer) -> None:
     for series in reg.series_map().values():
         for b in range(series.num_bins):
             series.observe(b * series.bin_s, 0)
-    for w in tr.windows:
-        w.events_per_lp[:] += 1
-        w.remote_per_lp[:] += 1
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     k=st.integers(1, 4),
     writes=st.lists(WRITE, max_size=40),
-    windows=st.lists(
-        st.tuples(st.lists(st.integers(0, 9), min_size=SIZE, max_size=SIZE),
-                  st.lists(st.integers(0, 9), min_size=SIZE, max_size=SIZE)),
-        max_size=4,
-    ),
     faults=st.lists(st.tuples(st.integers(0, 5), st.integers(0, SIZE - 1)), max_size=4),
 )
-def test_merged_parts_equal_one_sink(k, writes, windows, faults):
+def test_merged_parts_equal_one_sink(k, writes, faults):
     parts = [(Registry(True, 0.5), TraceBuffer(1024, True)) for _ in range(k)]
     sink_reg, sink_tr = Registry(True, 0.5), TraceBuffer(1024, True)
     for part, kind, i, v in writes:
         apply_write(*parts[part % k], kind, i, v)
         apply_write(sink_reg, sink_tr, kind, i, v)
-    for w, (events, remote) in enumerate(windows):
-        events, remote = np.array(events), np.array(remote)
-        sink_tr.window(w, float(w), w + 1.0, events, remote)
-        for p, (_, tr) in enumerate(parts):
-            owned = np.arange(SIZE) % k == p  # disjoint owned columns
-            tr.window(w, float(w), w + 1.0, events * owned, remote * owned)
     for t, node in faults:
         sink_tr.fault(float(t), "node.down", "inject", (node,), attempt=1)
         for _, tr in parts:  # every worker replays the control plane
@@ -443,8 +411,8 @@ def test_merged_parts_equal_one_sink(k, writes, windows, faults):
     assert channels(tr) == channels(sink_order)
     # The merge shares no array with any part.
     before = (export.snapshot(reg), channels(tr))
-    for part in parts:
-        scribble(*part)
+    for part, _ in parts:
+        scribble(part)
     assert (export.snapshot(reg), channels(tr)) == before
 
 
@@ -585,7 +553,7 @@ class TestMeasuredPerfettoTracks:
                 measured(0, 1, 0.2, wait=0.01),
             ]
         )
-        doc = trace_export.to_chrome_trace(tr, CLUSTER)
+        doc = trace_export.to_chrome_trace([], tr, CLUSTER)
         events = doc["traceEvents"]
         worker_pids = {e["pid"] for e in events if e.get("cat") == "measured"}
         assert worker_pids == {trace_export._MEASURED_PID}
@@ -599,6 +567,6 @@ class TestMeasuredPerfettoTracks:
         assert threads == {"worker 0", "worker 1"}
 
     def test_no_measured_records_means_no_worker_tracks(self):
-        tr = tracer_with([], windows=[(0, 0.0, 1.0, [1, 0], [0, 0])])
-        doc = trace_export.to_chrome_trace(tr, CLUSTER)
+        rows = [WindowStats(0, 0.0, 1.0, np.array([1, 0]), np.array([0, 0]))]
+        doc = trace_export.to_chrome_trace(rows, tracer_with([]), CLUSTER)
         assert all(e.get("cat") != "measured" for e in doc["traceEvents"])

@@ -29,6 +29,7 @@ from repro.engine.costmodel import (
     remote_send_counts,
     window_for_mapping,
 )
+from repro.engine.windows import WindowStats
 from repro.experiments import ExperimentScale, build_network
 from repro.experiments.parallel import run_traced_workload
 from repro.experiments.runner import cluster_for_scale
@@ -107,7 +108,6 @@ class TestTraceBuffer:
     def test_disabled_record_methods_are_noops(self):
         tr = TraceBuffer()
         assert not tr.enabled
-        tr.window(0, 0.0, 1.0, np.array([1]), np.array([0]))
         tr.edge(0, 1, 0.1, 0.9)
         tr.event(0.2, 3)
         tr.tx(0.2, 3, 4)
@@ -128,15 +128,11 @@ class TestTraceBuffer:
         assert list(tr.events) == [(0.2, 2)]
 
     def test_window_records_carry_counts_priced_at_read_time(self):
-        tr = TraceBuffer(enabled=True)
-        tr.window(0, 0.0, 1.0, np.array([10, 0]), np.array([3, 0]))
-        w = tr.windows[0]
-        assert w.events_per_lp.tolist() == [10, 0]
-        assert w.remote_per_lp.tolist() == [3, 0]
+        rows = [WindowStats(0, 0.0, 1.0, np.array([10, 0]), np.array([3, 0]))]
         cluster = ClusterSpec("c", 2, event_cost_s=2e-6, remote_event_cost_s=5e-6)
-        report = blame.analyze(tr, cluster)
-        assert report.lp_busy_s[0] == pytest.approx(10 * 2e-6 + 3 * 5e-6)
-        assert report.critical_path[0].lp == 0
+        report = blame.analyze(rows, TraceBuffer(), cluster)
+        assert report.busy_s[0] == pytest.approx(10 * 2e-6 + 3 * 5e-6)
+        assert report.critical_path[0].unit == 0
         assert report.total_wait_s == pytest.approx(report.critical_s)  # LP 1 idles fully
 
     def test_capacity_must_be_positive(self):
@@ -160,31 +156,39 @@ class TestTraceBuffer:
 # ---------------------------------------------------------------------------
 # Blame analysis on synthetic windows
 # ---------------------------------------------------------------------------
+def _windows(*events) -> list[WindowStats]:
+    """Back-to-back one-second windows with these per-LP event counts."""
+    return [
+        WindowStats(i, float(i), i + 1.0, np.array(ev), np.zeros(len(ev), dtype=np.int64))
+        for i, ev in enumerate(events)
+    ]
+
+
+#: Three windows over 2 LPs with a known straggler sequence 1,1,0.
+ROWS = _windows([10, 30], [5, 20], [40, 10])
+
+
 def _synthetic_trace() -> TraceBuffer:
-    """Three windows over 2 LPs with a known straggler sequence 1,1,0."""
+    """The edge by which ROWS' window-1 straggler (LP 1) feeds window 2's (LP 0)."""
     tr = TraceBuffer(enabled=True)
-    tr.window(0, 0.0, 1.0, np.array([10, 30]), np.array([0, 0]))
-    tr.window(1, 1.0, 2.0, np.array([5, 20]), np.array([0, 0]))
-    tr.window(2, 2.0, 3.0, np.array([40, 10]), np.array([0, 0]))
-    # Edge: window-1 straggler (LP 1) feeds the window-2 straggler (LP 0).
     tr.edge(1, 0, 1.5, 2.5)
     return tr
 
 
 class TestBlame:
     def test_blame_sums_exactly_to_total_wait(self):
-        report = blame.analyze(_synthetic_trace(), UNIT)
+        report = blame.analyze(ROWS, _synthetic_trace(), UNIT)
         expected_wait = (30 - 10) * 1e-6 + (20 - 5) * 1e-6 + (40 - 10) * 1e-6
         assert report.total_wait_s == pytest.approx(expected_wait, rel=0, abs=0)
-        assert report.lp_blame_s.sum() == report.total_wait_s
-        assert report.lp_blame_s[1] == pytest.approx((20 + 15) * 1e-6)
-        assert report.lp_blame_s[0] == pytest.approx(30e-6)
-        assert list(report.lp_straggler_windows) == [1, 2]
+        assert report.blame_s.sum() == report.total_wait_s
+        assert report.blame_s[1] == pytest.approx((20 + 15) * 1e-6)
+        assert report.blame_s[0] == pytest.approx(30e-6)
+        assert list(report.straggler_windows) == [1, 2]
         assert report.critical_s == pytest.approx((30 + 20 + 40) * 1e-6)
 
     def test_critical_path_marks_causal_handoff(self):
-        report = blame.analyze(_synthetic_trace(), UNIT)
-        assert [s.lp for s in report.critical_path] == [1, 1, 0]
+        report = blame.analyze(ROWS, _synthetic_trace(), UNIT)
+        assert [s.unit for s in report.critical_path] == [1, 1, 0]
         # Windows 0->1: same straggler but no recorded edge -> no handoff.
         assert not report.critical_path[1].handoff_from_prev
         # Windows 1->2: the recorded edge LP1 -> LP0 marks the handoff.
@@ -192,28 +196,27 @@ class TestBlame:
         assert report.handoff_fraction == pytest.approx(0.5)
 
     def test_lp_width_mismatch_raises(self):
-        tr = _synthetic_trace()
-        tr.window(3, 3.0, 4.0, np.array([1, 2, 3]), np.array([0, 0, 0]))
+        rows = ROWS + [WindowStats(3, 3.0, 4.0, np.array([1, 2, 3]), np.zeros(3))]
         with pytest.raises(ValueError, match="LPs"):
-            blame.analyze(tr, UNIT)
+            blame.analyze(rows, _synthetic_trace(), UNIT)
 
     def test_empty_trace_analyzes_to_zero(self):
-        report = blame.analyze(TraceBuffer(), UNIT, num_lps=3)
+        report = blame.analyze([], TraceBuffer(), UNIT, num_units=3)
         assert report.num_windows == 0 and report.total_wait_s == 0.0
-        assert report.lp_blame_s.shape == (3,)
+        assert report.blame_s.shape == (3,)
 
-    def test_blame_on_overflowed_trace_covers_retained_suffix(self):
-        tr = TraceBuffer(capacity=2, enabled=True)
-        tr.window(0, 0.0, 1.0, np.array([100, 0]), np.array([0, 0]))  # evicted
-        tr.window(1, 1.0, 2.0, np.array([10, 30]), np.array([0, 0]))
-        tr.window(2, 2.0, 3.0, np.array([40, 10]), np.array([0, 0]))
+    def test_blame_on_overflowed_trace_covers_every_window(self):
+        tr = TraceBuffer(capacity=1, enabled=True)
+        tr.edge(1, 0, 1.5, 2.5)  # the window 1 -> 2 handoff, evicted
+        tr.edge(0, 1, 2.2, 2.9)
         assert tr.dropped_records == 1
-        report = blame.analyze(tr, UNIT)
-        assert report.num_windows == 2
+        report = blame.analyze(ROWS, tr, UNIT)
+        assert report.num_windows == 3
         assert report.dropped_records == 1
-        assert report.lp_blame_s.sum() == report.total_wait_s
-        assert report.total_wait_s == pytest.approx((20 + 30) * 1e-6)
-        assert "retained suffix" in blame.format_blame_table(report)
+        assert report.blame_s.sum() == report.total_wait_s
+        assert report.total_wait_s == pytest.approx((20 + 15 + 30) * 1e-6)
+        assert not any(s.handoff_from_prev for s in report.critical_path)
+        assert "blame covers every window" in blame.format_blame_table(report)
 
     def test_node_blame_splits_by_event_share(self):
         tr = _synthetic_trace()
@@ -223,16 +226,16 @@ class TestBlame:
         tr.event(0.5, 3)
         tr.event(0.5, 0)
         tr.event(2.5, -1)  # engine-internal: never attributed
-        report = blame.analyze(tr, UNIT)
+        report = blame.analyze(ROWS, tr, UNIT)
         assignment = np.array([0, 0, 1, 1])
         share = blame.node_blame(tr, report, assignment)
-        assert share[2] == pytest.approx(0.75 * report.lp_blame_s[1])
-        assert share[3] == pytest.approx(0.25 * report.lp_blame_s[1])
-        assert share[0] == pytest.approx(report.lp_blame_s[0])
+        assert share[2] == pytest.approx(0.75 * report.blame_s[1])
+        assert share[3] == pytest.approx(0.25 * report.blame_s[1])
+        assert share[0] == pytest.approx(report.blame_s[0])
         assert share[1] == 0.0
 
     def test_format_blame_table_cross_checks_sum(self):
-        report = blame.analyze(_synthetic_trace(), UNIT)
+        report = blame.analyze(ROWS, _synthetic_trace(), UNIT)
         table = blame.format_blame_table(report)
         assert "blame sums to it exactly" in table
         assert f"{report.total_wait_s * 1e3:.3f}" in table
@@ -250,11 +253,8 @@ class TestBlame:
         # One LP per window: the straggler waits on nobody, so every
         # window contributes zero wait. The table must render (no NaN,
         # shares all 0.0%) and the report's invariants must still hold.
-        tr = TraceBuffer(enabled=True)
-        tr.window(0, 0.0, 1.0, np.array([10]), np.array([0]))
-        tr.window(1, 1.0, 2.0, np.array([20]), np.array([0]))
         with np.errstate(divide="raise", invalid="raise"):
-            report = blame.analyze(tr, UNIT)
+            report = blame.analyze(_windows([10], [20]), TraceBuffer(), UNIT)
             table = blame.format_blame_table(report)
         assert report.total_wait_s == 0.0
         assert report.shares.tolist() == [0.0]
@@ -267,11 +267,28 @@ class TestBlame:
         tr.measured_window(0, 0, 1.0, 0.0, 0.1, 0.05, 100, 0)
         tr.measured_window(1, 0, 2.0, 0.0, 0.2, 0.10, 200, 0)
         with np.errstate(divide="raise", invalid="raise"):
-            report = blame.analyze_measured(tr, num_shards=1)
-            table = blame.format_measured_table(report)
+            report = blame.analyze(_windows([0], [0]), tr, num_units=1)
+            table = blame.format_blame_table(report)
         assert report.shares.tolist() == [0.0]
         assert report.num_windows == 2
         assert "nan" not in table.lower()
+
+    def test_measured_straggler_is_the_busiest_shard_not_the_longest_total(self):
+        # Shard 0 was busier (executing, then cutting a checkpoint) and so
+        # waited less; shard 1's total holds the wait shard 0 caused.
+        tr = TraceBuffer(enabled=True)
+        tr.measured_window(0, 0, 0.5, 0.10, 0.0, 0.0, 10, 0, checkpoint_s=0.02)
+        tr.measured_window(0, 1, 0.2, 0.45, 0.0, 0.0, 10, 0)
+        busier, longer = tr.measured
+        assert busier.total_s < longer.total_s
+        assert busier.busy_s == pytest.approx(busier.total_s - busier.barrier_wait_s)
+        report = blame.analyze(_windows([0, 0]), tr)
+        assert report.unit == "shard"
+        assert report.straggler_windows.tolist() == [1, 0]
+        assert report.critical_s == pytest.approx(0.52)
+        assert report.blame_s.tolist() == pytest.approx([0.32, 0.0])
+        assert report.extras["ckpt"].tolist() == [0.02, 0.0]
+        assert "ckpt (ms)" in blame.format_blame_table(report)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +296,7 @@ class TestBlame:
 # ---------------------------------------------------------------------------
 class TestChromeExport:
     def test_export_structure_and_json_round_trip(self):
-        doc = to_chrome_trace(_synthetic_trace(), UNIT)
+        doc = to_chrome_trace(ROWS, _synthetic_trace(), UNIT)
         doc = json.loads(json.dumps(doc))  # must be plain-JSON serializable
         events = doc["traceEvents"]
         phases = {e["ph"] for e in events}
@@ -294,7 +311,7 @@ class TestChromeExport:
         assert len(barriers) == 3 and all(b["dur"] == 10.0 for b in barriers)
 
     def test_windows_laid_out_back_to_back(self):
-        doc = to_chrome_trace(_synthetic_trace(), UNIT)
+        doc = to_chrome_trace(ROWS, _synthetic_trace(), UNIT)
         slices = [e for e in doc["traceEvents"]
                   if e["ph"] == "X" and e["cat"] == "window"]
         by_window: dict[str, list] = {}
@@ -306,7 +323,7 @@ class TestChromeExport:
         assert by_window["window 2"][0]["ts"] == pytest.approx(70.0)
 
     def test_flow_pair_links_sender_to_receiver(self):
-        doc = to_chrome_trace(_synthetic_trace(), UNIT)
+        doc = to_chrome_trace(ROWS, _synthetic_trace(), UNIT)
         flows = [e for e in doc["traceEvents"] if e["ph"] in ("s", "f")]
         assert len(flows) == 2
         start, finish = flows
@@ -318,11 +335,11 @@ class TestChromeExport:
         tr = _synthetic_trace()
         for _ in range(50):
             tr.edge(1, 0, 1.5, 2.5)
-        doc = to_chrome_trace(tr, UNIT, max_flows=5)
+        doc = to_chrome_trace(ROWS, tr, UNIT, max_flows=5)
         assert sum(e["ph"] == "s" for e in doc["traceEvents"]) == 5
 
     def test_empty_trace_exports_metadata_only(self):
-        doc = to_chrome_trace(TraceBuffer(), UNIT)
+        doc = to_chrome_trace([], TraceBuffer(), UNIT)
         assert all(e["ph"] == "M" for e in doc["traceEvents"])
 
 
@@ -332,22 +349,18 @@ class TestChromeExport:
 class TestTracedRunIntegration:
     def test_engine_hooks_record_all_channels(self, traced_run_result):
         net, engine, tr, candidates, cluster = traced_run_result
-        assert len(tr.windows) == len(engine.window_stats)
         assert len(tr.events) > 1000
         assert len(tr.transmissions) > 0
         assert len(tr.edges) == int(engine.remote_sends_total().sum())
-        for w, ws in zip(tr.windows, engine.window_stats):
-            assert np.array_equal(w.events_per_lp, ws.events_per_lp)
-            assert np.array_equal(w.remote_per_lp, ws.remote_sends_per_lp)
 
     def test_global_tracer_disabled_after_traced_run(self, traced_run_result):
         assert not get_tracer().enabled
 
     def test_blame_totals_on_real_run(self, traced_run_result):
         net, engine, tr, candidates, cluster = traced_run_result
-        report = blame.analyze(tr, cluster, num_lps=engine.num_lps)
+        report = blame.analyze(engine.window_stats, tr, cluster, num_units=engine.num_lps)
         assert report.num_windows == len(engine.window_stats)
-        assert report.lp_blame_s.sum() == report.total_wait_s
+        assert report.blame_s.sum() == report.total_wait_s
         assert report.total_wait_s == pytest.approx(float(report.window_wait_s.sum()))
         node_share = blame.node_blame(
             tr, report, candidates[Approach.HTOP].assignment, net.num_nodes
