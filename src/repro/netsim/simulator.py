@@ -162,7 +162,8 @@ class NetworkSimulator:
     #: tests/test_state_owners.py fails on an attribute in neither tuple.
     STATIC = (
         "net", "fib", "sched", "hop_processing_s", "record_transmissions",
-        "_links_by_pair", "_hops", "_hops_epoch", "_tcp_endpoints", "_udp_handlers",
+        "_links_by_pair", "_hops", "_ports", "_hops_epoch", "_tcp_endpoints",
+        "_udp_handlers",
     )
 
     def __init__(
@@ -185,14 +186,20 @@ class NetworkSimulator:
         for lr in self.links:
             self._links_by_pair.setdefault((lr.link.u, lr.link.v), []).append(lr)
             self._links_by_pair.setdefault((lr.link.v, lr.link.u), []).append(lr)
-        # Hop cache: _hops[node][dst] -> (next node, LinkRuntime, direction),
-        # or None for an unroutable pair. Filled one pair at a time through
-        # fib.next_hop, so the forwarding plane's own cache — and with it
-        # fib.digest() — holds exactly the pairs some packet asked for, and
-        # dropped whole when fib.epoch moves (see _resolve_hop).
+        # Hop cache: _hops[node][dst] -> the port the pair leaves by, or
+        # None for an unroutable pair. Filled one pair at a time through
+        # fib.next_hop, so the forwarding plane's own record — and with
+        # it fib.digest() — holds exactly the pairs some packet asked
+        # for, and dropped whole when fib.epoch moves (see _resolve_hop).
+        # A port, (next node, LinkRuntime, direction), is built on first
+        # use into _ports[2 * link id + direction] and shared by every
+        # pair routed out of that link end, so there are at most
+        # 2 x links of them and a resolved pair allocates nothing but
+        # its dict slot.
         self._hops: list[dict[int, tuple[int, LinkRuntime, int] | None]] = [
             {} for _ in range(net.num_nodes)
         ]
+        self._ports: list[tuple[int, LinkRuntime, int] | None] = [None] * (2 * len(self.links))
         self._hops_epoch = fib.epoch
         self.counters = TrafficCounters()
         # Per-node handled packet count, as a Python list: one is bumped
@@ -432,13 +439,14 @@ class NetworkSimulator:
     def _resolve_hop(self, node: int, dst: int) -> tuple[int, LinkRuntime, int] | None:
         """Ask the forwarding plane for one ``(node, dst)`` and keep the answer.
 
-        Between a pair with parallel links the packet rides the one SPF
-        routed over: of those in service the cheapest by the OSPF metric,
-        the first-created among equals (``min`` returns the first of
-        equal minima). Only a link failed behind the forwarding plane's
-        back — ``fail_link`` without ``fib.set_link_state`` — can leave
-        none in service; the packet is then offered to the cheapest and
-        dropped there.
+        The answer is the shared port of the link end the packet leaves
+        by, built the first time any pair needs it. Between a pair with
+        parallel links that is the link SPF routed over: of those in
+        service the cheapest by the OSPF metric, the first-created among
+        equals (``min`` returns the first of equal minima). Only a link
+        failed behind the forwarding plane's back — ``fail_link`` without
+        ``fib.set_link_state`` — can leave none in service; the packet is
+        then offered to the cheapest and dropped there.
         """
         next_node = self.fib.next_hop(node, dst)
         hop = None
@@ -448,12 +456,21 @@ class NetworkSimulator:
             runtime = links[0]
             if len(links) > 1:
                 runtime = min([lr for lr in links if not lr.failed] or links, key=_ospf_metric)
-            hop = (next_node, runtime, runtime.direction(node))
+            d = runtime.direction(node)
+            end = 2 * runtime.link.link_id + d
+            hop = self._ports[end]
+            if hop is None:
+                hop = self._ports[end] = (next_node, runtime, d)
         self._hops[node][dst] = hop
         return hop
 
     def _drop_hops(self) -> None:
-        """Forget every resolved hop (routes or link states changed)."""
+        """Forget every resolved hop (routes or link states changed).
+
+        Ports stay: each names a link end, never goes stale, and the
+        choice among parallel links is made again by every re-resolved
+        pair.
+        """
         for hops in self._hops:
             hops.clear()
         self._hops_epoch = self.fib.epoch

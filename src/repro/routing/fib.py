@@ -46,8 +46,11 @@ class ForwardingPlane:
             members.setdefault(node.as_id, []).append(node.node_id)
         for as_id, mem in members.items():
             self._ospf[as_id] = OspfRouting(net, mem)
-        # (node, dest) -> next node; flows hammer the same pairs.
-        self._cache: dict[tuple[int, int], int | None] = {}
+        # _resolved[dest][node] -> next node, for every pair next_hop
+        # answered since the last flush; flows hammer the same pairs.
+        # One dict per destination, so that recording a pair allocates
+        # no key object.
+        self._resolved: list[dict[int, int | None]] = [{} for _ in range(net.num_nodes)]
         #: bumped by every :meth:`flush_cache`: whoever keeps decisions
         #: of :meth:`next_hop` (the simulator's hop cache) drops them
         #: when it moves
@@ -72,13 +75,19 @@ class ForwardingPlane:
         """
         if node == dest:
             return None
-        key = (node, dest)
-        hit = self._cache.get(key, _MISS)
+        nexts = self._resolved[dest]
+        hit = nexts.get(node, _MISS)
         if hit is not _MISS:
             return hit
-        result = self._compute_next_hop(node, dest)
-        self._cache[key] = result
+        result = nexts[node] = self._compute_next_hop(node, dest)
         return result
+
+    @property
+    def resolved_pairs(self) -> int:
+        """How many ``(node, dest)`` pairs :meth:`next_hop` has answered
+        since the last :meth:`flush_cache`: the entries :meth:`digest`
+        hashes."""
+        return sum(map(len, self._resolved))
 
     def _compute_next_hop(self, node: int, dest: int) -> int | None:
         node_as = self.net.nodes[node].as_id
@@ -143,7 +152,8 @@ class ForwardingPlane:
     # ------------------------------------------------------------------
     def flush_cache(self) -> None:
         """Drop every cached forwarding decision (route recomputation)."""
-        self._cache.clear()
+        for nexts in self._resolved:
+            nexts.clear()
         self.epoch += 1
 
     def set_link_state(self, link_id: int, up: bool) -> None:
@@ -187,13 +197,19 @@ class ForwardingPlane:
         """SHA-256 over the resolved forwarding decisions, order-independent.
 
         Hashes every ``(node, dest) -> next_hop`` entry the run actually
-        resolved (the lazily filled cache), sorted by key, so two runs
-        that made the same forwarding decisions produce the same hex
-        digest regardless of resolution order. The regression-fingerprint
-        test uses this as the routing component of a run's identity.
+        resolved (the :attr:`resolved_pairs` of them), sorted by
+        ``(node, dest)``, so two runs that made the same forwarding
+        decisions produce the same hex digest regardless of resolution
+        order. The regression-fingerprint test uses this as the routing
+        component of a run's identity.
         """
+        decisions = sorted(
+            (node, dest, nxt)
+            for dest, nexts in enumerate(self._resolved)
+            for node, nxt in nexts.items()
+        )
         h = hashlib.sha256()
-        for (node, dest), nxt in sorted(self._cache.items()):
+        for node, dest, nxt in decisions:
             h.update(f"{node},{dest}->{-1 if nxt is None else nxt};".encode())
         return h.hexdigest()
 

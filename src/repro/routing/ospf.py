@@ -164,9 +164,7 @@ class OspfRouting:
         distances to it. The parent pick applies the module docstring's
         tie-break rule to every stored entry at once.
         """
-        root = self._row.get(dest)
-        if root is None:
-            raise KeyError(f"destination {dest} not in this OSPF domain")
+        root = self._row[dest]  # next_hop answers a non-member itself
         token = self._obs_seconds.start()
         self.trees_built += 1
         self._obs_trees.inc()
@@ -204,12 +202,15 @@ class OspfRouting:
         """Next node on the shortest path from ``node`` to ``dest``.
 
         Returns ``None`` when ``dest`` is unreachable within the domain
-        or ``node == dest``.
+        (a non-member included: no tree is built for it) or
+        ``node == dest``.
         """
         if node == dest:
             return None
         tree = self._trees.get(dest)
         if tree is None:
+            if dest not in self._row:
+                return None
             tree = self._trees[dest] = self._build_tree(dest)
         row = self._row.get(node)
         if row is None:

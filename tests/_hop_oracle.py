@@ -1,4 +1,5 @@
-"""The per-hop path as it was before the fused rewrite.
+"""The per-hop path and the forwarding state as they were before they
+were made cheap.
 
 ``NetworkSimulator._handle_at``, ``LinkRuntime.transmit`` (with the
 ``_early_drop`` it calls) and ``SimKernel.run`` / ``schedule_at`` at
@@ -14,10 +15,17 @@ dropped is rebuilt in ``__init__``: the ``(from, to) -> LinkRuntime``
 dict (first-created link wins — the parallel-link bug is the old code's,
 so the suite compares on networks without parallel links) and
 ``node_packets`` as the live ``int64`` array.
+
+Beside them, the forwarding state of commit 6c304f0, the reference of
+``tests/test_forwarding_state_oracle.py``: ``ForwardingPlane.next_hop``,
+``flush_cache`` and ``digest`` over one ``(node, dest)``-keyed dict, and
+``NetworkSimulator._resolve_hop`` building a fresh ``(next node,
+LinkRuntime, direction)`` tuple for every pair it resolves.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Any, Callable
 
 import numpy as np
@@ -26,7 +34,8 @@ from repro.engine.events import Event
 from repro.engine.kernel import SimKernel
 from repro.netsim.link import LinkRuntime, TransmitResult
 from repro.netsim.packet import Packet
-from repro.netsim.simulator import NetworkSimulator
+from repro.netsim.simulator import NetworkSimulator, _ospf_metric
+from repro.routing.fib import ForwardingPlane
 
 
 class OracleLinkRuntime(LinkRuntime):
@@ -220,3 +229,77 @@ class OracleKernel(SimKernel):
                 self._trace_nodes.append(ev.node)
         self.events_executed += executed
         return executed
+
+
+# ----------------------------------------------------------------------
+# Forwarding state at commit 6c304f0
+# ----------------------------------------------------------------------
+_MISS = object()
+
+
+class OracleForwardingPlane(ForwardingPlane):
+    """``ForwardingPlane`` keeping its decisions under ``(node, dest)`` keys."""
+
+    def __init__(self, net, bgp=None) -> None:
+        super().__init__(net, bgp)
+        # (node, dest) -> next node; flows hammer the same pairs.
+        self._cache: dict[tuple[int, int], int | None] = {}
+
+    def next_hop(self, node: int, dest: int) -> int | None:
+        """The next node on the path from ``node`` to ``dest``.
+
+        Returns ``None`` for unreachable destinations — under policy
+        routing, connectivity does not imply reachability.
+        """
+        if node == dest:
+            return None
+        key = (node, dest)
+        hit = self._cache.get(key, _MISS)
+        if hit is not _MISS:
+            return hit
+        result = self._compute_next_hop(node, dest)
+        self._cache[key] = result
+        return result
+
+    @property
+    def resolved_pairs(self) -> int:
+        return len(self._cache)
+
+    def flush_cache(self) -> None:
+        """Drop every cached forwarding decision (route recomputation)."""
+        self._cache.clear()
+        self.epoch += 1
+
+    def digest(self) -> str:
+        """SHA-256 over the resolved forwarding decisions, order-independent."""
+        h = hashlib.sha256()
+        for (node, dest), nxt in sorted(self._cache.items()):
+            h.update(f"{node},{dest}->{-1 if nxt is None else nxt};".encode())
+        return h.hexdigest()
+
+
+class OracleResolvingSimulator(NetworkSimulator):
+    """``NetworkSimulator`` resolving each pair to a tuple of its own."""
+
+    def _resolve_hop(self, node: int, dst: int) -> tuple[int, LinkRuntime, int] | None:
+        """Ask the forwarding plane for one ``(node, dst)`` and keep the answer.
+
+        Between a pair with parallel links the packet rides the one SPF
+        routed over: of those in service the cheapest by the OSPF metric,
+        the first-created among equals (``min`` returns the first of
+        equal minima). Only a link failed behind the forwarding plane's
+        back — ``fail_link`` without ``fib.set_link_state`` — can leave
+        none in service; the packet is then offered to the cheapest and
+        dropped there.
+        """
+        next_node = self.fib.next_hop(node, dst)
+        hop = None
+        if next_node is not None:
+            links = self._links_by_pair.get((node, next_node))
+            assert links, "forwarding plane returned a non-adjacent hop"
+            runtime = links[0]
+            if len(links) > 1:
+                runtime = min([lr for lr in links if not lr.failed] or links, key=_ospf_metric)
+            hop = (next_node, runtime, runtime.direction(node))
+        self._hops[node][dst] = hop
+        return hop

@@ -8,9 +8,13 @@ innocent-looking refactor while a timing on a noisy host still reads
 datagrams between the hosts of the shared ``flat_net`` over its default
 drop-tail queues with no fault armed. The second half pins the other
 side of the cache: it must not outlive the routes it was filled from.
+The last test counts what the cache keeps: objects the garbage
+collector tracks, per resolved pair.
 """
 
 from __future__ import annotations
+
+import gc
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ import pytest
 from repro.engine import SimKernel
 from repro.netsim import NetworkSimulator, Packet, Protocol, link
 from repro.routing import ForwardingPlane
-from repro.topology import Network, NodeKind
+from repro.topology import Network, NodeKind, generate_flat_network
 
 DATAGRAMS = 400
 
@@ -75,7 +79,7 @@ def _counted_run(flat_net, monkeypatch):
 def test_the_forwarding_plane_is_asked_once_per_pair_not_once_per_hop(counted_run):
     sim, fib, _, counts = counted_run
     hops = int(sim.link_packets().sum())
-    pairs = len(fib._cache)
+    pairs = fib.resolved_pairs
     assert hops > 10 * pairs  # or asking at every hop would pass too
     assert 0 < counts["next_hop"] <= pairs
 
@@ -142,4 +146,34 @@ def test_a_bare_flush_makes_the_next_hop_ask_again(monkeypatch):
     fib.flush_cache()
     send()
     assert asked == [0, 1]
-    assert len(fib._cache) == 2  # the digest covers the flushed run's pairs again
+    assert fib.resolved_pairs == 2  # the digest covers the flushed run's pairs again
+
+
+# ----------------------------------------------------------------------
+# A resolved pair keeps no object of its own
+# ----------------------------------------------------------------------
+def test_resolving_every_pair_adds_no_tracked_object_per_pair():
+    # Every long-lived container object the collector tracks is work for
+    # the full collections a run triggers (docs/performance.md,
+    # "Forwarding state"). Counted with the collector off, so nothing is
+    # freed or untracked under the count.
+    net = generate_flat_network(num_routers=100, num_hosts=0, seed=7)
+    n = net.num_nodes
+    fib = ForwardingPlane(net)
+    sim = NetworkSimulator(net, fib, SimKernel())
+    domain = fib.ospf_domain(net.nodes[0].as_id)
+    for dest in range(n):  # SPF first: its trees are per destination, not per pair
+        domain.next_hop((dest + 1) % n, dest)
+    pairs = [(node, dest) for node in range(n) for dest in range(n) if node != dest]
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        for node, dest in pairs:
+            sim._resolve_hop(node, dest)
+        added = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    # one shared port per link end, and the per-node hop dicts that hold them
+    assert added <= 2 * len(net.links) + n
+    assert fib.resolved_pairs == len(pairs) == 9_900

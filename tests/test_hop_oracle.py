@@ -1,8 +1,9 @@
 """The fused per-hop path against the code it replaced.
 
-``tests/_hop_oracle.py`` holds ``_handle_at``, ``transmit`` and
-``SimKernel.run`` as they were. Every scenario here is run twice — once
-with them, once with what ships — and everything a packet can leave
+``tests/_hop_oracle.py`` holds ``_handle_at``, ``transmit``,
+``SimKernel.run`` and the tuple-keyed forwarding plane as they were.
+Every scenario here is run twice — once with them, once with what
+ships — and everything a packet can leave
 behind is asserted *identical*, not close: the traffic counters, the
 per-node and per-link counts, the fault drops, the digest of the
 forwarding decisions the run asked for, and the transmission record and
@@ -117,7 +118,7 @@ def build(engine, params: dict) -> ShardScenario:
         net.add_node(NodeKind.ROUTER)
     for u, v, bandwidth, latency, queue in params["links"]:
         net.add_link(u, v, bandwidth, latency, queue)
-    fib = ForwardingPlane(net)
+    fib = (oracle.OracleForwardingPlane if params["oracle"] else ForwardingPlane)(net)
     simulator = oracle.OracleSimulator if params["oracle"] else NetworkSimulator
     sim = simulator(
         net, fib, engine, record_transmissions=True, queue_discipline=params["discipline"]

@@ -53,10 +53,15 @@ class TestNextHop:
         ospf = OspfRouting(net, [0, 1, 2, 3, iso])
         assert ospf.next_hop(0, iso) is None
 
-    def test_destination_not_member_raises(self):
+    def test_destination_not_member_is_unreachable(self):
+        # what the docstrings promise for any unreachable destination,
+        # answered without building a tree toward a node outside the domain
         ospf = OspfRouting(diamond_net(), [0, 1, 2])
-        with pytest.raises(KeyError):
-            ospf.next_hop(0, 3)
+        assert ospf.next_hop(0, 3) is None
+        assert ospf.distance(0, 3) == np.inf
+        assert ospf.path(0, 3) is None
+        assert ospf.trees_built == 0 and ospf.cached_destinations() == []
+        assert ospf.distance(3, 0) == np.inf  # a non-member source, as before
 
     def test_paths_never_leave_member_set(self):
         # Restrict to {0, 2, 3}: route 0->3 must go via 2 despite cost.
