@@ -30,9 +30,9 @@ Executed multi-process runs use the UDP scenario; modeled runs keep the
 full application mix.
 
 The classes here own no simulation state: they compose the
-``capture()`` / ``restore()`` of the objects that do (every
-``LinkRuntime``, the ``NetworkSimulator``, the ``FaultInjector``), so a
-field one of those declares dynamic is in every checkpoint and migration.
+``capture()`` / ``restore()`` of the objects that do (the ``LinkTable``,
+the ``NetworkSimulator``, the ``FaultInjector``), so a field one of those
+declares dynamic is in every checkpoint.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from ..engine.conservative import ConservativeEngine
 from ..engine.parallel import ScenarioSpec, ShardScenario
 from ..engine.parallel.shard import _resolve_builder
 from ..faults import FaultInjector, FaultSchedule
-from ..netsim.link import LinkRuntime
+from ..netsim.link import FAULT, RED
 from ..netsim.packet import Packet, Protocol
 from ..netsim.simulator import NetworkSimulator
 from ..obs.registry import Registry
@@ -97,53 +97,55 @@ class DeliveryRecorder:
         self.inner(node, packet)
 
 
+#: what an LP with no link takes along: no end, no stream
+_NOTHING: tuple[list[int], frozenset[int]] = ([], frozenset())
+
+
 class LpStatePort:
     """``capture_lp`` / ``restore_lp`` hooks for the packet scenarios.
 
-    What moves with an LP is a *selection* of each link's own capture
-    (:meth:`LinkRuntime.capture` with the directions the LP transmits
-    in — direction ``d`` of a link belongs to the LP of the endpoint
-    traffic leaves from): the busy horizons of those directions, and the
-    RED / fault streams of links *both* of whose endpoints live on the
-    LP — drawn exclusively by the LP's events, so the adopting shard
+    What moves with an LP is :meth:`LinkTable.capture_lp`: the busy
+    horizons of the link ends it transmits from — end ``2 * link + d``
+    belongs to the LP of the endpoint direction ``d`` leaves from — and
+    the RED / fault streams of links *both* of whose endpoints live on
+    the LP, drawn exclusively by the LP's events, so the adopting shard
     must resume them mid-stream. Counters never migrate: they are
     partial sums that merge by summation across shards regardless of
     where the LP finishes the run. Link indices align across shards
     because construction is replayed identically everywhere.
 
-    The assignment and the links are static, so which links an LP
-    touches, and in which directions, is worked out once here. At a
-    checkpoint the slices are selected from the cut's link table
-    (:meth:`LinkRuntime.select`) instead of capturing the links again.
+    The assignment and the links are static, so which ends and streams
+    an LP takes along is worked out once here. At a checkpoint the
+    slices are selected from the cut's columns instead of read again.
     """
 
     def __init__(self, sim: NetworkSimulator, assignment: Any) -> None:
-        self.sim = sim
+        self.table = sim.link_table
         lp_of = np.asarray(assignment, dtype=np.int64).tolist()
-        #: lp -> [(link index, owned directions)], in link order
-        self.picks: dict[int, list[tuple[int, tuple[bool, bool]]]] = {}
-        for idx, lr in enumerate(sim.links):
-            lp_u, lp_v = lp_of[lr.link.u], lp_of[lr.link.v]
-            self.picks.setdefault(lp_u, []).append((idx, (True, lp_u == lp_v)))
-            if lp_v != lp_u:
-                self.picks.setdefault(lp_v, []).append((idx, (False, True)))
+        ends: dict[int, list[int]] = {}
+        keys: dict[int, set[int]] = {}
+        for i, link in enumerate(self.table.links):
+            lp_u, lp_v = lp_of[link.u], lp_of[link.v]
+            ends.setdefault(lp_u, []).append(2 * i)
+            ends.setdefault(lp_v, []).append(2 * i + 1)
+            if lp_u == lp_v:
+                keys.setdefault(lp_u, set()).update((2 * i + RED, 2 * i + FAULT))
+        #: lp -> (the link ends it transmits from, in link order; the
+        #: stream keys of the links it owns both ends of)
+        self.takes = {lp: (e, frozenset(keys.get(lp, ()))) for lp, e in ends.items()}
 
-    def capture(self, lp: int, cut: dict[str, Any] | None = None) -> dict[int, dict[str, Any]]:
-        """Link index -> the slice of that link's state ``lp`` owns.
+    def capture(self, lp: int, cut: dict[str, Any] | None = None) -> dict[str, Any]:
+        """The state ``lp`` takes along.
 
         ``cut`` is the same barrier's :meth:`ShardCheckpointPort.capture`,
-        when there is one: the slices are then selected from its table.
+        when there is one: the slice is then selected from its columns.
         """
-        picks = self.picks.get(lp, [])
-        if cut is not None:
-            return LinkRuntime.select(cut["sim"]["links"], picks)
-        links = self.sim.links
-        return {idx: links[idx].capture(owned) for idx, owned in picks}
+        columns = None if cut is None else cut["sim"]["link_table"]
+        return self.table.capture_lp(*self.takes.get(lp, _NOTHING), columns)
 
-    def restore(self, lp: int, state: dict[int, dict[str, Any]]) -> None:
+    def restore(self, lp: int, state: dict[str, Any]) -> None:
         """Apply a :meth:`capture` blob on the adopting shard."""
-        for idx, link_state in state.items():
-            self.sim.links[idx].restore(link_state)
+        self.table.restore_lp(*self.takes.get(lp, _NOTHING), state)
 
 
 @dataclass(eq=False)
@@ -152,10 +154,10 @@ class ShardCheckpointPort:
 
     A checkpoint restores a shard to *exactly* its own partial view at a
     barrier, so it is every owner's whole capture side by side: the
-    simulator's (its links as one sparse table — partial counters, the
-    replica streams of boundary links, fault flags, for every link not in
-    its freshly built state), the fault injector's, and the two logs this
-    module keeps per shard, deliveries and the fault trace. Restore
+    simulator's (its link table's columns — busy horizons, partial
+    counters, fault flags — and created streams), the fault injector's,
+    and the two logs this module keeps per shard, deliveries and the
+    fault trace. Restore
     happens over a freshly rebuilt scenario (setup replayed from the
     spec); pending events are the engine's to restore.
     """
@@ -214,7 +216,7 @@ class ShardCollector:
             "counters": self.sim.counters.as_dict(),
             "node_packets": self.sim.node_packets.tolist(),
             "dropped_fault": int(self.sim.dropped_fault),
-            "link_lost": [int(lr.total_lost) for lr in self.sim.links],
+            "link_lost": self.sim.link_lost().tolist(),
             "events_executed": int(self.engine.events_executed),
         }
         if getattr(self.engine, "has_control", True) and self.injector is not None:

@@ -14,6 +14,9 @@ it drives the existing machinery —
   from the link's dedicated fault stream, never the RED stream);
 - LP slowdowns record straggler spans the cost model consumes via
   ``busy_multipliers``;
+- a target stays down, lossy (at the latest open burst's probabilities)
+  or slow while any of its windows is open; ends close the oldest first
+  (:func:`~repro.faults.schedule.pair_window`);
 - BGP resets go to the :class:`~repro.routing.bgp.session.
   BgpSessionManager`, whose transitions come back through
   :meth:`FaultInjector._on_session_change` into the trace.
@@ -43,7 +46,7 @@ from ..obs.registry import get_registry
 from ..obs.trace import get_tracer
 from ..routing.bgp.session import BgpSessionManager
 from ..routing.fib import ForwardingPlane
-from .schedule import FaultEvent, FaultKind, FaultSchedule
+from .schedule import FaultEvent, FaultKind, FaultSchedule, pair_window
 
 __all__ = ["FaultCounts", "FaultInjector"]
 
@@ -89,7 +92,7 @@ class FaultInjector:
 
     #: The dynamic fields: what :meth:`capture` / :meth:`restore` carry,
     #: listed here and nowhere else.
-    DYNAMIC = ("counts", "slowdown_spans", "_open_slowdowns", "links_down", "nodes_down")
+    DYNAMIC = ("counts", "slowdown_spans", "_open_windows")
     #: Everything else ``__init__`` sets (obs instruments aside): its
     #: arguments, the scheduler ``install`` binds, the border-session
     #: table. tests/test_state_owners.py fails on an attribute in neither.
@@ -112,10 +115,9 @@ class FaultInjector:
         self._sched: Scheduler | None = None
         #: finalized LP straggler spans: (lp, start_s, end_s, factor)
         self.slowdown_spans: list[tuple[int, float, float, float]] = []
-        self._open_slowdowns: dict[int, tuple[float, float]] = {}
-        #: links/nodes the schedule left down at end of run (diagnostics)
-        self.links_down: set[int] = set()
-        self.nodes_down: set[int] = set()
+        # (kind, target) -> its open windows, (start time, value) oldest
+        # first (pair_window); kind is "link", "router", "loss" or "lp"
+        self._open_windows: dict[tuple[str, int], tuple[tuple[float, Any], ...]] = {}
 
         reg = registry if registry is not None else get_registry()
         self._obs = reg
@@ -143,6 +145,17 @@ class FaultInjector:
                         rows = self._border_sessions.setdefault(local, [])
                         if key not in rows:
                             rows.append(key)
+
+    @property
+    def links_down(self) -> set[int]:
+        """Links an open outage window holds down (at the end of a run:
+        the ones the schedule left down)."""
+        return {target for kind, target in self._open_windows if kind == "link"}
+
+    @property
+    def nodes_down(self) -> set[int]:
+        """Routers an open crash window holds down."""
+        return {target for kind, target in self._open_windows if kind == "router"}
 
     # ------------------------------------------------------------------
     def install(self, scheduler: Scheduler) -> None:
@@ -197,15 +210,21 @@ class FaultInjector:
         else:  # pragma: no cover - enum is closed
             raise ValueError(f"unknown fault kind {kind!r}")
 
+    def _flips(self, key: tuple[str, int], start: bool) -> bool:
+        """Open or close one window on ``key``: does the target change
+        state — from no open window to one, or back?"""
+        was_open = key in self._open_windows
+        pair_window(self._open_windows, key, start, self.now)
+        return was_open != (key in self._open_windows)
+
     def _apply_link(self, fe: FaultEvent, up: bool) -> None:
         link_id = fe.target[0]
-        if up:
-            self.sim.restore_link(link_id)
-            self.links_down.discard(link_id)
-        else:
-            self.sim.fail_link(link_id)
-            self.links_down.add(link_id)
-        self.fib.set_link_state(link_id, up)
+        if self._flips(("link", link_id), not up):
+            if up:
+                self.sim.restore_link(link_id)
+            else:
+                self.sim.fail_link(link_id)
+            self.fib.set_link_state(link_id, up)
         self.counts.link_transitions += 1
         self._obs_link.inc()
         self._obs_invalidations.inc()
@@ -216,13 +235,12 @@ class FaultInjector:
 
     def _apply_router(self, fe: FaultEvent, up: bool) -> None:
         node = fe.target[0]
-        if up:
-            self.sim.set_node_up(node)
-            self.nodes_down.discard(node)
-        else:
-            self.sim.set_node_down(node)
-            self.nodes_down.add(node)
-        self.fib.set_node_state(node, up)
+        if self._flips(("router", node), not up):
+            if up:
+                self.sim.set_node_up(node)
+            else:
+                self.sim.set_node_down(node)
+            self.fib.set_node_state(node, up)
         self.counts.router_transitions += 1
         self._obs_router.inc()
         self._obs_invalidations.inc()
@@ -232,20 +250,20 @@ class FaultInjector:
         )
         if not up and self.sessions is not None:
             # The crash kills the router's BGP sessions; they come back
-            # by retry after the router restarts.
+            # by retry after the router restarts. A crash window opening
+            # on a router already down extends the sessions' outage.
             down_for = fe.param("down_for", 1.0)
             for a, b in self._border_sessions.get(node, ()):
                 self.sessions.reset(a, b, down_for)
 
     def _apply_loss(self, fe: FaultEvent, start: bool) -> None:
         link_id = fe.target[0]
+        key = ("loss", link_id)
+        probs = (fe.param("loss_prob", 0.0), fe.param("corrupt_prob", 0.0))
+        pair_window(self._open_windows, key, start, self.now, probs)
         lr = self.sim.links[link_id]
-        if start:
-            lr.loss_prob = fe.param("loss_prob", 0.0)
-            lr.corrupt_prob = fe.param("corrupt_prob", 0.0)
-        else:
-            lr.loss_prob = 0.0
-            lr.corrupt_prob = 0.0
+        opened = self._open_windows.get(key)
+        lr.loss_prob, lr.corrupt_prob = opened[-1][1] if opened else (0.0, 0.0)
         self.counts.loss_transitions += 1
         self._trace.fault(
             self.now, "loss.start" if start else "loss.end",
@@ -255,13 +273,12 @@ class FaultInjector:
 
     def _apply_slowdown(self, fe: FaultEvent, start: bool) -> None:
         lp = fe.target[0]
-        if start:
-            self._open_slowdowns[lp] = (self.now, fe.param("factor", 1.0))
-        else:
-            opened = self._open_slowdowns.pop(lp, None)
-            if opened is not None:
-                t0, factor = opened
-                self.slowdown_spans.append((lp, t0, self.now, factor))
+        closed = pair_window(
+            self._open_windows, ("lp", lp), start, self.now, fe.param("factor", 1.0)
+        )
+        if closed is not None:
+            t0, factor = closed
+            self.slowdown_spans.append((lp, t0, self.now, factor))
         self.counts.lp_transitions += 1
         self._trace.fault(
             self.now, "lp.slow" if start else "lp.normal",
@@ -313,7 +330,8 @@ class FaultInjector:
         spans = list(self.slowdown_spans)
         spans.extend(
             (lp, t0, end_time, factor)
-            for lp, (t0, factor) in sorted(self._open_slowdowns.items())
+            for (kind, lp), windows in sorted(self._open_windows.items()) if kind == "lp"
+            for t0, factor in windows
         )
         for lp, t0, t1, factor in spans:
             if lp >= num_lps or t1 <= 0 or window_s <= 0:

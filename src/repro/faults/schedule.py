@@ -22,13 +22,17 @@ from __future__ import annotations
 import enum
 import hashlib
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from typing import Any
 
 import numpy as np
 
 from ..topology.models import Network, NodeKind
 
-__all__ = ["FaultKind", "FaultEvent", "FaultScenario", "FaultSchedule", "BUILTIN_SCENARIOS"]
+__all__ = [
+    "FaultKind", "FaultEvent", "FaultScenario", "FaultSchedule", "BUILTIN_SCENARIOS",
+    "pair_window",
+]
 
 
 class FaultKind(enum.Enum):
@@ -83,6 +87,31 @@ class FaultEvent:
         """Stable one-line text form (digest and trace material)."""
         params = ",".join(f"{k}={v!r}" for k, v in self.params)
         return f"{self.time!r}|{self.kind.value}|{self.target}|{params}"
+
+
+def pair_window(
+    open_windows: dict[Any, tuple], key: Any, start: bool, time: float, value: Any = None
+) -> tuple[float, Any] | None:
+    """Open or close one fault window on ``key``, first in, first out.
+
+    ``open_windows[key]`` is the tuple of ``key``'s open windows as
+    ``(start time, value)``, oldest first, and absent when none is open.
+    A start appends one; an end closes the oldest and returns it
+    (``None`` if none was open). Ends name no window, so first in, first
+    out pairs them exactly for windows of one length — what
+    :meth:`FaultSchedule.from_scenario` draws, targets with replacement.
+    """
+    windows = open_windows.get(key, ())
+    if start:
+        open_windows[key] = windows + ((time, value),)
+        return None
+    if not windows:
+        return None
+    if len(windows) > 1:
+        open_windows[key] = windows[1:]
+    else:
+        del open_windows[key]
+    return windows[0]
 
 
 def _params(**kwargs: float) -> tuple[tuple[str, float], ...]:

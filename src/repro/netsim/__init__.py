@@ -1,6 +1,6 @@
 """Packet-level network simulation (links, IP forwarding, TCP/UDP, apps)."""
 
-from .link import LinkRuntime, RedParams, TransmitResult
+from .link import LinkRuntime, LinkTable, RedParams, TransmitResult
 from .packet import (
     Packet,
     Protocol,
@@ -17,6 +17,7 @@ __all__ = [
     "TCP_MSS_BYTES",
     "TCP_HEADER_BYTES",
     "LinkRuntime",
+    "LinkTable",
     "TransmitResult",
     "RedParams",
     "NetworkSimulator",

@@ -20,19 +20,18 @@ This O(1) backlog model is standard for packet-level simulators at scale
 and preserves the behaviors TCP cares about: queueing delay and loss
 under congestion.
 
-:meth:`LinkRuntime.transmit` is the whole model. The simulator's per-hop
-path (``NetworkSimulator._handle_at``) computes the one case that is
-nearly every hop — a drop-tail link with no fault armed that accepts the
-packet — itself, with the expressions of ``transmit`` in the order they
-have there so that every time is the same float, and hands everything
-else (a failed link, a loss or corruption burst, RED, a full queue) to
-``transmit`` (docs/performance.md, "Per-hop path").
+Every link's dynamic state lives in one :class:`LinkTable` per simulator,
+one list per field; a :class:`LinkRuntime` is a stateless handle on one
+link's entries, and its ``transmit`` is the whole model. The per-hop path
+(``NetworkSimulator._handle_at``) computes the case that is nearly every
+hop — a ``fast`` link accepting the packet — on the columns itself, with
+the expressions of ``transmit`` in their order so that every time is the
+same float (docs/performance.md, "Per-hop path").
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
-from operator import attrgetter
+from dataclasses import dataclass
 from typing import Any, NamedTuple, Sequence
 
 import numpy as np
@@ -40,7 +39,7 @@ import numpy as np
 from ..topology.models import Link
 from .packet import Packet
 
-__all__ = ["LinkRuntime", "TransmitResult", "RedParams"]
+__all__ = ["LinkRuntime", "LinkTable", "TransmitResult", "RedParams"]
 
 
 @dataclass(frozen=True)
@@ -78,151 +77,187 @@ class TransmitResult(NamedTuple):
     faulted: bool = False
 
 
-# How each LinkRuntime field is declared, as dataclass-field metadata — the
-# one place that says which fields are simulation state and who they travel
-# with. STATIC: fixed at construction, a rebuilt twin already has it. The
-# others are dynamic, and a checkpoint of the shard holds them all for every
-# link not in its freshly built state; they differ in what an LP takes
-# along when it moves to another shard
-# (LinkRuntime.capture): PER_DIRECTION state goes with the LP that transmits
-# in that direction, whole-link state — the random streams, _stream — only
-# with an LP that owns both, and SHARD_LOCAL state — partial counters that
-# sum across shards, flags every shard's control replay sets alike — never.
-_STATIC = {"state": "static"}
-_PER_DIRECTION = {"state": "direction"}
-_SHARD_LOCAL = {"state": "shard"}
+#: The two random streams of a link, as the ``kind`` of its stream key
+#: ``2 * index + kind``: RED drops, and fault draws — a second stream, so
+#: a loss burst never perturbs the RED sequence and a no-fault run stays
+#: bit-identical whether or not faults were ever configured.
+RED, FAULT = 0, 1
+#: each kind's seed base: a stream is seeded ``base ^ link_id``
+_SEEDS = (0x9E3779B9, 0x7F4A7C15)
 
 
-def _pair(zero: Any, metadata: dict) -> Any:
-    """A ``[direction 0, direction 1]`` field starting at ``zero``."""
-    return field(default_factory=lambda: [zero, zero], metadata=metadata)
+class LinkTable:
+    """Every link's dynamic state, one list (a column) per field.
 
+    :attr:`END_COLUMNS` have one entry per link end ``e = 2 * index + d``
+    (direction ``d`` 0 carries ``u -> v`` traffic, 1 ``v -> u``),
+    :attr:`LINK_COLUMNS` one per link. The random streams live in
+    ``streams``, stream key -> generator, which only a stream's first
+    draw fills (:meth:`stream`), so a link that never draws — every
+    drop-tail link — has none.
 
-def _stream(seed_base: int) -> Any:
-    """A per-link random stream, ``None`` until its first draw creates it
-    seeded ``seed_base ^ link_id`` (:meth:`LinkRuntime._create_stream`)."""
-    return field(
-        default=None, init=False, repr=False, compare=False,
-        metadata={"state": "link", "seed": seed_base},
-    )
-
-
-@dataclass
-class LinkRuntime:
-    """Mutable per-link transmission state (both directions).
-
-    Direction 0 carries ``u -> v`` traffic, direction 1 ``v -> u``.
-    ``discipline`` is ``'droptail'`` (default) or ``'red'``.
+    A checkpoint is :meth:`capture`: a copy of each column. What moves
+    with an LP is :meth:`capture_lp`: the busy horizons of the link ends
+    it transmits from, and the streams of the links it owns both ends of
+    — drawn by its events only. The counters are partial sums that merge
+    by addition across shards, and the fault columns are set alike by
+    every shard's control replay, so neither ever migrates.
     """
 
-    link: Link = field(metadata=_STATIC)
-    discipline: str = field(default="droptail", metadata=_STATIC)
-    red: RedParams = field(default_factory=RedParams, metadata=_STATIC)
-    busy_until: list[float] = _pair(0.0, _PER_DIRECTION)
-    bytes_carried: list[int] = _pair(0, _SHARD_LOCAL)
-    packets_carried: list[int] = _pair(0, _SHARD_LOCAL)
-    packets_dropped: list[int] = _pair(0, _SHARD_LOCAL)
-    #: failure injection: a failed link drops every offered packet
-    failed: bool = field(default=False, metadata=_SHARD_LOCAL)
-    #: fault injection (repro.faults): probabilistic loss before transmit
-    loss_prob: float = field(default=0.0, metadata=_SHARD_LOCAL)
-    #: fault injection: probabilistic corruption — the packet occupies the
-    #: transmitter (capacity is burned) but is discarded at the receiver
-    corrupt_prob: float = field(default=0.0, metadata=_SHARD_LOCAL)
-    packets_lost: list[int] = _pair(0, _SHARD_LOCAL)
-    packets_corrupted: list[int] = _pair(0, _SHARD_LOCAL)
-    # The frozen Link's figures, one attribute away instead of two: they
-    # are read on every hop.
-    bandwidth_bps: float = field(init=False, metadata=_STATIC)
-    latency_s: float = field(init=False, metadata=_STATIC)
-    queue_bytes: int = field(init=False, metadata=_STATIC)
-    # Per-link deterministic streams keep RED runs reproducible and
-    # independent of event interleaving across links. Fault draws come
-    # from a second stream so a loss burst never perturbs the RED
-    # sequence: a no-fault run stays bit-identical whether or not faults
-    # were ever configured. Both are created by their first draw, so a
-    # link that never draws — every drop-tail link — carries none.
-    _rng: np.random.Generator | None = _stream(0x9E3779B9)
-    _fault_rng: np.random.Generator | None = _stream(0x7F4A7C15)
+    #: per link end: the busy horizon, then the partial counters
+    END_COLUMNS = (
+        "busy_until", "bytes_carried", "packets_carried", "packets_dropped",
+        "packets_lost", "packets_corrupted",
+    )
+    #: per link, fault injection: a failed link drops every offered packet;
+    #: a loss burst drops with ``loss_prob`` before transmit; a corrupted
+    #: packet occupies the transmitter but is discarded at the receiver
+    LINK_COLUMNS = ("failed", "loss_prob", "corrupt_prob")
+    COLUMNS = END_COLUMNS + LINK_COLUMNS
+    #: what :meth:`capture` / :meth:`restore` carry, declared here only
+    DYNAMIC = COLUMNS + ("streams",)
+    #: fixed at construction — or, ``fast``, derived from the columns
+    STATIC = ("links", "discipline", "red", "bandwidth_bps", "latency_s", "queue_bytes", "fast")
 
-    def __post_init__(self) -> None:
-        if self.discipline not in ("droptail", "red"):
-            raise ValueError(f"unknown queue discipline {self.discipline!r}")
-        self.bandwidth_bps = self.link.bandwidth_bps
-        self.latency_s = self.link.latency_s
-        self.queue_bytes = self.link.queue_bytes
+    def __init__(
+        self, links: Sequence[Link], discipline: str = "droptail", red: RedParams | None = None
+    ) -> None:
+        if discipline not in ("droptail", "red"):
+            raise ValueError(f"unknown queue discipline {discipline!r}")
+        self.links = list(links)
+        self.discipline = discipline
+        self.red = red if red is not None else RedParams()
+        n = len(self.links)
+        # The frozen Links' figures, read on every hop.
+        self.bandwidth_bps = [l.bandwidth_bps for l in self.links]
+        self.latency_s = [l.latency_s for l in self.links]
+        self.queue_bytes = [l.queue_bytes for l in self.links]
+        self.busy_until = [0.0] * (2 * n)
+        for name in self.END_COLUMNS[1:]:
+            setattr(self, name, [0] * (2 * n))
+        self.failed = [False] * n
+        self.loss_prob = [0.0] * n
+        self.corrupt_prob = [0.0] * n
+        #: per link: the fused hop applies — drop-tail with no fault armed
+        self.fast = [discipline == "droptail"] * n
+        self.streams: dict[int, np.random.Generator] = {}
+
+    def set(self, column: str, index: int, value: Any) -> None:
+        """Set link ``index``'s entry of a :attr:`LINK_COLUMNS` column — the
+        one way to write them: it re-derives the link's ``fast`` flag."""
+        getattr(self, column)[index] = value
+        self.fast[index] = self._fast(index)
+
+    def _fast(self, i: int) -> bool:
+        return not (
+            self.failed[i] or self.loss_prob[i] > 0.0 or self.corrupt_prob[i] > 0.0
+            or self.discipline != "droptail"
+        )
+
+    def stream(self, index: int, kind: int) -> np.random.Generator:
+        """Link ``index``'s ``RED`` or ``FAULT`` stream, created by its first
+        use seeded ``_SEEDS[kind] ^ link_id``."""
+        key = 2 * index + kind
+        rng = self.streams.get(key)
+        if rng is None:
+            rng = self.streams[key] = np.random.default_rng(
+                _SEEDS[kind] ^ self.links[index].link_id
+            )
+        return rng
 
     # -- snapshot ------------------------------------------------------
-    def capture(self, owned: tuple[bool, bool] | None = None) -> dict[str, Any]:
-        """Picklable copy of the dynamic fields, by name.
-
-        All of them by default. With ``owned = (d0, d1)`` only the slice
-        that moves with an LP transmitting in the flagged directions (see
-        the declarations above), the other direction's per-direction
-        values as ``None``. A random stream is captured as its
-        bit-generator state (``None``: not created yet).
-        """
-        row = _captured_row(_dynamic_values(self))
-        return dict(zip(_DYNAMIC, row)) if owned is None else _select(row, owned)
+    def capture(self) -> dict[str, Any]:
+        """Picklable copy of the dynamic state: each column copied, each
+        created stream as its bit-generator state, in key order."""
+        state = {name: getattr(self, name)[:] for name in self.COLUMNS}
+        state["streams"] = {k: g.bit_generator.state for k, g in sorted(self.streams.items())}
+        return state
 
     def restore(self, state: dict[str, Any]) -> None:
-        """Apply a :meth:`capture` — whole, or the slice an LP brought along.
+        """Apply a :meth:`capture` onto a freshly built twin, refilling the
+        columns in place (the per-hop path holds them)."""
+        for name in self.COLUMNS:
+            getattr(self, name)[:] = state[name]
+        self.streams.clear()
+        self._resume(state["streams"])
+        self.fast[:] = [self._fast(i) for i in range(len(self.links))]
 
-        Fields the capture left out, and per-direction entries it left
-        ``None``, keep their present values.
+    def capture_lp(
+        self, ends: Sequence[int], keys: frozenset[int], cut: dict[str, Any] | None = None
+    ) -> dict[str, Any]:
+        """What moves with an LP, selected from ``cut`` (a :meth:`capture`
+        of this table; taken now when not given).
+
+        ``ends`` are the link ends the LP transmits from, ``keys`` the
+        stream keys of the links it owns both ends of; a stream not yet
+        created is left out.
         """
-        for name, saved in state.items():
-            if name in _PAIRS:
-                current = getattr(self, name)
-                for d, value in enumerate(saved):
-                    if value is not None:
-                        current[d] = value
-            elif name in _STREAM_SEEDS and saved is not None:
-                # A stream resumes mid-sequence; one not created here yet
-                # is created as its first draw would have created it.
-                stream = getattr(self, name)
-                if stream is None:
-                    stream = self._create_stream(name)
-                stream.bit_generator.state = saved
-            else:
-                setattr(self, name, saved)
+        if cut is None:  # a migration outside a checkpoint
+            cut = self.capture()
+        busy = cut["busy_until"]
+        streams = {k: s for k, s in cut["streams"].items() if k in keys}
+        return {"busy_until": [busy[e] for e in ends], "streams": streams}
 
-    @staticmethod
-    def capture_table(links: Sequence[LinkRuntime]) -> dict[str, Any]:
-        """Every link's dynamic state as one sparse table.
+    def restore_lp(self, ends: Sequence[int], keys: frozenset[int], state: dict[str, Any]) -> None:
+        """Apply a :meth:`capture_lp` of the same ``ends`` and ``keys`` on
+        the adopting shard: a stream the slice lacks is uncreated here too,
+        and the rest of the table keeps its present values."""
+        busy = self.busy_until
+        for e, value in zip(ends, state["busy_until"]):
+            busy[e] = value
+        for key in keys.difference(state["streams"]):
+            self.streams.pop(key, None)
+        self._resume(state["streams"])
 
-        Field names once, and ``rows``: link index -> captured row (the
-        field values in :data:`_DYNAMIC` order), only for a link whose
-        state differs from a freshly built one's — the others are what a
-        rebuilt twin already has. :meth:`restore_table` is the inverse,
-        :meth:`select` cuts LP slices out of it.
-        """
-        rows = {}
-        for index, lr in enumerate(links):
-            values = _dynamic_values(lr)
-            if values != _FRESH_VALUES:
-                rows[index] = _captured_row(values)
-        return {"fields": _DYNAMIC, "rows": rows}
+    def _resume(self, states: dict[int, Any]) -> None:
+        # A stream resumes mid-sequence; one not created here yet is
+        # created as its first draw would have created it.
+        for key, saved in states.items():
+            self.stream(key // 2, key % 2).bit_generator.state = saved
 
-    @staticmethod
-    def restore_table(links: Sequence[LinkRuntime], table: dict[str, Any]) -> None:
-        """Apply a :meth:`capture_table` onto freshly built links: a link
-        without a row keeps the state it was built with."""
-        names = table["fields"]
-        for index, row in table["rows"].items():
-            links[index].restore(dict(zip(names, row)))
 
-    @staticmethod
-    def select(
-        table: dict[str, Any], picks: Sequence[tuple[int, tuple[bool, bool]]]
-    ) -> dict[int, dict[str, Any]]:
-        """LP slices cut out of a :meth:`capture_table`, without capturing.
+def _column(name: str, doc: str) -> property:
+    """A handle's read / write view of one :attr:`LinkTable.LINK_COLUMNS` entry."""
 
-        ``picks`` lists ``(link index, owned)`` pairs; each gets what
-        ``links[index].capture(owned)`` returned when the table was taken.
-        """
-        rows = table["rows"]
-        return {index: _select(rows.get(index, _FRESH_ROW), owned) for index, owned in picks}
+    def get(self: LinkRuntime) -> Any:
+        return getattr(self.table, name)[self.index]
+
+    def put(self: LinkRuntime, value: Any) -> None:
+        self.table.set(name, self.index, value)
+
+    get.__doc__ = doc
+    return property(get, put)
+
+
+def _total(column: str, doc: str) -> property:
+    """A handle's sum of one :attr:`LinkTable.END_COLUMNS` column over its two ends."""
+
+    def get(self: LinkRuntime) -> int:
+        values = getattr(self.table, column)
+        return values[2 * self.index] + values[2 * self.index + 1]
+
+    get.__doc__ = doc
+    return property(get)
+
+
+class LinkRuntime:
+    """Link ``index`` of a :class:`LinkTable`: a stateless handle.
+
+    Direction 0 carries ``u -> v`` traffic, direction 1 ``v -> u``.
+    """
+
+    __slots__ = ("table", "index", "link")
+
+    def __init__(self, table: LinkTable, index: int) -> None:
+        self.table = table
+        self.index = index
+        self.link = table.links[index]
+
+    failed = _column("failed", "Failure injection: the link drops every offered packet.")
+    loss_prob = _column("loss_prob", "Fault injection: probabilistic loss before transmit.")
+    corrupt_prob = _column(
+        "corrupt_prob", "Fault injection: probabilistic corruption at the receiver."
+    )
 
     def direction(self, from_node: int) -> int:
         """Direction index for traffic leaving ``from_node`` (0 or 1)."""
@@ -232,25 +267,9 @@ class LinkRuntime:
             return 1
         raise ValueError(f"node {from_node} not on link {self.link.link_id}")
 
-    def _create_stream(self, name: str) -> np.random.Generator:
-        """Create random stream ``name`` from its declared seed base."""
-        rng = np.random.default_rng(_STREAM_SEEDS[name] ^ self.link.link_id)
-        setattr(self, name, rng)
-        return rng
-
-    def _red_stream(self) -> np.random.Generator:
-        """The RED stream, created on first use."""
-        rng = self._rng
-        return rng if rng is not None else self._create_stream("_rng")
-
-    def _fault_stream(self) -> np.random.Generator:
-        """The fault stream, created on first use."""
-        rng = self._fault_rng
-        return rng if rng is not None else self._create_stream("_fault_rng")
-
     def _fault_draw(self) -> float:
         """Uniform draw from the lazily created fault stream."""
-        return float(self._fault_stream().random())
+        return float(self.table.stream(self.index, FAULT).random())
 
     def _early_drop(self, backlog_bytes: float) -> bool:
         """Gentle-RED drop decision for the observed ``backlog_bytes``.
@@ -260,19 +279,22 @@ class LinkRuntime:
         at ``2 * max_th`` (the gentle-RED extension), and is certain
         beyond — no discontinuous jump anywhere in the profile.
         """
-        if self.discipline != "red":
+        table = self.table
+        if table.discipline != "red":
             return False
-        min_th = self.red.min_th_fraction * self.queue_bytes
-        max_th = self.red.max_th_fraction * self.queue_bytes
+        red = table.red
+        queue_bytes = table.queue_bytes[self.index]
+        min_th = red.min_th_fraction * queue_bytes
+        max_th = red.max_th_fraction * queue_bytes
         if backlog_bytes <= min_th:
             return False
         if backlog_bytes < max_th:
-            p = self.red.max_p * (backlog_bytes - min_th) / (max_th - min_th)
+            p = red.max_p * (backlog_bytes - min_th) / (max_th - min_th)
         elif backlog_bytes < 2.0 * max_th:
-            p = self.red.max_p + (1.0 - self.red.max_p) * (backlog_bytes - max_th) / max_th
+            p = red.max_p + (1.0 - red.max_p) * (backlog_bytes - max_th) / max_th
         else:
             return True
-        return bool(self._red_stream().random() < p)
+        return bool(table.stream(self.index, RED).random() < p)
 
     def transmit(self, from_node: int, packet: Packet, now: float) -> TransmitResult:
         """Offer ``packet`` for transmission; returns timing or a drop.
@@ -280,131 +302,50 @@ class LinkRuntime:
         ``arrival_time`` is when the last bit reaches the far endpoint
         (transmission completion + propagation latency).
         """
-        d = self.direction(from_node)
-        if self.failed:
-            self.packets_dropped[d] += 1
+        t, i = self.table, self.index
+        e = 2 * i + self.direction(from_node)
+        if t.failed[i]:
+            t.packets_dropped[e] += 1
             return TransmitResult(accepted=False)
-        if self.loss_prob > 0.0 and self._fault_draw() < self.loss_prob:
-            self.packets_lost[d] += 1
+        if t.loss_prob[i] > 0.0 and self._fault_draw() < t.loss_prob[i]:
+            t.packets_lost[e] += 1
             return TransmitResult(accepted=False, faulted=True)
-        start = max(now, self.busy_until[d])
-        backlog_bytes = (start - now) * self.bandwidth_bps / 8.0
+        start = max(now, t.busy_until[e])
+        backlog_bytes = (start - now) * t.bandwidth_bps[i] / 8.0
         # Admission counts the packet itself: admitting on backlog alone
         # overshoots the buffer by up to one packet and lets a packet
         # larger than the whole buffer into an empty queue.
         if (
-            backlog_bytes + packet.size_bytes > self.queue_bytes
+            backlog_bytes + packet.size_bytes > t.queue_bytes[i]
             or self._early_drop(backlog_bytes)
         ):
-            self.packets_dropped[d] += 1
+            t.packets_dropped[e] += 1
             return TransmitResult(accepted=False, backlog_bytes=backlog_bytes)
-        tx_time = packet.size_bytes * 8.0 / self.bandwidth_bps
+        tx_time = packet.size_bytes * 8.0 / t.bandwidth_bps[i]
         finish = start + tx_time
-        self.busy_until[d] = finish
-        if self.corrupt_prob > 0.0 and self._fault_draw() < self.corrupt_prob:
+        t.busy_until[e] = finish
+        if t.corrupt_prob[i] > 0.0 and self._fault_draw() < t.corrupt_prob[i]:
             # A corrupted packet still occupies the transmitter for its
             # full serialization time (capacity is burned) but never
             # reaches the far endpoint — the receiver's checksum fails.
-            self.packets_corrupted[d] += 1
-            return TransmitResult(
-                accepted=False,
-                start_time=start,
-                arrival_time=finish + self.latency_s,
-                backlog_bytes=backlog_bytes,
-                faulted=True,
-            )
-        self.bytes_carried[d] += packet.size_bytes
-        self.packets_carried[d] += 1
-        return TransmitResult(
-            accepted=True,
-            start_time=start,
-            arrival_time=finish + self.link.latency_s,
-            backlog_bytes=backlog_bytes,
-        )
+            t.packets_corrupted[e] += 1
+            arrival_time = finish + t.latency_s[i]
+            return TransmitResult(False, start, arrival_time, backlog_bytes, faulted=True)
+        t.bytes_carried[e] += packet.size_bytes
+        t.packets_carried[e] += 1
+        return TransmitResult(True, start, finish + t.latency_s[i], backlog_bytes)
 
-    @property
-    def total_bytes(self) -> int:
-        """Bytes carried, both directions."""
-        return self.bytes_carried[0] + self.bytes_carried[1]
-
-    @property
-    def total_packets(self) -> int:
-        """Packets carried, both directions."""
-        return self.packets_carried[0] + self.packets_carried[1]
-
-    @property
-    def total_drops(self) -> int:
-        """Packets dropped, both directions."""
-        return self.packets_dropped[0] + self.packets_dropped[1]
-
-    @property
-    def total_lost(self) -> int:
-        """Packets lost to an injected loss burst, both directions."""
-        return self.packets_lost[0] + self.packets_lost[1]
-
-    @property
-    def total_corrupted(self) -> int:
-        """Packets corrupted by an injected fault, both directions."""
-        return self.packets_corrupted[0] + self.packets_corrupted[1]
+    total_bytes = _total("bytes_carried", "Bytes carried, both directions.")
+    total_packets = _total("packets_carried", "Packets carried, both directions.")
+    total_drops = _total("packets_dropped", "Packets dropped, both directions.")
+    total_lost = _total("packets_lost", "Packets lost to an injected loss burst, both directions.")
+    total_corrupted = _total(
+        "packets_corrupted", "Packets corrupted by an injected fault, both directions."
+    )
 
     def utilization(self, duration_s: float) -> float:
         """Mean utilization of the busier direction over ``duration_s``."""
         if duration_s <= 0:
             return 0.0
-        byte_max = max(self.bytes_carried)
+        byte_max = max(self.table.bytes_carried[2 * self.index:2 * self.index + 2])
         return min(1.0, byte_max * 8.0 / (self.link.bandwidth_bps * duration_s))
-
-
-# The snapshot layout, derived once from the declarations above.
-#: Every dynamic field, and those an LP takes along — from the metadata.
-_DYNAMIC = tuple(f.name for f in fields(LinkRuntime) if f.metadata != _STATIC)
-_MIGRATES = tuple(
-    f.name for f in fields(LinkRuntime) if f.metadata not in (_STATIC, _SHARD_LOCAL)
-)
-#: the random streams and their seed bases
-_STREAM_SEEDS = {f.name: f.metadata["seed"] for f in fields(LinkRuntime) if "seed" in f.metadata}
-#: the dynamic fields' values on a freshly built link, in _DYNAMIC order
-_FRESH_VALUES = tuple(
-    f.default if f.default is not MISSING else f.default_factory()
-    for f in fields(LinkRuntime)
-    if f.name in _DYNAMIC
-)
-#: the [direction 0, direction 1] fields
-_PAIRS = frozenset(n for n, v in zip(_DYNAMIC, _FRESH_VALUES) if type(v) is list)
-#: every dynamic field's value in one C-level call
-_dynamic_values = attrgetter(*_DYNAMIC)
-_PAIR_AT = tuple(i for i, name in enumerate(_DYNAMIC) if name in _PAIRS)
-_STREAM_AT = tuple(i for i, name in enumerate(_DYNAMIC) if name in _STREAM_SEEDS)
-#: (name, row position) of what an LP takes along: per direction, whole-link
-_MOVES_PER_DIRECTION = tuple((n, _DYNAMIC.index(n)) for n in _MIGRATES if n in _PAIRS)
-_MOVES_WHOLE = tuple((n, _DYNAMIC.index(n)) for n in _MIGRATES if n not in _PAIRS)
-
-
-def _captured_row(values: tuple) -> tuple:
-    """A link's captured row from its :data:`_dynamic_values`: pairs
-    copied, a stream as its bit-generator state (``None`` if uncreated)."""
-    row = list(values)
-    for i in _PAIR_AT:
-        row[i] = row[i][:]
-    for i in _STREAM_AT:
-        if row[i] is not None:
-            row[i] = row[i].bit_generator.state
-    return tuple(row)
-
-
-def _select(row: tuple, owned: tuple[bool, bool]) -> dict[str, Any]:
-    """The slice of a captured row an LP transmitting in the ``owned``
-    directions takes along: its directions of the per-direction fields
-    (the other as ``None``), the whole-link ones only if it owns both."""
-    d0, d1 = owned
-    state = {}
-    for name, i in _MOVES_PER_DIRECTION:
-        pair = row[i]
-        state[name] = [pair[0] if d0 else None, pair[1] if d1 else None]
-    if d0 and d1:
-        for name, i in _MOVES_WHOLE:
-            state[name] = row[i]
-    return state
-
-
-_FRESH_ROW = _captured_row(_FRESH_VALUES)

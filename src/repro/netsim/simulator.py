@@ -21,7 +21,7 @@ from ..obs.trace import get_tracer
 from ..routing.fib import ForwardingPlane
 from ..routing.ospf import ospf_link_metric
 from ..topology.models import Network
-from .link import LinkRuntime
+from .link import LinkRuntime, LinkTable
 from .packet import Packet, Protocol
 
 __all__ = [
@@ -41,7 +41,7 @@ _UNRESOLVED = object()
 
 
 def _ospf_metric(runtime: LinkRuntime) -> float:
-    return ospf_link_metric(runtime.latency_s, runtime.bandwidth_bps)
+    return ospf_link_metric(runtime.link.latency_s, runtime.link.bandwidth_bps)
 
 
 class Scheduler(TypingProtocol):
@@ -90,10 +90,8 @@ def capture_fields(owner: Any, names: Iterable[str]) -> dict[str, Any]:
     build their capture from: each lists its dynamic fields once and
     hands the list here. Equal state gives equal bytes — a set becomes a
     sorted list, a dict is emitted in key order. A dataclass of counters
-    contributes its ``vars``; a list of owners (the simulator's links)
-    the owners' own table (:meth:`LinkRuntime.capture_table`: field names
-    once, and a row only for an owner not in its freshly built state),
-    which keeps a checkpoint of a thousand links small.
+    contributes its ``vars``, an owner of its own (the simulator's
+    :class:`LinkTable`) its ``capture()``.
     """
     return {name: _captured(getattr(owner, name)) for name in names}
 
@@ -106,9 +104,9 @@ def _captured(value: Any) -> Any:
     if isinstance(value, dict):
         return dict(sorted(value.items()))
     if isinstance(value, list):
-        if value and hasattr(value[0], "capture_table"):
-            return value[0].capture_table(value)
         return list(value)
+    if isinstance(value, LinkTable):
+        return value.capture()
     return value
 
 
@@ -122,10 +120,9 @@ def restore_fields(owner: Any, state: dict[str, Any]) -> None:
         if is_dataclass(current):
             vars(current).update(saved)
         elif isinstance(current, list):
-            if current and hasattr(current[0], "restore_table"):
-                current[0].restore_table(current, saved)
-            else:
-                current[:] = saved
+            current[:] = saved
+        elif isinstance(current, LinkTable):
+            current.restore(saved)
         elif isinstance(current, (set, dict)):
             current.clear()
             current.update(saved)
@@ -149,10 +146,10 @@ class NetworkSimulator:
     """
 
     #: The dynamic fields: what :meth:`capture` / :meth:`restore` carry,
-    #: listed here and nowhere else. ``links`` contributes
-    #: :meth:`LinkRuntime.capture_table`.
+    #: listed here and nowhere else. ``link_table`` holds every link's
+    #: state and captures itself (:meth:`LinkTable.capture`).
     DYNAMIC = (
-        "links", "counters", "_node_packets", "_down_nodes", "dropped_fault",
+        "link_table", "counters", "_node_packets", "_down_nodes", "dropped_fault",
         "_flow_ids", "tx_times", "tx_from", "tx_to",
     )
     #: Everything else ``__init__`` sets (observability instruments
@@ -161,7 +158,7 @@ class NetworkSimulator:
     #: registers in every scenario that shards today (ROADMAP item 3).
     #: tests/test_state_owners.py fails on an attribute in neither tuple.
     STATIC = (
-        "net", "fib", "sched", "hop_processing_s", "record_transmissions",
+        "net", "fib", "sched", "hop_processing_s", "record_transmissions", "links",
         "_links_by_pair", "_hops", "_ports", "_hops_epoch", "_tcp_endpoints",
         "_udp_handlers",
     )
@@ -179,7 +176,9 @@ class NetworkSimulator:
         self.fib = fib
         self.sched = scheduler
         self.hop_processing_s = hop_processing_s
-        self.links = [LinkRuntime(l, discipline=queue_discipline) for l in net.links]
+        self.link_table = LinkTable(net.links, queue_discipline)
+        #: one stateless handle per link, ``links[link_id]``
+        self.links = [LinkRuntime(self.link_table, i) for i in range(len(net.links))]
         # (from, to) -> the pair's links in creation order; almost always
         # one. Read when a hop is resolved, not per hop.
         self._links_by_pair: dict[tuple[int, int], list[LinkRuntime]] = {}
@@ -191,15 +190,15 @@ class NetworkSimulator:
         # fib.next_hop, so the forwarding plane's own record — and with
         # it fib.digest() — holds exactly the pairs some packet asked
         # for, and dropped whole when fib.epoch moves (see _resolve_hop).
-        # A port, (next node, LinkRuntime, direction), is built on first
-        # use into _ports[2 * link id + direction] and shared by every
-        # pair routed out of that link end, so there are at most
-        # 2 x links of them and a resolved pair allocates nothing but
-        # its dict slot.
-        self._hops: list[dict[int, tuple[int, LinkRuntime, int] | None]] = [
+        # A port, (next node, link id, link end), is built on first use
+        # into _ports[end] — the end is 2 * link id + direction, the
+        # link table's index of it — and shared by every pair routed out
+        # of that link end, so there are at most 2 x links of them and a
+        # resolved pair allocates nothing but its dict slot.
+        self._hops: list[dict[int, tuple[int, int, int] | None]] = [
             {} for _ in range(net.num_nodes)
         ]
-        self._ports: list[tuple[int, LinkRuntime, int] | None] = [None] * (2 * len(self.links))
+        self._ports: list[tuple[int, int, int] | None] = [None] * (2 * len(self.links))
         self._hops_epoch = fib.epoch
         self.counters = TrafficCounters()
         # Per-node handled packet count, as a Python list: one is bumped
@@ -371,40 +370,36 @@ class NetworkSimulator:
             self.counters.packets_unroutable += 1
             self._obs_unroutable.inc()
             return
-        next_node, runtime, d = hop
+        next_node, link_id, end = hop
         depart = now + (self.hop_processing_s if node != packet.src else 0.0)
         size = packet.size_bytes
-        # LinkRuntime.transmit's accepting drop-tail case, inline: its
-        # expressions in its order, so every time is the same float.
-        # Whatever else can happen — a fault armed on the link, RED, a
-        # full queue — goes through transmit() itself, which has touched
-        # nothing yet.
+        # LinkRuntime.transmit's accepting drop-tail case, inline on the
+        # link table's columns: its expressions in its order, so every
+        # time is the same float. Whatever else can happen — a fault
+        # armed on the link, RED, a full queue — goes through transmit()
+        # itself, which has touched nothing yet.
         accepted = False
-        if not (
-            runtime.failed
-            or runtime.loss_prob > 0.0
-            or runtime.corrupt_prob > 0.0
-            or runtime.discipline != "droptail"
-        ):
-            busy_until = runtime.busy_until
-            start = busy_until[d]
+        table = self.link_table
+        if table.fast[link_id]:
+            busy_until = table.busy_until
+            start = busy_until[end]
             if start < depart:
                 start = depart
-            bandwidth_bps = runtime.bandwidth_bps
+            bandwidth_bps = table.bandwidth_bps[link_id]
             backlog_bytes = (start - depart) * bandwidth_bps / 8.0
-            if backlog_bytes + size <= runtime.queue_bytes:
+            if backlog_bytes + size <= table.queue_bytes[link_id]:
                 accepted = True
                 finish = start + size * 8.0 / bandwidth_bps
-                busy_until[d] = finish
-                runtime.bytes_carried[d] += size
-                runtime.packets_carried[d] += 1
-                arrival = finish + runtime.latency_s
+                busy_until[end] = finish
+                table.bytes_carried[end] += size
+                table.packets_carried[end] += 1
+                arrival = finish + table.latency_s[link_id]
         if not accepted:
-            result = runtime.transmit(node, packet, depart)
+            result = self.links[link_id].transmit(node, packet, depart)
             backlog_bytes = result.backlog_bytes
             if not result.accepted:
                 if obs_on:
-                    self._obs_queue_hwm.observe(runtime.link.link_id, backlog_bytes)
+                    self._obs_queue_hwm.observe(link_id, backlog_bytes)
                 if result.faulted:
                     # Injected loss/corruption — accounted separately so the
                     # queue-drop counter (and the regression fingerprint)
@@ -414,14 +409,13 @@ class NetworkSimulator:
                 self.counters.packets_dropped_queue += 1
                 if obs_on:
                     self._obs_dropped_queue.inc()
-                    self._obs_link_drops.inc(runtime.link.link_id)
+                    self._obs_link_drops.inc(link_id)
                 return
             start = result.start_time
             arrival = result.arrival_time
         packet.ttl -= 1
         packet.hops += 1
         if obs_on:
-            link_id = runtime.link.link_id
             self._obs_queue_hwm.observe(link_id, backlog_bytes)
             self._obs_link_packets.inc(link_id)
             self._obs_link_bytes.inc(link_id, size)
@@ -436,7 +430,7 @@ class NetworkSimulator:
         # Event itself — no per-hop lambda allocation.
         sched.schedule_at(arrival, self._handle_at, next_node, (next_node, packet))
 
-    def _resolve_hop(self, node: int, dst: int) -> tuple[int, LinkRuntime, int] | None:
+    def _resolve_hop(self, node: int, dst: int) -> tuple[int, int, int] | None:
         """Ask the forwarding plane for one ``(node, dst)`` and keep the answer.
 
         The answer is the shared port of the link end the packet leaves
@@ -456,11 +450,10 @@ class NetworkSimulator:
             runtime = links[0]
             if len(links) > 1:
                 runtime = min([lr for lr in links if not lr.failed] or links, key=_ospf_metric)
-            d = runtime.direction(node)
-            end = 2 * runtime.link.link_id + d
+            end = 2 * runtime.index + runtime.direction(node)
             hop = self._ports[end]
             if hop is None:
-                hop = self._ports[end] = (next_node, runtime, d)
+                hop = self._ports[end] = (next_node, runtime.index, end)
         self._hops[node][dst] = hop
         return hop
 
@@ -525,17 +518,25 @@ class NetworkSimulator:
     # ------------------------------------------------------------------
     # Statistics views
     # ------------------------------------------------------------------
+    def _per_link(self, column: str) -> np.ndarray:
+        ends = np.asarray(getattr(self.link_table, column), dtype=np.int64)
+        return ends[0::2] + ends[1::2]
+
     def link_bytes(self) -> np.ndarray:
         """Total bytes carried per link (both directions)."""
-        return np.asarray([lr.total_bytes for lr in self.links], dtype=np.float64)
+        return self._per_link("bytes_carried").astype(np.float64)
 
     def link_packets(self) -> np.ndarray:
         """Total packets carried per link (both directions)."""
-        return np.asarray([lr.total_packets for lr in self.links], dtype=np.int64)
+        return self._per_link("packets_carried")
 
     def link_drops(self) -> np.ndarray:
         """Total packets dropped per link (both directions)."""
-        return np.asarray([lr.total_drops for lr in self.links], dtype=np.int64)
+        return self._per_link("packets_dropped")
+
+    def link_lost(self) -> np.ndarray:
+        """Packets lost to injected loss bursts per link (both directions)."""
+        return self._per_link("packets_lost")
 
     def transmissions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Recorded per-hop ``(times, from_nodes, to_nodes)`` arrays."""

@@ -137,29 +137,31 @@ def slowdown_spans(
 ) -> list[tuple[int, float, float, float]]:
     """LP straggler spans ``(lp, start, end, factor)`` from a schedule.
 
-    A *pure* replay of the fault injector's span pairing
-    (:meth:`repro.faults.injector.FaultInjector.busy_multipliers`):
-    ``lp.slow.start``/``lp.slow.end`` events pair up per LP, spans still
-    open at ``end_time`` extend to it. Derived from the schedule alone —
-    before the run even starts — so the modeled blame source sees the
-    same stragglers the injector will create, deterministically.
+    A *pure* replay of the fault injector's span pairing, through the
+    same :func:`repro.faults.schedule.pair_window`: ``lp.slow.start`` /
+    ``lp.slow.end`` events pair up per LP, first in, first out, and
+    spans still open at ``end_time`` extend to it. Derived from the
+    schedule alone — before the run even starts — so the modeled blame
+    source sees the same stragglers the injector will create,
+    deterministically.
     """
-    from ..faults.schedule import FaultKind
+    from ..faults.schedule import FaultKind, pair_window
 
     spans: list[tuple[int, float, float, float]] = []
-    open_: dict[int, tuple[float, float]] = {}
+    open_: dict[int, tuple[tuple[float, float], ...]] = {}
+    slow = (FaultKind.LP_SLOWDOWN_START, FaultKind.LP_SLOWDOWN_END)
     for fe in sorted(events, key=lambda e: (e.time, e.kind.value, e.target)):
-        if fe.kind is FaultKind.LP_SLOWDOWN_START:
+        if fe.kind in slow:
             lp = int(fe.target[0])
-            open_[lp] = (fe.time, fe.param("factor", 1.0))
-        elif fe.kind is FaultKind.LP_SLOWDOWN_END:
-            lp = int(fe.target[0])
-            opened = open_.pop(lp, None)
-            if opened is not None:
-                spans.append((lp, opened[0], fe.time, opened[1]))
+            closed = pair_window(
+                open_, lp, fe.kind is slow[0], fe.time, fe.param("factor", 1.0)
+            )
+            if closed is not None:
+                spans.append((lp, closed[0], fe.time, closed[1]))
     spans.extend(
         (lp, t0, end_time, factor)
-        for lp, (t0, factor) in sorted(open_.items())
+        for lp, windows in sorted(open_.items())
+        for t0, factor in windows
     )
     return spans
 

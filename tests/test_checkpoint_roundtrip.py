@@ -14,9 +14,11 @@ chain, the chain under a loss + corruption burst (a link's fault stream
 is created mid-run), and chained UDP injection over a small generated
 network (the shape of the benchmark's checkpointed workload).
 
-A cut holds each link once, in a sparse table, and the per-LP states it
-also carries are selections of that table; the oracle property below
-holds them to what capturing each link's LP slice directly gives.
+A cut holds the link table's columns, and the per-LP states it also
+carries are selections of those columns; the oracle property below
+holds them to what the per-link capture they replaced
+(``tests/_hop_oracle.py``'s ``OracleLinkRuntime``) took of each link's
+LP slice.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _hop_oracle as oracle
 from repro.engine import SimKernel
 from repro.engine.parallel.shard import (
     ShardEngine,
@@ -44,8 +47,8 @@ from repro.experiments.shard import (
     udp_spec,
 )
 from repro.faults import FaultEvent, FaultKind
-from repro.netsim import LinkRuntime, NetworkSimulator
-from repro.netsim.link import _MIGRATES
+from repro.netsim import NetworkSimulator
+from repro.netsim.link import FAULT, RED
 from repro.routing import ForwardingPlane
 from repro.serialization import decode_payload, encode_payload
 from repro.topology import Network, NodeKind, generate_flat_network
@@ -184,23 +187,6 @@ def test_digest_is_stable_across_processes():
 # ----------------------------------------------------------------------
 # Oracle: an LP state selected from the cut == the link's own LP slice
 # ----------------------------------------------------------------------
-def _own_lp_slice(lr: LinkRuntime, owned: tuple[bool, bool]) -> dict:
-    """``LinkRuntime.capture(owned)`` as it read each link before cuts
-    carried a link table, verbatim but for the ``owned is None`` arms."""
-    state = {}
-    for name in _MIGRATES:
-        value = getattr(lr, name)
-        if type(value) is list:
-            value = value[:]
-            value = [v if mine else None for v, mine in zip(value, owned)]
-        elif not all(owned):
-            continue  # whole-link state stays unless both directions go
-        elif isinstance(value, np.random.Generator):
-            value = value.bit_generator.state
-        state[name] = value
-    return state
-
-
 #: one link's state: ``None`` = as built, else what to move off it
 LINK_STATE = st.none() | st.fixed_dictionaries(
     {
@@ -213,17 +199,21 @@ LINK_STATE = st.none() | st.fixed_dictionaries(
 )
 
 
-def _set_link_states(sim: NetworkSimulator, states: list) -> None:
-    for lr, state in zip(sim.links, states):
+def _set_link_states(sim: NetworkSimulator, old_links: list, states: list) -> None:
+    """The same states onto the simulator's table and onto old links."""
+    table = sim.link_table
+    for i, (old, state) in enumerate(zip(old_links, states)):
         if state is None:
             continue
-        lr.busy_until[:] = state["busy_until"]
-        lr.packets_carried[:] = state["packets_carried"]
-        lr.failed = state["failed"]
+        table.busy_until[2 * i:2 * i + 2] = old.busy_until[:] = state["busy_until"]
+        table.packets_carried[2 * i:2 * i + 2] = old.packets_carried[:] = state["packets_carried"]
+        sim.links[i].failed = old.failed = state["failed"]
         for _ in range(state["red_draws"]):  # 0: the RED stream stays uncreated
-            lr._red_stream().random()
+            table.stream(i, RED).random()
+            old._red_stream().random()
         for _ in range(state["fault_draws"]):
-            lr._fault_draw()
+            table.stream(i, FAULT).random()
+            old._fault_draw()
 
 
 @settings(max_examples=60, deadline=None)
@@ -244,25 +234,26 @@ def test_lp_states_selected_from_the_cut_restore_as_each_links_own_slice(data):
     at_cut = data.draw(states, label="link states at the cut")
     on_adopter = data.draw(states, label="link states on the adopting shard")
 
-    def built(link_states: list) -> NetworkSimulator:
+    def built(link_states: list) -> tuple[NetworkSimulator, list]:
         sim = NetworkSimulator(net, ForwardingPlane(net), SimKernel(), queue_discipline="red")
-        _set_link_states(sim, link_states)
-        return sim
+        old_links = [oracle.OracleLinkRuntime(link, discipline="red") for link in net.links]
+        _set_link_states(sim, old_links, link_states)
+        return sim, old_links
 
-    source = built(at_cut)
+    source, old_source = built(at_cut)
     cut = ShardCheckpointPort(source, DeliveryRecorder(source, source.sched)).capture()
     port = LpStatePort(source, assignment)
     for lp in range(num_lps):
         selected = decode_payload(encode_payload(port.capture(lp, cut)))
         own = {
-            idx: _own_lp_slice(lr, (assignment[lr.link.u] == lp, assignment[lr.link.v] == lp))
-            for idx, lr in enumerate(source.links)
+            idx: lr.capture((assignment[lr.link.u] == lp, assignment[lr.link.v] == lp))
+            for idx, lr in enumerate(old_source)
             if lp in (assignment[lr.link.u], assignment[lr.link.v])
         }
-        via_cut, via_links = built(on_adopter), built(on_adopter)
+        via_cut, via_links = built(on_adopter)
         LpStatePort(via_cut, assignment).restore(lp, selected)
-        LpStatePort(via_links, assignment).restore(lp, own)
-        for a, b in zip(via_cut.links, via_links.links):
-            assert a.capture() == b.capture()
+        for idx, state in decode_payload(encode_payload(own)).items():
+            via_links[idx].restore(state)
+        assert oracle.per_link(via_cut.links) == oracle.per_link(via_links)
         # ... and a migration outside a checkpoint carries the same slice
         assert port.capture(lp) == selected

@@ -22,6 +22,7 @@ from repro.faults import (
 )
 from repro.netsim.simulator import NetworkSimulator
 from repro.obs.trace import traced_run
+from repro.partition.rebalance import slowdown_spans
 from repro.routing import ForwardingPlane
 from repro.routing.bgp.engine import BgpEngine, BgpSpeaker
 from repro.routing.bgp.session import BgpSessionManager, SessionState
@@ -261,6 +262,83 @@ class TestFaultInjector:
             kernel.run(until=2.0)
         assert injector.counts.injected == 1
         assert [r.kind for r in tracer.faults] == ["bgp.reset.skipped"]
+
+
+class TestOverlappingWindows:
+    """Two windows on one target, ``[1, 3)`` and ``[2, 4)``: the target is
+    down, lossy or slow until the later one ends, at 4, not at 3.
+    ``FaultSchedule.from_scenario`` draws targets with replacement, so a
+    preset can produce this."""
+
+    def _run(self, small_sim, kind_start, kind_end, target, params=((), ())):
+        _net, fib, kernel, sim = small_sim
+        sched = FaultSchedule.from_events(
+            [
+                FaultEvent(1.0, kind_start, (target,), params[0]),
+                FaultEvent(2.0, kind_start, (target,), params[1]),
+                FaultEvent(3.0, kind_end, (target,)),
+                FaultEvent(4.0, kind_end, (target,)),
+            ]
+        )
+        with traced_run() as tracer:
+            injector = FaultInjector(sim, fib, sched)
+            injector.install(kernel)
+            kernel.run(until=3.5)
+            at_3_5 = injector.capture()
+            kernel.run(until=5.0)
+        assert injector.counts.injected == 4 and len(tracer.faults) == 4
+        return sim, injector, at_3_5
+
+    def test_a_link_stays_down_until_its_last_outage_ends(self, small_sim):
+        net, fib, kernel, sim = small_sim
+        failed_at_3_5, flushes = [], []
+        kernel.schedule_at(3.5, lambda: failed_at_3_5.append(sim.links[0].failed))
+        set_link_state = fib.set_link_state
+        fib.set_link_state = lambda *args: flushes.append(args) or set_link_state(*args)
+        sim, injector, at_3_5 = self._run(small_sim, FaultKind.LINK_DOWN, FaultKind.LINK_UP, 0)
+        assert failed_at_3_5 == [True]
+        assert flushes == [(0, False), (0, True)]  # state moved at 1 and at 4 only
+        assert ("link", 0) in at_3_5["_open_windows"]  # open windows are checkpointed
+        assert not sim.links[0].failed and not injector.links_down
+        assert injector.counts.link_transitions == 4
+
+    def test_a_router_stays_down_until_its_last_crash_ends(self, small_sim):
+        net, fib, kernel, sim = small_sim
+        down_at_3_5 = []
+        kernel.schedule_at(3.5, lambda: down_at_3_5.append(set(sim._down_nodes)))
+        sim, injector, _ = self._run(small_sim, FaultKind.ROUTER_DOWN, FaultKind.ROUTER_UP, 2)
+        assert down_at_3_5 == [{2}]
+        assert not injector.nodes_down and not sim._down_nodes
+
+    def test_a_loss_burst_applies_the_latest_open_bursts_probabilities(self, small_sim):
+        net, fib, kernel, sim = small_sim
+        probs = []
+        for t in (1.5, 2.5, 3.5, 4.5):
+            kernel.schedule_at(
+                t, lambda: probs.append((sim.links[0].loss_prob, sim.links[0].corrupt_prob))
+            )
+        self._run(
+            small_sim, FaultKind.LOSS_BURST_START, FaultKind.LOSS_BURST_END, 0,
+            ((("corrupt_prob", 0.1), ("loss_prob", 0.3)), (("loss_prob", 0.5),)),
+        )
+        assert probs == [(0.3, 0.1), (0.5, 0.0), (0.5, 0.0), (0.0, 0.0)]
+        assert sim.link_table.fast[0]
+
+    def test_slowdown_spans_pair_first_in_first_out(self, small_sim):
+        events = [
+            FaultEvent(1.0, FaultKind.LP_SLOWDOWN_START, (2,), (("factor", 4.0),)),
+            FaultEvent(2.0, FaultKind.LP_SLOWDOWN_START, (2,), (("factor", 8.0),)),
+            FaultEvent(3.0, FaultKind.LP_SLOWDOWN_END, (2,)),
+            FaultEvent(4.0, FaultKind.LP_SLOWDOWN_END, (2,)),
+        ]
+        _sim, injector, _ = self._run(
+            small_sim, FaultKind.LP_SLOWDOWN_START, FaultKind.LP_SLOWDOWN_END, 2,
+            ((("factor", 4.0),), (("factor", 8.0),)),
+        )
+        expected = [(2, 1.0, 3.0, 4.0), (2, 2.0, 4.0, 8.0)]
+        assert injector.slowdown_spans == expected
+        assert slowdown_spans(events, 10.0) == expected
+        assert slowdown_spans(events[:3], 10.0) == [expected[0], (2, 2.0, 10.0, 8.0)]
 
 
 def _chain_engine() -> BgpEngine:

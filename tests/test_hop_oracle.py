@@ -1,7 +1,8 @@
 """The fused per-hop path against the code it replaced.
 
-``tests/_hop_oracle.py`` holds ``_handle_at``, ``transmit``,
-``SimKernel.run`` and the tuple-keyed forwarding plane as they were.
+``tests/_hop_oracle.py`` holds ``_handle_at``, ``SimKernel.run``, the
+one-object-per-link ``LinkRuntime`` with its ``transmit`` and the
+tuple-keyed forwarding plane as they were.
 Every scenario here is run twice — once with them, once with what
 ships — and everything a packet can leave
 behind is asserted *identical*, not close: the traffic counters, the
@@ -145,11 +146,7 @@ def build(engine, params: dict) -> ShardScenario:
             "counters": sim.counters.as_dict(),
             "node_packets": np.asarray(sim.node_packets, dtype=np.int64).tolist(),
             "dropped_fault": sim.dropped_fault,
-            "links": [
-                (lr.bytes_carried, lr.packets_carried, lr.packets_dropped,
-                 lr.packets_lost, lr.packets_corrupted, [t.hex() for t in lr.busy_until])
-                for lr in sim.links
-            ],
+            "links": oracle.per_link(sim.links),
             "fib_digest": fib.digest(),
             "transmissions": ([t.hex() for t in tx_times.tolist()], tx_from.tolist(), tx_to.tolist()),
             "events_executed": engine.events_executed,

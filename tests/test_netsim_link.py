@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.netsim import LinkRuntime, Packet, Protocol
+from repro.netsim import LinkRuntime, LinkTable, Packet, Protocol
+from repro.netsim.link import RED
 from repro.topology.models import Link
 
 
 def mk_link(bw=1e6, lat=1e-3, queue=10_000, discipline="droptail"):
-    return LinkRuntime(Link(0, 1, 2, bw, lat, queue), discipline=discipline)
+    return LinkRuntime(LinkTable([Link(0, 1, 2, bw, lat, queue)], discipline), 0)
 
 
 def pkt(size=1000):
@@ -116,14 +117,14 @@ class TestGentleRedProfile:
 
     def _red(self, rng_value):
         lr = mk_link(queue=10_000, discipline="red")
-        lr._rng = _StubRng(rng_value)
+        lr.table.streams[2 * lr.index + RED] = _StubRng(rng_value)
         return lr
 
     def test_no_drop_at_or_below_min_th(self):
         lr = self._red(0.0)  # rng would drop at any p > 0
         assert not lr._early_drop(0.0)
         assert not lr._early_drop(500.0)
-        assert lr._rng.calls == 0  # short-circuits before consulting the RNG
+        assert lr.table.stream(0, RED).calls == 0  # short-circuits before consulting the RNG
 
     def test_linear_ramp_to_max_p(self):
         # midpoint of [min_th, max_th): p = max_p / 2 = 0.05
@@ -144,9 +145,9 @@ class TestGentleRedProfile:
     def test_certain_drop_at_twice_max_th(self):
         lr = self._red(0.999999)  # rng alone would never drop
         assert lr._early_drop(10_000.0)
-        assert lr._rng.calls == 0  # certain region never consults the RNG
+        assert lr.table.stream(0, RED).calls == 0  # certain region never consults the RNG
 
     def test_droptail_never_early_drops(self):
         lr = mk_link(queue=10_000)  # default discipline
-        lr._rng = _StubRng(0.0)
+        lr.table.streams[RED] = _StubRng(0.0)
         assert not lr._early_drop(9_999.0)

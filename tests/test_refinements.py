@@ -7,7 +7,7 @@ import pytest
 
 from repro.engine import SimKernel
 from repro.netsim import NetworkSimulator, RedParams, start_transfer
-from repro.netsim.link import LinkRuntime
+from repro.netsim.link import LinkRuntime, LinkTable
 from repro.partition import WeightedGraph, kway_refine, partition_kway, round_robin_partition
 from repro.routing import ForwardingPlane
 from repro.topology import Network, NodeKind
@@ -67,9 +67,7 @@ class TestRedParams:
 
 class TestRedQueue:
     def _link(self, discipline):
-        return LinkRuntime(
-            Link(0, 1, 2, 1e6, 1e-3, 20_000), discipline=discipline
-        )
+        return LinkRuntime(LinkTable([Link(0, 1, 2, 1e6, 1e-3, 20_000)], discipline), 0)
 
     def _pkt(self):
         from repro.netsim import Packet, Protocol

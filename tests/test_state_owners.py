@@ -1,15 +1,16 @@
 """Every stateful object snapshots itself — and forgets no field.
 
 Three objects own the dynamic state of a packet simulation:
-:class:`LinkRuntime`, :class:`NetworkSimulator` (with its
+:class:`LinkTable`, :class:`NetworkSimulator` (with its
 :class:`TrafficCounters`) and :class:`FaultInjector` (with its
 :class:`FaultCounts`). Each declares once which of its fields are
 dynamic and builds one ``capture()`` / ``restore()`` from that
 declaration; ``experiments/shard.py`` only composes them.
 
-- *Classification guards*: every field / instance attribute of an owner
-  is declared dynamic or static, so a field added tomorrow fails here
-  instead of silently missing from checkpoints and migrations.
+- *Classification guards*: every instance attribute of an owner is
+  declared dynamic or static — for the link table, its columns — so a
+  field added tomorrow fails here instead of silently missing from
+  checkpoints and migrations.
 - *Round trip* (hypothesis): perturb every dynamic field — a drawn-from
   RED stream and a lazily created fault stream included — capture,
   restore onto a freshly built twin: every dynamic field equal, static
@@ -24,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import fields
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 from hypothesis import given, settings
@@ -31,7 +33,8 @@ from hypothesis import strategies as st
 
 from repro.engine import SimKernel
 from repro.faults import FaultCounts, FaultInjector, FaultSchedule
-from repro.netsim import LinkRuntime, NetworkSimulator, TrafficCounters
+from repro.netsim import LinkTable, NetworkSimulator, TrafficCounters
+from repro.netsim.link import FAULT, RED
 from repro.routing import ForwardingPlane
 from repro.serialization import decode_payload, encode_payload
 from repro.topology import Network, NodeKind
@@ -66,19 +69,17 @@ def _is_instrument(name: str) -> bool:
 # Classification guards
 # ----------------------------------------------------------------------
 def test_every_link_field_is_declared_dynamic_or_static():
-    kinds = {f.name: f.metadata.get("state") for f in fields(LinkRuntime)}
-    unclassified = sorted(n for n, k in kinds.items() if k is None)
-    assert not unclassified, f"LinkRuntime fields without a declaration: {unclassified}"
-    assert set(kinds.values()) <= {"static", "direction", "link", "shard"}
-    # ... and nothing is set on an instance behind the dataclass's back
-    # (the lazy streams start as their class-level defaults).
-    lr = LinkRuntime(_net().links[0])
-    assert set(vars(lr)) <= set(kinds)
-    lr._red_stream()
-    lr._fault_draw()
-    assert set(vars(lr)) == set(kinds)
-    # capture() carries exactly the fields declared dynamic.
-    assert set(lr.capture()) == {n for n, k in kinds.items() if k != "static"}
+    sim, _ = _build(_net())
+    table = sim.link_table
+    _assert_classified(table)
+    # The columns are declared once, each per link end or per link ...
+    assert table.DYNAMIC == table.END_COLUMNS + table.LINK_COLUMNS + ("streams",)
+    ends, links = 2 * len(sim.links), len(sim.links)
+    assert all(len(getattr(table, n)) == ends for n in table.END_COLUMNS)
+    assert all(len(getattr(table, n)) == links for n in table.LINK_COLUMNS + ("fast",))
+    # ... and a handle holds none of them: a stateless view of its entries.
+    assert not hasattr(sim.links[0], "__dict__")
+    assert set(type(sim.links[0]).__slots__) == {"table", "index", "link"}
 
 
 def _assert_classified(owner) -> None:
@@ -120,21 +121,15 @@ def _perturb(sim: NetworkSimulator, injector: FaultInjector, seed: int, data) ->
     def count() -> int:
         return int(rng.integers(1, 1 << 40))
 
+    table = sim.link_table
+    for name in table.END_COLUMNS:
+        column = getattr(table, name)
+        column[:] = [float(rng.random()) if isinstance(v, float) else count() for v in column]
     for lr in sim.links:
-        for name, kind in ((f.name, f.metadata["state"]) for f in fields(LinkRuntime)):
-            value = getattr(lr, name)
-            if kind == "static" or isinstance(value, np.random.Generator) or value is None:
-                continue
-            if isinstance(value, list):
-                value[:] = [
-                    float(rng.random()) if isinstance(v, float) else count() for v in value
-                ]
-            elif isinstance(value, bool):
-                setattr(lr, name, bool(rng.integers(0, 2)))
-            else:
-                setattr(lr, name, float(rng.random()))
+        lr.failed = bool(rng.integers(0, 2))
+        lr.loss_prob, lr.corrupt_prob = float(rng.random()), float(rng.random())
         for _ in range(data.draw(st.integers(0, 5), label="red draws")):
-            lr._red_stream().random()
+            table.stream(lr.index, RED).random()
         for _ in range(data.draw(st.integers(0, 3), label="fault draws")):
             lr._fault_draw()  # 0 draws: the lazy stream stays uncreated
     for f in fields(TrafficCounters):
@@ -150,18 +145,17 @@ def _perturb(sim: NetworkSimulator, injector: FaultInjector, seed: int, data) ->
     for f in fields(FaultCounts):
         setattr(injector.counts, f.name, count())
     injector.slowdown_spans.append((1, float(rng.random()), 2.0, 3.0))
-    injector._open_slowdowns[int(rng.integers(0, 4))] = (float(rng.random()), 2.5)
-    injector._open_slowdowns[7] = (0.25, 4.0)
-    injector.links_down.add(int(rng.integers(0, NUM_NODES - 1)))
-    injector.nodes_down.add(int(rng.integers(0, NUM_NODES)))
+    injector._open_windows[("lp", int(rng.integers(0, 4)))] = ((float(rng.random()), 2.5),)
+    injector._open_windows[("lp", 7)] = ((0.25, 4.0), (0.5, 2.0))
+    injector._open_windows[("link", int(rng.integers(0, NUM_NODES - 1)))] = ((0.1, None),)
+    injector._open_windows[("router", int(rng.integers(0, NUM_NODES)))] = ((0.2, None),)
+    injector._open_windows[("loss", 0)] = ((0.3, (0.5, 0.25)),)
 
 
 def _static_view(sim: NetworkSimulator, injector: FaultInjector) -> list:
-    statics = [
-        (name, getattr(lr, name))
-        for lr in sim.links
-        for name in (f.name for f in fields(LinkRuntime) if f.metadata["state"] == "static")
-    ]
+    table = sim.link_table
+    statics = [(n, getattr(table, n)) for n in table.STATIC if n != "fast"]
+    statics += [(n, id(getattr(table, n))) for n in table.DYNAMIC]  # refilled in place
     statics += [(n, id(getattr(sim, n))) for n in sim.STATIC if n != "_hops_epoch"]
     statics += [(n, id(getattr(injector, n))) for n in injector.STATIC]
     return statics
@@ -181,18 +175,18 @@ def test_capture_restores_onto_a_fresh_twin_exactly(seed, data):
     twin_sim.restore(state["sim"])
     twin_injector.restore(state["injector"])
 
-    # Dynamic fields equal, field by field ...
-    for lr, twin in zip(sim.links, twin_sim.links):
-        for name in lr.capture():
-            mine, theirs = getattr(lr, name), getattr(twin, name)
-            if isinstance(mine, np.random.Generator):
-                assert theirs.bit_generator.state == mine.bit_generator.state
-            else:
-                assert theirs == mine and type(theirs) is type(mine), name
-        # ... and the streams resume mid-sequence.
-        assert twin._red_stream().random() == lr._red_stream().random()
-        assert twin._fault_draw() == lr._fault_draw()
-    for name in set(sim.DYNAMIC) - {"links"}:
+    # Dynamic fields equal, column by column, entry by entry ...
+    table, twin = sim.link_table, twin_sim.link_table
+    for name in table.COLUMNS + ("fast",):
+        assert _typed(getattr(twin, name)) == _typed(getattr(table, name)), name
+    assert sorted(twin.streams) == sorted(table.streams)
+    for key, stream in table.streams.items():
+        assert twin.streams[key].bit_generator.state == stream.bit_generator.state
+    # ... and the streams resume mid-sequence.
+    for i in range(len(sim.links)):
+        for kind in (RED, FAULT):
+            assert twin.stream(i, kind).random() == table.stream(i, kind).random()
+    for name in set(sim.DYNAMIC) - {"link_table"}:
         assert getattr(twin_sim, name) == getattr(sim, name), name
     for name in injector.DYNAMIC:
         assert getattr(twin_injector, name) == getattr(injector, name), name
@@ -220,30 +214,36 @@ def test_restored_twin_captures_to_the_same_bytes(seed, data):
     assert again == blob
 
 
+def _typed(values: list) -> list[tuple[type, Any]]:
+    return [(type(v), v) for v in values]
+
+
 def test_an_lp_slice_is_a_selection_of_the_link_capture():
-    sim, _ = _build(_net())
-    lr = sim.links[1]
-    lr.busy_until[:] = [0.5, 0.75]
-    lr.packets_carried[:] = [3, 4]
-    lr._fault_draw()
-    whole = lr.capture()
-    one_way = lr.capture((False, True))
-    assert one_way == {"busy_until": [None, 0.75]}
-    both = lr.capture((True, True))
-    assert both == {k: whole[k] for k in ("busy_until", "_rng", "_fault_rng")}
+    table = _build(_net())[0].link_table
+    table.busy_until[2:4] = [0.5, 0.75]  # link 1
+    table.packets_carried[2:4] = [3, 4]
+    table.stream(1, FAULT).random()
+    table.stream(2, RED).random()
+    whole = table.capture()
+    # The LP transmitting from end 3 alone (link 1's v -> u) takes its
+    # busy horizon; one owning both ends of link 1, its created stream.
+    one_way = table.capture_lp([3], frozenset())
+    assert one_way == {"busy_until": [0.75], "streams": {}}
+    both = table.capture_lp([2, 3], frozenset({2 + RED, 2 + FAULT}))
+    assert both == {"busy_until": [0.5, 0.75], "streams": {3: whole["streams"][3]}}
+    assert table.capture_lp([2, 3], frozenset({2, 3}), whole) == both
     # Restoring a slice leaves what it does not name alone.
-    twin = _build(_net())[0].links[1]
-    twin.busy_until[:] = [9.0, 9.0]
-    twin.restore(one_way)
-    assert twin.busy_until == [9.0, 0.75] and twin.packets_carried == [0, 0]
-    twin.restore(both)
-    assert twin._fault_draw() == lr._fault_draw()
-    # A capture is a copy: the link moving on leaves it as it was.
-    lr.busy_until[0] = 9.5
-    table = LinkRuntime.capture_table([lr])
-    lr.busy_until[1] = 1.0
-    assert whole["busy_until"] == [0.5, 0.75]
-    assert dict(zip(table["fields"], table["rows"][0]))["busy_until"] == [9.5, 0.75]
+    twin = _build(_net())[0].link_table
+    twin.busy_until[2:4] = [9.0, 9.0]
+    twin.restore_lp([3], frozenset(), one_way)
+    assert twin.busy_until[2:4] == [9.0, 0.75] and twin.packets_carried[2:4] == [0, 0]
+    twin.stream(1, RED).random()  # created here, not at the source: uncreated again
+    twin.restore_lp([2, 3], frozenset({2, 3}), both)
+    assert sorted(twin.streams) == [3]
+    assert twin.stream(1, FAULT).random() == table.stream(1, FAULT).random()
+    # A capture is a copy: the table moving on leaves it as it was.
+    table.busy_until[2] = 9.5
+    assert whole["busy_until"][2:4] == [0.5, 0.75]
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +276,7 @@ def test_the_guard_pattern_catches_what_it_is_for():
 
 def test_experiments_shard_reaches_into_no_owner():
     text = (SRC / "experiments" / "shard.py").read_text()
-    for private in ("._rng", "._fault_rng", "._down_nodes", "._open_slowdowns"):
+    for private in (".streams", "._down_nodes", "._open_windows", ".busy_until"):
         assert private not in text, f"experiments/shard.py touches {private}"
 
 
