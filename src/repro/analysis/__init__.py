@@ -3,16 +3,15 @@
 Two halves behind one CLI (``python -m repro lint``):
 
 1. **Code lints** — an AST rule framework with simulator-specific rules
-   (unseeded RNG, wall-clock reads, float ``==`` on timestamps, mutable
-   default arguments, ``schedule()`` without node attribution). See
+   (unseeded RNG, wall-clock reads, mutable default arguments,
+   ``schedule()`` without node attribution). See
    :mod:`repro.analysis.rules_determinism` and
    :mod:`repro.analysis.rules_simulation`. The SIM2xx family
    (:mod:`repro.analysis.rules_parallel`) is *whole-program*: it runs
    over a symbol table (:mod:`repro.analysis.symbols`), a conservative
    call graph (:mod:`repro.analysis.callgraph`), and LP-execution
-   reachability (:mod:`repro.analysis.reachability`), gating the future
-   multi-core backend. Known findings ratchet through a committed
-   baseline (:mod:`repro.analysis.baseline`); SARIF export lives in
+   reachability (:mod:`repro.analysis.reachability`), gating the
+   multi-process backend. SARIF export lives in
    :mod:`repro.analysis.export`.
 2. **Artifact validators** — invariant checks over generated artifacts:
    topologies (:mod:`repro.analysis.topology_check`), AS relationship /
@@ -27,13 +26,6 @@ model, so CI can gate on one JSON document.
 """
 
 from .astlint import lint_file, lint_paths, lint_paths_program, lint_source, lint_sources
-from .baseline import (
-    BaselineError,
-    baseline_key,
-    filter_new_findings,
-    load_baseline,
-    save_baseline,
-)
 from .bgp_check import BgpPolicyError, check_bgp_policy, validate_bgp_policy
 from .callgraph import CallGraph, build_call_graph
 from .export import findings_to_sarif, write_sarif
@@ -66,11 +58,6 @@ __all__ = [
     "build_call_graph",
     "ProgramContext",
     "build_program_context",
-    "baseline_key",
-    "load_baseline",
-    "save_baseline",
-    "filter_new_findings",
-    "BaselineError",
     "findings_to_sarif",
     "write_sarif",
     "format_findings",

@@ -4,14 +4,8 @@ Runs the AST lint rules (including the SIM2xx whole-program
 parallel-safety pass) over files/directories and reports findings in
 human or JSON form. Exit status: 0 when no finding reaches the failure
 threshold (default ``error``; ``--strict`` lowers it to ``warning``),
-1 otherwise, 2 on usage errors such as a missing path or baseline.
-
-Baseline gating (``--baseline FILE``) subtracts known findings so only
-*new* ones are reported and gated; ``--update-baseline`` rewrites the
-file from the current run. ``--sarif-out`` additionally writes a SARIF
-2.1.0 document, and ``--obs-out`` snapshots the analyzer's own
-instruments (files scanned, rules run, findings, wall time) through the
-:mod:`repro.obs` registry.
+1 otherwise, 2 on usage errors such as a missing path. ``--sarif-out``
+additionally writes a SARIF 2.1.0 document.
 """
 
 from __future__ import annotations
@@ -20,10 +14,8 @@ import argparse
 import os
 
 from .astlint import lint_paths_program
-from .baseline import BaselineError, filter_new_findings, load_baseline, save_baseline
 from .export import write_sarif
 from .findings import Severity, findings_to_json, format_findings
-from .lintstats import LintStats
 from .rules import all_rules
 
 __all__ = ["add_lint_arguments", "run_lint"]
@@ -56,27 +48,10 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="fail on warnings as well as errors",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="JSON baseline of known findings; only new ones are reported",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite --baseline FILE from this run's findings and exit 0",
-    )
-    parser.add_argument(
         "--sarif-out",
         default=None,
         metavar="FILE",
         help="also write findings as a SARIF 2.1.0 document",
-    )
-    parser.add_argument(
-        "--obs-out",
-        default=None,
-        metavar="FILE",
-        help="write an obs snapshot of the analyzer's instruments",
     )
     parser.add_argument(
         "--list-rules",
@@ -110,48 +85,18 @@ def run_lint(args: argparse.Namespace) -> int:
         if not os.path.exists(p):
             print(f"error: no such path: {p}")
             return 2
-    if args.update_baseline and not args.baseline:
-        print("error: --update-baseline requires --baseline FILE")
-        return 2
-    rules = None
+    rules = all_rules()
     if args.select:
         wanted = {x.strip() for x in args.select.split(",") if x.strip()}
-        rules = [r for r in all_rules() if r.rule_id in wanted]
+        rules = [r for r in rules if r.rule_id in wanted]
         unknown = wanted - {r.rule_id for r in rules}
         if unknown:
             print(f"error: unknown rule ids: {sorted(unknown)}")
             return 2
 
-    baseline = None
-    if args.baseline and not args.update_baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except BaselineError as exc:
-            print(f"error: {exc}")
-            return 2
-
-    if args.obs_out:
-        from ..obs import registry as obs_registry
-
-        obs_registry.enable()
-    stats = LintStats()
-    token = stats.start()
     findings, program, files_scanned = lint_paths_program(args.paths, rules)
-    rule_list = rules if rules is not None else all_rules()
-    stats.finish(token, files_scanned, len(list(rule_list)), findings)
-
-    if args.update_baseline:
-        entries = save_baseline(args.baseline, findings)
-        print(
-            f"baseline updated: {args.baseline} "
-            f"({entries} unique findings, {len(findings)} total)"
-        )
-        return 0
-    if baseline is not None:
-        findings = filter_new_findings(findings, baseline)
-
     if args.sarif_out:
-        write_sarif(args.sarif_out, findings, list(rule_list))
+        write_sarif(args.sarif_out, findings, rules)
     print(findings_to_json(findings) if args.fmt == "json" else format_findings(findings))
     if args.fmt == "human" and program is not None:
         s = program.stats
@@ -159,11 +104,6 @@ def run_lint(args: argparse.Namespace) -> int:
             f"simracer: {files_scanned} files, {s['functions']} functions, "
             f"{s['call_edges'] + s['ref_edges']} edges, {s['seeds']} seeds, "
             f"{s['reachable']} LP-reachable"
-            + (f", baseline: {args.baseline}" if baseline is not None else "")
         )
-    if args.obs_out:
-        from ..obs.export import write_snapshot
-
-        write_snapshot(args.obs_out, meta={"tool": "simlint"})
     threshold = Severity.WARNING if args.strict else Severity.ERROR
     return 1 if any(f.severity >= threshold for f in findings) else 0

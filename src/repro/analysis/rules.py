@@ -3,15 +3,15 @@
 A rule is a function from a :class:`ModuleContext` (parsed AST plus
 source metadata) to ``(ast-node, message)`` pairs; the :func:`rule`
 decorator attaches the id, severity, and directory *scope* and registers
-it. Scoping keeps simulator-specific rules (determinism, wall-clock)
-confined to the packages where the invariant matters — an unseeded RNG
-in a plotting script is fine; in ``engine/`` it silently breaks
-reproducibility.
+it. Scoping confines the simulator-specific rules to the package
+(``repro/``) — an unseeded RNG in a stand-alone plotting script is
+fine; anywhere under ``repro/`` it silently breaks reproducibility.
 
-Suppression follows the familiar inline-comment convention::
+Suppression follows the familiar inline-comment convention; a
+suppression states its reason after ``--``::
 
-    t = time.time()  # simlint: disable=SIM102
-    # simlint: disable-next-line=SIM101
+    t = time.time()  # simlint: disable=SIM102 -- host time for a log header
+    # simlint: disable-next-line=SIM101 -- throwaway order, no result reads it
     x = random.Random()
     # simlint: disable-file=SIM104   (anywhere in the file: whole file)
 

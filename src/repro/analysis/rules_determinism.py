@@ -3,7 +3,7 @@
 The simulator's claims (load-balance improvements, valley-free routing)
 are only testable if a run is a pure function of its inputs and seed.
 These rules catch the two classic leaks: global/unseeded RNG state and
-wall-clock reads inside simulated time.
+wall-clock reads, anywhere in the package but the observability layer.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Iterator
 
 from .rules import ModuleContext, Severity, rule
 
-__all__ = ["check_unseeded_random", "check_wall_clock", "check_raw_perf_counter"]
+__all__ = ["check_unseeded_random", "check_wall_clock"]
 
 #: Functions of the stdlib ``random`` module that draw from (or mutate)
 #: the hidden global generator.
@@ -64,14 +64,9 @@ def _has_seed_argument(node: ast.Call) -> bool:
     return any(kw.arg in ("seed", "entropy") for kw in node.keywords)
 
 
-@rule(
-    "SIM101",
-    "unseeded-random",
-    Severity.ERROR,
-    scope=("engine/", "routing/", "topology/"),
-)
+@rule("SIM101", "unseeded-random", Severity.ERROR, scope=("repro/",))
 def check_unseeded_random(ctx: ModuleContext) -> Iterator[tuple[ast.AST, str]]:
-    """Global or unseeded RNG use in determinism-critical packages.
+    """Global or unseeded RNG use anywhere in the package.
 
     Flags stdlib ``random.*`` draws, legacy ``numpy.random.*``
     module-level draws, and ``default_rng()`` / ``RandomState()`` /
@@ -108,15 +103,23 @@ def check_unseeded_random(ctx: ModuleContext) -> Iterator[tuple[ast.AST, str]]:
                 )
 
 
-@rule("SIM102", "wall-clock", Severity.ERROR, scope=("engine/", "netsim/"))
+#: The sanctioned home of every wall-clock read in the package.
+_OBS_PACKAGE = "repro/obs"
+
+
+@rule("SIM102", "wall-clock", Severity.ERROR, scope=("repro/",))
 def check_wall_clock(ctx: ModuleContext) -> Iterator[tuple[ast.AST, str]]:
-    """Wall-clock reads inside kernel or event-handler code.
+    """Wall-clock reads anywhere in the package outside ``repro/obs``.
 
     Simulated components must only observe *simulated* time
     (``sim.now``); a wall-clock read makes event outcomes depend on host
-    speed and destroys repeatability. Real-time pacing belongs in
-    ``repro.online.realtime``, outside the event path.
+    speed and destroys repeatability. Measurement goes through the
+    observability layer (``repro.obs.timers.SpanTimer`` / ``Stopwatch``),
+    the one package allowed to read the clock, so timing stays behind the
+    registry's enable gate and out of simulated behaviour.
     """
+    if _OBS_PACKAGE in ctx.rel_path:
+        return
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
             continue
@@ -125,36 +128,7 @@ def check_wall_clock(ctx: ModuleContext) -> Iterator[tuple[ast.AST, str]]:
             continue
         if dotted in _WALL_CLOCK_CALLS or dotted.endswith(_WALL_CLOCK_SUFFIXES):
             yield node, (
-                f"wall-clock read `{dotted}()` in simulation code; "
-                "use the kernel's simulated time (`sim.now`) instead"
-            )
-
-
-_PERF_COUNTER_CALLS = frozenset({"time.perf_counter", "time.perf_counter_ns"})
-
-#: The sanctioned home of every raw ``perf_counter`` read in the package.
-_OBS_PACKAGE = "repro/obs"
-
-
-@rule("SIM106", "raw-perf-counter", Severity.ERROR, scope=("repro/",))
-def check_raw_perf_counter(ctx: ModuleContext) -> Iterator[tuple[ast.AST, str]]:
-    """Direct ``time.perf_counter`` use outside :mod:`repro.obs`.
-
-    Wall-clock measurement must flow through the observability layer
-    (``repro.obs.timers.SpanTimer`` / ``Stopwatch``) so that timing is
-    centrally guarded, snapshot-exportable, and absent from simulated
-    behavior. A raw ``perf_counter()`` call elsewhere bypasses the
-    registry's enable gate and scatters measurement state across the
-    codebase.
-    """
-    if _OBS_PACKAGE in ctx.rel_path:
-        return
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        dotted = ctx.dotted_name(node.func)
-        if dotted in _PERF_COUNTER_CALLS:
-            yield node, (
-                f"raw `{dotted}()` outside repro.obs; use "
-                "`repro.obs.timers.SpanTimer` or `Stopwatch` instead"
+                f"wall-clock read `{dotted}()` outside repro.obs; simulated "
+                "code reads `sim.now`, measurement uses "
+                "`repro.obs.timers.SpanTimer` or `Stopwatch`"
             )

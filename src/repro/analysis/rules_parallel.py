@@ -21,9 +21,6 @@ engine is sharded across ``multiprocessing`` workers:
   handles): they cannot cross the future IPC boundary.
 - **SIM204** — two RNG-construction sites deriving the same seed: the
   streams alias, so "independent" noise sources are correlated.
-- **SIM205** — accumulated float time (``t += dt`` in a loop): drift
-  grows with iteration count and differs between an LP that computed
-  ``n`` steps locally and one that received the total remotely.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ __all__ = [
     "check_unordered_iteration",
     "check_unpicklable_payload",
     "check_rng_stream_aliasing",
-    "check_float_time_drift",
 ]
 
 #: container-mutating method names
@@ -521,8 +517,6 @@ def check_rng_stream_aliasing(ctx: ModuleContext) -> Iterator[tuple[ast.AST, str
         for rel_path, lineno, ctor in group:
             if rel_path != ctx.rel_path:
                 continue
-            # Paths only (no line numbers): these messages are baseline
-            # keys, and unrelated edits must not shift them.
             others = sorted(
                 {p for p, ln, _ in group if (p, ln) != (rel_path, lineno)}
             )
@@ -544,73 +538,3 @@ def _node_at(ctx: ModuleContext, lineno: int) -> ast.AST:
     if best is None:
         best = ast.Pass(lineno=lineno, col_offset=0)
     return best
-
-
-# ---------------------------------------------------------------------------
-# SIM205: accumulated float-time drift
-# ---------------------------------------------------------------------------
-_TIMEISH = ("t", "now", "clock", "ts", "when")
-
-
-def _is_timeish(name: str) -> bool:
-    return name in _TIMEISH or "time" in name.lower()
-
-
-@rule("SIM205", "float-time-drift", Severity.WARNING, scope=("repro/",))
-def check_float_time_drift(ctx: ModuleContext) -> Iterator[tuple[ast.AST, str]]:
-    """``t += dt`` accumulation inside a loop on the LP path.
-
-    Repeated float addition drifts by one ULP per step; after 10^6 steps
-    two LPs that counted the same interval differently disagree on
-    *when* events happen. The engine idiom is multiplicative:
-    ``t = t0 + i * dt``.
-    """
-    prog = _program(ctx)
-    if prog is None:
-        return
-    for fi in _reachable_functions(ctx, prog):
-        loops = [
-            n for n in ast.walk(fi.node) if isinstance(n, (ast.For, ast.While))
-        ]
-        for loop in loops:
-            for node in ast.walk(loop):
-                if not (
-                    isinstance(node, ast.AugAssign)
-                    and isinstance(node.op, ast.Add)
-                ):
-                    continue
-                tgt = node.target
-                name = (
-                    tgt.id
-                    if isinstance(tgt, ast.Name)
-                    else tgt.attr
-                    if isinstance(tgt, ast.Attribute)
-                    else None
-                )
-                if name is None or not _is_timeish(name):
-                    continue
-                val = node.value
-                dt_like = (
-                    isinstance(val, ast.Constant)
-                    and isinstance(val.value, float)
-                ) or (
-                    isinstance(val, (ast.Name, ast.Attribute))
-                    and "dt" in (
-                        val.id if isinstance(val, ast.Name) else val.attr
-                    ).lower()
-                ) or (
-                    isinstance(val, (ast.Name, ast.Attribute))
-                    and any(
-                        s in (
-                            val.id if isinstance(val, ast.Name) else val.attr
-                        ).lower()
-                        for s in ("step", "delta", "interval")
-                    )
-                )
-                if not dt_like:
-                    continue
-                yield node, (
-                    f"accumulating float time `{name} += ...` in a loop "
-                    f"(LP-reachable via {_chain(prog, fi)}); use "
-                    "multiplicative time (`t = t0 + i * dt`) to avoid drift"
-                )

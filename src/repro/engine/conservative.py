@@ -29,7 +29,7 @@ from ..obs import names as obs_names
 from ..obs.registry import get_registry
 from ..obs.trace import get_tracer
 from .events import Event, EventQueue
-from .windows import WindowStats, iter_windows
+from .windows import WINDOW_EPSILON_FRACTION, WindowStats, iter_windows
 
 __all__ = ["LookaheadViolation", "WindowStats", "ConservativeEngine"]
 
@@ -166,10 +166,7 @@ class ConservativeEngine:
         if current_lp is None or target_lp == current_lp:
             heappush(self._heaps[target_lp], (time, seq, ev))
         else:
-            # Relative tolerance: an absolute epsilon falls below one
-            # float ULP once simulated time passes ~0.01 s, turning
-            # legitimate window-boundary events into spurious violations.
-            if time < self._window_end - 1e-9 * self.lookahead:
+            if time < self._window_end - WINDOW_EPSILON_FRACTION * self.lookahead:
                 self.lookahead_violations += 1
                 self._obs_violations.inc()
                 if self.strict:

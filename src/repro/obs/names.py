@@ -190,14 +190,6 @@ RECOVERY_ADOPTIONS = _declare(
     "recovery.adoptions.degraded", "Degraded adoptions of a dead shard's LPs by a survivor."
 )
 
-# --- static analysis (repro.analysis simlint runs) --------------------
-LINT_FILES = _declare("lint.files.scanned", "Python files scanned by the simlint pass.")
-LINT_RULES = _declare("lint.rules.run", "Lint rules executed by the simlint pass.")
-LINT_FINDINGS_ERROR = _declare("lint.findings.error", "Error-severity lint findings.")
-LINT_FINDINGS_WARNING = _declare("lint.findings.warning", "Warning-severity lint findings.")
-LINT_FINDINGS_INFO = _declare("lint.findings.info", "Info-severity lint findings.")
-LINT_WALL = _declare("lint.wall", "Wall-clock span of the whole simlint pass.")
-
 
 def help_for(name: str) -> str:
     """The ``# HELP`` line body for ``name`` (generic text if unknown)."""

@@ -14,7 +14,7 @@ bridge, exporters, the ``trace`` CLI). Design constraints, in order:
 3. **Deterministic.** Counters, gauges, histograms, and series record
    *simulated* quantities and are exactly reproducible; only span
    timers read the wall clock (:mod:`repro.obs.timers` is the one
-   sanctioned call site of ``time.perf_counter`` — simlint rule SIM106
+   sanctioned call site of ``time.perf_counter`` — simlint rule SIM102
    flags any other).
 
 Instruments are accumulated per process; call :meth:`Registry.reset`

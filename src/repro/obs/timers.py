@@ -10,8 +10,9 @@ every ``time.perf_counter`` call of the package so that
   calibration) go through :class:`Stopwatch` instead of scattering raw
   ``perf_counter()`` calls.
 
-simlint rule SIM106 enforces the boundary: a direct ``perf_counter()``
-call anywhere in ``src/repro`` outside ``repro/obs`` is an error.
+simlint rule SIM102 enforces the boundary: a wall-clock call
+(``perf_counter()``, ``time.time()``, ``datetime.now()``, …) anywhere in
+``src/repro`` outside ``repro/obs`` is an error.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ The tracer follows the registry's design contract exactly:
    records carry *simulated* quantities only. Span records
    (BGP convergence) are wall-clock and use the sanctioned
    ``perf_counter`` site (this module lives in ``repro/obs``, the one
-   package simlint SIM106 exempts).
+   package simlint SIM102 exempts).
 """
 
 from __future__ import annotations

@@ -36,7 +36,6 @@ def registered_names(monkeypatch) -> set[str]:
     monkeypatch.setattr(registry_mod, "_GLOBAL", reg)
     # Imports are deferred past the monkeypatch so each constructor's
     # get_registry() resolves against the fresh registry.
-    from repro.analysis.lintstats import LintStats
     from repro.engine.conservative import ConservativeEngine
     from repro.engine.parallel import ParallelConservativeEngine, ShardEngine
     from repro.faults import FaultInjector, FaultSchedule
@@ -73,7 +72,6 @@ def registered_names(monkeypatch) -> set[str]:
     sim = NetworkSimulator(net, fib, engine)
     BgpEngine({1: BgpSpeaker(1, {2: "peer"}), 2: BgpSpeaker(2, {1: "peer"})})
     FaultInjector(sim, fib, FaultSchedule.from_events([]))
-    LintStats()
     return (
         set(reg.counters())
         | set(reg.vectors())

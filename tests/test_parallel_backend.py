@@ -33,6 +33,7 @@ from repro.engine.parallel import (
     validate_mail_batch,
 )
 from repro.engine.parallel.shard import _deliver_encoded_mail, _encode_outbound
+from repro.engine.windows import WINDOW_EPSILON_FRACTION
 from repro.experiments.shard import chain_spec, delivery_log_bytes, merge_collected, run_reference
 from repro.serialization import encode_mail_batch
 
@@ -99,7 +100,7 @@ class TestMailValidation:
     def test_epsilon_tolerance_at_the_barrier(self):
         # Float drift inside the shared relative epsilon is not a
         # causality violation; anything beyond it is.
-        eps = 1e-9 * LOOKAHEAD
+        eps = WINDOW_EPSILON_FRACTION * LOOKAHEAD
         ok = [(0, 0, 2.0 - 0.5 * eps, (1, 0, 1), "h", ())]
         assert validate_mail_batch(ok, 2.0, LOOKAHEAD) == 0
         bad = [(0, 0, 2.0 - 3.0 * eps, (1, 0, 1), "h", ())]
