@@ -57,9 +57,9 @@ def main() -> None:
     print(f"\nparallel run: {engine.events_executed} events over "
           f"{len(engine.window_stats)} synchronization windows")
     print(f"lookahead violations: {engine.lookahead_violations} (strict mode)")
-    per_lp = engine.events_per_lp_total()
+    per_lp = sum(ws.events_per_lp for ws in engine.window_stats)
     print(f"events per LP: {per_lp.tolist()}")
-    print(f"cross-LP sends: {int(engine.remote_sends_total().sum())}")
+    print(f"cross-LP sends: {sum(ws.remote_sends_per_lp.sum() for ws in engine.window_stats)}")
     print(f"measured load imbalance: {load_imbalance(per_lp.astype(float)):.3f}")
     print(f"HTTP responses completed: {handles.http.stats.responses_completed}; "
           f"app finished: {handles.apps_finished}")

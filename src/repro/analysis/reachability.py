@@ -8,8 +8,8 @@ over the :class:`~repro.analysis.callgraph.CallGraph` from two seed
 sets:
 
 - **entry points** — fnmatch patterns over qualified names naming the
-  engine loops themselves (``SimKernel.run``, the conservative engine's
-  dispatch, ``NetworkSimulator`` event injection, ``BgpEngine`` sweeps);
+  engine loops themselves (``SimKernel.run``, ``ShardEngine``'s window
+  loop, ``NetworkSimulator`` event injection, ``BgpEngine`` sweeps);
 - **scheduled handlers** — any function passed into a
   registration-shaped call (``schedule``/``schedule_at``/``udp_bind``/
   ``register_tcp_endpoint``/``subscribe``, or an ``on_*``/``fn``/
@@ -45,8 +45,9 @@ __all__ = [
 #: names differ from the real package layout.
 DEFAULT_ENTRY_PATTERNS: tuple[str, ...] = (
     "*:SimKernel.run",
-    "*:ConservativeEngine.run",
-    "*:ConservativeEngine.schedule_at",
+    "*:ShardEngine.run",
+    "*:ShardEngine.run_window",
+    "*:ShardEngine.schedule_at",
     "*:NetworkSimulator.inject",
     "*:NetworkSimulator._handle_at",
     "*:BgpEngine.run",

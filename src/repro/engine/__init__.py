@@ -1,14 +1,14 @@
 """Discrete-event simulation engines and the cluster cost model.
 
 :class:`SimKernel` is the sequential reference engine (with event-trace
-recording); :class:`ConservativeEngine` is the barrier-synchronized
-parallel engine over a node->LP partition (all LPs in one process);
-:class:`ParallelConservativeEngine` executes the same protocol across
-real worker processes; :mod:`repro.engine.costmodel` converts either's
-per-window counters into modeled wall-clock time.
+recording); :class:`ShardEngine` is the barrier-synchronized parallel
+engine over a node->LP partition — owning every LP, ``run(until)`` runs
+it in one process; :class:`ParallelConservativeEngine` executes the same
+loop across real worker processes, one ``ShardEngine`` per shard;
+:mod:`repro.engine.costmodel` converts either's per-window counters into
+modeled wall-clock time.
 """
 
-from .conservative import ConservativeEngine, LookaheadViolation
 from .parallel import (
     LocalShardGroup,
     MailOrderError,
@@ -24,7 +24,7 @@ from .parallel import (
     shard_lps,
     validate_mail_batch,
 )
-from .windows import WindowStats, iter_windows
+from .windows import LookaheadViolation, WindowStats, iter_windows
 from .costmodel import (
     WallclockPrediction,
     bucket_event_counts,
@@ -40,7 +40,6 @@ __all__ = [
     "Event",
     "EventQueue",
     "SimKernel",
-    "ConservativeEngine",
     "LookaheadViolation",
     "WindowStats",
     "iter_windows",

@@ -1,12 +1,12 @@
 """Multi-process conservative backend: real parallelism, same bytes.
 
-:class:`ParallelConservativeEngine` executes the barrier-window protocol
-of :class:`~repro.engine.conservative.ConservativeEngine` across real OS
-processes. LPs are sharded over workers (contiguous split, so the
-partitioner's locality survives); every worker replays the *identical*
-scenario construction, keeps only the events of the LPs it owns, runs
-each window with the existing per-LP kernels, and exchanges cross-shard
-mail at the barrier — batched per window and serialized through
+:class:`ParallelConservativeEngine` executes the barrier-window loop of
+:class:`ShardEngine` — which, owning every LP, is the single-process
+engine (``ShardEngine.run``) — across real OS processes. LPs are sharded
+over workers (contiguous split, so the partitioner's locality survives);
+every worker replays the *identical* scenario construction, keeps only
+the events of the LPs it owns, runs each window with the same per-LP
+loop, and exchanges cross-shard mail at the barrier — batched per window and serialized through
 :mod:`repro.serialization`. There are no null messages: the window
 length equals the lookahead, so a barrier per window is sufficient for
 causality (the MaSSF/DaSSF composite-synchronization special case where
@@ -16,15 +16,18 @@ Byte-identity with the single-process engine comes from three rules:
 
 1. **Deterministic tiebreak keys.** One engine-wide ``seq`` counter
    cannot exist across processes, so events carry ``(epoch, lane, counter)``
-   tuples: ``epoch`` is 0 during setup and ``window_index + 1`` during
-   execution, ``lane`` is the scheduling LP (0 for setup and control),
-   and ``counter`` is a per-worker monotone int. Within one destination
-   queue this lexicographic order reproduces the single-process
-   ``(time, seq)`` order exactly: phases execute sequentially in the
-   single-process engine (setup, then window 0 LP 0, window 0 LP 1, …),
-   every ``(epoch >= 1, lane)`` phase has a single producing worker, and
-   setup counters align across workers because construction is replayed
-   identically everywhere.
+   tuples: ``epoch`` is 0 during setup, ``window_index + 1`` during
+   execution and ``window_index + 2`` at the barrier after it, ``lane``
+   is the scheduling LP (0 for setup, barriers and control), and
+   ``counter`` is a per-worker monotone int. Within one destination
+   queue this lexicographic order is the ``(time, seq)`` order of one
+   global sequence exactly: phases execute sequentially in one process
+   (setup, then window 0 LP 0, window 0 LP 1, …, the barrier, window 1
+   LP 0, …), every ``(epoch >= 1, lane)`` phase has a single producing
+   worker, and setup counters align across workers because construction
+   is replayed identically everywhere. ``tests/_engine_oracle.py`` keeps
+   the last engine that stamped one global ``seq``, and
+   ``tests/test_engine_oracle.py`` holds the keys to its order.
 
 2. **Replicated control plane.** Events targeting ``node == -1`` (fault
    injections, other control work) run on LP 0. The worker owning LP 0

@@ -28,12 +28,14 @@ from ...obs.trace import TraceBuffer, get_tracer
 from ..recovery import CheckpointStore, RecoveryExhaustedError, is_checkpoint_window
 from ..windows import WindowStats, iter_windows
 from .shard import (
+    WINDOW_EVENTS_BOUNDS,
     ParallelBackendError,
     ScenarioSpec,
     WorkerCrashError,
     _dead_shard_legacy,
     _expect,
     _ser,
+    lp_assignment,
     shard_lps,
 )
 from .transport import InlineTransport, PipeTransport, Transport
@@ -667,7 +669,8 @@ class Coordinator:
 class ParallelConservativeEngine:
     """Conservative barrier-window engine over real worker processes.
 
-    Parameters mirror :class:`ConservativeEngine`, plus:
+    ``assignment``, ``num_lps``, ``lookahead`` and ``strict`` are
+    :class:`ShardEngine`'s, plus:
 
     procs:
         Worker process count. LPs are split contiguously across workers
@@ -726,7 +729,7 @@ class ParallelConservativeEngine:
                 "combined: a checkpoint cut racing a migration plan has no "
                 "well-defined placement"
             )
-        self.assignment = np.asarray(assignment, dtype=np.int64)
+        self.assignment = lp_assignment(assignment, num_lps)
         self.num_lps = int(num_lps)
         self.lookahead = float(lookahead)
         self.strict = strict
@@ -752,30 +755,12 @@ class ParallelConservativeEngine:
         self._obs = reg
         self._obs_windows = reg.counter(obs_names.ENGINE_WINDOWS)
         self._obs_window_hist = reg.histogram(
-            obs_names.ENGINE_WINDOW_EVENTS_HIST, (1.0, 10.0, 100.0, 1e3, 1e4, 1e5)
+            obs_names.ENGINE_WINDOW_EVENTS_HIST, WINDOW_EVENTS_BOUNDS
         )
         if rebalance is not None:
             _register_rebalance_instruments(reg)
         if recovery is not None:
             _register_recovery_instruments(reg)
-
-    @classmethod
-    def from_mapping(cls, mapping, lookahead: float | None = None, **kwargs):
-        """Build from partitioner output (:class:`NetworkMapping`).
-
-        The lookahead defaults to the mapping's achieved MLL — the same
-        window rule the modeled engine uses; pass ``lookahead``
-        explicitly when the mapping has no finite cross-LP latency
-        (single-engine mappings).
-        """
-        if lookahead is None:
-            mll = float(mapping.evaluation.mll_s)
-            if not np.isfinite(mll) or mll <= 0:
-                raise ValueError(
-                    "mapping has no finite achieved MLL; pass lookahead="
-                )
-            lookahead = mll
-        return cls(mapping.assignment, mapping.num_engines, lookahead, **kwargs)
 
     def _transport(self) -> Transport:
         return PipeTransport(self.start_method, self.window_timeout_s)

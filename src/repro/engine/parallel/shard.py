@@ -1,7 +1,9 @@
 """One shard of the barrier-window protocol and its wire formats.
 
-:class:`ShardEngine` is one worker's view of the conservative engine;
-the helpers around it are the shard-side halves of every payload that
+:class:`ShardEngine` is the one window loop: owning every LP it is the
+single-process conservative engine (``run(until)``), owning a share it
+is one worker's view of the multi-process one (``run_window``). The
+helpers around it are the shard-side halves of every payload that
 crosses a process boundary — barrier mail, LP-migration payloads,
 checkpoint blobs — whichever transport carries the bytes.
 """
@@ -18,9 +20,13 @@ import numpy as np
 from ...obs import names as obs_names
 from ...obs.registry import get_registry
 from ...obs.trace import get_tracer
-from ..conservative import LookaheadViolation
 from ..events import Event, EventQueue
-from ..windows import WINDOW_EPSILON_FRACTION
+from ..windows import (
+    WINDOW_EPSILON_FRACTION,
+    LookaheadViolation,
+    WindowStats,
+    iter_windows,
+)
 
 
 def _ser():
@@ -66,6 +72,8 @@ class UnregisteredHandlerError(ParallelBackendError):
 
 #: Bucket bounds of the per-worker barrier-wait histogram (seconds).
 _BARRIER_WAIT_BOUNDS = (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)
+#: Bucket bounds of the events-per-window histogram (events).
+WINDOW_EVENTS_BOUNDS = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5)
 
 
 # ----------------------------------------------------------------------
@@ -128,6 +136,18 @@ class ShardScenario:
     restore_shard: Callable[[Any], None] | None = None
 
 
+def lp_assignment(assignment: Sequence[int] | np.ndarray, num_lps: int) -> np.ndarray:
+    """``assignment`` as an int64 array, every entry a valid LP id.
+
+    Raises :class:`ValueError` otherwise — at construction, before a
+    worker exists to fail on it.
+    """
+    out = np.asarray(assignment, dtype=np.int64)
+    if out.size and (out.min() < 0 or out.max() >= num_lps):
+        raise ValueError("assignment references an LP out of range")
+    return out
+
+
 def shard_lps(num_lps: int, procs: int) -> list[list[int]]:
     """Contiguous LP -> shard split (preserves partitioner locality)."""
     if procs < 1:
@@ -165,14 +185,24 @@ def validate_mail_batch(
 # Per-shard engine
 # ----------------------------------------------------------------------
 class ShardEngine:
-    """One worker's view of the conservative engine: the LPs it owns.
+    """The conservative barrier-window engine over the LPs it owns.
 
-    Implements the same scheduler protocol as ``ConservativeEngine``
-    (``schedule_at`` / ``schedule`` / ``current_time`` /
-    ``next_barrier_time`` / ``lp_of``) so the packet simulator, fault
-    injector, and applications run unchanged. Events carry ``(epoch,
-    lane, counter)`` tiebreak keys instead of one engine-wide ``seq``
-    (see the package docstring for why the order is identical).
+    Every simulated node belongs to an LP (``assignment[node] = lp``;
+    engine-internal events, ``node == -1``, run on LP 0). Each window
+    is one ``lookahead`` long — at most the minimum cross-LP link
+    latency, the achieved MLL — and runs every owned LP's events in
+    ascending LP order; cross-LP events wait in mailboxes for the
+    barrier. ``owned_lps=None`` owns every LP: the single-process engine,
+    driven by :meth:`run`. A worker owns its shard's LPs and is driven
+    window by window (:meth:`run_window`) by the multi-process backend.
+
+    The scheduler protocol (``schedule_at`` / ``schedule`` /
+    ``current_time`` / ``next_barrier_time`` / ``lp_of``) is what the
+    packet simulator, fault injector, and applications run on. Events
+    carry ``(epoch, lane, counter)`` tiebreak keys instead of one
+    engine-wide ``seq`` (see the package docstring for why the order is
+    the single-process one). With ``strict=False`` lookahead violations
+    are counted, not raised: the event is delivered late at the barrier.
     """
 
     def __init__(
@@ -180,7 +210,7 @@ class ShardEngine:
         assignment: Sequence[int] | np.ndarray,
         num_lps: int,
         lookahead: float,
-        owned_lps: Sequence[int],
+        owned_lps: Sequence[int] | None = None,
         strict: bool = True,
         shard_id: int = 0,
         num_shards: int = 1,
@@ -189,14 +219,12 @@ class ShardEngine:
             raise ValueError("lookahead must be positive")
         self.shard_id = int(shard_id)
         self.num_shards = max(int(num_shards), 1)
-        self.assignment = np.asarray(assignment, dtype=np.int64)
-        if self.assignment.size and (
-            self.assignment.min() < 0 or self.assignment.max() >= num_lps
-        ):
-            raise ValueError("assignment references an LP out of range")
+        self.assignment = lp_assignment(assignment, num_lps)
         self.num_lps = int(num_lps)
         self.lookahead = float(lookahead)
         self.strict = strict
+        if owned_lps is None:
+            owned_lps = range(self.num_lps)
         owned = sorted(int(lp) for lp in owned_lps)
         if any(lp < 0 or lp >= self.num_lps for lp in owned):
             raise ValueError("owned LP out of range")
@@ -226,15 +254,19 @@ class ShardEngine:
         self._in_replica_control = False
         self._phase_setup = True
         # (epoch, lane, counter) key state: epoch 0 = setup, epoch w+1 =
-        # window w; lane = scheduling LP; one monotone counter per
-        # worker. The counter also advances for events a replay
-        # discards, keeping kept-event keys aligned across workers.
+        # window w (and w+2 at the barrier after it); lane = scheduling
+        # LP; one monotone counter per worker. The counter also advances
+        # for events a replay discards, keeping kept-event keys aligned
+        # across workers.
         self._epoch = 0
         self._lane = 0
         self._kcount = 0
 
         self.events_executed = 0
         self.lookahead_violations = 0
+        #: one row per window :meth:`run` executed (a worker's rows are
+        #: summed by the coordinator instead)
+        self.window_stats: list[WindowStats] = []
         self.events_this_window = np.zeros(self.num_lps, dtype=np.int64)
         self.remote_this_window = np.zeros(self.num_lps, dtype=np.int64)
         # Cross-SHARD sends only (the subset of remote sends that hit
@@ -246,14 +278,20 @@ class ShardEngine:
 
         # Observability hook points, resolved once here (the registry
         # contract: name lookups at construction, guarded writes after).
-        # Engine-level instruments mirror ConservativeEngine exactly —
-        # each shard records its owned columns, so worker snapshots
-        # merged by repro.obs.distributed sum to the single-process
-        # values. parallel.* instruments are per-worker (shard-labeled
-        # by this engine's shard_id / the worker-events index).
+        # Each shard records its owned columns of the engine-level
+        # instruments, so worker snapshots merged by
+        # repro.obs.distributed sum to the single-process values; the
+        # window count and events-per-window histogram are written by
+        # run() here and by the coordinator across workers. parallel.*
+        # instruments are per-worker (shard-labeled by this engine's
+        # shard_id / the worker-events index).
         reg = get_registry()
         self._obs = reg
         self._obs_events = reg.counter(obs_names.ENGINE_EVENTS)
+        self._obs_windows = reg.counter(obs_names.ENGINE_WINDOWS)
+        self._obs_window_hist = reg.histogram(
+            obs_names.ENGINE_WINDOW_EVENTS_HIST, WINDOW_EVENTS_BOUNDS
+        )
         self._obs_violations = reg.counter(obs_names.ENGINE_LOOKAHEAD_VIOLATIONS)
         self._obs_lp_events = reg.vector_counter(
             obs_names.ENGINE_LP_EVENTS, self.num_lps
@@ -311,12 +349,20 @@ class ShardEngine:
     ) -> Event:
         """Schedule ``fn(*args)`` at ``time`` on the LP owning ``node``.
 
-        Same causality floors as the single-process engine. The fate of
-        the event depends on the phase: during setup everything is
-        replayed everywhere and only owned-LP (plus control) events are
-        kept; during replica control replay only follow-up *control*
-        events are kept; during window execution, off-LP events go to
-        the local mailbox or the cross-shard outbound batch.
+        During window execution the causality floor is the *executing
+        LP's local clock*: a callback must not schedule into its own
+        LP's past, or local order silently inverts inside the window. At
+        a barrier the floor is the barrier time. Scheduling onto a
+        *different* LP additionally checks the lookahead: the event must
+        not land before the current window ends (it is delivered at the
+        barrier).
+
+        The fate of the event depends on the phase: during setup
+        everything is replayed everywhere and only owned-LP (plus
+        control) events are kept; during replica control replay only
+        follow-up *control* events are kept; during window execution,
+        off-LP events go to the local mailbox or the cross-shard
+        outbound batch.
         """
         current_lp = self._current_lp
         if current_lp is None and not self._in_replica_control:
@@ -392,14 +438,50 @@ class ShardEngine:
         """End the replicated-construction phase; windows may now run."""
         self._phase_setup = False
 
+    def run(self, until: float) -> int:
+        """Run barrier windows until simulated time ``until``.
+
+        The single-process driver: seals setup on the first call,
+        resumes after the last window a previous call ran, and appends
+        one :attr:`window_stats` row per window. Returns the number of
+        events executed. An engine owning a share of the LPs is driven
+        by the multi-process backend instead — its mail has to cross.
+        """
+        if len(self.owned_lps) != self.num_lps:
+            raise ParallelBackendError(
+                "run() needs an engine that owns every LP; a shard's "
+                "cross-shard mail is delivered by the multi-process backend"
+            )
+        if self._phase_setup:
+            self.seal_setup()
+        executed_total = 0
+        for window_index, start, window_end in iter_windows(
+            self.now, self.lookahead, until, first_index=len(self.window_stats)
+        ):
+            executed = self.run_window(window_index, window_end)
+            executed_total += executed
+            if self._obs.enabled:
+                self._obs_windows.inc()
+                self._obs_window_hist.observe(float(executed))
+            self.window_stats.append(
+                WindowStats(
+                    window_index=window_index,
+                    start=start,
+                    end=window_end,
+                    events_per_lp=self.events_this_window.copy(),
+                    remote_sends_per_lp=self.remote_this_window.copy(),
+                )
+            )
+        return executed_total
+
     def run_window(self, window_index: int, window_end: float) -> int:
         """Execute one synchronization window over the owned LPs.
 
         Returns the number of events executed (owned LPs only; replica
         control replay is not counted — the owner counts it). Cross-LP
         mail produced during the window waits in the local mailboxes
-        (delivered here at the end, like the single-process barrier) or
-        in the outbound batch (``drain_outbound``).
+        (delivered here at the end, at the barrier) or in the outbound
+        batch (``drain_outbound``).
         """
         if self._phase_setup:
             raise ParallelBackendError("seal_setup() must run before windows")
@@ -418,7 +500,9 @@ class ShardEngine:
             self.events_this_window[lp] = n
             executed += n
         self._current_lp = None
-        self._lane = 0
+        # Barrier-time scheduling keys after every event this window
+        # scheduled, mail included, as it was scheduled after them.
+        self._epoch, self._lane = window_index + 2, 0
         barrier_token = self._obs_barrier.start()
         for i, mail in enumerate(self._local_mail):
             for ev in mail:

@@ -1,21 +1,20 @@
-"""Shared barrier-window protocol: stats and boundary arithmetic.
+"""Shared barrier-window protocol: stats, boundary arithmetic, the fence.
 
-The conservative engine and the multi-process backend must agree — to
-the last float ULP — on where every synchronization window starts and
-ends: the window boundary is the causality fence (cross-LP events may
-not land before it), and the lookahead check compares against it with a
-relative epsilon. Extracting the boundary iteration here means every
-executor (the in-process :class:`~repro.engine.conservative
-.ConservativeEngine`, each :class:`~repro.engine.parallel.ShardEngine`
-worker, and the controller that merges their results) computes the
-*identical* float sequence, so a window index means the same simulated
-interval everywhere.
+Every executor — each :class:`~repro.engine.parallel.ShardEngine`, whether
+it owns every LP (``ShardEngine.run``) or one worker's share of them, and
+the controller that merges the workers' results — must agree, to the last
+float ULP, on where every synchronization window starts and ends: the
+window boundary is the causality fence (cross-LP events may not land
+before it, or :class:`LookaheadViolation`), and the lookahead check
+compares against it with a relative epsilon. Extracting the boundary
+iteration here means every executor computes the *identical* float
+sequence, so a window index means the same simulated interval everywhere.
 
 :class:`WindowStats` — the per-window per-LP execution counters the
 cluster cost model consumes, and the only per-window record (blame and
 the Chrome timeline read it too) — lives here for the same reason:
 workers report partial columns and the controller sums them into the
-same structure the single-process engine records directly.
+same structure a single-shard run records directly.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 __all__ = [
+    "LookaheadViolation",
     "WindowStats",
     "iter_windows",
     "window_rows",
@@ -38,6 +38,10 @@ __all__ = [
 #: float ULP once simulated time passes ~0.01 s, turning legitimate
 #: window-boundary events into spurious violations (see PR 4).
 WINDOW_EPSILON_FRACTION = 1e-9
+
+
+class LookaheadViolation(RuntimeError):
+    """A cross-LP event was scheduled closer than the engine's lookahead."""
 
 
 @dataclass
@@ -63,7 +67,7 @@ def iter_windows(
 ) -> Iterator[tuple[int, float, float]]:
     """Yield ``(window_index, window_start, window_end)`` barrier windows.
 
-    Reproduces the conservative engine's historical loop exactly —
+    Reproduces the barrier loop's historical arithmetic exactly —
     ``window_end = min(now + lookahead, until)`` with the relative
     epsilon absorbing float accumulation over many windows so a run to
     ``until`` never spawns a sliver final window. Because the float

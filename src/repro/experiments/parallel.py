@@ -5,7 +5,7 @@ The figure pipeline scores mappings against a sequentially recorded trace
 module closes the loop twice:
 
 - **Modeled** (:func:`run_parallel_workload`): the workload runs
-  on the single-process :class:`repro.engine.ConservativeEngine` under a
+  on one :class:`repro.engine.ShardEngine` that owns every LP under a
   given mapping — per-LP event queues, cross-LP mailboxes, barrier
   windows of one achieved-MLL — exactly the structure of MaSSF's
   distributed engine, and the cost model converts its window counters
@@ -27,14 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.mapping import NetworkMapping
-from ..engine.conservative import ConservativeEngine
 from ..engine.costmodel import (
     WallclockPrediction,
     predict_wallclock,
     sequential_time_estimate,
     window_for_mapping,
 )
-from ..engine.parallel import ParallelConservativeEngine, ParallelRunResult
+from ..engine.parallel import ParallelConservativeEngine, ParallelRunResult, ShardEngine
 from ..engine.windows import WindowStats
 from ..cluster.syncmodel import ClusterSpec
 from ..netsim.simulator import NetworkSimulator
@@ -72,7 +71,7 @@ def run_parallel_workload(
     duration_s: float,
     seed: int = 0,
     strict: bool = True,
-) -> tuple[ConservativeEngine, NetworkSimulator, WorkloadHandles]:
+) -> tuple[ShardEngine, NetworkSimulator, WorkloadHandles]:
     """Execute the workload on the parallel engine under ``mapping``.
 
     The engine's lookahead is the mapping's achieved MLL (clamped to the
@@ -80,7 +79,7 @@ def run_parallel_workload(
     lower bound on every cross-LP link latency.
     """
     lookahead = window_for_mapping(mapping.achieved_mll_s, duration_s)
-    engine = ConservativeEngine(
+    engine = ShardEngine(
         mapping.assignment, mapping.num_engines, lookahead, strict=strict
     )
     sim = NetworkSimulator(net, fib, engine)
@@ -100,7 +99,7 @@ def run_traced_workload(
     seed: int = 0,
     strict: bool = True,
     trace_capacity: int | None = None,
-) -> tuple[ConservativeEngine, NetworkSimulator, WorkloadHandles, Registry, TraceBuffer]:
+) -> tuple[ShardEngine, NetworkSimulator, WorkloadHandles, Registry, TraceBuffer]:
     """Execute the workload with both the registry and the tracer live.
 
     The structured-trace variant of :func:`run_parallel_workload`: both
@@ -275,8 +274,8 @@ def run_executed_workload(
 ) -> ExecutedParallelRun:
     """Execute UDP background traffic across real worker processes.
 
-    The same seeded workload runs twice: once on the single-process
-    :class:`ConservativeEngine` (the measured baseline — and, by
+    The same seeded workload runs twice: once on one
+    :class:`ShardEngine` owning every LP (the measured baseline — and, by
     determinism, the ground truth the multi-process delivery log must
     byte-match) and once on the :class:`ParallelConservativeEngine` with
     ``procs`` workers. The returned :class:`ExecutedParallelRun` carries

@@ -25,7 +25,7 @@ layer and its applications (HTTP, ScaLAPACK, GridNPB) hand closures to
 the scheduler — ``on_complete`` callbacks, nested lambdas — and a
 closure has no wire name to cross a shard boundary or a checkpoint
 under: the registered-callback obstacle of the BGP distributed-simulation
-feasibility study (PAPERS.md), and what is left of ROADMAP item 3.
+feasibility study (PAPERS.md), and what is left of ROADMAP item 2.
 Executed multi-process runs use the UDP scenario; modeled runs keep the
 full application mix.
 
@@ -42,8 +42,7 @@ from typing import Any
 
 import numpy as np
 
-from ..engine.conservative import ConservativeEngine
-from ..engine.parallel import ScenarioSpec, ShardScenario
+from ..engine.parallel import ScenarioSpec, ShardEngine, ShardScenario
 from ..engine.parallel.shard import _resolve_builder
 from ..faults import FaultInjector, FaultSchedule
 from ..netsim.link import FAULT, RED
@@ -76,9 +75,9 @@ class DeliveryRecorder:
     Each record is ``(epoch, lane, time, node, flow_id, seq)``; the
     leading cursor pair is what lets per-shard logs merge into the exact
     single-process order (stable sort on the cursor — each ``(epoch,
-    lane)`` phase executes wholly on one shard, in recorded order). The
-    single-process engines have no cursor and tag ``(0, 0)``; their log
-    is already in execution order.
+    lane)`` phase executes wholly on one shard, in recorded order).
+    ``SimKernel`` has no cursor and tags ``(0, 0)``; its log is already
+    in execution order.
     """
 
     def __init__(self, sim: NetworkSimulator, engine: Any) -> None:
@@ -444,15 +443,16 @@ def run_reference(
     lookahead: float,
     until: float,
     strict: bool = True,
-) -> tuple[ConservativeEngine, dict[str, Any]]:
+) -> tuple[ShardEngine, dict[str, Any]]:
     """Run ``spec`` on the single-process conservative engine.
 
-    The differential baseline: the same builder drives a
-    :class:`ConservativeEngine` (which owns every LP, so it is its own
-    control shard) and the returned ``collect()`` dict is directly
-    comparable to :func:`merge_collected` over a multi-process run.
+    The differential baseline: the same builder drives one
+    :class:`ShardEngine` that owns every LP (so it is its own control
+    shard and sends no mail) and the returned ``collect()`` dict is
+    directly comparable to :func:`merge_collected` over a multi-process
+    run.
     """
-    engine = ConservativeEngine(assignment, num_lps, lookahead, strict=strict)
+    engine = ShardEngine(assignment, num_lps, lookahead, strict=strict)
     scenario = _resolve_builder(spec.builder)(engine, spec.params)
     engine.run(until=until)
     collected = scenario.collect() if scenario.collect is not None else None

@@ -139,7 +139,7 @@ class NetworkSimulator:
         Topology and forwarding plane.
     scheduler:
         A :class:`repro.engine.SimKernel` or
-        :class:`repro.engine.ConservativeEngine`.
+        :class:`repro.engine.ShardEngine`.
     record_transmissions:
         Keep a per-hop record ``(time, from_node, to_node)`` used by the
         cost model to count cross-partition events under any mapping.
@@ -155,7 +155,7 @@ class NetworkSimulator:
     #: Everything else ``__init__`` sets (observability instruments
     #: aside): configuration, caches a rebuilt twin re-derives, and the
     #: transport demux tables — callbacks only the replayed setup
-    #: registers in every scenario that shards today (ROADMAP item 3).
+    #: registers in every scenario that shards today (ROADMAP item 2).
     #: tests/test_state_owners.py fails on an attribute in neither tuple.
     STATIC = (
         "net", "fib", "sched", "hop_processing_s", "record_transmissions", "links",

@@ -2,7 +2,7 @@
 
 The zero-dependency instrumentation subsystem behind the paper's
 profile-based load balancing. Hook points live in
-:class:`~repro.engine.conservative.ConservativeEngine` (per-LP event and
+:class:`~repro.engine.parallel.ShardEngine` (per-LP event and
 remote-send counts, barrier-wait spans), the packet simulator
 (per-node events, per-link bytes/packets/drops, queue-depth high-water
 marks, the Figure 3 rate series), and the BGP engine (updates,

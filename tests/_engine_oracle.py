@@ -1,20 +1,18 @@
-"""Conservative barrier-synchronized parallel DES engine.
+"""The single-process conservative engine as it was before it was folded
+into ``ShardEngine``.
 
-This is the execution model of MaSSF's distributed engine (DaSSF-style):
-the simulated network is partitioned into logical processes (LPs); all LPs
-repeatedly execute the events of one *synchronization window* whose length
-equals the lookahead — the minimum latency of any cross-LP link (the
-achieved MLL) — then exchange cross-LP events at a barrier. An event an LP
-creates for another LP always lands at least one lookahead in the future,
-so delivering mail at the barrier preserves causality.
+``repro.engine.conservative.ConservativeEngine`` at commit b3f3c0c, moved
+here verbatim as ``OracleConservativeEngine`` to serve as the reference
+of ``tests/test_engine_oracle.py``: a ``ShardEngine`` owning every LP,
+driven by ``run(until)``, must execute every event in exactly this
+engine's order and record the same ``WindowStats`` rows, counters,
+instruments and trace channels. Its order comes from one engine-wide
+``(time, seq)`` sequence, not from ``(epoch, lane, counter)`` keys, so
+it checks the keys rather than sharing them.
 
-All LPs share one OS process here (the substitution documented in
-DESIGN.md); the engine still maintains one event queue per LP, routes
-cross-LP traffic through mailboxes, enforces the lookahead constraint, and
-records the per-window per-LP event counts that the cluster cost model
-converts to wall-clock time. Its event ordering is equivalent to the
-sequential kernel's whenever cross-LP event times respect the lookahead
-(verified by tests).
+Frozen: nothing under ``src/`` imports it, and no change to the shipped
+loop is mirrored here. Only the imports differ from the original
+(``LookaheadViolation`` now lives in ``repro.engine.windows``).
 """
 
 from __future__ import annotations
@@ -25,20 +23,21 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..obs import names as obs_names
-from ..obs.registry import get_registry
-from ..obs.trace import get_tracer
-from .events import Event, EventQueue
-from .windows import WINDOW_EPSILON_FRACTION, WindowStats, iter_windows
+from repro.engine.events import Event, EventQueue
+from repro.engine.windows import (
+    WINDOW_EPSILON_FRACTION,
+    LookaheadViolation,
+    WindowStats,
+    iter_windows,
+)
+from repro.obs import names as obs_names
+from repro.obs.registry import get_registry
+from repro.obs.trace import get_tracer
 
-__all__ = ["LookaheadViolation", "WindowStats", "ConservativeEngine"]
+__all__ = ["OracleConservativeEngine"]
 
 
-class LookaheadViolation(RuntimeError):
-    """A cross-LP event was scheduled closer than the engine's lookahead."""
-
-
-class ConservativeEngine:
+class OracleConservativeEngine:
     """Barrier-window parallel executor over a node -> LP assignment.
 
     Parameters

@@ -9,14 +9,21 @@ under ``repro/`` so the parallel-safety rules are in scope.
 
 from __future__ import annotations
 
+from fnmatch import fnmatch
+from pathlib import Path
+
 from repro.analysis import (
     build_program_context,
     findings_to_sarif,
     lint_source,
     lint_sources,
 )
-from repro.analysis.astlint import _make_context
+from repro.analysis.astlint import _make_context, iter_python_files
+from repro.analysis.reachability import DEFAULT_ENTRY_PATTERNS
 from repro.analysis.rules import all_rules
+from repro.analysis.symbols import ProgramIndex
+
+SRC_REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 def rules_for(*ids: str):
@@ -124,6 +131,18 @@ class TestCallGraph:
 # Reachability
 # ---------------------------------------------------------------------------
 class TestReachability:
+    def test_every_default_entry_pattern_names_a_function_in_src(self):
+        # A pattern that matches nothing is a dead root: the SIM2xx rules
+        # silently stop seeing whatever only it made reachable.
+        files = iter_python_files([str(SRC_REPRO)])
+        index = ProgramIndex([_make_context(Path(f).read_text(), f) for f in files])
+        dead = [
+            pattern
+            for pattern in DEFAULT_ENTRY_PATTERNS
+            if not any(fnmatch(qual, pattern) for qual in index.functions)
+        ]
+        assert dead == []
+
     def test_entry_pattern_seeds_engine_loop(self):
         prog = build_program(
             {

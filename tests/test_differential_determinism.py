@@ -21,9 +21,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.conservative import ConservativeEngine
 from repro.engine.kernel import SimKernel
-from repro.engine.parallel import LocalShardGroup, ParallelConservativeEngine
+from repro.engine.parallel import LocalShardGroup, ParallelConservativeEngine, ShardEngine
 from repro.experiments.shard import (
     chain_spec,
     delivery_log_bytes,
@@ -127,7 +126,7 @@ FAULT_EVENTS = [
 class TestDifferentialDeterminism:
     def test_backends_are_interchangeable(self):
         kern_sim, kern_log = _run(SimKernel())
-        cons_eng = ConservativeEngine(ASSIGNMENT, 2, lookahead=LATENCY_S)
+        cons_eng = ShardEngine(ASSIGNMENT, 2, lookahead=LATENCY_S)
         cons_sim, cons_log = _run(cons_eng)
 
         # Sanity: the workload is drop-free and fully delivered.
@@ -151,7 +150,7 @@ class TestFaultDeterminism:
     def test_fault_run_identical_across_kernel_and_conservative(self):
         kern_sim, kern_log, kern_faults = _run_with_faults(SimKernel(), FAULT_EVENTS)
         cons_sim, cons_log, cons_faults = _run_with_faults(
-            ConservativeEngine(ASSIGNMENT, 2, lookahead=LATENCY_S), FAULT_EVENTS
+            ShardEngine(ASSIGNMENT, 2, lookahead=LATENCY_S), FAULT_EVENTS
         )
         assert kern_faults, "fault schedule produced no trace records"
         # Faults actually bit: the burst lost packets and the down link

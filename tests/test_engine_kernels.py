@@ -1,5 +1,6 @@
 """Tests for the DES event queue, sequential kernel, and conservative
-parallel engine — including sequential/parallel equivalence."""
+parallel engine (a ``ShardEngine`` owning every LP, driven by
+``run(until)``) — including sequential/parallel equivalence."""
 
 from __future__ import annotations
 
@@ -9,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import (
-    ConservativeEngine,
     EventQueue,
     LookaheadViolation,
+    ShardEngine,
     SimKernel,
 )
 
@@ -229,8 +230,10 @@ class TestSimKernel:
 
 
 class TestSequenceOwnership:
-    """The ``(time, seq)`` tiebreak counter belongs to the engine that
-    stamps with it: a fresh engine numbers from 0 whatever ran before."""
+    """The tiebreak counter belongs to the engine that stamps with it: a
+    fresh engine numbers from the start whatever ran before — ``(time,
+    seq)`` from 0 on the kernel, ``(epoch, lane, counter)`` from
+    ``(0, 0, 1)`` on the shard engine."""
 
     def test_fresh_engines_number_from_zero(self):
         warm = SimKernel()
@@ -239,9 +242,12 @@ class TestSequenceOwnership:
         warm.run()
         assert SimKernel().schedule_at(1.0, lambda: None).seq == 0
         assert SimKernel().schedule(1.0, lambda: None).seq == 0
-        eng = ConservativeEngine(np.array([0, 1]), 2, lookahead=0.1)
-        assert eng.schedule_at(0.5, lambda: None, node=1).seq == 0
-        assert eng.schedule_at(0.5, lambda: None, node=0).seq == 1
+        warm_shard = ShardEngine(np.array([0, 1]), 2, lookahead=0.1)
+        warm_shard.schedule_at(0.05, lambda: None, node=1)
+        warm_shard.run(until=0.3)
+        eng = ShardEngine(np.array([0, 1]), 2, lookahead=0.1)
+        assert eng.schedule_at(0.5, lambda: None, node=1).seq == (0, 0, 1)
+        assert eng.schedule_at(0.5, lambda: None, node=0).seq == (0, 0, 2)
         assert EventQueue().push(0.0, lambda: None).seq == 0
 
     def test_kernel_schedule_and_schedule_at_share_one_sequence(self):
@@ -255,19 +261,22 @@ class TestSequenceOwnership:
 
 
 class TestConservativeEngine:
+    """The conservative engine: a ``ShardEngine`` owning every LP, driven
+    by ``run(until)``."""
+
     def test_window_count(self):
-        eng = ConservativeEngine(np.zeros(1, dtype=np.int64), 1, lookahead=0.1)
+        eng = ShardEngine(np.zeros(1, dtype=np.int64), 1, lookahead=0.1)
         eng.run(until=1.0)
         assert len(eng.window_stats) == 10
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            ConservativeEngine(np.zeros(2, dtype=np.int64), 1, lookahead=0.0)
+            ShardEngine(np.zeros(2, dtype=np.int64), 1, lookahead=0.0)
         with pytest.raises(ValueError):
-            ConservativeEngine(np.array([0, 5]), 2, lookahead=0.1)
+            ShardEngine(np.array([0, 5]), 2, lookahead=0.1)
 
     def test_cross_lp_violation_raises(self):
-        eng = ConservativeEngine(np.array([0, 1]), 2, lookahead=0.1)
+        eng = ShardEngine(np.array([0, 1]), 2, lookahead=0.1)
 
         def offender():
             # schedule onto the other LP *inside* the current window
@@ -278,7 +287,7 @@ class TestConservativeEngine:
             eng.run(until=1.0)
 
     def test_cross_lp_violation_tolerated_when_lenient(self):
-        eng = ConservativeEngine(np.array([0, 1]), 2, lookahead=0.1, strict=False)
+        eng = ShardEngine(np.array([0, 1]), 2, lookahead=0.1, strict=False)
         seen = []
 
         def offender():
@@ -290,22 +299,22 @@ class TestConservativeEngine:
         assert seen == [1]  # delivered late, not lost
 
     def test_remote_counted(self):
-        eng = ConservativeEngine(np.array([0, 1]), 2, lookahead=0.1)
+        eng = ShardEngine(np.array([0, 1]), 2, lookahead=0.1)
 
         def sender():
             eng.schedule_at(eng.current_time + 0.1, lambda: None, node=1)
 
         eng.schedule_at(0.0, sender, node=0)
         eng.run(until=0.5)
-        assert int(eng.remote_sends_total().sum()) == 1
-        assert eng.remote_sends_total()[0] == 1  # charged to the sender
+        remote = sum(ws.remote_sends_per_lp for ws in eng.window_stats)
+        assert remote.tolist() == [1, 0]  # charged to the sender
 
     def test_events_per_lp(self):
-        eng = ConservativeEngine(np.array([0, 0, 1]), 2, lookahead=0.1)
+        eng = ShardEngine(np.array([0, 0, 1]), 2, lookahead=0.1)
         eng.schedule_at(0.05, lambda: None, node=0)
         eng.schedule_at(0.15, lambda: None, node=2)
         eng.run(until=1.0)
-        assert eng.events_per_lp_total().tolist() == [1, 1]
+        assert sum(ws.events_per_lp for ws in eng.window_stats).tolist() == [1, 1]
 
     def test_rejects_schedule_into_lp_local_past(self):
         # Regression: validation must use the executing LP's local clock,
@@ -313,7 +322,7 @@ class TestConservativeEngine:
         # [0, 0.1) while the barrier clock is still 0.0 — scheduling at
         # t=0.02 is after the barrier but before the LP's local now, and
         # silently inverts execution order unless rejected.
-        eng = ConservativeEngine(np.array([0]), 1, lookahead=0.1)
+        eng = ShardEngine(np.array([0]), 1, lookahead=0.1)
 
         def offender():
             eng.schedule_at(0.02, lambda: None, node=0)
@@ -325,7 +334,7 @@ class TestConservativeEngine:
     def test_same_lp_future_within_window_allowed(self):
         # The LP-local floor must not over-reject: same-LP scheduling
         # ahead of the local clock but inside the current window is legal.
-        eng = ConservativeEngine(np.array([0]), 1, lookahead=0.1)
+        eng = ShardEngine(np.array([0]), 1, lookahead=0.1)
         seen = []
 
         def sender():
@@ -341,7 +350,7 @@ class TestConservativeEngine:
         # ~0.01 s, so a cross-LP event at window_end - 1e-11 near t=2000
         # was flagged as a violation. The relative epsilon
         # (1e-9 * lookahead = 5e-10 here) must accept it.
-        eng = ConservativeEngine(np.array([0, 1]), 2, lookahead=0.5)
+        eng = ShardEngine(np.array([0, 1]), 2, lookahead=0.5)
         seen = []
 
         def sender():
@@ -385,7 +394,7 @@ class TestConservativeEngine:
         k.run(until=1.0)
 
         par_log: list = []
-        eng = ConservativeEngine(assignment, num_lps, lookahead)
+        eng = ShardEngine(assignment, num_lps, lookahead)
         build(eng, par_log)
         eng.run(until=1.0)
 

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _hop_oracle as oracle
-from repro.engine import ConservativeEngine, SimKernel
+from repro.engine import ShardEngine, SimKernel
 from repro.engine.parallel import LocalShardGroup, ScenarioSpec, ShardScenario
 from repro.experiments.shard import _install_faults
 from repro.faults import FaultEvent, FaultKind
@@ -173,7 +173,7 @@ def on_kernel(params: dict) -> dict:
 
 
 def on_conservative(params: dict) -> dict:
-    engine = ConservativeEngine(params["assignment"], 2, LOOKAHEAD_S)
+    engine = ShardEngine(params["assignment"], 2, LOOKAHEAD_S)
     collect = build(engine, params).collect
     engine.run(until=UNTIL_S)
     windows = [

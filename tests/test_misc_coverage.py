@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import run_profiling_simulation
-from repro.engine import ConservativeEngine, SimKernel
+from repro.engine import ShardEngine, SimKernel
 from repro.netsim import NetworkSimulator, Packet, Protocol, send_datagram
 from repro.netsim.tcp import TcpReceiver
 from repro.online import Agent
@@ -59,7 +59,7 @@ class TestUdpEdgeCases:
 
 class TestConservativeEngineEdgeCases:
     def test_multiple_run_calls_accumulate(self):
-        eng = ConservativeEngine(np.zeros(1, dtype=np.int64), 1, lookahead=0.5)
+        eng = ShardEngine(np.zeros(1, dtype=np.int64), 1, lookahead=0.5)
         eng.schedule_at(0.2, lambda: None, node=0)
         eng.schedule_at(1.2, lambda: None, node=0)
         assert eng.run(until=1.0) == 1
@@ -68,13 +68,13 @@ class TestConservativeEngineEdgeCases:
         assert len(eng.window_stats) == 4
 
     def test_schedule_into_past_rejected(self):
-        eng = ConservativeEngine(np.zeros(1, dtype=np.int64), 1, lookahead=0.5)
+        eng = ShardEngine(np.zeros(1, dtype=np.int64), 1, lookahead=0.5)
         eng.run(until=1.0)
         with pytest.raises(ValueError):
             eng.schedule_at(0.5, lambda: None, node=0)
 
     def test_pending_counts_mailboxes(self):
-        eng = ConservativeEngine(np.array([0, 1]), 2, lookahead=0.1)
+        eng = ShardEngine(np.array([0, 1]), 2, lookahead=0.1)
 
         def sender():
             eng.schedule_at(eng.current_time + 0.5, lambda: None, node=1)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import ConservativeEngine, SimKernel
+from repro.engine import ShardEngine, SimKernel
 from repro.netsim import (
     LOOPBACK_LATENCY_S,
     NetworkSimulator,
@@ -143,14 +143,14 @@ class TestOnConservativeEngine:
         net, (r0, r1, h0, h1) = line_net
         # Partition across the 1 ms router link; lookahead 0.5 ms is safe.
         assignment = np.array([0, 1, 0, 1])
-        eng = ConservativeEngine(assignment, 2, lookahead=0.5e-3)
+        eng = ShardEngine(assignment, 2, lookahead=0.5e-3)
         sim = NetworkSimulator(net, ForwardingPlane(net), eng)
         got = []
         sim.udp_bind(h1, 9, lambda p: got.append(eng.current_time))
         eng.schedule_at(0.0, lambda: send_datagram(sim, h0, h1, 500, port=9), node=h0)
         eng.run(until=0.01)
         assert len(got) == 1
-        assert int(eng.remote_sends_total().sum()) == 1
+        assert sum(int(ws.remote_sends_per_lp.sum()) for ws in eng.window_stats) == 1
 
     def test_same_delivery_time_as_sequential(self, line_net):
         net, (r0, r1, h0, h1) = line_net
@@ -161,7 +161,7 @@ class TestOnConservativeEngine:
         k.run(until=0.01)
 
         assignment = np.array([0, 1, 0, 1])
-        eng = ConservativeEngine(assignment, 2, lookahead=0.5e-3)
+        eng = ShardEngine(assignment, 2, lookahead=0.5e-3)
         sim_par = NetworkSimulator(net, ForwardingPlane(net), eng)
         t_par = []
         sim_par.udp_bind(h1, 9, lambda p: t_par.append(eng.current_time))

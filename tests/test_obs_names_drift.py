@@ -36,7 +36,6 @@ def registered_names(monkeypatch) -> set[str]:
     monkeypatch.setattr(registry_mod, "_GLOBAL", reg)
     # Imports are deferred past the monkeypatch so each constructor's
     # get_registry() resolves against the fresh registry.
-    from repro.engine.conservative import ConservativeEngine
     from repro.engine.parallel import ParallelConservativeEngine, ShardEngine
     from repro.faults import FaultInjector, FaultSchedule
     from repro.netsim.simulator import NetworkSimulator
@@ -49,13 +48,13 @@ def registered_names(monkeypatch) -> set[str]:
     r0 = net.add_node(NodeKind.ROUTER)
     h0 = net.add_node(NodeKind.HOST)
     net.add_link(r0, h0, 1e9, 1e-3)
-    engine = ConservativeEngine(np.zeros(net.num_nodes, dtype=np.int64), 1, 1.0)
-    # Constructing the controller registers the controller-side
-    # parallel instruments (with a rebalance config, the rebalance.*
-    # set too); the worker-side parallel.* set lives in ShardEngine
-    # (per-worker recording with shard labels), and the calibration.*
-    # set in the CalibrationRecorder. No worker processes start until
-    # run_scenario().
+    engine = ShardEngine(np.zeros(net.num_nodes, dtype=np.int64), 1, 1.0)
+    # The shard engine registers the engine.* set and the worker-side
+    # parallel.* set (per-worker recording with shard labels);
+    # constructing the controller registers the controller-side parallel
+    # instruments (with a rebalance config, the rebalance.* set too),
+    # and the calibration.* set lives in the CalibrationRecorder. No
+    # worker processes start until run_scenario().
     ParallelConservativeEngine(
         np.zeros(net.num_nodes, dtype=np.int64), 1, 1.0,
         rebalance=RebalanceConfig(),
@@ -66,7 +65,6 @@ def registered_names(monkeypatch) -> set[str]:
         np.zeros(net.num_nodes, dtype=np.int64), 1, 1.0,
         recovery=RecoveryConfig(),
     )
-    ShardEngine(np.zeros(net.num_nodes, dtype=np.int64), 1, 1.0, owned_lps=[0])
     CalibrationRecorder()
     fib = ForwardingPlane(net)
     sim = NetworkSimulator(net, fib, engine)

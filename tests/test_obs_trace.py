@@ -351,7 +351,7 @@ class TestTracedRunIntegration:
         net, engine, tr, candidates, cluster = traced_run_result
         assert len(tr.events) > 1000
         assert len(tr.transmissions) > 0
-        assert len(tr.edges) == int(engine.remote_sends_total().sum())
+        assert len(tr.edges) == sum(int(ws.remote_sends_per_lp.sum()) for ws in engine.window_stats)
 
     def test_global_tracer_disabled_after_traced_run(self, traced_run_result):
         assert not get_tracer().enabled
@@ -405,7 +405,8 @@ class TestTracedRunIntegration:
         # engine also counts cross-LP mail without a link transmission
         # (agent-admitted live events), so the replay is a lower bound.
         assert events.sum() == engine.events_executed
-        assert 0 < remotes.sum() <= int(engine.remote_sends_total().sum())
+        sent = sum(int(ws.remote_sends_per_lp.sum()) for ws in engine.window_stats)
+        assert 0 < remotes.sum() <= sent
 
 
 class TestBgpSpans:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import ConservativeEngine, SimKernel
+from repro.engine import ShardEngine, SimKernel
 from repro.netsim import NetworkSimulator
 from repro.online import Agent, WrapSocket
 from repro.routing import ForwardingPlane
@@ -42,7 +42,7 @@ class TestBarrierAlignment:
 
     def test_parallel_defers_to_window_end(self, split_net):
         net, assignment, (r0, r1, h0, h1) = split_net
-        eng = ConservativeEngine(assignment, 2, lookahead=1e-3)
+        eng = ShardEngine(assignment, 2, lookahead=1e-3)
         sim = NetworkSimulator(net, ForwardingPlane(net), eng)
         agent = Agent(sim)
         observed = []
@@ -60,7 +60,7 @@ class TestBarrierAlignment:
         """A ping-pong between sockets on different LPs, fully callback-
         driven, must run without lookahead violations."""
         net, assignment, (r0, r1, h0, h1) = split_net
-        eng = ConservativeEngine(assignment, 2, lookahead=2e-3, strict=True)
+        eng = ShardEngine(assignment, 2, lookahead=2e-3, strict=True)
         sim = NetworkSimulator(net, ForwardingPlane(net), eng)
         agent = Agent(sim)
         a = WrapSocket(agent, h0, "a@pp")
@@ -90,7 +90,7 @@ class TestBarrierAlignment:
 
     def test_agent_schedule_clamps_to_barrier(self, split_net):
         net, assignment, (r0, r1, h0, h1) = split_net
-        eng = ConservativeEngine(assignment, 2, lookahead=1e-3, strict=True)
+        eng = ShardEngine(assignment, 2, lookahead=1e-3, strict=True)
         sim = NetworkSimulator(net, ForwardingPlane(net), eng)
         agent = Agent(sim)
         fired = []

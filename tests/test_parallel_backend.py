@@ -17,7 +17,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine.conservative import LookaheadViolation
 from repro.engine.parallel import (
     LocalShardGroup,
     MailOrderError,
@@ -33,7 +32,7 @@ from repro.engine.parallel import (
     validate_mail_batch,
 )
 from repro.engine.parallel.shard import _deliver_encoded_mail, _encode_outbound
-from repro.engine.windows import WINDOW_EPSILON_FRACTION
+from repro.engine.windows import WINDOW_EPSILON_FRACTION, LookaheadViolation
 from repro.experiments.shard import chain_spec, delivery_log_bytes, merge_collected, run_reference
 from repro.serialization import encode_mail_batch
 
@@ -160,6 +159,13 @@ class TestShardEngineProtocol:
         assert engine.pending == 1
         assert engine._kcount == 2
 
+    def test_run_needs_an_engine_that_owns_every_lp(self):
+        # A shard's cross-shard mail has nowhere to go without the
+        # backend: run() refuses rather than dropping it.
+        with pytest.raises(ParallelBackendError, match="owns every LP"):
+            ShardEngine(ASSIGNMENT, 2, LOOKAHEAD, owned_lps=[1]).run(until=1.0)
+        assert ShardEngine(ASSIGNMENT, 2, LOOKAHEAD).run(until=1.0) == 0
+
     def test_barrier_time_cross_shard_scheduling_is_rejected(self):
         engine = ShardEngine(ASSIGNMENT, 2, LOOKAHEAD, owned_lps=[1])
         engine.seal_setup()
@@ -229,6 +235,15 @@ class TestShardSplit:
     def test_invalid_proc_count_is_rejected(self):
         with pytest.raises(ValueError):
             shard_lps(4, 0)
+
+    def test_out_of_range_assignment_is_rejected_before_any_worker_starts(self):
+        # The check ShardEngine runs, at construction: not a remote
+        # traceback from every worker the run forked.
+        with pytest.raises(ValueError, match="out of range"):
+            ParallelConservativeEngine(np.array([0, 5, 0, 1]), 2, 1e-3)
+        with pytest.raises(ValueError, match="out of range"):
+            LocalShardGroup(np.array([0, -1, 0, 1]), 2, 1e-3)
+        assert multiprocessing.active_children() == []
 
 
 class TestWorkerFailureModes:
@@ -325,34 +340,3 @@ class TestEmptyShardsEndToEnd:
         merged = merge_collected(result.collected)
         assert delivery_log_bytes(merged) == delivery_log_bytes(ref)
         assert merged["counters"] == ref["counters"]
-
-
-class TestFromMapping:
-    def _mapping(self, mll_s):
-        from repro.core.approaches import Approach
-        from repro.core.evaluate import PartitionEvaluation
-        from repro.core.mapping import NetworkMapping
-
-        evaluation = PartitionEvaluation(
-            mll_s=mll_s, es=1.0, ec=1.0, efficiency=1.0,
-            predicted_imbalance=0.0, part_weights=np.ones(2), edge_cut=1.0,
-        )
-        return NetworkMapping(
-            approach=Approach.TOP,
-            assignment=np.array(ASSIGNMENT),
-            num_engines=2,
-            evaluation=evaluation,
-        )
-
-    def test_lookahead_defaults_to_achieved_mll(self):
-        engine = ParallelConservativeEngine.from_mapping(self._mapping(0.5))
-        assert engine.lookahead == 0.5
-        assert engine.num_lps == 2
-
-    def test_infinite_mll_requires_explicit_lookahead(self):
-        with pytest.raises(ValueError):
-            ParallelConservativeEngine.from_mapping(self._mapping(float("inf")))
-        engine = ParallelConservativeEngine.from_mapping(
-            self._mapping(float("inf")), lookahead=1.0
-        )
-        assert engine.lookahead == 1.0

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import Approach, MappingPipeline
-from repro.engine import ConservativeEngine, SimKernel
+from repro.engine import ShardEngine, SimKernel
 from repro.experiments import ExperimentScale, build_network, install_workload
 from repro.experiments.parallel import predict_from_windows, run_parallel_workload
 from repro.experiments.runner import cluster_for_scale
@@ -56,13 +56,8 @@ class TestHttpEquivalence:
         sim = NetworkSimulator(net, fib, sched)
         http = HttpTraffic(sim, clients, servers, seed=5, mean_gap_s=0.3, stop_at=4.0)
         http.start()
-        if isinstance(sched, ConservativeEngine):
-            sched.run(until=4.0)
-            executed = sched.events_executed
-        else:
-            sched.run(until=4.0)
-            executed = sched.events_executed
-        return sim, http, executed
+        sched.run(until=4.0)
+        return sim, http, sched.events_executed
 
     def test_identical_behavior(self, mapped_network, rng):
         net, fib, mapping = mapped_network
@@ -75,7 +70,7 @@ class TestHttpEquivalence:
         sim_b, http_b, events_b = self._run(
             net,
             fib,
-            lambda: ConservativeEngine(
+            lambda: ShardEngine(
                 mapping.assignment, mapping.num_engines, lookahead, strict=True
             ),
             clients,
@@ -104,7 +99,7 @@ class TestFullWorkloadParallel:
         assert engine.events_executed > 1000
         assert handles.http.stats.responses_completed > 0
         # Cross-LP traffic actually flowed.
-        assert int(engine.remote_sends_total().sum()) > 0
+        assert sum(int(ws.remote_sends_per_lp.sum()) for ws in engine.window_stats) > 0
 
     def test_apps_complete_in_parallel_mode(self, mapped_network):
         net, fib, mapping = mapped_network
@@ -118,7 +113,7 @@ class TestFullWorkloadParallel:
         engine, sim, handles = run_parallel_workload(
             net, fib, "gridnpb", SCALE, mapping, duration_s=6.0, seed=3
         )
-        assert int(engine.events_per_lp_total().sum()) == engine.events_executed
+        assert sum(ws.total_events for ws in engine.window_stats) == engine.events_executed
 
     def test_prediction_from_measured_windows(self, mapped_network):
         net, fib, mapping = mapped_network
@@ -131,10 +126,12 @@ class TestFullWorkloadParallel:
         assert pred.num_windows == len(engine.window_stats)
         assert pred.total_s > 0
         # Remote accounting agrees with the engine's own counters.
-        assert np.allclose(pred.remote_per_lp, engine.remote_sends_total())
+        assert np.allclose(
+            pred.remote_per_lp, sum(ws.remote_sends_per_lp for ws in engine.window_stats)
+        )
 
     def test_empty_engine_prediction(self):
-        engine = ConservativeEngine(np.zeros(1, dtype=np.int64), 2, lookahead=1.0)
+        engine = ShardEngine(np.zeros(1, dtype=np.int64), 2, lookahead=1.0)
         cluster = cluster_for_scale(SCALE)
         pred = predict_from_windows(engine.window_stats, engine.num_lps, cluster)
         assert pred.total_events == 0
