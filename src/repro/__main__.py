@@ -295,11 +295,11 @@ def _cmd_trace_timeline(args) -> int:
     from .core.mapping import run_profiling_simulation
     from .experiments import build_network, install_workload
     from .experiments.parallel import predict_from_windows, run_traced_workload
-    from .experiments.runner import cluster_for_scale
+    from .experiments.report import format_whatif_table
+    from .experiments.runner import cluster_for_scale, evaluate_mappings
     from .obs import blame
     from .obs.registry import Registry
     from .obs.trace_export import write_chrome_trace
-    from .obs.whatif import format_whatif_table, score_mappings
 
     scale = _resolve_scale(args)
     duration = args.duration if args.duration is not None else scale.profile_duration_s
@@ -355,7 +355,7 @@ def _cmd_trace_timeline(args) -> int:
     print(blame.format_blame_table(report))
     print(f"critical path: {len(report.critical_path)} windows, "
           f"handoff fraction {report.handoff_fraction:.2f}")
-    node_share = blame.node_blame(tr, report, base.assignment, net.num_nodes)
+    node_share = blame.node_blame(engine.trace()[1], report, base.assignment, net.num_nodes)
     if node_share.sum() > 0:
         hot = np.argsort(node_share)[::-1][:5]
         print("hot nodes (blame share): " + ", ".join(
@@ -364,13 +364,11 @@ def _cmd_trace_timeline(args) -> int:
         ))
     print()
     print("what-if mapping replay (modeled wall-clock of this run):")
-    scores = score_mappings(
-        tr, {a.value: m for a, m in candidates.items()}, cluster, duration
-    )
-    print(format_whatif_table(scores))
+    rows = evaluate_mappings(engine, sim, candidates, cluster, scale.num_engines, duration)
+    print(format_whatif_table(rows))
     if tr.dropped_records:
         print(f"note: trace overflowed ({tr.dropped_records} dropped); blame "
-              f"covers every window, handoffs, node blame and what-if the "
+              f"covers every window, handoffs and measured busy times the "
               f"retained suffix")
     print(f"chrome trace written to {args.out} "
           f"(load in chrome://tracing or ui.perfetto.dev)")

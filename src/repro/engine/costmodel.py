@@ -48,8 +48,9 @@ def window_for_mapping(achieved_mll_s: float, duration_s: float) -> float:
     The window equals the mapping's achieved MLL; an infinite MLL
     (nothing cut — e.g. a single engine) means LPs never need to sync,
     modeled as one window covering the whole run. This is the one
-    clamp rule shared by the parallel engine's lookahead, the figure
-    pipeline's scoring, and the what-if replay.
+    clamp rule shared by the parallel engine's lookahead and the
+    scoring of mappings against a recorded run (the figures and the
+    timeline's what-if table).
     """
     if duration_s <= 0:
         raise ValueError("duration must be positive")

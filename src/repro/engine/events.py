@@ -25,7 +25,9 @@ import itertools
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable
 
-__all__ = ["Event", "EventQueue"]
+import numpy as np
+
+__all__ = ["Event", "EventQueue", "EventRecorder"]
 
 
 class Event:
@@ -173,3 +175,32 @@ class EventQueue:
         """Bulk-load raw entries (heapify once; O(n))."""
         self._heap.extend(entries)
         heapify(self._heap)
+
+
+class EventRecorder:
+    """The ``(time, node)`` sample of every event an engine executes.
+
+    Both schedulers inherit it. Built with ``record_trace=True``, an
+    engine appends one sample per executed event, in execution order;
+    the cluster cost model re-bins the samples under any candidate
+    mapping (:func:`repro.engine.costmodel.predict_from_trace`), so one
+    run scores them all. The samples are plain lists: a ``list.append``
+    costs a fraction of an ``array.append``, and one runs per event.
+    """
+
+    def _init_trace(self, record_trace: bool) -> None:
+        self.record_trace = record_trace
+        self._trace_times: list[float] = []
+        self._trace_nodes: list[int] = []
+
+    def trace(self) -> tuple[np.ndarray, np.ndarray]:
+        """The recorded ``(times, nodes)`` arrays of executed events."""
+        return (
+            np.asarray(self._trace_times, dtype=np.float64),
+            np.asarray(self._trace_nodes, dtype=np.int64),
+        )
+
+    def clear_trace(self) -> None:
+        """Drop the recorded trace (frees memory between phases)."""
+        self._trace_times.clear()
+        self._trace_nodes.clear()

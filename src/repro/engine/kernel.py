@@ -13,14 +13,12 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Callable
 
-import numpy as np
-
-from .events import Event, EventQueue
+from .events import Event, EventQueue, EventRecorder
 
 __all__ = ["SimKernel"]
 
 
-class SimKernel:
+class SimKernel(EventRecorder):
     """Timestamp-ordered sequential event executor.
 
     Parameters
@@ -40,9 +38,7 @@ class SimKernel:
         # inlined push below and ``queue.push`` stamp from the same one.
         self._seq = self.queue.counter
         self.events_executed: int = 0
-        self.record_trace = record_trace
-        self._trace_times: list[float] = []
-        self._trace_nodes: list[int] = []
+        self._init_trace(record_trace)
 
     @property
     def current_time(self) -> float:
@@ -50,7 +46,7 @@ class SimKernel:
         return self.now
 
     # ------------------------------------------------------------------
-    # Scheduling interface (shared with the conservative engine)
+    # Scheduling interface (the one ShardEngine offers too)
     # ------------------------------------------------------------------
     def schedule(
         self, delay: float, fn: Callable[..., Any], node: int = -1, args: tuple = ()
@@ -117,16 +113,3 @@ class SimKernel:
     def pending(self) -> int:
         """Number of events still queued."""
         return len(self.queue)
-
-    # ------------------------------------------------------------------
-    def trace(self) -> tuple[np.ndarray, np.ndarray]:
-        """The recorded ``(times, nodes)`` arrays of executed events."""
-        return (
-            np.asarray(self._trace_times, dtype=np.float64),
-            np.asarray(self._trace_nodes, dtype=np.int64),
-        )
-
-    def clear_trace(self) -> None:
-        """Drop the recorded trace (frees memory between phases)."""
-        self._trace_times.clear()
-        self._trace_nodes.clear()

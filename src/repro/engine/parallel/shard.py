@@ -20,7 +20,7 @@ import numpy as np
 from ...obs import names as obs_names
 from ...obs.registry import get_registry
 from ...obs.trace import get_tracer
-from ..events import Event, EventQueue
+from ..events import Event, EventQueue, EventRecorder
 from ..windows import (
     WINDOW_EPSILON_FRACTION,
     LookaheadViolation,
@@ -184,7 +184,7 @@ def validate_mail_batch(
 # ----------------------------------------------------------------------
 # Per-shard engine
 # ----------------------------------------------------------------------
-class ShardEngine:
+class ShardEngine(EventRecorder):
     """The conservative barrier-window engine over the LPs it owns.
 
     Every simulated node belongs to an LP (``assignment[node] = lp``;
@@ -203,6 +203,8 @@ class ShardEngine:
     engine-wide ``seq`` (see the package docstring for why the order is
     the single-process one). With ``strict=False`` lookahead violations
     are counted, not raised: the event is delivered late at the barrier.
+    ``record_trace`` records every executed event as ``SimKernel``'s does
+    (:meth:`trace`), in this engine's execution order.
     """
 
     def __init__(
@@ -214,6 +216,7 @@ class ShardEngine:
         strict: bool = True,
         shard_id: int = 0,
         num_shards: int = 1,
+        record_trace: bool = False,
     ) -> None:
         if lookahead <= 0:
             raise ValueError("lookahead must be positive")
@@ -264,6 +267,7 @@ class ShardEngine:
 
         self.events_executed = 0
         self.lookahead_violations = 0
+        self._init_trace(record_trace)
         #: one row per window :meth:`run` executed (a worker's rows are
         #: summed by the coordinator instead)
         self.window_stats: list[WindowStats] = []
@@ -535,7 +539,8 @@ class ShardEngine:
 
     def _run_lp_queue(self, local: int, window_end: float) -> int:
         heap = self._heaps[local]
-        tracer = self._trace
+        record_trace = self.record_trace
+        trace_times, trace_nodes = self._trace_times, self._trace_nodes
         executed = 0
         # EventQueue.pop_until, inlined: the head stays queued once it is
         # at or past the window end, cancelled events are dropped as they
@@ -547,8 +552,9 @@ class ShardEngine:
             self._lp_now = time
             ev.fn(*ev.args)
             executed += 1
-            if tracer.enabled:
-                tracer.event(time, ev.node)
+            if record_trace:
+                trace_times.append(time)
+                trace_nodes.append(ev.node)
         return executed
 
     # -- mail ----------------------------------------------------------

@@ -100,17 +100,25 @@ def run_traced_workload(
     strict: bool = True,
     trace_capacity: int | None = None,
 ) -> tuple[ShardEngine, NetworkSimulator, WorkloadHandles, Registry, TraceBuffer]:
-    """Execute the workload with both the registry and the tracer live.
+    """Execute the workload with the registry, the tracer and the recorders live.
 
-    The structured-trace variant of :func:`run_parallel_workload`: both
-    the registry and the trace buffer are reset and enabled for the run,
-    and their post-run state is returned for blame analysis
-    (:mod:`repro.obs.blame`) and what-if replay (:mod:`repro.obs.whatif`).
+    The structured-trace variant of :func:`run_parallel_workload`: the
+    registry and the trace buffer are reset and enabled for the run, the
+    engine records every executed event (``record_trace``) and the
+    simulator every hop (``record_transmissions``). The post-run state
+    feeds blame analysis (:mod:`repro.obs.blame`) and the what-if
+    scoring of other mappings against this one run
+    (:func:`repro.experiments.runner.evaluate_mappings`).
     """
+    lookahead = window_for_mapping(mapping.achieved_mll_s, duration_s)
     with observed_run() as reg, traced_run(capacity=trace_capacity) as tr:
-        engine, sim, handles = run_parallel_workload(
-            net, fib, app_kind, scale, mapping, duration_s, seed=seed, strict=strict
+        engine = ShardEngine(
+            mapping.assignment, mapping.num_engines, lookahead, strict=strict,
+            record_trace=True,
         )
+        sim = NetworkSimulator(net, fib, engine, record_transmissions=True)
+        handles = install_workload(sim, Agent(sim), net, app_kind, scale, seed, duration_s)
+        engine.run(until=duration_s)
     return engine, sim, handles, reg, tr
 
 

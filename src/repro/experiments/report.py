@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from ..core.approaches import Approach
-from .runner import ExperimentResult
+from .runner import ApproachRow, ExperimentResult
 
-__all__ = ["format_result", "format_figure", "FIGURE_METRICS"]
+__all__ = ["format_result", "format_figure", "format_whatif_table", "FIGURE_METRICS"]
 
 #: metric key -> (paper figure titles, unit, format)
 FIGURE_METRICS = {
@@ -72,5 +72,23 @@ def format_result(result: ExperimentResult) -> str:
             f"{row.approach.value:<8}{row.sim_time_s:>12.2f}"
             f"{row.achieved_mll_ms:>12.3f}{row.measured_imbalance:>12.3f}"
             f"{row.parallel_eff:>8.3f}"
+        )
+    return "\n".join(lines)
+
+
+def format_whatif_table(rows: list[ApproachRow]) -> str:
+    """The what-if comparison: one row per mapping, lowest modeled total first."""
+    rows = sorted(rows, key=lambda r: r.prediction.total_s)
+    lines = [
+        f"{'mapping':>10}{'T (s)':>12}{'compute (s)':>13}{'sync (s)':>11}"
+        f"{'windows':>9}{'MLL (ms)':>10}"
+    ]
+    best = rows[0].prediction.total_s if rows else 0.0
+    for r in rows:
+        p = r.prediction
+        marker = "  <== best" if p.total_s == best else ""
+        lines.append(
+            f"{r.approach.value:>10}{p.total_s:>12.4f}{p.compute_s:>13.4f}"
+            f"{p.sync_s:>11.4f}{p.num_windows:>9}{r.achieved_mll_ms:>10.3f}{marker}"
         )
     return "\n".join(lines)

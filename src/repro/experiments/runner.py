@@ -28,6 +28,7 @@ from ..engine.costmodel import (
     sequential_time_estimate,
     window_for_mapping,
 )
+from ..engine.events import EventRecorder
 from ..engine.kernel import SimKernel
 from ..metrics.efficiency import parallel_efficiency
 from ..metrics.loadbalance import load_imbalance
@@ -163,14 +164,18 @@ def run_workload_simulation(
 
 
 def evaluate_mappings(
-    kernel: SimKernel,
+    kernel: EventRecorder,
     sim: NetworkSimulator,
     mappings: dict[Approach, NetworkMapping],
     cluster: ClusterSpec,
     num_engines: int,
     duration_s: float,
 ) -> list[ApproachRow]:
-    """Score each mapping against the recorded run (the paper's metrics)."""
+    """Score each mapping against the recorded run (the paper's metrics).
+
+    ``kernel`` is either engine built with ``record_trace=True``, ``sim``
+    its simulator built with ``record_transmissions=True``.
+    """
     times, nodes = kernel.trace()
     tx_t, tx_f, tx_to = sim.transmissions()
     rows: list[ApproachRow] = []

@@ -17,7 +17,6 @@ import numpy as np
 
 from ..obs import names as obs_names
 from ..obs.registry import get_registry
-from ..obs.trace import get_tracer
 from ..routing.fib import ForwardingPlane
 from ..routing.ospf import ospf_link_metric
 from ..topology.models import Network
@@ -242,9 +241,6 @@ class NetworkSimulator:
         self._obs_dropped_queue = reg.counter(obs_names.NETSIM_PACKETS_DROPPED_QUEUE)
         self._obs_dropped_ttl = reg.counter(obs_names.NETSIM_PACKETS_DROPPED_TTL)
         self._obs_unroutable = reg.counter(obs_names.NETSIM_PACKETS_UNROUTABLE)
-        # Structured trace hook point: per-hop transmission samples feed
-        # the what-if mapping replay (repro.obs.whatif).
-        self._trace = get_tracer()
 
         # Transport demux: (flow_id, node, role) -> endpoint. The role
         # ('snd'/'rcv') disambiguates colocated endpoints of one flow
@@ -423,9 +419,6 @@ class NetworkSimulator:
             self.tx_times.append(start)
             self.tx_from.append(node)
             self.tx_to.append(next_node)
-        trace = self._trace
-        if trace.enabled:
-            trace.tx(start, node, next_node)
         # Closure-free forwarding: bound method + argument slots on the
         # Event itself — no per-hop lambda allocation.
         sched.schedule_at(arrival, self._handle_at, next_node, (next_node, packet))

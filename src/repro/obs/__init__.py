@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from . import blame, distributed, export, names, trace_export
 from .counters import BinnedSeries, Counter, Histogram, MaxGauge, VectorCounter
-from .profile_bridge import profile_from_registry, rate_series_from_registry
+from .profile_bridge import profile_from_registry
 from .registry import (
     DEFAULT_BIN_S,
     Registry,
@@ -62,7 +62,6 @@ __all__ = [
     "SpanTimer",
     "Stopwatch",
     "profile_from_registry",
-    "rate_series_from_registry",
     "export",
     "names",
     "TraceBuffer",
@@ -73,17 +72,6 @@ __all__ = [
     "DEFAULT_TRACE_CAPACITY",
     "blame",
     "distributed",
-    "whatif",
     "trace_export",
 ]
 
-
-def __getattr__(name: str):
-    # `whatif` pulls in the mapping pipeline (repro.core); importing it
-    # eagerly here would close an import cycle through the instrumented
-    # modules (core -> netsim -> obs -> whatif -> core). Resolve lazily.
-    if name == "whatif":
-        import importlib
-
-        return importlib.import_module(".whatif", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,8 +23,8 @@ window's straggler, and the report carries:
   straggler (so blame totals sum exactly to the barrier-wait time, which
   is what the timeline report cross-checks);
 - **per-node blame** — an LP's blame split over its simulated nodes in
-  proportion to the events each node executed (from the trace's event
-  samples), naming the hot routers behind a slow partition;
+  proportion to the events each node executed (the engine's recorded
+  event samples), naming the hot routers behind a slow partition;
 - **the cross-window critical path** — the straggler sequence, with
   *causal handoffs* marked wherever a recorded cross-LP message edge
   shows the previous window's straggler feeding the next one (modeled
@@ -32,8 +32,8 @@ window's straggler, and the report carries:
 
 Every engine records its ``WindowStats`` whether or not tracing is on,
 so blame covers every window. On an overflowed trace only what comes
-from trace samples — handoffs, node blame, measured busy times — covers
-the retained suffix (check ``dropped_records``). Modeled reports are a
+from the trace's rings — handoffs and measured busy times — covers the
+retained suffix (check ``dropped_records``). Modeled reports are a
 pure function of simulated quantities, so they are exactly reproducible.
 """
 
@@ -281,22 +281,23 @@ def analyze(
 
 
 def node_blame(
-    trace: TraceBuffer,
+    nodes: np.ndarray,
     report: BlameReport,
     assignment: np.ndarray,
     num_nodes: int | None = None,
 ) -> np.ndarray:
     """Split each LP's blame over its nodes by executed-event share.
 
-    Uses the trace's event samples to weigh nodes within their LP; an LP
-    whose blame is nonzero but whose nodes recorded no samples (trace
-    overflow, engine-internal events) keeps its blame unattributed —
-    the returned vector then sums to less than ``report.blame_s``.
-    Events with ``node < 0`` (engine-internal) are never attributed.
+    ``nodes`` is the node of every executed event, as an engine built
+    with ``record_trace=True`` records it (``engine.trace()[1]``). An LP
+    whose blame is nonzero but whose nodes executed no sampled events
+    (engine-internal events only) keeps its blame unattributed — the
+    returned vector then sums to less than ``report.blame_s``. Events
+    with ``node < 0`` (engine-internal) are never attributed.
     """
     assignment = np.asarray(assignment, dtype=np.int64)
     n = int(num_nodes) if num_nodes is not None else int(assignment.shape[0])
-    _, nodes = trace.event_samples()
+    nodes = np.asarray(nodes, dtype=np.int64)
     counts = np.zeros(n, dtype=np.float64)
     valid = (nodes >= 0) & (nodes < n)
     np.add.at(counts, nodes[valid], 1.0)

@@ -17,13 +17,11 @@ Usage::
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..profilers.traffic import TrafficProfile
 from . import names
 from .registry import Registry, get_registry
 
-__all__ = ["profile_from_registry", "rate_series_from_registry"]
+__all__ = ["profile_from_registry"]
 
 
 def profile_from_registry(
@@ -58,34 +56,3 @@ def profile_from_registry(
         rate_bin_s=series.bin_s,
     )
 
-
-def rate_series_from_registry(
-    registry: Registry | None = None,
-    groups: np.ndarray | None = None,
-    num_groups: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The binned event-rate series of the observed run (Figure 3).
-
-    Without ``groups``, returns ``(bin_starts, rates[bins, num_nodes])``
-    straight from the registry. With ``groups`` (a ``node -> group``
-    vector, e.g. an LP assignment) the per-node series is aggregated
-    into ``num_groups`` series — the exact form of the paper's Figure 3,
-    which plots load per *partition* over the run's lifetime.
-    """
-    reg = registry if registry is not None else get_registry()
-    series = reg.get_series(names.NETSIM_NODE_RATE_BINS)
-    starts, rates = series.rates()
-    if groups is None:
-        return starts, rates
-    groups = np.asarray(groups, dtype=np.int64)
-    if groups.shape[0] != series.size:
-        raise ValueError(
-            f"groups has {groups.shape[0]} entries for {series.size} nodes"
-        )
-    k = int(num_groups) if num_groups is not None else int(groups.max()) + 1
-    grouped = np.zeros((rates.shape[0], k), dtype=np.float64)
-    for g in range(k):
-        mask = groups == g
-        if mask.any():
-            grouped[:, g] = rates[:, mask].sum(axis=1)
-    return starts, grouped

@@ -2,15 +2,17 @@
 
 Where the registry (:mod:`repro.obs.registry`) aggregates — totals,
 histograms, high-water marks — the tracer keeps *individual records*:
-one record per cross-LP message edge, per executed event, per link
-transmission, per BGP convergence span, per fault injection or recovery
-transition (:mod:`repro.faults`), per worker window measured by the
-multi-process backend. That is the raw material for the causal handoffs
-of straggler attribution (:mod:`repro.obs.blame`), the Chrome
-trace-event export (:mod:`repro.obs.trace_export`), and the what-if
-mapping replay (:mod:`repro.obs.whatif`). Per-window counts are not
-traced: every engine records them as
-:class:`~repro.engine.windows.WindowStats` rows, traced or not.
+one record per cross-LP message edge, per BGP convergence span, per
+fault injection or recovery transition (:mod:`repro.faults`), per worker
+window measured by the multi-process backend, per migration and per
+recovery action. That is the raw material for the causal handoffs of
+straggler attribution (:mod:`repro.obs.blame`) and the Chrome
+trace-event export (:mod:`repro.obs.trace_export`). Per-window counts
+are not traced: every engine records them as
+:class:`~repro.engine.windows.WindowStats` rows, traced or not. Nor are
+per-event or per-hop samples: an engine built with ``record_trace=True``
+and a simulator built with ``record_transmissions=True`` keep those
+whole, for the what-if scoring of candidate mappings.
 
 The tracer follows the registry's design contract exactly:
 
@@ -25,11 +27,10 @@ The tracer follows the registry's design contract exactly:
    appending to a full channel evicts the oldest record and increments
    :attr:`TraceBuffer.dropped_records`. Analyses over an overflowed trace
    operate on the retained suffix (and say so via ``dropped_records``).
-3. **Deterministic where it can be.** Edge, event, and transmission
-   records carry *simulated* quantities only. Span records
-   (BGP convergence) are wall-clock and use the sanctioned
-   ``perf_counter`` site (this module lives in ``repro/obs``, the one
-   package simlint SIM102 exempts).
+3. **Deterministic where it can be.** Edge and fault records carry
+   *simulated* quantities only. Span records (BGP convergence) are
+   wall-clock and use the sanctioned ``perf_counter`` site (this module
+   lives in ``repro/obs``, the one package simlint SIM102 exempts).
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
-
-import numpy as np
 
 __all__ = [
     "EdgeRecord",
@@ -58,7 +57,7 @@ __all__ = [
 
 #: Default per-channel ring capacity. Sized so the laptop-scale demo
 #: scenarios fit without eviction while a runaway trace stays bounded
-#: (eight channels of tuples/records, a few tens of MB worst case).
+#: (six channels of records, a few tens of MB worst case).
 DEFAULT_TRACE_CAPACITY = 262_144
 
 
@@ -235,16 +234,12 @@ class TraceBuffer:
 
     #: Every channel, once: ``(attribute, merge order)``. Each is a deque
     #: of records; :meth:`merge_from` lays the folded records out sorted
-    #: by the merge order (``None``: the records' natural order).
+    #: by the merge order.
     CHANNELS = (
         # EdgeRecord per cross-LP message
         ("edges", lambda e: (e.send_time, e.src_lp, e.dst_lp, e.deliver_time)),
         # SpanRecord per wall-clock span (BGP convergence)
         ("spans", lambda s: (s.start_s, s.end_s, s.kind)),
-        # (time, node) per executed event — what-if replay raw material
-        ("events", None),
-        # (time, from_node, to_node) per accepted link transmission
-        ("transmissions", None),
         # FaultRecord per fault transition (repro.faults); every worker
         # replays the control-plane schedule, so merging de-duplicates
         ("faults", lambda f: (f.time, f.kind, f.phase)),
@@ -316,16 +311,6 @@ class TraceBuffer:
                 self.edges,
                 EdgeRecord(int(src_lp), int(dst_lp), float(send_time), float(deliver_time)),
             )
-
-    def event(self, t: float, node: int) -> None:
-        """Record one executed event sample (engine execution hook)."""
-        if self.enabled:
-            self._append(self.events, (t, node))
-
-    def tx(self, t: float, from_node: int, to_node: int) -> None:
-        """Record one link transmission sample (netsim forwarding hook)."""
-        if self.enabled:
-            self._append(self.transmissions, (t, from_node, to_node))
 
     def fault(
         self,
@@ -412,31 +397,6 @@ class TraceBuffer:
             channel.popleft()
             self.dropped_records += 1
         channel.append(record)
-
-    # ------------------------------------------------------------------
-    # Array views (analysis consumers)
-    # ------------------------------------------------------------------
-    def event_samples(self) -> tuple[np.ndarray, np.ndarray]:
-        """Retained executed-event samples as ``(times, nodes)`` arrays."""
-        if not self.events:
-            return np.zeros(0, dtype=np.float64), np.zeros(0, dtype=np.int64)
-        times, nodes = zip(*self.events)
-        return (
-            np.asarray(times, dtype=np.float64),
-            np.asarray(nodes, dtype=np.int64),
-        )
-
-    def tx_samples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Retained transmission samples as ``(times, from, to)`` arrays."""
-        if not self.transmissions:
-            z = np.zeros(0, dtype=np.int64)
-            return np.zeros(0, dtype=np.float64), z, z.copy()
-        times, src, dst = zip(*self.transmissions)
-        return (
-            np.asarray(times, dtype=np.float64),
-            np.asarray(src, dtype=np.int64),
-            np.asarray(dst, dtype=np.int64),
-        )
 
 
 def _unique_faults(records: list[FaultRecord]) -> list[FaultRecord]:

@@ -12,7 +12,9 @@ it checks the keys rather than sharing them.
 
 Frozen: nothing under ``src/`` imports it, and no change to the shipped
 loop is mirrored here. Only the imports differ from the original
-(``LookaheadViolation`` now lives in ``repro.engine.windows``).
+(``LookaheadViolation`` now lives in ``repro.engine.windows``), and the
+per-event sample, which the tracer's ``events`` channel used to take,
+goes to the ``EventRecorder`` both shipped engines record into.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.engine.events import Event, EventQueue
+from repro.engine.events import Event, EventQueue, EventRecorder
 from repro.engine.windows import (
     WINDOW_EPSILON_FRACTION,
     LookaheadViolation,
@@ -37,7 +39,7 @@ from repro.obs.trace import get_tracer
 __all__ = ["OracleConservativeEngine"]
 
 
-class OracleConservativeEngine:
+class OracleConservativeEngine(EventRecorder):
     """Barrier-window parallel executor over a node -> LP assignment.
 
     Parameters
@@ -64,6 +66,7 @@ class OracleConservativeEngine:
         num_lps: int,
         lookahead: float,
         strict: bool = True,
+        record_trace: bool = False,
     ) -> None:
         if lookahead <= 0:
             raise ValueError("lookahead must be positive")
@@ -112,9 +115,10 @@ class OracleConservativeEngine:
             obs_names.ENGINE_WINDOW_EVENTS_HIST, (1.0, 10.0, 100.0, 1e3, 1e4, 1e5)
         )
         self._obs_barrier = reg.timer(obs_names.ENGINE_BARRIER_WAIT)
-        # Structured trace hook points (same resolve-once contract): per
-        # executed event and per cross-LP mailbox edge.
+        # Structured trace hook point (same resolve-once contract): per
+        # cross-LP mailbox edge.
         self._trace = get_tracer()
+        self._init_trace(record_trace)
 
     @property
     def current_time(self) -> float:
@@ -190,7 +194,6 @@ class OracleConservativeEngine:
     # ------------------------------------------------------------------
     def _run_lp_window(self, lp: int, window_end: float) -> int:
         heap = self._heaps[lp]
-        tracer = self._trace
         executed = 0
         # EventQueue.pop_until, inlined: the head stays queued once it is
         # at or past the window end, cancelled events are dropped as they
@@ -202,8 +205,9 @@ class OracleConservativeEngine:
             self._lp_now = time
             ev.fn(*ev.args)
             executed += 1
-            if tracer.enabled:
-                tracer.event(time, ev.node)
+            if self.record_trace:
+                self._trace_times.append(time)
+                self._trace_nodes.append(ev.node)
         return executed
 
     def run(self, until: float) -> int:

@@ -19,7 +19,9 @@ queue are the shipped ones. What the old code needs and the new one
 dropped is rebuilt in ``__init__``: the old links, the ``(from, to) ->
 link`` dict (first-created link wins — the parallel-link bug is the old
 code's, so the suite compares on networks without parallel links) and
-``node_packets`` as the live ``int64`` array.
+``node_packets`` as the live ``int64`` array. One arm is gone from the
+old hop path: the tracer's per-hop sample, a channel that no longer
+exists; the hop is recorded through ``record_transmissions`` alone.
 
 Beside them, the forwarding state of commit 6c304f0, the reference of
 ``tests/test_forwarding_state_oracle.py``: ``ForwardingPlane.next_hop``,
@@ -484,8 +486,6 @@ class OracleSimulator(NetworkSimulator):
             self.tx_times.append(result.start_time)
             self.tx_from.append(node)
             self.tx_to.append(next_node)
-        if self._trace.enabled:
-            self._trace.tx(result.start_time, node, next_node)
         # Closure-free forwarding: bound method + argument slots on the
         # Event itself — no per-hop lambda allocation (the hot path of
         # the whole simulator; see docs/performance.md).

@@ -237,12 +237,27 @@ class TestTraceCommand:
         assert slices and all("ts" in e and "dur" in e for e in slices)
 
     def test_timeline_trace_capacity_bounds_the_ring(self, capsys, tmp_path):
-        out = tmp_path / "timeline.json"
-        rc = main(["trace", "--timeline", "--duration", "0.2",
-                   "--trace-capacity", "64", "--out", str(out)])
-        assert rc == 0
-        printed = capsys.readouterr().out
+        def run(*capacity):
+            out = tmp_path / "timeline.json"
+            assert main(["trace", "--timeline", "--duration", "0.2", *capacity,
+                         "--out", str(out)]) == 0
+            printed = capsys.readouterr().out
+            lines = printed.splitlines()
+            start = lines.index("what-if mapping replay (modeled wall-clock of this run):")
+            hot = [line for line in lines if line.startswith("hot nodes")]
+            return printed, lines[start : start + 6], hot
+
+        printed, whatif, hot = run("--trace-capacity", "64")
         assert "trace overflowed" in printed
         assert "retained suffix" in printed
         # windows come from the engine's WindowStats, not the ring
         assert "blame covers every window" in printed
+        # The what-if table and the hot nodes come from the samples the
+        # engine and the simulator record whole: the capacity bounds
+        # only the ring channels, and the note names only what they feed.
+        default, default_whatif, default_hot = run()
+        assert "trace overflowed" not in default
+        assert whatif == default_whatif and hot == default_hot and hot
+        assert whatif[-1].split()[0] in ("TOP", "PROF", "HTOP", "HPROF")
+        note = [line for line in printed.splitlines() if line.startswith("note:")]
+        assert note and not any("what-if" in n or "node blame" in n for n in note)

@@ -10,7 +10,8 @@ just the same set, which is all a comparison against ``SimKernel`` can
 check, since the kernel interleaves LPs differently inside a window —
 and record the same ``WindowStats`` rows (bounds compared as float
 hex), ``events_executed`` and ``lookahead_violations``, the same
-instruments and the same trace channels.
+instruments, trace channels, per-event samples (``trace()``) and
+per-hop samples (``sim.transmissions()``).
 
 Each engine logs every event it executes by the index of the
 ``schedule_at`` call that created it: two runs that execute the same
@@ -106,7 +107,7 @@ def run_one(engine_cls, build, assignment, num_lps, lookahead, untils,
     its message is part of the outcome.
     """
     with observed_run() as reg, traced_run() as tracer:
-        engine = engine_cls(assignment, num_lps, lookahead, strict=strict)
+        engine = engine_cls(assignment, num_lps, lookahead, strict=strict, record_trace=True)
         collect = build(engine)
         raised = None
         try:
@@ -133,6 +134,7 @@ def run_one(engine_cls, build, assignment, num_lps, lookahead, untils,
         "lookahead_violations": engine.lookahead_violations,
         "instruments": instruments(reg),
         "trace": {name: list(getattr(tracer, name)) for name, _ in TraceBuffer.CHANNELS},
+        "samples": [a.tolist() for a in engine.trace()],
         "collected": collect() if collect is not None else None,
     }
 
@@ -323,16 +325,24 @@ def fault_schedules(draw, num_links: int, duration_s: float):
     return sorted(events, key=lambda e: e.time)
 
 
+def hops(sim) -> list:
+    """The simulator's per-hop samples, times as float hex."""
+    times, src, dst = sim.transmissions()
+    return [[t.hex() for t in times.tolist()], src.tolist(), dst.tolist()]
+
+
 def udp_build(spec):
     def build(engine):
         scenario = build_udp_scenario(engine, spec.params)
+        sim = scenario.handlers["handle_at"].__self__
+        sim.record_transmissions = True
 
         def collect():
             got = scenario.collect()
             # The log's cursor pair is the folded engine's alone (the
             # oracle has none); delivery_log_bytes strips it.
             return {**{k: v for k, v in got.items() if k != "log"},
-                    "log": delivery_log_bytes(got)}
+                    "log": delivery_log_bytes(got), "hops": hops(sim)}
 
         return collect
 
@@ -385,7 +395,9 @@ def http_build(seed: int):
     def build(engine):
         # A fresh forwarding plane each: SPF trees are built on first use
         # and counted by the routing.* instruments.
-        sim = NetworkSimulator(HTTP_NET, ForwardingPlane(HTTP_NET), engine)
+        sim = NetworkSimulator(
+            HTTP_NET, ForwardingPlane(HTTP_NET), engine, record_transmissions=True
+        )
         hosts = HTTP_NET.host_ids()
         http = HttpTraffic(sim, hosts[:4], hosts[4:], seed=seed, mean_gap_s=0.2,
                            stop_at=HTTP_UNTIL_S)
@@ -398,6 +410,7 @@ def http_build(seed: int):
                 "node_packets": sim.node_packets.tolist(),
                 "responses": stats.responses_completed,
                 "response_times": [t.hex() for t in stats.response_times],
+                "hops": hops(sim),
             }
 
         return collect

@@ -215,14 +215,14 @@ def test_two_shard_runs_are_identical(seed, discipline):
 @settings(max_examples=10, deadline=None)
 @given(seed=SEEDS, discipline=st.sampled_from(["droptail", "red"]))
 def test_observed_and_traced_runs_record_the_same(seed, discipline):
-    """The obs and trace arms of the hop path, which the runs above leave off."""
+    """The obs arm of the hop path and the fault records, which the runs above leave off."""
 
     def observed(params: dict) -> tuple:
         with observed_run() as registry, traced_run() as tracer:
             collected = on_kernel(params)
         instruments = export.snapshot(registry)
         del instruments["timers"]  # wall clock
-        return collected, instruments, list(tracer.transmissions), list(tracer.faults)
+        return collected, instruments, list(tracer.faults)
 
     old, new = both(random_params(seed, discipline), observed)
     assert new == old

@@ -340,7 +340,7 @@ WRITE = st.tuples(
     st.integers(0, 3),
     st.sampled_from(
         ["counter", "vector", "gauge", "histogram", "timer", "series",
-         "measured", "event", "edge"]
+         "measured", "edge"]
     ),
     st.integers(0, SIZE - 1),
     st.integers(0, 6),
@@ -362,8 +362,6 @@ def apply_write(reg: Registry, tr: TraceBuffer, kind: str, i: int, v: int) -> No
         reg.series("s", SIZE, 1.0).observe(float(v), i, 1.0)
     elif kind == "measured":
         tr.measured_window(v, i, float(v), 1.0, 0.0, 0.0, v)
-    elif kind == "event":
-        tr.event(float(v), i)
     else:
         tr.edge(i, (i + 1) % SIZE, float(v), float(v) + 1.0)
 
@@ -461,7 +459,7 @@ class TestWorkerObsConfig:
         reg = Registry(enabled=True)
         reg.counter("inherited").inc(5)
         tr = TraceBuffer(capacity=8, enabled=True)
-        tr.event(0.1, 0)
+        tr.edge(0, 1, 0.1, 0.2)
         monkeypatch.setattr(registry_mod, "_GLOBAL", reg)
         monkeypatch.setattr(trace_mod, "_GLOBAL", tr)
         on = configure_worker_observability(
@@ -469,7 +467,7 @@ class TestWorkerObsConfig:
         )
         assert on is True
         assert "inherited" not in reg.counters()
-        assert len(tr.events) == 0
+        assert len(tr.edges) == 0
 
 
 class TestWindowCalibration:

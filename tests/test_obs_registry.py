@@ -17,7 +17,6 @@ from repro.obs import (
     names,
     observed_run,
     profile_from_registry,
-    rate_series_from_registry,
 )
 from repro.obs.registry import get_registry
 
@@ -383,18 +382,3 @@ class TestProfileBridge:
     def test_bridge_without_instrumented_simulator(self):
         with pytest.raises(KeyError, match="netsim.node.events"):
             profile_from_registry(1.0, Registry(enabled=True))
-
-    def test_rate_series_grouped_by_assignment(self):
-        reg = self._simulated_registry()
-        starts, grouped = rate_series_from_registry(
-            reg, groups=np.array([0, 0, 1, 1]), num_groups=2
-        )
-        np.testing.assert_allclose(starts, [0.0, 1.0])
-        assert grouped.shape == (2, 2)
-        # bin 0 holds nodes 0+1 (group 0); bin 1 holds node 1 (g0) + 3 (g1)
-        np.testing.assert_allclose(grouped, [[2.0, 0.0], [1.0, 1.0]])
-
-    def test_rate_series_group_length_mismatch(self):
-        reg = self._simulated_registry()
-        with pytest.raises(ValueError, match="4 nodes"):
-            rate_series_from_registry(reg, groups=np.array([0, 1]))

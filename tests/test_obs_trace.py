@@ -1,4 +1,4 @@
-"""Structured trace, straggler blame, Chrome export, and what-if replay.
+"""Structured trace, straggler blame, Chrome export, and what-if scoring.
 
 Covers the four layers of the causal-tracing subsystem:
 
@@ -8,9 +8,10 @@ Covers the four layers of the causal-tracing subsystem:
   vector sums *exactly* to the modeled barrier wait), critical-path
   handoffs, per-node blame splitting;
 - :mod:`repro.obs.trace_export` — well-formed Chrome trace-event JSON;
-- :mod:`repro.obs.whatif` — replay scores agree with the dense
-  cost-model path (:func:`predict_wallclock`) to float precision, on a
-  real traced parallel run.
+- what-if scoring — :func:`repro.experiments.runner.evaluate_mappings`
+  on the engine's event samples and the simulator's hop samples agrees
+  with the dense cost-model path (:func:`predict_wallclock`) to float
+  precision, on a real traced parallel run.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ from repro.engine.costmodel import (
 from repro.engine.windows import WindowStats
 from repro.experiments import ExperimentScale, build_network
 from repro.experiments.parallel import run_traced_workload
-from repro.experiments.runner import cluster_for_scale
+from repro.experiments.report import format_whatif_table
+from repro.experiments.runner import cluster_for_scale, evaluate_mappings
 from repro.obs import blame
 from repro.obs.trace import TraceBuffer, get_tracer, traced_run
 from repro.obs.trace_export import to_chrome_trace
-from repro.obs.whatif import score_mapping, score_mappings
 
 SCALE = ExperimentScale(
     name="trace-test",
@@ -65,10 +66,10 @@ UNIT = ClusterSpec(
 )
 
 
-def rebin(tr, mapping, window):
-    """Dense ``(windows, lps)`` counts of the trace under ``mapping``."""
-    times, nodes = tr.event_samples()
-    tx_t, tx_f, tx_to = tr.tx_samples()
+def rebin(engine, sim, mapping, window):
+    """Dense ``(windows, lps)`` counts of the recorded run under ``mapping``."""
+    times, nodes = engine.trace()
+    tx_t, tx_f, tx_to = sim.transmissions()
     args = (mapping.assignment, mapping.num_engines, window, DURATION)
     return (
         bucket_event_counts(times, nodes, *args),
@@ -98,7 +99,7 @@ def traced_run_result():
     # run_traced_workload hands back the process-global tracer, which the
     # per-test isolation fixture resets; keep an independent copy.
     snap = copy.deepcopy(tr)
-    return net, engine, snap, candidates, cluster
+    return net, engine, sim, snap, candidates, cluster
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +110,7 @@ class TestTraceBuffer:
         tr = TraceBuffer()
         assert not tr.enabled
         tr.edge(0, 1, 0.1, 0.9)
-        tr.event(0.2, 3)
-        tr.tx(0.2, 3, 4)
+        tr.fault(0.2, "link.down", "inject", (3,))
         token = tr.span_begin()
         tr.span_end(token, "bgp.convergence")
         assert len(tr) == 0 and token == -1.0
@@ -118,14 +118,14 @@ class TestTraceBuffer:
     def test_traced_run_enables_resets_and_restores(self):
         tr = TraceBuffer()
         tr.enable()
-        tr.event(0.1, 1)
+        tr.edge(0, 1, 0.1, 0.5)
         with traced_run(tr, capacity=8) as inner:
             assert inner is tr and tr.enabled and tr.capacity == 8
             assert len(tr) == 0  # reset_first dropped the stale record
-            tr.event(0.2, 2)
+            tr.edge(1, 0, 0.2, 0.6)
         assert tr.enabled  # previous state (enabled) restored
         assert tr.capacity == TraceBuffer().capacity
-        assert list(tr.events) == [(0.2, 2)]
+        assert [(e.src_lp, e.send_time) for e in tr.edges] == [(1, 0.2)]
 
     def test_window_records_carry_counts_priced_at_read_time(self):
         rows = [WindowStats(0, 0.0, 1.0, np.array([10, 0]), np.array([3, 0]))]
@@ -142,12 +142,12 @@ class TestTraceBuffer:
     def test_overflow_evicts_oldest_and_counts_drops(self):
         tr = TraceBuffer(capacity=3, enabled=True)
         for i in range(5):
-            tr.event(float(i), i)
-        assert list(tr.events) == [(2.0, 2), (3.0, 3), (4.0, 4)]
+            tr.edge(i, i + 1, float(i), i + 1.0)
+        assert [e.src_lp for e in tr.edges] == [2, 3, 4]
         assert tr.dropped_records == 2
         # Drops are counted per channel append, across channels.
         for i in range(4):
-            tr.tx(float(i), i, i + 1)
+            tr.fault(float(i), "link.down", "inject", (i,))
         assert tr.dropped_records == 3
         tr.reset()
         assert tr.dropped_records == 0 and len(tr) == 0
@@ -219,16 +219,12 @@ class TestBlame:
         assert "blame covers every window" in blame.format_blame_table(report)
 
     def test_node_blame_splits_by_event_share(self):
-        tr = _synthetic_trace()
-        # Nodes 0,1 on LP 0; nodes 2,3 on LP 1. Node 2 did 3x node 3's work.
-        for _ in range(3):
-            tr.event(0.5, 2)
-        tr.event(0.5, 3)
-        tr.event(0.5, 0)
-        tr.event(2.5, -1)  # engine-internal: never attributed
-        report = blame.analyze(ROWS, tr, UNIT)
+        # Nodes 0,1 on LP 0; nodes 2,3 on LP 1. Node 2 did 3x node 3's
+        # work; node -1 is engine-internal and never attributed.
+        nodes = np.array([2, 2, 2, 3, 0, -1])
+        report = blame.analyze(ROWS, _synthetic_trace(), UNIT)
         assignment = np.array([0, 0, 1, 1])
-        share = blame.node_blame(tr, report, assignment)
+        share = blame.node_blame(nodes, report, assignment)
         assert share[2] == pytest.approx(0.75 * report.blame_s[1])
         assert share[3] == pytest.approx(0.25 * report.blame_s[1])
         assert share[0] == pytest.approx(report.blame_s[0])
@@ -348,61 +344,66 @@ class TestChromeExport:
 # ---------------------------------------------------------------------------
 class TestTracedRunIntegration:
     def test_engine_hooks_record_all_channels(self, traced_run_result):
-        net, engine, tr, candidates, cluster = traced_run_result
-        assert len(tr.events) > 1000
-        assert len(tr.transmissions) > 0
+        net, engine, sim, tr, candidates, cluster = traced_run_result
+        times, nodes = engine.trace()
+        assert len(times) == len(nodes) == engine.events_executed > 1000
+        assert len(sim.transmissions()[0]) > 0
         assert len(tr.edges) == sum(int(ws.remote_sends_per_lp.sum()) for ws in engine.window_stats)
 
     def test_global_tracer_disabled_after_traced_run(self, traced_run_result):
         assert not get_tracer().enabled
 
     def test_blame_totals_on_real_run(self, traced_run_result):
-        net, engine, tr, candidates, cluster = traced_run_result
+        net, engine, sim, tr, candidates, cluster = traced_run_result
         report = blame.analyze(engine.window_stats, tr, cluster, num_units=engine.num_lps)
         assert report.num_windows == len(engine.window_stats)
         assert report.blame_s.sum() == report.total_wait_s
         assert report.total_wait_s == pytest.approx(float(report.window_wait_s.sum()))
         node_share = blame.node_blame(
-            tr, report, candidates[Approach.HTOP].assignment, net.num_nodes
+            engine.trace()[1], report, candidates[Approach.HTOP].assignment, net.num_nodes
         )
         assert node_share.sum() <= report.total_wait_s * (1 + 1e-9)
         assert node_share.min() >= 0.0
 
     def test_whatif_agrees_with_dense_cost_model(self, traced_run_result):
-        """Acceptance: sparse replay == predict_wallclock re-run, <=1e-9 rel."""
-        net, engine, tr, candidates, cluster = traced_run_result
+        """Acceptance: sparse scoring == predict_wallclock re-run, <=1e-9 rel."""
+        net, engine, sim, tr, candidates, cluster = traced_run_result
         assert len(candidates) >= 2
-        for mapping in candidates.values():
+        rows = evaluate_mappings(
+            engine, sim, candidates, cluster, SCALE.num_engines, DURATION
+        )
+        assert [r.approach for r in rows] == list(candidates)
+        for row in rows:
+            mapping = row.mapping
             window = window_for_mapping(mapping.achieved_mll_s, DURATION)
-            events, remotes = rebin(tr, mapping, window)
+            events, remotes = rebin(engine, sim, mapping, window)
             dense = predict_wallclock(events, remotes, cluster, mapping.num_engines)
-            sparse = score_mapping(tr, mapping, cluster, DURATION)
+            sparse = row.prediction
             assert sparse.total_s == pytest.approx(dense.total_s, rel=1e-9)
             assert sparse.compute_s == pytest.approx(dense.compute_s, rel=1e-9)
             assert sparse.sync_s == pytest.approx(dense.sync_s, rel=1e-9)
 
-    def test_score_mappings_sorted_best_first(self, traced_run_result):
-        net, engine, tr, candidates, cluster = traced_run_result
-        scores = score_mappings(
-            tr, {a.value: m for a, m in candidates.items()}, cluster, DURATION
+    def test_whatif_table_lists_best_first(self, traced_run_result):
+        net, engine, sim, tr, candidates, cluster = traced_run_result
+        rows = evaluate_mappings(
+            engine, sim, candidates, cluster, SCALE.num_engines, DURATION
         )
-        totals = [s.total_s for s in scores]
-        assert totals == sorted(totals)
-        from repro.obs.whatif import format_whatif_table
-
-        table = format_whatif_table(scores)
-        assert "<== best" in table and scores[0].label in table
+        table = format_whatif_table(rows).splitlines()
+        labels = [line.split()[0] for line in table[1:]]
+        best_first = sorted(rows, key=lambda r: r.prediction.total_s)
+        assert labels == [r.approach.value for r in best_first]
+        assert table[1].endswith("<== best")
 
     def test_base_mapping_replay_matches_measured_windows(self, traced_run_result):
         """Replaying the run's own mapping reproduces the engine's counts."""
-        net, engine, tr, candidates, cluster = traced_run_result
+        net, engine, sim, tr, candidates, cluster = traced_run_result
         base = candidates[Approach.HTOP]
         window = window_for_mapping(base.achieved_mll_s, DURATION)
-        events, remotes = rebin(tr, base, window)
-        # Every executed event lands in the trace (node == -1 goes to
-        # LP 0 in both accountings), so re-binned totals reproduce the
-        # engine's count exactly. Remote sends only approximately: the
-        # engine also counts cross-LP mail without a link transmission
+        events, remotes = rebin(engine, sim, base, window)
+        # Every executed event is sampled (node == -1 goes to LP 0 in
+        # both accountings), so re-binned totals reproduce the engine's
+        # count exactly. Remote sends only approximately: the engine
+        # also counts cross-LP mail without a link transmission
         # (agent-admitted live events), so the replay is a lower bound.
         assert events.sum() == engine.events_executed
         sent = sum(int(ws.remote_sends_per_lp.sum()) for ws in engine.window_stats)
