@@ -43,6 +43,22 @@ def _add_scale(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
+def _positive_int(text: str) -> int:
+    """An argparse ``type`` for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    """An argparse ``type`` for counts that may be 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _resolve_scale(args):
     from .experiments import SCALES, default_scale
 
@@ -111,7 +127,7 @@ def _cmd_experiment_mp(args, scale) -> int:
     pipeline = MappingPipeline(net, scale.num_engines, cluster, args.seed)
     mapping = pipeline.run_all([Approach.TOP])[Approach.TOP]
     recovery = None
-    if getattr(args, "checkpoint_every", None):
+    if args.checkpoint_every is not None:
         if getattr(args, "rebalance", False):
             print("error: --checkpoint-every cannot be combined with "
                   "--rebalance (a checkpoint cut racing a migration plan "
@@ -542,7 +558,7 @@ def main(argv: list[str] | None = None) -> int:
                        "(default); 'mp': execute the packet-mediated UDP workload "
                        "across real worker processes and report measured vs "
                        "predicted wall-clock")
-    p_exp.add_argument("--procs", type=int, default=2,
+    p_exp.add_argument("--procs", type=_positive_int, default=2,
                        help="worker processes for --backend mp (default: 2)")
     p_exp.add_argument("--rebalance", action="store_true",
                        help="with --backend mp: watch per-window blame "
@@ -560,12 +576,12 @@ def main(argv: list[str] | None = None) -> int:
     p_exp.add_argument("--rebalance-max-moves", type=int, default=4,
                        help="migration budget for the whole run (default: 4)")
     p_exp.add_argument("--checkpoint-every", dest="checkpoint_every",
-                       type=int, default=None, metavar="N",
+                       type=_positive_int, default=None, metavar="N",
                        help="with --backend mp: capture a barrier-aligned "
                        "shard checkpoint every N windows and recover crashed "
                        "workers from it (delivery log stays byte-identical; "
                        "mutually exclusive with --rebalance)")
-    p_exp.add_argument("--max-respawns", dest="max_respawns", type=int,
+    p_exp.add_argument("--max-respawns", dest="max_respawns", type=_non_negative_int,
                        default=2, metavar="K",
                        help="respawn a crashed worker at most K times before "
                        "escalating per --on-worker-loss (default: 2)")
@@ -648,7 +664,7 @@ def main(argv: list[str] | None = None) -> int:
                          help="simulated seconds (default: the scale's duration)")
     p_chaos.add_argument("--obs-out", dest="obs_out", metavar="PATH", default=None,
                          help="write the run's observability snapshot (JSON)")
-    p_chaos.add_argument("--kill-workers", dest="kill_workers", type=int,
+    p_chaos.add_argument("--kill-workers", dest="kill_workers", type=_positive_int,
                          default=None, metavar="N",
                          help="process-level chaos instead of network faults: "
                          "SIGKILL N workers of a multi-process run at seeded "
@@ -656,13 +672,14 @@ def main(argv: list[str] | None = None) -> int:
                          "log byte-matches an uninterrupted reference (the "
                          "app argument is ignored: only the packet-mediated "
                          "UDP workload shards)")
-    p_chaos.add_argument("--procs", type=int, default=2,
+    p_chaos.add_argument("--procs", type=_positive_int, default=2,
                          help="worker processes for --kill-workers (default: 2)")
     p_chaos.add_argument("--checkpoint-every", dest="checkpoint_every",
-                         type=int, default=8, metavar="N",
+                         type=_positive_int, default=8, metavar="N",
                          help="checkpoint cadence for --kill-workers "
                          "(default: 8 windows)")
-    p_chaos.add_argument("--max-respawns", dest="max_respawns", type=int,
+    p_chaos.add_argument("--max-respawns", dest="max_respawns",
+                         type=_non_negative_int,
                          default=2, metavar="K",
                          help="respawn budget per shard for --kill-workers "
                          "(default: 2)")

@@ -25,18 +25,18 @@ Both halves report through the shared :class:`repro.analysis.Finding`
 model, so CI can gate on one JSON document.
 """
 
-from .astlint import lint_file, lint_paths, lint_paths_program, lint_source, lint_sources
+from .astlint import lint_paths_program, lint_source, lint_sources
 from .bgp_check import BgpPolicyError, check_bgp_policy, validate_bgp_policy
 from .callgraph import CallGraph, build_call_graph
 from .export import findings_to_sarif, write_sarif
-from .findings import Finding, Severity, findings_to_json, format_findings, max_severity
+from .findings import Finding, Severity, findings_to_json, format_findings
 from .partition_check import (
     PartitionValidationError,
     check_partition,
     validate_partition,
 )
 from .reachability import ProgramContext, build_program_context
-from .rules import LintRule, ModuleContext, all_rules, get_rule, rule
+from .rules import LintRule, ModuleContext, all_rules, rule
 from .symbols import ProgramIndex
 from .topology_check import TopologyValidationError, check_topology, validate_topology
 
@@ -47,11 +47,8 @@ __all__ = [
     "ModuleContext",
     "rule",
     "all_rules",
-    "get_rule",
     "lint_source",
     "lint_sources",
-    "lint_file",
-    "lint_paths",
     "lint_paths_program",
     "ProgramIndex",
     "CallGraph",
@@ -62,7 +59,6 @@ __all__ = [
     "write_sarif",
     "format_findings",
     "findings_to_json",
-    "max_severity",
     "check_topology",
     "validate_topology",
     "TopologyValidationError",

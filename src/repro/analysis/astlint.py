@@ -4,7 +4,7 @@ The driver is deliberately simple — one parse per file, one pass per
 rule — because the rule set is small and the repository is ~150 files;
 there is no need for a shared-visitor optimization at this scale.
 
-Multi-file entry points (:func:`lint_sources`, :func:`lint_paths`) run
+Multi-file entry points (:func:`lint_sources`, :func:`lint_paths_program`) run
 the **whole-program pass** first: a symbol table, a conservative call
 graph, and LP-execution reachability are built over every parsed module
 and attached to each :class:`ModuleContext` as ``ctx.program``, which
@@ -33,8 +33,6 @@ from . import rules_simulation as _rules_simulation  # noqa: F401
 __all__ = [
     "lint_source",
     "lint_sources",
-    "lint_file",
-    "lint_paths",
     "lint_paths_program",
     "iter_python_files",
 ]
@@ -131,12 +129,6 @@ def lint_sources(
     return findings, program
 
 
-def lint_file(path: str, rules: Iterable[LintRule] | None = None) -> list[Finding]:
-    """Lint one file on disk (single-module; no whole-program pass)."""
-    with open(path, encoding="utf-8") as fh:
-        return lint_source(fh.read(), path, rules)
-
-
 def iter_python_files(paths: Iterable[str]) -> list[str]:
     """Expand files and directories into a sorted list of ``.py`` files."""
     out: list[str] = []
@@ -167,10 +159,3 @@ def lint_paths_program(
     findings, program = lint_sources(sources, rules)
     return findings, program, len(sources)
 
-
-def lint_paths(
-    paths: Iterable[str], rules: Iterable[LintRule] | None = None
-) -> list[Finding]:
-    """Lint every python file under the given files/directories."""
-    findings, _, _ = lint_paths_program(paths, rules)
-    return findings

@@ -12,7 +12,7 @@ import enum
 import json
 from dataclasses import asdict, dataclass
 
-__all__ = ["Severity", "Finding", "format_findings", "findings_to_json", "max_severity"]
+__all__ = ["Severity", "Finding", "format_findings", "findings_to_json"]
 
 
 class Severity(enum.IntEnum):
@@ -89,6 +89,3 @@ def findings_to_json(findings: list[Finding]) -> str:
     return json.dumps(payload, indent=2)
 
 
-def max_severity(findings: list[Finding]) -> Severity | None:
-    """The highest severity present, or None when there are no findings."""
-    return max((f.severity for f in findings), default=None)

@@ -94,28 +94,6 @@ class ProgramContext:
         """Dotted module name of a linted path (empty if not indexed)."""
         return self.index.module_of_path.get(rel_path, "")
 
-    def enclosing_function(
-        self, ctx: ModuleContext, node: ast.AST
-    ) -> FunctionInfo | None:
-        """The indexed function whose body contains ``node`` (by lines)."""
-        module = self.module_of(ctx.rel_path)
-        lineno = getattr(node, "lineno", 0)
-        best: FunctionInfo | None = None
-        for fi in self.index.functions.values():
-            if fi.module != module:
-                continue
-            start = fi.node.lineno
-            end = fi.node.end_lineno or start
-            if start <= lineno <= end:
-                # Innermost wins (methods of nested classes, nested defs).
-                if best is None or fi.node.lineno > best.node.lineno:
-                    best = fi
-        return best
-
-    def is_reachable(self, fi: FunctionInfo | None) -> bool:
-        """True when the function lies on the LP execution path."""
-        return fi is not None and fi.qualname in self.reachable
-
     def chain(self, qualname: str, limit: int = 6) -> str:
         """The entry→function path as ``a -> b -> c`` (for messages)."""
         hops: list[str] = []

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator
 
 from .findings import Finding, Severity
 
-__all__ = ["ModuleContext", "LintRule", "rule", "all_rules", "get_rule"]
+__all__ = ["ModuleContext", "LintRule", "rule", "all_rules"]
 
 _SUPPRESS_RE = re.compile(r"#\s*simlint:\s*disable=([A-Za-z0-9_,\s]+|all)")
 _SUPPRESS_NEXT_RE = re.compile(
@@ -232,13 +232,3 @@ def rule(
 def all_rules() -> list[LintRule]:
     """Every registered rule, ordered by id."""
     return [_REGISTRY[k] for k in sorted(_REGISTRY)]
-
-
-def get_rule(rule_id: str) -> LintRule:
-    """Look up one rule by id (KeyError with the known ids on miss)."""
-    try:
-        return _REGISTRY[rule_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown rule {rule_id!r}; known: {sorted(_REGISTRY)}"
-        ) from None

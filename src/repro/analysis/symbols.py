@@ -172,11 +172,6 @@ class FunctionInfo:
     node: ast.FunctionDef | ast.AsyncFunctionDef
     ctx: ModuleContext
 
-    @property
-    def short(self) -> str:
-        """Human name: ``Class.method`` or bare ``function``."""
-        return f"{self.cls}.{self.name}" if self.cls else self.name
-
 
 @dataclass
 class GlobalMutable:

@@ -22,7 +22,7 @@ Hot-path design (see docs/performance.md):
 from __future__ import annotations
 
 import itertools
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 import numpy as np
@@ -77,7 +77,7 @@ class EventQueue:
     ``(time, seq)`` prefix) instead of calling a Python ``__lt__`` per
     level, which is the single largest win of the hot-path overhaul.
     ``len()`` counts queued entries including lazily cancelled ones, and
-    ``peek_time``/``pop`` discard cancelled entries as they surface —
+    ``pop`` and ``pop_until`` discard cancelled entries as they surface —
     both unchanged from the original implementation.
     """
 
@@ -129,13 +129,6 @@ class EventQueue:
         """Enqueue an existing event object (used for mailbox delivery)."""
         heappush(self._heap, (ev.time, ev.seq, ev))
 
-    def peek_time(self) -> float | None:
-        """Timestamp of the earliest live event (None when empty)."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heappop(heap)
-        return heap[0][0] if heap else None
-
     def pop(self) -> Event | None:
         """Remove and return the earliest live event (None when empty)."""
         heap = self._heap
@@ -171,11 +164,6 @@ class EventQueue:
         self._heap.clear()  # in place: engines hold the list (see ``heap``)
         return entries
 
-    def extend_entries(self, entries: list[tuple[float, int, Event]]) -> None:
-        """Bulk-load raw entries (heapify once; O(n))."""
-        self._heap.extend(entries)
-        heapify(self._heap)
-
 
 class EventRecorder:
     """The ``(time, node)`` sample of every event an engine executes.
@@ -199,8 +187,3 @@ class EventRecorder:
             np.asarray(self._trace_times, dtype=np.float64),
             np.asarray(self._trace_nodes, dtype=np.int64),
         )
-
-    def clear_trace(self) -> None:
-        """Drop the recorded trace (frees memory between phases)."""
-        self._trace_times.clear()
-        self._trace_nodes.clear()

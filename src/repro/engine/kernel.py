@@ -105,10 +105,6 @@ class SimKernel(EventRecorder):
         self.events_executed += executed
         return executed
 
-    def step(self) -> bool:
-        """Execute a single event; False when the queue is empty."""
-        return self.run(max_events=1) == 1
-
     @property
     def pending(self) -> int:
         """Number of events still queued."""

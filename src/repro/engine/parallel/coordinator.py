@@ -105,7 +105,7 @@ def _record_rebalance_counters(rebalancer, prev: tuple[int, int]) -> tuple[int, 
     return triggers, scored
 
 
-def _build_rebalancer(config, shards, num_lps, spec, until, affinity=None):
+def _build_rebalancer(config, shards, num_lps, spec, until):
     """Construct the controller-side :class:`Rebalancer` for one run.
 
     Fault slowdown spans come from the scenario spec's ``faults`` param
@@ -119,7 +119,7 @@ def _build_rebalancer(config, shards, num_lps, spec, until, affinity=None):
     faults = params.get("faults") if isinstance(params, dict) else None
     if faults:
         spans = slowdown_spans(faults, float(until))
-    return Rebalancer(config, shards, num_lps, spans=spans, affinity=affinity)
+    return Rebalancer(config, shards, num_lps, spans=spans)
 
 
 class _AdoptionNeeded(Exception):
@@ -242,8 +242,7 @@ class Coordinator:
         self.migrations: list = []
         if backend.rebalance is not None:
             self.rebalancer = _build_rebalancer(
-                backend.rebalance, backend.shards, num_lps, spec, until,
-                affinity=backend.rebalance_affinity,
+                backend.rebalance, backend.shards, num_lps, spec, until
             )
 
         # Supervision state of the respawn → adopt → fail ladder.
@@ -692,10 +691,6 @@ class ParallelConservativeEngine:
         and migrates LPs between shards at barriers (see
         ``docs/load_balancing.md``). The simulation result is
         byte-identical either way.
-    rebalance_affinity:
-        Optional LP x LP affinity matrix (``partition.lp_affinity``)
-        used to break score ties toward migrations that cut fewer
-        cross-shard links.
     recovery:
         Optional :class:`~repro.engine.recovery.RecoveryConfig`. When
         set, workers checkpoint their shard at the configured cadence,
@@ -718,7 +713,6 @@ class ParallelConservativeEngine:
         window_timeout_s: float = 120.0,
         shards: list[list[int]] | None = None,
         rebalance=None,
-        rebalance_affinity=None,
         recovery=None,
     ) -> None:
         if lookahead <= 0:
@@ -741,7 +735,6 @@ class ParallelConservativeEngine:
         if owned != list(range(self.num_lps)):
             raise ValueError("shards must partition range(num_lps) exactly")
         self.rebalance = rebalance
-        self.rebalance_affinity = rebalance_affinity
         self.recovery = recovery
 
         # Controller-side instruments: only the *global* per-window

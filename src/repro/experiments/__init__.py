@@ -1,6 +1,6 @@
 """Experiment pipelines reproducing the paper's evaluation (Figures 3-13)."""
 
-from .aggregate import MetricStats, aggregate_results, format_aggregate, run_seed_sweep
+from .aggregate import run_seed_sweep
 from .chaos import ChaosResult, format_chaos_report, run_chaos_experiment
 from .claims import PAPER_CLAIMS, ClaimCheck, evaluate_claims, format_claims
 from .config import PAPER_SCALE, SCALES, ExperimentScale, default_scale
@@ -38,10 +38,7 @@ __all__ = [
     "run_parallel_workload",
     "predict_from_windows",
     "format_bars",
-    "MetricStats",
-    "aggregate_results",
     "run_seed_sweep",
-    "format_aggregate",
     "ClaimCheck",
     "evaluate_claims",
     "format_claims",

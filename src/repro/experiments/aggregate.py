@@ -1,65 +1,17 @@
-"""Multi-seed aggregation: mean +- std of every metric per approach.
+"""Multi-seed runs of one experiment.
 
 The paper reports single runs; robustness of the reproduced orderings is
 easier to argue over seeds. :func:`run_seed_sweep` repeats one experiment
-over several topology/workload seeds and :func:`aggregate_results`
-reduces any collection of results to per-approach statistics.
+over several topology/workload seeds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from ..core.approaches import Approach
 from .config import ExperimentScale
-from .report import FIGURE_METRICS
 from .runner import ExperimentResult, run_experiment
 
-__all__ = ["MetricStats", "aggregate_results", "run_seed_sweep", "format_aggregate"]
-
-
-@dataclass(frozen=True)
-class MetricStats:
-    """Mean/std/min/max of one metric for one approach over several runs."""
-
-    approach: Approach
-    metric: str
-    mean: float
-    std: float
-    min: float
-    max: float
-    count: int
-
-
-def aggregate_results(results: list[ExperimentResult]) -> list[MetricStats]:
-    """Per-(approach, metric) statistics across experiment results.
-
-    Results may differ in seed (a seed sweep) or in workload (pooled
-    view); every approach present in *all* results is aggregated.
-    """
-    if not results:
-        raise ValueError("need at least one result")
-    approaches = set(r.approach for r in results[0].rows)
-    for res in results[1:]:
-        approaches &= {r.approach for r in res.rows}
-    stats: list[MetricStats] = []
-    for approach in sorted(approaches, key=lambda a: a.value):
-        for metric in FIGURE_METRICS:
-            values = np.array([res.metric(approach, metric) for res in results])
-            stats.append(
-                MetricStats(
-                    approach=approach,
-                    metric=metric,
-                    mean=float(values.mean()),
-                    std=float(values.std()),
-                    min=float(values.min()),
-                    max=float(values.max()),
-                    count=len(values),
-                )
-            )
-    return stats
+__all__ = ["run_seed_sweep"]
 
 
 def run_seed_sweep(
@@ -77,22 +29,3 @@ def run_seed_sweep(
         for s in seeds
     ]
 
-
-def format_aggregate(stats: list[MetricStats]) -> str:
-    """Render aggregated statistics as a metric-major table."""
-    lines: list[str] = []
-    for metric in FIGURE_METRICS:
-        rows = [s for s in stats if s.metric == metric]
-        if not rows:
-            continue
-        name, unit, _ = FIGURE_METRICS[metric]
-        lines.append(f"{name}" + (f" ({unit})" if unit else "")
-                     + f" over {rows[0].count} runs")
-        lines.append(f"{'approach':<8}{'mean':>12}{'std':>10}{'min':>10}{'max':>10}")
-        for s in rows:
-            lines.append(
-                f"{s.approach.value:<8}{s.mean:>12.3f}{s.std:>10.3f}"
-                f"{s.min:>10.3f}{s.max:>10.3f}"
-            )
-        lines.append("")
-    return "\n".join(lines).rstrip()

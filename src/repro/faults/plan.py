@@ -98,11 +98,6 @@ class FaultPlan:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_faults(cls, faults: list[ProcessFault], name: str = "explicit") -> "FaultPlan":
-        """Wrap an explicit fault list (tests, chaos CLI)."""
-        return cls(list(faults), name=name)
-
-    @classmethod
     def random_kills(
         cls,
         num_windows: int,

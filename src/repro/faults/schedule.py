@@ -159,10 +159,6 @@ class FaultScenario:
         if self.slowdown_factor < 1.0:
             raise ValueError("slowdown_factor must be >= 1")
 
-    def to_dict(self) -> dict:
-        """Plain-dict form (JSON specs and reports)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     @classmethod
     def from_dict(cls, spec: dict) -> "FaultScenario":
         """Build from a plain dict, rejecting unknown keys loudly."""

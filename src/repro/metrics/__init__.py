@@ -1,6 +1,6 @@
 """Evaluation metrics: load imbalance and parallel efficiency."""
 
-from .efficiency import parallel_efficiency, speedup
-from .loadbalance import load_imbalance, max_over_mean
+from .efficiency import parallel_efficiency
+from .loadbalance import load_imbalance
 
-__all__ = ["load_imbalance", "max_over_mean", "parallel_efficiency", "speedup"]
+__all__ = ["load_imbalance", "parallel_efficiency"]

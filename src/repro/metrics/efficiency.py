@@ -7,7 +7,7 @@ because the networks are too large to simulate on one machine.
 
 from __future__ import annotations
 
-__all__ = ["parallel_efficiency", "speedup"]
+__all__ = ["parallel_efficiency"]
 
 
 def parallel_efficiency(tseq_s: float, num_nodes: int, parallel_time_s: float) -> float:
@@ -20,9 +20,3 @@ def parallel_efficiency(tseq_s: float, num_nodes: int, parallel_time_s: float) -
         raise ValueError("sequential time must be non-negative")
     return tseq_s / (num_nodes * parallel_time_s)
 
-
-def speedup(tseq_s: float, parallel_time_s: float) -> float:
-    """``Tseq / T`` — ideal is ``N``."""
-    if parallel_time_s <= 0:
-        raise ValueError("parallel time must be positive")
-    return tseq_s / parallel_time_s

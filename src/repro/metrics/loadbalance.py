@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["load_imbalance", "max_over_mean"]
+__all__ = ["load_imbalance"]
 
 
 def load_imbalance(event_rates: np.ndarray) -> float:
@@ -23,13 +23,3 @@ def load_imbalance(event_rates: np.ndarray) -> float:
         return 0.0
     return float(rates.std() / mean)
 
-
-def max_over_mean(event_rates: np.ndarray) -> float:
-    """Max/mean load ratio (>= 1); the inverse of the paper's Ec factor."""
-    rates = np.asarray(event_rates, dtype=np.float64)
-    if rates.size == 0:
-        raise ValueError("need at least one engine node")
-    mean = rates.mean()
-    if mean == 0:
-        return 1.0
-    return float(rates.max() / mean)

@@ -5,7 +5,6 @@ from .gridnpb import (
     GridNpbApp,
     Workflow,
     WorkflowTask,
-    embarrassingly_distributed,
     helical_chain,
     mixed_bag,
     visualization_pipeline,
@@ -24,5 +23,4 @@ __all__ = [
     "helical_chain",
     "visualization_pipeline",
     "mixed_bag",
-    "embarrassingly_distributed",
 ]

@@ -66,11 +66,6 @@ class Workflow:
         """Tasks with no predecessors (started immediately)."""
         return [t.task_id for t in self.tasks if not t.predecessors]
 
-    @property
-    def sinks(self) -> list[int]:
-        """Tasks with no successors (their completion ends the workflow)."""
-        return [t.task_id for t in self.tasks if not t.successors]
-
     def validate_acyclic(self) -> None:
         """Raise ``ValueError`` if the dataflow graph has a cycle."""
         state = [0] * len(self.tasks)  # 0 unseen, 1 in stack, 2 done
@@ -127,21 +122,6 @@ def visualization_pipeline(width: int = 3, depth: int = 3, scale: float = 1.0) -
             wf.add_edge(grid[d][w], grid[d + 1][w])
         # Pipelines couple at stage boundaries (the visualization merge).
         wf.add_edge(grid[d][width - 1], grid[d + 1][0])
-    return wf
-
-
-def embarrassingly_distributed(width: int = 6, scale: float = 1.0) -> Workflow:
-    """ED: ``width`` independent SP tasks fanning into one collector.
-
-    GridNPB 3.0's fourth workflow (the paper's experiments use HC/VP/MB;
-    ED is provided for completeness): no inter-task communication until
-    the final gather, the opposite extreme from the Helical Chain.
-    """
-    tasks = [_task(i, "SP", scale) for i in range(width)]
-    tasks.append(_task(width, "BT", scale))  # the collector/report task
-    wf = Workflow("ED", tasks)
-    for i in range(width):
-        wf.add_edge(i, width)
     return wf
 
 

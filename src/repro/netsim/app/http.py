@@ -37,11 +37,6 @@ class HttpStats:
     bytes_served: int = 0
     response_times: list[float] = field(default_factory=list)
 
-    @property
-    def mean_response_time(self) -> float:
-        """Mean request->response completion time (0 when none completed)."""
-        return float(np.mean(self.response_times)) if self.response_times else 0.0
-
 
 class HttpTraffic:
     """Closed-loop web workload between client and server host sets.

@@ -343,9 +343,3 @@ class LinkRuntime:
         "packets_corrupted", "Packets corrupted by an injected fault, both directions."
     )
 
-    def utilization(self, duration_s: float) -> float:
-        """Mean utilization of the busier direction over ``duration_s``."""
-        if duration_s <= 0:
-            return 0.0
-        byte_max = max(self.table.bytes_carried[2 * self.index:2 * self.index + 2])
-        return min(1.0, byte_max * 8.0 / (self.link.bandwidth_bps * duration_s))

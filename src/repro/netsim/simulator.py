@@ -301,10 +301,6 @@ class NetworkSimulator:
             raise ValueError(f"UDP port {port} already bound on node {node}")
         self._udp_handlers[key] = handler
 
-    def udp_unbind(self, node: int, port: int) -> None:
-        """Release a UDP binding (idempotent)."""
-        self._udp_handlers.pop((node, port), None)
-
     # ------------------------------------------------------------------
     # Packet movement
     # ------------------------------------------------------------------

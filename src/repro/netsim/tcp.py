@@ -42,11 +42,6 @@ class TcpStats:
     fast_retransmits: int = 0
     completed_at: float = -1.0
 
-    @property
-    def completed(self) -> bool:
-        """True once the final ACK arrived."""
-        return self.completed_at >= 0.0
-
 
 class TcpReceiver:
     """Receiving endpoint: cumulative ACKs with out-of-order buffering.

@@ -368,11 +368,6 @@ class BinnedSeries:
             return np.zeros((0, self.size), dtype=np.float64)
         return np.stack(self._bins)
 
-    def rates(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(bin_start_times, rates[bins, size])`` in events/second."""
-        starts = np.arange(self.num_bins, dtype=np.float64) * self.bin_s
-        return starts, self.matrix() / self.bin_s
-
     def merge_from(self, other: "BinnedSeries") -> None:
         """Add ``other``'s bins into this series, padding the shorter run.
 

@@ -5,7 +5,7 @@ wrapper to the network simulation" and carries responses back. Our live
 applications are synthetic processes (:mod:`repro.netsim.app`), but the
 code path is the same: a WrapSocket hands the Agent a stream operation,
 the Agent resolves virtual addresses, injects the traffic into the
-simulated network as TCP/UDP, and invokes the application's callback when
+simulated network as TCP, and invokes the application's callback when
 the simulated network completes the operation.
 """
 
@@ -17,7 +17,6 @@ from typing import Any, Callable
 
 from ..netsim.simulator import NetworkSimulator
 from ..netsim.tcp import start_transfer
-from ..netsim.udp import send_datagram
 from .ipmap import VirtualIpMapper
 
 __all__ = ["Agent", "AgentStats"]
@@ -30,7 +29,6 @@ class AgentStats:
     streams_opened: int = 0
     streams_completed: int = 0
     bytes_requested: int = 0
-    datagrams_sent: int = 0
 
 
 class Agent:
@@ -137,22 +135,6 @@ class Agent:
         self.stats.streams_completed += 1
         if on_complete is not None:
             on_complete(t)
-
-    def datagram(self, src_node: int, dst_node: int, nbytes: int, port: int = 0) -> None:
-        """Send a UDP datagram; injection is barrier-aligned like transfers."""
-        self.stats.datagrams_sent += 1
-        self.sim.sched.schedule_at(
-            self._injection_time(),
-            self._send_datagram,
-            node=src_node,
-            args=(src_node, dst_node, nbytes, port),
-        )
-
-    def _send_datagram(
-        self, src_node: int, dst_node: int, nbytes: int, port: int
-    ) -> None:
-        """Barrier-deferred datagram injection."""
-        send_datagram(self.sim, src_node, dst_node, nbytes, port=port)
 
     # ------------------------------------------------------------------
     def attach_process(self, real_endpoint: str, node: int) -> str:

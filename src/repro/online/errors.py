@@ -10,9 +10,8 @@ class OnlineTimeoutError(RuntimeError):
 
     Raised by :meth:`WrapSocket.send` when a transfer's completion
     callback never fired within the (retried, backed-off) timeout
-    window, and by :meth:`VirtualTimeController.wait_for_virtual` when
-    the real-time pacing wait exceeds its bound. Carries enough context
-    to report without parsing the message.
+    window. Carries enough context to report without parsing the
+    message.
     """
 
     def __init__(self, operation: str, waited_s: float, attempts: int) -> None:

@@ -18,7 +18,7 @@ class VirtualIpMapper:
     Virtual addresses live in 10.0.0.0/8; node ``n`` maps to
     ``10.(n>>16).(n>>8 & 255).(n & 255)``, supporting ~16.7M nodes.
     Real endpoints (opaque strings like ``"host7:45001"``) are registered
-    against a node and can be resolved both ways.
+    against a node, one endpoint per node.
     """
 
     def __init__(self) -> None:
@@ -53,20 +53,6 @@ class VirtualIpMapper:
         self._real_to_node[real_endpoint] = node
         self._node_to_real[node] = real_endpoint
         return self.virtual_ip(node)
-
-    def unregister(self, real_endpoint: str) -> None:
-        """Remove a binding (idempotent)."""
-        node = self._real_to_node.pop(real_endpoint, None)
-        if node is not None:
-            self._node_to_real.pop(node, None)
-
-    def resolve_real(self, real_endpoint: str) -> int:
-        """The simulated node a real endpoint is bound to (KeyError if none)."""
-        return self._real_to_node[real_endpoint]
-
-    def real_endpoint_of(self, node: int) -> str | None:
-        """The real endpoint bound to ``node``, if any."""
-        return self._node_to_real.get(node)
 
     def __len__(self) -> int:
         return len(self._real_to_node)

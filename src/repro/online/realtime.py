@@ -7,18 +7,16 @@ so one virtual second takes S wall-clock seconds but relative timing is
 preserved. The paper quotes "good efficiency with slowdown of 8 times"
 for the 20k-router single-AS runs on 90 nodes.
 
-This module provides the time bookkeeping and the feasibility check that
-derives the minimum slowdown from the cost model's wall-clock prediction.
+This module provides the virtual-to-wall-clock deadline and the
+feasibility check that derives the minimum slowdown from the cost
+model's wall-clock prediction.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable
 
 from ..engine.costmodel import WallclockPrediction
-from .errors import OnlineTimeoutError
 
 __all__ = ["VirtualTimeController", "required_slowdown"]
 
@@ -38,60 +36,9 @@ class VirtualTimeController:
         if self.slowdown <= 0:
             raise ValueError("slowdown must be positive")
 
-    def virtual_elapsed(self, wallclock_now: float) -> float:
-        """Virtual time corresponding to a wall-clock instant."""
-        return (wallclock_now - self.wallclock_epoch) / self.slowdown
-
     def wallclock_deadline(self, virtual_time: float) -> float:
         """Wall-clock instant by which ``virtual_time`` must be reached."""
         return self.wallclock_epoch + virtual_time * self.slowdown
-
-    def behind_schedule(self, wallclock_now: float, virtual_now: float) -> float:
-        """Seconds of virtual time the engine lags the real-time contract
-        (positive = too slow; the soft scheduler tolerates small lags)."""
-        return self.virtual_elapsed(wallclock_now) - virtual_now
-
-    def wait_for_virtual(
-        self,
-        virtual_time: float,
-        *,
-        now_fn: Callable[[], float] = time.monotonic,
-        sleep_fn: Callable[[float], None] = time.sleep,
-        timeout_s: float = 30.0,
-        min_sleep_s: float = 1e-3,
-        max_sleep_s: float = 0.25,
-    ) -> float:
-        """Block until the wall clock reaches ``virtual_time``'s deadline.
-
-        The pacing wait of an online run: the engine is ahead of the
-        real-time contract and must not deliver events early. Sleeps
-        with bounded exponential backoff — starting at ``min_sleep_s``
-        and doubling up to ``max_sleep_s`` — so short waits stay
-        responsive without busy-spinning through long ones. Returns the
-        wall-clock seconds actually waited; raises
-        :class:`OnlineTimeoutError` if the deadline is not reached
-        within ``timeout_s`` (a stalled or badly skewed clock). The
-        clock and sleep are injectable for deterministic tests.
-        """
-        if timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
-        if not 0.0 < min_sleep_s <= max_sleep_s:
-            raise ValueError("need 0 < min_sleep_s <= max_sleep_s")
-        deadline = self.wallclock_deadline(virtual_time)
-        start = now_fn()
-        backoff = min_sleep_s
-        attempts = 0
-        while True:
-            now = now_fn()
-            if now >= deadline:
-                return now - start
-            if now - start >= timeout_s:
-                raise OnlineTimeoutError(
-                    f"wait for virtual t={virtual_time:g}s", now - start, attempts
-                )
-            sleep_fn(min(backoff, max_sleep_s, deadline - now))
-            attempts += 1
-            backoff = min(backoff * 2.0, max_sleep_s)
 
 
 def required_slowdown(

@@ -27,13 +27,12 @@ from .baselines import (
 from .geographic import coordinate_bisection
 from .coarsen import CoarseningLevel, coarsen, coarsen_once, heavy_edge_matching
 from .graph import GraphContraction, WeightedGraph
-from .initial import best_bisection, greedy_graph_growing
+from .initial import best_bisection
 from .kway import PartitionResult, extract_subgraph, multilevel_bisect, partition_kway
 from .rebalance import (
     MigrationDecision,
     RebalanceConfig,
     Rebalancer,
-    lp_affinity,
     slowdown_spans,
     span_multipliers,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "heavy_edge_matching",
     "CoarseningLevel",
     "best_bisection",
-    "greedy_graph_growing",
     "fm_refine",
     "balance_partition",
     "kway_refine",
@@ -68,5 +66,4 @@ __all__ = [
     "Rebalancer",
     "slowdown_spans",
     "span_multipliers",
-    "lp_affinity",
 ]

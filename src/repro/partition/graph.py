@@ -225,10 +225,6 @@ class WeightedGraph:
         """Edge weights aligned with :meth:`neighbors` (a CSR view)."""
         return self.adjwgt[self.xadj[v] : self.xadj[v + 1]]
 
-    def neighbor_latencies(self, v: int) -> np.ndarray:
-        """Edge latencies aligned with :meth:`neighbors` (a CSR view)."""
-        return self.adjlat[self.xadj[v] : self.xadj[v + 1]]
-
     def __getstate__(self) -> tuple[None, dict]:
         """Pickle the six defining slots; what is derived from them is rebuilt."""
         return None, {name: getattr(self, name) for name in self.__slots__[:6]}
@@ -387,69 +383,3 @@ class WeightedGraph:
         keep = cu != cv
         coarse = WeightedGraph(k, cu[keep], cv[keep], w[keep], lat[keep], cvwgt)
         return GraphContraction(coarse=coarse, labels=labels)
-
-    def collapse_below_latency(self, threshold: float) -> GraphContraction:
-        """Merge every vertex pair joined by an edge with latency < threshold.
-
-        This is the graph-reduction step of the paper's hierarchical
-        partitioning (Section 3.4.3): the returned coarse graph ``Gd(Tmll)``
-        contains no edge with latency below ``threshold``, so any partition
-        of it achieves ``MLL >= threshold``.
-        """
-        u, v, _, lat = self.edge_list()
-        mask = lat < threshold
-        return self.contract(component_labels(self.num_vertices, u[mask], v[mask]))
-
-    # ------------------------------------------------------------------
-    # Conversions
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_networkx(
-        cls,
-        g,
-        weight_attr: str = "weight",
-        latency_attr: str = "latency",
-        vertex_weight_attr: str = "vwgt",
-    ) -> "WeightedGraph":
-        """Build from a :class:`networkx.Graph` with integer nodes ``0..n-1``."""
-        n = g.number_of_nodes()
-        if set(g.nodes) != set(range(n)):
-            raise ValueError("networkx graph nodes must be 0..n-1")
-        us, vs, ws, ls = [], [], [], []
-        for a, b, data in g.edges(data=True):
-            us.append(a)
-            vs.append(b)
-            ws.append(data.get(weight_attr, 1.0))
-            ls.append(data.get(latency_attr, np.inf))
-        vw = [g.nodes[i].get(vertex_weight_attr, 1.0) for i in range(n)]
-        return cls(n, us, vs, ws, ls, vw)
-
-    def to_networkx(self):
-        """Convert to a :class:`networkx.Graph` with weight/latency attributes."""
-        import networkx as nx
-
-        g = nx.Graph()
-        for i in range(self.num_vertices):
-            g.add_node(i, vwgt=float(self.vwgt[i]))
-        u, v, w, lat = self.edge_list()
-        for a, b, ww, ll in zip(u, v, w, lat):
-            g.add_edge(int(a), int(b), weight=float(ww), latency=float(ll))
-        return g
-
-    def with_weights(
-        self,
-        vertex_weight: Sequence[float] | np.ndarray | None = None,
-        edge_weight: Sequence[float] | np.ndarray | None = None,
-    ) -> "WeightedGraph":
-        """Copy of the graph with replaced vertex and/or edge weights.
-
-        ``edge_weight`` is given per undirected edge in :meth:`edge_list`
-        order.
-        """
-        u, v, w, lat = self.edge_list()
-        if edge_weight is not None:
-            w = _as_f64(edge_weight)
-            if w.shape[0] != u.shape[0]:
-                raise ValueError("edge_weight length mismatch")
-        vw = self.vwgt if vertex_weight is None else vertex_weight
-        return WeightedGraph(self.num_vertices, u, v, w, lat, vw)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .graph import WeightedGraph
 
-__all__ = ["greedy_graph_growing", "best_bisection"]
+__all__ = ["best_bisection"]
 
 
 def _initial_gains(graph: WeightedGraph) -> list[float]:
@@ -28,31 +28,17 @@ def _initial_gains(graph: WeightedGraph) -> list[float]:
     return [-float(row_sum(adjwgt[xadj[v] : xadj[v + 1]])) for v in range(graph.num_vertices)]
 
 
-def greedy_graph_growing(
-    graph: WeightedGraph,
-    rng: np.random.Generator,
-    target_fraction: float = 0.5,
-    seed_vertex: int | None = None,
+def _grow(
+    graph: WeightedGraph, seed: int, target_fraction: float, initial_gains: list[float]
 ) -> np.ndarray:
-    """Grow partition 0 from a seed until it holds ``target_fraction`` weight.
+    """Grow partition 0 from ``seed`` until it holds ``target_fraction`` weight.
 
     Returns a 0/1 partition vector. The growth front is a max-gain heap
     where the gain of moving ``v`` into the region is
     ``(edge weight to region) - (edge weight to outside)``; absorbing
-    high-gain vertices keeps the running cut small.
+    high-gain vertices keeps the running cut small. ``initial_gains``
+    is not modified.
     """
-    if graph.num_vertices == 0:
-        return np.empty(0, dtype=np.int64)
-    if not 0.0 < target_fraction < 1.0:
-        raise ValueError("target_fraction must be in (0, 1)")
-    seed = int(seed_vertex) if seed_vertex is not None else int(rng.integers(graph.num_vertices))
-    return _grow(graph, seed, target_fraction, _initial_gains(graph))
-
-
-def _grow(
-    graph: WeightedGraph, seed: int, target_fraction: float, initial_gains: list[float]
-) -> np.ndarray:
-    """One greedy growth from ``seed``; ``initial_gains`` is not modified."""
     n = graph.num_vertices
     target = target_fraction * graph.total_vertex_weight
     xadj, adjncy, adjwgt, vwgt = graph.csr_lists()

@@ -59,7 +59,6 @@ __all__ = [
     "Rebalancer",
     "slowdown_spans",
     "span_multipliers",
-    "lp_affinity",
 ]
 
 @dataclass(frozen=True)
@@ -189,29 +188,6 @@ def span_multipliers(
     return out
 
 
-def lp_affinity(
-    link_endpoints: Iterable[tuple[int, int]],
-    assignment: np.ndarray,
-    num_lps: int,
-) -> np.ndarray:
-    """Symmetric LP x LP link-count affinity from the network topology.
-
-    The contraction of the node graph under the node -> LP assignment:
-    entry ``(a, b)`` counts links whose endpoints map to LPs ``a`` and
-    ``b``. This is the same structure ``partition.refine`` computes its
-    connectivity gain over, lifted to LP granularity so candidate moves
-    can be tie-broken toward placements that keep chatty LPs together.
-    """
-    assignment = np.asarray(assignment, dtype=np.int64)
-    aff = np.zeros((num_lps, num_lps), dtype=np.float64)
-    for u, v in link_endpoints:
-        a, b = int(assignment[u]), int(assignment[v])
-        if a != b:
-            aff[a, b] += 1.0
-            aff[b, a] += 1.0
-    return aff
-
-
 class Rebalancer:
     """Controller-side trigger/candidate/score loop over barrier windows.
 
@@ -237,7 +213,6 @@ class Rebalancer:
         shards: Sequence[Sequence[int]],
         num_lps: int,
         spans: Sequence[tuple[int, float, float, float]] = (),
-        affinity: np.ndarray | None = None,
     ) -> None:
         self.config = config
         self.num_lps = int(num_lps)
@@ -249,11 +224,6 @@ class Rebalancer:
         if (self.shard_of < 0).any():
             raise ValueError("shards must cover every LP")
         self.spans = list(spans)
-        if affinity is not None:
-            affinity = np.asarray(affinity, dtype=np.float64)
-            if affinity.shape != (self.num_lps, self.num_lps):
-                raise ValueError("affinity must be (num_lps, num_lps)")
-        self.affinity = affinity
         self._busy_history: deque[np.ndarray] = deque(maxlen=config.history)
         self._blame_history: deque[np.ndarray] = deque(maxlen=config.history)
         self._streak = 0
@@ -387,21 +357,6 @@ class Rebalancer:
     # ------------------------------------------------------------------
     # Candidate generation + what-if scoring
     # ------------------------------------------------------------------
-    def _connectivity_gain(self, lp: int, dst: int) -> float:
-        """``partition.refine``'s move gain lifted to LP granularity.
-
-        With an affinity matrix: (links to the destination shard) minus
-        (links kept on the home shard) — positive moves pull chatty LPs
-        together, exactly the FM gain ``kway_refine`` ranks by. Without
-        topology information every move ties at zero.
-        """
-        if self.affinity is None:
-            return 0.0
-        row = self.affinity[lp]
-        internal = float(row[self.shard_of == self.shard_of[lp]].sum())
-        toward = float(row[self.shard_of == dst].sum())
-        return toward - internal
-
     def placement_score(self, shard_of: np.ndarray | None = None) -> float:
         """Modeled compute wall of the trailing history under a layout.
 
@@ -444,12 +399,10 @@ class Rebalancer:
         for lp, dst in moves:
             layout = self.shard_of.copy()
             layout[lp] = dst
-            ranked.append(
-                (self.placement_score(layout), -self._connectivity_gain(lp, dst), lp, dst)
-            )
+            ranked.append((self.placement_score(layout), lp, dst))
         ranked.sort()
         self.candidates_scored += len(moves)
-        best_score, _, lp, dst = ranked[0]
+        best_score, lp, dst = ranked[0]
         gain = current - best_score
         if gain <= 0.0 or gain < cfg.min_gain_fraction * current:
             return None

@@ -107,26 +107,6 @@ class TrafficProfile:
         """Total profiled kernel events across all nodes."""
         return float(self.node_events.sum())
 
-    def node_event_rates(self) -> np.ndarray:
-        """Events/second per node over the profiled window."""
-        return self.node_events / self.duration_s
-
-    def scaled(self, factor: float) -> "TrafficProfile":
-        """A profile extrapolated to ``factor``x the traffic volume
-        (used to estimate a long run from a short profiling run)."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        return TrafficProfile(
-            node_events=self.node_events * factor,
-            link_bytes=self.link_bytes * factor,
-            link_packets=self.link_packets * factor,
-            duration_s=self.duration_s,
-            node_rate_bins=(
-                None if self.node_rate_bins is None else self.node_rate_bins * factor
-            ),
-            rate_bin_s=self.rate_bin_s,
-        )
-
 
 def node_rate_series(
     times: np.ndarray,

@@ -65,11 +65,9 @@ class BeaconExperiment:
         if action == "announce":
             speaker.originates = True
             speaker.rib[self.beacon_as] = Route.originate(self.beacon_as)
-        elif action == "withdraw":
+        else:
             speaker.originates = False
             speaker.rib.pop(self.beacon_as, None)
-        else:
-            raise ValueError(f"unknown beacon action {action!r}")
 
         iterations = self.engine.run()
         after = self._snapshot()
@@ -104,11 +102,6 @@ class BeaconExperiment:
     def announce(self) -> ConvergenceRecord:
         """(Re-)announce the beacon prefix; reachability must be restored."""
         return self._apply("announce")
-
-    def run_schedule(self, actions: list[str]) -> list[ConvergenceRecord]:
-        """Apply a sequence of 'announce'/'withdraw' events (the Beacon
-        project toggles daily; here events are applied back to back)."""
-        return [self._apply(a) for a in actions]
 
 
 def compare_ribs(a: BgpEngine, b: BgpEngine) -> dict[str, float]:

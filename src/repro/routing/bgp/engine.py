@@ -66,7 +66,6 @@ class BgpEngine:
 
     def __init__(self, speakers: dict[int, BgpSpeaker]) -> None:
         self.speakers = speakers
-        self._converged = False
         self.iterations = 0
         # Observability hook points (resolved once; writes are guarded).
         reg = get_registry()
@@ -149,7 +148,6 @@ class BgpEngine:
         trace_token = self._trace.span_begin()
         for i in range(max_iterations):
             if not self._iterate_once():
-                self._converged = True
                 self.iterations = i + 1
                 self._obs_convergence.stop(token)
                 self._trace.span_end(
@@ -161,11 +159,6 @@ class BgpEngine:
                 self._obs_iterations.inc(self.iterations)
                 return self.iterations
         raise RuntimeError(f"BGP did not converge within {max_iterations} iterations")
-
-    @property
-    def converged(self) -> bool:
-        """True once :meth:`run` reached a fixed point."""
-        return self._converged
 
     # ------------------------------------------------------------------
     # Queries (valid after run())

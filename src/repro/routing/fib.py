@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import hashlib
 
-from ..topology.models import ASTier, Link, Network
+from ..topology.models import ASTier, Network
 from .bgp.engine import BgpEngine
-from .ospf import OspfRouting, ospf_link_metric
+from .ospf import OspfRouting
 
 __all__ = ["ForwardingPlane"]
 
@@ -59,8 +59,6 @@ class ForwardingPlane:
         # keyed by the canonical (min, max) endpoint pair. Empty on a
         # healthy network: _toward_border pays one truthiness check.
         self._down_borders: set[tuple[int, int]] = set()
-        #: ids of every link :meth:`set_link_state` has taken down
-        self._down_links: set[int] = set()
 
     def ospf_domain(self, as_id: int) -> OspfRouting:
         """The OSPF routing domain of one AS."""
@@ -164,10 +162,6 @@ class ForwardingPlane:
         hot-potato egress choice. Either way the forwarding cache is
         flushed so every subsequent hop decision sees the new state.
         """
-        if up:
-            self._down_links.discard(link_id)
-        else:
-            self._down_links.add(link_id)
         link = self.net.links[link_id]
         as_u = self.net.nodes[link.u].as_id
         as_v = self.net.nodes[link.v].as_id
@@ -228,28 +222,6 @@ class ForwardingPlane:
             path.append(nxt)
             current = nxt
         return None
-
-    def path_latency(self, src: int, dst: int) -> float:
-        """Sum of propagation latencies along the forwarding path (inf if
-        unreachable)."""
-        path = self.node_path(src, dst)
-        if path is None:
-            return float("inf")
-        return sum((self._hop_link(a, b).latency_s for a, b in zip(path, path[1:])), 0.0)
-
-    def _hop_link(self, a: int, b: int) -> Link:
-        """The link a packet rides between two adjacent nodes.
-
-        Between a pair with parallel links that is the one SPF routed
-        over and the simulator's hop cache resolves: of those in service
-        the cheapest by the OSPF metric, the first-created among equals.
-        """
-        links = [link for link in self.net.links_of(a) if link.other(a) == b]
-        in_service = [link for link in links if link.link_id not in self._down_links]
-        return min(
-            in_service or links,
-            key=lambda link: ospf_link_metric(link.latency_s, link.bandwidth_bps),
-        )
 
     def as_level_path(self, src: int, dst: int) -> list[int] | None:
         """The sequence of AS ids the forwarding path traverses."""

@@ -1,11 +1,10 @@
-"""Persistence: save/load networks, traffic profiles, mappings, results.
+"""Persistence: networks and results as JSON, cross-process payloads.
 
 Networks serialize to a JSON document (nodes, links, AS domains — the
-same information architecture as MaSSF's DML input files); traffic
-profiles to compressed ``.npz``; mappings and experiment results to JSON.
-Everything round-trips: a saved network re-loads into an identical
-simulation input, so expensive generated topologies and profiling runs
-can be reused across sessions.
+same information architecture as MaSSF's DML input files) that
+re-loads into an identical simulation input; experiment results to
+JSON. The multi-process backend ships every payload through the
+versioned wire codec at the end of this module.
 """
 
 from __future__ import annotations
@@ -15,23 +14,11 @@ import pickle
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
-from .core.approaches import Approach
-from .core.mapping import NetworkMapping
-from .profilers.traffic import TrafficProfile
 from .topology.models import ASTier, Network, NodeKind
 
 __all__ = [
     "network_to_dict",
     "network_from_dict",
-    "save_network",
-    "load_network",
-    "save_profile",
-    "load_profile",
-    "mapping_to_dict",
-    "save_mapping",
-    "load_mapping_assignment",
     "result_to_dict",
     "save_result",
     "encode_payload",
@@ -141,90 +128,9 @@ def network_from_dict(doc: dict[str, Any]) -> Network:
     return net
 
 
-def save_network(net: Network, path: str | Path) -> None:
-    """Write a network to a JSON file."""
-    Path(path).write_text(json.dumps(network_to_dict(net)))
-
-
-def load_network(path: str | Path) -> Network:
-    """Read a network from a JSON file written by :func:`save_network`."""
-    return network_from_dict(json.loads(Path(path).read_text()))
-
-
 # ----------------------------------------------------------------------
-# Traffic profiles
+# Results
 # ----------------------------------------------------------------------
-def save_profile(profile: TrafficProfile, path: str | Path) -> None:
-    """Write a traffic profile to compressed ``.npz``."""
-    np.savez_compressed(
-        Path(path),
-        node_events=profile.node_events,
-        link_bytes=profile.link_bytes,
-        link_packets=profile.link_packets,
-        duration_s=np.asarray(profile.duration_s),
-    )
-
-
-def load_profile(path: str | Path) -> TrafficProfile:
-    """Read a traffic profile from ``.npz``."""
-    with np.load(Path(path)) as data:
-        return TrafficProfile(
-            node_events=data["node_events"],
-            link_bytes=data["link_bytes"],
-            link_packets=data["link_packets"],
-            duration_s=float(data["duration_s"]),
-        )
-
-
-# ----------------------------------------------------------------------
-# Mappings and results
-# ----------------------------------------------------------------------
-def mapping_to_dict(mapping: NetworkMapping) -> dict[str, Any]:
-    """A JSON-serializable summary of a mapping (assignment + scores)."""
-    ev = mapping.evaluation
-    return {
-        "format_version": FORMAT_VERSION,
-        "approach": mapping.approach.value,
-        "num_engines": mapping.num_engines,
-        "assignment": mapping.assignment.tolist(),
-        "tmll_s": mapping.tmll_s,
-        "evaluation": {
-            "mll_s": ev.mll_s if np.isfinite(ev.mll_s) else None,
-            "es": ev.es,
-            "ec": ev.ec,
-            "efficiency": ev.efficiency,
-            "predicted_imbalance": ev.predicted_imbalance,
-            "edge_cut": ev.edge_cut,
-        },
-        "sweep": [
-            {
-                "tmll_s": rec.tmll_s,
-                "coarse_vertices": rec.coarse_vertices,
-                "efficiency": rec.evaluation.efficiency,
-            }
-            for rec in mapping.sweep
-        ],
-    }
-
-
-def save_mapping(mapping: NetworkMapping, path: str | Path) -> None:
-    """Write a mapping to a JSON file."""
-    Path(path).write_text(json.dumps(mapping_to_dict(mapping)))
-
-
-def load_mapping_assignment(path: str | Path) -> tuple[Approach, np.ndarray, int]:
-    """Load the deployable part of a saved mapping: the approach, the
-    node -> engine assignment, and the engine count."""
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ValueError("unsupported mapping format version")
-    return (
-        Approach(doc["approach"]),
-        np.asarray(doc["assignment"], dtype=np.int64),
-        int(doc["num_engines"]),
-    )
-
-
 def result_to_dict(result) -> dict[str, Any]:
     """Serialize an :class:`repro.experiments.ExperimentResult` summary."""
     return {

@@ -74,11 +74,6 @@ class Link:
             return self.u
         raise ValueError(f"node {node_id} is not an endpoint of link {self.link_id}")
 
-    @property
-    def latency_ms(self) -> float:
-        """Propagation latency in milliseconds."""
-        return self.latency_s * 1e3
-
 
 @dataclass
 class ASDomain:
@@ -208,10 +203,6 @@ class Network:
         """Ids of all host nodes."""
         return [n.node_id for n in self.nodes if n.kind is NodeKind.HOST]
 
-    def links_of(self, node_id: int) -> list[Link]:
-        """The links incident to a node."""
-        return [self.links[i] for i in self._adj[node_id]]
-
     def neighbors(self, node_id: int) -> Iterator[tuple[int, Link]]:
         """Yield ``(neighbor_id, link)`` for each incident link."""
         for link_id in self._adj[node_id]:
@@ -229,16 +220,6 @@ class Network:
     def degree(self, node_id: int) -> int:
         """Number of links incident to a node."""
         return len(self._adj[node_id])
-
-    def total_node_bandwidth(self, node_id: int) -> float:
-        """Sum of link capacities incident to a node (the TOP vertex weight)."""
-        return float(sum(l.bandwidth_bps for l in self.links_of(node_id)))
-
-    def min_link_latency(self) -> float:
-        """Smallest link latency in the network (inf when linkless)."""
-        if not self.links:
-            return float("inf")
-        return min(l.latency_s for l in self.links)
 
     def is_connected(self) -> bool:
         """True when every node is reachable from node 0 (or empty)."""
@@ -273,17 +254,6 @@ class Network:
         vs = np.fromiter((l.v for l in self.links), dtype=np.int64, count=len(self.links))
         lat = np.fromiter((l.latency_s for l in self.links), dtype=np.float64, count=len(self.links))
         return WeightedGraph(self.num_nodes, us, vs, edge_weight, lat, vertex_weight)
-
-    def to_networkx(self):
-        """Convert to a :class:`networkx.Graph` with node/link attributes."""
-        import networkx as nx
-
-        g = nx.Graph()
-        for n in self.nodes:
-            g.add_node(n.node_id, kind=n.kind.value, as_id=n.as_id, pos=n.position)
-        for l in self.links:
-            g.add_edge(l.u, l.v, bandwidth=l.bandwidth_bps, latency=l.latency_s)
-        return g
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -1,16 +1,12 @@
-"""Tests for multi-seed aggregation and the bar/figure rendering."""
+"""Tests for multi-seed runs and the bar/figure rendering."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import Approach
 from repro.experiments import (
     ExperimentScale,
-    MetricStats,
-    aggregate_results,
-    format_aggregate,
     format_bars,
     run_seed_sweep,
 )
@@ -58,36 +54,6 @@ class TestSeedSweep:
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
             run_seed_sweep("single-as", "scalapack", seeds=[], scale=MICRO)
-
-
-class TestAggregate:
-    def test_stats_consistent(self, sweep):
-        stats = aggregate_results(sweep)
-        for s in stats:
-            assert s.count == 2
-            assert s.min <= s.mean <= s.max
-            assert s.std >= 0
-        approaches = {s.approach for s in stats}
-        assert approaches == {Approach.HTOP, Approach.TOP2}
-
-    def test_mean_matches_manual(self, sweep):
-        stats = aggregate_results(sweep)
-        target = next(
-            s for s in stats
-            if s.approach is Approach.HTOP and s.metric == "sim_time_s"
-        )
-        manual = np.mean([r.metric(Approach.HTOP, "sim_time_s") for r in sweep])
-        assert target.mean == pytest.approx(manual)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_results([])
-
-    def test_format(self, sweep):
-        text = format_aggregate(aggregate_results(sweep))
-        assert "Simulation Time" in text
-        assert "HTOP" in text and "TOP2" in text
-        assert "over 2 runs" in text
 
 
 class TestFormatBars:

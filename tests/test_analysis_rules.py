@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Severity, all_rules, get_rule, lint_source
+from repro.analysis import Severity, all_rules, lint_source
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,10 +47,6 @@ class TestRuleRegistry:
         in_readme = set(re.findall(r"SIM\d{3}", lint_section))
         assert in_tables == registered
         assert in_readme == registered
-
-    def test_get_rule_unknown_id(self):
-        with pytest.raises(KeyError, match="unknown rule"):
-            get_rule("SIM999")
 
     def test_rules_carry_descriptions(self):
         for r in all_rules():

@@ -53,24 +53,10 @@ class TestBeacon:
         # route must travel 2 AS hops + 1 quiescent round
         assert record.iterations >= 2
 
-    def test_schedule(self):
-        eng = chain_engine()
-        beacon = BeaconExperiment(eng, beacon_as=3)
-        records = beacon.run_schedule(["withdraw", "announce", "withdraw"])
-        assert [r.action for r in records] == ["withdraw", "announce", "withdraw"]
-        assert beacon.history == records
-        assert records[-1].reachable_from == frozenset()
-
     def test_unknown_as_rejected(self):
         eng = chain_engine()
         with pytest.raises(ValueError):
             BeaconExperiment(eng, beacon_as=99)
-
-    def test_invalid_action_rejected(self):
-        eng = chain_engine()
-        beacon = BeaconExperiment(eng, beacon_as=3)
-        with pytest.raises(ValueError):
-            beacon.run_schedule(["flap"])
 
     def test_beacon_on_generated_network(self, multi_net):
         eng = configure_bgp(multi_net)

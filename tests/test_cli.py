@@ -30,6 +30,27 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["figures", "--scale", "galactic"])
 
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "single-as", "scalapack", "--backend", "mp", "--procs", "0"],
+        ["experiment", "single-as", "scalapack", "--backend", "mp", "--checkpoint-every", "0"],
+        ["experiment", "single-as", "scalapack", "--backend", "mp", "--max-respawns", "-1"],
+        ["chaos", "single-as", "scalapack", "--kill-workers", "0"],
+        ["chaos", "single-as", "scalapack", "--kill-workers", "1", "--procs", "0"],
+        ["chaos", "single-as", "scalapack", "--kill-workers", "1", "--checkpoint-every", "0"],
+        ["chaos", "single-as", "scalapack", "--kill-workers", "1", "--max-respawns", "-1"],
+    ])
+    def test_bad_counts_are_usage_errors_before_any_work(self, argv, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the counts were checked")
+
+        monkeypatch.setattr("repro.experiments.runner.build_network", no_work)
+        monkeypatch.setattr("repro.experiments.chaos.run_process_chaos", no_work)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "must be >=" in err
+
 
 class TestSyncCost:
     def test_prints_table(self, capsys):

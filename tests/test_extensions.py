@@ -1,11 +1,9 @@
-"""Tests for the extension features: failure injection and the ED workflow."""
+"""Tests for the extension features: failure injection."""
 
 from __future__ import annotations
 
 from repro.engine import SimKernel
 from repro.netsim import NetworkSimulator, start_transfer
-from repro.netsim.app import GridNpbApp, embarrassingly_distributed
-from repro.online import Agent
 from repro.routing import ForwardingPlane
 from repro.topology import Network, NodeKind
 
@@ -57,25 +55,3 @@ class TestFailureInjection:
         start_transfer(sim, h0, h1, 10_000, lambda t: done.append(t))
         k.run(until=5.0)
         assert done
-
-
-class TestEdWorkflow:
-    def test_structure(self):
-        wf = embarrassingly_distributed(width=5)
-        assert len(wf.tasks) == 6
-        assert len(wf.sources) == 5
-        assert wf.sinks == [5]
-        wf.validate_acyclic()
-
-    def test_executes(self, flat_net, flat_fib):
-        k = SimKernel()
-        sim = NetworkSimulator(flat_net, flat_fib, k)
-        agent = Agent(sim)
-        app = GridNpbApp(agent, flat_net.host_ids()[:4], embarrassingly_distributed())
-        app.start()
-        k.run(until=120.0)
-        assert app.stats.finished
-
-    def test_collector_waits_for_all(self):
-        wf = embarrassingly_distributed(width=4)
-        assert len(wf.tasks[4].predecessors) == 4

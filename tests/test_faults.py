@@ -8,6 +8,8 @@ kind to the simulator/forwarding plane, and the BGP session FSM
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -63,7 +65,7 @@ class TestFaultSchedule:
 class TestFaultScenario:
     def test_dict_round_trip(self):
         sc = BUILTIN_SCENARIOS["chaos-mixed"]
-        assert FaultScenario.from_dict(sc.to_dict()) == sc
+        assert FaultScenario.from_dict(dataclasses.asdict(sc)) == sc
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario keys"):

@@ -1,4 +1,4 @@
-"""No module under ``src/repro`` is reachable from its own test alone.
+"""No module or public function under ``src/repro`` is reached by its own test alone.
 
 Three delete-or-justify passes each found modules nothing but their unit
 test imported. This guard makes the fourth unnecessary: every module
@@ -9,6 +9,13 @@ docs/architecture.md. It is built on the import map
 :class:`repro.analysis.symbols.ProgramIndex` computes (relative imports
 resolved), extended with plain ``import a.b.c`` statements.
 
+The same holds per public function and method, by name: its bare name
+must appear in another module (as a name, an attribute, or the tail of a
+``"module:name"`` builder string), or in its own module outside its own
+body. A name test, not the call graph: properties, imports inside a
+function and dispatch tables make a reachability walk list far more
+false orphans than real ones.
+
 Two smaller guards pin the cost model's rates to the one module that may
 multiply by them, and the straggler pick to the one kernel that makes it.
 """
@@ -17,17 +24,20 @@ from __future__ import annotations
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.astlint import iter_python_files, lint_sources
+from repro.analysis.symbols import FunctionInfo, ProgramIndex
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 
-#: a module nothing imports, indexed beside the real tree so the one
-#: whole-program build also proves the checker catches an orphan
+#: a module nothing imports, whose function nothing names, indexed beside
+#: the real tree so the one whole-program build also proves both checkers
+#: catch an orphan
 ORPHAN = ("def helper():\n    return 1\n", "src/repro/netsim/orphan_fixture.py")
 
 
@@ -37,10 +47,8 @@ def _sources() -> list[tuple[str, str]]:
     return found + [ORPHAN]
 
 
-def _reached_modules(sources: list[tuple[str, str]]) -> tuple[set[str], set[str]]:
+def _reached_modules(index: ProgramIndex) -> tuple[set[str], set[str]]:
     """``(modules of src/repro, those some other module reaches)``."""
-    _, program = lint_sources(sources, rules=[])
-    index = program.index
 
     def owner(qualified: str, seen: frozenset = frozenset()) -> str | None:
         """The module a fully qualified import finally lands in."""
@@ -76,27 +84,119 @@ def _reached_modules(sources: list[tuple[str, str]]) -> tuple[set[str], set[str]
     return modules, reached
 
 
-def _kept_table() -> set[str]:
-    """Modules the ledger's *Kept, and why* table names (as dotted names)."""
+#: a ``"package.module:function"`` string, as builders are named
+_BUILDER = re.compile(r"[\w.]+:([\w.]+)")
+
+
+def _names_used(tree: ast.AST) -> list[str]:
+    """Every name a subtree uses: names, attributes (``getattr(x, "name")``
+    included), builder-string tails."""
+    used = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.append(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if m := _BUILDER.fullmatch(node.value):
+                used.append(m.group(1).rpartition(".")[2])
+        elif (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr") and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            used.append(node.args[1].value)
+    return used
+
+
+def _registered(info: FunctionInfo) -> bool:
+    """Called through a registry, never by name: ``@rule(...)`` checkers
+    and ``ast.NodeVisitor`` ``visit_*`` methods."""
+    if info.cls and info.name.startswith("visit_"):
+        return True
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "rule"
+        for d in info.node.decorator_list
+    )
+
+
+def _unreached_functions(index: ProgramIndex) -> set[str]:
+    """Public functions of src/repro whose name nothing outside their own
+    body uses (``module:Qualname``)."""
+    per_module = {
+        module: Counter(_names_used(ctx.tree))
+        for module, ctx in index.modules.items()
+        if not ctx.rel_path.endswith("__init__.py")  # re-exports are not uses
+    }
+    elsewhere: Counter = Counter()
+    for used in per_module.values():
+        elsewhere.update(set(used))
+    unreached = set()
+    for qual, info in index.functions.items():
+        name = info.name
+        if (
+            not info.ctx.rel_path.startswith("src/repro/")
+            or info.ctx.rel_path.endswith("__init__.py")
+            or name.startswith("_")
+            or _registered(info)
+        ):
+            continue
+        own = per_module[info.module]
+        if elsewhere[name] - (name in own) > 0:
+            continue  # another module uses the name
+        if own[name] > Counter(_names_used(info.node))[name]:
+            continue  # its own module uses it outside its body
+        unreached.add(qual)
+    return unreached
+
+
+def _kept_table() -> tuple[set[str], set[str]]:
+    """``(modules, functions)`` the ledger's *Kept, and why* table names,
+    as ``repro.pkg.module`` and ``repro.pkg.module:Qualname``."""
     text = (ROOT / "docs" / "architecture.md").read_text()
     section = text.split("### Kept, and why", 1)[1].split("\n## ", 1)[0]
     rows = [line for line in section.splitlines() if line.startswith("| `")]
-    paths = (re.search(r"`src/(repro/[\w/]+)\.py`", row.split("|")[1]) for row in rows)
-    return {m.group(1).replace("/", ".") for m in paths if m}
+    modules, functions = set(), set()
+    for row in rows:
+        m = re.match(r"`src/(repro/[\w/]+)\.py(?:::([\w.]+))?`", row.split("|")[1].strip())
+        if m:
+            dotted = m.group(1).replace("/", ".")
+            if m.group(2):
+                functions.add(f"{dotted}:{m.group(2)}")
+            else:
+                modules.add(dotted)
+    return modules, functions
 
 
 @pytest.fixture(scope="module")
-def reach() -> tuple[set[str], set[str]]:
-    return _reached_modules(_sources())
+def index() -> ProgramIndex:
+    """One whole-program build, shared by the module and function guards."""
+    _, program = lint_sources(_sources(), rules=[])
+    return program.index
+
+
+@pytest.fixture(scope="module")
+def reach(index) -> tuple[set[str], set[str]]:
+    return _reached_modules(index)
 
 
 def test_every_module_is_reached_by_more_than_its_own_test(reach):
     modules, reached = reach
-    orphans = sorted(modules - reached - _kept_table())
+    orphans = sorted(modules - reached - _kept_table()[0])
     assert orphans == ["repro.netsim.orphan_fixture"], (
         "beside the planted orphan_fixture, nothing under src/, benchmarks/ or "
         "examples/ imports these (delete them, or add a row to "
         f"docs/architecture.md 'Kept, and why'): {orphans}"
+    )
+
+
+def test_every_public_function_is_reached_outside_its_tests(index):
+    orphans = sorted(_unreached_functions(index) - _kept_table()[1])
+    assert orphans == ["repro.netsim.orphan_fixture:helper"], (
+        "beside the planted orphan_fixture.helper, no other module of src/, "
+        "benchmarks/ or examples/ names these (delete them with their tests, "
+        "or add a `src/repro/<file>.py::Qualname` row to docs/architecture.md "
+        f"'Kept, and why'): {orphans}"
     )
 
 
@@ -107,10 +207,15 @@ def test_checker_follows_a_package_reexport(reach):
 
 
 def test_kept_table_names_existing_modules():
-    kept = _kept_table()
+    kept = _kept_table()[0]
     assert kept, "docs/architecture.md lost its 'Kept, and why' table"
     missing = sorted(m for m in kept if not (ROOT / "src" / (m.replace(".", "/") + ".py")).exists())
     assert not missing, f"'Kept, and why' names modules that no longer exist: {missing}"
+
+
+def test_kept_table_names_existing_functions(index):
+    missing = sorted(_kept_table()[1] - set(index.functions))
+    assert not missing, f"'Kept, and why' names functions that no longer exist: {missing}"
 
 
 def test_cost_model_rates_are_read_in_one_place():

@@ -85,13 +85,6 @@ class TestTransmit:
         assert not lr.transmit(1, pkt(12_500), 0.0).accepted
         assert lr.total_drops == 1
 
-    def test_utilization(self):
-        # Buffer sized above the packet: admission now counts the packet
-        # itself against queue_bytes, so it must fit to be accepted.
-        lr = mk_link(bw=1e6, queue=20_000)
-        lr.transmit(1, pkt(12_500), 0.0)  # 0.1 s of a 1 Mb/s link
-        assert lr.utilization(1.0) == pytest.approx(0.1)
-        assert lr.utilization(0.0) == 0.0
 
 
 class _StubRng:

@@ -45,7 +45,7 @@ class TestCleanPath:
         net, h0, h1 = make_path_net()
         _, _, sender, done = run_transfer(net, h0, h1, 100_000)
         assert done
-        assert sender.stats.completed
+        assert sender.stats.completed_at >= 0.0
 
     def test_no_retransmits_without_loss(self):
         net, h0, h1 = make_path_net()

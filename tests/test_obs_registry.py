@@ -118,9 +118,6 @@ class TestInstruments:
         np.testing.assert_allclose(mat[0], [1.0, 1.0])
         np.testing.assert_allclose(mat[1], [0.0, 0.0])
         np.testing.assert_allclose(mat[2], [3.0, 0.0])
-        starts, rates = s.rates()
-        np.testing.assert_allclose(starts, [0.0, 1.0, 2.0])
-        np.testing.assert_allclose(rates, mat)  # bin_s=1 -> rates == counts
 
     def test_series_default_bin_width_comes_from_registry(self, reg):
         assert reg.series("s", 2).bin_s == DEFAULT_BIN_S

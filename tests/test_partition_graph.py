@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.partition import WeightedGraph
+from repro.partition.graph import component_labels
 
 
 def simple_triangle():
@@ -108,12 +109,6 @@ class TestAccessors:
         assert got[1] == pytest.approx(1.0)
         assert got[2] == pytest.approx(3.0)
 
-    def test_neighbor_latencies(self):
-        g = simple_triangle()
-        lats = dict(zip(g.neighbors(0), g.neighbor_latencies(0)))
-        assert lats[1] == pytest.approx(1e-3)
-        assert lats[2] == pytest.approx(3e-3)
-
 
 class TestPartitionQuantities:
     def test_edge_cut_all_same_part(self):
@@ -197,9 +192,13 @@ class TestStructureOps:
         part = c.project(np.array([5, 9]))
         assert part.tolist() == [5, 5, 9]
 
+    # The Tmll sweep's dumped graph: merge every edge below the threshold
+    # (``component_labels`` over those edges), then ``contract``.
     def test_collapse_below_latency(self):
         g = simple_triangle()
-        c = g.collapse_below_latency(1.5e-3)  # collapses the 1 ms edge
+        u, v, _, lat = g.edge_list()
+        below = lat < 1.5e-3  # the 1 ms edge
+        c = g.contract(component_labels(3, u[below], v[below]))
         assert c.coarse.num_vertices == 2
         # remaining latencies all >= threshold
         _, _, _, lat = c.coarse.edge_list()
@@ -207,52 +206,21 @@ class TestStructureOps:
 
     def test_collapse_threshold_below_min_is_noop(self):
         g = simple_triangle()
-        c = g.collapse_below_latency(0.5e-3)
+        u, v, _, lat = g.edge_list()
+        c = g.contract(component_labels(3, u[lat < 0.5e-3], v[lat < 0.5e-3]))
         assert c.coarse.num_vertices == 3
 
     def test_collapse_everything(self):
         g = simple_triangle()
-        c = g.collapse_below_latency(1.0)
+        u, v, _, _ = g.edge_list()
+        c = g.contract(component_labels(3, u, v))
         assert c.coarse.num_vertices == 1
         assert c.coarse.total_vertex_weight == pytest.approx(3.0)
 
     def test_collapse_guarantees_mll(self, two_cluster_graph):
-        c = two_cluster_graph.collapse_below_latency(1e-3)
+        g = two_cluster_graph
+        u, v, _, lat = g.edge_list()
+        c = g.contract(component_labels(g.num_vertices, u[lat < 1e-3], v[lat < 1e-3]))
         assert c.coarse.num_vertices == 2
         part = c.project(np.array([0, 1]))
-        assert two_cluster_graph.min_cut_latency(part) == pytest.approx(5e-3)
-
-
-class TestConversions:
-    def test_networkx_roundtrip(self):
-        g = simple_triangle()
-        nx_g = g.to_networkx()
-        g2 = WeightedGraph.from_networkx(nx_g)
-        assert g2.num_vertices == g.num_vertices
-        assert g2.num_edges == g.num_edges
-        u1, v1, w1, l1 = g.edge_list()
-        u2, v2, w2, l2 = g2.edge_list()
-        assert np.allclose(w1, w2)
-        assert np.allclose(l1, l2)
-
-    def test_from_networkx_requires_dense_ids(self):
-        import networkx as nx
-
-        h = nx.Graph()
-        h.add_edge("a", "b")
-        with pytest.raises(ValueError):
-            WeightedGraph.from_networkx(h)
-
-    def test_with_weights_replaces_vertex(self):
-        g = simple_triangle()
-        g2 = g.with_weights(vertex_weight=[5.0, 5.0, 5.0])
-        assert g2.total_vertex_weight == pytest.approx(15.0)
-        assert g.total_vertex_weight == pytest.approx(3.0)  # original intact
-
-    def test_with_weights_replaces_edges(self):
-        g = simple_triangle()
-        u, v, w, lat = g.edge_list()
-        g2 = g.with_weights(edge_weight=w * 10)
-        _, _, w2, lat2 = g2.edge_list()
-        assert np.allclose(w2, w * 10)
-        assert np.allclose(lat2, lat)  # latencies preserved
+        assert g.min_cut_latency(part) == pytest.approx(5e-3)

@@ -12,7 +12,6 @@ from repro.partition import (
     coarsen,
     coarsen_once,
     fm_refine,
-    greedy_graph_growing,
     heavy_edge_matching,
     multilevel_bisect,
     partition_kway,
@@ -101,18 +100,18 @@ class TestCoarsen:
 
 class TestInitialBisection:
     def test_balanced_split(self, grid_graph, rng):
-        part = greedy_graph_growing(grid_graph, rng, 0.5)
+        part = best_bisection(grid_graph, rng, 0.5, trials=1)
         w = grid_graph.partition_weights(part, 2)
         assert abs(w[0] - w[1]) / grid_graph.total_vertex_weight < 0.25
 
     def test_uneven_target(self, grid_graph, rng):
-        part = greedy_graph_growing(grid_graph, rng, 0.25)
+        part = best_bisection(grid_graph, rng, 0.25, trials=1)
         w = grid_graph.partition_weights(part, 2)
         assert w[0] < w[1]
 
     def test_invalid_fraction(self, grid_graph, rng):
         with pytest.raises(ValueError):
-            greedy_graph_growing(grid_graph, rng, 0.0)
+            best_bisection(grid_graph, rng, 0.0)
 
     def test_best_bisection_feasible(self, grid_graph, rng):
         part = best_bisection(grid_graph, rng, trials=4)
@@ -125,12 +124,12 @@ class TestInitialBisection:
 
     def test_disconnected_graph_handled(self, rng):
         g = WeightedGraph(6, [0, 1, 3, 4], [1, 2, 4, 5])
-        part = greedy_graph_growing(g, rng, 0.5)
+        part = best_bisection(g, rng, 0.5, trials=1)
         w = g.partition_weights(part, 2)
         assert w[0] > 0 and w[1] > 0
 
     def test_tiny_graphs(self, rng):
-        assert greedy_graph_growing(WeightedGraph(0, [], []), rng).size == 0
+        assert best_bisection(WeightedGraph(0, [], []), rng).size == 0
         assert best_bisection(WeightedGraph(1, [], []), rng).tolist() == [0]
 
 

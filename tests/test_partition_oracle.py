@@ -28,11 +28,11 @@ from repro.partition import (
     balance_partition,
     best_bisection,
     fm_refine,
-    greedy_graph_growing,
     heavy_edge_matching,
     kway_refine,
     partition_kway,
 )
+from repro.partition.graph import component_labels
 from repro.partition.refine import _external_internal
 
 CSR = ("xadj", "adjncy", "adjwgt", "adjlat", "vwgt")
@@ -126,7 +126,9 @@ class TestGraph:
     @COMPARE
     @given(graphs(), st.sampled_from(LATENCIES), st.sampled_from((0.0, 1e-9, -1e-9)))
     def test_collapse_below_latency(self, g, latency, nudge):
-        new = g.collapse_below_latency(latency + nudge)
+        u, v, _, lat = g.edge_list()
+        below = lat < latency + nudge
+        new = g.contract(component_labels(g.num_vertices, u[below], v[below]))
         coarse, labels = oracle.collapse_below_latency(g, latency + nudge)
         assert_same_graph(new.coarse, coarse)
         assert same_arrays(new.labels, labels)
@@ -187,15 +189,6 @@ class TestKernels:
         new_rng, old_rng = rng_pair(seed)
         new = heavy_edge_matching(g, new_rng, cap)
         assert same_arrays(new, oracle.heavy_edge_matching(g, old_rng, cap))
-        assert same_state(new_rng, old_rng)
-
-    @COMPARE
-    @given(graphs(), SEEDS, st.sampled_from((0.5, 0.25, 2 / 3, 0.9)), st.booleans())
-    def test_greedy_graph_growing(self, g, seed, fraction, fixed_seed_vertex):
-        new_rng, old_rng = rng_pair(seed)
-        start = seed % g.num_vertices if fixed_seed_vertex else None
-        new = greedy_graph_growing(g, new_rng, fraction, start)
-        assert same_arrays(new, oracle.greedy_graph_growing(g, old_rng, fraction, start))
         assert same_state(new_rng, old_rng)
 
     @COMPARE

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.engine import SimKernel
-from repro.metrics import load_imbalance, max_over_mean, parallel_efficiency, speedup
+from repro.metrics import load_imbalance, parallel_efficiency
 from repro.netsim import NetworkSimulator, send_datagram
 from repro.profilers import TrafficProfile, node_rate_series
 
@@ -22,21 +22,13 @@ class TestTrafficProfile:
 
     def test_rates(self):
         p = self._profile()
-        assert p.node_event_rates().tolist() == [5.0, 0.0, 2.5]
         assert p.total_events == 15.0
-
-    def test_scaled(self):
-        p = self._profile().scaled(3.0)
-        assert p.total_events == 45.0
-        assert p.link_bytes.tolist() == [300.0, 600.0]
 
     def test_invalid(self):
         with pytest.raises(ValueError):
             TrafficProfile(np.array([1.0]), np.array([]), np.array([]), 0.0)
         with pytest.raises(ValueError):
             TrafficProfile(np.array([-1.0]), np.array([]), np.array([]), 1.0)
-        with pytest.raises(ValueError):
-            self._profile().scaled(0.0)
 
     def test_from_simulation(self, flat_net, flat_fib):
         k = SimKernel()
@@ -107,12 +99,6 @@ class TestProfileValidation:
         with pytest.raises(ValueError, match="rate_bin_s"):
             self._profile(node_rate_bins=np.zeros((4, 3)))
 
-    def test_scaled_preserves_rate_bins(self):
-        p = self._profile(node_rate_bins=np.ones((2, 3)), rate_bin_s=0.5)
-        s = p.scaled(4.0)
-        np.testing.assert_allclose(s.node_rate_bins, 4.0)
-        assert s.rate_bin_s == 0.5
-
     def test_validate_topology_accepts_matching_network(self):
         self._profile().validate_topology(num_nodes=3, num_links=2)
 
@@ -171,9 +157,6 @@ class TestLoadImbalance:
         with pytest.raises(ValueError):
             load_imbalance(np.array([]))
 
-    def test_max_over_mean(self):
-        assert max_over_mean(np.array([1.0, 3.0])) == pytest.approx(1.5)
-        assert max_over_mean(np.zeros(3)) == 1.0
 
 
 class TestParallelEfficiency:
@@ -191,8 +174,3 @@ class TestParallelEfficiency:
             parallel_efficiency(1.0, 2, 0.0)
         with pytest.raises(ValueError):
             parallel_efficiency(-1.0, 2, 1.0)
-
-    def test_speedup(self):
-        assert speedup(100.0, 25.0) == pytest.approx(4.0)
-        with pytest.raises(ValueError):
-            speedup(1.0, 0.0)

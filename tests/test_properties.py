@@ -17,6 +17,7 @@ from repro.engine import (
 )
 from repro.metrics import load_imbalance
 from repro.partition import WeightedGraph, partition_kway
+from repro.partition.graph import component_labels
 from repro.routing.bgp import BgpEngine, BgpSpeaker, best_route, decision_key, Route
 
 SETTINGS = settings(
@@ -59,14 +60,16 @@ class TestGraphProperties:
     @SETTINGS
     @given(weighted_graphs(), st.floats(min_value=1e-5, max_value=1e-2))
     def test_collapse_respects_threshold(self, g, threshold):
-        c = g.collapse_below_latency(threshold)
+        u, v, _, lat = g.edge_list()
+        c = g.contract(component_labels(g.num_vertices, u[lat < threshold], v[lat < threshold]))
         _, _, _, lat = c.coarse.edge_list()
         assert np.all(lat >= threshold)
 
     @SETTINGS
     @given(weighted_graphs(), st.floats(min_value=1e-5, max_value=1e-2))
     def test_collapsed_partition_mll_at_least_threshold(self, g, threshold):
-        c = g.collapse_below_latency(threshold)
+        u, v, _, lat = g.edge_list()
+        c = g.contract(component_labels(g.num_vertices, u[lat < threshold], v[lat < threshold]))
         k = c.coarse.num_vertices
         rng = np.random.default_rng(0)
         coarse_part = rng.integers(0, 2, size=k)

@@ -11,7 +11,6 @@ suite; this file is about *when* and *what* the controller decides.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.faults import FaultEvent, FaultKind
@@ -19,7 +18,6 @@ from repro.partition.rebalance import (
     MigrationDecision,
     RebalanceConfig,
     Rebalancer,
-    lp_affinity,
     slowdown_spans,
     span_multipliers,
 )
@@ -142,22 +140,6 @@ class TestCandidateConstraints:
         assert _feed(rb, HOT, windows=6) is None
         assert rb.triggers > 0 and rb.candidates_scored > 0
 
-    def test_affinity_breaks_score_ties_toward_chatty_neighbors(self):
-        # Three shards, LP 2 blamed-shard-mate choices tie on score;
-        # the chain affinity (2-3 linked) must steer LP 3's... here:
-        # shard 1 = {2, 3} blamed, LP 3 can go to shard 0 or shard 2.
-        # Shard 2 holds LP 4, linked to nothing; shard 0 holds 0,1 and
-        # the chain links 1-2, so moving LP 3 anywhere scores equally —
-        # affinity prefers the destination LP 3 actually talks to.
-        aff = lp_affinity([(0, 1), (1, 2), (2, 3), (3, 4)], np.arange(5), 5)
-        rb = Rebalancer(
-            _cfg(), [[0, 1], [2, 3], [4]], 5, affinity=aff
-        )
-        decision = _feed(rb, [1, 1, 20, 1, 1], windows=4)
-        assert decision is not None and decision.lp == 3
-        # LP 3's only link goes to LP 4 on shard 2.
-        assert decision.dst_shard == 2
-
 
 class TestPureHelpers:
     def test_slowdown_spans_pair_and_extend(self):
@@ -174,12 +156,6 @@ class TestPureHelpers:
         assert span_multipliers(spans, 0.0, 0.1, 2).tolist() == [1.0, 1.0]
         assert span_multipliers(spans, 0.25, 0.35, 2).tolist() == [1.0, 4.0]
         assert span_multipliers(spans, 0.6, 0.7, 2).tolist() == [1.0, 1.0]
-
-    def test_lp_affinity_counts_cross_lp_links_symmetrically(self):
-        aff = lp_affinity([(0, 1), (1, 2), (2, 3)], np.array([0, 0, 1, 1]), 2)
-        # One link (nodes 1-2) crosses LP 0 <-> LP 1.
-        assert aff[0, 1] == aff[1, 0] == 1.0
-        assert aff[0, 0] == aff[1, 1] == 0.0
 
     def test_decision_as_dict_is_flat_json(self):
         d = MigrationDecision(9, 3, 1, 0, 0.75, 1.5e-3)

@@ -175,7 +175,7 @@ class TestRespawnByteIdentity:
         # after_send exercises the partially-collected-barrier path (the
         # window message is already in the pipe buffer when the worker
         # dies); the pipe drop surfaces as EOF instead of a dead PID.
-        plan = FaultPlan.from_faults([
+        plan = FaultPlan([
             ProcessFault(40, 1, ProcessFaultKind.SIGKILL, incarnation=0,
                          after_send=True),
             ProcessFault(200, 1, ProcessFaultKind.PIPE_DROP, incarnation=1),
@@ -191,7 +191,7 @@ class TestRespawnByteIdentity:
         assert result.recovery["respawns"] == 2
 
     def test_hang_is_detected_and_respawned(self, ref2):
-        plan = FaultPlan.from_faults([
+        plan = FaultPlan([
             ProcessFault(100, 1, ProcessFaultKind.HANG)
         ])
         result = _mp(
@@ -219,7 +219,7 @@ class TestDegradedAdoption:
         # Shard 2 dies twice with a budget of one respawn: the second
         # loss exhausts the budget and a survivor adopts its LPs after a
         # global rollback to the commit cut.
-        plan = FaultPlan.from_faults([
+        plan = FaultPlan([
             ProcessFault(120, 2, ProcessFaultKind.SIGKILL, incarnation=0),
             ProcessFault(240, 2, ProcessFaultKind.SIGKILL, incarnation=1),
         ])
@@ -239,7 +239,7 @@ class TestDegradedAdoption:
         assert sorted(adopted) == [0, 1, 2, 3]
 
     def test_fail_mode_raises_on_first_loss(self):
-        plan = FaultPlan.from_faults([
+        plan = FaultPlan([
             ProcessFault(50, 1, ProcessFaultKind.SIGKILL)
         ])
         with pytest.raises(WorkerCrashError):
@@ -252,7 +252,7 @@ class TestDegradedAdoption:
             )
 
     def test_exhausted_respawn_budget_raises_typed_error(self):
-        plan = FaultPlan.from_faults([
+        plan = FaultPlan([
             ProcessFault(50, 1, ProcessFaultKind.SIGKILL, incarnation=0),
             ProcessFault(80, 1, ProcessFaultKind.SIGKILL, incarnation=1),
         ])
@@ -280,7 +280,7 @@ class TestLocalGroupParity:
         assert result.recovery["respawns"] == 2
 
     def test_local_adoption_byte_identity(self, ref2):
-        plan = FaultPlan.from_faults([
+        plan = FaultPlan([
             ProcessFault(120, 1, ProcessFaultKind.SIGKILL, incarnation=0),
             ProcessFault(240, 1, ProcessFaultKind.SIGKILL, incarnation=1),
         ])
@@ -299,7 +299,7 @@ class TestLocalGroupParity:
         # Window 47 is a checkpoint window (cadence 16): the worker dies
         # with its window message already delivered, so the respawn
         # replays *through* 47 and that round must not commit.
-        plan = FaultPlan.from_faults([
+        plan = FaultPlan([
             ProcessFault(47, 1, ProcessFaultKind.PIPE_DROP, incarnation=0,
                          after_send=True),
             ProcessFault(200, 1, ProcessFaultKind.SIGKILL, incarnation=1),
@@ -320,7 +320,7 @@ class TestLocalGroupParity:
         spec = chain_spec(num_nodes=9, latency_s=LATENCY_S, packets=PACKETS)
         until = 0.02
         ref = run_reference(spec, assign3, 3, LATENCY_S, until)[1]
-        plan = FaultPlan.from_faults([
+        plan = FaultPlan([
             ProcessFault(20, 2, ProcessFaultKind.SIGKILL, incarnation=0),
             ProcessFault(40, 2, ProcessFaultKind.SIGKILL, incarnation=1),
             ProcessFault(90, 1, ProcessFaultKind.SIGKILL, incarnation=0),
@@ -345,7 +345,7 @@ class TestLocalGroupParity:
     def test_second_adoption_keeps_the_first_dead_shards_results(self, ref4):
         # Shards 3 and 2 are adopted away at different commit cuts; each
         # must contribute its *own* checkpointed partial results.
-        plan = FaultPlan.from_faults([
+        plan = FaultPlan([
             ProcessFault(30, 3, ProcessFaultKind.SIGKILL),
             ProcessFault(90, 2, ProcessFaultKind.SIGKILL),
         ])
@@ -380,7 +380,7 @@ class TestInlineFaultSweep:
         expected = {"respawn": (1, 0), "adopt": (0, 1)}[mode]
         for window in range(windows):
             for after_send in (False, True):
-                plan = FaultPlan.from_faults([
+                plan = FaultPlan([
                     ProcessFault(window, 1, ProcessFaultKind.SIGKILL,
                                  after_send=after_send)
                 ])

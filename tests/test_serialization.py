@@ -1,36 +1,24 @@
-"""Tests for network/profile/mapping/result persistence."""
+"""Tests for network and result persistence."""
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.core import Approach, MappingPipeline
-from repro.profilers import TrafficProfile
 from repro.routing import ForwardingPlane
 from repro.routing.bgp import configure_bgp
 from repro.serialization import (
-    load_mapping_assignment,
-    load_network,
-    load_profile,
-    mapping_to_dict,
     network_from_dict,
     network_to_dict,
     result_to_dict,
-    save_mapping,
-    save_network,
-    save_profile,
     save_result,
 )
 
 
 class TestNetworkRoundTrip:
-    def test_flat_network(self, flat_net, tmp_path):
-        path = tmp_path / "net.json"
-        save_network(flat_net, path)
-        loaded = load_network(path)
+    def test_flat_network(self, flat_net):
+        loaded = network_from_dict(json.loads(json.dumps(network_to_dict(flat_net))))
         assert loaded.num_nodes == flat_net.num_nodes
         assert loaded.num_links == flat_net.num_links
         for a, b in zip(flat_net.nodes, loaded.nodes):
@@ -42,10 +30,8 @@ class TestNetworkRoundTrip:
                 b.u, b.v, b.bandwidth_bps, b.latency_s, b.queue_bytes
             )
 
-    def test_multi_as_preserves_relationships(self, multi_net, tmp_path):
-        path = tmp_path / "multi.json"
-        save_network(multi_net, path)
-        loaded = load_network(path)
+    def test_multi_as_preserves_relationships(self, multi_net):
+        loaded = network_from_dict(json.loads(json.dumps(network_to_dict(multi_net))))
         assert set(loaded.as_domains) == set(multi_net.as_domains)
         for as_id, dom in multi_net.as_domains.items():
             got = loaded.as_domains[as_id]
@@ -56,10 +42,8 @@ class TestNetworkRoundTrip:
             assert got.border_links == dom.border_links
             assert got.default_routes == dom.default_routes
 
-    def test_loaded_network_routes_identically(self, multi_net, tmp_path):
-        path = tmp_path / "multi.json"
-        save_network(multi_net, path)
-        loaded = load_network(path)
+    def test_loaded_network_routes_identically(self, multi_net):
+        loaded = network_from_dict(json.loads(json.dumps(network_to_dict(multi_net))))
         bgp_a = configure_bgp(multi_net)
         bgp_b = configure_bgp(loaded)
         hosts = multi_net.host_ids()
@@ -74,51 +58,6 @@ class TestNetworkRoundTrip:
         doc["format_version"] = 999
         with pytest.raises(ValueError, match="version"):
             network_from_dict(doc)
-
-
-class TestProfileRoundTrip:
-    def test_npz(self, tmp_path):
-        profile = TrafficProfile(
-            node_events=np.arange(5.0),
-            link_bytes=np.array([10.0, 20.0]),
-            link_packets=np.array([1.0, 2.0]),
-            duration_s=3.5,
-        )
-        path = tmp_path / "profile.npz"
-        save_profile(profile, path)
-        loaded = load_profile(path)
-        assert np.array_equal(loaded.node_events, profile.node_events)
-        assert np.array_equal(loaded.link_bytes, profile.link_bytes)
-        assert loaded.duration_s == 3.5
-
-
-class TestMappingRoundTrip:
-    def test_save_load(self, flat_net, tmp_path):
-        pipeline = MappingPipeline.for_network(flat_net, num_engines=4)
-        mapping = pipeline.run(Approach.HTOP)
-        path = tmp_path / "mapping.json"
-        save_mapping(mapping, path)
-        approach, assignment, engines = load_mapping_assignment(path)
-        assert approach is Approach.HTOP
-        assert engines == 4
-        assert np.array_equal(assignment, mapping.assignment)
-
-    def test_dict_includes_sweep_and_eval(self, flat_net):
-        pipeline = MappingPipeline.for_network(flat_net, num_engines=4)
-        mapping = pipeline.run(Approach.HTOP)
-        doc = mapping_to_dict(mapping)
-        assert doc["evaluation"]["efficiency"] == pytest.approx(
-            mapping.evaluation.efficiency
-        )
-        assert len(doc["sweep"]) == len(mapping.sweep)
-        json.dumps(doc)  # JSON-serializable
-
-    def test_infinite_mll_serializes(self, flat_net, tmp_path):
-        pipeline = MappingPipeline.for_network(flat_net, num_engines=1)
-        mapping = pipeline.run(Approach.TOP)
-        doc = mapping_to_dict(mapping)
-        assert doc["evaluation"]["mll_s"] is None  # inf -> null
-        json.dumps(doc)
 
 
 class TestResultSerialization:

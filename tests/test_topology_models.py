@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.topology import ASDomain, ASTier, Network, NodeKind
@@ -72,17 +71,6 @@ class TestQueries:
         with pytest.raises(ValueError):
             link.other(99)
 
-    def test_total_node_bandwidth(self):
-        net, r0, *_ = tiny_net()
-        assert net.total_node_bandwidth(r0) == pytest.approx(1e9 + 100e6)
-
-    def test_min_link_latency(self):
-        net, *_ = tiny_net()
-        assert net.min_link_latency() == pytest.approx(20e-6)
-
-    def test_min_link_latency_empty(self):
-        assert Network().min_link_latency() == np.inf
-
     def test_is_connected(self):
         net, *_ = tiny_net()
         assert net.is_connected()
@@ -125,10 +113,3 @@ class TestConversions:
         net, *_ = tiny_net()
         g = net.to_graph(vertex_weight=[1.0, 2.0, 3.0], edge_weight=[5.0, 7.0])
         assert g.total_vertex_weight == pytest.approx(6.0)
-
-    def test_to_networkx(self):
-        net, *_ = tiny_net()
-        nx_g = net.to_networkx()
-        assert nx_g.number_of_nodes() == 3
-        assert nx_g.number_of_edges() == 2
-        assert nx_g.nodes[2]["kind"] == "host"
