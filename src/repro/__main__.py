@@ -128,11 +128,6 @@ def _cmd_experiment_mp(args, scale) -> int:
     mapping = pipeline.run_all([Approach.TOP])[Approach.TOP]
     recovery = None
     if args.checkpoint_every is not None:
-        if getattr(args, "rebalance", False):
-            print("error: --checkpoint-every cannot be combined with "
-                  "--rebalance (a checkpoint cut racing a migration plan "
-                  "has no well-defined placement)", file=sys.stderr)
-            return 2
         from .engine.recovery import RecoveryConfig
 
         recovery = RecoveryConfig(
@@ -579,8 +574,8 @@ def main(argv: list[str] | None = None) -> int:
                        type=_positive_int, default=None, metavar="N",
                        help="with --backend mp: capture a barrier-aligned "
                        "shard checkpoint every N windows and recover crashed "
-                       "workers from it (delivery log stays byte-identical; "
-                       "mutually exclusive with --rebalance)")
+                       "workers from it by replay (delivery log stays "
+                       "byte-identical; combines with --rebalance)")
     p_exp.add_argument("--max-respawns", dest="max_respawns", type=_non_negative_int,
                        default=2, metavar="K",
                        help="respawn a crashed worker at most K times before "

@@ -104,8 +104,3 @@ class SimKernel(EventRecorder):
                 trace_nodes.append(ev.node)
         self.events_executed += executed
         return executed
-
-    @property
-    def pending(self) -> int:
-        """Number of events still queued."""
-        return len(self.queue)

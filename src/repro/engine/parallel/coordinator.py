@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from bisect import insort
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -29,10 +30,8 @@ from ..recovery import CheckpointStore, RecoveryExhaustedError, is_checkpoint_wi
 from ..windows import WindowStats, iter_windows
 from .shard import (
     WINDOW_EVENTS_BOUNDS,
-    ParallelBackendError,
     ScenarioSpec,
     WorkerCrashError,
-    _dead_shard_legacy,
     _expect,
     _ser,
     lp_assignment,
@@ -120,14 +119,6 @@ def _build_rebalancer(config, shards, num_lps, spec, until):
     if faults:
         spans = slowdown_spans(faults, float(until))
     return Rebalancer(config, shards, num_lps, spans=spans)
-
-
-class _AdoptionNeeded(Exception):
-    """Internal: respawns exhausted, degrade by adopting the dead shard."""
-
-    def __init__(self, shard_id: int):
-        super().__init__(f"shard {shard_id} needs adoption")
-        self.shard_id = int(shard_id)
 
 
 def _register_recovery_instruments(reg) -> None:
@@ -232,10 +223,12 @@ class Coordinator:
         #: shards as their window messages arrive (cost-model ready)
         self.events = np.zeros((len(self.boundaries), num_lps), dtype=np.int64)
         self.remote = np.zeros_like(self.events)
-        self.max_obs_window = -1
         #: THE placement: LPs per shard, changed only by ``migration_round``
-        #: and ``adopt``; worker configs and the result are derived from it
+        #: and ``adopt``; the result is derived from it
         self.shards = [list(s) for s in backend.shards]
+        #: the placement at the base a respawn replays from: the build,
+        #: then each commit; worker configs are derived from it
+        self.base = [list(s) for s in backend.shards]
 
         self.rebalancer = None
         self.rb_counts = (0, 0)
@@ -249,21 +242,23 @@ class Coordinator:
         rec = self.rec = backend.recovery
         self.mode = rec.on_worker_loss if rec is not None else "fail"
         self.store = CheckpointStore() if rec is not None else None
-        #: mail retained since the last committed checkpoint: window ->
-        #: {dest shard -> per-sender payload list}. Replayed into a
-        #: respawned worker; pruned at every commit, so the buffer is
-        #: bounded by the checkpoint cadence.
-        self.retained: dict[int, dict[int, list[bytes]]] = {}
+        #: per shard, every message sent to it since its base, and how
+        #: many it has sent back: what a respawn or an adopter replays.
+        #: Both restart at every commit; kept only with a recovery config.
+        self.log: list[list[tuple]] = [[] for _ in range(procs)]
+        self.seen = [0] * procs
+        #: messages read from a shard (or said by its replica) and not yet
+        #: taken by the phase that expects them
+        self.inbox: list[deque] = [deque() for _ in range(procs)]
         self.committed = -1
         self.attempts = [0] * procs
         self.incarnations = [0] * procs
         self.dead = [False] * procs
-        # Per-endpoint message counts since its (re)start: a survivor owes
-        # exactly one unanswered window message when a rollback may land.
-        self.wins_consumed = [0] * procs
-        self.mails_sent = [0] * procs
+        #: dead shard -> the survivor that adopted its LPs
+        self.heirs: dict[int, int] = {}
+        #: survivors still wait for a message: adoption is possible
+        self.open = bool(self.boundaries)
         self.stats = dict(detections=0, respawns=0, windows_replayed=0, adoptions=0)
-        self.adoption_window: int | None = None
         #: stand-in ``done`` result of every adopted-away shard
         self.dead_results: dict[int, dict] = {}
 
@@ -272,25 +267,27 @@ class Coordinator:
         """Shards that have not been adopted away."""
         return [s for s in range(self.procs) if not self.dead[s]]
 
-    def shard_of(self) -> list[int]:
-        """The current placement as an LP -> shard list."""
-        shard_of = [0] * self.num_lps
-        for shard_id, lps in enumerate(self.shards):
-            for lp in lps:
-                shard_of[lp] = shard_id
-        return shard_of
+    def owner(self, shard_id: int) -> int:
+        """The live shard holding what ``shard_id`` held."""
+        while self.dead[shard_id]:
+            shard_id = self.heirs[shard_id]
+        return shard_id
 
     def worker_config(self, shard_id: int, resume: dict | None = None) -> dict:
         """The config one (shard, incarnation) is built from."""
         backend = self.backend
+        shard_of = [0] * self.num_lps
+        for s, lps in enumerate(self.base):
+            for lp in lps:
+                shard_of[lp] = s
         config = {
             "assignment": backend.assignment,
             "num_lps": self.num_lps,
             "lookahead": backend.lookahead,
-            "owned_lps": self.shards[shard_id],
+            "owned_lps": self.base[shard_id],
             "strict": backend.strict,
             "spec": self.spec,
-            "shard_of": self.shard_of(),
+            "shard_of": shard_of,
             "procs": self.procs,
             "until": self.until,
             "shard_id": shard_id,
@@ -304,6 +301,39 @@ class Coordinator:
             config["resume"] = resume
         return config
 
+    # -- messages --------------------------------------------------------
+    def send(self, shard_id: int, msg: tuple) -> None:
+        """Log and send; a lost endpoint surfaces at its next receive."""
+        if self.rec is not None:
+            self.log[shard_id].append(msg)
+        try:
+            self.transport.send(shard_id, msg)
+        except WorkerCrashError:
+            if self.mode == "fail":
+                raise
+
+    def recv(self, shard_id: int, tag: str, w: int) -> tuple | None:
+        """The next ``tag`` message of ``shard_id``, recovering it as needed.
+
+        Earlier messages of other kinds stay queued for their phase.
+        ``None`` when the shard is adopted away with nothing left to say.
+        """
+        queue = self.inbox[shard_id]
+        while True:
+            for i, msg in enumerate(queue):
+                if msg[0] == tag:
+                    del queue[i]
+                    _expect(msg, tag, w, f"worker {shard_id}")
+                    return msg
+            if self.dead[shard_id]:
+                return None
+            try:
+                queue.append(self.transport.recv(shard_id))
+            except WorkerCrashError as exc:
+                self.on_loss(shard_id, exc, w)
+                continue
+            self.seen[shard_id] += 1
+
     # -- the loop ------------------------------------------------------
     def run(self) -> "ParallelRunResult":
         """Spawn the workers, drive every barrier, collect, tear down."""
@@ -311,14 +341,8 @@ class Coordinator:
         try:
             for shard_id in range(self.procs):
                 self.transport.spawn(shard_id, self.worker_config(shard_id))
-            wi = 0
-            while wi < len(self.boundaries):
-                try:
-                    self.run_window(*self.boundaries[wi])
-                except _AdoptionNeeded as need:
-                    wi = self.adopt(need.shard_id) + 1
-                    continue
-                wi += 1
+            for w, start, end in self.boundaries:
+                self.run_window(w, start, end)
             results = self.collect_results()
         finally:
             self.transport.close()
@@ -326,34 +350,30 @@ class Coordinator:
 
     def run_window(self, w: int, start: float, end: float) -> None:
         """One barrier: every phase of window ``w``, in wire order."""
+        final = w == self.boundaries[-1][0]
         msgs = self.collect_windows(w)
         decision = self.plan_migration(w, start, end, msgs)
-        respawned = self.route_mail(w, msgs, decision)
+        self.route_mail(w, msgs, decision)
+        self.open = not (final and decision is None)
         if decision is not None:
             self.migration_round(w, decision)
+            self.open = not final
         if self.rec is not None and is_checkpoint_window(
             w, self.rec.checkpoint_every_n_windows
         ):
-            self.commit_checkpoint(w, skip=respawned)
+            self.commit_checkpoint(w)
         self.record_window(w)
 
     def collect_windows(self, w: int) -> dict[int, tuple]:
-        """Receive every live shard's ``window`` message for ``w``."""
+        """Every shard's ``window`` message for ``w`` (a dead one's, once,
+        from its replica)."""
         msgs: dict[int, tuple] = {}
-        pending = self.live()
-        while pending:
-            shard_id = pending.pop(0)
-            try:
-                msg = self.transport.recv(shard_id)
-            except WorkerCrashError as exc:
-                self.on_loss(shard_id, exc, replay_hi=w - 1)
-                pending.append(shard_id)
-                continue
-            _expect(msg, "window", w, f"worker {shard_id}")
-            self.wins_consumed[shard_id] += 1
-            msgs[shard_id] = msg
-            self.events[w] += np.asarray(msg[3], dtype=np.int64)
-            self.remote[w] += np.asarray(msg[4], dtype=np.int64)
+        for shard_id in range(self.procs):
+            msg = self.recv(shard_id, "window", w)
+            if msg is not None:
+                msgs[shard_id] = msg
+                self.events[w] += np.asarray(msg[3], dtype=np.int64)
+                self.remote[w] += np.asarray(msg[4], dtype=np.int64)
         return msgs
 
     def plan_migration(self, w: int, start: float, end: float, msgs: dict):
@@ -365,45 +385,36 @@ class Coordinator:
         rebalancer = self.rebalancer
         if rebalancer is None or rebalancer.retired:
             return None
-        ordered = [msgs[s] for s in range(self.procs)]
-        xshard_sum = np.sum([m[5] for m in ordered], axis=0, dtype=np.int64)
+        xshard_sum = np.sum([m[5] for m in msgs.values()], axis=0, dtype=np.int64)
         decision = rebalancer.observe_window(w, start, end, self.events[w], xshard_sum)
         self.rb_counts = _record_rebalance_counters(rebalancer, self.rb_counts)
         return decision
 
-    def route_mail(self, w: int, msgs: dict, decision) -> set[int]:
+    def route_mail(self, w: int, msgs: dict, decision) -> None:
         """Answer every live shard with its inbound mail (and the plan).
 
-        Destination ``j`` receives one payload per sender (dead senders
-        contribute empty payloads after an adoption — their LPs now send
-        from the adopter's lanes). Returns the shards respawned here,
-        which rejoin past this window's checkpoint.
+        Destination ``j`` receives one payload per sender (empty from a
+        shard adopted away before this window). What a sender addressed
+        to a dead shard before it learned of the adoption goes to the
+        shard's heir, which holds those LPs now.
         """
         live = self.live()
         inbound_by = {
             s: [msgs[src][2][s] if src in msgs else b"" for src in range(self.procs)]
             for s in live
         }
-        if self.rec is not None:
-            self.retained[w] = inbound_by
+        for dead in sorted(self.heirs):
+            for src in sorted(msgs):
+                if msgs[src][2][dead]:
+                    inbound_by[self.owner(dead)].append(msgs[src][2][dead])
         plan = None
         if decision is not None:
             plan = [(decision.lp, decision.src_shard, decision.dst_shard)]
-        respawned: set[int] = set()
         for shard_id in live:
             mail = ("mail", w, inbound_by[shard_id])
             if self.rebalancer is not None:
                 mail += (plan,)
-            try:
-                self.transport.send(shard_id, mail)
-                self.mails_sent[shard_id] += 1
-            except WorkerCrashError as exc:
-                # The worker had already sent window w, so the respawn
-                # replays through w and rejoins at w + 1 without
-                # checkpointing w.
-                self.on_loss(shard_id, exc, replay_hi=w)
-                respawned.add(shard_id)
-        return respawned
+            self.send(shard_id, mail)
 
     def migration_round(self, w: int, decision) -> None:
         """Collect the released LP's payload and route it to its adopter.
@@ -413,207 +424,139 @@ class Coordinator:
         """
         outgoing: dict[int, bytes] = {}
         for shard_id in range(self.procs):
-            msg = self.transport.recv(shard_id)
-            _expect(msg, "migrate", w, f"worker {shard_id}")
-            outgoing.update(msg[2])
-        self.shards[decision.src_shard].remove(decision.lp)
-        insort(self.shards[decision.dst_shard], decision.lp)
-        shard_of = self.shard_of()
-        for shard_id in range(self.procs):
-            install = {
-                lp: blob for lp, blob in outgoing.items() if shard_of[lp] == shard_id
-            }
-            self.transport.send(shard_id, ("install", w, install))
+            msg = self.recv(shard_id, "migrate", w)
+            if msg is not None:
+                outgoing.update(msg[2])
+        # Either end may have been adopted away during the round.
+        self.shards[self.owner(decision.src_shard)].remove(decision.lp)
+        dst = self.owner(decision.dst_shard)
+        insort(self.shards[dst], decision.lp)
+        for shard_id in self.live():
+            install = outgoing if shard_id == dst else {}
+            self.send(shard_id, ("install", w, install))
         self.migrations.append(decision)
         _record_migration_obs(decision, sum(len(b) for b in outgoing.values()))
 
-    def commit_checkpoint(self, w: int, skip: set[int]) -> None:
+    def commit_checkpoint(self, w: int) -> None:
         """Transactional commit of window ``w``'s checkpoint round.
 
-        The store only advances when every live shard checkpoints this
-        window; a partial set is discarded (but still drained, to keep
-        the message streams aligned). A commit prunes the retained mail.
+        The store advances only when every live shard's cut of this
+        window arrives; an adoption during the round moves LPs after
+        some cuts were taken, and the round is dropped. A commit is the
+        new base: the logs restart.
         """
+        adoptions = self.stats["adoptions"]
         got: dict[int, tuple[str, bytes]] = {}
-        for shard_id in [s for s in self.live() if s not in skip]:
-            try:
-                msg = self.transport.recv(shard_id)
-            except WorkerCrashError as exc:
-                self.on_loss(shard_id, exc, replay_hi=w)
-                continue
-            _expect(msg, "ckpt", w, f"worker {shard_id}")
-            got[shard_id] = (msg[2], msg[3])
-        if sorted(got) != self.live():
+        for shard_id in range(self.procs):
+            msg = self.recv(shard_id, "ckpt", w)
+            if msg is not None:
+                got[shard_id] = (msg[2], msg[3])
+        if self.stats["adoptions"] != adoptions:
             return
         for shard_id in sorted(got):
             digest, blob = got[shard_id]
             self.store.put(shard_id, w, digest, blob)
             _record_recovery_obs("checkpoint", w, shard_id, nbytes=len(blob))
         self.committed = w
-        for rw in [x for x in self.retained if x <= w]:
-            del self.retained[rw]
+        self.base = [list(s) for s in self.shards]
+        for shard_id in self.live():
+            self.log[shard_id].clear()
+            self.seen[shard_id] = 0
 
     def record_window(self, w: int) -> None:
-        """Window-level instruments, once per window even across rollbacks."""
+        """Window-level instruments, once per window."""
         backend = self.backend
-        if backend._obs.enabled and w > self.max_obs_window:
+        if backend._obs.enabled:
             backend._obs_windows.inc()
             backend._obs_window_hist.observe(float(self.events[w].sum()))
-        self.max_obs_window = max(self.max_obs_window, w)
 
     def collect_results(self) -> list[dict]:
         """Receive ``done`` from every live shard; one result per shard."""
         last_w = self.boundaries[-1][0] if self.boundaries else -1
-        results: dict[int, dict] = {}
+        results = dict(self.dead_results)
         for shard_id in self.live():
-            while True:
-                try:
-                    msg = self.transport.recv(shard_id)
-                except WorkerCrashError as exc:
-                    try:
-                        self.on_loss(shard_id, exc, replay_hi=last_w)
-                    except _AdoptionNeeded:
-                        raise self._past_the_end(shard_id) from exc
-                    continue
-                break
-            if msg[0] != "done":
-                raise ParallelBackendError(
-                    f"barrier protocol desync: worker {shard_id} sent "
-                    f"{msg[0]!r}, expected done"
-                )
-            results[shard_id] = _ser().decode_payload(msg[1])
-        results.update(self.dead_results)
+            msg = self.recv(shard_id, "done", last_w)
+            results[shard_id] = _ser().decode_payload(msg[2])
         return [results[s] for s in range(self.procs)]
 
     # -- supervision ---------------------------------------------------
-    @staticmethod
-    def _past_the_end(shard_id: int) -> RecoveryExhaustedError:
-        return RecoveryExhaustedError(
-            f"worker {shard_id} exhausted its respawns at the final barrier; "
-            "survivors have already collected — adoption would need a "
-            "rollback past the end of the run"
-        )
-
-    def on_loss(self, shard_id: int, exc: WorkerCrashError, replay_hi: int) -> None:
+    def on_loss(self, shard_id: int, exc: WorkerCrashError, w: int) -> None:
         """Respawn ``shard_id`` or escalate up the degradation ladder.
 
-        ``replay_hi`` is the last window whose retained mail the
-        respawned worker must privately replay before rejoining. Past
-        ``max_respawns`` the ladder degrades to :class:`_AdoptionNeeded`
-        (``on_worker_loss="adopt"``) or ends in
-        :class:`RecoveryExhaustedError`; with no recovery config, or
-        ``"fail"``, the original error is re-raised.
+        ``w`` is the window whose barrier noticed the loss. A respawn
+        replays the shard's log from its base; past ``max_respawns`` the
+        ladder goes on to :meth:`adopt` (``on_worker_loss="adopt"``) or
+        ends in :class:`RecoveryExhaustedError`; with no recovery config,
+        or ``"fail"``, the original error is re-raised.
         """
         if self.mode == "fail":
             raise exc
         rec = self.rec
         self.stats["detections"] += 1
         _record_recovery_obs(
-            "detect", replay_hi + 1, shard_id,
+            "detect", w, shard_id,
             hung=bool(getattr(exc, "hung", False)),
             exitcode=getattr(exc, "exitcode", None),
         )
         self.transport.discard(shard_id)
-        self.wins_consumed[shard_id] = 0
-        self.mails_sent[shard_id] = 0
         self.attempts[shard_id] += 1
         attempt = self.attempts[shard_id]
         if attempt > rec.max_respawns:
             if self.mode == "adopt":
-                raise _AdoptionNeeded(shard_id) from exc
+                return self.adopt(shard_id, w)
             raise RecoveryExhaustedError(
                 f"worker {shard_id} lost {attempt} times, exceeding "
                 f"max_respawns={rec.max_respawns}; on_worker_loss='respawn' "
                 "has no further rung"
             ) from exc
-        if self.adoption_window is not None and self.committed <= self.adoption_window:
-            raise RecoveryExhaustedError(
-                f"worker {shard_id} lost after a degraded adoption and before "
-                "the next checkpoint commit; the dead shard's pre-adoption "
-                "checkpoint is stale"
-            ) from exc
         time.sleep(rec.backoff_s(attempt))
         self.incarnations[shard_id] += 1
-        base = self.store.latest_window(shard_id)
-        entries = [
-            (rw, self.retained[rw][shard_id])
-            for rw in sorted(self.retained)
-            if base < rw <= replay_hi
-        ]
-        resume = {
-            "checkpoint": self.store.get(shard_id),
-            "replay": _ser().encode_payload(entries),
-        }
+        resume = self.resume(shard_id)
         self.transport.spawn(shard_id, self.worker_config(shard_id, resume=resume))
+        replayed = sum(1 for msg in resume["log"] if msg[0] == "mail")
         self.stats["respawns"] += 1
-        self.stats["windows_replayed"] += len(entries)
-        _record_recovery_obs(
-            "respawn", replay_hi + 1, shard_id, attempt=attempt, replayed=len(entries)
-        )
+        self.stats["windows_replayed"] += replayed
+        _record_recovery_obs("respawn", w, shard_id, attempt=attempt, replayed=replayed)
 
-    def adopt(self, dead_shard: int) -> int:
-        """Global rollback to the commit cut + survivor adoption.
+    def resume(self, shard_id: int) -> dict:
+        """What rebuilds ``shard_id`` where it was: its cut and its log."""
+        return {
+            "checkpoint": self.store.get(shard_id),
+            "log": list(self.log[shard_id]),
+            "seen": self.seen[shard_id],
+        }
 
-        Every survivor rewinds to the committed window ``c`` (returned),
-        the least-loaded one additionally installs the dead shard's LPs
-        over the migration wire format, and the run resumes at ``c + 1``.
+    def adopt(self, dead: int, w: int) -> None:
+        """Hand ``dead``'s LPs to the least-loaded survivor, by replay.
+
+        The heir rebuilds the dead shard from its cut and log in a second
+        engine, up to the receive point every survivor waits at, and
+        takes its LPs over; what the dead shard had yet to say is queued
+        as its messages. Survivors do not rewind.
         """
-        if 0 in self.shards[dead_shard]:
+        if not self.open:
             raise RecoveryExhaustedError(
-                f"worker {dead_shard} owns LP 0 (the control lane); the "
-                "control shard cannot be adopted by a survivor"
+                f"worker {dead} exhausted its respawns at the final barrier; "
+                "the survivors have finished the run and no one can adopt it"
             )
-        c = self.committed
-        blob = self.store.get(dead_shard) if c >= 0 else None
-        if c >= 0 and blob is None:  # pragma: no cover - store invariant
-            raise RecoveryExhaustedError(
-                f"no checkpoint for shard {dead_shard} at the committed window {c}"
-            )
-        self.dead[dead_shard] = True
+        config = self.worker_config(dead, resume=self.resume(dead))
+        self.dead[dead] = True
         survivors = self.live()
-        if not survivors:  # pragma: no cover - shard 0 never adopted
-            raise RecoveryExhaustedError("no survivors left to adopt")
-        # Every survivor is either computing or blocked waiting for mail;
-        # consume its in-flight messages until it owes us exactly one
-        # unanswered window message, at which point a rollback lands
-        # where it expects mail.
+        if not survivors:
+            raise RecoveryExhaustedError(f"worker {dead} lost and no survivor left")
+        heir = min(survivors, key=lambda s: (len(self.shards[s]), s))
+        self.heirs[dead] = heir
+        self.shards[heir] = sorted(self.shards[heir] + self.shards[dead])
+        self.shards[dead] = []
+        if self.rebalancer is not None:
+            self.rebalancer.adopt(dead, heir)
         for s in survivors:
-            while self.wins_consumed[s] <= self.mails_sent[s]:
-                msg = self.transport.recv(s)
-                if msg[0] == "window":
-                    self.wins_consumed[s] += 1
-                elif msg[0] == "done":  # answered first, it finished the run
-                    raise self._past_the_end(dead_shard)
-                elif msg[0] != "ckpt":  # a ckpt is abandoned: its round cannot commit
-                    raise ParallelBackendError(
-                        f"barrier protocol desync: worker {s} sent {msg[0]!r} "
-                        "while draining for rollback"
-                    )
-        adopter = min(survivors, key=lambda s: (len(self.shards[s]), s))
-        self.shards[adopter] = sorted(self.shards[adopter] + self.shards[dead_shard])
-        self.shards[dead_shard] = []
-        shard_of = self.shard_of()
-        installs, self.dead_results[dead_shard] = _dead_shard_legacy(blob)
-        for s in survivors:
-            rollback = (
-                "rollback",
-                c,
-                self.store.get(s) if c >= 0 else None,
-                installs if s == adopter else {},
-                shard_of,
-            )
-            self.transport.send(s, rollback)
-            self.wins_consumed[s] = 0
-            self.mails_sent[s] = 0
-        self.events[c + 1 :] = 0
-        self.remote[c + 1 :] = 0
-        self.retained.clear()
-        self.adoption_window = c
+            self.send(s, ("adopt", dead, heir, config if s == heir else None))
+        _tag, _dead, said, result = self.recv(heir, "adopted", dead)
+        self.inbox[dead].extend(said)
+        self.dead_results[dead] = _ser().decode_payload(result)
         self.stats["adoptions"] += 1
-        _record_recovery_obs(
-            "adopt", c + 1, dead_shard, adopter=adopter, committed_window=c
-        )
-        return c
+        _record_recovery_obs("adopt", w, dead, adopter=heir)
 
     # -- result --------------------------------------------------------
     def assemble(self, results: list[dict], wall_s: float) -> "ParallelRunResult":
@@ -693,13 +636,12 @@ class ParallelConservativeEngine:
         byte-identical either way.
     recovery:
         Optional :class:`~repro.engine.recovery.RecoveryConfig`. When
-        set, workers checkpoint their shard at the configured cadence,
-        the controller supervises liveness, and a crashed or hung
-        worker is respawned from its last checkpoint (degrading to
-        survivor adoption when respawns run out — see
-        ``docs/robustness.md``). Mutually exclusive with ``rebalance``:
-        a checkpoint cut racing an in-flight migration plan has no
-        well-defined placement.
+        set, workers checkpoint their shard at the configured cadence
+        (or never, at ``0``), the controller logs what it sends each
+        shard and supervises liveness, and a crashed or hung worker is
+        rebuilt by replaying that log from its last cut or its build
+        (degrading to survivor adoption when respawns run out — see
+        ``docs/robustness.md``). Composes with ``rebalance``.
     """
 
     def __init__(
@@ -717,12 +659,6 @@ class ParallelConservativeEngine:
     ) -> None:
         if lookahead <= 0:
             raise ValueError("lookahead must be positive")
-        if rebalance is not None and recovery is not None:
-            raise ValueError(
-                "online rebalancing and fault-tolerant recovery cannot be "
-                "combined: a checkpoint cut racing a migration plan has no "
-                "well-defined placement"
-            )
         self.assignment = lp_assignment(assignment, num_lps)
         self.num_lps = int(num_lps)
         self.lookahead = float(lookahead)
@@ -767,13 +703,13 @@ class ParallelConservativeEngine:
         window stats are summed across shards into the same
         :class:`WindowStats` rows the single-process engine records.
 
-        With a recovery config, worker loss does not end the run:
-        the controller respawns the worker from the last committed
-        checkpoint (replaying retained mail forward), and when respawns
-        are exhausted with ``on_worker_loss="adopt"`` it rolls every
-        survivor back to the commit cut and hands the dead shard's LPs
-        to the least-loaded survivor. Only when the degradation ladder
-        runs out does the run fail, with
+        With a recovery config, worker loss does not end the run: the
+        controller respawns the worker from its last committed cut (or
+        its build) and replays the messages logged since, and when
+        respawns are exhausted with ``on_worker_loss="adopt"`` the
+        least-loaded survivor rebuilds the dead shard the same way and
+        takes its LPs over; no survivor rewinds. Only when the
+        degradation ladder runs out does the run fail, with
         :class:`RecoveryExhaustedError`.
         """
         return Coordinator(self, self._transport(), spec, until).run()

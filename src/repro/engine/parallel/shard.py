@@ -104,14 +104,12 @@ class ShardScenario:
     last window and must return a picklable result for the controller.
 
     ``capture_lp`` / ``restore_lp`` are the optional migration hooks the
-    online re-balancer uses: ``capture_lp(lp, cut=None)`` returns a
-    picklable blob of the LP's *dynamic* scenario state (link busy
-    horizons, RNG states of exclusively-owned links — never counters,
-    never control-replicated state), and ``restore_lp(lp, blob)``
-    applies it on the adopting shard. At a checkpoint ``cut`` is the
-    same barrier's ``capture_shard()`` value, handed back so the hook can
-    select from it instead of capturing the same state twice. Scenarios
-    without the hooks simply cannot be rebalanced mid-run.
+    online re-balancer and survivor adoption use: ``capture_lp(lp)``
+    returns a picklable blob of the LP's *dynamic* scenario state (link
+    busy horizons, RNG states of exclusively-owned links — never
+    counters, never control-replicated state), and ``restore_lp(lp,
+    blob)`` applies it on the adopting shard. Scenarios without the
+    hooks simply cannot be rebalanced mid-run.
 
     ``capture_shard`` / ``restore_shard`` are the optional checkpoint
     hooks fault-tolerant recovery uses: ``capture_shard()`` returns a
@@ -122,10 +120,7 @@ class ShardScenario:
     scenario dynamics.
 
     Every hook's return value is opaque to the backend: it is pickled,
-    carried and handed back to the matching hook, never looked into. A
-    checkpoint also stores ``capture_lp`` of every owned LP and
-    ``collect()`` — what an adopter and the merged result need from a
-    shard that died after the cut.
+    carried and handed back to the matching hook, never looked into.
     """
 
     handlers: dict[str, Callable[..., Any]]
@@ -595,13 +590,10 @@ class ShardEngine(EventRecorder):
         event lies at or beyond the barrier. The events keep their
         original ``(epoch, lane, counter)`` keys — migration moves the
         queue, it never re-keys, which is what preserves the global
-        merge order. LP 0 never migrates: control-plane ownership is
-        structural (``has_control``), not load.
+        merge order. The rebalancer never moves LP 0; only a dead
+        shard's replica gives it up, to the survivor adopting it, and
+        then it no longer runs the control plane.
         """
-        if lp == 0:
-            raise ParallelBackendError(
-                "LP 0 owns the control plane and cannot migrate"
-            )
         local = self._local_index[lp]
         if local < 0:
             raise ParallelBackendError(
@@ -627,6 +619,7 @@ class ShardEngine(EventRecorder):
         del self._queues[local]
         del self._local_mail[local]
         self._reindex_owned()
+        self.has_control = self.has_control and lp != 0
         return events
 
     def adopt_lp(self, lp: int, events: Sequence[Event]) -> None:
@@ -635,7 +628,8 @@ class ShardEngine(EventRecorder):
         The inverse of :meth:`release_lp` on the destination shard.
         ``owned_lps`` stays sorted, so within-window LP execution order
         remains ascending — the same order the single-process engine
-        interleaves them in.
+        interleaves them in. Taking LP 0 takes the control plane: its
+        events are in LP 0's queue, so the replica queue goes.
         """
         if self._local_index[lp] >= 0:
             raise ParallelBackendError(
@@ -650,6 +644,8 @@ class ShardEngine(EventRecorder):
         self._queues.insert(pos, EventQueue())
         self._local_mail.insert(pos, [])
         self._reindex_owned()
+        if lp == 0:
+            self.has_control, self._control_queue = True, None
         for ev in events:
             self._queues[pos].push_event(ev)
 
@@ -916,23 +912,14 @@ def _encode_worker_checkpoint(
             else None
         ),
     }
-    # What the controller needs back out of a dead shard's blob (per-LP
-    # migration states, the partial result) is asked of the scenario here
-    # and stored beside ``shard_state``, which nobody on this side opens:
-    # it is handed back to ``capture_lp`` to select the LP states from.
-    cut = scenario.capture_shard() if scenario.capture_shard is not None else None
     payload = {
         "shard_id": int(engine.shard_id),
         "window_index": int(window_index),
         "owned_lps": owned_lps,
         "engine": engine_state,
-        "shard_state": cut,
-        "lp_states": (
-            {lp: scenario.capture_lp(lp, cut) for lp in owned_lps}
-            if scenario.capture_lp is not None
-            else {}
+        "shard_state": (
+            scenario.capture_shard() if scenario.capture_shard is not None else None
         ),
-        "collect": scenario.collect() if scenario.collect is not None else None,
         "acc": {"mail_bytes": int(mail_bytes)},
     }
     return _ser().encode_payload(payload)
@@ -984,45 +971,3 @@ def _restore_shard_from_blob(
     if scenario.restore_shard is not None and payload.get("shard_state") is not None:
         scenario.restore_shard(payload["shard_state"])
     return engine, scenario, fn_to_name, name_to_fn, payload
-
-
-def _dead_shard_legacy(blob: bytes | None) -> tuple[dict[int, bytes], dict[str, Any]]:
-    """What an adopted (dead) shard leaves behind: ``(installs, result)``.
-
-    ``installs`` turns its last committed checkpoint into per-LP
-    payloads in the format `_encode_lp_migration` sends, so
-    the adopting survivor installs the orphaned LPs with the exact code
-    path a planned migration uses. The replica control queue is *not*
-    shipped — every survivor replays the identical control schedule
-    already. ``result`` stands in for the shard's `done` result: its
-    partial sums up to the commit point; the adopter re-accumulates
-    everything after it, so the merged totals still match an
-    uninterrupted run. With no commit yet the dead shard contributes
-    nothing (the survivors recompute the whole run from window 0).
-    """
-    result = {
-        "collect": None,
-        "events_executed": 0,
-        "lookahead_violations": 0,
-        "barrier_wait_s": 0.0,
-        "mail_bytes": 0,
-    }
-    if blob is None:
-        return {}, result
-    payload = _ser().decode_payload(blob)
-    engine_state = payload["engine"]
-    installs = {
-        int(lp): _ser().encode_payload(
-            {
-                "lp": int(lp),
-                "events": [(int(lp), *item) for item in engine_state["queues"][lp]],
-                "state": payload["lp_states"].get(int(lp)),
-            }
-        )
-        for lp in engine_state["owned_lps"]
-    }
-    result["collect"] = payload["collect"]
-    result["events_executed"] = int(engine_state["events_executed"])
-    result["lookahead_violations"] = int(engine_state["lookahead_violations"])
-    result["mail_bytes"] = int(payload["acc"]["mail_bytes"])
-    return installs, result

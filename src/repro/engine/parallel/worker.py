@@ -12,6 +12,7 @@ docs/architecture.md ("Barrier protocol: message × phase").
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Callable, Generator
 
 from ...obs.registry import get_registry
@@ -112,60 +113,78 @@ class ShardWorker:
             ):
                 self._fire(pf.kind)
 
-    def _replay(self, replay_buffer: bytes, next_w: int) -> int:
-        """Private replay after a respawn; returns the window to rejoin at.
+    def _recv(self) -> Generator[tuple | None, tuple | None, tuple]:
+        """The next message for the loop, after any adoption announced first."""
+        msg = yield
+        while msg[0] == "adopt":
+            yield from self._adopt(msg)
+            msg = yield
+        return msg
 
-        Re-runs the crashed windows from controller-retained mail.
-        Regenerated outbound mail is counted (the totals must match an
-        uninterrupted run) but discarded — the live recipients consumed
-        the originals.
+    def _adopt(self, msg: tuple) -> Generator[tuple, None, None]:
+        """Apply ``("adopt", dead, heir, config)``: ``dead``'s LPs move to ``heir``.
+
+        Every survivor re-routes ``dead``'s LPs to ``heir``. The heir
+        rebuilds the dead shard in a second engine from ``config`` (its
+        cut or its build, plus its log), runs it to this same
+        receive point, moves its LPs in on the migration path and answers
+        with what the dead shard had yet to say and its stand-in result.
+        Adopting LP 0 makes the heir the control owner.
         """
-        for rw, inbound in _ser().decode_payload(replay_buffer):
-            rw = int(rw)
-            self._fault(rw, False)
-            end = self.boundaries[rw][2]
-            self.engine.run_window(rw, end)
-            payloads = _encode_outbound(
-                self.engine, self.shard_of, self.fn_to_name, self.procs
-            )
-            self.mail_bytes += sum(len(p) for p in payloads)
-            self._fault(rw, True)
-            _deliver_encoded_mail(self.engine, inbound, end, self.name_to_fn)
-            next_w = rw + 1
-        return next_w
-
-    def _rollback(self, msg: tuple) -> int:
-        """Apply ``("rollback", c, blob, installs, shard_of)``.
-
-        A sibling died and respawns are exhausted — every survivor
-        rewinds to the committed checkpoint window ``c``; the adopter
-        additionally installs the dead shard's LPs. With nothing
-        committed yet the shard restarts from window 0 under the
-        post-adoption placement (the adopter owns the dead shard's LPs
-        from setup — there is no state to install).
-        """
-        _tag, _c, blob, installs, shard_of = msg
-        if blob is not None:
-            next_w = self._restore(blob)
-        else:
-            next_w = self._build(
-                [lp for lp, s in enumerate(shard_of) if int(s) == self.shard_id]
-            )
-        self._install(installs)
-        self.shard_of = [int(v) for v in shard_of]
-        return next_w
+        _tag, dead, heir, config = msg
+        self.shard_of = [heir if s == dead else s for s in self.shard_of]
+        if heir != self.shard_id:
+            return
+        replica = ShardWorker(config, self.obs_on, _no_fault)
+        said = []
+        for out in replica.run():
+            if out is None:  # it waits where this shard waits
+                break
+            said.append(out)
+        for lp in list(replica.engine.owned_lps):
+            self._install({lp: _encode_lp_migration(
+                replica.engine, replica.scenario, replica.fn_to_name, lp
+            )})
+        # Collected after the handover, so LP 0's control keys stay with the heir.
+        result = _shard_result(replica.engine, replica.scenario)
+        result["barrier_wait_s"] = 0.0
+        result["mail_bytes"] = replica.mail_bytes
+        yield ("adopted", dead, said, _ser().encode_payload(result))
 
     # -- the loop ------------------------------------------------------
     def run(self) -> Generator[tuple | None, tuple | None, None]:
-        """Build (or resume) the shard, run every window, report ``done``."""
+        """Build (or restore) the shard, replay its log, then run live.
+
+        A resumed shard (``config["resume"]``: its last cut or none, the
+        messages the coordinator sent it since, and how many it had sent
+        back) re-runs its own loop privately: inbound messages come from
+        the log and the first ``seen`` outbound ones are dropped, as their
+        recipients already have them. Everything after that is live.
+        """
         cfg = self.config
-        resume = cfg.get("resume") or {}
-        if resume.get("checkpoint") is not None:
-            i = self._restore(resume["checkpoint"])
-        else:
-            i = self._build(cfg["owned_lps"])
-        if resume.get("replay"):
-            i = self._replay(resume["replay"], i)
+        resume = cfg.get("resume") or {"checkpoint": None, "log": (), "seen": 0}
+        blob = resume["checkpoint"]
+        steps = self._loop(
+            self._restore(blob) if blob is not None else self._build(cfg["owned_lps"])
+        )
+        log = deque(resume["log"])
+        skip = resume["seen"]
+        msg = None
+        while True:
+            try:
+                out = steps.send(msg)
+            except StopIteration:
+                return
+            msg = None
+            if out is None:
+                msg = log.popleft() if log else (yield)
+            elif skip:
+                skip -= 1
+            else:
+                yield out
+
+    def _loop(self, i: int) -> Generator[tuple | None, tuple | None, None]:
+        """Run every window from ``i`` on, then report ``done``."""
         obs_on = self.obs_on
         clock = Stopwatch()
         waiting = Stopwatch()
@@ -196,12 +215,9 @@ class ShardWorker:
             )
             self._fault(w, True)
             waiting.restart()
-            msg = yield
+            msg = yield from self._recv()
             wait_s = waiting.elapsed()
             barrier_wait_s += wait_s
-            if msg[0] == "rollback":
-                i = self._rollback(msg)
-                continue
             _expect(msg, "mail", w, "the coordinator")
             if obs_on:
                 clock.restart()
@@ -222,7 +238,7 @@ class ShardWorker:
                         )
                     self.shard_of[mig_lp] = int(mig_dst)
                 yield ("migrate", w, outgoing)
-                inst = yield
+                inst = yield from self._recv()
                 _expect(inst, "install", w, "the coordinator")
                 self._install(inst[2])
             checkpoint_s = 0.0
@@ -248,4 +264,9 @@ class ShardWorker:
         if obs_on:
             # The process-global owners themselves; encoding pickles a copy.
             result["obs"] = {"registry": get_registry(), "trace": get_tracer()}
-        yield ("done", _ser().encode_payload(result))
+        last = self.boundaries[-1][0] if self.boundaries else -1
+        yield ("done", last, _ser().encode_payload(result))
+
+
+def _no_fault(kind: Any) -> None:
+    """A replica's planned faults fired on the dead shard's processes already."""

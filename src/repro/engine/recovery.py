@@ -24,18 +24,19 @@ Protocol sketch (details in docs/robustness.md):
   control plane (never barrier mail: checkpointing off is bit-identical
   to the pre-recovery wire protocol, zero extra mail bytes).
 * The controller verifies a sha256 digest, stores the blob in a
-  :class:`CheckpointStore` (in controller memory), and retains
-  every cross-shard mail batch *since* the last checkpoint.
+  :class:`CheckpointStore` (in controller memory), and logs every
+  message it sends each shard *since* the last commit (since the build
+  when nothing is committed): a shard is a deterministic function of
+  its build and its inbound messages.
 * Worker liveness rides the window acks. On a detected crash or hang
   the controller respawns the worker with exponential backoff, hands it
-  the last checkpoint plus the retained mail (a *replay buffer*), and
-  the worker replays forward privately to the crash window before
-  rejoining the live barrier protocol.
+  the last checkpoint plus its log, and the worker replays forward
+  privately to where it died before rejoining the live protocol.
 * When respawn is exhausted the degradation ladder continues to
-  *adoption*: every surviving worker rolls back to the common
-  checkpoint and one survivor adopts the dead shard's LPs through the
-  migration wire format; only after that fails does the run abort with
-  :class:`RecoveryExhaustedError`.
+  *adoption*: the least-loaded survivor rebuilds the dead shard the
+  same way in a second engine and takes its LPs over through the
+  migration wire format, while no survivor rewinds; only after that
+  fails does the run abort with :class:`RecoveryExhaustedError`.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ __all__ = [
 #:
 #: ``"respawn"`` — checkpoint + respawn with backoff; abort when retries
 #: are exhausted. ``"adopt"`` — like respawn, but when retries are
-#: exhausted survivors roll back to the common checkpoint and one of
-#: them adopts the dead shard's LPs. ``"fail"`` — no recovery at all:
+#: exhausted one survivor rebuilds the dead shard by replay and adopts
+#: its LPs. ``"fail"`` — no recovery at all:
 #: checkpoints are still taken (so the cadence can be benchmarked) but
 #: any worker loss re-raises immediately, matching the pre-recovery
 #: behavior.
@@ -107,13 +108,14 @@ class RecoveryConfig:
     """Controller-side configuration for checkpointing and recovery.
 
     Passing ``recovery=None`` to the backend (the default) disables the
-    whole subsystem: no checkpoint messages, no retained mail, wire
+    whole subsystem: no checkpoint messages, no message log, wire
     traffic bit-identical to a build without this module.
     """
 
     #: Capture a checkpoint every N barrier windows (after the window's
-    #: mail has been delivered). Smaller = less replay on recovery,
-    #: more capture/encode overhead.
+    #: mail has been delivered); ``0`` never cuts, and recovery replays
+    #: from the build. Smaller = less replay and log memory on
+    #: recovery, more capture/encode overhead.
     checkpoint_every_n_windows: int = 4
     #: Bounded respawn retries per worker incarnation chain.
     max_respawns: int = 2
@@ -132,8 +134,8 @@ class RecoveryConfig:
     fault_plan: Any = None
 
     def __post_init__(self) -> None:
-        if self.checkpoint_every_n_windows < 1:
-            raise ValueError("checkpoint_every_n_windows must be >= 1")
+        if self.checkpoint_every_n_windows < 0:
+            raise ValueError("checkpoint_every_n_windows must be >= 0")
         if self.max_respawns < 0:
             raise ValueError("max_respawns must be >= 0")
         if self.on_worker_loss not in ON_WORKER_LOSS_MODES:
@@ -171,7 +173,7 @@ class CheckpointStore:
 
     Only the *most recent* checkpoint per shard is retained — recovery
     always restores the last consistent cut, so older blobs (and the
-    mail retained to replay past them) are pruned as soon as a newer
+    log kept to replay past them) are pruned as soon as a newer
     checkpoint for every live shard lands.
     """
 
@@ -191,10 +193,6 @@ class CheckpointStore:
         self._latest[shard_id] = (window_index, blob)
         self.checkpoints_taken += 1
         self.checkpoint_bytes += len(blob)
-
-    def latest_window(self, shard_id: int) -> int:
-        """Window index of the shard's latest checkpoint, or ``-1``."""
-        return self._latest.get(shard_id, (-1, None))[0]
 
     def get(self, shard_id: int) -> bytes | None:
         """The shard's latest checkpoint blob, or None."""

@@ -298,9 +298,8 @@ def run_executed_workload(
     ``rebalance`` (a :class:`repro.partition.rebalance.RebalanceConfig`)
     turns on blame-driven online LP re-partitioning at barriers;
     ``recovery`` (a :class:`repro.engine.recovery.RecoveryConfig`) turns
-    on barrier-aligned checkpointing plus worker respawn/adoption — the
-    two are mutually exclusive (the engine constructor refuses the
-    combination); ``faults`` injects a fault schedule into the workload
+    on barrier-aligned checkpointing plus worker respawn/adoption by
+    replay, and the two combine; ``faults`` injects a fault schedule into the workload
     (both the reference and the multi-process pass see it, so the
     byte-identity guarantee still holds).
     """

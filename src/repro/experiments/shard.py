@@ -114,8 +114,7 @@ class LpStatePort:
     because construction is replayed identically everywhere.
 
     The assignment and the links are static, so which ends and streams
-    an LP takes along is worked out once here. At a checkpoint the
-    slices are selected from the cut's columns instead of read again.
+    an LP takes along is worked out once here.
     """
 
     def __init__(self, sim: NetworkSimulator, assignment: Any) -> None:
@@ -133,14 +132,9 @@ class LpStatePort:
         #: stream keys of the links it owns both ends of)
         self.takes = {lp: (e, frozenset(keys.get(lp, ()))) for lp, e in ends.items()}
 
-    def capture(self, lp: int, cut: dict[str, Any] | None = None) -> dict[str, Any]:
-        """The state ``lp`` takes along.
-
-        ``cut`` is the same barrier's :meth:`ShardCheckpointPort.capture`,
-        when there is one: the slice is then selected from its columns.
-        """
-        columns = None if cut is None else cut["sim"]["link_table"]
-        return self.table.capture_lp(*self.takes.get(lp, _NOTHING), columns)
+    def capture(self, lp: int) -> dict[str, Any]:
+        """The state ``lp`` takes along."""
+        return self.table.capture_lp(*self.takes.get(lp, _NOTHING))
 
     def restore(self, lp: int, state: dict[str, Any]) -> None:
         """Apply a :meth:`capture` blob on the adopting shard."""

@@ -108,10 +108,11 @@ class FaultPlan:
     ) -> "FaultPlan":
         """A seeded draw of ``kills`` worker crashes at random windows.
 
-        Shard 0 is never targeted (it owns the replicated control LP, a
-        documented boundary of the degradation ladder), and each drawn
-        ``(window, shard)`` pair is distinct. Every choice consumes the
-        single Generator in source order — same inputs, same plan.
+        Every shard is a target, shard 0 (the control owner) included,
+        and each drawn ``(window, shard)`` pair is distinct. With fewer
+        than two shards the plan is empty: adoption needs a survivor.
+        Every choice consumes the single Generator in source order —
+        same inputs, same plan.
 
         Repeated kills of the same shard are assigned increasing
         incarnations in window order: the first kill fires on the
@@ -130,7 +131,7 @@ class FaultPlan:
         for _ in range(kills):
             for _attempt in range(64):
                 window = int(rng.integers(num_windows))
-                shard = 1 + int(rng.integers(procs - 1))
+                shard = int(rng.integers(procs))
                 if (window, shard) not in chosen:
                     chosen.add((window, shard))
                     drawn.append((window, shard))

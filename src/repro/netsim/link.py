@@ -182,20 +182,17 @@ class LinkTable:
         self._resume(state["streams"])
         self.fast[:] = [self._fast(i) for i in range(len(self.links))]
 
-    def capture_lp(
-        self, ends: Sequence[int], keys: frozenset[int], cut: dict[str, Any] | None = None
-    ) -> dict[str, Any]:
-        """What moves with an LP, selected from ``cut`` (a :meth:`capture`
-        of this table; taken now when not given).
+    def capture_lp(self, ends: Sequence[int], keys: frozenset[int]) -> dict[str, Any]:
+        """What moves with an LP, selected from the live columns.
 
         ``ends`` are the link ends the LP transmits from, ``keys`` the
         stream keys of the links it owns both ends of; a stream not yet
-        created is left out.
+        created is left out. Each entry is what :meth:`capture` holds.
         """
-        if cut is None:  # a migration outside a checkpoint
-            cut = self.capture()
-        busy = cut["busy_until"]
-        streams = {k: s for k, s in cut["streams"].items() if k in keys}
+        busy = self.busy_until
+        streams = {
+            k: g.bit_generator.state for k, g in sorted(self.streams.items()) if k in keys
+        }
         return {"busy_until": [busy[e] for e in ends], "streams": streams}
 
     def restore_lp(self, ends: Sequence[int], keys: frozenset[int], state: dict[str, Any]) -> None:

@@ -184,7 +184,7 @@ RECOVERY_RESPAWNS = _declare(
     "recovery.respawns", "Worker respawn attempts launched after a detection."
 )
 RECOVERY_REPLAYED = _declare(
-    "recovery.windows.replayed", "Barrier windows re-executed from retained mail during recovery."
+    "recovery.windows.replayed", "Barrier windows re-executed from the message log during recovery."
 )
 RECOVERY_ADOPTIONS = _declare(
     "recovery.adoptions.degraded", "Degraded adoptions of a dead shard's LPs by a survivor."

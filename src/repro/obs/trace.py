@@ -191,7 +191,7 @@ class RecoveryRecord:
     describes. ``kind`` is one of ``'checkpoint'`` (a consistent cut
     committed across all shards), ``'detect'`` (a worker declared
     crashed or hung), ``'respawn'`` (a replacement incarnation
-    launched), ``'replay'`` (retained-mail windows re-executed), or
+    launched), ``'replay'`` (logged windows re-executed), or
     ``'adopt'`` (a dead shard's LPs folded onto a survivor). ``detail``
     carries kind-specific context — digests, exit codes, replay extents.
     """

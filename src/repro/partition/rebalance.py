@@ -229,6 +229,8 @@ class Rebalancer:
         self._streak = 0
         self._cooldown = 0
         self.migrations: list[MigrationDecision] = []
+        #: shards adopted away by recovery: never a destination again
+        self.dead: set[int] = set()
         self.triggers = 0
         self.candidates_scored = 0
 
@@ -241,6 +243,11 @@ class Rebalancer:
         re-balancer can never decide again.
         """
         return len(self.migrations) >= self.config.max_migrations
+
+    def adopt(self, dead: int, heir: int) -> None:
+        """Recovery handed shard ``dead``'s LPs to ``heir``."""
+        self.shard_of[self.shard_of == dead] = heir
+        self.dead.add(dead)
 
     # ------------------------------------------------------------------
     # Per-window ingestion
@@ -390,7 +397,7 @@ class Rebalancer:
             (lp, dst)
             for lp in on_blamed
             for dst in range(self.num_shards)
-            if dst != blamed
+            if dst != blamed and dst not in self.dead
         ]
         if not moves:
             return None

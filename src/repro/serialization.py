@@ -160,7 +160,7 @@ def encode_payload(obj: Any) -> bytes:
 
     Every object the multi-process backend ships between controller and
     workers — worker configs, barrier mail, LP migrations, checkpoints,
-    replay buffers, result envelopes — goes through this one choke
+    replay logs, result envelopes — goes through this one choke
     point: a versioned, magic-prefixed pickle.
     The version header turns controller/worker skew into a
     :class:`PayloadFormatError` instead of silent corruption, and the

@@ -54,10 +54,10 @@ def _counted_cut(net):
     gc.disable()
     try:
         before = len(gc.get_objects())
-        cut = scenario.capture_shard()
+        cut = scenario.capture_shard()  # held: what it allocated stays counted
         cut_objects = len(gc.get_objects()) - before
         before = len(gc.get_objects())
-        slices = {lp: scenario.capture_lp(lp, cut) for lp in (0, 1)}
+        slices = {lp: scenario.capture_lp(lp) for lp in (0, 1)}
         slice_objects = len(gc.get_objects()) - before
     finally:
         gc.enable()

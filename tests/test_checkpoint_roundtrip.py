@@ -40,9 +40,7 @@ from repro.engine.parallel.shard import (
 from repro.engine.recovery import checkpoint_digest
 from repro.engine.windows import iter_windows
 from repro.experiments.shard import (
-    DeliveryRecorder,
     LpStatePort,
-    ShardCheckpointPort,
     chain_spec,
     udp_spec,
 )
@@ -185,7 +183,7 @@ def test_digest_is_stable_across_processes():
 
 
 # ----------------------------------------------------------------------
-# Oracle: an LP state selected from the cut == the link's own LP slice
+# Oracle: an LP state restores as the link's own LP slice
 # ----------------------------------------------------------------------
 #: one link's state: ``None`` = as built, else what to move off it
 LINK_STATE = st.none() | st.fixed_dictionaries(
@@ -241,10 +239,9 @@ def test_lp_states_selected_from_the_cut_restore_as_each_links_own_slice(data):
         return sim, old_links
 
     source, old_source = built(at_cut)
-    cut = ShardCheckpointPort(source, DeliveryRecorder(source, source.sched)).capture()
     port = LpStatePort(source, assignment)
     for lp in range(num_lps):
-        selected = decode_payload(encode_payload(port.capture(lp, cut)))
+        selected = decode_payload(encode_payload(port.capture(lp)))
         own = {
             idx: lr.capture((assignment[lr.link.u] == lp, assignment[lr.link.v] == lp))
             for idx, lr in enumerate(old_source)
@@ -255,5 +252,3 @@ def test_lp_states_selected_from_the_cut_restore_as_each_links_own_slice(data):
         for idx, state in decode_payload(encode_payload(own)).items():
             via_links[idx].restore(state)
         assert oracle.per_link(via_cut.links) == oracle.per_link(via_links)
-        # ... and a migration outside a checkpoint carries the same slice
-        assert port.capture(lp) == selected

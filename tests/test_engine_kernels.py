@@ -179,7 +179,7 @@ class TestSimKernel:
         for t in range(5):
             k.schedule_at(float(t), lambda: None)
         assert k.run(max_events=3) == 3
-        assert k.pending == 2
+        assert len(k.queue) == 2
 
     def test_max_events_stop_leaves_clock_at_last_event(self):
         # Stopping on max_events with work still pending before ``until``

@@ -52,18 +52,13 @@ def registered_names(monkeypatch) -> set[str]:
     # The shard engine registers the engine.* set and the worker-side
     # parallel.* set (per-worker recording with shard labels);
     # constructing the controller registers the controller-side parallel
-    # instruments (with a rebalance config, the rebalance.* set too),
-    # and the calibration.* set lives in the CalibrationRecorder. No
-    # worker processes start until run_scenario().
+    # instruments (with a rebalance config the rebalance.* set too, with
+    # a recovery config the recovery.* set), and the calibration.* set
+    # lives in the CalibrationRecorder. No worker processes start until
+    # run_scenario().
     ParallelConservativeEngine(
         np.zeros(net.num_nodes, dtype=np.int64), 1, 1.0,
-        rebalance=RebalanceConfig(),
-    )
-    # Recovery is mutually exclusive with rebalance, so the recovery.*
-    # instrument set needs its own controller construction.
-    ParallelConservativeEngine(
-        np.zeros(net.num_nodes, dtype=np.int64), 1, 1.0,
-        recovery=RecoveryConfig(),
+        rebalance=RebalanceConfig(), recovery=RecoveryConfig(),
     )
     CalibrationRecorder()
     fib = ForwardingPlane(net)

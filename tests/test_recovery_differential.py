@@ -7,8 +7,11 @@ single-process run of the same seeded workload — through checkpoint
 restore + respawn, and through the degraded survivor-adoption rung.
 Also pinned here: checkpointing itself never perturbs the run (same
 log, zero added mail bytes), recovery disabled is exactly the pre-PR
-engine, and the escalation modes ('fail', exhausted 'respawn') raise
-typed errors instead of diverging silently.
+engine, recovery composes with online rebalancing, with a second loss,
+a loss after an adoption and the loss of shard 0, replay from the build
+(no cuts) keeps the merged obs counters exact, and the escalation modes
+('fail', exhausted 'respawn') raise typed errors instead of diverging
+silently.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import test_differential_determinism as determinism
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.parallel import (
     LocalShardGroup,
@@ -32,8 +38,11 @@ from repro.experiments.shard import (
     merge_collected,
     run_reference,
 )
+from repro.faults import FaultEvent, FaultKind
 from repro.faults.plan import FaultPlan, ProcessFault, ProcessFaultKind
-from repro.partition.rebalance import RebalanceConfig
+from repro.obs import export
+from repro.obs.distributed import merged_registry_snapshot
+from repro.obs.registry import observed_run
 
 NUM_NODES = 8
 LATENCY_S = 1e-4
@@ -90,6 +99,34 @@ def _assert_matches(result, ref):
     return merged
 
 
+def _assert_identical(result, ref, where=""):
+    """``_assert_matches`` plus the fault trace the control owner reports."""
+    merged = merge_collected(result.collected)
+    assert delivery_log_bytes(merged) == delivery_log_bytes(ref), where
+    for key in ("counters", "node_packets", "faults", "fault_counts"):
+        assert merged.get(key) == ref.get(key), f"{key} {where}"
+
+
+#: a loss burst and a link flap on the chain: pending fault applications
+#: are control events, so LP 0 carries them and every shard replays them.
+#: The burst is on link 0, inside LP 0 for every split used here: a
+#: link's loss stream must be drawn by one LP's events only.
+CHAIN_FAULTS = [
+    FaultEvent(0.0003, FaultKind.LOSS_BURST_START, (0,), (("loss_prob", 0.3),)),
+    FaultEvent(0.0005, FaultKind.LINK_DOWN, (5,)),
+    FaultEvent(0.0007, FaultKind.LINK_UP, (5,)),
+    FaultEvent(0.0013, FaultKind.LOSS_BURST_END, (0,)),
+]
+
+
+def _short_faulted_spec():
+    """The chain with :data:`CHAIN_FAULTS`, all traffic inside 20 windows."""
+    spec = chain_spec(
+        num_nodes=NUM_NODES, latency_s=LATENCY_S, packets=12, faults=CHAIN_FAULTS
+    )
+    return replace(spec, params={**spec.params, "inject_window_s": 0.0015})
+
+
 @pytest.fixture(scope="module")
 def ref2():
     return run_reference(_spec(), ASSIGN2, 2, LATENCY_S, UNTIL)[1]
@@ -121,17 +158,58 @@ class TestCheckpointingIsFree:
         _assert_matches(result, ref2)
         assert result.recovery is None
 
-    def test_recovery_and_rebalance_are_mutually_exclusive(self):
-        with pytest.raises(ValueError):
-            ParallelConservativeEngine(
-                ASSIGN2, 2, LATENCY_S, procs=2,
-                rebalance=RebalanceConfig(), recovery=RecoveryConfig(),
-            )
-        with pytest.raises(ValueError):
-            LocalShardGroup(
-                ASSIGN2, 2, LATENCY_S, procs=2,
-                rebalance=RebalanceConfig(), recovery=RecoveryConfig(),
-            )
+
+class TestRecoveryWithRebalance:
+    """Recovery composes with online rebalancing: the migration's
+    payloads are in the same per-shard log a respawn and an adopter
+    replay. ``TestRebalanceDeterminism``'s chaos-straggler run, with its
+    first migration's source and destination shards killed before, at and
+    after the migration window, before and after sending, on both
+    transports, stays byte-identical to the single-process reference;
+    under ``respawn`` the rebalancer decides exactly the unkilled run's
+    migrations."""
+
+    RB = determinism.TestRebalanceDeterminism
+
+    @pytest.fixture(scope="class")
+    def unkilled(self):
+        rb = self.RB
+        plain = LocalShardGroup(
+            rb._assignment(4), 4, rb.LOOKAHEAD, procs=2, rebalance=rb._config()
+        ).run_scenario(rb._spec(2), until=rb.UNTIL)
+        assert plain.migrations
+        return rb._ref(), plain.migrations
+
+    @pytest.mark.parametrize("mode", ["respawn", "adopt"])
+    @pytest.mark.parametrize("backend", [LocalShardGroup, ParallelConservativeEngine])
+    def test_kills_around_the_first_migration(self, backend, mode, unkilled):
+        rb = self.RB
+        ref, migrations = unkilled
+        first = migrations[0]
+        for shard in (first.src_shard, first.dst_shard):
+            for window in range(first.window_index - 1, first.window_index + 2):
+                for after_send in (False, True):
+                    plan = FaultPlan([
+                        ProcessFault(window, shard, ProcessFaultKind.SIGKILL,
+                                     after_send=after_send)
+                    ])
+                    recovery = RecoveryConfig(
+                        checkpoint_every_n_windows=4,
+                        max_respawns=0 if mode == "adopt" else 1,
+                        on_worker_loss=mode, backoff_base_s=0.0, fault_plan=plan,
+                    )
+                    result = backend(
+                        rb._assignment(4), 4, rb.LOOKAHEAD, procs=2,
+                        rebalance=rb._config(), recovery=recovery,
+                    ).run_scenario(rb._spec(2), until=rb.UNTIL)
+                    where = f"shard {shard}, window {window}, after_send={after_send}"
+                    _assert_identical(result, ref, where)
+                    if mode == "respawn":
+                        assert result.migrations == migrations, where
+                        assert result.recovery["respawns"] == 1, where
+                    else:
+                        assert result.recovery["adoptions"] == 1, where
+                        assert result.shards[shard] == [], where
 
 
 class TestRespawnByteIdentity:
@@ -362,18 +440,171 @@ class TestLocalGroupParity:
         assert result.shards == [[0, 3], [1, 2], [], []]
 
 
+class TestLossesAfterAdoptionAndOfShardZero:
+    """A loss after an adoption and before the next commit is recovered
+    like any other, and shard 0 — the control owner — is adopted like
+    any other shard, its heir taking the control plane over. Both transports, on the chain with a fault schedule, so
+    the fault trace the control owner reports is compared too."""
+
+    UNTIL = 0.02
+
+    @pytest.fixture(scope="class")
+    def faulted(self):
+        spec = chain_spec(
+            num_nodes=9, latency_s=LATENCY_S, packets=PACKETS, faults=CHAIN_FAULTS
+        )
+        assign3 = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2])
+        return spec, assign3, run_reference(spec, assign3, 3, LATENCY_S, self.UNTIL)[1]
+
+    def _both(self, faulted, recovery):
+        spec, assign3, ref = faulted
+        results = [
+            backend(assign3, 3, LATENCY_S, procs=3, recovery=recovery).run_scenario(
+                spec, until=self.UNTIL
+            )
+            for backend in (ParallelConservativeEngine, LocalShardGroup)
+        ]
+        for result in results:
+            _assert_identical(result, ref)
+        assert {k: results[0].recovery[k] for k in PARITY_KEYS} == {
+            k: results[1].recovery[k] for k in PARITY_KEYS
+        }
+        assert results[0].shards == results[1].shards
+        return results[1]
+
+    def test_heir_and_another_shard_lost_before_the_next_commit(self, faulted):
+        # Shard 2 is adopted by shard 0 at window 30; the heir dies at 35
+        # and shard 1 at 38, all before the commit after window 63.
+        plan = FaultPlan([
+            ProcessFault(20, 2, ProcessFaultKind.SIGKILL, incarnation=0),
+            ProcessFault(30, 2, ProcessFaultKind.SIGKILL, incarnation=1),
+            ProcessFault(35, 0, ProcessFaultKind.SIGKILL, incarnation=0),
+            ProcessFault(38, 1, ProcessFaultKind.SIGKILL, incarnation=0, after_send=True),
+        ])
+        result = self._both(faulted, RecoveryConfig(
+            checkpoint_every_n_windows=64, max_respawns=1,
+            on_worker_loss="adopt", backoff_base_s=0.0, fault_plan=plan,
+        ))
+        assert result.recovery["adoptions"] == 1
+        assert result.recovery["respawns"] == 3
+        assert result.shards == [[0, 2], [1], []]
+
+    def test_shard_zero_lost_past_its_respawn_budget_is_adopted(self, faulted):
+        plan = FaultPlan([
+            ProcessFault(40, 0, ProcessFaultKind.SIGKILL, incarnation=0),
+            ProcessFault(90, 0, ProcessFaultKind.SIGKILL, incarnation=1),
+        ])
+        result = self._both(faulted, RecoveryConfig(
+            checkpoint_every_n_windows=16, max_respawns=1,
+            on_worker_loss="adopt", backoff_base_s=0.0, fault_plan=plan,
+        ))
+        assert result.recovery["adoptions"] == 1
+        assert result.recovery["dead_shards"] == [0]
+        assert result.shards == [[], [0, 1], [2]]
+
+
+class TestExactObsAfterReplayFromTheBuild:
+    """With no cuts a respawn and an adopter replay from the build, so
+    every window is observed once in a process that ships its registry:
+    the merged ``engine.*`` and ``netsim.*`` instruments equal an
+    uninterrupted observed run's. Real processes only: the in-process
+    group shares one registry, which keeps a dead endpoint's increments."""
+
+    @staticmethod
+    def _view(plan):
+        recovery = RecoveryConfig(
+            checkpoint_every_n_windows=0, max_respawns=1, on_worker_loss="adopt",
+            backoff_base_s=0.0, fault_plan=plan,
+        )
+        with observed_run():
+            result = ParallelConservativeEngine(
+                ASSIGN2, 2, LATENCY_S, procs=2, recovery=recovery
+            ).run_scenario(_spec(), until=0.02)
+            doc = export.snapshot(merged_registry_snapshot(result))
+        view = {
+            section: {
+                name: value for name, value in doc[section].items()
+                if name.startswith(("engine.", "netsim."))
+            }
+            for section in ("counters", "vectors", "gauges", "histograms", "series")
+        }
+        return result, view
+
+    def test_merged_counters_equal_the_uninterrupted_run(self):
+        _, plain = self._view(None)
+        result, recovered = self._view(FaultPlan([
+            ProcessFault(40, 1, ProcessFaultKind.SIGKILL, incarnation=0),
+            ProcessFault(120, 1, ProcessFaultKind.SIGKILL, incarnation=1),
+        ]))
+        assert (result.recovery["respawns"], result.recovery["adoptions"]) == (1, 1)
+        assert plain["counters"]["engine.events.executed"] > 0
+        assert recovered == plain
+
+
+class TestRandomLossPlans:
+    """Plans of one to three kills at any shard, window and phase —
+    second losses and losses after an adoption included — under
+    ``respawn`` or ``adopt`` at every cadence from none to 3: the run
+    equals ``run_reference``, or ends in one of the ladder's two
+    documented ends (a loss at the final barrier once the survivors have
+    finished, or no survivor left)."""
+
+    UNTIL = 0.002  # 20 barrier windows
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_any_plan_recovers_byte_identically(self, data):
+        procs = data.draw(st.integers(2, 3), label="procs")
+        windows = len(list(iter_windows(0.0, LATENCY_S, self.UNTIL)))
+        kills = sorted(data.draw(st.lists(
+            st.tuples(
+                st.integers(0, windows - 1), st.integers(0, procs - 1), st.booleans()
+            ),
+            min_size=1, max_size=3, unique=True,
+        ), label="kills (window, shard, after_send)"))
+        mode = data.draw(st.sampled_from(["respawn", "adopt"]), label="mode")
+        every = data.draw(st.integers(0, 3), label="cadence")
+        budget = data.draw(st.integers(0, 1), label="max_respawns") if mode == "adopt" else 3
+        faults, incarnation = [], {}
+        for window, shard, after_send in kills:
+            incarnation[shard] = incarnation.get(shard, -1) + 1
+            faults.append(ProcessFault(
+                window, shard, ProcessFaultKind.SIGKILL,
+                incarnation=incarnation[shard], after_send=after_send,
+            ))
+        assignment = np.array([node * procs // NUM_NODES for node in range(NUM_NODES)])
+        spec = _short_faulted_spec()
+        ref = run_reference(spec, assignment, procs, LATENCY_S, self.UNTIL)[1]
+        recovery = RecoveryConfig(
+            checkpoint_every_n_windows=every, max_respawns=budget,
+            on_worker_loss=mode, backoff_base_s=0.0, fault_plan=FaultPlan(faults),
+        )
+        try:
+            result = _local(spec, procs, assignment, procs, recovery, until=self.UNTIL)
+        except RecoveryExhaustedError as exc:
+            assert mode == "adopt", exc
+            last_after_send = any(w == windows - 1 and after for w, _, after in kills)
+            lost = {shard for shard, n in incarnation.items() if n >= budget}
+            assert ("final barrier" in str(exc) and last_after_send) or (
+                "no survivor" in str(exc) and len(lost) == procs
+            ), exc
+            return
+        _assert_identical(result, ref, f"{kills} {mode} every={every}")
+
+
 class TestInlineFaultSweep:
     """Every fault point of a short run, on the in-process transport:
     the ladder the real-process tests sample is swept exhaustively."""
 
     UNTIL = 0.002  # 20 barrier windows
 
-    @pytest.mark.parametrize("every", [1, 3])
+    @pytest.mark.parametrize("shard", [0, 1])
+    @pytest.mark.parametrize("every", [0, 1, 3])
     @pytest.mark.parametrize("mode", ["respawn", "adopt"])
-    def test_every_fault_point_recovers_byte_identically(self, mode, every):
-        spec = chain_spec(num_nodes=NUM_NODES, latency_s=LATENCY_S, packets=12)
-        spec = replace(spec, params={**spec.params, "inject_window_s": 0.0015})
+    def test_every_fault_point_recovers_byte_identically(self, mode, every, shard):
+        spec = _short_faulted_spec()
         ref = run_reference(spec, ASSIGN2, 2, LATENCY_S, self.UNTIL)[1]
+        assert ref["faults"]  # LP 0 carries control events
         plain = _local(spec, 2, ASSIGN2, 2, None, until=self.UNTIL)
         assert plain.total_mail_bytes > 0  # the chain does cross the shards
         windows = len(list(iter_windows(0.0, LATENCY_S, self.UNTIL)))
@@ -381,7 +612,7 @@ class TestInlineFaultSweep:
         for window in range(windows):
             for after_send in (False, True):
                 plan = FaultPlan([
-                    ProcessFault(window, 1, ProcessFaultKind.SIGKILL,
+                    ProcessFault(window, shard, ProcessFaultKind.SIGKILL,
                                  after_send=after_send)
                 ])
                 recovery = RecoveryConfig(
@@ -392,15 +623,13 @@ class TestInlineFaultSweep:
                 where = f"window {window}, after_send={after_send}"
                 if mode == "adopt" and after_send and window == windows - 1:
                     # Documented limit: the survivor was answered first
-                    # and has finished; there is no barrier left to roll
-                    # back to. Typed, not a protocol desync.
+                    # and has finished; no one is left waiting to adopt
+                    # the dead shard. Typed, not a protocol desync.
                     with pytest.raises(RecoveryExhaustedError):
                         _local(spec, 2, ASSIGN2, 2, recovery, until=self.UNTIL)
                     continue
                 result = _local(spec, 2, ASSIGN2, 2, recovery, until=self.UNTIL)
-                merged = merge_collected(result.collected)
-                assert delivery_log_bytes(merged) == delivery_log_bytes(ref), where
-                assert merged["counters"] == ref["counters"], where
+                _assert_identical(result, ref, where)
                 if mode == "respawn":  # replayed mail is counted, once
                     assert result.mail_bytes == plain.mail_bytes, where
                 assert (
