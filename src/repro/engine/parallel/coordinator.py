@@ -17,7 +17,7 @@ import time
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -48,27 +48,35 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Controller-side instruments (rebalance.* / recovery.*)
+# Controller-side instruments
 # ----------------------------------------------------------------------
 #: bucket bounds of the blame-concentration histogram — shared between
 #: eager registration and per-migration recording (histograms only
 #: merge across identical bounds)
 _CONCENTRATION_BOUNDS = (0.25, 0.5, 0.75, 0.9, 1.0)
 
-
-def _register_rebalance_instruments(reg) -> None:
-    """Register the ``rebalance.*`` instruments up front.
-
-    Called from the backend constructor when a rebalance config is
-    present, so the instruments exist in snapshots taken *before* the
-    first trigger or migration (and so the names-drift check sees them
-    by constructing an engine, like every other instrumented component).
-    """
-    reg.counter(obs_names.REBALANCE_TRIGGERS)
-    reg.counter(obs_names.REBALANCE_CANDIDATES)
-    reg.counter(obs_names.REBALANCE_MIGRATIONS)
-    reg.counter(obs_names.REBALANCE_STATE_BYTES)
-    reg.histogram(obs_names.REBALANCE_CONCENTRATION, _CONCENTRATION_BOUNDS)
+#: The counts the controller keeps, read off a run (a backend's
+#: ``last_run``): the window rows every shard's ``window`` message adds
+#: to (workers never fill ``window_stats``) and, with their configs, the
+#: rebalancer's and the recovery ladder's tallies.
+_RUN_READS: dict[str, Callable[["Coordinator"], Any]] = {
+    obs_names.ENGINE_WINDOWS: lambda run: run.recorded,
+    obs_names.ENGINE_LP_EVENTS: lambda run: run.events[: run.recorded].sum(axis=0),
+    obs_names.ENGINE_LP_REMOTE_SENDS: lambda run: run.remote[: run.recorded].sum(axis=0),
+}
+_REBALANCE_READS: dict[str, Callable[["Coordinator"], Any]] = {
+    obs_names.REBALANCE_TRIGGERS: lambda run: run.rebalancer.triggers,
+    obs_names.REBALANCE_CANDIDATES: lambda run: run.rebalancer.candidates_scored,
+    obs_names.REBALANCE_MIGRATIONS: lambda run: len(run.migrations),
+}
+_RECOVERY_READS: dict[str, Callable[["Coordinator"], Any]] = {
+    obs_names.RECOVERY_CHECKPOINTS: lambda run: run.store.checkpoints_taken,
+    obs_names.RECOVERY_CHECKPOINT_BYTES: lambda run: run.store.checkpoint_bytes,
+    obs_names.RECOVERY_DETECTIONS: lambda run: run.stats["detections"],
+    obs_names.RECOVERY_RESPAWNS: lambda run: run.stats["respawns"],
+    obs_names.RECOVERY_REPLAYED: lambda run: run.stats["windows_replayed"],
+    obs_names.RECOVERY_ADOPTIONS: lambda run: run.stats["adoptions"],
+}
 
 
 def _record_migration_obs(decision, state_bytes: int) -> None:
@@ -76,7 +84,6 @@ def _record_migration_obs(decision, state_bytes: int) -> None:
     reg = get_registry()
     if not reg.enabled:
         return
-    reg.counter(obs_names.REBALANCE_MIGRATIONS).inc()
     reg.counter(obs_names.REBALANCE_STATE_BYTES).inc(float(state_bytes))
     reg.histogram(
         obs_names.REBALANCE_CONCENTRATION, _CONCENTRATION_BOUNDS
@@ -90,18 +97,6 @@ def _record_migration_obs(decision, state_bytes: int) -> None:
         decision.predicted_gain_s,
         state_bytes,
     )
-
-
-def _record_rebalance_counters(rebalancer, prev: tuple[int, int]) -> tuple[int, int]:
-    """Flush trigger/candidate-count deltas into registry counters."""
-    reg = get_registry()
-    triggers, scored = rebalancer.triggers, rebalancer.candidates_scored
-    if reg.enabled:
-        if triggers > prev[0]:
-            reg.counter(obs_names.REBALANCE_TRIGGERS).inc(float(triggers - prev[0]))
-        if scored > prev[1]:
-            reg.counter(obs_names.REBALANCE_CANDIDATES).inc(float(scored - prev[1]))
-    return triggers, scored
 
 
 def _build_rebalancer(config, shards, num_lps, spec, until):
@@ -119,37 +114,6 @@ def _build_rebalancer(config, shards, num_lps, spec, until):
     if faults:
         spans = slowdown_spans(faults, float(until))
     return Rebalancer(config, shards, num_lps, spans=spans)
-
-
-def _register_recovery_instruments(reg) -> None:
-    """Register the ``recovery.*`` instruments up front (see rebalance)."""
-    reg.counter(obs_names.RECOVERY_CHECKPOINTS)
-    reg.counter(obs_names.RECOVERY_CHECKPOINT_BYTES)
-    reg.counter(obs_names.RECOVERY_DETECTIONS)
-    reg.counter(obs_names.RECOVERY_RESPAWNS)
-    reg.counter(obs_names.RECOVERY_REPLAYED)
-    reg.counter(obs_names.RECOVERY_ADOPTIONS)
-
-
-def _record_recovery_obs(kind: str, window_index: int, shard_id: int, **detail) -> None:
-    """Controller-side recovery instruments + trace record (obs-gated)."""
-    reg = get_registry()
-    if reg.enabled:
-        if kind == "checkpoint":
-            reg.counter(obs_names.RECOVERY_CHECKPOINTS).inc()
-            reg.counter(obs_names.RECOVERY_CHECKPOINT_BYTES).inc(
-                float(detail.get("nbytes", 0))
-            )
-        elif kind == "detect":
-            reg.counter(obs_names.RECOVERY_DETECTIONS).inc()
-        elif kind == "respawn":
-            reg.counter(obs_names.RECOVERY_RESPAWNS).inc()
-            reg.counter(obs_names.RECOVERY_REPLAYED).inc(
-                float(detail.get("replayed", 0))
-            )
-        elif kind == "adopt":
-            reg.counter(obs_names.RECOVERY_ADOPTIONS).inc()
-    get_tracer().recovery_step(window_index, shard_id, kind, **detail)
 
 
 # ----------------------------------------------------------------------
@@ -223,6 +187,8 @@ class Coordinator:
         #: shards as their window messages arrive (cost-model ready)
         self.events = np.zeros((len(self.boundaries), num_lps), dtype=np.int64)
         self.remote = np.zeros_like(self.events)
+        #: windows recorded so far (every phase of each one done)
+        self.recorded = 0
         #: THE placement: LPs per shard, changed only by ``migration_round``
         #: and ``adopt``; the result is derived from it
         self.shards = [list(s) for s in backend.shards]
@@ -231,7 +197,6 @@ class Coordinator:
         self.base = [list(s) for s in backend.shards]
 
         self.rebalancer = None
-        self.rb_counts = (0, 0)
         self.migrations: list = []
         if backend.rebalance is not None:
             self.rebalancer = _build_rebalancer(
@@ -386,9 +351,7 @@ class Coordinator:
         if rebalancer is None or rebalancer.retired:
             return None
         xshard_sum = np.sum([m[5] for m in msgs.values()], axis=0, dtype=np.int64)
-        decision = rebalancer.observe_window(w, start, end, self.events[w], xshard_sum)
-        self.rb_counts = _record_rebalance_counters(rebalancer, self.rb_counts)
-        return decision
+        return rebalancer.observe_window(w, start, end, self.events[w], xshard_sum)
 
     def route_mail(self, w: int, msgs: dict, decision) -> None:
         """Answer every live shard with its inbound mail (and the plan).
@@ -456,7 +419,7 @@ class Coordinator:
         for shard_id in sorted(got):
             digest, blob = got[shard_id]
             self.store.put(shard_id, w, digest, blob)
-            _record_recovery_obs("checkpoint", w, shard_id, nbytes=len(blob))
+            get_tracer().recovery_step(w, shard_id, "checkpoint", nbytes=len(blob))
         self.committed = w
         self.base = [list(s) for s in self.shards]
         for shard_id in self.live():
@@ -464,11 +427,9 @@ class Coordinator:
             self.seen[shard_id] = 0
 
     def record_window(self, w: int) -> None:
-        """Window-level instruments, once per window."""
-        backend = self.backend
-        if backend._obs.enabled:
-            backend._obs_windows.inc()
-            backend._obs_window_hist.observe(float(self.events[w].sum()))
+        """Close window ``w``: its rows are final, its event total observed."""
+        self.recorded = w + 1
+        self.backend._obs_window_hist.observe(float(self.events[w].sum()))
 
     def collect_results(self) -> list[dict]:
         """Receive ``done`` from every live shard; one result per shard."""
@@ -493,8 +454,8 @@ class Coordinator:
             raise exc
         rec = self.rec
         self.stats["detections"] += 1
-        _record_recovery_obs(
-            "detect", w, shard_id,
+        get_tracer().recovery_step(
+            w, shard_id, "detect",
             hung=bool(getattr(exc, "hung", False)),
             exitcode=getattr(exc, "exitcode", None),
         )
@@ -516,7 +477,7 @@ class Coordinator:
         replayed = sum(1 for msg in resume["log"] if msg[0] == "mail")
         self.stats["respawns"] += 1
         self.stats["windows_replayed"] += replayed
-        _record_recovery_obs("respawn", w, shard_id, attempt=attempt, replayed=replayed)
+        get_tracer().recovery_step(w, shard_id, "respawn", attempt=attempt, replayed=replayed)
 
     def resume(self, shard_id: int) -> dict:
         """What rebuilds ``shard_id`` where it was: its cut and its log."""
@@ -556,7 +517,7 @@ class Coordinator:
         self.inbox[dead].extend(said)
         self.dead_results[dead] = _ser().decode_payload(result)
         self.stats["adoptions"] += 1
-        _record_recovery_obs("adopt", w, dead, adopter=heir)
+        get_tracer().recovery_step(w, dead, "adopt", adopter=heir)
 
     # -- result --------------------------------------------------------
     def assemble(self, results: list[dict], wall_s: float) -> "ParallelRunResult":
@@ -673,23 +634,24 @@ class ParallelConservativeEngine:
         self.rebalance = rebalance
         self.recovery = recovery
 
-        # Controller-side instruments: only the *global* per-window
-        # aggregates a single worker cannot know (the window count and
-        # the all-shards event-count distribution). Everything per-worker
-        # — barrier waits, mail bytes, worker events — is recorded inside
-        # the workers with shard labels and arrives via snapshot merging
-        # (repro.obs.distributed); in-process shards write the one
-        # process-global registry directly, so there is nothing to merge.
+        # Controller-side instruments; per-worker ones arrive by snapshot
+        # merging (repro.obs.distributed), or in process directly.
+        #: the run the registry reads: the last ``run_scenario``'s, or
+        #: before it a run of no windows
+        self.last_run = Coordinator(self, None, None, 0.0)
         reg = get_registry()
-        self._obs = reg
-        self._obs_windows = reg.counter(obs_names.ENGINE_WINDOWS)
         self._obs_window_hist = reg.histogram(
             obs_names.ENGINE_WINDOW_EVENTS_HIST, WINDOW_EVENTS_BOUNDS
         )
+        reads = dict(_RUN_READS)
         if rebalance is not None:
-            _register_rebalance_instruments(reg)
+            reads.update(_REBALANCE_READS)
+            reg.counter(obs_names.REBALANCE_STATE_BYTES)
+            reg.histogram(obs_names.REBALANCE_CONCENTRATION, _CONCENTRATION_BOUNDS)
         if recovery is not None:
-            _register_recovery_instruments(reg)
+            reads.update(_RECOVERY_READS)
+        for name, count in reads.items():
+            reg.read(name, lambda count=count: count(self.last_run))
 
     def _transport(self) -> Transport:
         return PipeTransport(self.start_method, self.window_timeout_s)
@@ -712,7 +674,8 @@ class ParallelConservativeEngine:
         degradation ladder runs out does the run fail, with
         :class:`RecoveryExhaustedError`.
         """
-        return Coordinator(self, self._transport(), spec, until).run()
+        self.last_run = Coordinator(self, self._transport(), spec, until)
+        return self.last_run.run()
 
 
 class LocalShardGroup(ParallelConservativeEngine):

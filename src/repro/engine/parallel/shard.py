@@ -274,38 +274,30 @@ class ShardEngine(EventRecorder):
         # re-balancer's cost model consumes this column; obs keeps the
         # placement-independent cross-LP count above.
         self.xshard_this_window = np.zeros(self.num_lps, dtype=np.int64)
+        #: serialized cross-shard mail sent (added by the worker loop)
+        self.mail_bytes = 0
 
-        # Observability hook points, resolved once here (the registry
-        # contract: name lookups at construction, guarded writes after).
-        # Each shard records its owned columns of the engine-level
-        # instruments, so worker snapshots merged by
-        # repro.obs.distributed sum to the single-process values; the
-        # window count and events-per-window histogram are written by
-        # run() here and by the coordinator across workers. parallel.*
-        # instruments are per-worker (shard-labeled by this engine's
-        # shard_id / the worker-events index).
+        # Observability: the counts this engine keeps are read, not copied
+        # (a cut restores them, a replay rebuilds them). Only a run()
+        # engine fills window_stats; a worker's rows are the coordinator's.
         reg = get_registry()
-        self._obs = reg
-        self._obs_events = reg.counter(obs_names.ENGINE_EVENTS)
-        self._obs_windows = reg.counter(obs_names.ENGINE_WINDOWS)
+        reg.read(obs_names.ENGINE_EVENTS, lambda: self.events_executed)
+        reg.read(obs_names.ENGINE_LOOKAHEAD_VIOLATIONS, lambda: self.lookahead_violations)
+        reg.read(obs_names.ENGINE_WINDOWS, lambda: len(self.window_stats))
+        reg.read(obs_names.ENGINE_LP_EVENTS, lambda: sum(
+            (ws.events_per_lp for ws in self.window_stats), np.zeros(self.num_lps)))
+        reg.read(obs_names.ENGINE_LP_REMOTE_SENDS, lambda: sum(
+            (ws.remote_sends_per_lp for ws in self.window_stats), np.zeros(self.num_lps)))
+        reg.read(obs_names.PARALLEL_WORKER_EVENTS, lambda: np.bincount(
+            [self.shard_id], [self.events_executed], minlength=self.num_shards))
+        reg.read(obs_names.PARALLEL_MAIL_BYTES, lambda: self.mail_bytes)
         self._obs_window_hist = reg.histogram(
             obs_names.ENGINE_WINDOW_EVENTS_HIST, WINDOW_EVENTS_BOUNDS
         )
-        self._obs_violations = reg.counter(obs_names.ENGINE_LOOKAHEAD_VIOLATIONS)
-        self._obs_lp_events = reg.vector_counter(
-            obs_names.ENGINE_LP_EVENTS, self.num_lps
-        )
-        self._obs_lp_remote = reg.vector_counter(
-            obs_names.ENGINE_LP_REMOTE_SENDS, self.num_lps
-        )
         self._obs_barrier = reg.timer(obs_names.ENGINE_BARRIER_WAIT)
-        self._obs_worker_events = reg.vector_counter(
-            obs_names.PARALLEL_WORKER_EVENTS, self.num_shards
-        )
         self._obs_barrier_hist = reg.histogram(
             obs_names.PARALLEL_BARRIER_WAIT, _BARRIER_WAIT_BOUNDS
         )
-        self._obs_mail_bytes = reg.counter(obs_names.PARALLEL_MAIL_BYTES)
         self._obs_window_execute = reg.timer(obs_names.PARALLEL_WINDOW_EXECUTE)
         self._obs_mail_encode = reg.timer(obs_names.PARALLEL_MAIL_ENCODE)
         self._obs_mail_decode = reg.timer(obs_names.PARALLEL_MAIL_DECODE)
@@ -409,7 +401,6 @@ class ShardEngine(EventRecorder):
         # local mailbox (same shard) or outbound mail (other shard).
         if time < self._window_end - WINDOW_EPSILON_FRACTION * self.lookahead:
             self.lookahead_violations += 1
-            self._obs_violations.inc()
             if self.strict:
                 raise LookaheadViolation(
                     f"cross-LP event at t={time:.9f} lands inside the current "
@@ -459,9 +450,7 @@ class ShardEngine(EventRecorder):
         ):
             executed = self.run_window(window_index, window_end)
             executed_total += executed
-            if self._obs.enabled:
-                self._obs_windows.inc()
-                self._obs_window_hist.observe(float(executed))
+            self._obs_window_hist.observe(float(executed))
             self.window_stats.append(
                 WindowStats(
                     window_index=window_index,
@@ -508,11 +497,6 @@ class ShardEngine(EventRecorder):
                 self._queues[i].push_event(ev)
             mail.clear()
         self._obs_barrier.stop(barrier_token)
-        if self._obs.enabled:
-            self._obs_events.inc(int(executed))
-            self._obs_lp_events.add_array(self.events_this_window)
-            self._obs_lp_remote.add_array(self.remote_this_window)
-            self._obs_worker_events.inc(self.shard_id, float(executed))
         self.now = window_end
         self.events_executed += executed
         return executed
@@ -666,19 +650,17 @@ class ShardEngine(EventRecorder):
         Called by the worker loop with externally measured spans (the
         loop owns the stopwatches so the barrier wait includes the pipe
         round-trip, which the engine cannot see). Feeds the per-worker
-        ``parallel.*`` instruments and the tracer's measured channel;
-        every write is guarded, so an unobserved run records nothing.
+        ``parallel.*`` spans and the tracer's measured channel; every
+        write is guarded, so an unobserved run records nothing.
         ``checkpoint_s`` is the checkpoint cut after the window, ``0.0``
         for a window without one (the timer counts cuts, not windows).
         """
-        if self._obs.enabled:
-            self._obs_window_execute.add(execute_s)
-            self._obs_barrier_hist.observe(barrier_wait_s)
-            self._obs_mail_encode.add(mail_encode_s)
-            self._obs_mail_decode.add(mail_decode_s)
-            self._obs_mail_bytes.inc(float(mail_bytes))
-            if checkpoint_s > 0.0:
-                self._obs_checkpoint.add(checkpoint_s)
+        self._obs_window_execute.add(execute_s)
+        self._obs_barrier_hist.observe(barrier_wait_s)
+        self._obs_mail_encode.add(mail_encode_s)
+        self._obs_mail_decode.add(mail_decode_s)
+        if checkpoint_s > 0.0:
+            self._obs_checkpoint.add(checkpoint_s)
         self._trace.measured_window(
             window_index,
             self.shard_id,
@@ -770,14 +752,13 @@ def _deliver_encoded_mail(
     barrier_time: float,
     name_to_fn: dict[str, Callable[..., Any]],
 ) -> None:
-    """Decode, validate, and enqueue one window's inbound mail."""
+    """Decode, validate (a tolerated violation is the sender's to count),
+    and enqueue one window's inbound mail."""
     items: list[tuple] = []
     for payload in payloads:
         if payload:
             items.extend(_ser().decode_mail_batch(payload))
-    engine.lookahead_violations += validate_mail_batch(
-        items, barrier_time, engine.lookahead, strict=engine.strict
-    )
+    validate_mail_batch(items, barrier_time, engine.lookahead, strict=engine.strict)
     for target_lp, node, time, key, handler, args in items:
         engine.push_remote(
             target_lp, _wire_event(name_to_fn, node, time, key, handler, args, "mail")
@@ -798,6 +779,7 @@ def _shard_result(engine: ShardEngine, scenario: ShardScenario) -> dict[str, Any
         "collect": scenario.collect() if scenario.collect is not None else None,
         "events_executed": int(engine.events_executed),
         "lookahead_violations": int(engine.lookahead_violations),
+        "mail_bytes": int(engine.mail_bytes),
     }
 
 

@@ -69,7 +69,6 @@ class ShardWorker:
         self.boundaries = list(
             iter_windows(0.0, config["lookahead"], config["until"])
         )
-        self.mail_bytes = 0
 
     # -- shard construction -------------------------------------------
     def _build(self, owned_lps) -> int:
@@ -82,7 +81,6 @@ class ShardWorker:
         self.scenario, self.fn_to_name, self.name_to_fn = _build_shard(
             self.engine, cfg["spec"]
         )
-        self.mail_bytes = 0
         return 0
 
     def _restore(self, blob: bytes) -> int:
@@ -93,7 +91,7 @@ class ShardWorker:
             cfg["spec"], cfg["strict"], self.procs,
         )
         self.engine, self.scenario, self.fn_to_name, self.name_to_fn, payload = restored
-        self.mail_bytes = int(payload["acc"]["mail_bytes"])
+        self.engine.mail_bytes = int(payload["acc"]["mail_bytes"])
         return int(payload["window_index"]) + 1
 
     def _install(self, payloads: dict[int, bytes]) -> None:
@@ -148,7 +146,6 @@ class ShardWorker:
         # Collected after the handover, so LP 0's control keys stay with the heir.
         result = _shard_result(replica.engine, replica.scenario)
         result["barrier_wait_s"] = 0.0
-        result["mail_bytes"] = replica.mail_bytes
         yield ("adopted", dead, said, _ser().encode_payload(result))
 
     # -- the loop ------------------------------------------------------
@@ -204,7 +201,7 @@ class ShardWorker:
             )
             encode_s = clock.elapsed() if obs_on else 0.0
             window_mail = sum(len(p) for p in payloads)
-            self.mail_bytes += window_mail
+            engine.mail_bytes += window_mail
             yield (
                 "window",
                 w,
@@ -246,7 +243,7 @@ class ShardWorker:
                 if obs_on:
                     clock.restart()
                 blob = _encode_worker_checkpoint(
-                    engine, self.scenario, self.fn_to_name, w, self.mail_bytes
+                    engine, self.scenario, self.fn_to_name, w, engine.mail_bytes
                 )
                 digest = checkpoint_digest(blob)
                 if obs_on:
@@ -260,7 +257,6 @@ class ShardWorker:
             i += 1
         result = _shard_result(self.engine, self.scenario)
         result["barrier_wait_s"] = barrier_wait_s
-        result["mail_bytes"] = self.mail_bytes
         if obs_on:
             # The process-global owners themselves; encoding pickles a copy.
             result["obs"] = {"registry": get_registry(), "trace": get_tracer()}

@@ -220,27 +220,25 @@ class NetworkSimulator:
         self.tx_from: list[int] = []
         self.tx_to: list[int] = []
 
-        # Observability hook points. Instruments are resolved once here;
-        # the per-event path below performs one `enabled` check and no
-        # dict lookups (see docs/observability.md).
+        # Observability: the registry reads the counts above. Only the
+        # rate bins and queue high-water marks are written on the hop, one
+        # `enabled` check and no dict lookups (docs/observability.md).
         reg = get_registry()
         self._obs = reg
-        num_links = len(net.links)
-        self._obs_node_events = reg.vector_counter(
-            obs_names.NETSIM_NODE_EVENTS, net.num_nodes
-        )
         self._obs_rate_bins = reg.series(obs_names.NETSIM_NODE_RATE_BINS, net.num_nodes)
-        self._obs_link_bytes = reg.vector_counter(obs_names.NETSIM_LINK_BYTES, num_links)
-        self._obs_link_packets = reg.vector_counter(
-            obs_names.NETSIM_LINK_PACKETS, num_links
-        )
-        self._obs_link_drops = reg.vector_counter(obs_names.NETSIM_LINK_DROPS, num_links)
-        self._obs_queue_hwm = reg.max_gauge(obs_names.NETSIM_LINK_QUEUE_HWM, num_links)
-        self._obs_sent = reg.counter(obs_names.NETSIM_PACKETS_SENT)
-        self._obs_delivered = reg.counter(obs_names.NETSIM_PACKETS_DELIVERED)
-        self._obs_dropped_queue = reg.counter(obs_names.NETSIM_PACKETS_DROPPED_QUEUE)
-        self._obs_dropped_ttl = reg.counter(obs_names.NETSIM_PACKETS_DROPPED_TTL)
-        self._obs_unroutable = reg.counter(obs_names.NETSIM_PACKETS_UNROUTABLE)
+        self._obs_queue_hwm = reg.max_gauge(obs_names.NETSIM_LINK_QUEUE_HWM, len(net.links))
+        reg.read(obs_names.NETSIM_NODE_EVENTS, lambda: self.node_packets)
+        reg.read(obs_names.NETSIM_LINK_BYTES, self.link_bytes)
+        reg.read(obs_names.NETSIM_LINK_PACKETS, self.link_packets)
+        reg.read(obs_names.NETSIM_LINK_DROPS, self.link_drops)
+        for name, attr in (
+            (obs_names.NETSIM_PACKETS_SENT, "packets_sent"),
+            (obs_names.NETSIM_PACKETS_DELIVERED, "packets_delivered"),
+            (obs_names.NETSIM_PACKETS_DROPPED_QUEUE, "packets_dropped_queue"),
+            (obs_names.NETSIM_PACKETS_DROPPED_TTL, "packets_dropped_ttl"),
+            (obs_names.NETSIM_PACKETS_UNROUTABLE, "packets_unroutable"),
+        ):
+            reg.read(name, lambda attr=attr: getattr(self.counters, attr))
 
         # Transport demux: (flow_id, node, role) -> endpoint. The role
         # ('snd'/'rcv') disambiguates colocated endpoints of one flow
@@ -315,7 +313,6 @@ class NetworkSimulator:
         now = self.sched.current_time
         packet.created_at = now
         self.counters.packets_sent += 1
-        self._obs_sent.inc()
         if packet.src == packet.dst:
             self.sched.schedule_at(
                 now + LOOPBACK_LATENCY_S,
@@ -343,7 +340,6 @@ class NetworkSimulator:
         now = sched.current_time
         obs_on = self._obs.enabled
         if obs_on:
-            self._obs_node_events.inc(node)
             self._obs_rate_bins.observe(now, node)
         dst = packet.dst
         if node == dst:
@@ -351,7 +347,6 @@ class NetworkSimulator:
             return
         if packet.ttl <= 0:
             self.counters.packets_dropped_ttl += 1
-            self._obs_dropped_ttl.inc()
             return
         if self.fib.epoch != self._hops_epoch:
             self._drop_hops()
@@ -360,7 +355,6 @@ class NetworkSimulator:
             hop = self._resolve_hop(node, dst)
         if hop is None:
             self.counters.packets_unroutable += 1
-            self._obs_unroutable.inc()
             return
         next_node, link_id, end = hop
         depart = now + (self.hop_processing_s if node != packet.src else 0.0)
@@ -399,9 +393,6 @@ class NetworkSimulator:
                     self.dropped_fault += 1
                     return
                 self.counters.packets_dropped_queue += 1
-                if obs_on:
-                    self._obs_dropped_queue.inc()
-                    self._obs_link_drops.inc(link_id)
                 return
             start = result.start_time
             arrival = result.arrival_time
@@ -409,8 +400,6 @@ class NetworkSimulator:
         packet.hops += 1
         if obs_on:
             self._obs_queue_hwm.observe(link_id, backlog_bytes)
-            self._obs_link_packets.inc(link_id)
-            self._obs_link_bytes.inc(link_id, size)
         if self.record_transmissions:
             self.tx_times.append(start)
             self.tx_from.append(node)
@@ -459,7 +448,6 @@ class NetworkSimulator:
 
     def _deliver(self, node: int, packet: Packet) -> None:
         self.counters.packets_delivered += 1
-        self._obs_delivered.inc()
         if packet.protocol is Protocol.TCP:
             # ACK-bearing packets (cumulative ACKs, SYN-ACK) go to the data
             # sender; data and SYN go to the receiver.

@@ -6,15 +6,16 @@ profile-based load balancing. Hook points live in
 remote-send counts, barrier-wait spans), the packet simulator
 (per-node events, per-link bytes/packets/drops, queue-depth high-water
 marks, the Figure 3 rate series), and the BGP engine (updates,
-decision-process invocations, convergence spans). All hooks write
-through a process-global :class:`Registry` that is disabled by default
-and costs one guard branch per hook point when off.
+decision-process invocations, convergence spans), behind a process-global
+:class:`Registry` that reads the counts its components keep and is
+disabled by default, costing one guard branch per hook point when off.
 
 Typical use::
 
     from repro.obs import observed_run, export, profile_from_registry
 
     with observed_run() as reg:
+        kernel, sim = build_run()          # inside: a reset lets go of owners
         kernel.run(until=10.0)
     profile = profile_from_registry(10.0, reg)   # feed to PROF/HPROF
     export.write_snapshot("run.json", reg)

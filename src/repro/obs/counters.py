@@ -44,6 +44,7 @@ __all__ = [
     "BinnedSeries",
     "SnapshotMergeError",
     "HistogramMergeError",
+    "holding",
 ]
 
 
@@ -158,6 +159,17 @@ class VectorCounter:
     def reset(self) -> None:
         """Zero every slot."""
         self._values[:] = 0.0
+
+
+def holding(name: str, registry: "Registry", value) -> "Counter | VectorCounter":
+    """A counter holding ``value``; a vector counter if it is an array."""
+    if np.ndim(value):
+        inst = VectorCounter(name, registry, len(value))
+        inst._values = value
+    else:
+        inst = Counter(name, registry)
+        inst._value = value
+    return inst
 
 
 class MaxGauge:

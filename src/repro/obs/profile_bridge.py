@@ -1,15 +1,16 @@
 """Bridge: registry snapshot -> :class:`~repro.profilers.traffic.TrafficProfile`.
 
 The paper's PROF approaches need "an initial simulation experiment ...
-traffic monitoring". With the observability layer wired into the packet
-simulator, any live run *is* that monitoring: this module snapshots the
-``netsim.*`` instruments into a :class:`TrafficProfile` — including the
-binned per-node event-rate series of Figure 3 — so PROF/HPROF can
+traffic monitoring". The registry reads the packet simulator's own
+counts, so any observed run *is* that monitoring: this module snapshots
+the ``netsim.*`` instruments into a :class:`TrafficProfile` — including
+the binned per-node event-rate series of Figure 3 — so PROF/HPROF can
 consume a real run instead of a hand-assembled array triple.
 
 Usage::
 
     with observed_run() as reg:
+        kernel, sim = build_run()   # built inside: the registry reads sim
         kernel.run(until=duration)
     profile = profile_from_registry(duration, reg)
     mapping = MappingPipeline.for_network(net, k).run(Approach.PROF, profile)
@@ -43,8 +44,8 @@ def profile_from_registry(
     link_packets = reg.get_vector(names.NETSIM_LINK_PACKETS)
     if node_events.total == 0:
         raise ValueError(
-            "observed run recorded zero node events; enable the registry "
-            "(repro.obs.observed_run) *before* running the simulation"
+            "observed run recorded zero node events; build the simulator "
+            "inside repro.obs.observed_run, which reads it"
         )
     series = reg.get_series(names.NETSIM_NODE_RATE_BINS)
     return TrafficProfile(

@@ -16,18 +16,24 @@ bridge, exporters, the ``trace`` CLI). Design constraints, in order:
    timers read the wall clock (:mod:`repro.obs.timers` is the one
    sanctioned call site of ``time.perf_counter`` — simlint rule SIM102
    flags any other).
+4. **One count, one owner.** A count a component already keeps is read
+   off it (:meth:`Registry.read`), never copied on the hop, so a read is
+   exact wherever a checkpoint or a replay leaves the owner.
 
 Instruments are accumulated per process; call :meth:`Registry.reset`
-(or use :func:`observed_run`) to scope a snapshot to one run.
+(or use :func:`observed_run`) to scope a snapshot to one run; a reset
+also drops the reads, so build what a run reads after it.
 """
 
 from __future__ import annotations
 
 import copy
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
-from .counters import BinnedSeries, Counter, Histogram, MaxGauge, VectorCounter
+import numpy as np
+
+from .counters import BinnedSeries, Counter, Histogram, MaxGauge, VectorCounter, holding
 from .timers import SpanTimer
 
 __all__ = [
@@ -69,6 +75,8 @@ class Registry:
         self._histograms: dict[str, Histogram] = {}
         self._timers: dict[str, SpanTimer] = {}
         self._series: dict[str, BinnedSeries] = {}
+        #: name -> (the zero of its kind and size, the owners' reads)
+        self._reads: dict[str, tuple[Any, list[Callable[[], Any]]]] = {}
 
     # ------------------------------------------------------------------
     # State control
@@ -82,32 +90,41 @@ class Registry:
         self.enabled = False
 
     def reset(self) -> None:
-        """Zero every instrument, keeping registrations and sizes."""
+        """Zero every instrument, keeping registrations and sizes; drop the
+        reads, with their owners."""
         for group in self._groups():
             for inst in group.values():
                 inst.reset()
+        self._reads.clear()
 
     def clear(self) -> None:
         """Drop every instrument registration entirely."""
         for group in self._groups():
             group.clear()
+        self._reads.clear()
 
     def merge_from(self, other: "Registry") -> None:
         """Fold every instrument of ``other`` into this registry.
 
         A name both registries hold merges through the instrument's own
-        ``merge_from``; a name only ``other`` holds is copied in whole.
-        Never goes through the factories below: they replace an
-        instrument of a different size, which would drop its data. The
-        copies share no array with ``other``.
+        ``merge_from``; a name only ``other`` holds is copied in whole
+        (a read as its value). Never goes through the factories below:
+        they replace an instrument of a different size, which would drop
+        its data. The copies share no array with ``other``.
         """
-        for mine, theirs in zip(self._groups(), other._groups()):
+        groups = (other.counters(), other.vectors(), *other._groups()[2:])
+        for mine, theirs in zip(self._groups(), groups):
             for name, inst in theirs.items():
                 if name in mine:
                     mine[name].merge_from(inst)
                 else:
                     # A deep copy whose registry back-reference is this one.
                     mine[name] = copy.deepcopy(inst, {id(other): self})
+
+    def __getstate__(self) -> dict:
+        """Values, not owners: a read pickles as what it reads now."""
+        return {**vars(self), "_counters": self.counters(), "_vectors": self.vectors(),
+                "_reads": {}}
 
     def _groups(self) -> tuple[dict, ...]:
         return (
@@ -172,16 +189,47 @@ class Registry:
             inst = self._series[name] = BinnedSeries(name, self, size, bin_s)
         return inst
 
+    def read(self, name: str, fn: Callable[[], Any]) -> None:
+        """Register ``fn`` as a read of the count ``name``, which its owner keeps.
+
+        ``fn`` takes no argument and returns the owner's current count:
+        a number, or one array per node, link, LP or shard. Consumers
+        see the sum of the reads under ``name`` (plus a written
+        instrument of that name) as a float64 :class:`Counter` or
+        :class:`VectorCounter`. ``fn`` is called once here, for the kind
+        and size; an array of another size replaces the name's earlier
+        reads (another topology owns the name). A disabled registry
+        makes the name visible as a zero and holds no owner.
+        """
+        zero = _count(fn()) * 0.0
+        entry = self._reads.get(name)
+        if entry is None or np.shape(entry[0]) != np.shape(zero):
+            entry = self._reads[name] = (zero, [])
+        if self.enabled:
+            entry[1].append(fn)
+
+    def _with_reads(self, written: dict, vector: bool) -> dict:
+        """``written`` plus a fresh instrument per read name of that kind."""
+        out = dict(written)
+        for name, (zero, reads) in self._reads.items():
+            if bool(np.ndim(zero)) != vector:
+                continue
+            inst = holding(name, self, sum((_count(fn()) for fn in reads), copy.copy(zero)))
+            if name in written:
+                inst.merge_from(written[name])
+            out[name] = inst
+        return out
+
     # ------------------------------------------------------------------
     # Read access (consumers)
     # ------------------------------------------------------------------
     def get_counter(self, name: str) -> Counter:
         """Look up an existing counter; KeyError with the known names."""
-        return _lookup(self._counters, name, "counter")
+        return _lookup(self.counters(), name, "counter")
 
     def get_vector(self, name: str) -> VectorCounter:
         """Look up an existing vector counter by name."""
-        return _lookup(self._vectors, name, "vector counter")
+        return _lookup(self.vectors(), name, "vector counter")
 
     def get_gauge(self, name: str) -> MaxGauge:
         """Look up an existing high-water gauge by name."""
@@ -200,12 +248,12 @@ class Registry:
         return _lookup(self._series, name, "series")
 
     def counters(self) -> dict[str, Counter]:
-        """All scalar counters by name (live references)."""
-        return dict(self._counters)
+        """All scalar counters by name (written live, read fresh)."""
+        return self._with_reads(self._counters, vector=False)
 
     def vectors(self) -> dict[str, VectorCounter]:
-        """All vector counters by name (live references)."""
-        return dict(self._vectors)
+        """All vector counters by name (written live, read fresh)."""
+        return self._with_reads(self._vectors, vector=True)
 
     def gauges(self) -> dict[str, MaxGauge]:
         """All high-water gauges by name (live references)."""
@@ -222,6 +270,11 @@ class Registry:
     def series_map(self) -> dict[str, BinnedSeries]:
         """All binned series by name (live references)."""
         return dict(self._series)
+
+
+def _count(value: Any) -> Any:
+    """An owner's count as a float, or a float64 array."""
+    return np.asarray(value, dtype=np.float64) if np.ndim(value) else float(value)
 
 
 def _lookup(group: dict, name: str, kind: str):

@@ -421,12 +421,19 @@ def _exact(value: Any) -> Any:
 
 
 class OracleSimulator(NetworkSimulator):
-    """``NetworkSimulator`` with the old ``_handle_at`` over old links."""
+    """``NetworkSimulator`` with the old ``_handle_at`` over old links.
+
+    Its counts are the ones the registry reads (``node_packets`` and the
+    per-link sums), kept by the old code; only the rate bins and the
+    queue high-water marks are written on the hop, as they ship.
+    """
 
     #: a plain attribute again, as it was: the live array
     node_packets = None
 
     def __init__(self, net, fib, scheduler, **kwargs: Any) -> None:
+        # Before the registry first reads it, in the base constructor.
+        self.node_packets = np.zeros(net.num_nodes, dtype=np.int64)
         super().__init__(net, fib, scheduler, **kwargs)
         self.links = [
             OracleLinkRuntime(lr.link, discipline=lr.table.discipline) for lr in self.links
@@ -435,7 +442,13 @@ class OracleSimulator(NetworkSimulator):
         for lr in self.links:
             self._runtime_by_pair.setdefault((lr.link.u, lr.link.v), lr)
             self._runtime_by_pair.setdefault((lr.link.v, lr.link.u), lr)
-        self.node_packets = np.zeros(net.num_nodes, dtype=np.int64)
+
+    def _per_link(self, column: str) -> np.ndarray:
+        """Per-link sums off the old links (the link table's while the
+        base constructor still holds those)."""
+        if not isinstance(self.links[0], OracleLinkRuntime):
+            return super()._per_link(column)
+        return np.array([sum(getattr(lr, column)) for lr in self.links], dtype=np.int64)
 
     def _handle_at(self, node: int, packet: Packet) -> None:
         """Process a packet at ``node``: deliver locally or forward."""
@@ -444,19 +457,16 @@ class OracleSimulator(NetworkSimulator):
             return
         self.node_packets[node] += 1
         if self._obs.enabled:
-            self._obs_node_events.inc(node)
             self._obs_rate_bins.observe(self.now, node)
         if node == packet.dst:
             self._deliver(node, packet)
             return
         if packet.ttl <= 0:
             self.counters.packets_dropped_ttl += 1
-            self._obs_dropped_ttl.inc()
             return
         next_node = self.fib.next_hop(node, packet.dst)
         if next_node is None:
             self.counters.packets_unroutable += 1
-            self._obs_unroutable.inc()
             return
         runtime = self._runtime_by_pair.get((node, next_node))
         assert runtime is not None, "forwarding plane returned a non-adjacent hop"
@@ -472,16 +482,9 @@ class OracleSimulator(NetworkSimulator):
                 self.dropped_fault += 1
                 return
             self.counters.packets_dropped_queue += 1
-            if self._obs.enabled:
-                self._obs_dropped_queue.inc()
-                self._obs_link_drops.inc(runtime.link.link_id)
             return
         packet.ttl -= 1
         packet.hops += 1
-        if self._obs.enabled:
-            link_id = runtime.link.link_id
-            self._obs_link_packets.inc(link_id)
-            self._obs_link_bytes.inc(link_id, packet.size_bytes)
         if self.record_transmissions:
             self.tx_times.append(result.start_time)
             self.tx_from.append(node)

@@ -97,3 +97,79 @@ def test_every_names_constant_has_help_text():
 def test_help_has_no_orphan_entries():
     orphans = set(names.HELP) - canonical_names()
     assert not orphans, f"# HELP entries for unknown instruments: {sorted(orphans)}"
+
+
+#: The one split the design has: a ``run()`` engine keeps its own window
+#: rows (and observes their totals), and the controller keeps its
+#: workers', which never fill ``window_stats``. Either one is zero in any
+#: run, so their sum is the run's count.
+WINDOW_OWNERS = {"ParallelConservativeEngine", "ShardEngine"}
+WINDOW_NAMES = {
+    names.ENGINE_WINDOWS,
+    names.ENGINE_LP_EVENTS,
+    names.ENGINE_LP_REMOTE_SENDS,
+    names.ENGINE_WINDOW_EVENTS_HIST,
+}
+
+
+def registrations_by_component(monkeypatch) -> dict[str, dict[str, set[str]]]:
+    """Per component class, the names it registers as reads and as writes.
+
+    Each component is constructed against a fresh disabled registry of
+    its own (what it needs is built beforehand, against another one), so
+    a name is attributed to the class whose constructor registered it.
+    """
+    from repro.engine.parallel import ParallelConservativeEngine, ShardEngine
+    from repro.engine.recovery import RecoveryConfig
+    from repro.faults import FaultInjector, FaultSchedule
+    from repro.netsim.simulator import NetworkSimulator
+    from repro.obs.distributed import CalibrationRecorder
+    from repro.partition.rebalance import RebalanceConfig
+    from repro.routing.bgp.engine import BgpEngine, BgpSpeaker
+
+    net = Network()
+    r0 = net.add_node(NodeKind.ROUTER)
+    h0 = net.add_node(NodeKind.HOST)
+    net.add_link(r0, h0, 1e9, 1e-3)
+    assignment = np.zeros(net.num_nodes, dtype=np.int64)
+    out: dict[str, dict[str, set[str]]] = {}
+
+    def construct(make):
+        reg = Registry()
+        monkeypatch.setattr(registry_mod, "_GLOBAL", reg)
+        component = make()
+        written = set().union(
+            reg._counters, reg._vectors, reg._gauges, reg._histograms, reg._timers,
+            reg._series,
+        )
+        mine = out.setdefault(type(component).__name__, {"read": set(), "written": set()})
+        mine["read"] |= set(reg._reads)
+        mine["written"] |= written
+        return component
+
+    engine = construct(lambda: ShardEngine(assignment, 1, 1.0))
+    construct(lambda: ParallelConservativeEngine(
+        assignment, 1, 1.0, rebalance=RebalanceConfig(), recovery=RecoveryConfig(),
+    ))
+    construct(CalibrationRecorder)
+    fib = construct(lambda: ForwardingPlane(net))
+    sim = construct(lambda: NetworkSimulator(net, fib, engine))
+    construct(lambda: BgpEngine({1: BgpSpeaker(1, {2: "peer"}), 2: BgpSpeaker(2, {1: "peer"})}))
+    construct(lambda: FaultInjector(sim, fib, FaultSchedule.from_events([])))
+    return out
+
+
+def test_every_names_constant_has_one_owner(monkeypatch):
+    """A constant is read off its owner or written, never both, and by one
+    component class — a second copy of a count is what reads replaced."""
+    owners: dict[str, set[tuple[str, str]]] = {}
+    for component, kinds in registrations_by_component(monkeypatch).items():
+        for kind, registered in kinds.items():
+            for name in registered:
+                owners.setdefault(name, set()).add((component, kind))
+    assert set(owners) == canonical_names()
+    both = sorted(n for n, o in owners.items() if len({kind for _, kind in o}) > 1)
+    assert not both, f"registered both as a read and as a written instrument: {both}"
+    shared = {n: {c for c, _ in o} for n, o in owners.items() if len(o) > 1}
+    assert set(shared) == WINDOW_NAMES, f"registered by more than one component: {shared}"
+    assert all(classes == WINDOW_OWNERS for classes in shared.values()), shared

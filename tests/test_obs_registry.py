@@ -148,6 +148,49 @@ class TestInstruments:
         assert watch.elapsed() >= 0.0
 
 
+class TestReads:
+    """A read is the owner's count, summed per name; never a copy."""
+
+    def test_reads_sum_and_follow_their_owners(self, reg):
+        owners = [{"n": 2, "v": [1, 0, 3]}, {"n": 5, "v": [0, 4, 0]}]
+        for owner in owners:
+            reg.read("c", lambda o=owner: o["n"])
+            reg.read("v", lambda o=owner: o["v"])
+        owners[0]["n"] = 10
+        assert reg.get_counter("c").value == 15.0
+        assert reg.get_vector("v").values.tolist() == [1.0, 4.0, 3.0]
+        assert reg.get_vector("v").values.dtype == np.float64
+
+    def test_disabled_registry_shows_a_zero_and_holds_no_owner(self):
+        reg = Registry()
+        reg.read("v", lambda: [7, 7])
+        assert reg.get_vector("v").values.tolist() == [0.0, 0.0]
+        assert reg._reads["v"][1] == []
+
+    def test_reset_drops_the_reads(self, reg):
+        reg.read("c", lambda: 3)
+        reg.reset()
+        with pytest.raises(KeyError):
+            reg.get_counter("c")
+
+    def test_another_size_replaces_the_earlier_reads(self, reg):
+        reg.read("v", lambda: [1, 1, 1])
+        reg.read("v", lambda: [2, 2])
+        assert reg.get_vector("v").values.tolist() == [2.0, 2.0]
+
+    def test_pickle_and_merge_carry_values_not_owners(self, reg):
+        import pickle
+
+        owner = {"n": 4}
+        reg.read("c", lambda: owner["n"])  # a lambda: pickling the owner would fail
+        shipped = pickle.loads(pickle.dumps(reg))
+        merged = Registry()
+        merged.merge_from(reg)
+        owner["n"] = 99
+        assert shipped.get_counter("c").value == merged.get_counter("c").value == 4.0
+        assert shipped._reads == merged._reads == {}
+
+
 class TestObservedRun:
     def test_enables_resets_and_restores(self):
         reg = Registry(enabled=False)
@@ -375,6 +418,34 @@ class TestProfileBridge:
         reg.reset()
         with pytest.raises(ValueError, match="zero node events"):
             profile_from_registry(2.0, reg)
+
+    def test_bridge_equals_the_profiler_on_a_real_run(self):
+        """The registry reads the simulator's own counts, so the PROF
+        bridge and the traffic profiler give one profile."""
+        from repro.engine import SimKernel
+        from repro.netsim import NetworkSimulator, send_datagram
+        from repro.profilers.traffic import TrafficProfile
+        from repro.routing import ForwardingPlane
+        from repro.topology import generate_flat_network
+
+        net = generate_flat_network(num_routers=12, num_hosts=6, seed=3)
+        hosts = net.host_ids()
+        duration = 0.5
+        with observed_run() as reg:
+            kernel = SimKernel()
+            sim = NetworkSimulator(net, ForwardingPlane(net), kernel)
+            for i in range(60):
+                src = hosts[i % len(hosts)]
+                dst = hosts[(3 * i + 1) % len(hosts)]
+                kernel.schedule_at(
+                    i * 1e-3, send_datagram, node=src, args=(sim, src, dst, 1000 + i)
+                )
+            kernel.run(until=duration)
+        bridged = profile_from_registry(duration, reg)
+        profiled = TrafficProfile.from_simulation(sim, duration)
+        assert bridged.total_events > 0 and bridged.link_bytes.sum() > 0
+        for field in ("node_events", "link_bytes", "link_packets"):
+            np.testing.assert_array_equal(getattr(bridged, field), getattr(profiled, field))
 
     def test_bridge_without_instrumented_simulator(self):
         with pytest.raises(KeyError, match="netsim.node.events"):

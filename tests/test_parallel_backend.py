@@ -149,6 +149,35 @@ class TestLookaheadFence:
         assert engine.lookahead_violations == 0
 
 
+class TestLenientViolationsCountedOnce:
+    """A tolerated cross-shard violation is counted once, by its sender's
+    ``schedule_at``: the receiver's gate still raises under ``strict``
+    but adds nothing, so any split counts what the one engine counts."""
+
+    SPEC = dict(num_nodes=8, latency_s=1e-4, packets=40, seed=7)
+    ASSIGNMENT = [0, 0, 1, 1, 2, 2, 3, 3]
+    LOOKAHEAD = 3e-4  # three times the link latency: sends land inside windows
+    UNTIL = 0.05
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        engine, collected = run_reference(
+            chain_spec(**self.SPEC), self.ASSIGNMENT, 4, self.LOOKAHEAD, self.UNTIL,
+            strict=False,
+        )
+        return engine.lookahead_violations, delivery_log_bytes(collected)
+
+    @pytest.mark.parametrize("backend", [LocalShardGroup, ParallelConservativeEngine])
+    @pytest.mark.parametrize("procs", [1, 2, 4])
+    def test_every_split_counts_what_the_reference_counts(self, backend, procs, reference):
+        violations, log = reference
+        result = backend(
+            self.ASSIGNMENT, 4, self.LOOKAHEAD, procs=procs, strict=False
+        ).run_scenario(chain_spec(**self.SPEC), until=self.UNTIL)
+        assert delivery_log_bytes(merge_collected(result.collected)) == log
+        assert result.lookahead_violations == violations > 0
+
+
 class TestShardEngineProtocol:
     def test_setup_discards_unowned_but_advances_the_key_counter(self):
         # Replayed construction must advance the tiebreak counter even

@@ -9,7 +9,7 @@ Also pinned here: checkpointing itself never perturbs the run (same
 log, zero added mail bytes), recovery disabled is exactly the pre-PR
 engine, recovery composes with online rebalancing, with a second loss,
 a loss after an adoption and the loss of shard 0, replay from the build
-(no cuts) keeps the merged obs counters exact, and the escalation modes
+or from a cut keeps the merged obs counts exact, and the escalation modes
 ('fail', exhausted 'respawn') raise typed errors instead of diverging
 silently.
 """
@@ -40,7 +40,7 @@ from repro.experiments.shard import (
 )
 from repro.faults import FaultEvent, FaultKind
 from repro.faults.plan import FaultPlan, ProcessFault, ProcessFaultKind
-from repro.obs import export
+from repro.obs import export, names
 from repro.obs.distributed import merged_registry_snapshot
 from repro.obs.registry import observed_run
 
@@ -539,6 +539,69 @@ class TestExactObsAfterReplayFromTheBuild:
         assert (result.recovery["respawns"], result.recovery["adoptions"]) == (1, 1)
         assert plain["counters"]["engine.events.executed"] > 0
         assert recovered == plain
+
+
+class TestExactObsAfterReplayFromACut:
+    """With a cut every two windows a respawn and an adopter restore the
+    shard's counts from its last cut and replay the rest, and the
+    registry reads those counts off their owners: every read-owned
+    instrument equals the uninterrupted observed run's, element-wise.
+    ``parallel.worker.events`` says which process ran the events, so
+    after an adoption it moves to the heir and only its total stays;
+    so do the mail bytes, which placement decides. Real processes only,
+    as above."""
+
+    #: the instruments read off the simulator and the engines (and, for
+    #: the window rows, the coordinator) — obs/names.py
+    READ = (
+        names.NETSIM_NODE_EVENTS, names.NETSIM_LINK_BYTES, names.NETSIM_LINK_PACKETS,
+        names.NETSIM_LINK_DROPS, names.NETSIM_PACKETS_SENT, names.NETSIM_PACKETS_DELIVERED,
+        names.NETSIM_PACKETS_DROPPED_QUEUE, names.NETSIM_PACKETS_DROPPED_TTL,
+        names.NETSIM_PACKETS_UNROUTABLE, names.ENGINE_EVENTS,
+        names.ENGINE_LOOKAHEAD_VIOLATIONS, names.ENGINE_WINDOWS, names.ENGINE_LP_EVENTS,
+        names.ENGINE_LP_REMOTE_SENDS,
+    )
+    KILL_40 = ProcessFault(40, 1, ProcessFaultKind.SIGKILL, incarnation=0)
+    KILL_120 = ProcessFault(120, 1, ProcessFaultKind.SIGKILL, incarnation=1)
+
+    @staticmethod
+    def _counts(faults):
+        recovery = RecoveryConfig(
+            checkpoint_every_n_windows=2, max_respawns=1, on_worker_loss="adopt",
+            backoff_base_s=0.0, fault_plan=FaultPlan(faults),
+        )
+        with observed_run():
+            result = ParallelConservativeEngine(
+                ASSIGN2, 2, LATENCY_S, procs=2, recovery=recovery
+            ).run_scenario(_spec(), until=0.02)
+            merged = merged_registry_snapshot(result)
+        wanted = (*TestExactObsAfterReplayFromACut.READ, names.PARALLEL_WORKER_EVENTS,
+                  names.PARALLEL_MAIL_BYTES)
+        view = {name: merged.get_counter(name).value for name in wanted
+                if name in merged.counters()}
+        view.update({name: merged.get_vector(name).values.tolist() for name in wanted
+                     if name in merged.vectors()})
+        assert set(view) == set(wanted)
+        return result, view
+
+    @pytest.fixture(scope="class")
+    def plain(self):
+        return self._counts([])[1]
+
+    def test_a_respawn_from_a_cut_reads_exact_counts(self, plain):
+        result, counts = self._counts([self.KILL_40])
+        assert (result.recovery["respawns"], result.recovery["adoptions"]) == (1, 0)
+        assert result.recovery["committed_window"] > 40
+        assert plain[names.ENGINE_EVENTS] > 0 and plain[names.PARALLEL_MAIL_BYTES] > 0
+        assert counts == plain
+
+    def test_an_adoption_from_a_cut_reads_exact_counts(self, plain):
+        result, counts = self._counts([self.KILL_40, self.KILL_120])
+        assert (result.recovery["respawns"], result.recovery["adoptions"]) == (1, 1)
+        assert {n: counts[n] for n in self.READ} == {n: plain[n] for n in self.READ}
+        assert sum(counts[names.PARALLEL_WORKER_EVENTS]) == sum(
+            plain[names.PARALLEL_WORKER_EVENTS]
+        )
 
 
 class TestRandomLossPlans:
