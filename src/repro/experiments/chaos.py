@@ -188,6 +188,10 @@ class ProcessChaosResult:
     plan_digest: str
     #: canonical one-line forms of the planned faults, in plan order
     fault_lines: list[str]
+    #: the 1-process reference's traffic counters (``sent``, ``delivered``,
+    #: ``unroutable``, ...): byte-identity to a reference that delivered
+    #: little (a multi-AS network without BGP) proves little
+    reference_counters: dict[str, int]
     #: the run's recovery summary (None when the run aborted)
     recovery: dict | None
     byte_identical: bool
@@ -282,6 +286,7 @@ def run_process_chaos(
         on_worker_loss=on_worker_loss,
         plan_digest=plan.digest(),
         fault_lines=[pf.canonical() for pf in plan],
+        reference_counters=dict(ref_collected["counters"]),
     )
     try:
         result = engine.run_scenario(spec, until=duration)
@@ -344,6 +349,11 @@ def format_process_chaos_report(result: ProcessChaosResult) -> str:
         dead = result.recovery["dead_shards"]
         detail = [f"shard(s) {dead} adopted by survivors; "
                   f"output still byte-identical"]
+    ref = result.reference_counters
+    lines.append(
+        f"reference run  : {ref['delivered']} delivered, {ref['unroutable']} unroutable "
+        f"of {ref['sent']} sent"
+    )
     lines.append(
         f"verdict        : {verdict}" + (f" ({'; '.join(detail)})" if detail else "")
     )

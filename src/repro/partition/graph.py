@@ -43,6 +43,47 @@ def sum_by_index(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarra
     return np.bincount(index, weights=weights, minlength=size).astype(np.float64, copy=False)
 
 
+def _merged_csr(
+    n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, lat: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Merge parallel edges and list each edge from both ends, in CSR order.
+
+    Returns ``(rows, adjncy, adjwgt, adjlat)``. Parallel edges merge into
+    one (weights summed, minimum latency kept). The entries are sorted by
+    ``(row, neighbour < row, neighbour)``: a row lists its higher
+    neighbours, then its lower ones, each ascending.
+    :meth:`WeightedGraph._induced` reproduces that order with one argsort.
+    """
+    m = u.shape[0]
+    # Merge parallel edges: canonicalize (min, max), group.
+    if m:
+        lo = np.minimum(u, v)
+        hi = np.maximum(u, v)
+        key = lo * n + hi
+        order = np.argsort(key, kind="stable")
+        key_s = key[order]
+        uniq_mask = np.empty(m, dtype=bool)
+        uniq_mask[0] = True
+        np.not_equal(key_s[1:], key_s[:-1], out=uniq_mask[1:])
+        group = np.cumsum(uniq_mask) - 1
+        n_uniq = int(group[-1]) + 1
+        w_m = sum_by_index(group, w[order], n_uniq)
+        lat_m = np.minimum.reduceat(lat[order], np.flatnonzero(uniq_mask))
+        lo_m = lo[order][uniq_mask]
+        hi_m = hi[order][uniq_mask]
+    else:
+        lo_m = hi_m = np.empty(0, dtype=np.int64)
+        w_m = lat_m = np.empty(0)
+
+    # Build symmetric CSR.
+    src = np.concatenate([lo_m, hi_m])
+    dst = np.concatenate([hi_m, lo_m])
+    ew = np.concatenate([w_m, w_m])
+    el = np.concatenate([lat_m, lat_m])
+    order = np.argsort(src, kind="stable")
+    return src[order], dst[order], ew[order], el[order]
+
+
 def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Connected components of ``n`` vertices under the edges ``u[i]-v[i]``.
 
@@ -101,25 +142,25 @@ class WeightedGraph:
         rejected; parallel edges are merged (weights summed, minimum
         latency kept).
     edge_weight:
-        Partitioning edge weight (non-negative). Defaults to 1.0.
+        Partitioning edge weight (finite, non-negative). Defaults to 1.0.
     edge_latency:
-        Physical link latency in **seconds** (positive). Defaults to
-        ``inf`` meaning "latency unknown / not a constraint".
+        Physical link latency in **seconds** (positive, not NaN). Defaults
+        to ``inf`` meaning "latency unknown / not a constraint".
     vertex_weight:
-        Load estimate per vertex (non-negative). Defaults to 1.0.
+        Load estimate per vertex (finite, non-negative). Defaults to 1.0.
 
     Notes
     -----
     The adjacency is stored both ways, so ``xadj``/``adjncy`` have ``2m``
     entries. All arrays are immutable by convention; mutating them breaks
-    cached invariants: the once-per-edge arrays of :meth:`edge_list`, the
-    CSR row index and the list views the partitioner kernels loop over are
-    derived on first use and kept (``_edges``, ``_rows``, ``_lists``).
-    They are never pickled.
+    cached invariants: the CSR row index is kept from the build
+    (``_rows``), and the once-per-edge arrays of :meth:`edge_list` and the
+    list views the partitioner kernels loop over are derived on first use
+    and kept (``_edges``, ``_lists``). None of the three is pickled.
     """
 
     __slots__ = ("xadj", "adjncy", "adjwgt", "adjlat", "vwgt", "_total_vwgt")
-    __slots__ += ("_edges", "_rows", "_lists")  # derived on first use
+    __slots__ += ("_edges", "_rows", "_lists")  # derived, never pickled
 
     def __init__(
         self,
@@ -147,53 +188,61 @@ class WeightedGraph:
         lat = _as_f64(edge_latency) if edge_latency is not None else np.full(m, np.inf)
         if w.shape[0] != m or lat.shape[0] != m:
             raise ValueError("edge attribute length mismatch")
+        if not np.isfinite(w).all():
+            raise ValueError("edge weights must be finite")
         if m and w.min() < 0:
             raise ValueError("edge weights must be non-negative")
-        if m and np.any(lat <= 0):
+        # +inf is a legal latency ("unknown"); NaN fails the comparison.
+        if not (lat > 0).all():
             raise ValueError("edge latencies must be positive")
 
         vw = _as_f64(vertex_weight) if vertex_weight is not None else np.ones(n)
         if vw.shape[0] != n:
             raise ValueError("vertex_weight length mismatch")
+        if not np.isfinite(vw).all():
+            raise ValueError("vertex weights must be finite")
         if n and vw.min() < 0:
             raise ValueError("vertex weights must be non-negative")
+        self._set_csr(*_merged_csr(n, u, v, w, lat), vw)
 
-        # Merge parallel edges: canonicalize (min, max), group.
-        if m:
-            lo = np.minimum(u, v)
-            hi = np.maximum(u, v)
-            key = lo * n + hi
-            order = np.argsort(key, kind="stable")
-            key_s = key[order]
-            uniq_mask = np.empty(m, dtype=bool)
-            uniq_mask[0] = True
-            np.not_equal(key_s[1:], key_s[:-1], out=uniq_mask[1:])
-            group = np.cumsum(uniq_mask) - 1
-            n_uniq = int(group[-1]) + 1
-            w_m = sum_by_index(group, w[order], n_uniq)
-            lat_m = np.minimum.reduceat(lat[order], np.flatnonzero(uniq_mask))
-            lo_m = lo[order][uniq_mask]
-            hi_m = hi[order][uniq_mask]
-        else:
-            lo_m = hi_m = np.empty(0, dtype=np.int64)
-            w_m = lat_m = np.empty(0)
+    @classmethod
+    def _from_csr(
+        cls,
+        rows: np.ndarray,
+        adjncy: np.ndarray,
+        adjwgt: np.ndarray,
+        adjlat: np.ndarray,
+        vwgt: np.ndarray,
+    ) -> "WeightedGraph":
+        """A graph of merged CSR entries in :func:`_merged_csr`'s order.
 
-        # Build symmetric CSR.
-        src = np.concatenate([lo_m, hi_m])
-        dst = np.concatenate([hi_m, lo_m])
-        ew = np.concatenate([w_m, w_m])
-        el = np.concatenate([lat_m, lat_m])
-        order = np.argsort(src, kind="stable")
-        src, dst, ew, el = src[order], dst[order], ew[order], el[order]
+        Nothing is checked: the two builders that call this
+        (:meth:`_induced`, :meth:`contract`) take their entries from a
+        graph that was checked when it was built.
+        """
+        graph = cls.__new__(cls)
+        graph._set_csr(rows, adjncy, adjwgt, adjlat, vwgt)
+        return graph
+
+    def _set_csr(
+        self,
+        rows: np.ndarray,
+        adjncy: np.ndarray,
+        adjwgt: np.ndarray,
+        adjlat: np.ndarray,
+        vwgt: np.ndarray,
+    ) -> None:
+        """Store CSR entries; the row index is kept as :meth:`csr_rows`."""
+        n = vwgt.shape[0]
         xadj = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=xadj[1:])
-
+        np.cumsum(np.bincount(rows, minlength=n), out=xadj[1:])
         self.xadj = xadj
-        self.adjncy = dst
-        self.adjwgt = ew
-        self.adjlat = el
-        self.vwgt = vw
-        self._total_vwgt = float(vw.sum())
+        self.adjncy = adjncy
+        self.adjwgt = adjwgt
+        self.adjlat = adjlat
+        self.vwgt = vwgt
+        self._total_vwgt = float(vwgt.sum())
+        self._rows = rows
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -360,6 +409,30 @@ class WeightedGraph:
             return True
         return bool(self.connected_components().max() == 0)
 
+    def _induced(self, vertices: np.ndarray) -> "WeightedGraph":
+        """The subgraph over ``vertices`` (int64 ids, any order, no repeats).
+
+        Subgraph vertex ``i`` is ``vertices[i]``. The CSR entries between
+        kept vertices are renumbered and sorted into the order
+        :func:`_merged_csr` gives; they are merged and checked already, so
+        this is the graph the constructor would build from them.
+        """
+        k = vertices.shape[0]
+        ids = np.arange(k, dtype=np.int64)
+        newid = np.full(self.num_vertices, -1, dtype=np.int64)
+        newid[vertices] = ids
+        if not np.array_equal(newid[vertices], ids):
+            raise ValueError("a vertex id is repeated")
+        rows, nbrs = newid[self.csr_rows()], newid[self.adjncy]
+        keep = np.flatnonzero((rows >= 0) & (nbrs >= 0))
+        rows, nbrs = rows[keep], nbrs[keep]
+        # Keys are unique (a merged graph has one entry per ordered pair).
+        order = np.argsort((2 * rows + (nbrs < rows)) * k + nbrs, kind="stable")
+        keep = keep[order]
+        return WeightedGraph._from_csr(
+            rows[order], nbrs[order], self.adjwgt[keep], self.adjlat[keep], self.vwgt[vertices]
+        )
+
     def contract(self, labels: Sequence[int] | np.ndarray) -> GraphContraction:
         """Contract vertices sharing a label into single coarse vertices.
 
@@ -381,5 +454,9 @@ class WeightedGraph:
         u, v, w, lat = self.edge_list()
         cu, cv = labels[u], labels[v]
         keep = cu != cv
-        coarse = WeightedGraph(k, cu[keep], cv[keep], w[keep], lat[keep], cvwgt)
+        # The constructor's merge without its checks: the labels are checked
+        # above, and the edges and weights come from this checked graph.
+        coarse = WeightedGraph._from_csr(
+            *_merged_csr(k, cu[keep], cv[keep], w[keep], lat[keep]), cvwgt
+        )
         return GraphContraction(coarse=coarse, labels=labels)

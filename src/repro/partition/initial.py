@@ -9,6 +9,7 @@ run and the best (feasible, lowest-cut) bisection is kept.
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
@@ -20,21 +21,30 @@ __all__ = ["best_bisection"]
 def _initial_gains(graph: WeightedGraph) -> list[float]:
     """Gain of every vertex while the region is empty: minus its edge weight.
 
-    ``np.add.reduce`` on the row is what ``ndarray.sum`` runs; a
-    sequential or ``reduceat`` sum rounds differently on long rows.
+    Each row is summed by ``np.add.reduce``, which is what ``ndarray.sum``
+    runs; a sequential or ``reduceat`` sum rounds differently on long
+    rows. Rows of one length are gathered into a 2-D array and reduced
+    along its contiguous last axis in one call, which runs the same
+    pairwise sum on each row.
     """
-    xadj = graph.csr_lists()[0]
-    adjwgt, row_sum = graph.adjwgt, np.add.reduce
-    return [-float(row_sum(adjwgt[xadj[v] : xadj[v + 1]])) for v in range(graph.num_vertices)]
+    starts = graph.csr_lists()[0]
+    rows_of_length: dict[int, list[int]] = {}
+    for v in range(graph.num_vertices):
+        rows_of_length.setdefault(starts[v + 1] - starts[v], []).append(v)
+    xadj, adjwgt = graph.xadj, graph.adjwgt
+    sums = np.zeros(graph.num_vertices)
+    for length, rows in sorted(rows_of_length.items()):
+        sums[rows] = np.add.reduce(adjwgt[xadj[rows][:, None] + np.arange(length)], axis=1)
+    return (-sums).tolist()
 
 
 def _grow(
     graph: WeightedGraph, seed: int, target_fraction: float, initial_gains: list[float]
-) -> np.ndarray:
+) -> list[bool]:
     """Grow partition 0 from ``seed`` until it holds ``target_fraction`` weight.
 
-    Returns a 0/1 partition vector. The growth front is a max-gain heap
-    where the gain of moving ``v`` into the region is
+    Returns, per vertex, whether it is in partition 0. The growth front
+    is a max-gain heap where the gain of moving ``v`` into the region is
     ``(edge weight to region) - (edge weight to outside)``; absorbing
     high-gain vertices keeps the running cut small. ``initial_gains``
     is not modified.
@@ -79,16 +89,15 @@ def _grow(
 
     # The frontier may dry up in a disconnected graph: top up with the
     # lightest remaining vertices until the balance target is met.
-    region = np.array(in_region)
     if region_weight < target:
-        remaining = np.flatnonzero(~region)
+        remaining = np.flatnonzero(~np.array(in_region))
         order = remaining[np.argsort(graph.vwgt[remaining], kind="stable")]
         for v in order.tolist():
             if region_weight >= target:
                 break
-            region[v] = True
+            in_region[v] = True
             region_weight += vwgt[v]
-    return np.where(region, 0, 1).astype(np.int64)
+    return in_region
 
 
 def best_bisection(
@@ -110,21 +119,36 @@ def best_bisection(
     if not 0.0 < target_fraction < 1.0:
         raise ValueError("target_fraction must be in (0, 1)")
     total = graph.total_vertex_weight
-    targets = np.array([target_fraction * total, (1 - target_fraction) * total])
+    targets = (target_fraction * total, (1 - target_fraction) * total)
 
-    best: np.ndarray | None = None
+    best: list[bool] | None = None
     best_key: tuple[int, float, float] | None = None
     initial_gains = _initial_gains(graph)
+    vwgt = graph.csr_lists()[3]
+    grown: set[int] = set()
     for _ in range(max(1, trials)):
-        part = _grow(graph, int(rng.integers(n)), target_fraction, initial_gains)
-        weights = graph.partition_weights(part, 2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(targets > 0, weights / targets, 1.0)
-        imbalance = float(np.nanmax(ratio)) if np.isfinite(ratio).any() else 1.0
-        cut = graph.edge_cut(part)
-        feasible = 0 if imbalance <= imbalance_tolerance else 1
-        key = (feasible, cut if feasible == 0 else imbalance, imbalance)
+        seed = int(rng.integers(n))
+        if seed in grown:
+            continue  # the same region again: its key ties, and ties lose
+        grown.add(seed)
+        region = _grow(graph, seed, target_fraction, initial_gains)
+        # The side weights as partition_weights adds them: in vertex order.
+        weights = [0.0, 0.0]
+        for inside, vw in zip(region, vwgt):
+            weights[0 if inside else 1] += vw
+        ratio = [w / t if t > 0 else 1.0 for w, t in zip(weights, targets)]
+        # np.nanmax of the ratios, or 1.0 when neither is finite.
+        imbalance = max(r for r in ratio if r == r) if any(map(math.isfinite, ratio)) else 1.0
+        if imbalance <= imbalance_tolerance:  # feasible: the cut decides
+            key = (0, graph.edge_cut(_as_part(region)), imbalance)
+        else:
+            key = (1, imbalance, imbalance)
         if best_key is None or key < best_key:
-            best, best_key = part, key
+            best, best_key = region, key
     assert best is not None
-    return best
+    return _as_part(best)
+
+
+def _as_part(region: list[bool]) -> np.ndarray:
+    """The 0/1 partition vector of a grown region (side 0 inside)."""
+    return np.logical_not(region).astype(np.int64)

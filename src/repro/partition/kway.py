@@ -51,23 +51,11 @@ def extract_subgraph(
     """Induced subgraph over ``vertices``; returns it plus the old ids.
 
     The second return value maps subgraph vertex ``i`` back to
-    ``vertices[i]`` in the parent graph.
+    ``vertices[i]`` in the parent graph (any order, no repeats). The
+    parent's CSR is sliced (:meth:`WeightedGraph._induced`), not rebuilt.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
-    n = graph.num_vertices
-    newid = np.full(n, -1, dtype=np.int64)
-    newid[vertices] = np.arange(vertices.shape[0], dtype=np.int64)
-    u, v, w, lat = graph.edge_list()
-    mask = (newid[u] >= 0) & (newid[v] >= 0)
-    sub = WeightedGraph(
-        vertices.shape[0],
-        newid[u[mask]],
-        newid[v[mask]],
-        w[mask],
-        lat[mask],
-        graph.vwgt[vertices],
-    )
-    return sub, vertices
+    return graph._induced(vertices), vertices
 
 
 def multilevel_bisect(

@@ -213,19 +213,49 @@ def balance_partition(
     side_weight = graph.partition_weights(part, 2).tolist()
     xadj, adjncy, adjwgt, vwgt = graph.csr_lists()
     ed, idw = _external_internal(graph, part)
-    gain = ed - idw
+    gain = (ed - idw).tolist()
     side = part.tolist()
+    # Per side, (-gain, v) of its vertices: the top entry that is still
+    # current is np.argmax's pick, the highest gain and then the lowest id.
+    # An entry is current while v is on that side with that gain.
+    heappush, heappop = heapq.heappush, heapq.heappop
+    heaps: list[list[tuple[float, int]]] = [[], []]
+    for v, (s, g) in enumerate(zip(side, gain)):
+        heaps[s].append((-g, v))
+    for heap in heaps:
+        heapq.heapify(heap)
+    # Per side, the vertices whose gain a move has made out of date. Only
+    # the heavy side's gains are read, so a row is summed again when its
+    # side is next the heavy one (a hub next to every mover, left on the
+    # light side, is not summed at every move).
+    stale: list[set[int]] = [set(), set()]
 
     last_best, weights_before_last = -1, None
     for moves_left in range(graph.num_vertices, -1, -1):
         over = 1 if side_weight[1] - limits[1] > side_weight[0] - limits[0] else 0
         if side_weight[over] <= limits[over]:
             break
-        best = int(np.argmax(np.where(part == over, gain, -np.inf)))
-        if side[best] != over:
+        heap = heaps[over]
+        # Each stale row is summed again from 0.0 in CSR order, which is the
+        # sum a whole-graph _external_internal would return, bit for bit (an
+        # incremental +-2w update is not).
+        for x in stale[over]:
+            external = internal = 0.0
+            for idx in range(xadj[x], xadj[x + 1]):
+                if side[adjncy[idx]] != over:
+                    external += adjwgt[idx]
+                else:
+                    internal += adjwgt[idx]
+            gain[x] = external - internal
+            heappush(heap, (-gain[x], x))
+        stale[over].clear()
+        while heap and (side[heap[0][1]] != over or -heap[0][0] != gain[heap[0][1]]):
+            heappop(heap)
+        if not heap:
             break  # nobody left on the heavy side
+        best = heappop(heap)[1]
         weights_before = side_weight.copy()
-        part[best] = side[best] = 1 - over
+        side[best] = 1 - over
         side_weight[over] -= vwgt[best]
         side_weight[1 - over] += vwgt[best]
         if best == last_best and side_weight == weights_before_last:
@@ -233,19 +263,11 @@ def balance_partition(
             # to the very state of two moves ago: the moves that are left
             # would swing it to and fro, so only their parity matters.
             if moves_left % 2:
-                part[best] = over
+                side[best] = over
             break
         last_best, weights_before_last = best, weights_before
         # Only the moved vertex and its neighbours see a different cut.
-        # Each row is summed again from 0.0 in CSR order, which is the sum
-        # a whole-graph _external_internal would return, bit for bit (an
-        # incremental +-2w update is not).
-        for x in [best, *adjncy[xadj[best] : xadj[best + 1]]]:
-            external = internal = 0.0
-            for idx in range(xadj[x], xadj[x + 1]):
-                if side[adjncy[idx]] != side[x]:
-                    external += adjwgt[idx]
-                else:
-                    internal += adjwgt[idx]
-            gain[x] = external - internal
-    return part
+        stale[1 - over].add(best)
+        for x in adjncy[xadj[best] : xadj[best + 1]]:
+            stale[side[x]].add(x)
+    return np.array(side, dtype=np.int64)

@@ -206,11 +206,12 @@ class TestPartitionValidator:
 
     def test_weight_drift_fires_part404(self):
         # A NaN vertex weight poisons the accounting: per-part sums can
-        # no longer reconcile against the graph total.
+        # no longer reconcile against the graph total. The constructor
+        # rejects NaN, so the weight drifts after construction.
         n = 4
         u = np.arange(n)
-        vw = np.array([1.0, 1.0, np.nan, 1.0])
-        g = WeightedGraph(n, u, (u + 1) % n, edge_latency=np.full(n, 1e-3), vertex_weight=vw)
+        g = WeightedGraph(n, u, (u + 1) % n, edge_latency=np.full(n, 1e-3))
+        g.vwgt[2] = np.nan
         findings = check_partition(g, np.array([0, 0, 1, 1]), 2)
         assert "PART404" in ids(findings)
 

@@ -120,3 +120,23 @@ class TestProcessChaosSmoke:
         assert "byte-identical to the 1-process reference" in out
         assert "proc.sigkill" in out
         assert "respawn(s)" in out
+        assert "reference run  : " in out
+
+    def test_report_prints_what_the_reference_delivered(self):
+        """RECOVERED against a mostly unroutable reference must say so."""
+        from repro.experiments.chaos import ProcessChaosResult, format_process_chaos_report
+
+        result = ProcessChaosResult(
+            network="multi-as", procs=2, seed=0, duration_s=0.5, kills=1,
+            on_worker_loss="respawn", plan_digest="0" * 64, fault_lines=[],
+            reference_counters={"sent": 920, "delivered": 64, "dropped_queue": 0,
+                                "dropped_ttl": 0, "unroutable": 856},
+            recovery={"detections": 1, "respawns": 1, "windows_replayed": 3,
+                      "adoptions": 0, "checkpoints_taken": 2, "checkpoint_bytes": 10},
+            byte_identical=True, counters_match=True,
+        )
+        lines = format_process_chaos_report(result).splitlines()
+        assert lines[-2:] == [
+            "reference run  : 64 delivered, 856 unroutable of 920 sent",
+            "verdict        : RECOVERED",
+        ]

@@ -54,6 +54,32 @@ class TestConstruction:
         with pytest.raises(ValueError):
             WeightedGraph(2, [0], [1], vertex_weight=[1.0, -2.0])
 
+    def test_nan_anywhere_rejected(self):
+        """A NaN weight or latency used to partition to a NaN edge cut."""
+        nan = float("nan")
+        edges = (4, [0, 1, 2], [1, 2, 3])
+        with pytest.raises(ValueError, match="edge weights"):
+            WeightedGraph(*edges, [1, nan, 1], [1e-3, 1e-3, 1e-3])
+        with pytest.raises(ValueError, match="latencies"):
+            WeightedGraph(*edges, [1, 2, 1], [1e-3, nan, 1e-3])
+        with pytest.raises(ValueError, match="vertex weights"):
+            WeightedGraph(*edges, [1, 2, 1], [1e-3, 1e-3, 1e-3], [1, nan, 1, 1])
+        with pytest.raises(ValueError):
+            WeightedGraph(*edges, [1, nan, 1], [1e-3, nan, 1e-3], [1, nan, 1, 1])
+
+    @pytest.mark.parametrize("inf", [float("inf"), -float("inf")])
+    def test_infinite_weights_rejected(self, inf):
+        with pytest.raises(ValueError, match="edge weights must be finite"):
+            WeightedGraph(2, [0], [1], edge_weight=[inf])
+        with pytest.raises(ValueError, match="vertex weights must be finite"):
+            WeightedGraph(2, [0], [1], vertex_weight=[1.0, inf])
+
+    def test_infinite_latency_means_unknown(self):
+        g = WeightedGraph(3, [0, 1], [1, 2], edge_latency=[float("inf"), 1e-3])
+        assert g.min_cut_latency([0, 1, 1]) == float("inf")
+        with pytest.raises(ValueError, match="positive"):
+            WeightedGraph(2, [0], [1], edge_latency=[-float("inf")])
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             WeightedGraph(3, [0, 1], [1])

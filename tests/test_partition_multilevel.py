@@ -11,6 +11,7 @@ from repro.partition import (
     best_bisection,
     coarsen,
     coarsen_once,
+    extract_subgraph,
     fm_refine,
     heavy_edge_matching,
     multilevel_bisect,
@@ -262,3 +263,19 @@ class TestPartitionKway:
             )
             res = partition_kway(g, k, seed=0)
             assert set(res.assignment.tolist()) == set(range(k)), (n, k, vw)
+
+
+class TestExtractSubgraph:
+    def test_repeated_vertex_rejected(self):
+        """``[2, 0, 2]`` used to come back as three vertices and no edge."""
+        g = path_graph(4)
+        with pytest.raises(ValueError, match="repeated"):
+            extract_subgraph(g, [2, 0, 2])
+
+    def test_unsorted_ids_keep_their_edges(self):
+        g = path_graph(5, weight=[1.0, 2.0, 3.0, 4.0])
+        sub, back = extract_subgraph(g, [3, 1, 2])
+        assert back.tolist() == [3, 1, 2]
+        u, v, w, _ = sub.edge_list()
+        edges = {(min(a, b), max(a, b), x) for a, b, x in zip(back[u], back[v], w.tolist())}
+        assert edges == {(1, 2, 2.0), (2, 3, 3.0)}

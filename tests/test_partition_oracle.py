@@ -27,12 +27,14 @@ from repro.partition import (
     WeightedGraph,
     balance_partition,
     best_bisection,
+    extract_subgraph,
     fm_refine,
     heavy_edge_matching,
     kway_refine,
     partition_kway,
 )
 from repro.partition.graph import component_labels
+from repro.partition.initial import _initial_gains
 from repro.partition.refine import _external_internal
 
 CSR = ("xadj", "adjncy", "adjwgt", "adjlat", "vwgt")
@@ -235,6 +237,54 @@ class TestKernels:
         part = random_part(g, seed, num_parts)
         new = kway_refine(g, part, num_parts, tolerance)
         assert same_arrays(new, oracle.kway_refine(g, part, num_parts, tolerance))
+
+
+@st.composite
+def long_rows(draw) -> WeightedGraph:
+    """A graph whose rows hold 0 to about 300 entries, several rows per length.
+
+    Weights span 1e-3 to 1e6, or are the suite's 0.1 / 0.2 / 0.3, whose
+    sums round differently when added in another order.
+    """
+    rng = np.random.default_rng(draw(SEEDS))
+    n = 305
+    length = st.sampled_from((0, 1, 7, 8, 9, 16, 17, 128, 129, 300)) | st.integers(0, 300)
+    lengths = draw(st.lists(length, min_size=1, max_size=8))
+    u: list[int] = []
+    v: list[int] = []
+    for hub, length in enumerate(lengths):
+        others = rng.choice(np.delete(np.arange(n), hub), length, replace=False)
+        u += [hub] * length
+        v += others.tolist()
+    if draw(st.booleans()):
+        w = rng.choice((0.1, 0.2, 0.3), len(u))
+    else:
+        w = 10.0 ** rng.uniform(-3.0, 6.0, len(u))
+    return WeightedGraph(n, u, v, w)
+
+
+class TestSlicesAndSums:
+    @COMPARE
+    @given(graphs(), SEEDS)
+    def test_extract_subgraph(self, g, seed):
+        """Any subset in any order: the deficit move and the degenerate split pass unsorted ids."""
+        rng = np.random.default_rng(seed)
+        vertices = rng.permutation(g.num_vertices)[: rng.integers(0, g.num_vertices + 1)]
+        if rng.random() < 0.3:
+            vertices = np.sort(vertices)
+        sub, back = extract_subgraph(g, vertices)
+        old_sub, old_back = oracle.extract_subgraph(g, vertices)
+        assert_same_graph(sub, old_sub)
+        assert same_arrays(back, old_back)
+        rows = np.repeat(np.arange(sub.num_vertices, dtype=np.int64), np.diff(sub.xadj))
+        assert same_arrays(sub.csr_rows(), rows)  # the row index kept from the slice
+
+    @COMPARE
+    @given(long_rows())
+    def test_initial_gains_are_one_reduce_per_row(self, g):
+        rows = [g.adjwgt[g.xadj[v] : g.xadj[v + 1]] for v in range(g.num_vertices)]
+        expected = [-float(np.add.reduce(row)) for row in rows]
+        assert [x.hex() for x in _initial_gains(g)] == [x.hex() for x in expected]
 
 
 class TestPartitioner:

@@ -1,11 +1,11 @@
 """Operation counts of one ``Tmll`` sweep: a cost guard without a stopwatch.
 
-The three terms below made the sweep several times dearer than it had
-to be (docs/performance.md, "Mapping: the ``Tmll`` sweep") and each can
-come back through an innocent-looking refactor while a timing on a noisy
-host still reads "within bound". They are counted, not timed, on the
-HTOP sweep of the shared ``flat_net`` for 4 engines, stepped at 0.01 ms
-so that, as on the benchmark's larger network, most steps change nothing.
+The terms below made the sweep dearer than it had to be
+(docs/performance.md, "Mapping: the ``Tmll`` sweep") and each can come
+back through an innocent-looking refactor while a timing on a noisy host
+still reads "within bound". They are counted, not timed, on the HTOP
+sweep of the shared ``flat_net`` for 4 engines, stepped at 0.01 ms so
+that, as on the benchmark's larger network, most steps change nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +25,10 @@ def counted_sweep(flat_net):
 def _counted_sweep(flat_net, monkeypatch):
     graph = build_weighted_graph(flat_net, Approach.HTOP, None, None)
     counts = {"collapses": 0, "bisections": 0, "gain_vectors": 0, "degree_scans": 0}
+    counts |= {"grows": 0, "constructions": 0}
     scans_per_balance_call: list[int] = []
+    constructions_per_extraction: list[int] = []
+    grows_and_seeds_per_bisection: list[tuple[int, int, int]] = []  # grows, draws, distinct
 
     def counting(name, function):
         def wrapper(*args, **kwargs):
@@ -40,17 +43,49 @@ def _counted_sweep(flat_net, monkeypatch):
         counts["collapses"] += self is graph  # coarsening contracts other graphs
         return contract(self, labels)
 
-    balance_partition = kway.balance_partition
+    def noting_per_call(counter, function, per_call):  # what each call adds to a count
+        def wrapper(*args, **kwargs):
+            before = counts[counter]
+            result = function(*args, **kwargs)
+            per_call.append(counts[counter] - before)
+            return result
 
-    def balance_counting_scans(*args, **kwargs):
-        before = counts["degree_scans"]
-        result = balance_partition(*args, **kwargs)
-        scans_per_balance_call.append(counts["degree_scans"] - before)
+        return wrapper
+
+    best_bisection = kway.best_bisection
+
+    def bisection_counting_grows_and_seeds(graph, rng, *args, **kwargs):
+        drawn: list[int] = []
+
+        class Drawing:  # the generator, noting each seed vertex it hands out
+            def integers(self, *a, **k):
+                drawn.append(int(rng.integers(*a, **k)))
+                return drawn[-1]
+
+        before = counts["grows"]
+        result = best_bisection(graph, Drawing(), *args, **kwargs)
+        grows = counts["grows"] - before
+        grows_and_seeds_per_bisection.append((grows, len(drawn), len(set(drawn))))
         return result
 
     monkeypatch.setattr(WeightedGraph, "contract", contract_counting_collapses)
-    monkeypatch.setattr(kway, "balance_partition", balance_counting_scans)
-    monkeypatch.setattr(kway, "best_bisection", counting("bisections", kway.best_bisection))
+    monkeypatch.setattr(
+        kway,
+        "balance_partition",
+        noting_per_call("degree_scans", kway.balance_partition, scans_per_balance_call),
+    )
+    monkeypatch.setattr(
+        kway,
+        "extract_subgraph",
+        noting_per_call("constructions", kway.extract_subgraph, constructions_per_extraction),
+    )
+    monkeypatch.setattr(
+        WeightedGraph, "__init__", counting("constructions", WeightedGraph.__init__)
+    )
+    monkeypatch.setattr(initial, "_grow", counting("grows", initial._grow))
+    monkeypatch.setattr(
+        kway, "best_bisection", counting("bisections", bisection_counting_grows_and_seeds)
+    )
     monkeypatch.setattr(
         refine, "_external_internal", counting("degree_scans", refine._external_internal)
     )
@@ -59,7 +94,12 @@ def _counted_sweep(flat_net, monkeypatch):
 
     pipeline = MappingPipeline.for_network(flat_net, num_engines=4)
     result = hierarchical_partition(graph, 4, pipeline.sync_cost_s, seed=0, tmll_step_s=0.01e-3)
-    return result, counts, scans_per_balance_call
+    per_call = {
+        "balance_scans": scans_per_balance_call,
+        "extract_constructions": constructions_per_extraction,
+        "bisection_grows_and_seeds": grows_and_seeds_per_bisection,
+    }
+    return result, counts, per_call
 
 
 def test_one_collapsed_graph_per_candidate(counted_sweep):
@@ -70,7 +110,7 @@ def test_one_collapsed_graph_per_candidate(counted_sweep):
 
 
 def test_balance_partition_does_not_rescan_the_graph_per_move(counted_sweep):
-    _, _, scans_per_balance_call = counted_sweep
+    scans_per_balance_call = counted_sweep[2]["balance_scans"]
     assert scans_per_balance_call, "the sweep no longer exercises balance_partition"
     assert max(scans_per_balance_call) <= 1
 
@@ -78,3 +118,16 @@ def test_balance_partition_does_not_rescan_the_graph_per_move(counted_sweep):
 def test_initial_gains_are_built_once_per_coarsest_graph(counted_sweep):
     _, counts, _ = counted_sweep
     assert 0 < counts["gain_vectors"] == counts["bisections"]
+
+
+def test_extract_subgraph_slices_the_parent_without_the_constructor(counted_sweep):
+    constructions = counted_sweep[2]["extract_constructions"]
+    assert constructions, "the sweep no longer extracts subgraphs"
+    assert max(constructions) == 0
+
+
+def test_best_bisection_grows_each_seed_vertex_once(counted_sweep):
+    """A repeated seed grows the same region, whose key ties and so loses."""
+    per_bisection = counted_sweep[2]["bisection_grows_and_seeds"]
+    assert any(distinct < draws for _, draws, distinct in per_bisection)  # repeats happen
+    assert all(grows <= distinct for grows, _, distinct in per_bisection)
