@@ -20,16 +20,21 @@ by construction. The sweep starts just above the synchronization cost
 time will be spent on synchronization") and steps by 0.1 ms as in the
 paper; every candidate is scored with ``E = Es * Ec`` and the argmax is
 projected back to the original graph.
+
+A candidate whose balance cap cannot beat the best ``E`` so far is
+recorded without being partitioned; its record partitions it when first
+read (see :func:`hierarchical_partition`, Notes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from ..partition.graph import WeightedGraph, component_labels
+from ..partition.graph import WeightedGraph, component_labels, sum_by_index
 from ..partition.kway import partition_kway
 from .evaluate import PartitionEvaluation, evaluate_partition
 
@@ -39,13 +44,43 @@ __all__ = ["SweepRecord", "HierarchicalResult", "hierarchical_partition", "DEFAU
 DEFAULT_TMLL_STEP_S = 0.1e-3
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One candidate threshold of the sweep."""
+#: Relative slack on a candidate's balance cap: the cap divides the total
+#: weight by ``num_parts`` where ``Ec`` takes the mean of the part weights,
+#: and the two roundings may differ.
+CAP_MARGIN = 1e-9
 
-    tmll_s: float
-    coarse_vertices: int
-    evaluation: PartitionEvaluation
+
+class SweepRecord:
+    """One candidate threshold of the sweep.
+
+    Built with its ``evaluation``, or with ``deferred``, which computes it:
+    a candidate the sweep did not partition partitions when its
+    ``evaluation`` is first read, and keeps the result.
+    """
+
+    __slots__ = ("tmll_s", "coarse_vertices", "_evaluation", "_deferred")
+
+    def __init__(
+        self,
+        tmll_s: float,
+        coarse_vertices: int,
+        evaluation: PartitionEvaluation | None = None,
+        deferred: Callable[[], PartitionEvaluation] | None = None,
+    ) -> None:
+        if (evaluation is None) == (deferred is None):
+            raise TypeError("give either an evaluation or a deferred one")
+        self.tmll_s = tmll_s
+        self.coarse_vertices = coarse_vertices
+        self._evaluation = evaluation
+        self._deferred = deferred
+
+    @property
+    def evaluation(self) -> PartitionEvaluation:
+        """The candidate's scores, computed on the first read if deferred."""
+        if self._evaluation is None:
+            assert self._deferred is not None
+            self._evaluation, self._deferred = self._deferred(), None
+        return self._evaluation
 
 
 @dataclass(frozen=True)
@@ -91,9 +126,14 @@ def hierarchical_partition(
         classes anyway). The sweep also stops early when the dumped graph
         has fewer than ``min_coarse_factor * num_parts`` vertices — no
         parallelism left to distribute.
+    seed:
+        Integer seed, handed unchanged to every partitioner call; a
+        ``np.random.Generator`` is refused (``TypeError``).
     partitioner:
         Any callable with :func:`repro.partition.partition_kway`'s
-        signature, letting tests substitute baselines.
+        signature, letting tests substitute baselines. It must be
+        deterministic for an integer seed: it may also be called after the
+        sweep returns, when a capped record is first read.
 
     Notes
     -----
@@ -112,6 +152,19 @@ def hierarchical_partition(
     stage (b)). A candidate is partitioned only at steps where the dumped
     graph differs from the previous step's; see docs/performance.md,
     "Mapping: the ``Tmll`` sweep".
+
+    A candidate's ``E = Es * Ec`` is at most its balance cap, ``C_avg``
+    over the weight of its heaviest collapsed cluster, since the part
+    holding that cluster weighs at least as much and ``Es <= 1``. A
+    candidate whose cap, times ``1 + CAP_MARGIN``, does not exceed the best
+    ``E`` so far cannot be chosen, so it is recorded without being
+    partitioned: its record dumps the graph again and partitions it, with
+    the same partitioner and seed, when its ``evaluation`` is first read.
+    Clusters only merge as ``Tmll`` grows, so caps never rise and the
+    capped records are the sweep's tail; reading the sweep in order hands
+    the partitioner the same graphs in the same order as partitioning every
+    candidate would. See docs/performance.md, "Third pass: stop at the
+    cap".
     """
     if num_parts < 1:
         raise ValueError("num_parts must be >= 1")
@@ -119,16 +172,36 @@ def hierarchical_partition(
         raise ValueError("tmll_step_s must be positive")
     if sync_cost_s < 0:
         raise ValueError("sync_cost_s must be non-negative")
+    if not isinstance(seed, (int, np.integer)):
+        # A shared generator would make each candidate's partition depend
+        # on which candidates were partitioned, and read, before it.
+        raise TypeError(f"seed must be an integer, not {type(seed).__name__}")
 
     edge_u, edge_v, _, latencies = graph.edge_list()
     finite = latencies[np.isfinite(latencies)]
     if tmll_max_s is None:
         tmll_max_s = float(finite.max()) if finite.size else 0.0
+    mean_part_weight = float(graph.vwgt.sum()) / num_parts
 
     sweep: list[SweepRecord] = []
     best_assignment: np.ndarray | None = None
     best_eval: PartitionEvaluation | None = None
     best_tmll = 0.0
+
+    def partition(target: WeightedGraph) -> np.ndarray:
+        return partitioner(
+            target, num_parts, seed=seed, imbalance_tolerance=imbalance_tolerance
+        ).assignment
+
+    def partition_collapsed(labels: np.ndarray) -> np.ndarray:
+        contraction = graph.contract(labels)
+        return contraction.project(partition(contraction.coarse))
+
+    def evaluate_below(tmll: float) -> PartitionEvaluation:
+        """A capped candidate, dumped and partitioned again on first read."""
+        dumped = latencies < tmll
+        labels = component_labels(graph.num_vertices, edge_u[dumped], edge_v[dumped])
+        return evaluate_partition(graph, partition_collapsed(labels), num_parts, sync_cost_s)
 
     def consider(tmll: float, assignment: np.ndarray, coarse_vertices: int) -> None:
         nonlocal best_assignment, best_eval, best_tmll
@@ -140,10 +213,7 @@ def hierarchical_partition(
             best_assignment, best_eval, best_tmll = assignment, evaluation, tmll
 
     # Threshold 0: the flat partition baseline.
-    flat = partitioner(
-        graph, num_parts, seed=seed, imbalance_tolerance=imbalance_tolerance
-    )
-    consider(0.0, flat.assignment, graph.num_vertices)
+    consider(0.0, partition(graph), graph.num_vertices)
 
     # "Loop through all reasonable Tmll."
     start = (int(np.floor(sync_cost_s / tmll_step_s)) + 1) * tmll_step_s
@@ -163,14 +233,17 @@ def hierarchical_partition(
                 break  # not enough parallelism left
             if coarse_vertices != prev_coarse_vertices:
                 prev_coarse_vertices = coarse_vertices
-                contraction = graph.contract(labels)
-                result = partitioner(
-                    contraction.coarse,
-                    num_parts,
-                    seed=seed,
-                    imbalance_tolerance=imbalance_tolerance,
-                )
-                consider(tmll, contraction.project(result.assignment), coarse_vertices)
+                # Ec <= C_avg / w(heaviest cluster): the part holding that
+                # cluster weighs at least as much, and Es <= 1.
+                heaviest = sum_by_index(labels, graph.vwgt, coarse_vertices).max()
+                cap = mean_part_weight / heaviest if heaviest > 0 else np.inf
+                assert best_eval is not None
+                if cap * (1 + CAP_MARGIN) > best_eval.efficiency:
+                    consider(tmll, partition_collapsed(labels), coarse_vertices)
+                else:
+                    sweep.append(
+                        SweepRecord(tmll, coarse_vertices, deferred=partial(evaluate_below, tmll))
+                    )
         tmll += tmll_step_s
 
     assert best_assignment is not None and best_eval is not None

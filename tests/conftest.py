@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 from repro.partition import WeightedGraph
 from repro.routing import ForwardingPlane
@@ -82,3 +84,24 @@ def two_cluster_graph():
     vs.append(10)
     lat.append(5e-3)  # bridge: 5 ms
     return WeightedGraph(20, us, vs, np.ones(len(us)), np.asarray(lat))
+
+
+def _balance_cap(graph: WeightedGraph, tmll_s: float, num_parts: int) -> float:
+    """``C_avg`` over the weight of the heaviest cluster left by collapsing
+    every edge below ``tmll_s``: the most ``E = Es * Ec`` can reach there.
+
+    The clusters come from scipy directly, not from the sweep's own code.
+    """
+    u, v, _, latencies = graph.edge_list()
+    below = latencies < tmll_s
+    n = graph.num_vertices
+    adjacency = coo_array((np.ones(int(below.sum())), (u[below], v[below])), shape=(n, n))
+    _, labels = connected_components(adjacency, directed=False)
+    heaviest = np.bincount(labels, weights=graph.vwgt).max()
+    return graph.vwgt.sum() / num_parts / heaviest if heaviest > 0 else np.inf
+
+
+@pytest.fixture(scope="session")
+def balance_cap():
+    """:func:`_balance_cap`, for tests of which sweep candidates are capped."""
+    return _balance_cap

@@ -194,6 +194,44 @@ class TestChaosCommand:
             main(["chaos", "multi-as", "scalapack", "--scenario", "nope"])
 
 
+class TestSweepCommand:
+    def test_prints_one_numeric_row_per_record(self, capsys, monkeypatch):
+        """Every record is printed, the ones the sweep did not partition too."""
+        from dataclasses import replace
+
+        import repro.core
+        from repro.experiments import SCALES
+        from repro.partition import partition_kway
+
+        smoke = replace(
+            SCALES["small"], name="smoke", flat_routers=60, flat_hosts=40,
+            http_clients=24, http_servers=8, num_engines=4, app_processes=4,
+            scalapack_iterations=2, duration_s=1.5, profile_duration_s=0.5,
+        )
+        monkeypatch.setattr("repro.__main__._resolve_scale", lambda args: smoke)
+        hierarchical = repro.core.hierarchical_partition
+        sweep, handed, handed_in_sweep = [], [], []
+
+        def noting(graph, num_parts, **kwargs):
+            handed.append(graph.num_vertices)
+            return partition_kway(graph, num_parts, **kwargs)
+
+        def keeping_the_sweep(*args, **kwargs):
+            result = hierarchical(*args, partitioner=noting, **kwargs)
+            sweep.extend(result.sweep)
+            handed_in_sweep.append(len(handed))
+            return result
+
+        monkeypatch.setattr("repro.core.hierarchical_partition", keeping_the_sweep)
+        assert main(["sweep"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert handed_in_sweep[0] < len(sweep) == len(rows)  # capped records printed too
+        for record, row in zip(sweep, rows):
+            tmll, coarse, _, _, e, _ = (float(x) for x in row.split()[:6])
+            assert (tmll, coarse) == (round(record.tmll_s * 1e3, 2), record.coarse_vertices)
+            assert f"{e:.3f}" == f"{record.evaluation.efficiency:.3f}"
+
+
 class TestTraceCommand:
     def test_trace_writes_validated_snapshot(self, capsys, tmp_path):
         out = tmp_path / "trace.json"

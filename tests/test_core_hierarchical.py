@@ -100,6 +100,18 @@ class TestHierarchicalPartition:
         with pytest.raises(ValueError):
             hierarchical_partition(g, 2, -1.0)
 
+    def test_seed_must_be_an_integer(self):
+        """A shared generator would tie each candidate's partition to the
+        candidates partitioned, or read, before it."""
+        g = latency_tiers_graph()
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            hierarchical_partition(g, 3, 0.1e-3, seed=np.random.default_rng(5))
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            hierarchical_partition(g, 3, 0.1e-3, seed=5.0)
+        numpy_int = hierarchical_partition(g, 3, 0.1e-3, seed=np.int64(5))
+        python_int = hierarchical_partition(g, 3, 0.1e-3, seed=5)
+        assert np.array_equal(numpy_int.assignment, python_int.assignment)
+
     def test_custom_partitioner_injected(self):
         from repro.partition import round_robin_partition
 

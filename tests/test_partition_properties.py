@@ -10,13 +10,16 @@ wider input space than the hand-built fixtures:
 - sweep shape: thresholds strictly increase, the dumped graph only ever
   shrinks, and the reported best is the argmax of the sweep;
 - grid-coverage monotonicity: halving the Tmll step makes the candidate
-  set a superset, so the best efficiency can only improve.
+  set a superset, so the best efficiency can only improve;
+- balance cap: no candidate beats ``C_avg`` over its heaviest cluster, the
+  sweep partitions only candidates whose cap beats the best so far, and
+  the others, a tail, evaluate the same whichever order they are read in.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import evaluate_partition, hierarchical_partition
@@ -190,3 +193,66 @@ class TestGridCoverageMonotonicity:
         coarse_counts = {rec.coarse_vertices for rec in coarse.sweep}
         fine_counts = {rec.coarse_vertices for rec in fine.sweep}
         assert coarse_counts <= fine_counts
+
+
+def _with_integer_weights(graph: WeightedGraph) -> WeightedGraph:
+    u, v, w, lat = graph.edge_list()
+    return WeightedGraph(graph.num_vertices, u, v, w, lat, np.ceil(graph.vwgt))
+
+
+def _evaluation_key(evaluation) -> tuple:
+    floats = (evaluation.mll_s, evaluation.es, evaluation.ec, evaluation.efficiency,
+              evaluation.predicted_imbalance, evaluation.edge_cut)
+    return tuple(f.hex() for f in floats) + (evaluation.part_weights.tobytes(),)
+
+
+#: Six unit weights on a path, two parts, no barrier cost: the flat
+#: partition reaches E = 1, and the 0.1 ms candidate's cluster {0, 1, 2}
+#: caps it at exactly 1, so it must be partitioned all the same.
+CAP_EQUALS_BEST = WeightedGraph(
+    6, [0, 1, 2, 3, 4], [1, 2, 3, 4, 5],
+    edge_latency=[0.05e-3, 0.05e-3, 1e-3, 1e-3, 1e-3],
+)
+
+
+class TestBalanceCap:
+    @given(
+        graph=connected_graphs(),
+        num_parts=st.integers(min_value=2, max_value=3),
+        seed=st.integers(min_value=0, max_value=3),
+        sync_cost_s=st.sampled_from((0.0, SYNC_COST_S)),
+        integer_weights=st.booleans(),
+    )
+    @example(graph=CAP_EQUALS_BEST, num_parts=2, seed=0, sync_cost_s=0.0, integer_weights=True)
+    @common_settings
+    def test_capped_candidates_are_a_tail_evaluated_when_read(
+        self, balance_cap, graph, num_parts, seed, sync_cost_s, integer_weights
+    ):
+        if integer_weights:  # a cap can then equal the best E exactly
+            graph = _with_integer_weights(graph)
+        handed: list[int] = []
+
+        def noting(target, k, **kwargs):
+            handed.append(target.num_vertices)
+            return partition_kway(target, k, **kwargs)
+
+        def sweep():
+            return hierarchical_partition(
+                graph, num_parts, sync_cost_s=sync_cost_s, seed=seed, partitioner=noting
+            ).sweep
+
+        in_order = sweep()
+        partitioned_in_sweep = len(handed)
+        caps = [balance_cap(graph, record.tmll_s, num_parts) for record in in_order]
+        assert caps == sorted(caps, reverse=True)
+        efficiency = [record.evaluation.efficiency for record in in_order]
+        assert all(e <= cap * (1 + 1e-9) for e, cap in zip(efficiency, caps))
+        capped = [
+            i > 0 and cap * (1 + 1e-9) <= max(efficiency[:i]) for i, cap in enumerate(caps)
+        ]
+        assert capped == sorted(capped)  # the capped records are the tail
+        assert partitioned_in_sweep == capped.count(False)
+
+        in_reverse = sweep()
+        read_backwards = [_evaluation_key(r.evaluation) for r in reversed(in_reverse)]
+        assert read_backwards[::-1] == [_evaluation_key(r.evaluation) for r in in_order]

@@ -6,6 +6,9 @@ back through an innocent-looking refactor while a timing on a noisy host
 still reads "within bound". They are counted, not timed, on the HTOP
 sweep of the shared ``flat_net`` for 4 engines, stepped at 0.01 ms so
 that, as on the benchmark's larger network, most steps change nothing.
+The sweep also hands the partitioner no candidate whose balance cap
+cannot beat the best ``E`` before it; such a record partitions once,
+when it is first read.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Approach, MappingPipeline, build_weighted_graph, hierarchical_partition
-from repro.partition import WeightedGraph, initial, kway, refine
+from repro.partition import WeightedGraph, initial, kway, partition_kway, refine
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +134,41 @@ def test_best_bisection_grows_each_seed_vertex_once(counted_sweep):
     per_bisection = counted_sweep[2]["bisection_grows_and_seeds"]
     assert any(distinct < draws for _, draws, distinct in per_bisection)  # repeats happen
     assert all(grows <= distinct for grows, _, distinct in per_bisection)
+
+
+def _handed_sweep(flat_net):
+    """The guard's sweep, noting the size of each graph the partitioner gets."""
+    graph = build_weighted_graph(flat_net, Approach.HTOP, None, None)
+    handed: list[int] = []
+
+    def noting(target, num_parts, **kwargs):
+        handed.append(target.num_vertices)
+        return partition_kway(target, num_parts, **kwargs)
+
+    pipeline = MappingPipeline.for_network(flat_net, num_engines=4)
+    result = hierarchical_partition(
+        graph, 4, pipeline.sync_cost_s, seed=0, tmll_step_s=0.01e-3, partitioner=noting
+    )
+    return graph, result, handed
+
+
+def test_no_candidate_after_the_first_capped_one_is_partitioned(flat_net, balance_cap):
+    graph, result, handed = _handed_sweep(flat_net)
+    during_sweep = list(handed)
+    efficiency = [record.evaluation.efficiency for record in result.sweep]
+    capped = [
+        i
+        for i, record in enumerate(result.sweep)
+        if i and balance_cap(graph, record.tmll_s, 4) * (1 + 1e-9) <= max(efficiency[:i])
+    ]
+    assert capped, "no candidate of the guard's sweep is capped any more"
+    assert during_sweep == [record.coarse_vertices for record in result.sweep[: capped[0]]]
+
+
+def test_a_capped_record_hands_its_graph_over_once(flat_net):
+    _, result, handed = _handed_sweep(flat_net)
+    assert len(handed) < len(result.sweep)  # the tail was not partitioned
+    last, before = result.sweep[-1], len(handed)
+    first_read = last.evaluation
+    assert last.evaluation is first_read
+    assert handed[before:] == [last.coarse_vertices]
