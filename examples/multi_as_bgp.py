@@ -20,7 +20,7 @@ from collections import Counter
 
 import numpy as np
 
-from repro.engine import SimKernel
+from repro.engine import ShardEngine
 from repro.netsim import NetworkSimulator, start_transfer
 from repro.routing import ForwardingPlane
 from repro.routing.bgp import configure_bgp, is_valley_free, render_dml
@@ -68,8 +68,9 @@ def main() -> None:
 
     # 4. Packet forwarding across ASes: a TCP transfer between stub hosts.
     fib = ForwardingPlane(net, bgp)
-    kernel = SimKernel()
-    sim = NetworkSimulator(net, fib, kernel)
+    horizon_s = 30.0
+    engine = ShardEngine([0] * net.num_nodes, 1, lookahead=horizon_s)  # one LP: sequential
+    sim = NetworkSimulator(net, fib, engine)
     hosts = net.host_ids()
     rng = np.random.default_rng(3)
     src, dst = (int(x) for x in rng.choice(hosts, 2, replace=False))
@@ -80,10 +81,10 @@ def main() -> None:
 
     done: list[float] = []
     start_transfer(sim, src, dst, 200_000, lambda t: done.append(t))
-    kernel.run(until=30.0)
+    engine.run(until=horizon_s)
     if done:
         print(f"transfer completed at t={done[0] * 1e3:.1f} ms "
-              f"({kernel.events_executed} kernel events)")
+              f"({engine.events_executed} engine events)")
     else:
         print("transfer did not complete (increase the horizon)")
 

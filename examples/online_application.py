@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.cluster import teragrid_cluster
 from repro.core import Approach, MappingPipeline
-from repro.engine import SimKernel, predict_from_trace
+from repro.engine import ShardEngine, predict_from_trace
 from repro.netsim import NetworkSimulator
 from repro.netsim.app import GridNpbApp, ScaLapackApp, helical_chain
 from repro.online import Agent, VirtualTimeController, required_slowdown
@@ -33,8 +33,9 @@ NUM_ENGINES = 12
 def main() -> None:
     net = generate_flat_network(num_routers=250, num_hosts=60, seed=5)
     fib = ForwardingPlane(net)
-    kernel = SimKernel(record_trace=True)
-    sim = NetworkSimulator(net, fib, kernel, record_transmissions=True)
+    # One LP: the sequential run, recording the trace every mapping is scored on.
+    engine = ShardEngine([0] * net.num_nodes, 1, lookahead=DURATION_S, record_trace=True)
+    sim = NetworkSimulator(net, fib, engine, record_transmissions=True)
     agent = Agent(sim)
 
     hosts = net.host_ids()
@@ -43,10 +44,10 @@ def main() -> None:
     sca.start(at=0.5)
     npb.start(at=0.5)
 
-    kernel.run(until=DURATION_S)
+    engine.run(until=DURATION_S)
 
     print(f"simulated {DURATION_S:.0f}s of virtual time, "
-          f"{kernel.events_executed} kernel events")
+          f"{engine.events_executed} engine events")
     print(f"agent: {agent.stats.streams_completed}/{agent.stats.streams_opened} "
           f"streams, {agent.stats.bytes_requested / 1e6:.2f} MB requested")
     print(f"ScaLapack finished at t={sca.stats.finished_at:.2f}s "
@@ -58,7 +59,7 @@ def main() -> None:
     pipeline = MappingPipeline.for_network(net, NUM_ENGINES)
     mapping = pipeline.run(Approach.HPROF, profile)
 
-    times, nodes = kernel.trace()
+    times, nodes = engine.trace()
     tx_t, tx_f, tx_to = sim.transmissions()
     cluster = teragrid_cluster(NUM_ENGINES)
     pred = predict_from_trace(

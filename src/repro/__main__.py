@@ -51,6 +51,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """An argparse ``type`` for lengths of simulated time: finite and > 0."""
+    value = float(text)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 def _non_negative_int(text: str) -> int:
     """An argparse ``type`` for counts that may be 0."""
     value = int(text)
@@ -389,7 +397,7 @@ def _cmd_trace_timeline(args) -> int:
 def _cmd_trace_snapshot(args) -> int:
     from .analysis.partition_check import validate_partition
     from .core import Approach, MappingPipeline, build_weighted_graph
-    from .engine.kernel import SimKernel
+    from .engine.parallel import ShardEngine
     from .experiments import build_network, install_workload
     from .experiments.runner import cluster_for_scale
     from .netsim.simulator import NetworkSimulator
@@ -406,13 +414,13 @@ def _cmd_trace_snapshot(args) -> int:
 
     net, fib = build_network(args.network, scale, seed=args.seed)
     with observed_run() as reg:
-        kernel = SimKernel()
-        sim = NetworkSimulator(net, fib, kernel)
+        engine = ShardEngine([0] * net.num_nodes, 1, lookahead=duration)
+        sim = NetworkSimulator(net, fib, engine)
         agent = Agent(sim)
         install_workload(
             sim, agent, net, args.app, scale, args.seed, duration_s=duration
         )
-        kernel.run(until=duration)
+        engine.run(until=duration)
 
     profile = profile_from_registry(duration, reg)
     pipeline = MappingPipeline(
@@ -619,7 +627,7 @@ def main(argv: list[str] | None = None) -> int:
                          choices=["json", "prom"],
                          help="snapshot format (default: json; ignored with "
                          "--timeline)")
-    p_trace.add_argument("--duration", type=float, default=None,
+    p_trace.add_argument("--duration", type=_positive_float, default=None,
                          help="simulated seconds to trace "
                          "(default: the scale's profiling duration)")
     p_trace.add_argument("--approach", default="PROF",
@@ -655,7 +663,7 @@ def main(argv: list[str] | None = None) -> int:
                          help="built-in fault scenario (default: chaos-mixed)")
     p_chaos.add_argument("--spec", metavar="PATH", default=None,
                          help="JSON FaultScenario spec overriding --scenario")
-    p_chaos.add_argument("--duration", type=float, default=None,
+    p_chaos.add_argument("--duration", type=_positive_float, default=None,
                          help="simulated seconds (default: the scale's duration)")
     p_chaos.add_argument("--obs-out", dest="obs_out", metavar="PATH", default=None,
                          help="write the run's observability snapshot (JSON)")

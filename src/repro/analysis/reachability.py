@@ -8,8 +8,8 @@ over the :class:`~repro.analysis.callgraph.CallGraph` from two seed
 sets:
 
 - **entry points** — fnmatch patterns over qualified names naming the
-  engine loops themselves (``SimKernel.run``, ``ShardEngine``'s window
-  loop, ``NetworkSimulator`` event injection, ``BgpEngine`` sweeps);
+  engine loop itself (``ShardEngine``'s window loop and scheduler,
+  ``NetworkSimulator`` event injection, ``BgpEngine`` sweeps);
 - **scheduled handlers** — any function passed into a
   registration-shaped call (``schedule``/``schedule_at``/``udp_bind``/
   ``register_tcp_endpoint``/``subscribe``, or an ``on_*``/``fn``/
@@ -44,7 +44,6 @@ __all__ = [
 #: the LP execution path. ``*:`` tolerates fixture trees whose module
 #: names differ from the real package layout.
 DEFAULT_ENTRY_PATTERNS: tuple[str, ...] = (
-    "*:SimKernel.run",
     "*:ShardEngine.run",
     "*:ShardEngine.run_window",
     "*:ShardEngine.schedule_at",

@@ -91,7 +91,7 @@ def module_name_for(rel_path: str) -> str:
     """Dotted module name of a source path.
 
     Anchors at the last path component named ``repro`` when present
-    (``src/repro/engine/kernel.py`` -> ``repro.engine.kernel``) so the
+    (``src/repro/engine/events.py`` -> ``repro.engine.events``) so the
     same module gets the same name whether linted via ``src/repro`` or an
     absolute path; fixture trees without a ``repro`` component fall back
     to the full path-derived name.

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from ..cluster.syncmodel import ClusterSpec, teragrid_cluster
-from ..engine.kernel import SimKernel
+from ..engine.parallel import ShardEngine
 from ..netsim.simulator import NetworkSimulator
 from ..online.agent import Agent
 from ..partition.kway import partition_kway
@@ -152,13 +152,12 @@ def run_profiling_simulation(
 
     ``setup(sim, agent)`` installs background traffic and applications
     (everything must self-start via the simulator's scheduler). The run
-    uses the sequential kernel — the paper's equivalent step is a short
-    run on a naive partition, whose measured traffic is partition-
-    independent.
+    is the paper's short run on a naive partition: the engine on the
+    trivial one, one LP, whose measured traffic is partition-independent.
     """
-    kernel = SimKernel()
-    sim = NetworkSimulator(net, fib, kernel)
+    engine = ShardEngine([0] * net.num_nodes, 1, lookahead=duration_s)
+    sim = NetworkSimulator(net, fib, engine)
     agent = Agent(sim)
     setup(sim, agent)
-    kernel.run(until=duration_s)
+    engine.run(until=duration_s)
     return TrafficProfile.from_simulation(sim, duration_s)

@@ -1,12 +1,15 @@
-"""Discrete-event simulation engines and the cluster cost model.
+"""Discrete-event simulation engine and the cluster cost model.
 
-:class:`SimKernel` is the sequential reference engine (with event-trace
-recording); :class:`ShardEngine` is the barrier-synchronized parallel
-engine over a node->LP partition — owning every LP, ``run(until)`` runs
-it in one process; :class:`ParallelConservativeEngine` executes the same
-loop across real worker processes, one ``ShardEngine`` per shard;
-:mod:`repro.engine.costmodel` converts either's per-window counters into
-modeled wall-clock time.
+:class:`ShardEngine` is the one engine: the barrier-synchronized
+conservative loop over a node->LP partition. Owning every LP,
+``run(until)`` runs it in one process; on one LP
+(``ShardEngine([0] * num_nodes, 1, lookahead=duration_s)``) it is the
+sequential engine — the modeled runs, the PROF profiling run among them,
+are the same engine on the trivial partition, recording their event
+trace with ``record_trace=True``. :class:`ParallelConservativeEngine`
+executes the same loop across real worker processes, one
+``ShardEngine`` per shard; :mod:`repro.engine.costmodel` converts the
+per-window counters or the recorded trace into modeled wall-clock time.
 """
 
 from .parallel import (
@@ -34,12 +37,10 @@ from .costmodel import (
     sequential_time_estimate,
 )
 from .events import Event, EventQueue
-from .kernel import SimKernel
 
 __all__ = [
     "Event",
     "EventQueue",
-    "SimKernel",
     "LookaheadViolation",
     "WindowStats",
     "iter_windows",

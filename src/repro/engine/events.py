@@ -21,13 +21,10 @@ Hot-path design (see docs/performance.md):
 
 from __future__ import annotations
 
-import itertools
 from heapq import heappop, heappush
 from typing import Any, Callable
 
-import numpy as np
-
-__all__ = ["Event", "EventQueue", "EventRecorder"]
+__all__ = ["Event", "EventQueue"]
 
 
 class Event:
@@ -77,18 +74,15 @@ class EventQueue:
     ``(time, seq)`` prefix) instead of calling a Python ``__lt__`` per
     level, which is the single largest win of the hot-path overhaul.
     ``len()`` counts queued entries including lazily cancelled ones, and
-    ``pop`` and ``pop_until`` discard cancelled entries as they surface —
-    both unchanged from the original implementation.
+    ``pop_until`` discards cancelled entries as they surface. The queue
+    stamps nothing: the engine keys every event with its own sequence
+    and enqueues it with :meth:`push_event`.
     """
 
-    __slots__ = ("_heap", "counter")
+    __slots__ = ("_heap",)
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
-        #: the tiebreak sequence :meth:`push` stamps with; a kernel over
-        #: this one queue draws from it too (``SimKernel``), an engine with
-        #: one sequence over many queues keeps its own (:meth:`push_event`)
-        self.counter = itertools.count()
+        self._heap: list[tuple[float, Any, Event]] = []
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -98,52 +92,30 @@ class EventQueue:
 
     @property
     def heap(self) -> list[tuple[float, Any, Event]]:
-        """The heap list itself, for the engines' per-event loops.
+        """The heap list itself, for the engine's per-event loops.
 
         The one sanctioned way past the methods below: a run loop that
         pops an event per packet hop cannot afford a ``pop_until`` call
         per event, so it reads ``heap[0]`` and calls ``heappop`` /
         ``heappush`` on this list directly. The layout is owned here and
-        is exactly what :meth:`push` builds — ``(time, seq, event)`` with
-        ``time == event.time`` and ``seq == event.seq``, cancelled events
-        left in place until they surface. The list object stays the same
-        for the queue's whole life (:meth:`drain_entries` empties it in
-        place), so an engine may hold on to it.
+        is exactly what :meth:`push_event` builds — ``(time, seq, event)``
+        with ``time == event.time`` and ``seq == event.seq``, cancelled
+        events left in place until they surface. The list object stays
+        the same for the queue's whole life (:meth:`drain_entries`
+        empties it in place), so an engine may hold on to it.
         """
         return self._heap
 
-    def push(
-        self,
-        time: float,
-        fn: Callable[..., Any],
-        node: int = -1,
-        args: tuple = (),
-    ) -> Event:
-        """Create and enqueue an event; returns it (for cancellation)."""
-        seq = next(self.counter)
-        ev = Event(time, seq, fn, args, node)
-        heappush(self._heap, (time, seq, ev))
-        return ev
-
     def push_event(self, ev: Event) -> None:
-        """Enqueue an existing event object (used for mailbox delivery)."""
+        """Enqueue an event the engine has keyed."""
         heappush(self._heap, (ev.time, ev.seq, ev))
-
-    def pop(self) -> Event | None:
-        """Remove and return the earliest live event (None when empty)."""
-        heap = self._heap
-        while heap:
-            ev = heappop(heap)[2]
-            if not ev.cancelled:
-                return ev
-        return None
 
     def pop_until(self, bound: float) -> Event | None:
         """Pop the earliest live event strictly before ``bound``.
 
         Returns ``None`` when the queue is empty or the head is at or
-        past ``bound`` (the head stays queued). The engines' per-event
-        loops do exactly this on :attr:`heap`, without the call.
+        past ``bound`` (the head stays queued). The engine's per-event
+        loop does exactly this on :attr:`heap`, without the call.
         """
         heap = self._heap
         while heap:
@@ -158,32 +130,8 @@ class EventQueue:
     # ------------------------------------------------------------------
     # Raw-entry access (the checkpoint snapshot reads a queue this way)
     # ------------------------------------------------------------------
-    def drain_entries(self) -> list[tuple[float, int, Event]]:
+    def drain_entries(self) -> list[tuple[float, Any, Event]]:
         """Remove and return all raw entries (cancelled ones included)."""
         entries = self._heap[:]
         self._heap.clear()  # in place: engines hold the list (see ``heap``)
         return entries
-
-
-class EventRecorder:
-    """The ``(time, node)`` sample of every event an engine executes.
-
-    Both schedulers inherit it. Built with ``record_trace=True``, an
-    engine appends one sample per executed event, in execution order;
-    the cluster cost model re-bins the samples under any candidate
-    mapping (:func:`repro.engine.costmodel.predict_from_trace`), so one
-    run scores them all. The samples are plain lists: a ``list.append``
-    costs a fraction of an ``array.append``, and one runs per event.
-    """
-
-    def _init_trace(self, record_trace: bool) -> None:
-        self.record_trace = record_trace
-        self._trace_times: list[float] = []
-        self._trace_nodes: list[int] = []
-
-    def trace(self) -> tuple[np.ndarray, np.ndarray]:
-        """The recorded ``(times, nodes)`` arrays of executed events."""
-        return (
-            np.asarray(self._trace_times, dtype=np.float64),
-            np.asarray(self._trace_nodes, dtype=np.int64),
-        )

@@ -20,7 +20,7 @@ import numpy as np
 from ...obs import names as obs_names
 from ...obs.registry import get_registry
 from ...obs.trace import get_tracer
-from ..events import Event, EventQueue, EventRecorder
+from ..events import Event, EventQueue
 from ..windows import (
     WINDOW_EPSILON_FRACTION,
     LookaheadViolation,
@@ -179,7 +179,7 @@ def validate_mail_batch(
 # ----------------------------------------------------------------------
 # Per-shard engine
 # ----------------------------------------------------------------------
-class ShardEngine(EventRecorder):
+class ShardEngine:
     """The conservative barrier-window engine over the LPs it owns.
 
     Every simulated node belongs to an LP (``assignment[node] = lp``;
@@ -198,8 +198,15 @@ class ShardEngine(EventRecorder):
     engine-wide ``seq`` (see the package docstring for why the order is
     the single-process one). With ``strict=False`` lookahead violations
     are counted, not raised: the event is delivered late at the barrier.
-    ``record_trace`` records every executed event as ``SimKernel``'s does
-    (:meth:`trace`), in this engine's execution order.
+
+    One LP is the sequential engine: ``ShardEngine([0] * num_nodes, 1,
+    lookahead=duration_s)`` has no cross-LP link, so the run's own length
+    is its window and it executes the global event set in ``(time,
+    scheduling)`` order. ``record_trace`` records the ``(time, node)`` of
+    every executed event (:meth:`trace`), in execution order: the samples
+    the cluster cost model re-bins under any candidate mapping
+    (:func:`repro.engine.costmodel.predict_from_trace`), so one run
+    scores them all.
     """
 
     def __init__(
@@ -248,7 +255,12 @@ class ShardEngine(EventRecorder):
         self.now: float = 0.0
         self._window_end: float = 0.0
         self._current_lp: int | None = None
+        # The clock current_time reads: the executing event's time inside a
+        # window, ``now`` at a barrier (run_window and a checkpoint restore
+        # set it there).
         self._lp_now: float = 0.0
+        # The executing LP's heap, cached when it starts: the same-LP push.
+        self._lp_heap: list = []
         self._in_replica_control = False
         self._phase_setup = True
         # (epoch, lane, counter) key state: epoch 0 = setup, epoch w+1 =
@@ -262,7 +274,11 @@ class ShardEngine(EventRecorder):
 
         self.events_executed = 0
         self.lookahead_violations = 0
-        self._init_trace(record_trace)
+        # Plain lists: a list.append costs a fraction of an array.append,
+        # and one runs per executed event.
+        self.record_trace = record_trace
+        self._trace_times: list[float] = []
+        self._trace_nodes: list[int] = []
         #: one row per window :meth:`run` executed (a worker's rows are
         #: summed by the coordinator instead)
         self.window_stats: list[WindowStats] = []
@@ -308,9 +324,7 @@ class ShardEngine(EventRecorder):
     @property
     def current_time(self) -> float:
         """Simulated time within the executing LP (barrier otherwise)."""
-        if self._current_lp is not None or self._in_replica_control:
-            return self._lp_now
-        return self.now
+        return self._lp_now
 
     @property
     def next_barrier_time(self) -> float:
@@ -355,24 +369,21 @@ class ShardEngine(EventRecorder):
         off-LP events go to the local mailbox or the cross-shard
         outbound batch.
         """
-        current_lp = self._current_lp
-        if current_lp is None and not self._in_replica_control:
-            if time < self.now:
-                raise ValueError("cannot schedule into the past")
-        elif time < self._lp_now:
+        if time < self._lp_now:
             raise ValueError(
                 f"cannot schedule into the executing LP's past "
                 f"(t={time:.9f} < LP-local now {self._lp_now:.9f})"
             )
+        current_lp = self._current_lp
         target_lp = 0 if node < 0 else self._lp_of_node[node]  # lp_of, inlined
         self._kcount = kcount = self._kcount + 1
         key = (self._epoch, self._lane, kcount)
         ev = Event(time, key, fn, args, node)
-        local = self._local_index[target_lp]
         if target_lp == current_lp:
             # The per-hop case: an executing event schedules onto its own LP.
-            heappush(self._heaps[local], (time, key, ev))
+            heappush(self._lp_heap, (time, key, ev))
             return ev
+        local = self._local_index[target_lp]
         if self._in_replica_control:
             if node < 0 and self._control_queue is not None:
                 self._control_queue.push_event(ev)
@@ -421,7 +432,7 @@ class ShardEngine(EventRecorder):
         self, delay: float, fn: Callable[..., Any], node: int = -1, args: tuple = ()
     ) -> Event:
         """Schedule relative to the executing LP's current time."""
-        return self.schedule_at(self.current_time + delay, fn, node=node, args=args)
+        return self.schedule_at(self._lp_now + delay, fn, node, args)
 
     # -- lifecycle -----------------------------------------------------
     def seal_setup(self) -> None:
@@ -497,7 +508,7 @@ class ShardEngine(EventRecorder):
                 self._queues[i].push_event(ev)
             mail.clear()
         self._obs_barrier.stop(barrier_token)
-        self.now = window_end
+        self.now = self._lp_now = window_end
         self.events_executed += executed
         return executed
 
@@ -517,7 +528,7 @@ class ShardEngine(EventRecorder):
         self._in_replica_control = False
 
     def _run_lp_queue(self, local: int, window_end: float) -> int:
-        heap = self._heaps[local]
+        heap = self._lp_heap = self._heaps[local]
         record_trace = self.record_trace
         trace_times, trace_nodes = self._trace_times, self._trace_nodes
         executed = 0
@@ -535,6 +546,13 @@ class ShardEngine(EventRecorder):
                 trace_times.append(time)
                 trace_nodes.append(ev.node)
         return executed
+
+    def trace(self) -> tuple[np.ndarray, np.ndarray]:
+        """The recorded ``(times, nodes)`` arrays of executed events."""
+        return (
+            np.asarray(self._trace_times, dtype=np.float64),
+            np.asarray(self._trace_nodes, dtype=np.int64),
+        )
 
     # -- mail ----------------------------------------------------------
     def drain_outbound(self) -> list[tuple[int, Event]]:
@@ -946,7 +964,7 @@ def _restore_shard_from_blob(
         queue.drain_entries()
         for fields in items:
             queue.push_event(_wire_event(name_to_fn, *fields, "checkpoint"))
-    engine.now = float(state["now"])
+    engine.now = engine._lp_now = float(state["now"])
     engine._kcount = int(state["kcount"])
     engine.events_executed = int(state["events_executed"])
     engine.lookahead_violations = int(state["lookahead_violations"])

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from ..engine.kernel import SimKernel
+from ..engine.parallel import ShardEngine
 from ..faults.injector import FaultCounts, FaultInjector
 from ..faults.schedule import FaultScenario, FaultSchedule
 from ..netsim.simulator import NetworkSimulator
@@ -113,16 +113,16 @@ def run_chaos_experiment(
         schedule = FaultSchedule.from_scenario(scenario, net, seed)
 
     with observed_run() as reg, traced_run() as tracer:
-        kernel = SimKernel()
-        sim = NetworkSimulator(net, fib, kernel)
+        engine = ShardEngine([0] * net.num_nodes, 1, lookahead=duration)
+        sim = NetworkSimulator(net, fib, engine)
         agent = Agent(sim)
         sessions: BgpSessionManager | None = None
         if fib.bgp is not None:
-            sessions = BgpSessionManager(fib.bgp, kernel, seed=seed)
+            sessions = BgpSessionManager(fib.bgp, engine, seed=seed)
         injector = FaultInjector(sim, fib, schedule, sessions=sessions)
-        injector.install(kernel)
+        injector.install(engine)
         install_workload(sim, agent, net, app_kind, scale, seed, duration)
-        kernel.run(until=duration)
+        engine.run(until=duration)
         fault_records = list(tracer.faults)
         if obs_out is not None:
             obs_export.write_snapshot(

@@ -28,8 +28,7 @@ from ..engine.costmodel import (
     sequential_time_estimate,
     window_for_mapping,
 )
-from ..engine.events import EventRecorder
-from ..engine.kernel import SimKernel
+from ..engine.parallel import ShardEngine
 from ..metrics.efficiency import parallel_efficiency
 from ..metrics.loadbalance import load_imbalance
 from ..netsim.simulator import NetworkSimulator
@@ -153,18 +152,23 @@ def run_workload_simulation(
     scale: ExperimentScale,
     duration_s: float,
     seed: int = 0,
-) -> tuple[SimKernel, NetworkSimulator, WorkloadHandles]:
-    """Run the measured simulation with trace + transmission recording."""
-    kernel = SimKernel(record_trace=True)
-    sim = NetworkSimulator(net, fib, kernel, record_transmissions=True)
+) -> tuple[ShardEngine, NetworkSimulator, WorkloadHandles]:
+    """Run the measured simulation with trace + transmission recording.
+
+    One LP: the engine on the trivial partition, whose window is the
+    whole run. The virtual network's behavior does not depend on the
+    mapping, so this one run is scored under every candidate.
+    """
+    engine = ShardEngine([0] * net.num_nodes, 1, lookahead=duration_s, record_trace=True)
+    sim = NetworkSimulator(net, fib, engine, record_transmissions=True)
     agent = Agent(sim)
     handles = install_workload(sim, agent, net, app_kind, scale, seed, duration_s)
-    kernel.run(until=duration_s)
-    return kernel, sim, handles
+    engine.run(until=duration_s)
+    return engine, sim, handles
 
 
 def evaluate_mappings(
-    kernel: EventRecorder,
+    engine: ShardEngine,
     sim: NetworkSimulator,
     mappings: dict[Approach, NetworkMapping],
     cluster: ClusterSpec,
@@ -173,10 +177,11 @@ def evaluate_mappings(
 ) -> list[ApproachRow]:
     """Score each mapping against the recorded run (the paper's metrics).
 
-    ``kernel`` is either engine built with ``record_trace=True``, ``sim``
-    its simulator built with ``record_transmissions=True``.
+    ``engine`` is built with ``record_trace=True`` (on any partition:
+    one LP or the mapping a run executed under), ``sim`` its simulator
+    built with ``record_transmissions=True``.
     """
-    times, nodes = kernel.trace()
+    times, nodes = engine.trace()
     tx_t, tx_f, tx_to = sim.transmissions()
     rows: list[ApproachRow] = []
     tseq = sequential_time_estimate(len(times), cluster)
@@ -242,7 +247,7 @@ def run_experiment(
 
     if obs_out is not None:
         with observed_run() as reg:
-            kernel, sim, handles = run_workload_simulation(
+            engine, sim, handles = run_workload_simulation(
                 net, fib, app_kind, scale, scale.duration_s, seed
             )
         obs_export.write_snapshot(
@@ -257,7 +262,7 @@ def run_experiment(
             },
         )
     else:
-        kernel, sim, handles = run_workload_simulation(
+        engine, sim, handles = run_workload_simulation(
             net, fib, app_kind, scale, scale.duration_s, seed
         )
 
@@ -265,7 +270,7 @@ def run_experiment(
     pipeline = MappingPipeline(net, scale.num_engines, cluster, seed)
     mappings = pipeline.run_all(approaches, profile)
     rows = evaluate_mappings(
-        kernel, sim, mappings, cluster, scale.num_engines, scale.duration_s
+        engine, sim, mappings, cluster, scale.num_engines, scale.duration_s
     )
 
     return ExperimentResult(
@@ -273,7 +278,7 @@ def run_experiment(
         app_kind=app_kind,
         scale_name=scale.name,
         num_engines=scale.num_engines,
-        total_events=kernel.events_executed,
+        total_events=engine.events_executed,
         duration_s=scale.duration_s,
         rows=rows,
         wall_seconds=watch.elapsed(),

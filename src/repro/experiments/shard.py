@@ -76,11 +76,9 @@ class DeliveryRecorder:
     leading cursor pair is what lets per-shard logs merge into the exact
     single-process order (stable sort on the cursor — each ``(epoch,
     lane)`` phase executes wholly on one shard, in recorded order).
-    ``SimKernel`` has no cursor and tags ``(0, 0)``; its log is already
-    in execution order.
     """
 
-    def __init__(self, sim: NetworkSimulator, engine: Any) -> None:
+    def __init__(self, sim: NetworkSimulator, engine: ShardEngine) -> None:
         self.sim = sim
         self.engine = engine
         self.inner = sim._deliver
@@ -89,7 +87,7 @@ class DeliveryRecorder:
 
     def record(self, node: int, packet: Packet) -> None:
         """The recording wrapper installed over ``sim._deliver``."""
-        epoch, lane = getattr(self.engine, "execution_cursor", (0, 0))
+        epoch, lane = self.engine.execution_cursor
         self.records.append(
             (epoch, lane, round(self.sim.now, 12), node, packet.flow_id, packet.seq)
         )
@@ -196,7 +194,7 @@ class ShardCollector:
     copies, not new ground truth).
     """
 
-    engine: Any
+    engine: ShardEngine
     sim: NetworkSimulator
     recorder: DeliveryRecorder
     injector: FaultInjector | None = None
@@ -212,7 +210,7 @@ class ShardCollector:
             "link_lost": self.sim.link_lost().tolist(),
             "events_executed": int(self.engine.events_executed),
         }
-        if getattr(self.engine, "has_control", True) and self.injector is not None:
+        if self.engine.has_control and self.injector is not None:
             out["faults"] = list(self.tracer.faults) if self.tracer else []
             out["fault_counts"] = self.injector.counts.as_dict()
             out["schedule_digest"] = self.injector.schedule.digest()
@@ -223,7 +221,7 @@ class ShardCollector:
 # Builders (module-level, resolved by name inside worker processes)
 # ----------------------------------------------------------------------
 def _install_faults(
-    engine: Any, sim: NetworkSimulator, fib: ForwardingPlane, params: dict
+    engine: ShardEngine, sim: NetworkSimulator, fib: ForwardingPlane, params: dict
 ) -> tuple[FaultInjector | None, TraceBuffer | None]:
     events = params.get("faults")
     if not events:
@@ -233,7 +231,7 @@ def _install_faults(
     # them a private disabled registry instead. The control shard (and
     # the single-process reference, which is its own control shard)
     # records into the process-global registry like any instrumented run.
-    registry = None if getattr(engine, "has_control", True) else Registry()
+    registry = None if engine.has_control else Registry()
     injector = FaultInjector(
         sim, fib, FaultSchedule.from_events(list(events)), registry=registry
     )
@@ -248,7 +246,7 @@ def _install_faults(
 
 
 def _scenario(
-    engine: Any,
+    engine: ShardEngine,
     sim: NetworkSimulator,
     recorder: DeliveryRecorder,
     injector: FaultInjector | None,
@@ -261,7 +259,7 @@ def _scenario(
         # Pending fault applications must survive mail and a checkpoint
         # round trip, so the injector's apply method needs a wire name.
         handlers["fault_apply"] = injector._apply
-    port = LpStatePort(sim, getattr(engine, "assignment", [0]))
+    port = LpStatePort(sim, engine.assignment)
     ckpt = ShardCheckpointPort(sim, recorder, injector, tracer)
     return ShardScenario(
         handlers=handlers,
@@ -273,7 +271,7 @@ def _scenario(
     )
 
 
-def build_chain_scenario(engine: Any, params: dict) -> ShardScenario:
+def build_chain_scenario(engine: ShardEngine, params: dict) -> ShardScenario:
     """The differential-determinism chain workload, shard-replayable.
 
     ``params``: ``num_nodes`` (chain length), ``latency_s`` (every hop;
@@ -308,7 +306,7 @@ def build_chain_scenario(engine: Any, params: dict) -> ShardScenario:
     return _scenario(engine, sim, recorder, injector, tracer, {})
 
 
-def build_udp_scenario(engine: Any, params: dict) -> ShardScenario:
+def build_udp_scenario(engine: ShardEngine, params: dict) -> ShardScenario:
     """Seeded UDP background traffic over a serialized topology.
 
     ``params``: ``network_doc`` (:func:`repro.serialization

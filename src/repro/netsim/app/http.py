@@ -10,8 +10,8 @@ repeats.
 Implementation notes for parallel execution:
 
 - every client owns an independent RNG stream, so behavior is identical
-  whatever order the engine interleaves clients in (sequential kernel vs
-  per-LP windows);
+  whatever order the engine interleaves clients in (one LP or many,
+  window by window);
 - the server's response starts when the request *arrives at the server*
   (receiver-side callback) and the client's next request is scheduled
   when the response *arrives at the client* — every action executes on

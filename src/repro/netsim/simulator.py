@@ -44,7 +44,7 @@ def _ospf_metric(runtime: LinkRuntime) -> float:
 
 
 class Scheduler(TypingProtocol):
-    """What the simulator needs from an engine (both engines satisfy it)."""
+    """What the simulator needs from an engine (:class:`ShardEngine` is one)."""
 
     @property
     def current_time(self) -> float:
@@ -137,8 +137,8 @@ class NetworkSimulator:
     net, fib:
         Topology and forwarding plane.
     scheduler:
-        A :class:`repro.engine.SimKernel` or
-        :class:`repro.engine.ShardEngine`.
+        A :class:`repro.engine.ShardEngine`: one LP for a sequential
+        run, a partition for a parallel one.
     record_transmissions:
         Keep a per-hop record ``(time, from_node, to_node)`` used by the
         cost model to count cross-partition events under any mapping.

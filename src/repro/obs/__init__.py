@@ -15,8 +15,8 @@ Typical use::
     from repro.obs import observed_run, export, profile_from_registry
 
     with observed_run() as reg:
-        kernel, sim = build_run()          # inside: a reset lets go of owners
-        kernel.run(until=10.0)
+        engine, sim = build_run()          # inside: a reset lets go of owners
+        engine.run(until=10.0)
     profile = profile_from_registry(10.0, reg)   # feed to PROF/HPROF
     export.write_snapshot("run.json", reg)
 

@@ -10,8 +10,8 @@ consume a real run instead of a hand-assembled array triple.
 Usage::
 
     with observed_run() as reg:
-        kernel, sim = build_run()   # built inside: the registry reads sim
-        kernel.run(until=duration)
+        engine, sim = build_run()   # built inside: the registry reads sim
+        engine.run(until=duration)
     profile = profile_from_registry(duration, reg)
     mapping = MappingPipeline.for_network(net, k).run(Approach.PROF, profile)
 """

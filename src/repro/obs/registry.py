@@ -317,7 +317,7 @@ def observed_run(registry: Registry | None = None, reset_first: bool = True) -> 
     The canonical way to scope a snapshot to one simulation::
 
         with observed_run() as reg:
-            kernel.run(until=duration)
+            engine.run(until=duration)
         data = export.snapshot(reg)   # reads are fine after exit
 
     The previous enabled state is restored on exit, so nesting inside an

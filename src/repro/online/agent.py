@@ -62,13 +62,16 @@ class Agent:
     def _injection_time(self) -> float:
         """Earliest time live traffic may enter the simulation.
 
-        On the sequential kernel: now. On the conservative parallel
-        engine: the end of the current synchronization window — the Agent
-        queues live traffic until the barrier, exactly how MaSSF admits
-        external (real-time) events without violating the lookahead.
+        On more than one LP: the end of the current synchronization
+        window — the Agent queues live traffic until the barrier, exactly
+        how MaSSF admits external (real-time) events without violating
+        the lookahead. On one LP no injection can cross an LP, so it
+        enters now.
         """
-        boundary = getattr(self.sim.sched, "next_barrier_time", None)
-        return self.sim.now if boundary is None else max(self.sim.now, boundary)
+        sched = self.sim.sched
+        if sched.num_lps > 1:
+            return max(self.sim.now, sched.next_barrier_time)
+        return self.sim.now
 
     def schedule(
         self, delay: float, fn: Callable[..., Any], node: int = -1, args: tuple = ()

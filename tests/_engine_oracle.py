@@ -12,9 +12,11 @@ it checks the keys rather than sharing them.
 
 Frozen: nothing under ``src/`` imports it, and no change to the shipped
 loop is mirrored here. Only the imports differ from the original
-(``LookaheadViolation`` now lives in ``repro.engine.windows``), and the
+(``LookaheadViolation`` now lives in ``repro.engine.windows``), the
 per-event sample, which the tracer's ``events`` channel used to take,
-goes to the ``EventRecorder`` both shipped engines record into.
+goes to the ``EventRecorder`` both engines then recorded into (frozen in
+``tests/_kernel_oracle.py`` since ``ShardEngine`` keeps its own samples),
+and two attributes shipped code reads are set after the class.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.engine.events import Event, EventQueue, EventRecorder
+from _kernel_oracle import EventRecorder
+from repro.engine.events import Event, EventQueue
 from repro.engine.windows import (
     WINDOW_EPSILON_FRACTION,
     LookaheadViolation,
@@ -280,3 +283,10 @@ class OracleConservativeEngine(EventRecorder):
         return total
 
     _lp_now: float = 0.0
+
+
+# What shipped code reads of every engine it runs on, and once read with
+# these values as the default for an engine without them: the oracle owns
+# every LP, so it runs the control plane, and it keeps no phase cursor.
+OracleConservativeEngine.has_control = True
+OracleConservativeEngine.execution_cursor = (0, 0)

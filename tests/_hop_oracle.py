@@ -2,7 +2,8 @@
 were before they were made cheap.
 
 ``NetworkSimulator._handle_at`` and ``SimKernel.run`` / ``schedule_at``
-at commit e974424, moved here verbatim as methods of subclasses, to
+at commit e974424, moved here verbatim as methods of subclasses (the
+kernel's of the frozen one in ``tests/_kernel_oracle.py``), to
 serve as the reference of ``tests/test_hop_oracle.py``: the code under
 ``src/`` must count, drop, route and time every packet exactly as these
 do — counters equal, every float equal as a hex string.
@@ -40,7 +41,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.engine.events import Event
-from repro.engine.kernel import SimKernel
+from _kernel_oracle import KernelOracle
 from repro.netsim.link import RedParams, TransmitResult
 from repro.topology.models import Link
 from repro.netsim.packet import Packet
@@ -500,8 +501,9 @@ class OracleSimulator(NetworkSimulator):
         )
 
 
-class OracleKernel(SimKernel):
-    """``SimKernel`` with the old ``schedule_at`` and ``run``."""
+class OracleKernel(KernelOracle):
+    """``SimKernel`` (``tests/_kernel_oracle.py``) with the old
+    ``schedule_at`` and ``run``."""
 
     def schedule_at(
         self, time: float, fn: Callable[..., Any], node: int = -1, args: tuple = ()

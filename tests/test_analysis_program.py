@@ -147,7 +147,7 @@ class TestReachability:
         prog = build_program(
             {
                 "repro/k.py": (
-                    "class SimKernel:\n"
+                    "class ShardEngine:\n"
                     "    def run(self):\n"
                     "        self.dispatch()\n"
                     "    def dispatch(self):\n"
@@ -157,8 +157,8 @@ class TestReachability:
                 )
             }
         )
-        assert "repro.k:SimKernel.run" in prog.seeds
-        assert "repro.k:SimKernel.dispatch" in prog.reachable
+        assert "repro.k:ShardEngine.run" in prog.seeds
+        assert "repro.k:ShardEngine.dispatch" in prog.reachable
         assert "repro.k:offline_report" not in prog.reachable
 
     def test_scheduled_handler_is_seeded(self):
@@ -226,7 +226,7 @@ class TestReachability:
         prog = build_program(
             {
                 "repro/k.py": (
-                    "class SimKernel:\n"
+                    "class ShardEngine:\n"
                     "    def run(self):\n"
                     "        self.a()\n"
                     "    def a(self):\n"
@@ -236,8 +236,8 @@ class TestReachability:
                 )
             }
         )
-        chain = prog.chain("repro.k:SimKernel.b")
-        assert chain == "SimKernel.b <- SimKernel.a <- SimKernel.run"
+        chain = prog.chain("repro.k:ShardEngine.b")
+        assert chain == "ShardEngine.b <- ShardEngine.a <- ShardEngine.run"
 
     def test_stats_are_populated(self):
         prog = build_program({"repro/k.py": "def f():\n    pass\n"})
@@ -251,7 +251,7 @@ class TestReachability:
 SIM201_POSITIVE = (
     "import itertools\n"
     "_seq = itertools.count()\n"
-    "class SimKernel:\n"
+    "class ShardEngine:\n"
     "    def run(self):\n"
     "        return next(_seq)\n"
 )
@@ -261,12 +261,12 @@ class TestSim201:
     def test_module_counter_mutated_on_lp_path(self):
         findings, _ = run_program({"repro/k.py": SIM201_POSITIVE}, "SIM201")
         assert [f.rule_id for f in findings] == ["SIM201"]
-        assert "SimKernel.run" in findings[0].message
+        assert "ShardEngine.run" in findings[0].message
 
     def test_dict_store_on_lp_path(self):
         src = (
             "_cache = {}\n"
-            "class SimKernel:\n"
+            "class ShardEngine:\n"
             "    def run(self, k):\n"
             "        _cache[k] = 1\n"
         )
@@ -322,7 +322,7 @@ class TestSim201:
 class TestSim202:
     def test_dict_iteration_scheduling_fires(self):
         src = (
-            "class SimKernel:\n"
+            "class ShardEngine:\n"
             "    def __init__(self):\n"
             "        self.peers = {}\n"
             "    def run(self, sched):\n"
@@ -334,7 +334,7 @@ class TestSim202:
 
     def test_sorted_iteration_is_silent(self):
         src = (
-            "class SimKernel:\n"
+            "class ShardEngine:\n"
             "    def __init__(self):\n"
             "        self.peers = {}\n"
             "    def run(self, sched):\n"
@@ -346,7 +346,7 @@ class TestSim202:
 
     def test_set_iteration_with_mutation_fires(self):
         src = (
-            "class SimKernel:\n"
+            "class ShardEngine:\n"
             "    def __init__(self):\n"
             "        self.live = set()\n"
             "        self.order = []\n"
@@ -359,7 +359,7 @@ class TestSim202:
 
     def test_pure_read_loop_is_silent(self):
         src = (
-            "class SimKernel:\n"
+            "class ShardEngine:\n"
             "    def __init__(self):\n"
             "        self.peers = {}\n"
             "    def run(self):\n"
@@ -382,7 +382,7 @@ class TestSim202:
 
     def test_suppression_comment_silences(self):
         src = (
-            "class SimKernel:\n"
+            "class ShardEngine:\n"
             "    def __init__(self):\n"
             "        self.peers = {}\n"
             "    def run(self, sched):\n"
@@ -399,7 +399,7 @@ class TestSim202:
 class TestSim203:
     def test_lambda_payload_fires(self):
         src = (
-            "class SimKernel:\n"
+            "class ShardEngine:\n"
             "    def run(self, sched):\n"
             "        sched.schedule_at(1.0, lambda: None)\n"
         )
@@ -409,7 +409,7 @@ class TestSim203:
 
     def test_nested_function_payload_fires(self):
         src = (
-            "class SimKernel:\n"
+            "class ShardEngine:\n"
             "    def run(self, sched):\n"
             "        def cb():\n"
             "            pass\n"
@@ -420,7 +420,7 @@ class TestSim203:
 
     def test_bound_method_with_args_is_silent(self):
         src = (
-            "class SimKernel:\n"
+            "class ShardEngine:\n"
             "    def run(self, sched):\n"
             "        sched.schedule_at(1.0, self.on_tick, args=(3,))\n"
             "    def on_tick(self, k):\n"
@@ -432,7 +432,7 @@ class TestSim203:
     def test_partial_of_bound_method_is_silent(self):
         src = (
             "from functools import partial\n"
-            "class SimKernel:\n"
+            "class ShardEngine:\n"
             "    def run(self, sched):\n"
             "        sched.schedule(1.0, partial(self.on_tick, 3))\n"
             "    def on_tick(self, k):\n"
@@ -451,7 +451,7 @@ class TestSim203:
 
     def test_suppression_comment_silences(self):
         src = (
-            "class SimKernel:\n"
+            "class ShardEngine:\n"
             "    def run(self, sched):\n"
             "        sched.schedule_at(1.0, lambda: None)  # simlint: disable=SIM203\n"
         )
@@ -548,7 +548,7 @@ def test_sarif_document_shape():
 class TestSuppressionForms:
     def test_disable_next_line(self):
         src = (
-            "class SimKernel:\n"
+            "class ShardEngine:\n"
             "    def run(self, sched):\n"
             "        # simlint: disable-next-line=SIM203\n"
             "        sched.schedule_at(1.0, lambda: None)\n"
@@ -558,7 +558,7 @@ class TestSuppressionForms:
 
     def test_disable_next_line_wrong_rule_does_not_silence(self):
         src = (
-            "class SimKernel:\n"
+            "class ShardEngine:\n"
             "    def run(self, sched):\n"
             "        # simlint: disable-next-line=SIM201\n"
             "        sched.schedule_at(1.0, lambda: None)\n"
@@ -570,7 +570,7 @@ class TestSuppressionForms:
         # The suppression comment sits on a continuation line of the same
         # logical statement; the finding anchors on the first line.
         src = (
-            "class SimKernel:\n"
+            "class ShardEngine:\n"
             "    def run(self, sched):\n"
             "        sched.schedule_at(\n"
             "            1.0,\n"

@@ -21,7 +21,7 @@ import gc
 import numpy as np
 import pytest
 
-from repro.engine import SimKernel
+from repro.engine import ShardEngine
 from repro.engine.parallel.shard import ShardEngine, _build_shard
 from repro.engine.windows import iter_windows
 from repro.experiments.shard import udp_spec
@@ -94,7 +94,7 @@ def test_building_a_drop_tail_simulator_creates_no_random_stream(monkeypatch):
     monkeypatch.setattr(
         np.random, "default_rng", lambda *args: made.append(args) or default_rng(*args)
     )
-    sim = NetworkSimulator(NET, fib, SimKernel())
+    sim = NetworkSimulator(NET, fib, ShardEngine([0] * NET.num_nodes, 1, lookahead=1.0))
     assert made == []
     sim.link_table.stream(0, RED)  # ... until one is asked for
     assert len(made) == 1

@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _hop_oracle as oracle
-from repro.engine import SimKernel
+from repro.engine import ShardEngine
 from repro.engine.parallel.shard import (
     ShardEngine,
     _build_shard,
@@ -233,7 +233,7 @@ def test_lp_states_selected_from_the_cut_restore_as_each_links_own_slice(data):
     on_adopter = data.draw(states, label="link states on the adopting shard")
 
     def built(link_states: list) -> tuple[NetworkSimulator, list]:
-        sim = NetworkSimulator(net, ForwardingPlane(net), SimKernel(), queue_discipline="red")
+        sim = NetworkSimulator(net, ForwardingPlane(net), ShardEngine([0] * net.num_nodes, 1, lookahead=1.0), queue_discipline="red")
         old_links = [oracle.OracleLinkRuntime(link, discipline="red") for link in net.links]
         _set_link_states(sim, old_links, link_states)
         return sim, old_links

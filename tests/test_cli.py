@@ -51,6 +51,29 @@ class TestParser:
         err = capsys.readouterr().err
         assert "usage:" in err and "must be >=" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "single-as", "scalapack", "--duration", "-1"],
+        ["chaos", "single-as", "scalapack", "--duration", "0"],
+        ["chaos", "single-as", "scalapack", "--kill-workers", "1", "--duration", "0"],
+        ["trace", "--duration", "0"],
+        ["trace", "--duration", "nan"],
+        ["trace", "--timeline", "--duration", "inf"],
+    ])
+    def test_bad_durations_are_usage_errors_before_any_work(self, argv, capsys, monkeypatch):
+        # A run's length is its one-LP engine's window: it must be > 0.
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the duration was checked")
+
+        monkeypatch.setattr("repro.experiments.build_network", no_work)
+        monkeypatch.setattr("repro.experiments.runner.build_network", no_work)
+        monkeypatch.setattr("repro.experiments.chaos.build_network", no_work)
+        monkeypatch.setattr("repro.experiments.chaos.run_process_chaos", no_work)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "must be a finite number > 0" in err
+
 
 class TestSyncCost:
     def test_prints_table(self, capsys):

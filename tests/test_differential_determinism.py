@@ -1,7 +1,7 @@
 """Differential determinism across scheduler and process backends.
 
-The same seeded workload is run on the sequential kernel and on the
-conservative engine: the two must produce the same set of deliveries,
+The same seeded workload is run on the sequential engine (one LP) and on
+the conservative engine (two): the two must produce the same set of deliveries,
 the same traffic counters, and the same per-node packet counts (the
 interleaving across LPs legitimately differs within a window, so the
 delivery logs are compared sorted).
@@ -21,7 +21,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.kernel import SimKernel
 from repro.engine.parallel import LocalShardGroup, ParallelConservativeEngine, ShardEngine
 from repro.experiments.shard import (
     chain_spec,
@@ -41,6 +40,12 @@ LATENCY_S = 1e-4  # every link; also the conservative lookahead
 # contiguous halves: nodes 0-3 on LP 0, nodes 4-7 on LP 1
 ASSIGNMENT = np.array([0, 0, 0, 0, 1, 1, 1, 1])
 PACKETS = 40
+UNTIL = 0.05
+
+
+def _one_lp() -> ShardEngine:
+    """The sequential engine: every node on LP 0, one window per run."""
+    return ShardEngine([0] * NUM_NODES, 1, lookahead=UNTIL)
 
 
 def _build_chain() -> tuple[Network, ForwardingPlane]:
@@ -79,7 +84,7 @@ def _run(scheduler):
             flow_id=i, seq=i,
         )
         scheduler.schedule_at(t, sim.inject, node=src, args=(packet,))
-    scheduler.run(until=0.05)
+    scheduler.run(until=UNTIL)
     return sim, log
 
 
@@ -108,7 +113,7 @@ def _run_with_faults(scheduler, events):
                 flow_id=i, seq=i,
             )
             scheduler.schedule_at(t, sim.inject, node=src, args=(packet,))
-        scheduler.run(until=0.05)
+        scheduler.run(until=UNTIL)
         faults = list(tracer.faults)
     return sim, log, faults
 
@@ -125,7 +130,7 @@ FAULT_EVENTS = [
 
 class TestDifferentialDeterminism:
     def test_backends_are_interchangeable(self):
-        kern_sim, kern_log = _run(SimKernel())
+        kern_sim, kern_log = _run(_one_lp())
         cons_eng = ShardEngine(ASSIGNMENT, 2, lookahead=LATENCY_S)
         cons_sim, cons_log = _run(cons_eng)
 
@@ -143,12 +148,12 @@ class TestDifferentialDeterminism:
 
 class TestFaultDeterminism:
     """The robustness acceptance bar: same seed + scenario gives the same
-    fault trace and deliveries on the sequential kernel and on the
+    fault trace and deliveries on the sequential engine and on the
     conservative engine, and a run with an *empty* schedule is
     bit-identical to no injector at all."""
 
     def test_fault_run_identical_across_kernel_and_conservative(self):
-        kern_sim, kern_log, kern_faults = _run_with_faults(SimKernel(), FAULT_EVENTS)
+        kern_sim, kern_log, kern_faults = _run_with_faults(_one_lp(), FAULT_EVENTS)
         cons_sim, cons_log, cons_faults = _run_with_faults(
             ShardEngine(ASSIGNMENT, 2, lookahead=LATENCY_S), FAULT_EVENTS
         )
@@ -167,8 +172,8 @@ class TestFaultDeterminism:
         assert cons_sim.links[2].total_lost == kern_sim.links[2].total_lost
 
     def test_empty_schedule_is_bit_identical_to_no_injector(self):
-        plain_sim, plain_log = _run(SimKernel())
-        faulted_sim, faulted_log, faults = _run_with_faults(SimKernel(), [])
+        plain_sim, plain_log = _run(_one_lp())
+        faulted_sim, faulted_log, faults = _run_with_faults(_one_lp(), [])
         assert not faults
         assert faulted_log == plain_log
         assert faulted_sim.counters.as_dict() == plain_sim.counters.as_dict()
@@ -179,7 +184,6 @@ class TestFaultDeterminism:
 # ----------------------------------------------------------------------
 # Cross-process suite: real worker processes, same bytes
 # ----------------------------------------------------------------------
-UNTIL = 0.05
 
 
 def _reference(spec):

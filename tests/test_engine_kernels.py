@@ -1,8 +1,11 @@
-"""Tests for the DES event queue, sequential kernel, and conservative
-parallel engine (a ``ShardEngine`` owning every LP, driven by
-``run(until)``) — including sequential/parallel equivalence."""
+"""Tests for the DES event queue and the engine — a ``ShardEngine`` on
+one LP (the sequential engine) and owning every LP of a partition
+(the conservative engine), driven by ``run(until)`` — including
+sequential/parallel equivalence."""
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -13,8 +16,8 @@ from repro.engine import (
     EventQueue,
     LookaheadViolation,
     ShardEngine,
-    SimKernel,
 )
+from repro.engine.events import Event
 
 # Each op is (kind, value): push at a time, cancel a previously returned
 # handle (index derived from the value), pop, or pop_until a bound.
@@ -25,42 +28,60 @@ _QUEUE_OPS = st.lists(
     ),
     max_size=200,
 )
+_SEQ = itertools.count()
+
+
+def push(q: EventQueue, time: float, fn=lambda: None, args: tuple = ()) -> Event:
+    """Key an event as an engine does (one rising sequence) and enqueue it."""
+    ev = Event(time, next(_SEQ), fn, args)
+    q.push_event(ev)
+    return ev
+
+
+def pop(q: EventQueue) -> Event | None:
+    """The earliest live event, whatever its time."""
+    return q.pop_until(float("inf"))
+
+
+def one_lp(num_nodes: int = 8, lookahead: float = 10.0, **kwargs) -> ShardEngine:
+    """The sequential engine: every node on LP 0."""
+    return ShardEngine([0] * num_nodes, 1, lookahead=lookahead, **kwargs)
 
 
 class TestEventQueue:
     def test_fifo_for_equal_times(self):
         q = EventQueue()
         order = []
-        q.push(1.0, lambda: order.append("a"))
-        q.push(1.0, lambda: order.append("b"))
-        q.pop().fn()
-        q.pop().fn()
+        push(q, 1.0, lambda: order.append("a"))
+        push(q, 1.0, lambda: order.append("b"))
+        pop(q).fn()
+        pop(q).fn()
         assert order == ["a", "b"]
 
     def test_time_order(self):
         q = EventQueue()
-        q.push(2.0, lambda: None)
-        q.push(1.0, lambda: None)
-        assert q.pop().time == 1.0
+        push(q, 2.0)
+        push(q, 1.0)
+        assert pop(q).time == 1.0
 
     def test_cancel_skipped(self):
         q = EventQueue()
-        ev = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
+        ev = push(q, 1.0)
+        push(q, 2.0)
         ev.cancel()
-        assert q.pop().time == 2.0
-        assert q.pop() is None
+        assert pop(q).time == 2.0
+        assert pop(q) is None
 
     def test_len_and_bool(self):
         q = EventQueue()
         assert not q
-        q.push(1.0, lambda: None)
+        push(q, 1.0)
         assert q and len(q) == 1
 
     def test_pop_until_boundary_exclusive(self):
         q = EventQueue()
-        q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
+        push(q, 1.0)
+        push(q, 2.0)
         assert q.pop_until(1.0) is None  # head at the bound stays queued
         assert len(q) == 2
         assert q.pop_until(1.5).time == 1.0
@@ -74,12 +95,12 @@ class TestEventQueue:
         q = EventQueue()
         heap = q.heap
         for t in (3.0, 1.0, 2.0):
-            q.push(t, lambda: None)
-        cancelled = q.push(1.5, lambda: None)
+            push(q, t)
+        cancelled = push(q, 1.5)
         cancelled.cancel()
         entries = q.drain_entries()
         assert sorted(e[0] for e in entries) == [1.0, 1.5, 2.0, 3.0]
-        assert len(q) == 0 and q.pop() is None
+        assert len(q) == 0 and pop(q) is None
         assert q.heap is heap and heap == []
 
     @settings(max_examples=200, deadline=None)
@@ -106,7 +127,7 @@ class TestEventQueue:
         for op, value in ops:
             if op == "push":
                 index = len(handles)
-                handles.append(q.push(value, lambda: None, args=(index,)))
+                handles.append(push(q, value, args=(index,)))
                 model.append((value, index))
             elif op == "cancel" and handles:
                 index = int(value * 1e3) % len(handles)
@@ -116,24 +137,28 @@ class TestEventQueue:
             elif op == "pop_until":
                 check(q.pop_until(value), model_pop(value))
             else:
-                check(q.pop(), model_pop(float("inf")))
+                check(pop(q), model_pop(float("inf")))
         while model:
-            check(q.pop(), model_pop(float("inf")))
-        assert q.pop() is None
+            check(pop(q), model_pop(float("inf")))
+        assert pop(q) is None
 
 
 class TestSimKernel:
+    """The sequential engine, once ``SimKernel``: a ``ShardEngine`` on one
+    LP, whose window is as long as the run (``tests/test_kernel_fold.py``
+    holds it to the frozen kernel event by event)."""
+
     def test_runs_in_time_order(self):
-        k = SimKernel()
+        k = one_lp()
         seen = []
         k.schedule(2.0, lambda: seen.append(2))
         k.schedule(1.0, lambda: seen.append(1))
-        k.run()
+        k.run(until=3.0)
         assert seen == [1, 2]
-        assert k.now == 2.0
+        assert k.now == k.current_time == 3.0
 
     def test_until_excludes_boundary(self):
-        k = SimKernel()
+        k = one_lp()
         seen = []
         k.schedule_at(5.0, lambda: seen.append(5))
         k.run(until=5.0)
@@ -143,7 +168,7 @@ class TestSimKernel:
         assert seen == [5]
 
     def test_windows_compose(self):
-        k = SimKernel()
+        k = one_lp()
         seen = []
         for t in (0.5, 1.5, 2.5):
             k.schedule_at(t, lambda t=t: seen.append(t))
@@ -153,7 +178,7 @@ class TestSimKernel:
         assert seen == [0.5, 1.5, 2.5]
 
     def test_events_schedule_events(self):
-        k = SimKernel()
+        k = one_lp()
         seen = []
 
         def cascade(i):
@@ -162,45 +187,23 @@ class TestSimKernel:
                 k.schedule(1.0, lambda: cascade(i + 1))
 
         k.schedule(0.0, lambda: cascade(0))
-        k.run()
+        k.run(until=10.0)
         assert seen == [0, 1, 2, 3]
 
     def test_cannot_schedule_past(self):
-        k = SimKernel()
+        k = one_lp()
         k.schedule_at(1.0, lambda: None)
-        k.run()
-        with pytest.raises(ValueError):
+        k.run(until=2.0)
+        with pytest.raises(ValueError, match="LP's past"):
             k.schedule_at(0.5, lambda: None)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="LP's past"):
             k.schedule(-0.1, lambda: None)
 
-    def test_max_events(self):
-        k = SimKernel()
-        for t in range(5):
-            k.schedule_at(float(t), lambda: None)
-        assert k.run(max_events=3) == 3
-        assert len(k.queue) == 2
-
-    def test_max_events_stop_leaves_clock_at_last_event(self):
-        # Stopping on max_events with work still pending before ``until``
-        # must not jump the clock to ``until``: that would reject later
-        # schedule_at calls and run the next event in the past.
-        k = SimKernel()
-        seen = []
-        k.schedule_at(1.0, lambda: seen.append(1.0))
-        k.schedule_at(2.0, lambda: seen.append(2.0))
-        assert k.run(until=10.0, max_events=1) == 1
-        assert k.now == 1.0
-        k.schedule_at(1.5, lambda: seen.append(1.5))
-        assert k.run(until=10.0) == 2
-        assert seen == [1.0, 1.5, 2.0]
-        assert k.now == 10.0
-
     def test_trace_records(self):
-        k = SimKernel(record_trace=True)
+        k = one_lp(record_trace=True)
         k.schedule_at(1.0, lambda: None, node=7)
         k.schedule_at(2.0, lambda: None, node=3)
-        k.run()
+        k.run(until=3.0)
         t, n = k.trace()
         assert t.tolist() == [1.0, 2.0]
         assert n.tolist() == [7, 3]
@@ -208,33 +211,31 @@ class TestSimKernel:
 
 class TestSequenceOwnership:
     """The tiebreak counter belongs to the engine that stamps with it: a
-    fresh engine numbers from the start whatever ran before — ``(time,
-    seq)`` from 0 on the kernel, ``(epoch, lane, counter)`` from
-    ``(0, 0, 1)`` on the shard engine."""
+    fresh engine numbers ``(epoch, lane, counter)`` from ``(0, 0, 1)``
+    whatever ran before; the queue stamps nothing."""
 
     def test_fresh_engines_number_from_zero(self):
-        warm = SimKernel()
+        warm = one_lp()
         for i in range(5):
             warm.schedule_at(float(i), lambda: None)
-        warm.run()
-        assert SimKernel().schedule_at(1.0, lambda: None).seq == 0
-        assert SimKernel().schedule(1.0, lambda: None).seq == 0
+        warm.run(until=6.0)
+        assert one_lp().schedule_at(1.0, lambda: None).seq == (0, 0, 1)
+        assert one_lp().schedule(1.0, lambda: None).seq == (0, 0, 1)
         warm_shard = ShardEngine(np.array([0, 1]), 2, lookahead=0.1)
         warm_shard.schedule_at(0.05, lambda: None, node=1)
         warm_shard.run(until=0.3)
         eng = ShardEngine(np.array([0, 1]), 2, lookahead=0.1)
         assert eng.schedule_at(0.5, lambda: None, node=1).seq == (0, 0, 1)
         assert eng.schedule_at(0.5, lambda: None, node=0).seq == (0, 0, 2)
-        assert EventQueue().push(0.0, lambda: None).seq == 0
 
     def test_kernel_schedule_and_schedule_at_share_one_sequence(self):
-        k = SimKernel()
+        k = one_lp()
         seqs = [
             k.schedule(1.0, lambda: None).seq,
             k.schedule_at(1.0, lambda: None).seq,
             k.schedule(1.0, lambda: None).seq,
         ]
-        assert seqs == [0, 1, 2]
+        assert seqs == [(0, 0, 1), (0, 0, 2), (0, 0, 3)]
 
 
 class TestConservativeEngine:
@@ -366,7 +367,7 @@ class TestConservativeEngine:
                 engine.schedule_at(t0, lambda n=n, t0=t0: fire(n, 0, t0), node=n)
 
         seq_log: list = []
-        k = SimKernel()
+        k = ShardEngine(np.zeros(num_nodes, dtype=np.int64), 1, lookahead=1.0)
         build(k, seq_log)
         k.run(until=1.0)
 

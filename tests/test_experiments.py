@@ -20,7 +20,7 @@ from repro.experiments import (
 )
 from repro.experiments.runner import cluster_for_scale
 from repro.experiments.shard import DeliveryRecorder
-from repro.engine import SimKernel
+from repro.engine import ShardEngine
 from repro.netsim import NetworkSimulator
 from repro.online import Agent
 
@@ -103,7 +103,7 @@ class TestBuildNetwork:
 class TestInstallWorkload:
     def test_host_sets_disjoint(self):
         net, fib = build_network("single-as", MICRO, seed=1)
-        k = SimKernel()
+        k = ShardEngine([0] * net.num_nodes, 1, lookahead=1.0)
         sim = NetworkSimulator(net, fib, k)
         agent = Agent(sim)
         handles = install_workload(sim, agent, net, "scalapack", MICRO, seed=0)
@@ -113,7 +113,7 @@ class TestInstallWorkload:
     @pytest.mark.parametrize("app_kind", APP_KINDS)
     def test_apps_run_to_completion(self, app_kind):
         net, fib = build_network("single-as", MICRO, seed=1)
-        k = SimKernel()
+        k = ShardEngine([0] * net.num_nodes, 1, lookahead=60.0)
         sim = NetworkSimulator(net, fib, k)
         agent = Agent(sim)
         handles = install_workload(sim, agent, net, app_kind, MICRO, seed=0,
@@ -124,7 +124,7 @@ class TestInstallWorkload:
 
     def test_unknown_app_kind(self):
         net, fib = build_network("single-as", MICRO, seed=1)
-        k = SimKernel()
+        k = ShardEngine([0] * net.num_nodes, 1, lookahead=1.0)
         sim = NetworkSimulator(net, fib, k)
         with pytest.raises(ValueError):
             install_workload(sim, Agent(sim), net, "hadoop", MICRO)
@@ -134,7 +134,7 @@ class TestInstallWorkload:
         net, fib = build_network("single-as", MICRO, seed=1)
 
         def split(**kwargs):
-            k = SimKernel()
+            k = ShardEngine([0] * net.num_nodes, 1, lookahead=1.0)
             sim = NetworkSimulator(net, fib, k)
             h = install_workload(sim, Agent(sim), net, "scalapack", MICRO, **kwargs)
             return (h.clients, h.servers, h.app_hosts)
@@ -147,7 +147,7 @@ class TestInstallWorkload:
         net, fib = build_network("single-as", MICRO, seed=1)
 
         def deliveries():
-            k = SimKernel()
+            k = ShardEngine([0] * net.num_nodes, 1, lookahead=3.0)
             sim = NetworkSimulator(net, fib, k)
             recorder = DeliveryRecorder(sim, k)
             install_workload(sim, Agent(sim), net, "scalapack", MICRO, seed=0,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.engine import SimKernel
+from repro.engine import ShardEngine
 from repro.netsim import NetworkSimulator, start_transfer
 from repro.routing import ForwardingPlane
 from repro.topology import Network, NodeKind
@@ -23,7 +23,7 @@ def path_net():
 class TestFailureInjection:
     def test_failed_link_drops_everything(self):
         net, h0, h1, core = path_net()
-        k = SimKernel()
+        k = ShardEngine([0] * net.num_nodes, 1, lookahead=5.0)
         sim = NetworkSimulator(net, ForwardingPlane(net), k)
         sim.fail_link(core)
         done = []
@@ -34,7 +34,7 @@ class TestFailureInjection:
 
     def test_tcp_survives_transient_failure(self):
         net, h0, h1, core = path_net()
-        k = SimKernel()
+        k = ShardEngine([0] * net.num_nodes, 1, lookahead=120.0)
         sim = NetworkSimulator(net, ForwardingPlane(net), k)
         done = []
         start_transfer(sim, h0, h1, 200_000, lambda t: done.append(t))
@@ -47,7 +47,7 @@ class TestFailureInjection:
 
     def test_restore_is_clean(self):
         net, h0, h1, core = path_net()
-        k = SimKernel()
+        k = ShardEngine([0] * net.num_nodes, 1, lookahead=5.0)
         sim = NetworkSimulator(net, ForwardingPlane(net), k)
         sim.fail_link(core)
         sim.restore_link(core)

@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.engine.kernel import SimKernel
+from repro.engine import ShardEngine
 from repro.faults import (
     BUILTIN_SCENARIOS,
     FaultEvent,
@@ -135,7 +135,7 @@ class TestScenarioMaterialization:
 def small_sim():
     net = generate_flat_network(num_routers=12, num_hosts=6, seed=3)
     fib = ForwardingPlane(net)
-    kernel = SimKernel()
+    kernel = ShardEngine([0] * net.num_nodes, 1, lookahead=1.0)
     sim = NetworkSimulator(net, fib, kernel)
     return net, fib, kernel, sim
 
@@ -359,7 +359,7 @@ class TestBgpSessionManager:
     def test_reset_withdraws_then_reestablishes(self):
         engine = _chain_engine()
         assert engine.route(1, 3) is not None
-        kernel = SimKernel()
+        kernel = ShardEngine([], 1, lookahead=1.0)
         events: list[str] = []
         mgr = BgpSessionManager(
             engine, kernel, base_retry_s=0.2, seed=0,
@@ -385,7 +385,7 @@ class TestBgpSessionManager:
 
     def test_retry_budget_exhaustion_gives_up(self):
         engine = _chain_engine()
-        kernel = SimKernel()
+        kernel = ShardEngine([], 1, lookahead=1.0)
         mgr = BgpSessionManager(
             engine, kernel, base_retry_s=0.1, max_retry_s=0.2, max_retries=2, seed=0
         )
@@ -398,7 +398,7 @@ class TestBgpSessionManager:
 
     def test_second_reset_extends_outage_without_new_teardown(self):
         engine = _chain_engine()
-        kernel = SimKernel()
+        kernel = ShardEngine([], 1, lookahead=1.0)
         events: list[str] = []
         mgr = BgpSessionManager(
             engine, kernel, base_retry_s=0.2, seed=0,
@@ -415,7 +415,7 @@ class TestBgpSessionManager:
 
     def test_backoff_is_bounded_and_jittered(self):
         engine = _chain_engine()
-        kernel = SimKernel()
+        kernel = ShardEngine([], 1, lookahead=1.0)
         mgr = BgpSessionManager(
             engine, kernel, base_retry_s=0.5, max_retry_s=2.0, jitter=0.1, seed=0
         )
@@ -424,6 +424,6 @@ class TestBgpSessionManager:
         assert all(d <= 2.0 * 1.1 + 1e-12 for d in delays)
         # Deterministic: same seed reproduces the same jittered sequence.
         mgr2 = BgpSessionManager(
-            _chain_engine(), SimKernel(), base_retry_s=0.5, max_retry_s=2.0, jitter=0.1, seed=0
+            _chain_engine(), ShardEngine([], 1, lookahead=1.0), base_retry_s=0.5, max_retry_s=2.0, jitter=0.1, seed=0
         )
         assert delays == [mgr2._backoff_delay(k) for k in range(8)]

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _hop_oracle as oracle
-from repro.engine import SimKernel
+from repro.engine import ShardEngine
 from repro.netsim import NetworkSimulator, Packet, Protocol
 from repro.routing import ForwardingPlane
 from repro.routing.bgp import BgpSessionManager, configure_bgp
@@ -96,7 +96,7 @@ def replay(net: Network, multi_as: bool, script: list, old: bool) -> dict:
     computed = []  # one entry per decision computed: once per pair, on both sides
     compute = fib._compute_next_hop
     fib._compute_next_hop = lambda node, dest: computed.append(node) or compute(node, dest)
-    kernel = SimKernel()
+    kernel = ShardEngine([0] * net.num_nodes, 1, lookahead=STEP_S)
     sim = (oracle.OracleResolvingSimulator if old else NetworkSimulator)(net, fib, kernel)
     sessions = None
     if bgp is not None:

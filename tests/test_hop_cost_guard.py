@@ -19,7 +19,7 @@ import gc
 import numpy as np
 import pytest
 
-from repro.engine import SimKernel
+from repro.engine import ShardEngine
 from repro.netsim import NetworkSimulator, Packet, Protocol, link
 from repro.routing import ForwardingPlane
 from repro.topology import Network, NodeKind, generate_flat_network
@@ -27,15 +27,16 @@ from repro.topology import Network, NodeKind, generate_flat_network
 DATAGRAMS = 400
 
 
-class ClockCountingKernel(SimKernel):
-    """Counts reads of ``current_time``, the simulator's only clock."""
+class ClockCountingKernel(ShardEngine):
+    """A one-LP engine counting reads of ``current_time``, the simulator's
+    only clock (the engine's own paths read the field behind it)."""
 
     clock_reads = 0
 
     @property
     def current_time(self) -> float:
         self.clock_reads += 1
-        return self.now
+        return self._lp_now
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +63,7 @@ def _counted_run(flat_net, monkeypatch):
     monkeypatch.setattr(
         link, "TransmitResult", counting("transmit_results", link.TransmitResult)
     )
-    kernel = ClockCountingKernel()
+    kernel = ClockCountingKernel([0] * flat_net.num_nodes, 1, lookahead=2.0)
     sim = NetworkSimulator(flat_net, fib, kernel)
     hosts = flat_net.host_ids()
     rng = np.random.default_rng(3)
@@ -110,7 +111,7 @@ def _diamond():
     net.add_link(0, 2, 1e8, 2e-3)
     net.add_link(2, 3, 1e8, 2e-3)
     fib = ForwardingPlane(net)
-    kernel = SimKernel()
+    kernel = ShardEngine([0] * net.num_nodes, 1, lookahead=0.1)
     sim = NetworkSimulator(net, fib, kernel)
 
     def send():
@@ -160,7 +161,7 @@ def test_resolving_every_pair_adds_no_tracked_object_per_pair():
     net = generate_flat_network(num_routers=100, num_hosts=0, seed=7)
     n = net.num_nodes
     fib = ForwardingPlane(net)
-    sim = NetworkSimulator(net, fib, SimKernel())
+    sim = NetworkSimulator(net, fib, ShardEngine([0] * n, 1, lookahead=1.0))
     domain = fib.ospf_domain(net.nodes[0].as_id)
     for dest in range(n):  # SPF first: its trees are per destination, not per pair
         domain.next_hop((dest + 1) % n, dest)

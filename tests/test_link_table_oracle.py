@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _hop_oracle as oracle
-from repro.engine import SimKernel
+from repro.engine import ShardEngine
 from repro.experiments.shard import LpStatePort
 from repro.netsim import NetworkSimulator
 from repro.netsim.link import FAULT, RED
@@ -41,7 +41,7 @@ SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 def _run(old: bool, net, discipline: str, seed: int) -> NetworkSimulator:
     """UDP bursts over ``net`` with faults armed and streams drawn by ``seed``."""
-    kernel = SimKernel()
+    kernel = ShardEngine([0] * net.num_nodes, 1, lookahead=0.5)
     simulator = oracle.OracleSimulator if old else NetworkSimulator
     sim = simulator(net, ForwardingPlane(net), kernel, queue_discipline=discipline)
     rng = np.random.default_rng(seed)
@@ -72,7 +72,7 @@ def _run(old: bool, net, discipline: str, seed: int) -> NetworkSimulator:
 
 def _fresh(old: bool, net, discipline: str) -> NetworkSimulator:
     simulator = oracle.OracleSimulator if old else NetworkSimulator
-    return simulator(net, ForwardingPlane(net), SimKernel(), queue_discipline=discipline)
+    return simulator(net, ForwardingPlane(net), ShardEngine([0] * net.num_nodes, 1, lookahead=1.0), queue_discipline=discipline)
 
 
 def _through_the_wire(value):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import run_profiling_simulation
-from repro.engine import ShardEngine, SimKernel
+from repro.engine import ShardEngine
 from repro.netsim import NetworkSimulator, Packet, Protocol, send_datagram
 from repro.netsim.tcp import TcpReceiver
 from repro.online import Agent
@@ -44,13 +44,13 @@ class TestHostsEdgeCases:
 
 class TestUdpEdgeCases:
     def test_zero_payload_rejected(self, flat_net, flat_fib):
-        k = SimKernel()
+        k = ShardEngine([0] * flat_net.num_nodes, 1, lookahead=1.0)
         sim = NetworkSimulator(flat_net, flat_fib, k)
         with pytest.raises(ValueError):
             send_datagram(sim, 0, 1, 0)
 
     def test_fragment_count(self, flat_net, flat_fib):
-        k = SimKernel()
+        k = ShardEngine([0] * flat_net.num_nodes, 1, lookahead=1.0)
         sim = NetworkSimulator(flat_net, flat_fib, k)
         hosts = flat_net.host_ids()
         n = send_datagram(sim, hosts[0], hosts[1], 5000)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import SimKernel
+from repro.engine import ShardEngine
 from repro.netsim import NetworkSimulator, send_datagram
 from repro.netsim.app import (
     GridNpbApp,
@@ -21,7 +21,7 @@ from repro.routing import ForwardingPlane
 
 @pytest.fixture()
 def sim_env(flat_net, flat_fib):
-    k = SimKernel()
+    k = ShardEngine([0] * flat_net.num_nodes, 1, lookahead=1.0)
     sim = NetworkSimulator(flat_net, flat_fib, k)
     return k, sim
 
@@ -66,7 +66,7 @@ class TestHttp:
     def test_deterministic(self, flat_net, flat_fib):
         counts = []
         for _ in range(2):
-            k = SimKernel()
+            k = ShardEngine([0] * flat_net.num_nodes, 1, lookahead=5.0)
             sim = NetworkSimulator(flat_net, flat_fib, k)
             hosts = flat_net.host_ids()
             http = HttpTraffic(sim, hosts[:5], hosts[5:7], seed=42,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import ShardEngine, SimKernel
+from repro.engine import ShardEngine
 from repro.netsim import (
     LOOPBACK_LATENCY_S,
     NetworkSimulator,
@@ -32,7 +32,7 @@ def line_net():
 
 
 def mk_sim(net, record=False):
-    k = SimKernel(record_trace=True)
+    k = ShardEngine([0] * net.num_nodes, 1, lookahead=1.0, record_trace=True)
     sim = NetworkSimulator(net, ForwardingPlane(net), k, record_transmissions=record)
     return k, sim
 
@@ -180,7 +180,7 @@ class TestParallelLinks:
         for latency in latencies:
             net.add_link(a, b, 1e8, latency)
         fib = ForwardingPlane(net)
-        kernel = SimKernel()
+        kernel = ShardEngine([0] * net.num_nodes, 1, lookahead=1.0)
         sim = NetworkSimulator(net, fib, kernel)
         got = []
         sim.udp_bind(b, 9, lambda p: got.append(sim.now))

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.engine import SimKernel
+from repro.engine import ShardEngine
 from repro.netsim import (
     NetworkSimulator,
     TCP_MSS_BYTES,
@@ -32,7 +32,7 @@ def make_path_net(bw=1e9, lat=1e-3, queue=64 * 1024):
 
 
 def run_transfer(net, h0, h1, nbytes, until=60.0):
-    k = SimKernel()
+    k = ShardEngine([0] * net.num_nodes, 1, lookahead=until)
     sim = NetworkSimulator(net, ForwardingPlane(net), k)
     done = []
     sender = start_transfer(sim, h0, h1, nbytes, lambda t: done.append(t))
@@ -100,7 +100,7 @@ class TestCongestion:
 
     def test_competing_flows_share(self):
         net, h0, h1 = make_path_net(bw=20e6, lat=2e-3, queue=32_000)
-        k = SimKernel()
+        k = ShardEngine([0] * net.num_nodes, 1, lookahead=60.0)
         sim = NetworkSimulator(net, ForwardingPlane(net), k)
         finished = []
         senders = [
@@ -124,7 +124,7 @@ class TestCongestion:
         net.add_link(h0, r0, 100e6, 20e-6, queue_bytes=16_000)
         for p in peers:
             net.add_link(p, r1, 1e9, 20e-6)
-        k = SimKernel()
+        k = ShardEngine([0] * net.num_nodes, 1, lookahead=10.0)
         sim = NetworkSimulator(net, ForwardingPlane(net), k)
         done: list[float] = []
         for p in peers:
@@ -135,7 +135,7 @@ class TestCongestion:
 
     def test_loopback_transfer(self):
         net, h0, h1 = make_path_net()
-        k = SimKernel()
+        k = ShardEngine([0] * net.num_nodes, 1, lookahead=10.0)
         sim = NetworkSimulator(net, ForwardingPlane(net), k)
         done = []
         start_transfer(sim, h0, h0, 50_000, lambda t: done.append(t))
@@ -147,7 +147,7 @@ class TestCongestion:
 class TestRenoStateMachine:
     def _sim(self):
         net, h0, h1 = make_path_net()
-        k = SimKernel()
+        k = ShardEngine([0] * net.num_nodes, 1, lookahead=1.0)
         sim = NetworkSimulator(net, ForwardingPlane(net), k)
         return sim, h0, h1
 

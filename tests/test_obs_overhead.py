@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import SimKernel
+from repro.engine import ShardEngine
 from repro.netsim import NetworkSimulator, send_datagram
 from repro.obs.counters import (
     BinnedSeries,
@@ -58,7 +58,7 @@ def run_line_scenario():
     net.add_link(h0, r0, 100e6, 20e-6)
     net.add_link(h1, r1, 100e6, 20e-6)
 
-    kernel = SimKernel()
+    kernel = ShardEngine([0] * net.num_nodes, 1, lookahead=1.0)
     sim = NetworkSimulator(net, ForwardingPlane(net), kernel)
     sim.udp_bind(h1, 9, lambda p: None)
     for i in range(NUM_PACKETS):

@@ -422,7 +422,7 @@ class TestProfileBridge:
     def test_bridge_equals_the_profiler_on_a_real_run(self):
         """The registry reads the simulator's own counts, so the PROF
         bridge and the traffic profiler give one profile."""
-        from repro.engine import SimKernel
+        from repro.engine import ShardEngine
         from repro.netsim import NetworkSimulator, send_datagram
         from repro.profilers.traffic import TrafficProfile
         from repro.routing import ForwardingPlane
@@ -432,7 +432,7 @@ class TestProfileBridge:
         hosts = net.host_ids()
         duration = 0.5
         with observed_run() as reg:
-            kernel = SimKernel()
+            kernel = ShardEngine([0] * net.num_nodes, 1, lookahead=duration)
             sim = NetworkSimulator(net, ForwardingPlane(net), kernel)
             for i in range(60):
                 src = hosts[i % len(hosts)]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import SimKernel
+from repro.engine import ShardEngine
 from repro.engine.costmodel import WallclockPrediction
 from repro.netsim import NetworkSimulator
 from repro.online import (
@@ -60,7 +60,7 @@ class TestVirtualIpMapper:
 
 @pytest.fixture()
 def agent_env(flat_net, flat_fib):
-    k = SimKernel()
+    k = ShardEngine([0] * flat_net.num_nodes, 1, lookahead=1.0)
     sim = NetworkSimulator(flat_net, flat_fib, k)
     return k, sim, Agent(sim)
 
@@ -167,7 +167,7 @@ class TestWrapSocket:
         got = {}
         sims = {}
         for name in ("A", "B"):
-            k = SimKernel()
+            k = ShardEngine([0] * flat_net.num_nodes, 1, lookahead=5.0)
             agent = Agent(NetworkSimulator(flat_net, flat_fib, k))
             got[name] = []
             listener = WrapSocket(agent, hosts[1], f"srv{name}@test")

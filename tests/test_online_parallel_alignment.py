@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import ShardEngine, SimKernel
+from repro.engine import ShardEngine
 from repro.netsim import NetworkSimulator
 from repro.online import Agent, WrapSocket
 from repro.routing import ForwardingPlane
@@ -35,7 +35,7 @@ def split_net():
 class TestBarrierAlignment:
     def test_sequential_injects_immediately(self, split_net):
         net, assignment, (r0, r1, h0, h1) = split_net
-        k = SimKernel()
+        k = ShardEngine([0] * net.num_nodes, 1, lookahead=1e-3)
         sim = NetworkSimulator(net, ForwardingPlane(net), k)
         agent = Agent(sim)
         assert agent._injection_time() == k.now

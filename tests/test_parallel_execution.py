@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import Approach, MappingPipeline
-from repro.engine import ShardEngine, SimKernel
+from repro.engine import ShardEngine
 from repro.experiments import ExperimentScale, build_network, install_workload
 from repro.experiments.parallel import predict_from_windows, run_parallel_workload
 from repro.experiments.runner import cluster_for_scale
@@ -64,7 +64,9 @@ class TestHttpEquivalence:
         hosts = net.host_ids()
         clients, servers = hosts[:12], hosts[12:16]
 
-        sim_a, http_a, events_a = self._run(net, fib, SimKernel, clients, servers)
+        sim_a, http_a, events_a = self._run(
+            net, fib, lambda: ShardEngine([0] * net.num_nodes, 1, lookahead=4.0), clients, servers
+        )
 
         lookahead = min(mapping.achieved_mll_s, 4.0)
         sim_b, http_b, events_b = self._run(

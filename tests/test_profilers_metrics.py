@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import SimKernel
+from repro.engine import ShardEngine
 from repro.metrics import load_imbalance, parallel_efficiency
 from repro.netsim import NetworkSimulator, send_datagram
 from repro.profilers import TrafficProfile, node_rate_series
@@ -31,7 +31,7 @@ class TestTrafficProfile:
             TrafficProfile(np.array([-1.0]), np.array([]), np.array([]), 1.0)
 
     def test_from_simulation(self, flat_net, flat_fib):
-        k = SimKernel()
+        k = ShardEngine([0] * flat_net.num_nodes, 1, lookahead=1.0)
         sim = NetworkSimulator(flat_net, flat_fib, k)
         hosts = flat_net.host_ids()
         sim.udp_bind(hosts[1], 9, lambda p: None)
@@ -43,7 +43,7 @@ class TestTrafficProfile:
         assert p.node_events.shape[0] == flat_net.num_nodes
 
     def test_snapshot_is_copy(self, flat_net, flat_fib):
-        k = SimKernel()
+        k = ShardEngine([0] * flat_net.num_nodes, 1, lookahead=1.0)
         sim = NetworkSimulator(flat_net, flat_fib, k)
         p = TrafficProfile.from_simulation(sim, 1.0)
         counts = sim.node_packets  # a fresh array: written back whole

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import SimKernel
+from repro.engine import ShardEngine
 from repro.netsim import NetworkSimulator, RedParams, start_transfer
 from repro.netsim.link import LinkRuntime, LinkTable
 from repro.partition import WeightedGraph, kway_refine, partition_kway, round_robin_partition
@@ -110,7 +110,7 @@ class TestRedQueue:
         net.add_link(r0, r1, 5e6, 5e-3, 16_000)
         net.add_link(h0, r0, 1e9, 20e-6)
         net.add_link(h1, r1, 1e9, 20e-6)
-        k = SimKernel()
+        k = ShardEngine([0] * net.num_nodes, 1, lookahead=120.0)
         sim = NetworkSimulator(net, ForwardingPlane(net), k, queue_discipline="red")
         done = []
         sender = start_transfer(sim, h0, h1, 300_000, lambda t: done.append(t))

@@ -32,7 +32,7 @@ from repro.experiments.workloads import install_workload
 from repro.faults import FaultInjector, FaultSchedule
 from repro.netsim import NetworkSimulator
 from repro.online import Agent
-from repro.engine import SimKernel
+from repro.engine import ShardEngine
 
 DATA_PATH = Path(__file__).parent / "data" / "regression_fingerprint.json"
 
@@ -100,7 +100,7 @@ class TestNoFaultBitIdentity:
         same events, same forwarding digest, same per-node vector."""
         scale = SCALES["small"]
         net, fib = build_network("single-as", scale, seed=SEED)
-        kernel = SimKernel(record_trace=True)
+        kernel = ShardEngine([0] * net.num_nodes, 1, lookahead=DURATION_S, record_trace=True)
         sim = NetworkSimulator(net, fib, kernel, record_transmissions=True)
         agent = Agent(sim)
         injector = FaultInjector(sim, fib, FaultSchedule.from_events([]))

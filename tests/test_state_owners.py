@@ -31,7 +31,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import SimKernel
+from repro.engine import ShardEngine
 from repro.faults import FaultCounts, FaultInjector, FaultSchedule
 from repro.netsim import LinkTable, NetworkSimulator, TrafficCounters
 from repro.netsim.link import FAULT, RED
@@ -53,7 +53,7 @@ def _net() -> Network:
 
 
 def _build(net: Network, discipline: str = "red"):
-    kernel = SimKernel()
+    kernel = ShardEngine([0] * net.num_nodes, 1, lookahead=1.0)
     fib = ForwardingPlane(net)
     sim = NetworkSimulator(net, fib, kernel, queue_discipline=discipline)
     injector = FaultInjector(sim, fib, FaultSchedule.from_events([]))

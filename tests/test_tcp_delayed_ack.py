@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import SimKernel
+from repro.engine import ShardEngine
 from repro.netsim import NetworkSimulator, start_transfer
 from repro.routing import ForwardingPlane
 from repro.topology import Network, NodeKind
@@ -19,7 +19,7 @@ def mk_env():
     net.add_link(r0, r1, 1e9, 2e-3, queue_bytes=10**7)
     net.add_link(h0, r0, 1e9, 20e-6)
     net.add_link(h1, r1, 1e9, 20e-6)
-    k = SimKernel()
+    k = ShardEngine([0] * net.num_nodes, 1, lookahead=1.0)
     sim = NetworkSimulator(net, ForwardingPlane(net), k)
     return k, sim, h0, h1
 

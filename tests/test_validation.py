@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import Approach
-from repro.engine import SimKernel
+from repro.engine import ShardEngine
 from repro.netsim import (
     NetworkSimulator,
     TCP_HEADER_BYTES,
@@ -41,7 +41,7 @@ class TestTcpAgainstTheory:
     def test_cannot_beat_capacity(self):
         bw = 10e6
         net, h0, h1 = clean_path_net(bw=bw, lat=1e-3)
-        k = SimKernel()
+        k = ShardEngine([0] * net.num_nodes, 1, lookahead=60.0)
         sim = NetworkSimulator(net, ForwardingPlane(net), k)
         done = []
         nbytes = 1_000_000
@@ -58,7 +58,7 @@ class TestTcpAgainstTheory:
         # takes several RTTs even though serialization is negligible.
         rtt = 2 * (10e-3 + 2 * 20e-6)
         net, h0, h1 = clean_path_net(bw=1e9, lat=10e-3)
-        k = SimKernel()
+        k = ShardEngine([0] * net.num_nodes, 1, lookahead=10.0)
         sim = NetworkSimulator(net, ForwardingPlane(net), k)
         done = []
         start_transfer(sim, h0, h1, 64 * TCP_MSS_BYTES, lambda t: done.append(t))
@@ -71,7 +71,7 @@ class TestTcpAgainstTheory:
     def test_long_transfer_approaches_capacity(self):
         bw = 50e6
         net, h0, h1 = clean_path_net(bw=bw, lat=2e-3)
-        k = SimKernel()
+        k = ShardEngine([0] * net.num_nodes, 1, lookahead=60.0)
         sim = NetworkSimulator(net, ForwardingPlane(net), k)
         done = []
         nbytes = 4_000_000
@@ -84,7 +84,7 @@ class TestTcpAgainstTheory:
     def test_utilization_bounded(self):
         # No link direction carries more bytes than its line rate allows.
         net, h0, h1 = clean_path_net(bw=10e6, lat=1e-3)
-        k = SimKernel()
+        k = ShardEngine([0] * net.num_nodes, 1, lookahead=5.0)
         sim = NetworkSimulator(net, ForwardingPlane(net), k)
         start_transfer(sim, h0, h1, 2_000_000)
         k.run(until=5.0)
