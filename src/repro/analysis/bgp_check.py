@@ -96,17 +96,20 @@ def check_bgp_policy(domains: "dict[int, ASDomain] | Network") -> list[Finding]:
 
     - ``BGP301`` relationship symmetry: if X lists Y as a customer, Y
       must list X as a provider (and peer links must be mutual),
-    - ``BGP302`` unknown neighbor: a relationship references an AS id
-      with no domain (the class of error that used to surface as a bare
-      ``KeyError`` in ``learned_relationship``),
+    - ``BGP302`` unknown AS: a relationship, or (given a Network) a
+      node, references an AS id with no domain (the class of error that
+      used to surface as a bare ``KeyError`` in ``learned_relationship``,
+      or as a plane that routes nothing between ASes),
     - ``BGP303`` overlapping roles: the same neighbor appears in two of
       providers/customers/peers,
     - ``BGP304`` provider-hierarchy cycle: the customer->provider digraph
       must be acyclic (static valley-free / dispute-wheel screening).
     """
-    if hasattr(domains, "as_domains"):
-        domains = domains.as_domains  # type: ignore[union-attr]
     findings: list[Finding] = []
+    if hasattr(domains, "as_domains"):
+        net, domains = domains, domains.as_domains  # type: ignore[union-attr]
+        for as_id in sorted({node.as_id for node in net.nodes} - set(domains)):
+            findings.append(_finding("BGP302", f"nodes sit in unknown AS {as_id}"))
 
     for as_id in sorted(domains):
         dom = domains[as_id]

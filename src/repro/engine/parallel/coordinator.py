@@ -27,7 +27,7 @@ from ...obs.registry import Registry, get_registry
 from ...obs.timers import Stopwatch
 from ...obs.trace import TraceBuffer, get_tracer
 from ..recovery import CheckpointStore, RecoveryExhaustedError, is_checkpoint_window
-from ..windows import WindowStats, iter_windows
+from ..windows import WindowStats, iter_windows, positive_lookahead
 from .shard import (
     WINDOW_EVENTS_BOUNDS,
     ScenarioSpec,
@@ -618,11 +618,9 @@ class ParallelConservativeEngine:
         rebalance=None,
         recovery=None,
     ) -> None:
-        if lookahead <= 0:
-            raise ValueError("lookahead must be positive")
+        self.lookahead = positive_lookahead(lookahead)
         self.assignment = lp_assignment(assignment, num_lps)
         self.num_lps = int(num_lps)
-        self.lookahead = float(lookahead)
         self.strict = strict
         self.start_method = start_method
         self.window_timeout_s = float(window_timeout_s)

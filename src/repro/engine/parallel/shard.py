@@ -26,6 +26,7 @@ from ..windows import (
     LookaheadViolation,
     WindowStats,
     iter_windows,
+    positive_lookahead,
 )
 
 
@@ -220,13 +221,11 @@ class ShardEngine:
         num_shards: int = 1,
         record_trace: bool = False,
     ) -> None:
-        if lookahead <= 0:
-            raise ValueError("lookahead must be positive")
+        self.lookahead = positive_lookahead(lookahead)
         self.shard_id = int(shard_id)
         self.num_shards = max(int(num_shards), 1)
         self.assignment = lp_assignment(assignment, num_lps)
         self.num_lps = int(num_lps)
-        self.lookahead = float(lookahead)
         self.strict = strict
         if owned_lps is None:
             owned_lps = range(self.num_lps)

@@ -28,6 +28,7 @@ __all__ = [
     "LookaheadViolation",
     "WindowStats",
     "iter_windows",
+    "positive_lookahead",
     "window_rows",
     "window_overlap",
     "WINDOW_EPSILON_FRACTION",
@@ -62,6 +63,16 @@ class WindowStats:
         return int(self.events_per_lp.sum())
 
 
+def positive_lookahead(lookahead: float) -> float:
+    """``lookahead`` as a float, or ``ValueError`` unless it is positive
+    and finite: an infinite one makes the epsilon infinite and a NaN
+    fails every comparison, so either would run no window at all."""
+    lookahead = float(lookahead)
+    if not 0.0 < lookahead < float("inf"):  # a NaN fails both sides
+        raise ValueError(f"lookahead must be positive and finite, got {lookahead!r}")
+    return lookahead
+
+
 def iter_windows(
     start: float, lookahead: float, until: float, first_index: int = 0
 ) -> Iterator[tuple[int, float, float]]:
@@ -76,9 +87,7 @@ def iter_windows(
     boundaries — the property the cross-process barrier protocol rests
     on.
     """
-    if lookahead <= 0:
-        raise ValueError("lookahead must be positive")
-    eps = WINDOW_EPSILON_FRACTION * lookahead
+    eps = WINDOW_EPSILON_FRACTION * positive_lookahead(lookahead)
     now = start
     index = first_index
     while now < until - eps:

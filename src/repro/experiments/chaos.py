@@ -189,8 +189,8 @@ class ProcessChaosResult:
     #: canonical one-line forms of the planned faults, in plan order
     fault_lines: list[str]
     #: the 1-process reference's traffic counters (``sent``, ``delivered``,
-    #: ``unroutable``, ...): byte-identity to a reference that delivered
-    #: little (a multi-AS network without BGP) proves little
+    #: ``unroutable``, ...), printed beside the verdict: byte-identity is
+    #: only as strong as the traffic the reference carried
     reference_counters: dict[str, int]
     #: the run's recovery summary (None when the run aborted)
     recovery: dict | None

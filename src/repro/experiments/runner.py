@@ -37,7 +37,6 @@ from ..obs.registry import observed_run
 from ..obs.timers import Stopwatch
 from ..online.agent import Agent
 from ..profilers.traffic import TrafficProfile
-from ..routing.bgp.config import configure_bgp
 from ..routing.fib import ForwardingPlane
 from ..topology.brite import generate_flat_network
 from ..topology.mabrite import generate_multi_as_network
@@ -132,17 +131,16 @@ def build_network(
         net = generate_flat_network(
             num_routers=scale.flat_routers, num_hosts=scale.flat_hosts, seed=seed
         )
-        return net, ForwardingPlane(net)
-    if network_kind == "multi-as":
+    elif network_kind == "multi-as":
         net = generate_multi_as_network(
             num_ases=scale.num_ases,
             routers_per_as=scale.routers_per_as,
             num_hosts=scale.multi_hosts,
             seed=seed,
         )
-        bgp = configure_bgp(net)
-        return net, ForwardingPlane(net, bgp)
-    raise ValueError(f"unknown network kind {network_kind!r}")
+    else:
+        raise ValueError(f"unknown network kind {network_kind!r}")
+    return net, ForwardingPlane(net)
 
 
 def run_workload_simulation(

@@ -50,6 +50,7 @@ from ..netsim.packet import Packet, Protocol
 from ..netsim.simulator import NetworkSimulator
 from ..obs.registry import Registry
 from ..obs.trace import TraceBuffer
+from ..routing.bgp.session import BgpSessionManager
 from ..routing.fib import ForwardingPlane
 from ..serialization import network_from_dict, network_to_dict
 from ..topology.models import Network, NodeKind
@@ -147,6 +148,7 @@ class ShardCheckpointPort:
     barrier, so it is every owner's whole capture side by side: the
     simulator's (its link table's columns — busy horizons, partial
     counters, fault flags — and created streams), the fault injector's,
+    its BGP session manager's (session FSMs and the RIBs a reset left),
     and the two logs this module keeps per shard, deliveries and the
     fault trace. Restore
     happens over a freshly rebuilt scenario (setup replayed from the
@@ -166,10 +168,12 @@ class ShardCheckpointPort:
         digest-stability contract of ``tests/test_checkpoint_roundtrip.py``).
         """
         faulted = self.injector is not None
+        sessions = self.injector.sessions if faulted else None
         return {
             "sim": self.sim.capture(),
             "log": list(self.recorder.records),
             "injector": self.injector.capture() if faulted else None,
+            "sessions": sessions.capture() if sessions is not None else None,
             "faults": list(self.tracer.faults) if faulted else None,
         }
 
@@ -178,6 +182,8 @@ class ShardCheckpointPort:
         self.sim.restore(state["sim"])
         self.recorder.records[:] = state["log"]
         if self.injector is not None:
+            if self.injector.sessions is not None:
+                self.injector.sessions.restore(state["sessions"])
             self.injector.restore(state["injector"])
             self.tracer.faults.clear()
             self.tracer.faults.extend(state["faults"])
@@ -232,8 +238,14 @@ def _install_faults(
     # the single-process reference, which is its own control shard)
     # records into the process-global registry like any instrumented run.
     registry = None if engine.has_control else Registry()
+    # A multi-AS plane carries BGP: session resets run on the control
+    # lane, which every shard replays, so each keeps its RIBs in step.
+    sessions = None
+    if fib.bgp is not None:
+        sessions = BgpSessionManager(fib.bgp, engine, seed=int(params.get("seed", 0)))
     injector = FaultInjector(
-        sim, fib, FaultSchedule.from_events(list(events)), registry=registry
+        sim, fib, FaultSchedule.from_events(list(events)),
+        sessions=sessions, registry=registry,
     )
     # Private per-shard trace buffer: the process-global tracer would
     # interleave replica replays when several shards share one process
@@ -256,9 +268,11 @@ def _scenario(
     """The shared tail of both builders: wire names and the five hooks."""
     handlers = {"handle_at": sim._handle_at, "inject": sim.inject, **extra_handlers}
     if injector is not None:
-        # Pending fault applications must survive mail and a checkpoint
-        # round trip, so the injector's apply method needs a wire name.
+        # Pending fault applications and session retries must survive
+        # mail and a checkpoint round trip, so each needs a wire name.
         handlers["fault_apply"] = injector._apply
+        if injector.sessions is not None:
+            handlers["bgp_attempt"] = injector.sessions._attempt
     port = LpStatePort(sim, engine.assignment)
     ckpt = ShardCheckpointPort(sim, recorder, injector, tracer)
     return ShardScenario(

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -119,6 +119,18 @@ class BgpSessionManager:
         runner flushes forwarding caches here).
     """
 
+    #: The dynamic fields: what :meth:`capture` / :meth:`restore` carry —
+    #: for ``engine``, the relationships and RIB of every speaker, which
+    #: a teardown and a re-establishment rewrite.
+    DYNAMIC = ("engine", "sessions", "stats", "_rng")
+    #: Everything else ``__init__`` sets: the timing, the scheduler and
+    #: the two callbacks. tests/test_state_owners.py fails on an
+    #: attribute in neither.
+    STATIC = (
+        "sched", "hold_time_s", "keepalive_s", "base_retry_s", "max_retry_s",
+        "max_retries", "jitter", "on_change", "on_reconverge",
+    )
+
     def __init__(
         self,
         engine: BgpEngine,
@@ -174,6 +186,36 @@ class BgpSessionManager:
         """True when every session is back in ESTABLISHED."""
         return all(s.state is SessionState.ESTABLISHED for s in self.sessions.values())
 
+    def capture(self) -> dict[str, Any]:
+        """Picklable, canonical copy of the dynamic state (:attr:`DYNAMIC`).
+
+        The pending retry attempts are not in it: they are engine
+        events, keyed by the session's AS pair, and the engine
+        checkpoints those.
+        """
+        return {
+            "engine": {
+                as_id: (dict(sorted(sp.relationships.items())), dict(sorted(sp.rib.items())))
+                for as_id, sp in sorted(self.engine.speakers.items())
+            },
+            "sessions": {key: dict(vars(info)) for key, info in sorted(self.sessions.items())},
+            "stats": dict(vars(self.stats)),
+            "_rng": self._rng.bit_generator.state,
+        }
+
+    def restore(self, state: dict[str, Any]) -> None:
+        """Apply a :meth:`capture` onto a manager over a freshly
+        converged engine: sessions down at the cut are down again, with
+        the RIBs their withdrawal left, and no re-run."""
+        for as_id, (relationships, rib) in state["engine"].items():
+            speaker = self.engine.speakers[as_id]
+            speaker.relationships = dict(relationships)
+            speaker.rib = dict(rib)
+        for key, saved in state["sessions"].items():
+            vars(self.sessions[key]).update(saved)
+        vars(self.stats).update(state["stats"])
+        self._rng.bit_generator.state = state["_rng"]
+
     # ------------------------------------------------------------------
     def reset(self, a: int, b: int, down_for_s: float) -> None:
         """Tear down the a<->b session; the peer stays dead ``down_for_s``.
@@ -220,16 +262,19 @@ class BgpSessionManager:
         self._schedule_attempt(info, self._backoff_delay(0))
 
     def _schedule_attempt(self, info: SessionInfo, delay: float) -> None:
+        # Keyed by the AS pair, not the SessionInfo: a checkpointed or
+        # migrated event comes back with a copy of its arguments.
         self.sched.schedule_at(
-            self.sched.current_time + delay, self._attempt, node=-1, args=(info,)
+            self.sched.current_time + delay, self._attempt, node=-1, args=(info.a, info.b)
         )
 
     def _backoff_delay(self, attempt: int) -> float:
         base = min(self.base_retry_s * (2.0**attempt), self.max_retry_s)
         return base * (1.0 + self.jitter * float(self._rng.random()))
 
-    def _attempt(self, info: SessionInfo) -> None:
+    def _attempt(self, a: int, b: int) -> None:
         """One re-establishment attempt (scheduled event callback)."""
+        info = self.sessions[(a, b)]
         if info.state is not SessionState.CONNECT:
             return  # re-established or given up by an overlapping chain
         now = self.sched.current_time

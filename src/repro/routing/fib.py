@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 
 from ..topology.models import ASTier, Network
+from .bgp.config import configure_bgp
 from .bgp.engine import BgpEngine
 from .ospf import OspfRouting
 
@@ -33,17 +34,20 @@ class ForwardingPlane:
     net:
         The network. Every node's ``as_id`` selects its OSPF domain.
     bgp:
-        A converged :class:`BgpEngine` for multi-AS networks; ``None``
-        for single-AS networks (pure OSPF).
+        A converged :class:`BgpEngine`; ``None`` converges one
+        (:func:`~repro.routing.bgp.configure_bgp`) when the nodes span
+        more than one AS. A single-AS network is pure OSPF.
     """
 
     def __init__(self, net: Network, bgp: BgpEngine | None = None) -> None:
         self.net = net
-        self.bgp = bgp
         self._ospf: dict[int, OspfRouting] = {}
         members: dict[int, list[int]] = {}
         for node in net.nodes:
             members.setdefault(node.as_id, []).append(node.node_id)
+        if bgp is None and len(members) > 1:
+            bgp = configure_bgp(net)
+        self.bgp = bgp
         for as_id, mem in members.items():
             self._ospf[as_id] = OspfRouting(net, mem)
         # _resolved[dest][node] -> next node, for every pair next_hop
@@ -92,12 +96,6 @@ class ForwardingPlane:
         dest_as = self.net.nodes[dest].as_id
         if node_as == dest_as:
             return self._ospf[node_as].next_hop(node, dest)
-        if self.bgp is None:
-            # Single OSPF domain networks shouldn't hit this; treat the
-            # whole network as one domain if AS ids differ without BGP.
-            domain = self._ospf.get(node_as)
-            return domain.next_hop(node, dest) if domain and dest in domain else None
-
         next_as = self._select_next_as(node_as, dest_as)
         if next_as is None:
             return None
@@ -105,7 +103,6 @@ class ForwardingPlane:
 
     def _select_next_as(self, node_as: int, dest_as: int) -> int | None:
         """Next-hop AS: BGP best route, or the stub default route."""
-        assert self.bgp is not None
         dom = self.net.as_domains[node_as]
         if dom.tier is ASTier.STUB:
             route = self.bgp.route(node_as, dest_as)

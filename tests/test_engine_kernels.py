@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from repro.engine import (
     EventQueue,
     LookaheadViolation,
+    ParallelConservativeEngine,
     ShardEngine,
+    iter_windows,
 )
 from repro.engine.events import Event
 
@@ -252,6 +254,17 @@ class TestConservativeEngine:
             ShardEngine(np.zeros(2, dtype=np.int64), 1, lookahead=0.0)
         with pytest.raises(ValueError):
             ShardEngine(np.array([0, 5]), 2, lookahead=0.1)
+
+    @pytest.mark.parametrize("lookahead", [float("inf"), float("nan")])
+    def test_rejects_a_lookahead_that_runs_no_window(self, lookahead):
+        # Either one passes a ``<= 0`` check, and then run() executes no
+        # window: an event at t=0.5 never runs, and nothing says so.
+        with pytest.raises(ValueError, match="finite"):
+            ShardEngine([0], 1, lookahead=lookahead)
+        with pytest.raises(ValueError, match="finite"):
+            ParallelConservativeEngine([0, 1], 2, lookahead, procs=2)
+        with pytest.raises(ValueError, match="finite"):
+            list(iter_windows(0.0, lookahead, 1.0))
 
     def test_cross_lp_violation_raises(self):
         eng = ShardEngine(np.array([0, 1]), 2, lookahead=0.1)

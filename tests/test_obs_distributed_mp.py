@@ -16,6 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import test_multi_as_executed as multi_as_executed
 
 from repro.engine.parallel import ParallelConservativeEngine
 from repro.engine.recovery import RecoveryConfig, is_checkpoint_window
@@ -149,6 +150,40 @@ class TestPerWorkerSpf:
             for reg in result.worker_registries.values()
         ]
         assert per_worker == built
+
+
+class TestPerWorkerBgp:
+    """Every worker converges BGP for its own plane and replays every
+    session reset on the control lane, so ``bgp.*`` is work repeated
+    per worker, like ``routing.spf.*``: a merged snapshot sums it, and
+    reads ``procs`` times the 1-process reference. Nothing else moves."""
+
+    def test_merged_bgp_counts_are_the_reference_once_per_worker(self):
+        net = multi_as_executed.generate_multi_as_network(
+            num_ases=6, routers_per_as=6, num_hosts=24, seed=0
+        )
+        assignment, lookahead = multi_as_executed.lp_by_as(net, 2)
+        reset = multi_as_executed.session_reset_spec(net)
+        until = multi_as_executed.TINY_UNTIL
+        with observed_run() as reg:
+            run_reference(reset, assignment, 2, lookahead, until)
+            ref = deterministic_view(reg)
+        with observed_run():
+            result = ParallelConservativeEngine(
+                assignment, 2, lookahead, procs=2, start_method="fork"
+            ).run_scenario(reset, until=until)
+            merged = deterministic_view(merged_registry_snapshot(result))
+        bgp = {n: v for n, v in ref["counters"].items() if n.startswith("bgp.")}
+        assert set(bgp) == {
+            names.BGP_UPDATES_SENT, names.BGP_UPDATES_RECEIVED,
+            names.BGP_DECISIONS, names.BGP_ITERATIONS,
+        }
+        assert all(v > 0 for v in bgp.values())
+        assert {n: merged["counters"][n] for n in bgp} == {n: 2 * v for n, v in bgp.items()}
+        assert ref["counters"][names.FAULTS_BGP_SESSION_RESETS] == 1
+        for doc in (ref, merged):
+            doc["counters"] = {n: v for n, v in doc["counters"].items() if n not in bgp}
+        assert merged == ref
 
 
 class TestMeasuredChannelEndToEnd:

@@ -21,6 +21,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import test_differential_determinism as determinism
+import test_multi_as_executed as multi_as_executed
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -501,6 +502,52 @@ class TestLossesAfterAdoptionAndOfShardZero:
         assert result.recovery["adoptions"] == 1
         assert result.recovery["dead_shards"] == [0]
         assert result.shards == [[], [0, 1], [2]]
+
+
+class TestMultiAsSessionReset:
+    """A BGP session reset on the tiny multi-AS network, then a worker
+    lost while the session is down. The reset is control-lane work that
+    every shard replays; a respawn from the build replays it, and one
+    from a cut inside the outage restores the session FSM, its pending
+    retry and the RIBs the withdrawal left. Both transports."""
+
+    KILL_WINDOW = 30  # the reset lands in window 12, the retry in window 75
+
+    @pytest.fixture(scope="class")
+    def multi_as(self):
+        net = multi_as_executed.generate_multi_as_network(
+            num_ases=6, routers_per_as=6, num_hosts=24, seed=0
+        )
+        assignment, lookahead = multi_as_executed.lp_by_as(net, 2)
+        spec = multi_as_executed.session_reset_spec(net)
+        until = multi_as_executed.TINY_UNTIL
+        ref = run_reference(spec, assignment, 2, lookahead, until)[1]
+        down, up = (f.time for f in ref["faults"])
+        # window -> end time: the outage spans windows 12 through 75
+        ends = {w: end for w, _, end in iter_windows(0.0, lookahead, until)}
+        assert ends[11] <= down < ends[12] and ends[74] <= up < ends[75]
+        return spec, assignment, lookahead, until, ref
+
+    @pytest.mark.parametrize("every", [0, 8])
+    def test_a_kill_inside_the_outage_recovers(self, multi_as, every):
+        spec, assignment, lookahead, until, ref = multi_as
+        plan = FaultPlan([ProcessFault(self.KILL_WINDOW, 1, ProcessFaultKind.SIGKILL)])
+        recovery = RecoveryConfig(
+            checkpoint_every_n_windows=every, backoff_base_s=0.0, fault_plan=plan
+        )
+        results = [
+            backend(assignment, 2, lookahead, procs=2, recovery=recovery).run_scenario(
+                spec, until=until
+            )
+            for backend in (ParallelConservativeEngine, LocalShardGroup)
+        ]
+        for result in results:
+            _assert_identical(result, ref, f"every={every}")
+            assert result.recovery["respawns"] == 1
+        # From the build (no cut) the replay re-runs the reset; from the
+        # cut after window 23 the session is restored down.
+        cut = 23 if every else -1
+        assert results[0].recovery["windows_replayed"] == self.KILL_WINDOW - cut - 1
 
 
 class TestExactObsAfterReplayFromTheBuild:

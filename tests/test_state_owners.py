@@ -1,11 +1,12 @@
 """Every stateful object snapshots itself — and forgets no field.
 
-Three objects own the dynamic state of a packet simulation:
+Four objects own the dynamic state of a packet simulation:
 :class:`LinkTable`, :class:`NetworkSimulator` (with its
-:class:`TrafficCounters`) and :class:`FaultInjector` (with its
-:class:`FaultCounts`). Each declares once which of its fields are
-dynamic and builds one ``capture()`` / ``restore()`` from that
-declaration; ``experiments/shard.py`` only composes them.
+:class:`TrafficCounters`), :class:`FaultInjector` (with its
+:class:`FaultCounts`) and, on a multi-AS network,
+:class:`BgpSessionManager` (with the RIBs of its engine's speakers).
+Each declares once which of its fields are dynamic and builds one
+``capture()`` / ``restore()`` from that declaration; ``experiments/shard.py`` only composes them.
 
 - *Classification guards*: every instance attribute of an owner is
   declared dynamic or static — for the link table, its columns — so a
@@ -36,6 +37,7 @@ from repro.faults import FaultCounts, FaultInjector, FaultSchedule
 from repro.netsim import LinkTable, NetworkSimulator, TrafficCounters
 from repro.netsim.link import FAULT, RED
 from repro.routing import ForwardingPlane
+from repro.routing.bgp import BgpSessionManager, SessionState, configure_bgp
 from repro.serialization import decode_payload, encode_payload
 from repro.topology import Network, NodeKind
 
@@ -99,6 +101,35 @@ def test_every_simulator_attribute_is_declared_dynamic_or_static():
     sim, injector = _build(_net())
     _assert_classified(sim)
     _assert_classified(injector)
+
+
+def _sessions(net: Network):
+    kernel = ShardEngine([0] * net.num_nodes, 1, lookahead=10.0)
+    return BgpSessionManager(configure_bgp(net), kernel, seed=3)
+
+
+def test_every_session_manager_attribute_is_declared_dynamic_or_static(multi_net):
+    _assert_classified(_sessions(multi_net))
+
+
+def test_a_session_outage_restores_onto_a_fresh_twin_exactly(multi_net):
+    manager = _sessions(multi_net)
+    a, b = next(iter(manager.sessions))
+    manager.reset(a, b, down_for_s=0.2)
+    manager._backoff_delay(1)  # one more draw of the jitter stream
+    blob = encode_payload(manager.capture())
+
+    twin = _sessions(multi_net)
+    fresh = {as_id: dict(sp.rib) for as_id, sp in twin.engine.speakers.items()}
+    twin.restore(decode_payload(blob))
+    assert encode_payload(twin.capture()) == blob
+    ribs = {as_id: sp.rib for as_id, sp in twin.engine.speakers.items()}
+    assert ribs == {as_id: sp.rib for as_id, sp in manager.engine.speakers.items()}
+    assert ribs != fresh  # the withdrawal, restored without a re-run
+    assert b not in twin.engine.speakers[a].relationships
+    assert twin.session(a, b).state is SessionState.CONNECT
+    assert twin.stats == manager.stats and twin.stats.resets == 1
+    assert twin._backoff_delay(0) == manager._backoff_delay(0)
 
 
 def test_counter_dataclasses_are_flat_ints():
