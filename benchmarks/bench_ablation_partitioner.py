@@ -39,7 +39,7 @@ BASELINES = {
 
 def test_ablation_partitioner_quality(benchmark):
     scale = default_scale()
-    net, _fib = build_network("single-as", scale, seed=0)
+    net = build_network("single-as", scale, seed=0)
     graph = build_weighted_graph(net, Approach.TOP)
     positions = np.array([n.position for n in net.nodes])
     k = scale.num_engines

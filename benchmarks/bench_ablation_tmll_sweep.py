@@ -16,11 +16,13 @@ from repro.core import Approach, build_weighted_graph, hierarchical_partition
 from repro.core.mapping import run_profiling_simulation
 from repro.experiments import build_network, default_scale, install_workload
 from repro.experiments.runner import cluster_for_scale
+from repro.routing.fib import ForwardingPlane
 
 
 def test_ablation_tmll_sweep(benchmark):
     scale = default_scale()
-    net, fib = build_network("single-as", scale, seed=0)
+    net = build_network("single-as", scale, seed=0)
+    fib = ForwardingPlane(net)
 
     def setup(sim, agent):
         install_workload(

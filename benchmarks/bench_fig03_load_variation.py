@@ -14,6 +14,7 @@ import numpy as np
 from repro.core import Approach
 from repro.experiments import build_network, default_scale, run_workload_simulation
 from repro.profilers import node_rate_series
+from repro.routing.fib import ForwardingPlane
 
 
 def test_fig03_load_variation(benchmark, single_as_scalapack):
@@ -23,7 +24,8 @@ def test_fig03_load_variation(benchmark, single_as_scalapack):
     # Re-run a short version of the workload to get a fresh trace (the
     # cached experiment does not retain its trace arrays).
     scale = default_scale()
-    net, fib = build_network("single-as", scale, seed=0)
+    net = build_network("single-as", scale, seed=0)
+    fib = ForwardingPlane(net)
     duration = min(scale.duration_s, 8.0)
     kernel, sim, _ = run_workload_simulation(net, fib, "scalapack", scale, duration, 0)
     times, nodes = kernel.trace()

@@ -1,7 +1,8 @@
 """Shared experiment cache for the figure benchmarks.
 
 Each (network, application) experiment is expensive (a full packet-level
-simulation run); all figure benchmarks of one network kind share it.
+simulation run); all figure benchmarks share it. Every cached run maps
+the six ``FIGURE_APPROACHES`` (Figures 7/11 add TOP and PROF).
 Scale is selected with ``REPRO_SCALE`` (default ``small``).
 
 Pass ``--obs-out DIR`` to record every cached experiment's observability
@@ -16,22 +17,11 @@ import os
 
 import pytest
 
-from repro.core import Approach
-from repro.experiments import default_scale, run_experiment
+from repro.experiments import FIGURE_APPROACHES, default_scale, run_experiment
+from repro.experiments.claims import FIGURE_EXPERIMENTS
 
 _cache: dict = {}
 _obs_dir: str | None = None
-
-#: Figures 7/11 include TOP and PROF (whose tiny MLL is the motivation for
-#: the hierarchical approaches), so every cached run maps all six.
-ALL_APPROACHES = [
-    Approach.HPROF,
-    Approach.PROF2,
-    Approach.HTOP,
-    Approach.TOP2,
-    Approach.PROF,
-    Approach.TOP,
-]
 
 
 def pytest_addoption(parser):
@@ -62,16 +52,11 @@ def cached_experiment(network_kind: str, app_kind: str, seed: int = 0):
         _cache[key] = run_experiment(
             network_kind,
             app_kind,
-            approaches=list(ALL_APPROACHES),
+            approaches=FIGURE_APPROACHES,
             seed=seed,
             obs_out=obs_out,
         )
     return _cache[key]
-
-
-@pytest.fixture(scope="session")
-def scale():
-    return default_scale()
 
 
 @pytest.fixture(scope="session")
@@ -80,15 +65,6 @@ def single_as_scalapack():
 
 
 @pytest.fixture(scope="session")
-def single_as_gridnpb():
-    return cached_experiment("single-as", "gridnpb")
-
-
-@pytest.fixture(scope="session")
-def multi_as_scalapack():
-    return cached_experiment("multi-as", "scalapack")
-
-
-@pytest.fixture(scope="session")
-def multi_as_gridnpb():
-    return cached_experiment("multi-as", "gridnpb")
+def figure_results():
+    """The four experiments of Figures 6-13, in ``FIGURE_EXPERIMENTS`` order."""
+    return [cached_experiment(kind, app) for kind, app in FIGURE_EXPERIMENTS]

@@ -20,6 +20,7 @@ from repro.experiments import ExperimentScale, build_network
 from repro.experiments.parallel import predict_from_windows, run_parallel_workload
 from repro.experiments.runner import cluster_for_scale
 from repro.metrics import load_imbalance
+from repro.routing.fib import ForwardingPlane
 
 SCALE = ExperimentScale(
     name="demo",
@@ -42,7 +43,8 @@ SCALE = ExperimentScale(
 
 
 def main() -> None:
-    net, fib = build_network("single-as", SCALE, seed=3)
+    net = build_network("single-as", SCALE, seed=3)
+    fib = ForwardingPlane(net)
     cluster = cluster_for_scale(SCALE)
     pipeline = MappingPipeline(net, SCALE.num_engines, cluster, seed=0)
     mapping = pipeline.run(Approach.HTOP)

@@ -130,7 +130,7 @@ def _cmd_experiment_mp(args, scale) -> int:
     from .obs.registry import observed_run
     from .obs.trace import get_tracer, traced_run
 
-    net, _fib = build_network(args.network, scale, args.seed)
+    net = build_network(args.network, scale, args.seed)
     cluster = cluster_for_scale(scale)
     pipeline = MappingPipeline(net, scale.num_engines, cluster, args.seed)
     mapping = pipeline.run_all([Approach.TOP])[Approach.TOP]
@@ -241,24 +241,15 @@ def _cmd_experiment_mp(args, scale) -> int:
 
 
 def cmd_figures(args) -> int:
-    from .experiments import format_figure, run_experiment
+    from .experiments import FIGURE_APPROACHES, run_experiment
+    from .experiments.claims import FIGURE_EXPERIMENTS
+    from .experiments.report import format_figures
 
     scale = _resolve_scale(args)
-    figure_ids = {
-        "single-as": {"sim_time_s": 6, "achieved_mll_ms": 7,
-                      "load_imbalance": 8, "parallel_efficiency": 9},
-        "multi-as": {"sim_time_s": 10, "achieved_mll_ms": 11,
-                     "load_imbalance": 12, "parallel_efficiency": 13},
-    }
+    results = [run_experiment(kind, app, FIGURE_APPROACHES, scale, args.seed)
+               for kind, app in FIGURE_EXPERIMENTS]
     for kind in ("single-as", "multi-as"):
-        results = [
-            run_experiment(kind, app, scale=scale, seed=args.seed)
-            for app in ("scalapack", "gridnpb")
-        ]
-        for metric, fig in figure_ids[kind].items():
-            print(f"--- Figure {fig} ---")
-            print(format_figure(results, metric))
-            print()
+        print(format_figures([r for r in results if r.network_kind == kind]) + "\n")
     return 0
 
 
@@ -267,9 +258,11 @@ def cmd_sweep(args) -> int:
     from .core.mapping import run_profiling_simulation
     from .experiments import build_network, install_workload
     from .experiments.runner import cluster_for_scale
+    from .routing.fib import ForwardingPlane
 
     scale = _resolve_scale(args)
-    net, fib = build_network(args.network, scale, seed=args.seed)
+    net = build_network(args.network, scale, seed=args.seed)
+    fib = ForwardingPlane(net)
 
     def setup(sim, agent):
         install_workload(
@@ -319,13 +312,15 @@ def _cmd_trace_timeline(args) -> int:
     from .obs import blame
     from .obs.registry import Registry
     from .obs.trace_export import write_chrome_trace
+    from .routing.fib import ForwardingPlane
 
     scale = _resolve_scale(args)
     duration = args.duration if args.duration is not None else scale.profile_duration_s
     approach = Approach[args.approach]
     cluster = cluster_for_scale(scale)
 
-    net, fib = build_network(args.network, scale, seed=args.seed)
+    net = build_network(args.network, scale, seed=args.seed)
+    fib = ForwardingPlane(net)
 
     def setup(sim, agent):
         install_workload(
@@ -403,6 +398,7 @@ def _cmd_trace_snapshot(args) -> int:
     from .netsim.simulator import NetworkSimulator
     from .obs import export, observed_run, profile_from_registry
     from .online.agent import Agent
+    from .routing.fib import ForwardingPlane
 
     scale = _resolve_scale(args)
     duration = args.duration if args.duration is not None else scale.profile_duration_s
@@ -412,7 +408,8 @@ def _cmd_trace_snapshot(args) -> int:
               f"use PROF, PROF2, or HPROF")
         return 2
 
-    net, fib = build_network(args.network, scale, seed=args.seed)
+    net = build_network(args.network, scale, seed=args.seed)
+    fib = ForwardingPlane(net)
     with observed_run() as reg:
         engine = ShardEngine([0] * net.num_nodes, 1, lookahead=duration)
         sim = NetworkSimulator(net, fib, engine)
@@ -464,12 +461,12 @@ def _cmd_trace_snapshot(args) -> int:
 
 def cmd_claims(args) -> int:
     from .experiments import evaluate_claims, format_claims, run_experiment
+    from .experiments.claims import FIGURE_EXPERIMENTS
 
     scale = _resolve_scale(args)
     results = [
         run_experiment(kind, app, scale=scale, seed=args.seed)
-        for kind in ("single-as", "multi-as")
-        for app in ("scalapack", "gridnpb")
+        for kind, app in FIGURE_EXPERIMENTS
     ]
     checks = evaluate_claims(results)
     print(format_claims(checks))

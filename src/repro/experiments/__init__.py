@@ -1,6 +1,5 @@
 """Experiment pipelines reproducing the paper's evaluation (Figures 3-13)."""
 
-from .aggregate import run_seed_sweep
 from .chaos import ChaosResult, format_chaos_report, run_chaos_experiment
 from .claims import PAPER_CLAIMS, ClaimCheck, evaluate_claims, format_claims
 from .config import PAPER_SCALE, SCALES, ExperimentScale, default_scale
@@ -8,6 +7,7 @@ from .parallel import predict_from_windows, run_parallel_workload
 from .report import FIGURE_METRICS, format_bars, format_figure, format_result
 from .runner import (
     DEFAULT_APPROACHES,
+    FIGURE_APPROACHES,
     ApproachRow,
     ExperimentResult,
     build_network,
@@ -29,6 +29,7 @@ __all__ = [
     "ApproachRow",
     "ExperimentResult",
     "DEFAULT_APPROACHES",
+    "FIGURE_APPROACHES",
     "install_workload",
     "WorkloadHandles",
     "APP_KINDS",
@@ -38,7 +39,6 @@ __all__ = [
     "run_parallel_workload",
     "predict_from_windows",
     "format_bars",
-    "run_seed_sweep",
     "ClaimCheck",
     "evaluate_claims",
     "format_claims",

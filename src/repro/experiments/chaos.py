@@ -27,6 +27,7 @@ from ..obs import export as obs_export
 from ..obs.registry import observed_run
 from ..obs.trace import FaultRecord, traced_run
 from ..online.agent import Agent
+from ..routing.fib import ForwardingPlane
 from ..routing.bgp.session import BgpSessionManager, SessionStats
 from .config import ExperimentScale, default_scale
 from .runner import build_network
@@ -108,7 +109,8 @@ def run_chaos_experiment(
     scale = scale if scale is not None else default_scale()
     duration = duration_s if duration_s is not None else scale.duration_s
 
-    net, fib = build_network(network_kind, scale, seed)
+    net = build_network(network_kind, scale, seed)
+    fib = ForwardingPlane(net)
     if schedule is None:
         schedule = FaultSchedule.from_scenario(scenario, net, seed)
 
@@ -249,7 +251,7 @@ def run_process_chaos(
 
     scale = scale if scale is not None else default_scale()
     duration = duration_s if duration_s is not None else scale.profile_duration_s
-    net, _fib = build_network(network_kind, scale, seed)
+    net = build_network(network_kind, scale, seed)
     cluster = cluster_for_scale(scale)
     pipeline = MappingPipeline(net, scale.num_engines, cluster, seed)
     mapping = pipeline.run_all([Approach.TOP])[Approach.TOP]

@@ -5,7 +5,8 @@ from __future__ import annotations
 from ..core.approaches import Approach
 from .runner import ApproachRow, ExperimentResult
 
-__all__ = ["format_result", "format_figure", "format_whatif_table", "FIGURE_METRICS"]
+__all__ = ["format_result", "format_figure", "format_figures", "format_whatif_table",
+           "FIGURE_METRICS"]
 
 #: metric key -> (paper figure titles, unit, format)
 FIGURE_METRICS = {
@@ -40,6 +41,15 @@ def format_figure(
                 cells.append("-")
         lines.append(f"{a.value:<8}" + "".join(f"{c:>14}" for c in cells))
     return "\n".join(lines)
+
+
+def format_figures(results: list[ExperimentResult]) -> str:
+    """Figures 6-9 (single-AS) or 10-13 (multi-AS): one per metric."""
+    first = 6 if results[0].network_kind == "single-as" else 10
+    return "\n\n".join(
+        f"--- Figure {first + i} ---\n" + format_figure(results, metric)
+        for i, metric in enumerate(FIGURE_METRICS)
+    )
 
 
 def format_bars(result: ExperimentResult, metric: str, width: int = 40) -> str:

@@ -53,11 +53,16 @@ __all__ = [
     "evaluate_mappings",
     "run_experiment",
     "DEFAULT_APPROACHES",
+    "FIGURE_APPROACHES",
 ]
 
 #: The four approaches of Figures 6/8/9/10/12/13 (TOP/PROF appear only in
 #: the MLL figures, where their tiny MLL explains their exclusion).
 DEFAULT_APPROACHES = [Approach.HPROF, Approach.PROF2, Approach.HTOP, Approach.TOP2]
+
+#: What the figures map: Figures 7/11 add TOP and PROF. The figure
+#: benchmarks, the claims ledger and ``python -m repro figures`` use it.
+FIGURE_APPROACHES = [*DEFAULT_APPROACHES, Approach.PROF, Approach.TOP]
 
 
 def cluster_for_scale(scale: ExperimentScale) -> ClusterSpec:
@@ -80,8 +85,9 @@ class ApproachRow:
     achieved_mll_ms: float
     measured_imbalance: float
     parallel_eff: float
-    prediction: WallclockPrediction
-    mapping: NetworkMapping
+    #: ``None`` on a row read back from a saved summary
+    prediction: WallclockPrediction | None = None
+    mapping: NetworkMapping | None = None
 
     def as_dict(self) -> dict[str, float | str]:
         """The row as plain values (serialization and table rendering)."""
@@ -123,10 +129,9 @@ class ExperimentResult:
 
 
 # ----------------------------------------------------------------------
-def build_network(
-    network_kind: str, scale: ExperimentScale, seed: int = 0
-) -> tuple[Network, ForwardingPlane]:
-    """Generate the experiment network and its forwarding plane."""
+def build_network(network_kind: str, scale: ExperimentScale, seed: int = 0) -> Network:
+    """Generate the experiment network; callers that route build its
+    ``ForwardingPlane`` (on multi-AS, a whole BGP convergence)."""
     if network_kind == "single-as":
         net = generate_flat_network(
             num_routers=scale.flat_routers, num_hosts=scale.flat_hosts, seed=seed
@@ -140,7 +145,7 @@ def build_network(
         )
     else:
         raise ValueError(f"unknown network kind {network_kind!r}")
-    return net, ForwardingPlane(net)
+    return net
 
 
 def run_workload_simulation(
@@ -232,7 +237,8 @@ def run_experiment(
     scale = scale if scale is not None else default_scale()
     approaches = approaches if approaches is not None else list(DEFAULT_APPROACHES)
 
-    net, fib = build_network(network_kind, scale, seed)
+    net = build_network(network_kind, scale, seed)
+    fib = ForwardingPlane(net)
 
     def profile_setup(sim: NetworkSimulator, agent: Agent) -> None:
         install_workload(

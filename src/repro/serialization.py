@@ -20,6 +20,7 @@ __all__ = [
     "network_to_dict",
     "network_from_dict",
     "result_to_dict",
+    "result_from_dict",
     "save_result",
     "encode_payload",
     "decode_payload",
@@ -145,6 +146,24 @@ def result_to_dict(result) -> dict[str, Any]:
         "apps_finished": getattr(result, "apps_finished", False),
         "rows": [row.as_dict() for row in result.rows],
     }
+
+
+def result_from_dict(doc: dict[str, Any]):
+    """Read a :func:`result_to_dict` summary back: rows carry the four
+    figure metrics only, no prediction and no mapping."""
+    from .core.approaches import Approach
+    from .experiments.runner import ApproachRow, ExperimentResult
+
+    rows = [
+        ApproachRow(Approach(row["approach"]), row["sim_time_s"], row["achieved_mll_ms"],
+                    row["load_imbalance"], row["parallel_efficiency"])
+        for row in doc["rows"]
+    ]
+    return ExperimentResult(
+        doc["network_kind"], doc["app_kind"], doc["scale"], doc["num_engines"],
+        doc["total_events"], doc["duration_s"], rows,
+        http_responses=doc["http_responses"], apps_finished=doc["apps_finished"],
+    )
 
 
 def save_result(result, path: str | Path) -> None:

@@ -10,6 +10,9 @@ import pytest
 from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
+from repro.core import Approach
+from repro.experiments import ExperimentScale
+from repro.experiments.claims import claims_ledger
 from repro.partition import WeightedGraph
 from repro.routing import ForwardingPlane
 from repro.routing.bgp import configure_bgp
@@ -105,3 +108,24 @@ def _balance_cap(graph: WeightedGraph, tmll_s: float, num_parts: int) -> float:
 def balance_cap():
     """:func:`_balance_cap`, for tests of which sweep candidates are capped."""
     return _balance_cap
+
+
+#: a single-AS experiment small enough to run over seeds inside tier-1
+MICRO = ExperimentScale(
+    name="robustness", flat_routers=120, flat_hosts=60, num_ases=8, routers_per_as=12,
+    multi_hosts=48, http_clients=36, http_servers=10, http_mean_gap_s=0.4, num_engines=8,
+    app_processes=4, scalapack_iterations=3, duration_s=6.0, profile_duration_s=2.5,
+    event_cost_s=75e-6, remote_event_cost_s=190e-6,
+)
+
+
+@pytest.fixture(scope="session")
+def micro_ledger():
+    """The claims ledger of single-AS ScaLapack at :data:`MICRO`, seeds 11
+    and 23, over HPROF / HTOP / TOP2 and the claims those three decide."""
+    return claims_ledger(
+        [11, 23], scale=MICRO, experiments=[("single-as", "scalapack")],
+        approaches=[Approach.HPROF, Approach.HTOP, Approach.TOP2],
+        claim_ids=["mll-dominance", "htop-mll-above-top2", "time-near-top2",
+                   "imbalance-improvement", "efficiency-gain"],
+    )

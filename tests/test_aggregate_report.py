@@ -1,49 +1,23 @@
-"""Tests for multi-seed runs and the bar/figure rendering."""
+"""Tests for the claims ledger's seed loop and the bar/figure rendering."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core import Approach
-from repro.experiments import (
-    ExperimentScale,
-    format_bars,
-    run_seed_sweep,
-)
-
-MICRO = ExperimentScale(
-    name="agg-test",
-    flat_routers=60,
-    flat_hosts=24,
-    num_ases=4,
-    routers_per_as=8,
-    multi_hosts=16,
-    http_clients=10,
-    http_servers=4,
-    http_mean_gap_s=0.5,
-    num_engines=4,
-    app_processes=3,
-    scalapack_iterations=1,
-    duration_s=3.0,
-    profile_duration_s=1.5,
-)
+from repro.experiments import format_bars
+from repro.experiments.claims import claims_ledger, ledger_results
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    return run_seed_sweep(
-        "single-as",
-        "scalapack",
-        seeds=[0, 1],
-        approaches=[Approach.HTOP, Approach.TOP2],
-        scale=MICRO,
-    )
+def sweep(micro_ledger):
+    return [r for results in ledger_results(micro_ledger).values() for r in results]
 
 
 class TestSeedSweep:
     def test_runs_all_seeds(self, sweep):
         assert len(sweep) == 2
-        assert all(len(r.rows) == 2 for r in sweep)
+        assert all(len(r.rows) == 3 for r in sweep)
 
     def test_seeds_differ(self, sweep):
         # Different seeds -> different topologies -> different metrics.
@@ -53,7 +27,7 @@ class TestSeedSweep:
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
-            run_seed_sweep("single-as", "scalapack", seeds=[], scale=MICRO)
+            claims_ledger([])
 
 
 class TestFormatBars:

@@ -1,59 +1,65 @@
-"""Tests for the programmatic paper-claim checks."""
+"""Tests for the claims table, its ledger, and the doc tables it renders.
+
+Every entry of ``CLAIMS`` holds on winning rows and fails on losing ones,
+without a simulation; the committed ledger (docs/claims_ledger.json) must
+agree with the table and with EXPERIMENTS.md's rendered tables.
+"""
 
 from __future__ import annotations
 
-import numpy as np
+import json
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.core import Approach, NetworkMapping
-from repro.core.evaluate import PartitionEvaluation
-from repro.engine.costmodel import WallclockPrediction
-from repro.experiments import (
-    ClaimCheck,
-    PAPER_CLAIMS,
-    evaluate_claims,
-    format_claims,
+from repro.experiments import FIGURE_APPROACHES, PAPER_CLAIMS, evaluate_claims, format_claims
+from repro.experiments.claims import (
+    CLAIMS,
+    FIGURE_EXPERIMENTS,
+    ledger_from_results,
+    ledger_results,
+    render_doc,
 )
 from repro.experiments.runner import ApproachRow, ExperimentResult
 
+ROOT = Path(__file__).resolve().parent.parent
+LEDGER = ROOT / "docs" / "claims_ledger.json"
+DOC = ROOT / "EXPERIMENTS.md"
 
-def _row(approach, t, mll_ms, imb, pe):
-    pred = WallclockPrediction(
-        total_s=t, compute_s=t, sync_s=0.0, num_windows=1, num_lps=4,
-        events_per_lp=np.ones(4), remote_per_lp=np.zeros(4),
-    )
-    ev = PartitionEvaluation(
-        mll_s=mll_ms * 1e-3, es=0.5, ec=0.9, efficiency=0.45,
-        predicted_imbalance=imb, part_weights=np.ones(4), edge_cut=1.0,
-    )
-    mapping = NetworkMapping(
-        approach=approach, assignment=np.zeros(4, dtype=np.int64),
-        num_engines=4, evaluation=ev,
-    )
-    return ApproachRow(
-        approach=approach, sim_time_s=t, achieved_mll_ms=mll_ms,
-        measured_imbalance=imb, parallel_eff=pe, prediction=pred, mapping=mapping,
-    )
+#: (T, MLL ms, imbalance, PE) per approach, FIGURE_APPROACHES order
+WINNING = [
+    (50.0, 2.0, 0.2, 0.30),   # HPROF
+    (55.0, 0.5, 0.3, 0.20),   # PROF2
+    (60.0, 2.2, 0.5, 0.25),   # HTOP
+    (100.0, 0.5, 0.6, 0.15),  # TOP2
+    (70.0, 0.4, 0.25, 0.20),  # PROF
+    (65.0, 0.5, 0.4, 0.20),   # TOP
+]
+LOSING = [
+    (120.0, 0.3, 0.9, 0.04),
+    (110.0, 0.5, 0.7, 0.20),
+    (60.0, 0.3, 0.5, 0.10),
+    (100.0, 0.5, 0.6, 0.15),
+    (70.0, 0.4, 0.25, 0.20),
+    (65.0, 0.5, 0.4, 0.20),
+]
 
 
-def mk_result(good=True):
+def mk_result(good=True, network_kind="single-as", app_kind="scalapack"):
     """A synthetic result where HPROF wins (or loses, good=False)."""
-    if good:
-        rows = [
-            _row(Approach.HPROF, 50.0, 2.0, 0.2, 0.30),
-            _row(Approach.HTOP, 60.0, 2.2, 0.5, 0.25),
-            _row(Approach.TOP2, 100.0, 0.5, 0.6, 0.15),
-        ]
-    else:
-        rows = [
-            _row(Approach.HPROF, 120.0, 0.3, 0.9, 0.10),
-            _row(Approach.HTOP, 60.0, 2.2, 0.5, 0.25),
-            _row(Approach.TOP2, 100.0, 0.5, 0.6, 0.15),
-        ]
+    rows = [ApproachRow(a, *v) for a, v in zip(FIGURE_APPROACHES, WINNING if good else LOSING)]
+    if not good and network_kind == "multi-as":  # losing: HTOP balances better than single-AS
+        rows[2] = ApproachRow(rows[2].approach, 60.0, 0.3, 0.3, 0.10)
     return ExperimentResult(
-        network_kind="single-as", app_kind="scalapack", scale_name="fake",
+        network_kind=network_kind, app_kind=app_kind, scale_name="fake",
         num_engines=4, total_events=1000, duration_s=10.0, rows=rows,
     )
+
+
+def mk_set(good=True):
+    """The four experiments, all winning or all losing."""
+    return [mk_result(good, kind, app) for kind, app in FIGURE_EXPERIMENTS]
 
 
 class TestEvaluateClaims:
@@ -91,3 +97,69 @@ class TestEvaluateClaims:
         assert "single-as/scalapack" in text
         text_bad = format_claims(evaluate_claims([mk_result(False)]))
         assert "FAIL" in text_bad
+
+
+class TestClaimsTable:
+    @pytest.mark.parametrize("claim_id", list(CLAIMS))
+    def test_holds_on_winning_rows(self, claim_id):
+        checks = evaluate_claims(mk_set(True), [claim_id])
+        assert checks and all(c.holds for c in checks)
+
+    @pytest.mark.parametrize("claim_id", list(CLAIMS))
+    def test_fails_on_losing_rows(self, claim_id):
+        checks = evaluate_claims(mk_set(False), [claim_id])
+        assert checks and not any(c.holds for c in checks)
+
+    def test_versus_claim_without_its_pair_is_not_checked(self):
+        lone = evaluate_claims([mk_result(True, "multi-as")], ["multi-as-imbalance-vs-single-as"])
+        assert lone == []
+
+
+class TestLedgerFromResults:
+    def test_verdicts_counts_and_paired_gains(self):
+        ledger = ledger_from_results({0: mk_set(True), 1: mk_set(False), 2: mk_set(True)})
+        entry = next(e for e in ledger["claims"]
+                     if (e["id"], e["experiment"]) == ("time-reduction", "single-as/scalapack"))
+        assert entry["holds"] == [True, False, True]
+        assert entry["seeds_holding"] == 2
+        assert entry["gains"] == pytest.approx([0.5, -0.2, 0.5])
+        assert entry["median_gain"] == pytest.approx(0.5)
+        assert entry["gain_iqr"] == pytest.approx(0.35)
+
+
+@pytest.fixture(scope="module")
+def ledger():
+    return json.loads(LEDGER.read_text())
+
+
+class TestCommittedLedger:
+    """The committed ledger: its coverage, its table, and the doc."""
+
+    def test_covers_seeds_experiments_and_approaches(self, ledger):
+        assert ledger["scale"] == "small" and ledger["seeds"] == list(range(10))
+        for seed, results in ledger_results(ledger).items():
+            assert [(r.network_kind, r.app_kind) for r in results] == list(FIGURE_EXPERIMENTS)
+            assert all([row.approach for row in r.rows] == FIGURE_APPROACHES for r in results)
+
+    def test_claims_are_the_tables_verdicts_on_its_results(self, ledger):
+        # A changed definition must come with a regenerated ledger.
+        assert ledger_from_results(ledger_results(ledger)) == ledger
+        assert {e["id"] for e in ledger["claims"]} == set(CLAIMS)
+
+    def test_every_asserted_ordering_holds_at_seed_0(self, ledger):
+        failing = [
+            (e["id"], e["experiment"]) for e in ledger["claims"]
+            if CLAIMS[e["id"]].asserts(e["experiment"]) and not e["holds"][0]
+        ]
+        assert failing == []
+
+    def test_experiments_md_tables_render_from_it(self, ledger):
+        text = DOC.read_text()
+        assert set(re.findall(r"<!-- ledger: (.+?) -->", text)) == {
+            "figures single-as", "figures multi-as",
+            "claims single-as", "claims multi-as", "claims headline",
+        }
+        assert render_doc(text, ledger) == text, (
+            "EXPERIMENTS.md disagrees with docs/claims_ledger.json: "
+            "re-render it with repro.experiments.claims.render_doc"
+        )

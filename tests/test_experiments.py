@@ -13,6 +13,7 @@ from repro.experiments import (
     SCALES,
     build_network,
     default_scale,
+    evaluate_claims,
     format_figure,
     format_result,
     install_workload,
@@ -23,6 +24,7 @@ from repro.experiments.shard import DeliveryRecorder
 from repro.engine import ShardEngine
 from repro.netsim import NetworkSimulator
 from repro.online import Agent
+from repro.routing.fib import ForwardingPlane
 
 MICRO = ExperimentScale(
     name="micro",
@@ -86,12 +88,14 @@ class TestConfig:
 
 class TestBuildNetwork:
     def test_single_as(self):
-        net, fib = build_network("single-as", MICRO, seed=1)
+        net = build_network("single-as", MICRO, seed=1)
+        fib = ForwardingPlane(net)
         assert net.num_routers == MICRO.flat_routers
         assert fib.bgp is None
 
     def test_multi_as(self):
-        net, fib = build_network("multi-as", MICRO, seed=1)
+        net = build_network("multi-as", MICRO, seed=1)
+        fib = ForwardingPlane(net)
         assert len(net.as_domains) == MICRO.num_ases
         assert fib.bgp is not None and fib.bgp.iterations > 0
 
@@ -102,7 +106,8 @@ class TestBuildNetwork:
 
 class TestInstallWorkload:
     def test_host_sets_disjoint(self):
-        net, fib = build_network("single-as", MICRO, seed=1)
+        net = build_network("single-as", MICRO, seed=1)
+        fib = ForwardingPlane(net)
         k = ShardEngine([0] * net.num_nodes, 1, lookahead=1.0)
         sim = NetworkSimulator(net, fib, k)
         agent = Agent(sim)
@@ -112,7 +117,8 @@ class TestInstallWorkload:
 
     @pytest.mark.parametrize("app_kind", APP_KINDS)
     def test_apps_run_to_completion(self, app_kind):
-        net, fib = build_network("single-as", MICRO, seed=1)
+        net = build_network("single-as", MICRO, seed=1)
+        fib = ForwardingPlane(net)
         k = ShardEngine([0] * net.num_nodes, 1, lookahead=60.0)
         sim = NetworkSimulator(net, fib, k)
         agent = Agent(sim)
@@ -123,7 +129,8 @@ class TestInstallWorkload:
         assert handles.http.stats.responses_completed > 0
 
     def test_unknown_app_kind(self):
-        net, fib = build_network("single-as", MICRO, seed=1)
+        net = build_network("single-as", MICRO, seed=1)
+        fib = ForwardingPlane(net)
         k = ShardEngine([0] * net.num_nodes, 1, lookahead=1.0)
         sim = NetworkSimulator(net, fib, k)
         with pytest.raises(ValueError):
@@ -131,7 +138,8 @@ class TestInstallWorkload:
 
     def test_explicit_rng_matches_seed_path(self):
         """The explicit-Generator parameter replays the seed-derived split."""
-        net, fib = build_network("single-as", MICRO, seed=1)
+        net = build_network("single-as", MICRO, seed=1)
+        fib = ForwardingPlane(net)
 
         def split(**kwargs):
             k = ShardEngine([0] * net.num_nodes, 1, lookahead=1.0)
@@ -144,7 +152,8 @@ class TestInstallWorkload:
     def test_same_seeded_run_twice_in_one_process_delivers_identically(self):
         """Flow ids are the simulator's, not the process's: the second run
         in a process repeats the first's ``(time, node, flow_id, seq)``."""
-        net, fib = build_network("single-as", MICRO, seed=1)
+        net = build_network("single-as", MICRO, seed=1)
+        fib = ForwardingPlane(net)
 
         def deliveries():
             k = ShardEngine([0] * net.num_nodes, 1, lookahead=3.0)
@@ -174,13 +183,11 @@ class TestRunExperiment:
             assert row.measured_imbalance >= 0
 
     def test_paper_shape_hierarchical_mll_larger(self, result):
-        mll = {r.approach: r.achieved_mll_ms for r in result.rows}
-        assert mll[Approach.HPROF] >= mll[Approach.TOP2]
-        assert mll[Approach.HTOP] >= mll[Approach.TOP2]
+        checks = evaluate_claims([result], ["mll-dominance", "htop-mll-above-top2"])
+        assert all(c.holds for c in checks)
 
     def test_paper_shape_hprof_fastest(self, result):
-        t = {r.approach: r.sim_time_s for r in result.rows}
-        assert t[Approach.HPROF] <= min(t[Approach.TOP2], t[Approach.PROF2]) * 1.05
+        assert all(c.holds for c in evaluate_claims([result], ["time-near-tuned-flat"]))
 
     def test_events_counted(self, result):
         assert result.total_events > 1000

@@ -18,7 +18,8 @@ against a reference that delivers.
   that every shard replays; 1 and 2 processes give the reference's
   delivery log, counters and fault trace.
 - *Process chaos*: ``run_process_chaos("multi-as", ...)`` recovers over
-  a reference with no unroutable packet.
+  a reference with no unroutable packet, and builds no plane of its own
+  outside the shard builders.
 """
 
 from __future__ import annotations
@@ -206,8 +207,13 @@ class TestExecutedSessionReset:
 # ----------------------------------------------------------------------
 # Process chaos
 # ----------------------------------------------------------------------
-def test_process_chaos_on_multi_as_recovers_over_a_routed_reference():
+def test_process_chaos_on_multi_as_recovers_over_a_routed_reference(monkeypatch):
+    # The executed run routes in its shard builders; a plane built by
+    # build_network here would be a whole BGP convergence thrown away.
+    built = []
+    monkeypatch.setattr("repro.experiments.runner.ForwardingPlane", lambda *a: built.append(a))
     result = run_process_chaos("multi-as", scale=SMALL, seed=0, kills=1, duration_s=0.5)
+    assert built == []
     # 856 of the reference's 920 packets were unroutable while the shard
     # builders built their plane without BGP.
     assert result.reference_counters["unroutable"] == 0

@@ -38,6 +38,7 @@ from repro.experiments.runner import cluster_for_scale, evaluate_mappings
 from repro.obs import blame
 from repro.obs.trace import TraceBuffer, get_tracer, traced_run
 from repro.obs.trace_export import to_chrome_trace
+from repro.routing.fib import ForwardingPlane
 
 SCALE = ExperimentScale(
     name="trace-test",
@@ -89,7 +90,8 @@ def _isolate_global_tracer():
 @pytest.fixture(scope="module")
 def traced_run_result():
     """One traced parallel run plus two candidate mappings to replay."""
-    net, fib = build_network("single-as", SCALE, seed=3)
+    net = build_network("single-as", SCALE, seed=3)
+    fib = ForwardingPlane(net)
     pipeline = MappingPipeline(net, SCALE.num_engines, cluster_for_scale(SCALE), seed=0)
     candidates = pipeline.run_all([Approach.TOP, Approach.HTOP])
     cluster = cluster_for_scale(SCALE)

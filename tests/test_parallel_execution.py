@@ -20,6 +20,7 @@ from repro.netsim import NetworkSimulator
 from repro.netsim.app import HttpTraffic
 from repro.online import Agent
 from repro.topology import pick_clients_and_servers
+from repro.routing.fib import ForwardingPlane
 
 SCALE = ExperimentScale(
     name="parallel-test",
@@ -41,7 +42,8 @@ SCALE = ExperimentScale(
 
 @pytest.fixture(scope="module")
 def mapped_network():
-    net, fib = build_network("single-as", SCALE, seed=2)
+    net = build_network("single-as", SCALE, seed=2)
+    fib = ForwardingPlane(net)
     pipeline = MappingPipeline(net, SCALE.num_engines, cluster_for_scale(SCALE), seed=0)
     mapping = pipeline.run(Approach.HTOP)
     return net, fib, mapping

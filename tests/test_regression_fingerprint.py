@@ -33,6 +33,7 @@ from repro.faults import FaultInjector, FaultSchedule
 from repro.netsim import NetworkSimulator
 from repro.online import Agent
 from repro.engine import ShardEngine
+from repro.routing.fib import ForwardingPlane
 
 DATA_PATH = Path(__file__).parent / "data" / "regression_fingerprint.json"
 
@@ -45,7 +46,8 @@ SEED = 0
 def run_scenario():
     """One full measured run of the fingerprint scenario."""
     scale = SCALES["small"]
-    net, fib = build_network("single-as", scale, seed=SEED)
+    net = build_network("single-as", scale, seed=SEED)
+    fib = ForwardingPlane(net)
     kernel, sim, _handles = run_workload_simulation(
         net, fib, "scalapack", scale, DURATION_S, seed=SEED
     )
@@ -99,7 +101,8 @@ class TestNoFaultBitIdentity:
         with an *empty* schedule must leave the run bit-identical —
         same events, same forwarding digest, same per-node vector."""
         scale = SCALES["small"]
-        net, fib = build_network("single-as", scale, seed=SEED)
+        net = build_network("single-as", scale, seed=SEED)
+        fib = ForwardingPlane(net)
         kernel = ShardEngine([0] * net.num_nodes, 1, lookahead=DURATION_S, record_trace=True)
         sim = NetworkSimulator(net, fib, kernel, record_transmissions=True)
         agent = Agent(sim)

@@ -1,70 +1,42 @@
 """Cross-seed robustness of the paper's core orderings.
 
-The figure benchmarks assert orderings at seed 0; this test repeats the
-single-AS experiment at micro scale over two more seeds and checks that
-the load-bearing orderings (hierarchical MLL dominance, HPROF time and
-efficiency advantages) are not seed artifacts.
+The benchmarks assert the orderings at seed 0 and the committed ledger
+counts them over seeds 0-9 at ``small``; here the same ledger function
+(``micro_ledger`` in conftest.py) runs single-AS ScaLapack at micro scale
+over two more seeds, so the load-bearing claims are not seed artifacts.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import Approach
-from repro.experiments import ExperimentScale, run_experiment
 
-MICRO = ExperimentScale(
-    name="robustness",
-    flat_routers=120,
-    flat_hosts=60,
-    num_ases=8,
-    routers_per_as=12,
-    multi_hosts=48,
-    http_clients=36,
-    http_servers=10,
-    http_mean_gap_s=0.4,
-    num_engines=8,
-    app_processes=4,
-    scalapack_iterations=3,
-    duration_s=6.0,
-    profile_duration_s=2.5,
-    event_cost_s=75e-6,
-    remote_event_cost_s=190e-6,
-)
-
-APPROACHES = [Approach.HPROF, Approach.HTOP, Approach.TOP2]
-
-
-@pytest.fixture(scope="module", params=[11, 23])
-def result(request):
-    return run_experiment(
-        "single-as", "scalapack", approaches=list(APPROACHES),
-        scale=MICRO, seed=request.param,
-    )
+@pytest.fixture(params=[11, 23])
+def at_seed(request, micro_ledger):
+    """``(verdict by claim id, result summary)`` at one seed."""
+    at = micro_ledger["seeds"].index(request.param)
+    return {e["id"]: e["holds"][at] for e in micro_ledger["claims"]}, micro_ledger["results"][at]
 
 
 class TestOrderingsAcrossSeeds:
-    def test_hierarchical_mll_dominates(self, result):
-        mll = {r.approach: r.achieved_mll_ms for r in result.rows}
-        assert mll[Approach.HPROF] >= mll[Approach.TOP2]
-        assert mll[Approach.HTOP] >= mll[Approach.TOP2]
+    def test_hierarchical_mll_dominates(self, at_seed):
+        holds, _ = at_seed
+        assert holds["mll-dominance"] and holds["htop-mll-above-top2"]
 
-    def test_hprof_not_slower_than_top2(self, result):
-        t = {r.approach: r.sim_time_s for r in result.rows}
-        assert t[Approach.HPROF] <= t[Approach.TOP2] * 1.02
+    def test_hprof_not_slower_than_top2(self, at_seed):
+        assert at_seed[0]["time-near-top2"]
 
-    def test_hprof_balance_no_worse_than_htop(self, result):
+    def test_hprof_balance_no_worse_than_htop(self, at_seed):
         # At micro scale with a 2.5 s profile the estimates are noisy and
         # HPROF may trade a sliver of balance for synchronization (its E
-        # metric optimizes the product); allow a 10 % band — the strict
-        # ordering is asserted at benchmark scale (Figs. 8/12).
-        imb = {r.approach: r.measured_imbalance for r in result.rows}
-        assert imb[Approach.HPROF] <= imb[Approach.HTOP] * 1.10
+        # metric optimizes the product): the headline claim's 10 % band —
+        # the strict ordering is asserted at benchmark scale (Figs. 8/12).
+        assert at_seed[0]["imbalance-improvement"]
 
-    def test_hprof_pe_at_least_top2(self, result):
-        pe = {r.approach: r.parallel_eff for r in result.rows}
-        assert pe[Approach.HPROF] >= pe[Approach.TOP2]
+    def test_hprof_pe_at_least_top2(self, at_seed):
+        assert at_seed[0]["efficiency-gain"]
 
-    def test_workload_healthy(self, result):
-        assert result.http_responses > 0
-        assert result.total_events > 10_000
+    def test_workload_healthy(self, at_seed):
+        _, result = at_seed
+        assert result["http_responses"] > 0
+        assert result["total_events"] > 10_000

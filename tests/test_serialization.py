@@ -11,6 +11,7 @@ from repro.routing.bgp import configure_bgp
 from repro.serialization import (
     network_from_dict,
     network_to_dict,
+    result_from_dict,
     result_to_dict,
     save_result,
 )
@@ -61,31 +62,11 @@ class TestNetworkRoundTrip:
 
 
 class TestResultSerialization:
-    def test_result_dict(self, tmp_path):
-        from repro.experiments import ExperimentScale, run_experiment
-        from repro.core import Approach
-
-        scale = ExperimentScale(
-            name="io-test",
-            flat_routers=60,
-            flat_hosts=24,
-            num_ases=4,
-            routers_per_as=8,
-            multi_hosts=16,
-            http_clients=10,
-            http_servers=4,
-            http_mean_gap_s=0.5,
-            num_engines=4,
-            app_processes=3,
-            scalapack_iterations=1,
-            duration_s=3.0,
-            profile_duration_s=1.5,
-        )
-        result = run_experiment(
-            "single-as", "scalapack", approaches=[Approach.HTOP], scale=scale
-        )
-        doc = result_to_dict(result)
-        assert doc["rows"][0]["approach"] == "HTOP"
+    def test_result_dict(self, tmp_path, micro_ledger):
+        doc = micro_ledger["results"][0]  # result_to_dict of a run, with its seed
+        result = result_from_dict(doc)
+        assert result_to_dict(result) == {k: v for k, v in doc.items() if k != "seed"}
+        assert doc["rows"][0]["approach"] == "HPROF"
         path = tmp_path / "result.json"
         save_result(result, path)
         loaded = json.loads(path.read_text())
