@@ -10,8 +10,8 @@ Liu & Chien, SC 2004 (MaSSF / MicroGrid). The package implements:
 - :mod:`repro.netsim` — packet-level network models (IP/UDP/TCP, traffic apps),
 - :mod:`repro.online` — online (live-traffic) simulation layer,
 - :mod:`repro.profilers` — traffic profiling,
-- :mod:`repro.obs` — runtime observability (instrument registry, the
-  PROF profile bridge, JSON/Prometheus exporters),
+- :mod:`repro.obs` — runtime observability (instrument registry, event
+  traces, JSON/Prometheus exporters),
 - :mod:`repro.core` — the paper's contribution: TOP/PROF/HTOP/HPROF load
   balance and the hierarchical Tmll sweep,
 - :mod:`repro.metrics`, :mod:`repro.cluster`, :mod:`repro.experiments` —
@@ -43,7 +43,6 @@ _LAZY = {
     "WeightedGraph": ("repro.partition", "WeightedGraph"),
     "partition_kway": ("repro.partition", "partition_kway"),
     "observed_run": ("repro.obs", "observed_run"),
-    "profile_from_registry": ("repro.obs", "profile_from_registry"),
 }
 
 __all__ = ["__version__", *sorted(_LAZY)]

@@ -396,8 +396,9 @@ def _cmd_trace_snapshot(args) -> int:
     from .experiments import build_network, install_workload
     from .experiments.runner import cluster_for_scale
     from .netsim.simulator import NetworkSimulator
-    from .obs import export, observed_run, profile_from_registry
+    from .obs import export, observed_run
     from .online.agent import Agent
+    from .profilers import TrafficProfile
     from .routing.fib import ForwardingPlane
 
     scale = _resolve_scale(args)
@@ -419,7 +420,12 @@ def _cmd_trace_snapshot(args) -> int:
         )
         engine.run(until=duration)
 
-    profile = profile_from_registry(duration, reg)
+    profile = TrafficProfile.from_simulation(sim, duration)
+    if profile.total_events == 0:
+        # An all-zero profile would weight every node alike: no PROF input.
+        print(f"error: the run carried no traffic in --duration {duration:g}s; "
+              f"profile a longer run", file=sys.stderr)
+        return 2
     pipeline = MappingPipeline(
         net, scale.num_engines, cluster_for_scale(scale), seed=args.seed
     )
@@ -450,8 +456,7 @@ def _cmd_trace_snapshot(args) -> int:
         fmt=args.fmt,
     )
     print(f"traced {args.network}/{args.app} for {duration:g}s: "
-          f"{profile.total_events:.0f} node events, "
-          f"{profile.node_rate_bins.shape[0]} rate bins")
+          f"{profile.total_events:.0f} node events")
     print(f"{approach.value} partition over {scale.num_engines} engines: "
           f"E={ev.efficiency:.3f} (Es={ev.es:.3f}, Ec={ev.ec:.3f}), "
           f"MLL={mapping.achieved_mll_ms:.3f} ms  [validators passed]")

@@ -230,7 +230,7 @@ def run_experiment(
 
     With ``obs_out`` set, the measured run executes under an enabled
     observability registry and its snapshot (counters, per-node/per-link
-    vectors, the Figure 3 rate series) is written to that path as JSON —
+    vectors, gauges, histograms, timers) is written to that path as JSON —
     the ``--obs-out`` plumbing the benchmarks expose.
     """
     watch = Stopwatch()

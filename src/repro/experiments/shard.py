@@ -48,7 +48,6 @@ from ..faults import FaultInjector, FaultSchedule
 from ..netsim.link import FAULT, RED
 from ..netsim.packet import Packet, Protocol
 from ..netsim.simulator import NetworkSimulator
-from ..obs.registry import Registry
 from ..obs.trace import TraceBuffer
 from ..routing.bgp.session import BgpSessionManager
 from ..routing.fib import ForwardingPlane
@@ -232,20 +231,13 @@ def _install_faults(
     events = params.get("faults")
     if not events:
         return None, None
-    # Replica (non-control) shards replay every fault application, so
-    # their faults.* counters would N-count in a merged snapshot; give
-    # them a private disabled registry instead. The control shard (and
-    # the single-process reference, which is its own control shard)
-    # records into the process-global registry like any instrumented run.
-    registry = None if engine.has_control else Registry()
     # A multi-AS plane carries BGP: session resets run on the control
     # lane, which every shard replays, so each keeps its RIBs in step.
     sessions = None
     if fib.bgp is not None:
         sessions = BgpSessionManager(fib.bgp, engine, seed=int(params.get("seed", 0)))
     injector = FaultInjector(
-        sim, fib, FaultSchedule.from_events(list(events)),
-        sessions=sessions, registry=registry,
+        sim, fib, FaultSchedule.from_events(list(events)), sessions=sessions
     )
     # Private per-shard trace buffer: the process-global tracer would
     # interleave replica replays when several shards share one process

@@ -22,8 +22,9 @@ it drives the existing machinery —
   :meth:`FaultInjector._on_session_change` into the trace.
 
 Everything lands in the ``faults`` trace channel
-(:meth:`repro.obs.trace.TraceBuffer.fault`) and the ``faults.*``
-instruments, so a chaos run's story is replayable from the trace alone.
+(:meth:`repro.obs.trace.TraceBuffer.fault`) and in :class:`FaultCounts`,
+which the ``faults.*`` instruments read, so a chaos run's story is
+replayable from the trace alone.
 With an empty schedule the injector schedules nothing and touches
 nothing — the no-fault bit-identity guarantee.
 """
@@ -82,18 +83,12 @@ class FaultInjector:
         The BGP session manager for multi-AS networks (``None`` for
         single-AS runs — BGP fault kinds are then ignored with a trace
         note rather than an exception).
-    registry:
-        The instrument registry to record ``faults.*`` counters into;
-        defaults to the process-global one. Replica (non-control) shards
-        of the multi-process backend pass a private disabled registry so
-        their replayed fault applications are not double-counted when
-        the workers' registries merge (:mod:`repro.obs.distributed`).
     """
 
     #: The dynamic fields: what :meth:`capture` / :meth:`restore` carry,
     #: listed here and nowhere else.
     DYNAMIC = ("counts", "slowdown_spans", "_open_windows")
-    #: Everything else ``__init__`` sets (obs instruments aside): its
+    #: Everything else ``__init__`` sets (the tracer aside): its
     #: arguments, the scheduler ``install`` binds, the border-session
     #: table. tests/test_state_owners.py fails on an attribute in neither.
     STATIC = ("sim", "fib", "schedule", "sessions", "_sched", "_border_sessions")
@@ -105,7 +100,6 @@ class FaultInjector:
         schedule: FaultSchedule,
         *,
         sessions: BgpSessionManager | None = None,
-        registry=None,
     ) -> None:
         self.sim = sim
         self.fib = fib
@@ -119,14 +113,19 @@ class FaultInjector:
         # first (pair_window); kind is "link", "router", "loss" or "lp"
         self._open_windows: dict[tuple[str, int], tuple[tuple[float, Any], ...]] = {}
 
-        reg = registry if registry is not None else get_registry()
-        self._obs = reg
-        self._obs_injected = reg.counter(obs_names.FAULTS_INJECTED)
-        self._obs_link = reg.counter(obs_names.FAULTS_LINK_TRANSITIONS)
-        self._obs_router = reg.counter(obs_names.FAULTS_ROUTER_TRANSITIONS)
-        self._obs_invalidations = reg.counter(obs_names.FAULTS_ROUTE_INVALIDATIONS)
-        self._obs_bgp_resets = reg.counter(obs_names.FAULTS_BGP_SESSION_RESETS)
-        self._obs_bgp_reest = reg.counter(obs_names.FAULTS_BGP_REESTABLISHED)
+        # The registry reads the counts; a checkpoint restores them, so
+        # the reads stay exact through a respawn.
+        reg = get_registry()
+        for name, fields in (
+            (obs_names.FAULTS_INJECTED, ("injected",)),
+            (obs_names.FAULTS_LINK_TRANSITIONS, ("link_transitions",)),
+            (obs_names.FAULTS_ROUTER_TRANSITIONS, ("router_transitions",)),
+            # every link or router transition invalidates forwarding state
+            (obs_names.FAULTS_ROUTE_INVALIDATIONS, ("link_transitions", "router_transitions")),
+            (obs_names.FAULTS_BGP_SESSION_RESETS, ("bgp_resets",)),
+            (obs_names.FAULTS_BGP_REESTABLISHED, ("bgp_reestablished",)),
+        ):
+            reg.read(name, lambda fields=fields: self._control_count(fields))
         self._trace = get_tracer()
 
         if sessions is not None:
@@ -191,11 +190,20 @@ class FaultInjector:
         for node in sorted(self.nodes_down):
             self.fib.set_node_state(node, False)
 
+    def _control_count(self, fields: tuple[str, ...]) -> int:
+        """The sum of :attr:`counts`' ``fields`` on the shard that owns
+        the control plane, 0 on any other. Every shard applies each fault
+        (replicas replay the control lane) and the shards' registries
+        merge by sum, so the control owner at read time — the first, a
+        respawn, an heir or a migration's target — is the one count."""
+        if not self.sim.sched.has_control:
+            return 0
+        return sum(getattr(self.counts, f) for f in fields)
+
     # ------------------------------------------------------------------
     def _apply(self, fe: FaultEvent) -> None:
         """Apply one fault event (scheduled event callback)."""
         self.counts.injected += 1
-        self._obs_injected.inc()
         kind = fe.kind
         if kind is FaultKind.LINK_DOWN or kind is FaultKind.LINK_UP:
             self._apply_link(fe, up=kind is FaultKind.LINK_UP)
@@ -226,8 +234,6 @@ class FaultInjector:
                 self.sim.fail_link(link_id)
             self.fib.set_link_state(link_id, up)
         self.counts.link_transitions += 1
-        self._obs_link.inc()
-        self._obs_invalidations.inc()
         self._trace.fault(
             self.now, "link.up" if up else "link.down",
             "recover" if up else "inject", (link_id,),
@@ -242,8 +248,6 @@ class FaultInjector:
                 self.sim.set_node_down(node)
             self.fib.set_node_state(node, up)
         self.counts.router_transitions += 1
-        self._obs_router.inc()
-        self._obs_invalidations.inc()
         self._trace.fault(
             self.now, "router.up" if up else "router.down",
             "recover" if up else "inject", (node,),
@@ -299,11 +303,9 @@ class FaultInjector:
         t = self.now if self._sched is not None else 0.0
         if event == "withdrawn":
             self.counts.bgp_resets += 1
-            self._obs_bgp_resets.inc()
             self._trace.fault(t, "bgp.withdrawn", "inject", (a, b), **detail)
         elif event == "reestablished":
             self.counts.bgp_reestablished += 1
-            self._obs_bgp_reest.inc()
             self.fib.flush_cache()
             self._trace.fault(t, "bgp.reestablished", "recover", (a, b), **detail)
         elif event == "retry":

@@ -221,11 +221,10 @@ class NetworkSimulator:
         self.tx_to: list[int] = []
 
         # Observability: the registry reads the counts above. Only the
-        # rate bins and queue high-water marks are written on the hop, one
+        # queue high-water marks are written on the hop, behind one
         # `enabled` check and no dict lookups (docs/observability.md).
         reg = get_registry()
         self._obs = reg
-        self._obs_rate_bins = reg.series(obs_names.NETSIM_NODE_RATE_BINS, net.num_nodes)
         self._obs_queue_hwm = reg.max_gauge(obs_names.NETSIM_LINK_QUEUE_HWM, len(net.links))
         reg.read(obs_names.NETSIM_NODE_EVENTS, lambda: self.node_packets)
         reg.read(obs_names.NETSIM_LINK_BYTES, self.link_bytes)
@@ -338,9 +337,6 @@ class NetworkSimulator:
         self._node_packets[node] += 1
         sched = self.sched
         now = sched.current_time
-        obs_on = self._obs.enabled
-        if obs_on:
-            self._obs_rate_bins.observe(now, node)
         dst = packet.dst
         if node == dst:
             self._deliver(node, packet)
@@ -384,7 +380,7 @@ class NetworkSimulator:
             result = self.links[link_id].transmit(node, packet, depart)
             backlog_bytes = result.backlog_bytes
             if not result.accepted:
-                if obs_on:
+                if self._obs.enabled:
                     self._obs_queue_hwm.observe(link_id, backlog_bytes)
                 if result.faulted:
                     # Injected loss/corruption — accounted separately so the
@@ -398,7 +394,7 @@ class NetworkSimulator:
             arrival = result.arrival_time
         packet.ttl -= 1
         packet.hops += 1
-        if obs_on:
+        if self._obs.enabled:
             self._obs_queue_hwm.observe(link_id, backlog_bytes)
         if self.record_transmissions:
             self.tx_times.append(start)

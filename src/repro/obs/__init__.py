@@ -1,24 +1,26 @@
-"""Runtime observability: counters, timers, and the PROF profile bridge.
+"""Runtime observability: counters, timers, traces and their exporters.
 
 The zero-dependency instrumentation subsystem behind the paper's
 profile-based load balancing. Hook points live in
 :class:`~repro.engine.parallel.ShardEngine` (per-LP event and
 remote-send counts, barrier-wait spans), the packet simulator
 (per-node events, per-link bytes/packets/drops, queue-depth high-water
-marks, the Figure 3 rate series), and the BGP engine (updates,
+marks), the fault injector (``faults.*``), and the BGP engine (updates,
 decision-process invocations, convergence spans), behind a process-global
 :class:`Registry` that reads the counts its components keep and is
 disabled by default, costing one guard branch per hook point when off.
 
 Typical use::
 
-    from repro.obs import observed_run, export, profile_from_registry
+    from repro.obs import observed_run, export
 
     with observed_run() as reg:
         engine, sim = build_run()          # inside: a reset lets go of owners
         engine.run(until=10.0)
-    profile = profile_from_registry(10.0, reg)   # feed to PROF/HPROF
     export.write_snapshot("run.json", reg)
+
+The PROF profile of such a run is
+:meth:`repro.profilers.TrafficProfile.from_simulation` of its simulator.
 
 See ``docs/observability.md`` for the full catalogue of instruments.
 """
@@ -26,10 +28,8 @@ See ``docs/observability.md`` for the full catalogue of instruments.
 from __future__ import annotations
 
 from . import blame, distributed, export, names, trace_export
-from .counters import BinnedSeries, Counter, Histogram, MaxGauge, VectorCounter
-from .profile_bridge import profile_from_registry
+from .counters import Counter, Histogram, MaxGauge, VectorCounter
 from .registry import (
-    DEFAULT_BIN_S,
     Registry,
     disable,
     enable,
@@ -54,15 +54,12 @@ __all__ = [
     "disable",
     "reset",
     "observed_run",
-    "DEFAULT_BIN_S",
     "Counter",
     "VectorCounter",
     "MaxGauge",
     "Histogram",
-    "BinnedSeries",
     "SpanTimer",
     "Stopwatch",
-    "profile_from_registry",
     "export",
     "names",
     "TraceBuffer",

@@ -20,10 +20,10 @@ Every instrument also folds a same-kind instrument into itself
 (``merge_from``) — how per-worker observations of the multi-process
 backend become one global view (:mod:`repro.obs.distributed`). An
 instrument that holds nothing (an all-zero vector or gauge, a histogram
-with zero count and sum, a series with no bins) is the merge identity
-whatever its shape — an empty target takes the incoming instrument's
-shape — and two non-empty instruments that disagree on shape raise a
-typed error and leave the target untouched.
+with zero count and sum) is the merge identity whatever its shape — an
+empty target takes the incoming instrument's shape — and two non-empty
+instruments that disagree on shape raise a typed error and leave the
+target untouched.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "VectorCounter",
     "MaxGauge",
     "Histogram",
-    "BinnedSeries",
     "SnapshotMergeError",
     "HistogramMergeError",
     "holding",
@@ -333,78 +332,3 @@ class Histogram:
         """Zero all buckets."""
         self._counts[:] = 0
         self._sum = 0.0
-
-
-class BinnedSeries:
-    """Per-index event counts binned over simulated time.
-
-    This is the raw material of the paper's Figure 3 ("load variation
-    over the lifetime of simulation"): ``observe(t, i)`` accumulates one
-    event for index ``i`` (a node) into the time bin ``t // bin_s``.
-    Bins grow on demand, so the series needs no end-time up front.
-    """
-
-    __slots__ = ("name", "_reg", "size", "bin_s", "_bins")
-
-    def __init__(self, name: str, registry: "Registry", size: int, bin_s: float) -> None:
-        if size < 0:
-            raise ValueError("size must be non-negative")
-        if bin_s <= 0:
-            raise ValueError("bin_s must be positive")
-        self.name = name
-        self._reg = registry
-        self.size = int(size)
-        self.bin_s = float(bin_s)
-        self._bins: list[np.ndarray] = []
-
-    def observe(self, t: float, index: int, n: float = 1.0) -> None:
-        """Accumulate ``n`` events for ``index`` at simulated time ``t``."""
-        if self._reg.enabled:
-            self._record(t, index, n)
-
-    def _record(self, t: float, index: int, n: float) -> None:
-        b = int(t / self.bin_s)
-        bins = self._bins
-        while len(bins) <= b:
-            bins.append(np.zeros(self.size, dtype=np.float64))
-        bins[b][index] += n
-
-    @property
-    def num_bins(self) -> int:
-        """Number of materialized time bins."""
-        return len(self._bins)
-
-    def matrix(self) -> np.ndarray:
-        """Counts as a dense ``[num_bins, size]`` array (copy)."""
-        if not self._bins:
-            return np.zeros((0, self.size), dtype=np.float64)
-        return np.stack(self._bins)
-
-    def merge_from(self, other: "BinnedSeries") -> None:
-        """Add ``other``'s bins into this series, padding the shorter run.
-
-        A series with no bins takes ``other``'s size and bin width; two
-        non-empty series of different size or bin width raise
-        :class:`SnapshotMergeError`.
-        """
-        if not self._bins:
-            self.size, self.bin_s = other.size, other.bin_s
-            self._bins = [counts.copy() for counts in other._bins]
-            return
-        if not other._bins:
-            return
-        if (self.size, self.bin_s) != (other.size, other.bin_s):
-            raise SnapshotMergeError(
-                f"series {self.name!r} shape (size={other.size}, "
-                f"bin_s={other.bin_s}) != merged (size={self.size}, "
-                f"bin_s={self.bin_s})"
-            )
-        bins = self._bins
-        for b, counts in enumerate(other._bins):
-            if b == len(bins):
-                bins.append(np.zeros(self.size, dtype=np.float64))
-            bins[b] += counts
-
-    def reset(self) -> None:
-        """Drop all bins."""
-        self._bins.clear()

@@ -20,8 +20,8 @@ one:
   ``merge_from``: counters and vectors sum, high-water gauges take the
   element-wise max, histograms add bin-wise (mismatched bounds are a
   typed error, never a silent re-bin), span timers add counts and
-  totals, binned series pad to a common length and sum; an instrument
-  that holds nothing is the identity whatever its shape. For
+  totals; an instrument that holds nothing is the identity whatever
+  its shape. For
   deterministic instruments the merge *equals* the single-process
   observed run on the same workload (``tests/test_obs_distributed_mp.py``
   asserts this for procs 1/2/4 under both fork and spawn).
@@ -82,7 +82,6 @@ def worker_obs_config(
         return None
     return {
         "registry": reg.enabled,
-        "bin_s": reg.bin_s,
         "trace": tr.enabled,
         "capacity": tr.capacity,
     }
@@ -102,7 +101,6 @@ def configure_worker_observability(config: Mapping[str, Any] | None) -> bool:
     reg = get_registry()
     tr = get_tracer()
     reg.clear()
-    reg.bin_s = float(config.get("bin_s", reg.bin_s))
     reg.enabled = bool(config.get("registry", False))
     tr.reset()
     tr.capacity = int(config.get("capacity", tr.capacity))

@@ -1,8 +1,8 @@
 """Snapshot exporters: JSON documents and Prometheus exposition text.
 
 A snapshot is a plain-data view of every instrument in a registry —
-counters, vectors, high-water gauges, histograms, span timers, and
-binned series — plus caller-provided metadata (scenario, seed, scale).
+counters, vectors, high-water gauges, histograms and span timers —
+plus caller-provided metadata (scenario, seed, scale).
 The JSON form is the machine-readable artifact the ``trace`` CLI and
 ``--obs-out`` benchmark plumbing write; the Prometheus form lets a
 long-running online simulation be scraped with standard tooling.
@@ -18,8 +18,8 @@ from .registry import Registry, get_registry
 
 __all__ = ["snapshot", "to_json", "to_prometheus", "write_snapshot"]
 
-#: Schema version of the JSON snapshot document.
-SNAPSHOT_VERSION = 1
+#: Schema version of the JSON snapshot document (2: no ``series`` key).
+SNAPSHOT_VERSION = 2
 
 
 def snapshot(registry: Registry | None = None, meta: dict | None = None) -> dict:
@@ -50,15 +50,6 @@ def snapshot(registry: Registry | None = None, meta: dict | None = None) -> dict
             n: {"count": t.count, "total_s": t.total_s, "mean_s": t.mean_s}
             for n, t in sorted(reg.timers().items())
         },
-        "series": {
-            n: {
-                "size": s.size,
-                "bin_s": s.bin_s,
-                "num_bins": s.num_bins,
-                "bins": s.matrix().tolist(),
-            }
-            for n, s in sorted(reg.series_map().items())
-        },
     }
 
 
@@ -84,9 +75,7 @@ def to_prometheus(registry: Registry | None = None, prefix: str = "repro") -> st
     and gauges emit one sample per index (label ``index``) plus a
     ``_sum`` aggregate; histograms use the cumulative-``le`` bucket
     convention; timers emit ``_seconds_total`` and ``_spans_total``
-    counter families. Binned series are omitted — they are a profile
-    artifact, not a scrapeable metric (use the JSON snapshot for
-    Figure 3 data).
+    counter families.
     """
     reg = registry if registry is not None else get_registry()
     out: list[str] = []

@@ -84,9 +84,6 @@ CALIBRATION_PREDICTED_WALL = _declare(
 NETSIM_NODE_EVENTS = _declare(
     "netsim.node.events", "Packets handled per node (the PROF load signal)."
 )
-NETSIM_NODE_RATE_BINS = _declare(
-    "netsim.node.rate_bins", "Per-node event counts binned over simulated time."
-)
 NETSIM_LINK_BYTES = _declare("netsim.link.bytes", "Bytes carried per link, both directions.")
 NETSIM_LINK_PACKETS = _declare("netsim.link.packets", "Packets carried per link, both directions.")
 NETSIM_LINK_DROPS = _declare("netsim.link.drops", "Packets dropped per link.")

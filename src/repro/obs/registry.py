@@ -1,8 +1,8 @@
 """Process-global instrument registry for runtime observability.
 
 The registry is the single rendezvous point between *instrumented code*
-(the engines, the packet simulator, BGP) and *consumers* (the profile
-bridge, exporters, the ``trace`` CLI). Design constraints, in order:
+(the engines, the packet simulator, BGP) and *consumers* (exporters,
+the distributed merge, the ``trace`` CLI). Design constraints, in order:
 
 1. **Cheap when disabled.** Instrumented code resolves its instruments
    once, at construction time (that is where the name -> instrument
@@ -11,7 +11,7 @@ bridge, exporters, the ``trace`` CLI). Design constraints, in order:
    costs one predictable branch per hook point and performs *no state
    writes at all* (``tests/test_obs_overhead.py`` enforces this).
 2. **Zero dependencies.** Only the standard library and numpy.
-3. **Deterministic.** Counters, gauges, histograms, and series record
+3. **Deterministic.** Counters, gauges and histograms record
    *simulated* quantities and are exactly reproducible; only span
    timers read the wall clock (:mod:`repro.obs.timers` is the one
    sanctioned call site of ``time.perf_counter`` — simlint rule SIM102
@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from .counters import BinnedSeries, Counter, Histogram, MaxGauge, VectorCounter, holding
+from .counters import Counter, Histogram, MaxGauge, VectorCounter, holding
 from .timers import SpanTimer
 
 __all__ = [
@@ -43,12 +43,7 @@ __all__ = [
     "disable",
     "reset",
     "observed_run",
-    "DEFAULT_BIN_S",
 ]
-
-#: Default simulated-time bin width of per-node event-rate series
-#: (Figure 3's "load variation" granularity at laptop scales).
-DEFAULT_BIN_S = 0.5
 
 
 class Registry:
@@ -59,22 +54,15 @@ class Registry:
     enabled:
         Initial state; the process-global registry starts disabled so
         un-instrumented workloads pay only the guard branch.
-    bin_s:
-        Default bin width (simulated seconds) for :class:`BinnedSeries`
-        instruments created without an explicit ``bin_s``.
     """
 
-    def __init__(self, enabled: bool = False, bin_s: float = DEFAULT_BIN_S) -> None:
-        if bin_s <= 0:
-            raise ValueError("bin_s must be positive")
+    def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
-        self.bin_s = bin_s
         self._counters: dict[str, Counter] = {}
         self._vectors: dict[str, VectorCounter] = {}
         self._gauges: dict[str, MaxGauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._timers: dict[str, SpanTimer] = {}
-        self._series: dict[str, BinnedSeries] = {}
         #: name -> (the zero of its kind and size, the owners' reads)
         self._reads: dict[str, tuple[Any, list[Callable[[], Any]]]] = {}
 
@@ -127,14 +115,7 @@ class Registry:
                 "_reads": {}}
 
     def _groups(self) -> tuple[dict, ...]:
-        return (
-            self._counters,
-            self._vectors,
-            self._gauges,
-            self._histograms,
-            self._timers,
-            self._series,
-        )
+        return self._counters, self._vectors, self._gauges, self._histograms, self._timers
 
     # ------------------------------------------------------------------
     # Instrument factories (idempotent by name; dict lookup happens here,
@@ -179,14 +160,6 @@ class Registry:
         inst = self._timers.get(name)
         if inst is None:
             inst = self._timers[name] = SpanTimer(name, self)
-        return inst
-
-    def series(self, name: str, size: int, bin_s: float | None = None) -> BinnedSeries:
-        """Get or create a per-index binned time series (Figure 3 data)."""
-        bin_s = bin_s if bin_s is not None else self.bin_s
-        inst = self._series.get(name)
-        if inst is None or inst.size != size or inst.bin_s != bin_s:
-            inst = self._series[name] = BinnedSeries(name, self, size, bin_s)
         return inst
 
     def read(self, name: str, fn: Callable[[], Any]) -> None:
@@ -243,10 +216,6 @@ class Registry:
         """Look up an existing span timer by name."""
         return _lookup(self._timers, name, "timer")
 
-    def get_series(self, name: str) -> BinnedSeries:
-        """Look up an existing binned series by name."""
-        return _lookup(self._series, name, "series")
-
     def counters(self) -> dict[str, Counter]:
         """All scalar counters by name (written live, read fresh)."""
         return self._with_reads(self._counters, vector=False)
@@ -266,10 +235,6 @@ class Registry:
     def timers(self) -> dict[str, SpanTimer]:
         """All span timers by name (live references)."""
         return dict(self._timers)
-
-    def series_map(self) -> dict[str, BinnedSeries]:
-        """All binned series by name (live references)."""
-        return dict(self._series)
 
 
 def _count(value: Any) -> Any:
@@ -311,8 +276,8 @@ def reset() -> None:
 
 
 @contextmanager
-def observed_run(registry: Registry | None = None, reset_first: bool = True) -> Iterator[Registry]:
-    """Enable (and by default reset) a registry for the duration of a run.
+def observed_run(registry: Registry | None = None) -> Iterator[Registry]:
+    """Reset and enable a registry for the duration of a run.
 
     The canonical way to scope a snapshot to one simulation::
 
@@ -325,8 +290,7 @@ def observed_run(registry: Registry | None = None, reset_first: bool = True) -> 
     """
     reg = registry if registry is not None else _GLOBAL
     was_enabled = reg.enabled
-    if reset_first:
-        reg.reset()
+    reg.reset()
     reg.enable()
     try:
         yield reg

@@ -420,10 +420,9 @@ def get_tracer() -> TraceBuffer:
 @contextmanager
 def traced_run(
     tracer: TraceBuffer | None = None,
-    reset_first: bool = True,
     capacity: int | None = None,
 ) -> Iterator[TraceBuffer]:
-    """Enable (and by default reset) a tracer for the duration of a run.
+    """Reset and enable a tracer for the duration of a run.
 
     The canonical scoping for one traced simulation::
 
@@ -441,8 +440,7 @@ def traced_run(
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         tr.capacity = int(capacity)
-    if reset_first:
-        tr.reset()
+    tr.reset()
     tr.enable()
     try:
         yield tr

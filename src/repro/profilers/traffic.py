@@ -5,8 +5,9 @@ naive initial partition and traffic monitoring. The simulation yields
 detailed traffic information, and improves subsequent network
 partitions." A :class:`TrafficProfile` captures exactly that: per-node
 simulation-event counts (the load signal) and per-link packet/byte
-volumes (the cut-cost signal), plus binned per-node event-rate series
-(Figure 3's "load variation over the lifetime of simulation").
+volumes (the cut-cost signal). :func:`node_rate_series` bins a recorded
+event trace into Figure 3's "load variation over the lifetime of
+simulation".
 """
 
 from __future__ import annotations
@@ -30,11 +31,6 @@ class TrafficProfile:
     link_packets: np.ndarray
     #: profiled simulated duration (seconds)
     duration_s: float
-    #: optional binned per-node event counts ``[bins, num_nodes]``
-    #: (Figure 3's load-variation series; filled by the obs bridge)
-    node_rate_bins: np.ndarray | None = None
-    #: bin width of ``node_rate_bins`` in simulated seconds (0 when absent)
-    rate_bin_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
@@ -53,15 +49,6 @@ class TrafficProfile:
                 f"link_bytes ({len(self.link_bytes)} links) and link_packets "
                 f"({len(self.link_packets)} links) describe different link sets"
             )
-        if self.node_rate_bins is not None:
-            bins = np.asarray(self.node_rate_bins)
-            if bins.ndim != 2 or bins.shape[1] != len(self.node_events):
-                raise ValueError(
-                    f"node_rate_bins must have shape [bins, {len(self.node_events)}], "
-                    f"got {bins.shape}"
-                )
-            if self.rate_bin_s <= 0:
-                raise ValueError("rate_bin_s must be positive when node_rate_bins is given")
 
     @property
     def num_nodes(self) -> int:

@@ -457,8 +457,6 @@ class OracleSimulator(NetworkSimulator):
             self.dropped_fault += 1
             return
         self.node_packets[node] += 1
-        if self._obs.enabled:
-            self._obs_rate_bins.observe(self.now, node)
         if node == packet.dst:
             self._deliver(node, packet)
             return

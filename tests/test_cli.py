@@ -268,14 +268,23 @@ class TestTraceCommand:
         assert "node events" in printed
 
         data = json.loads(out.read_text())
-        assert data["version"] == 1
+        assert data["version"] == 2
         assert data["meta"]["network"] == "single-as"
         assert data["meta"]["approach"] == "PROF"
         assert "efficiency" in data["meta"]["partition"]
         assert data["counters"]["netsim.packets.sent"] > 0
         node_events = data["vectors"]["netsim.node.events"]
         assert node_events["sum"] > 0
-        assert data["series"]["netsim.node.rate_bins"]["num_bins"] >= 1
+        assert "series" not in data
+
+    def test_trace_of_a_run_without_traffic_is_a_usage_error(self, capsys, tmp_path):
+        # An all-zero profile would weight every node alike: exit 2,
+        # naming the flag to change, and write no snapshot.
+        out = tmp_path / "trace.json"
+        rc = main(["trace", "--duration", "0.000001", "--out", str(out)])
+        assert rc == 2
+        assert "--duration" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_trace_prometheus_format(self, capsys, tmp_path):
         out = tmp_path / "trace.prom"

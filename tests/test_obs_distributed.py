@@ -47,7 +47,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 def populated_registry(scale: float = 1.0) -> Registry:
     """A registry with one instrument of every kind, scaled values."""
-    reg = Registry(enabled=True, bin_s=0.5)
+    reg = Registry(enabled=True)
     reg.counter("c.events").inc(10 * scale)
     vec = reg.vector_counter("v.per_lp", 4)
     vec.add_array(np.array([1.0, 2.0, 3.0, 4.0]) * scale)
@@ -59,9 +59,6 @@ def populated_registry(scale: float = 1.0) -> Registry:
     hist.observe(3.0 * scale)
     timer = reg.timer("t.span")
     timer.add(0.25 * scale)
-    series = reg.series("s.rate", 2)
-    series.observe(0.1, 0, 2.0 * scale)
-    series.observe(0.7, 1, 1.0 * scale)
     return reg
 
 
@@ -92,9 +89,6 @@ class TestRegistryCopy:
         assert hist.sum == 3.5
         timer = reg.get_timer("t.span")
         assert (timer.count, timer.total_s) == (1, 0.25)
-        series = reg.get_series("s.rate")
-        assert (series.size, series.bin_s) == (2, 0.5)
-        assert series.matrix().shape == (2, 2)
 
     def test_merge_is_a_copy_not_a_view(self):
         reg = populated_registry()
@@ -102,11 +96,9 @@ class TestRegistryCopy:
         reg.get_counter("c.events").inc(99)
         reg.get_vector("v.per_lp").inc(0, 99)
         reg.get_histogram("h.wait").observe(0.5)
-        reg.get_series("s.rate").observe(0.1, 0)
         assert copy.get_counter("c.events").value == 10.0
         assert copy.get_vector("v.per_lp").values[0] == 1.0
         assert copy.get_histogram("h.wait").count == 2
-        assert copy.get_series("s.rate").matrix()[0, 0] == 2.0
         # ...and the copy records into its own registry, not the part's
         assert copy.get_counter("c.events")._reg is copy
 
@@ -126,7 +118,7 @@ class TestRegistryCopy:
 class TestRegistryMerge:
     def test_merge_semantics_per_kind(self):
         out = merged(populated_registry(1.0), populated_registry(2.0))
-        # counters / vectors / histograms / timers / series sum
+        # counters / vectors / histograms / timers sum
         assert out.get_counter("c.events").value == 30.0
         assert out.get_vector("v.per_lp").values.tolist() == [3.0, 6.0, 9.0, 12.0]
         # scale=1 observed (0.5, 3.0) -> [1,0,1,0]; scale=2 observed
@@ -161,17 +153,6 @@ class TestRegistryMerge:
         with pytest.raises(HistogramMergeError, match="histogram 'h' bounds"):
             merged(ra, rb)
 
-    def test_series_pad_to_longest_run(self):
-        ra, rb = Registry(enabled=True), Registry(enabled=True)
-        ra.series("s", 2, 1.0).observe(0.5, 0, 1.0)  # one bin
-        sb = rb.series("s", 2, 1.0)
-        sb.observe(0.5, 0, 2.0)
-        sb.observe(2.5, 1, 4.0)  # three bins
-        matrix = merged(ra, rb).get_series("s").matrix()
-        assert matrix.shape == (3, 2)
-        assert matrix[0].tolist() == [3.0, 0.0]
-        assert matrix[2].tolist() == [0.0, 4.0]
-
     def test_merged_registry_snapshot_is_disabled(self):
         reg = merged_registry_snapshot(FakeResult([populated_registry()]), Registry())
         assert not reg.enabled
@@ -203,16 +184,7 @@ class TestEmptyIsTheIdentity:
             hist = out.get_histogram("h")
             assert hist.bounds == BOUNDS and hist.counts.tolist() == [0, 0, 1, 0]
 
-    def test_series_without_bins_takes_the_other_shape(self):
-        ra, rb = Registry(enabled=True), Registry(enabled=True)
-        ra.series("s", 5, 0.1)
-        rb.series("s", 2, 1.0).observe(1.5, 1)
-        for out in (merged(ra, rb), merged(rb, ra)):
-            series = out.get_series("s")
-            assert (series.size, series.bin_s) == (2, 1.0)
-            assert series.matrix().tolist() == [[0.0, 0.0], [0.0, 1.0]]
-
-    @pytest.mark.parametrize("kind", ["vector", "gauge", "histogram", "series"])
+    @pytest.mark.parametrize("kind", ["vector", "gauge", "histogram"])
     def test_disagreeing_instruments_raise_without_mutating(self, kind):
         ra, rb = Registry(enabled=True), Registry(enabled=True)
         if kind == "vector":
@@ -221,12 +193,9 @@ class TestEmptyIsTheIdentity:
         elif kind == "gauge":
             ra.max_gauge("x", 2).observe(0, 1.0)
             rb.max_gauge("x", 3).observe(0, 1.0)
-        elif kind == "histogram":
+        else:
             ra.histogram("x", (1.0,)).observe(0.5)
             rb.histogram("x", (2.0,)).observe(0.5)
-        else:
-            ra.series("x", 2, 1.0).observe(0.5, 0)
-            rb.series("x", 2, 0.5).observe(0.5, 0)
         before = export.snapshot(ra)
         with pytest.raises(SnapshotMergeError):
             ra.merge_from(rb)
@@ -339,8 +308,7 @@ SIZE = 4
 WRITE = st.tuples(
     st.integers(0, 3),
     st.sampled_from(
-        ["counter", "vector", "gauge", "histogram", "timer", "series",
-         "measured", "edge"]
+        ["counter", "vector", "gauge", "histogram", "timer", "measured", "edge"]
     ),
     st.integers(0, SIZE - 1),
     st.integers(0, 6),
@@ -358,8 +326,6 @@ def apply_write(reg: Registry, tr: TraceBuffer, kind: str, i: int, v: int) -> No
         reg.histogram("h", BOUNDS).observe(v)
     elif kind == "timer":
         reg.timer("t").add(v)
-    elif kind == "series":
-        reg.series("s", SIZE, 1.0).observe(float(v), i, 1.0)
     elif kind == "measured":
         tr.measured_window(v, i, float(v), 1.0, 0.0, 0.0, v)
     else:
@@ -377,9 +343,6 @@ def scribble(reg: Registry) -> None:
         inst.values[:] += 1
     for hist in reg.histograms().values():
         hist.counts[:] += 1
-    for series in reg.series_map().values():
-        for b in range(series.num_bins):
-            series.observe(b * series.bin_s, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -389,8 +352,8 @@ def scribble(reg: Registry) -> None:
     faults=st.lists(st.tuples(st.integers(0, 5), st.integers(0, SIZE - 1)), max_size=4),
 )
 def test_merged_parts_equal_one_sink(k, writes, faults):
-    parts = [(Registry(True, 0.5), TraceBuffer(1024, True)) for _ in range(k)]
-    sink_reg, sink_tr = Registry(True, 0.5), TraceBuffer(1024, True)
+    parts = [(Registry(True), TraceBuffer(1024, True)) for _ in range(k)]
+    sink_reg, sink_tr = Registry(True), TraceBuffer(1024, True)
     for part, kind, i, v in writes:
         apply_write(*parts[part % k], kind, i, v)
         apply_write(sink_reg, sink_tr, kind, i, v)
@@ -417,7 +380,7 @@ def test_merged_parts_equal_one_sink(k, writes, faults):
 # ----------------------------------------------------------------------
 # Source guard: an instrument's state is named only where it is defined
 # ----------------------------------------------------------------------
-_INSTRUMENT_STATE = {"_value", "_values", "_counts", "_sum", "_count", "_total_s", "_bins"}
+_INSTRUMENT_STATE = {"_value", "_values", "_counts", "_sum", "_count", "_total_s"}
 _DEFINING_MODULES = {"obs/counters.py", "obs/timers.py"}
 
 
@@ -439,12 +402,11 @@ class TestWorkerObsConfig:
         assert worker_obs_config(reg, tr) is None
 
     def test_enabled_stanza_carries_settings(self):
-        reg = Registry(enabled=True, bin_s=0.25)
+        reg = Registry(enabled=True)
         tr = TraceBuffer(capacity=128, enabled=True)
         cfg = worker_obs_config(reg, tr)
         assert cfg == {
             "registry": True,
-            "bin_s": 0.25,
             "trace": True,
             "capacity": 128,
         }

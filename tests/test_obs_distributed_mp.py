@@ -52,7 +52,7 @@ def deterministic_view(reg: Registry) -> dict:
     single process can match."""
     doc = export.snapshot(reg)
     del doc["timers"]
-    for section in ("counters", "vectors", "gauges", "histograms", "series"):
+    for section in ("counters", "vectors", "gauges", "histograms"):
         doc[section] = {
             n: v for n, v in doc[section].items()
             if not n.startswith(MP_ONLY + PER_PROCESS)

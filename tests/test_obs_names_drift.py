@@ -71,7 +71,6 @@ def registered_names(monkeypatch) -> set[str]:
         | set(reg.gauges())
         | set(reg.histograms())
         | set(reg.timers())
-        | set(reg.series_map())
     )
 
 
@@ -139,8 +138,7 @@ def registrations_by_component(monkeypatch) -> dict[str, dict[str, set[str]]]:
         monkeypatch.setattr(registry_mod, "_GLOBAL", reg)
         component = make()
         written = set().union(
-            reg._counters, reg._vectors, reg._gauges, reg._histograms, reg._timers,
-            reg._series,
+            reg._counters, reg._vectors, reg._gauges, reg._histograms, reg._timers
         )
         mine = out.setdefault(type(component).__name__, {"read": set(), "written": set()})
         mine["read"] |= set(reg._reads)
@@ -173,3 +171,11 @@ def test_every_names_constant_has_one_owner(monkeypatch):
     shared = {n: {c for c, _ in o} for n, o in owners.items() if len(o) > 1}
     assert set(shared) == WINDOW_NAMES, f"registered by more than one component: {shared}"
     assert all(classes == WINDOW_OWNERS for classes in shared.values()), shared
+
+
+def test_the_fault_injector_writes_no_instrument(monkeypatch):
+    """``faults.*`` are reads of the injector's ``FaultCounts``, which a
+    checkpoint restores; a written copy would restart at zero on a respawn."""
+    injector = registrations_by_component(monkeypatch)["FaultInjector"]
+    assert injector["written"] == set()
+    assert injector["read"] == {n for n in canonical_names() if n.startswith("faults.")}

@@ -1,5 +1,5 @@
 """Unit tests for the observability layer: registry, instruments,
-exporters, and the registry -> TrafficProfile bridge."""
+exporters, and the registry's reads of a real run's traffic profile."""
 
 from __future__ import annotations
 
@@ -9,15 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from repro.obs import (
-    DEFAULT_BIN_S,
-    Registry,
-    Stopwatch,
-    export,
-    names,
-    observed_run,
-    profile_from_registry,
-)
+from repro.obs import Registry, Stopwatch, export, names, observed_run
 from repro.obs.registry import get_registry
 
 
@@ -66,10 +58,6 @@ class TestRegistryLifecycle:
         with pytest.raises(KeyError):
             reg.get_counter("c")
 
-    def test_invalid_bin_width_rejected(self):
-        with pytest.raises(ValueError, match="bin_s"):
-            Registry(bin_s=0.0)
-
 
 class TestInstruments:
     def test_counter_accumulates_only_when_enabled(self, reg):
@@ -107,20 +95,6 @@ class TestInstruments:
     def test_histogram_rejects_unsorted_bounds(self, reg):
         with pytest.raises(ValueError, match="sorted"):
             reg.histogram("bad", (10.0, 1.0))
-
-    def test_binned_series_bins_by_simulated_time(self, reg):
-        s = reg.series("s", 2, bin_s=1.0)
-        s.observe(0.2, 0)
-        s.observe(0.9, 1)
-        s.observe(2.5, 0, 3.0)
-        mat = s.matrix()
-        assert mat.shape == (3, 2)
-        np.testing.assert_allclose(mat[0], [1.0, 1.0])
-        np.testing.assert_allclose(mat[1], [0.0, 0.0])
-        np.testing.assert_allclose(mat[2], [3.0, 0.0])
-
-    def test_series_default_bin_width_comes_from_registry(self, reg):
-        assert reg.series("s", 2).bin_s == DEFAULT_BIN_S
 
     def test_span_timer_protocol(self, reg):
         t = reg.timer("t")
@@ -199,14 +173,14 @@ class TestObservedRun:
         with observed_run(reg) as inner:
             assert inner is reg
             assert reg.enabled
-            assert c.value == 0  # reset_first zeroed the stale state
+            assert c.value == 0  # the reset zeroed the stale state
             c.inc()
         assert reg.enabled is False
         assert c.value == 1  # reads remain valid after exit
 
     def test_nested_observation_stays_enabled(self):
         reg = Registry(enabled=True)
-        with observed_run(reg, reset_first=False):
+        with observed_run(reg):
             pass
         assert reg.enabled is True
 
@@ -222,7 +196,6 @@ class TestExport:
         reg.histogram("win.events", (1.0, 10.0)).observe(5.0)
         t = reg.timer("barrier.wait")
         t.stop(t.start())
-        reg.series("rate", 2, bin_s=1.0).observe(0.5, 1)
         return reg
 
     def test_json_snapshot_roundtrip(self, tmp_path):
@@ -230,14 +203,14 @@ class TestExport:
         path = tmp_path / "snap.json"
         export.write_snapshot(str(path), reg, meta={"seed": 7})
         data = json.loads(path.read_text())
-        assert data["version"] == 1
+        assert data["version"] == 2
         assert data["meta"] == {"seed": 7}
         assert data["counters"]["pkts.sent"] == 3
         assert data["vectors"]["node.events"]["values"] == [2.0, 1.0]
         assert data["gauges"]["queue.hwm"]["values"] == [9.5]
         assert data["histograms"]["win.events"]["bucket_counts"] == [0, 1, 0]
         assert data["timers"]["barrier.wait"]["count"] == 1
-        assert data["series"]["rate"]["bins"] == [[0.0, 1.0]]
+        assert "series" not in data
 
     def test_prometheus_exposition(self):
         text = export.to_prometheus(self._populated())
@@ -386,42 +359,10 @@ class TestHistogramQuantile:
         check()
 
 
-class TestProfileBridge:
-    def _simulated_registry(self, num_nodes=4, num_links=3) -> Registry:
-        reg = Registry(enabled=True)
-        nodes = reg.vector_counter(names.NETSIM_NODE_EVENTS, num_nodes)
-        link_b = reg.vector_counter(names.NETSIM_LINK_BYTES, num_links)
-        link_p = reg.vector_counter(names.NETSIM_LINK_PACKETS, num_links)
-        series = reg.series(names.NETSIM_NODE_RATE_BINS, num_nodes, bin_s=1.0)
-        for node, t in ((0, 0.1), (1, 0.2), (1, 1.4), (3, 1.9)):
-            nodes.inc(node)
-            series.observe(t, node)
-        link_b.inc(0, 1500.0)
-        link_p.inc(0)
-        return reg
-
-    def test_bridge_builds_consistent_profile(self):
-        reg = self._simulated_registry()
-        profile = profile_from_registry(2.0, reg)
-        assert profile.num_nodes == 4
-        assert profile.num_links == 3
-        assert profile.total_events == 4
-        assert profile.node_rate_bins.shape == (2, 4)
-        # the binned series and the totals agree observation-for-observation
-        np.testing.assert_allclose(
-            profile.node_rate_bins.sum(axis=0), profile.node_events
-        )
-        assert profile.rate_bin_s == 1.0
-
-    def test_bridge_rejects_empty_run(self):
-        reg = self._simulated_registry()
-        reg.reset()
-        with pytest.raises(ValueError, match="zero node events"):
-            profile_from_registry(2.0, reg)
-
-    def test_bridge_equals_the_profiler_on_a_real_run(self):
-        """The registry reads the simulator's own counts, so the PROF
-        bridge and the traffic profiler give one profile."""
+class TestProfileOfARun:
+    def test_profile_equals_the_registry_reads_on_a_real_run(self):
+        """The registry reads the simulator's own counts, so the traffic
+        profile of a run and its ``netsim.*`` reads are one record."""
         from repro.engine import ShardEngine
         from repro.netsim import NetworkSimulator, send_datagram
         from repro.profilers.traffic import TrafficProfile
@@ -441,12 +382,11 @@ class TestProfileBridge:
                     i * 1e-3, send_datagram, node=src, args=(sim, src, dst, 1000 + i)
                 )
             kernel.run(until=duration)
-        bridged = profile_from_registry(duration, reg)
-        profiled = TrafficProfile.from_simulation(sim, duration)
-        assert bridged.total_events > 0 and bridged.link_bytes.sum() > 0
-        for field in ("node_events", "link_bytes", "link_packets"):
-            np.testing.assert_array_equal(getattr(bridged, field), getattr(profiled, field))
-
-    def test_bridge_without_instrumented_simulator(self):
-        with pytest.raises(KeyError, match="netsim.node.events"):
-            profile_from_registry(1.0, Registry(enabled=True))
+        profile = TrafficProfile.from_simulation(sim, duration)
+        assert profile.total_events > 0 and profile.link_bytes.sum() > 0
+        for field, name in (
+            ("node_events", names.NETSIM_NODE_EVENTS),
+            ("link_bytes", names.NETSIM_LINK_BYTES),
+            ("link_packets", names.NETSIM_LINK_PACKETS),
+        ):
+            np.testing.assert_array_equal(getattr(profile, field), reg.get_vector(name).values)

@@ -123,7 +123,7 @@ class TestTraceBuffer:
         tr.edge(0, 1, 0.1, 0.5)
         with traced_run(tr, capacity=8) as inner:
             assert inner is tr and tr.enabled and tr.capacity == 8
-            assert len(tr) == 0  # reset_first dropped the stale record
+            assert len(tr) == 0  # the reset dropped the stale record
             tr.edge(1, 0, 0.2, 0.6)
         assert tr.enabled  # previous state (enabled) restored
         assert tr.capacity == TraceBuffer().capacity

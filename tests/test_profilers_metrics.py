@@ -85,20 +85,6 @@ class TestProfileValidation:
         with pytest.raises(ValueError, match="link_packets must be non-negative"):
             self._profile(link_packets=np.array([1.0, -2.0]))
 
-    def test_rate_bins_must_match_node_count(self):
-        good = self._profile(
-            node_rate_bins=np.zeros((4, 3)), rate_bin_s=0.5
-        )
-        assert good.node_rate_bins.shape == (4, 3)
-        with pytest.raises(ValueError, match=r"\[bins, 3\]"):
-            self._profile(node_rate_bins=np.zeros((4, 2)), rate_bin_s=0.5)
-        with pytest.raises(ValueError, match=r"\[bins, 3\]"):
-            self._profile(node_rate_bins=np.zeros(3), rate_bin_s=0.5)
-
-    def test_rate_bins_need_positive_bin_width(self):
-        with pytest.raises(ValueError, match="rate_bin_s"):
-            self._profile(node_rate_bins=np.zeros((4, 3)))
-
     def test_validate_topology_accepts_matching_network(self):
         self._profile().validate_topology(num_nodes=3, num_links=2)
 

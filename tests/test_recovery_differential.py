@@ -573,7 +573,7 @@ class TestExactObsAfterReplayFromTheBuild:
                 name: value for name, value in doc[section].items()
                 if name.startswith(("engine.", "netsim."))
             }
-            for section in ("counters", "vectors", "gauges", "histograms", "series")
+            for section in ("counters", "vectors", "gauges", "histograms")
         }
         return result, view
 
@@ -592,8 +592,9 @@ class TestExactObsAfterReplayFromACut:
     """With a cut every two windows a respawn and an adopter restore the
     shard's counts from its last cut and replay the rest, and the
     registry reads those counts off their owners: every read-owned
-    instrument equals the uninterrupted observed run's, element-wise.
-    ``parallel.worker.events`` says which process ran the events, so
+    instrument equals the uninterrupted observed run's, element-wise —
+    ``faults.*`` too, when the lost shard is shard 0, which owns the
+    control plane and applies the faults. ``parallel.worker.events`` says which process ran the events, so
     after an adoption it moves to the heir and only its total stays;
     so do the mail bytes, which placement decides. Real processes only,
     as above."""
@@ -612,7 +613,9 @@ class TestExactObsAfterReplayFromACut:
     KILL_120 = ProcessFault(120, 1, ProcessFaultKind.SIGKILL, incarnation=1)
 
     @staticmethod
-    def _counts(faults):
+    def _merged(faults, spec):
+        """The run under ``faults`` with a cut every two windows, and its
+        merged registry."""
         recovery = RecoveryConfig(
             checkpoint_every_n_windows=2, max_respawns=1, on_worker_loss="adopt",
             backoff_base_s=0.0, fault_plan=FaultPlan(faults),
@@ -620,8 +623,11 @@ class TestExactObsAfterReplayFromACut:
         with observed_run():
             result = ParallelConservativeEngine(
                 ASSIGN2, 2, LATENCY_S, procs=2, recovery=recovery
-            ).run_scenario(_spec(), until=0.02)
-            merged = merged_registry_snapshot(result)
+            ).run_scenario(spec, until=0.02)
+            return result, merged_registry_snapshot(result)
+
+    def _counts(self, faults):
+        result, merged = self._merged(faults, _spec())
         wanted = (*TestExactObsAfterReplayFromACut.READ, names.PARALLEL_WORKER_EVENTS,
                   names.PARALLEL_MAIL_BYTES)
         view = {name: merged.get_counter(name).value for name in wanted
@@ -649,6 +655,59 @@ class TestExactObsAfterReplayFromACut:
         assert sum(counts[names.PARALLEL_WORKER_EVENTS]) == sum(
             plain[names.PARALLEL_WORKER_EVENTS]
         )
+
+    #: faults applied both before and after window 40's cut (t = 0.004)
+    FAULTS_AROUND_THE_CUT = [
+        FaultEvent(0.0005, FaultKind.LINK_DOWN, (5,)),
+        FaultEvent(0.0007, FaultKind.LINK_UP, (5,)),
+        FaultEvent(0.0060, FaultKind.ROUTER_DOWN, (3,)),
+        FaultEvent(0.0065, FaultKind.ROUTER_UP, (3,)),
+        FaultEvent(0.0080, FaultKind.LINK_DOWN, (5,)),
+        FaultEvent(0.0085, FaultKind.LINK_UP, (5,)),
+    ]
+    FAULT_COUNTS = (
+        names.FAULTS_INJECTED, names.FAULTS_LINK_TRANSITIONS,
+        names.FAULTS_ROUTER_TRANSITIONS, names.FAULTS_ROUTE_INVALIDATIONS,
+    )
+
+    def _fault_counts(self, faults):
+        spec = chain_spec(
+            num_nodes=NUM_NODES, latency_s=LATENCY_S, packets=PACKETS,
+            faults=self.FAULTS_AROUND_THE_CUT,
+        )
+        result, merged = self._merged(faults, spec)
+        return result, {name: merged.get_counter(name).value for name in self.FAULT_COUNTS}
+
+    @pytest.fixture(scope="class")
+    def plain_faults(self):
+        plain = self._fault_counts([])[1]
+        assert plain == {
+            names.FAULTS_INJECTED: 6.0, names.FAULTS_LINK_TRANSITIONS: 4.0,
+            names.FAULTS_ROUTER_TRANSITIONS: 2.0, names.FAULTS_ROUTE_INVALIDATIONS: 6.0,
+        }
+        return plain
+
+    def test_a_respawn_of_the_control_shard_reads_exact_fault_counts(self, plain_faults):
+        """Shard 0 owns the control plane; killed after a cut, its respawn
+        restores the injector's counts from the cut, and ``faults.*``
+        read those counts, so the dead worker's registry is not missed."""
+        result, counts = self._fault_counts(
+            [ProcessFault(40, 0, ProcessFaultKind.SIGKILL, incarnation=0)]
+        )
+        assert (result.recovery["respawns"], result.recovery["adoptions"]) == (1, 0)
+        assert result.recovery["committed_window"] > 40
+        assert counts == plain_faults
+
+    def test_an_adoption_of_the_control_shard_reads_exact_fault_counts(self, plain_faults):
+        """Shard 0 lost again at window 70, before the last two faults:
+        shard 1 adopts LP 0 and with it the control plane, and its own
+        injector, which replayed every fault as a replica, is then read."""
+        result, counts = self._fault_counts([
+            ProcessFault(40, 0, ProcessFaultKind.SIGKILL, incarnation=0),
+            ProcessFault(70, 0, ProcessFaultKind.SIGKILL, incarnation=1),
+        ])
+        assert (result.recovery["respawns"], result.recovery["adoptions"]) == (1, 1)
+        assert counts == plain_faults
 
 
 class TestRandomLossPlans:
