@@ -158,7 +158,7 @@ class NetworkSimulator:
     #: tests/test_state_owners.py fails on an attribute in neither tuple.
     STATIC = (
         "net", "fib", "sched", "hop_processing_s", "record_transmissions", "links",
-        "_links_by_pair", "_hops", "_ports", "_hops_epoch", "_tcp_endpoints",
+        "_links_by_pair", "_end_toward", "_hops", "_ports", "_hops_epoch", "_tcp_endpoints",
         "_udp_handlers",
     )
 
@@ -179,11 +179,21 @@ class NetworkSimulator:
         #: one stateless handle per link, ``links[link_id]``
         self.links = [LinkRuntime(self.link_table, i) for i in range(len(net.links))]
         # (from, to) -> the pair's links in creation order; almost always
-        # one. Read when a hop is resolved, not per hop.
+        # one. Read when a pair joined by parallel links is resolved.
         self._links_by_pair: dict[tuple[int, int], list[LinkRuntime]] = {}
         for lr in self.links:
             self._links_by_pair.setdefault((lr.link.u, lr.link.v), []).append(lr)
             self._links_by_pair.setdefault((lr.link.v, lr.link.u), []).append(lr)
+        # _end_toward[node][next node] -> the link end a hop from node to
+        # next node leaves by, -1 for a pair joined by parallel links:
+        # what a hop-cache miss reads. Built whole here, int -> int, so
+        # the collector tracks none of these dicts.
+        self._end_toward: list[dict[int, int]] = [{} for _ in range(net.num_nodes)]
+        for (u, v), pair_links in self._links_by_pair.items():
+            lr = pair_links[0]
+            self._end_toward[u][v] = (
+                2 * lr.index + lr.direction(u) if len(pair_links) == 1 else -1
+            )
         # Hop cache: _hops[node][dst] -> the port the pair leaves by, or
         # None for an unroutable pair. Filled one pair at a time through
         # fib.next_hop, so the forwarding plane's own record — and with
@@ -419,15 +429,19 @@ class NetworkSimulator:
         next_node = self.fib.next_hop(node, dst)
         hop = None
         if next_node is not None:
-            links = self._links_by_pair.get((node, next_node))
-            assert links, "forwarding plane returned a non-adjacent hop"
-            runtime = links[0]
-            if len(links) > 1:
+            end = self._end_toward[node].get(next_node)
+            if end is None:
+                raise RuntimeError(
+                    f"forwarding plane routed node {node} to next hop {next_node}, "
+                    "which no link joins it to"
+                )
+            if end < 0:
+                links = self._links_by_pair[(node, next_node)]
                 runtime = min([lr for lr in links if not lr.failed] or links, key=_ospf_metric)
-            end = 2 * runtime.index + runtime.direction(node)
+                end = 2 * runtime.index + runtime.direction(node)
             hop = self._ports[end]
             if hop is None:
-                hop = self._ports[end] = (next_node, runtime.index, end)
+                hop = self._ports[end] = (next_node, end >> 1, end)
         self._hops[node][dst] = hop
         return hop
 

@@ -50,6 +50,9 @@ class ForwardingPlane:
         self.bgp = bgp
         for as_id, mem in members.items():
             self._ospf[as_id] = OspfRouting(net, mem)
+        # node id -> its OSPF domain: an intra-domain pair goes straight
+        # to the domain's tree
+        self._domain_of = [self._ospf[node.as_id] for node in net.nodes]
         # _resolved[dest][node] -> next node, for every pair next_hop
         # answered since the last flush; flows hammer the same pairs.
         # One dict per destination, so that recording a pair allocates
@@ -92,10 +95,11 @@ class ForwardingPlane:
         return sum(map(len, self._resolved))
 
     def _compute_next_hop(self, node: int, dest: int) -> int | None:
+        domain = self._domain_of[node]
+        if domain is self._domain_of[dest]:
+            return domain.next_hop(node, dest)
         node_as = self.net.nodes[node].as_id
         dest_as = self.net.nodes[dest].as_id
-        if node_as == dest_as:
-            return self._ospf[node_as].next_hop(node, dest)
         next_as = self._select_next_as(node_as, dest_as)
         if next_as is None:
             return None

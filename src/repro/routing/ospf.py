@@ -4,9 +4,10 @@ MaSSF routes inside an AS (and the whole network in the single-AS
 experiments) with shortest path first. Each domain keeps its member
 graph once, as a CSR matrix of link metrics (latency plus a tiny
 bandwidth tie-break so fat pipes win among equal-latency paths), and
-computes per-destination reverse shortest-path trees lazily — large
-networks only ever need trees toward actual traffic destinations and
-border routers. A tree is a next-hop *array* indexed by member row.
+computes reverse shortest-path trees lazily, a block of
+:data:`SPF_BLOCK` destinations per SPF call — large networks only ever
+need trees toward actual traffic destinations and border routers. A
+tree is a next-hop *array* indexed by member row.
 
 Tie-break rule (part of a run's identity, see
 ``tests/test_routing_ospf.py``): with ``D`` the distance to the
@@ -31,7 +32,11 @@ from ..obs import names as obs_names
 from ..obs.registry import get_registry
 from ..topology.models import Network
 
-__all__ = ["OspfRouting", "ospf_link_metric"]
+__all__ = ["OspfRouting", "SPF_BLOCK", "ospf_link_metric"]
+
+#: Member rows per SPF call: the first ask for a destination builds the
+#: trees of every member in its block of this many rows.
+SPF_BLOCK = 64
 
 
 def ospf_link_metric(latency_s: float, bandwidth_bps: float) -> float:
@@ -64,6 +69,8 @@ class _DomainGraph:
     #: rows with at least one entry, and where each one's entries start
     filled_rows: np.ndarray
     filled_start: np.ndarray
+    #: index into ``filled_rows`` of each stored entry's row
+    entry_filled: np.ndarray
     #: node id of each row
     node_of_row: np.ndarray
     #: rows of the leaves, and the metric of each one's only edge
@@ -102,7 +109,8 @@ class OspfRouting:
         self._down_nodes: set[int] = set()
         #: topology-state changes that invalidated the cached trees
         self.invalidations = 0
-        #: reverse SPTs built since construction (re-convergence signal)
+        #: reverse SPTs built since construction (re-convergence signal),
+        #: every tree of every block counted
         self.trees_built = 0
         # Observability hook points (resolved once; writes are guarded).
         reg = get_registry()
@@ -145,11 +153,13 @@ class OspfRouting:
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         filled_rows = np.flatnonzero(indptr[1:] > indptr[:-1])
+        entry_filled = np.repeat(np.arange(len(filled_rows)), np.diff(indptr)[filled_rows])
         return _DomainGraph(
             matrix=csr_array((metrics, dst.astype(np.int32), indptr), shape=(n, n)),
             entry_row=src,
             filled_rows=filled_rows,
             filled_start=indptr[filled_rows],
+            entry_filled=entry_filled,
             node_of_row=np.array(list(row), dtype=np.int32),
             leaf_rows=src[leaf_entry],
             leaf_metric=metrics[leaf_entry],
@@ -157,46 +167,56 @@ class OspfRouting:
             pair_metric=pair_metric,
         )
 
-    def _build_tree(self, dest: int) -> np.ndarray:
-        """Reverse SPT: next hop from every member toward ``dest``.
+    def _build_block(self, dest: int) -> None:
+        """Reverse SPTs toward every member of ``dest``'s block.
 
-        Links are symmetric, so distances *from* the destination are the
-        distances to it. The parent pick applies the module docstring's
-        tie-break rule to every stored entry at once.
+        A block is :data:`SPF_BLOCK` consecutive member rows; one
+        ``dijkstra`` call gives the distances from each of them (links
+        are symmetric, so distances *from* a destination are the
+        distances to it), and one pick over every stored entry of every
+        tree applies the module docstring's tie-break rule.
         """
-        root = self._row[dest]  # next_hop answers a non-member itself
         token = self._obs_seconds.start()
-        self.trees_built += 1
-        self._obs_trees.inc()
         graph = self._graph
         if graph is None:
             graph = self._graph = self._build_graph()
-        dist = dijkstra(graph.matrix, directed=True, indices=root)
+        n = len(graph.node_of_row)
+        first = self._row[dest] // SPF_BLOCK * SPF_BLOCK
+        roots = np.arange(first, min(first + SPF_BLOCK, n))
+        dist = dijkstra(graph.matrix, directed=True, indices=roots)
         # No search enters a leaf; its distance is one hop past its
         # attachment, which makes its only entry tight like any other.
         leaves = graph.leaf_rows
-        dist[leaves] = dist[graph.attach_of_row[leaves]] + graph.leaf_metric
-        dist[root] = 0.0  # a leaf root was just overwritten
-        # A (dist, node) heap finalises rows in this order, and a row's
-        # parent is the first-finalised column its entry is tight with.
-        n = len(dist)
-        order = np.argsort(dist, kind="stable")
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
+        dist[:, leaves] = dist[:, graph.attach_of_row[leaves]] + graph.leaf_metric
+        dist[np.arange(len(roots)), roots] = 0.0  # a leaf root was just overwritten
+        # A (dist, node) heap finalises rows in that order, and a row's
+        # parent is the first-finalised column its entry is tight with:
+        # the smallest distance among the tight columns, then the
+        # smallest column (node id) among those.
         cols = graph.matrix.indices
-        dist_row = dist[graph.entry_row]
-        tight = (dist[cols] + graph.matrix.data == dist_row) & (dist_row < np.inf)
-        parent_rank = np.minimum.reduceat(np.where(tight, rank[cols], n), graph.filled_start)
-        found = parent_rank < n
-        tree = np.full(n, -1, dtype=np.int32)
-        tree[graph.filled_rows[found]] = graph.node_of_row[order[parent_rank[found]]]
+        dist_col = dist[:, cols]
+        dist_row = dist[:, graph.entry_row]
+        tight = (dist_col + graph.matrix.data == dist_row) & (dist_row < np.inf)
+        nearest = np.minimum.reduceat(
+            np.where(tight, dist_col, np.inf), graph.filled_start, axis=1
+        )
+        first_tight = tight & (dist_col == nearest[:, graph.entry_filled])
+        parent = np.minimum.reduceat(
+            np.where(first_tight, cols, n), graph.filled_start, axis=1
+        )
+        node_or_none = np.append(graph.node_of_row, np.int32(-1))
+        trees = np.full((len(roots), n), -1, dtype=np.int32)
+        trees[:, graph.filled_rows] = node_or_none[parent]
         # A leaf destination is its attachment's parent over the one
         # edge the matrix does not store in that direction.
-        attach = graph.attach_of_row[root]
-        if attach >= 0:
-            tree[attach] = dest
+        attach = graph.attach_of_row[roots]
+        leaf_root = np.flatnonzero(attach >= 0)
+        trees[leaf_root, attach[leaf_root]] = graph.node_of_row[roots[leaf_root]]
+        for dest_node, tree in zip(graph.node_of_row[roots].tolist(), trees):
+            self._trees[dest_node] = tree
+        self.trees_built += len(roots)
+        self._obs_trees.inc(len(roots))
         self._obs_seconds.stop(token)
-        return tree
 
     def next_hop(self, node: int, dest: int) -> int | None:
         """Next node on the shortest path from ``node`` to ``dest``.
@@ -211,7 +231,8 @@ class OspfRouting:
         if tree is None:
             if dest not in self._row:
                 return None
-            tree = self._trees[dest] = self._build_tree(dest)
+            self._build_block(dest)
+            tree = self._trees[dest]
         row = self._row.get(node)
         if row is None:
             return None
@@ -257,7 +278,8 @@ class OspfRouting:
         return path
 
     def cached_destinations(self) -> list[int]:
-        """Destinations whose reverse SPTs have been built (cache view)."""
+        """Destinations whose reverse SPTs have been built (cache view):
+        whole blocks, in the order they were built."""
         return list(self._trees)
 
     # ------------------------------------------------------------------

@@ -8,13 +8,16 @@ innocent-looking refactor while a timing on a noisy host still reads
 datagrams between the hosts of the shared ``flat_net`` over its default
 drop-tail queues with no fault armed. The second half pins the other
 side of the cache: it must not outlive the routes it was filled from.
-The last test counts what the cache keeps: objects the garbage
-collector tracks, per resolved pair.
+The last tests count what a miss costs: objects the garbage collector
+tracks and Python-level calls, per resolved pair, and ``dijkstra`` calls
+per SPF block.
 """
 
 from __future__ import annotations
 
 import gc
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ import pytest
 from repro.engine import ShardEngine
 from repro.netsim import NetworkSimulator, Packet, Protocol, link
 from repro.routing import ForwardingPlane
+from repro.routing import ospf as ospf_module
 from repro.topology import Network, NodeKind, generate_flat_network
 
 DATAGRAMS = 400
@@ -178,3 +182,56 @@ def test_resolving_every_pair_adds_no_tracked_object_per_pair():
     # one shared port per link end, and the per-node hop dicts that hold them
     assert added <= 2 * len(net.links) + n
     assert fib.resolved_pairs == len(pairs) == 9_900
+
+
+def _guard_network():
+    """The 100-router network above, with a simulator over it."""
+    net = generate_flat_network(num_routers=100, num_hosts=0, seed=7)
+    fib = ForwardingPlane(net)
+    sim = NetworkSimulator(net, fib, ShardEngine([0] * net.num_nodes, 1, lookahead=1.0))
+    return net, fib, sim
+
+
+#: ``_resolve_hop``, ``ForwardingPlane.next_hop``, its ``_compute_next_hop``
+#: and ``OspfRouting.next_hop``: the plane lookup, the same-domain check
+#: and the tree read, and nothing per link of the pair
+CALLS_PER_RESOLVED_PAIR = 4
+
+
+def test_a_hop_miss_makes_a_fixed_number_of_python_calls():
+    net, fib, sim = _guard_network()
+    n = net.num_nodes
+    domain = fib.ospf_domain(net.nodes[0].as_id)
+    for dest in range(n):  # SPF first, as above
+        domain.next_hop((dest + 1) % n, dest)
+    pairs = [(node, dest) for node in range(n) for dest in range(n) if node != dest]
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        for node, dest in pairs:
+            sim._resolve_hop(node, dest)
+    finally:
+        sys.setprofile(None)
+    assert calls <= CALLS_PER_RESOLVED_PAIR * len(pairs)
+    assert fib.resolved_pairs == len(pairs)
+
+
+def test_spf_makes_one_dijkstra_call_per_block(monkeypatch):
+    net, fib, _ = _guard_network()
+    calls = []
+    dijkstra = ospf_module.dijkstra
+    monkeypatch.setattr(
+        ospf_module, "dijkstra", lambda *args, **kw: calls.append(1) or dijkstra(*args, **kw)
+    )
+    domain = fib.ospf_domain(net.nodes[0].as_id)
+    members = len(domain.members)
+    for dest in range(net.num_nodes):
+        for node in range(net.num_nodes):
+            domain.next_hop(node, dest)
+    assert domain.trees_built == members
+    assert len(calls) == math.ceil(members / ospf_module.SPF_BLOCK)

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.engine import ShardEngine
 from repro.netsim import (
     LOOPBACK_LATENCY_S,
@@ -212,3 +218,40 @@ class TestParallelLinks:
         assert sim.link_packets().tolist() == [1, 1]
         assert sim.counters.packets_delivered == 2
         assert sim.counters.packets_dropped_queue == 0
+
+
+#: A forwarding plane that names a node no link joins to the asking one
+#: must fail loudly, naming both, with assertions stripped too.
+NON_ADJACENT_HOP = """
+import sys
+from repro.engine import ShardEngine
+from repro.netsim import NetworkSimulator
+from repro.routing import ForwardingPlane
+from repro.topology import Network, NodeKind
+
+net = Network()
+for _ in range(3):
+    net.add_node(NodeKind.ROUTER)
+net.add_link(0, 1, 1e9, 1e-3)
+net.add_link(1, 2, 1e9, 1e-3)
+fib = ForwardingPlane(net)
+fib.next_hop = lambda node, dst: 2  # a plane bug: 0 and 2 share no link
+sim = NetworkSimulator(net, fib, ShardEngine([0] * 3, 1, lookahead=1.0))
+try:
+    sim._resolve_hop(0, 2)
+except RuntimeError as error:
+    print(sys.flags.optimize, error)
+"""
+
+
+class TestNonAdjacentHop:
+    def test_is_an_error_naming_node_and_next_hop_under_python_dash_o(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", NON_ADJACENT_HOP],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("1 ")  # assertions were stripped
+        assert "node 0 to next hop 2" in run.stdout

@@ -140,11 +140,12 @@ class TestPerWorkerSpf:
             merged = merged_registry_snapshot(result)
         built = [part["trees_built"] for part in result.collected]
         # Packets cross the chain both ways, so both workers need both
-        # trees: the work is replicated, and the merge must say so.
-        assert built == [2, 2]
+        # trees, and the first ask builds the 8-member chain's one block
+        # of trees: the work is replicated, and the merge must say so.
+        assert built == [8, 8]
         assert merged.get_counter(names.ROUTING_SPF_TREES).value == sum(built)
         timer = merged.get_timer(names.ROUTING_SPF_SECONDS)
-        assert timer.count == sum(built) and timer.total_s > 0.0
+        assert timer.count == 2 and timer.total_s > 0.0  # one block per worker
         per_worker = [
             reg.get_counter(names.ROUTING_SPF_TREES).value
             for reg in result.worker_registries.values()

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.routing import ForwardingPlane, OspfRouting, ospf_link_metric
+from repro.routing import ospf as ospf_module
 from repro.topology import Network, NodeKind, generate_flat_network
 
 
@@ -114,7 +115,7 @@ class TestPathAndDistance:
         ospf = OspfRouting(diamond_net(), [0, 1, 2, 3])
         ospf.next_hop(0, 3)
         ospf.next_hop(1, 3)
-        assert ospf.cached_destinations() == [3]
+        assert ospf.cached_destinations() == [0, 1, 2, 3]
 
 
 class TestDistanceUsesSpfMetric:
@@ -232,6 +233,20 @@ def ospf_cases(draw):
     return net, members, down_links, down_nodes
 
 
+def blocks_built(asked: list[int], members: list[int]) -> list[int]:
+    """What ``cached_destinations`` holds after asking ``asked`` in order:
+    the first ask in a block of ``SPF_BLOCK`` member rows (members in
+    node-id order) builds the whole block."""
+    rows = sorted(members)
+    block = ospf_module.SPF_BLOCK
+    built: list[int] = []
+    for dest in asked:
+        if dest not in built:
+            first = rows.index(dest) // block * block
+            built += rows[first:first + block]
+    return built
+
+
 def tables(ospf: OspfRouting, nodes: range) -> dict[int, dict[int, int]]:
     """``{dest: {node: next_hop}}`` over every member destination, asked
     for every node of the network (non-members must answer ``None``)."""
@@ -246,6 +261,44 @@ def tables(ospf: OspfRouting, nodes: range) -> dict[int, dict[int, int]]:
     return out
 
 
+def tables_equal_the_oracle(case) -> None:
+    """Healthy tables, then under the case's down links and nodes, then
+    healthy again: each equal to the heap oracle's, with the counts of
+    a fresh domain asked every member destination."""
+    net, members, down_links, down_nodes = case
+    nodes = range(net.num_nodes)
+    ospf = OspfRouting(net, members)
+    healthy = tables(ospf, nodes)
+    assert healthy == {
+        dest: heap_build_tree(net, set(members), set(), set(), dest)
+        for dest in members
+    }
+    assert ospf.trees_built == len(members)
+    assert ospf.cached_destinations() == blocks_built(members, members)
+
+    for link_id in sorted(down_links):
+        ospf.set_link_state(link_id, False)
+    for node in sorted(down_nodes):
+        ospf.set_node_state(node, False)
+    changes = len(down_links) + len(down_nodes)
+    assert ospf.invalidations == changes
+    assert ospf.cached_destinations() == ([] if changes else blocks_built(members, members))
+    ospf.set_node_state(members[0], members[0] not in down_nodes)  # no change
+    assert ospf.invalidations == changes
+    assert tables(ospf, nodes) == {
+        dest: heap_build_tree(net, set(members), down_links, down_nodes, dest)
+        for dest in members
+    }
+    assert ospf.trees_built == len(members) * (2 if changes else 1)
+
+    for link_id in sorted(down_links):
+        ospf.set_link_state(link_id, True)
+    for node in sorted(down_nodes):
+        ospf.set_node_state(node, True)
+    assert ospf.invalidations == 2 * changes
+    assert tables(ospf, nodes) == healthy
+
+
 class TestArraySpfMatchesHeapOracle:
     SETTINGS = settings(
         max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -254,38 +307,19 @@ class TestArraySpfMatchesHeapOracle:
     @SETTINGS
     @given(ospf_cases())
     def test_next_hop_tables_equal_the_oracle(self, case):
-        net, members, down_links, down_nodes = case
-        nodes = range(net.num_nodes)
-        ospf = OspfRouting(net, members)
-        healthy = tables(ospf, nodes)
-        assert healthy == {
-            dest: heap_build_tree(net, set(members), set(), set(), dest)
-            for dest in members
-        }
-        assert ospf.trees_built == len(members)
-        assert ospf.cached_destinations() == members
+        tables_equal_the_oracle(case)
 
-        for link_id in sorted(down_links):
-            ospf.set_link_state(link_id, False)
-        for node in sorted(down_nodes):
-            ospf.set_node_state(node, False)
-        changes = len(down_links) + len(down_nodes)
-        assert ospf.invalidations == changes
-        assert ospf.cached_destinations() == ([] if changes else members)
-        ospf.set_node_state(members[0], members[0] not in down_nodes)  # no change
-        assert ospf.invalidations == changes
-        assert tables(ospf, nodes) == {
-            dest: heap_build_tree(net, set(members), down_links, down_nodes, dest)
-            for dest in members
-        }
-        assert ospf.trees_built == len(members) * (2 if changes else 1)
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_tables_equal_the_oracle_in_blocks_of(self, block):
+        # trees built one, three and sixty-four to an SPF call
+        @self.SETTINGS
+        @given(ospf_cases())
+        def check(case):
+            tables_equal_the_oracle(case)
 
-        for link_id in sorted(down_links):
-            ospf.set_link_state(link_id, True)
-        for node in sorted(down_nodes):
-            ospf.set_node_state(node, True)
-        assert ospf.invalidations == 2 * changes
-        assert tables(ospf, nodes) == healthy
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(ospf_module, "SPF_BLOCK", block)
+            check()
 
     @SETTINGS
     @given(ospf_cases())
@@ -344,4 +378,19 @@ class TestTieBreakGuard:
         for node, dest in rng.integers(0, n, size=(2000, 2)).tolist():
             fib.next_hop(node, dest)
         assert fib.digest() == self.WALK_DIGEST
-        assert fib.route_recompute_stats() == {"invalidations": 0, "trees_built": 661}
+        assert fib.route_recompute_stats() == {"invalidations": 0, "trees_built": 700}
+
+    def test_all_700_tables_unchanged_in_blocks_of_three(self, monkeypatch):
+        # 234 SPF calls whose blocks cut across hosts and routers alike,
+        # the last one a single row
+        monkeypatch.setattr(ospf_module, "SPF_BLOCK", 3)
+        net = generate_flat_network(400, 300, seed=0)
+        n = net.num_nodes
+        ospf = OspfRouting(net, list(range(n)))
+        h = hashlib.sha256()
+        for dest in range(n):
+            for node in range(n):
+                hop = ospf.next_hop(node, dest)
+                h.update(f"{node},{dest}->{-1 if hop is None else hop};".encode())
+        assert h.hexdigest() == self.ALL_TABLES_SHA256
+        assert ospf.trees_built == n
