@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..partition.graph import WeightedGraph, component_labels, sum_by_index
+from ..partition.graph import Components, WeightedGraph, component_labels, sum_by_index
 from ..partition.kway import partition_kway
 from .evaluate import PartitionEvaluation, evaluate_partition
 
@@ -148,10 +148,17 @@ def hierarchical_partition(
     ``1e-4`` give ``0.0010000000000000002``, so an edge of exactly 1 ms is
     already collapsed at the "1.0 ms" candidate. Computing multiples would
     move ``tmll_s`` of recorded results (``benchmarks/e2e/expected.json``),
-    so it is left to the change that re-records them (ROADMAP, sweep
-    stage (b)). A candidate is partitioned only at steps where the dumped
+    so it is left to the change that re-records them (ROADMAP item
+    6(ii)). A candidate is partitioned only at steps where the dumped
     graph differs from the previous step's; see docs/performance.md,
     "Mapping: the ``Tmll`` sweep".
+
+    The dumped graph only gains edges as ``Tmll`` rises, so its clusters
+    grow in one :class:`~repro.partition.graph.Components` over the edges
+    sorted by latency: each step unions only the edges that newly fall
+    below ``Tmll``, and the clusters are labelled only at steps where
+    their count falls. See docs/performance.md, "Fourth pass: components
+    in one pass".
 
     A candidate's ``E = Es * Ec`` is at most its balance cap, ``C_avg``
     over the weight of its heaviest collapsed cluster, since the part
@@ -178,9 +185,12 @@ def hierarchical_partition(
         raise TypeError(f"seed must be an integer, not {type(seed).__name__}")
 
     edge_u, edge_v, _, latencies = graph.edge_list()
+    # Sorted once: the edges below a threshold are a prefix of this order.
+    order = np.argsort(latencies, kind="stable")
+    edge_u, edge_v, latencies = edge_u[order], edge_v[order], latencies[order]
     finite = latencies[np.isfinite(latencies)]
     if tmll_max_s is None:
-        tmll_max_s = float(finite.max()) if finite.size else 0.0
+        tmll_max_s = float(finite[-1]) if finite.size else 0.0
     mean_part_weight = float(graph.vwgt.sum()) / num_parts
 
     sweep: list[SweepRecord] = []
@@ -197,10 +207,9 @@ def hierarchical_partition(
         contraction = graph.contract(labels)
         return contraction.project(partition(contraction.coarse))
 
-    def evaluate_below(tmll: float) -> PartitionEvaluation:
+    def evaluate_below(below: int) -> PartitionEvaluation:
         """A capped candidate, dumped and partitioned again on first read."""
-        dumped = latencies < tmll
-        labels = component_labels(graph.num_vertices, edge_u[dumped], edge_v[dumped])
+        labels = component_labels(graph.num_vertices, edge_u[:below], edge_v[:below])
         return evaluate_partition(graph, partition_collapsed(labels), num_parts, sync_cost_s)
 
     def consider(tmll: float, assignment: np.ndarray, coarse_vertices: int) -> None:
@@ -220,30 +229,34 @@ def hierarchical_partition(
     tmll = start
     # The dumped graph changes only where the set of sub-threshold edges
     # grows, and then only if the new edges join two clusters: the other
-    # steps pass without collapsing anything.
-    prev_below = prev_coarse_vertices = -1
+    # steps pass without collapsing anything. The clusters grow in one
+    # union-find, each edge joined once, and are labelled only when their
+    # count falls.
+    clusters = Components(graph.num_vertices)
+    prev_below = 0
+    prev_coarse_vertices = -1
     while tmll <= tmll_max_s + 1e-12:
-        dumped = latencies < tmll
-        below = int(np.count_nonzero(dumped))
+        below = int(np.searchsorted(latencies, tmll))  # edges with latency < tmll
         if below != prev_below:
+            clusters.union(edge_u[prev_below:below], edge_v[prev_below:below])
             prev_below = below
-            labels = component_labels(graph.num_vertices, edge_u[dumped], edge_v[dumped])
-            coarse_vertices = int(labels.max()) + 1 if labels.size else 0
-            if coarse_vertices < min_coarse_factor * num_parts:
-                break  # not enough parallelism left
-            if coarse_vertices != prev_coarse_vertices:
-                prev_coarse_vertices = coarse_vertices
-                # Ec <= C_avg / w(heaviest cluster): the part holding that
-                # cluster weighs at least as much, and Es <= 1.
-                heaviest = sum_by_index(labels, graph.vwgt, coarse_vertices).max()
-                cap = mean_part_weight / heaviest if heaviest > 0 else np.inf
-                assert best_eval is not None
-                if cap * (1 + CAP_MARGIN) > best_eval.efficiency:
-                    consider(tmll, partition_collapsed(labels), coarse_vertices)
-                else:
-                    sweep.append(
-                        SweepRecord(tmll, coarse_vertices, deferred=partial(evaluate_below, tmll))
-                    )
+        coarse_vertices = clusters.count
+        if coarse_vertices < min_coarse_factor * num_parts:
+            break  # not enough parallelism left
+        if coarse_vertices != prev_coarse_vertices:
+            prev_coarse_vertices = coarse_vertices
+            labels = clusters.labels()
+            # Ec <= C_avg / w(heaviest cluster): the part holding that
+            # cluster weighs at least as much, and Es <= 1.
+            heaviest = sum_by_index(labels, graph.vwgt, coarse_vertices).max()
+            cap = mean_part_weight / heaviest if heaviest > 0 else np.inf
+            assert best_eval is not None
+            if cap * (1 + CAP_MARGIN) > best_eval.efficiency:
+                consider(tmll, partition_collapsed(labels), coarse_vertices)
+            else:
+                sweep.append(
+                    SweepRecord(tmll, coarse_vertices, deferred=partial(evaluate_below, below))
+                )
         tmll += tmll_step_s
 
     assert best_assignment is not None and best_eval is not None

@@ -158,7 +158,7 @@ class NetworkSimulator:
     #: tests/test_state_owners.py fails on an attribute in neither tuple.
     STATIC = (
         "net", "fib", "sched", "hop_processing_s", "record_transmissions", "links",
-        "_links_by_pair", "_end_toward", "_hops", "_ports", "_hops_epoch", "_tcp_endpoints",
+        "_parallel_links", "_end_toward", "_hops", "_ports", "_hops_epoch", "_tcp_endpoints",
         "_udp_handlers",
     )
 
@@ -179,17 +179,19 @@ class NetworkSimulator:
         #: one stateless handle per link, ``links[link_id]``
         self.links = [LinkRuntime(self.link_table, i) for i in range(len(net.links))]
         # (from, to) -> the pair's links in creation order; almost always
-        # one. Read when a pair joined by parallel links is resolved.
-        self._links_by_pair: dict[tuple[int, int], list[LinkRuntime]] = {}
+        # one, so only the pairs joined by parallel links are kept, in
+        # _parallel_links, read when such a pair is resolved.
+        by_pair: dict[tuple[int, int], list[LinkRuntime]] = {}
         for lr in self.links:
-            self._links_by_pair.setdefault((lr.link.u, lr.link.v), []).append(lr)
-            self._links_by_pair.setdefault((lr.link.v, lr.link.u), []).append(lr)
+            by_pair.setdefault((lr.link.u, lr.link.v), []).append(lr)
+            by_pair.setdefault((lr.link.v, lr.link.u), []).append(lr)
+        self._parallel_links = {pair: lrs for pair, lrs in by_pair.items() if len(lrs) > 1}
         # _end_toward[node][next node] -> the link end a hop from node to
         # next node leaves by, -1 for a pair joined by parallel links:
         # what a hop-cache miss reads. Built whole here, int -> int, so
         # the collector tracks none of these dicts.
         self._end_toward: list[dict[int, int]] = [{} for _ in range(net.num_nodes)]
-        for (u, v), pair_links in self._links_by_pair.items():
+        for (u, v), pair_links in by_pair.items():
             lr = pair_links[0]
             self._end_toward[u][v] = (
                 2 * lr.index + lr.direction(u) if len(pair_links) == 1 else -1
@@ -436,7 +438,7 @@ class NetworkSimulator:
                     "which no link joins it to"
                 )
             if end < 0:
-                links = self._links_by_pair[(node, next_node)]
+                links = self._parallel_links[(node, next_node)]
                 runtime = min([lr for lr in links if not lr.failed] or links, key=_ospf_metric)
                 end = 2 * runtime.index + runtime.direction(node)
             hop = self._ports[end]

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.sparse import coo_array
-from scipy.sparse.csgraph import connected_components
 
 __all__ = ["WeightedGraph", "GraphContraction"]
 
@@ -84,19 +82,63 @@ def _merged_csr(
     return src[order], dst[order], ew[order], el[order]
 
 
+class Components:
+    """Connected components of ``n`` vertices, grown edge by edge (union-find).
+
+    Every root is its component's smallest vertex: a union hangs the
+    larger root under the smaller, and path halving only shortens paths.
+    Ranking the roots therefore numbers the components in the order of
+    their smallest members, the order :func:`component_labels` promises,
+    whatever order the edges came in. ``count`` is the number of
+    components so far.
+    """
+
+    __slots__ = ("_parent", "count")
+
+    def __init__(self, n: int) -> None:
+        self._parent = list(range(n))
+        self.count = n
+
+    def union(self, u: np.ndarray, v: np.ndarray) -> None:
+        """Join the endpoints of every edge ``u[i]-v[i]``."""
+        parent = self._parent
+        merged = 0
+        for a, b in zip(u.tolist(), v.tolist()):
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                if a < b:
+                    parent[b] = a
+                else:
+                    parent[a] = b
+                merged += 1
+        self.count -= merged
+
+    def labels(self) -> np.ndarray:
+        """``labels[x]`` is the rank of ``x``'s root among the roots."""
+        parent = np.array(self._parent, dtype=np.int64)
+        while True:  # pointer jumping: each pass halves every path
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+        is_root = parent == np.arange(parent.shape[0])
+        return (np.cumsum(is_root, dtype=np.int64) - 1)[parent]
+
+
 def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Connected components of ``n`` vertices under the edges ``u[i]-v[i]``.
 
     Component ids ascend with each component's smallest vertex. Coarse
     vertex numbering, hence every partition of a collapsed graph, depends
-    on that order, so it is imposed here, not inherited from the search.
+    on that order, so it is imposed here (see :class:`Components`), not
+    inherited from a search.
     """
-    adjacency = coo_array((np.ones(u.shape[0], dtype=np.int8), (u, v)), shape=(n, n))
-    count, found = connected_components(adjacency, directed=False)
-    _, first_member = np.unique(found, return_index=True)
-    rank = np.empty(count, dtype=np.int64)
-    rank[np.argsort(first_member)] = np.arange(count, dtype=np.int64)
-    return rank[found]
+    components = Components(n)
+    components.union(u, v)
+    return components.labels()
 
 
 @dataclass(frozen=True)

@@ -588,7 +588,19 @@ class OracleForwardingPlane(ForwardingPlane):
 
 
 class OracleResolvingSimulator(NetworkSimulator):
-    """``NetworkSimulator`` resolving each pair to a tuple of its own."""
+    """``NetworkSimulator`` resolving each pair to a tuple of its own.
+
+    The ``(from, to) -> links`` table it looks every pair up in, the
+    simulator's at commit 6c304f0, is rebuilt here from ``net.links``: the
+    simulator now keeps only the pairs joined by parallel links.
+    """
+
+    def __init__(self, net, fib, scheduler, **kwargs: Any) -> None:
+        super().__init__(net, fib, scheduler, **kwargs)
+        self._links_by_pair: dict[tuple[int, int], list] = {}
+        for link, runtime in zip(net.links, self.links):
+            self._links_by_pair.setdefault((link.u, link.v), []).append(runtime)
+            self._links_by_pair.setdefault((link.v, link.u), []).append(runtime)
 
     def _resolve_hop(self, node: int, dst: int) -> tuple[int, int, int] | None:
         """Ask the forwarding plane for one ``(node, dst)`` and keep the answer.

@@ -17,7 +17,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _partition_oracle as oracle
@@ -33,7 +33,7 @@ from repro.partition import (
     kway_refine,
     partition_kway,
 )
-from repro.partition.graph import component_labels
+from repro.partition.graph import Components, component_labels
 from repro.partition.initial import _initial_gains
 from repro.partition.refine import _external_internal
 
@@ -43,12 +43,15 @@ CSR = ("xadj", "adjncy", "adjwgt", "adjlat", "vwgt")
 EDGE_WEIGHTS = (0.0, 0.1, 0.2, 0.3, 1.0, 1.0, 1 / 3, 7.0)
 VERTEX_WEIGHTS = (0.0, 0.7, 1.0, 1.0, 1.0, 3.0)
 LATENCIES = (0.05e-3, 0.1e-3, 0.25e-3, 1.0e-3, 2.0e-3)
+#: ... and ``inf`` ("unknown"), which no threshold collapses, in every
+#: graph drawn with more than one latency class.
+WITH_INF = LATENCIES[:1] + (np.inf,) + LATENCIES[1:]
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 COMPARE = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def edge_sets(draw, min_vertices: int = 1, max_vertices: int = 36):
+def edge_sets(draw, min_vertices: int = 1, max_vertices: int = 36, latencies=LATENCIES):
     """``(n, u, v, weight, latency, vertex_weight)`` before any merging."""
     n = draw(st.integers(min_vertices, max_vertices))
     rng = np.random.default_rng(draw(SEEDS))
@@ -67,7 +70,7 @@ def edge_sets(draw, min_vertices: int = 1, max_vertices: int = 36):
         dup = rng.integers(0, u.size, max(1, u.size // 4))  # parallel edges
         u, v = np.concatenate([u, v[dup]]), np.concatenate([v, u[dup]])
     w = rng.choice(EDGE_WEIGHTS, u.size)
-    lat = rng.choice(LATENCIES[: draw(st.integers(1, len(LATENCIES)))], u.size)
+    lat = rng.choice(latencies[: draw(st.integers(1, len(latencies)))], u.size)
     return n, u, v, w, lat, vw
 
 
@@ -85,6 +88,26 @@ def assert_same_graph(new: WeightedGraph, old: WeightedGraph) -> None:
 
 def same_arrays(new: np.ndarray, old: np.ndarray) -> bool:
     return new.dtype == old.dtype and np.array_equal(new, old)
+
+
+def grown_labels(g: WeightedGraph):
+    """``(threshold, labels)`` at every threshold prefix, grown as the sweep grows them.
+
+    The edges are sorted by latency once and joined in one
+    :class:`Components`, a few at a time, so that a tie may fall on
+    either side of a chunk boundary; labels are taken whenever the
+    prefix below the next distinct latency (or ``inf``) is complete.
+    """
+    u, v, _, lat = g.edge_list()
+    order = np.argsort(lat, kind="stable")
+    u, v, lat = u[order], v[order], lat[order]
+    components, done = Components(g.num_vertices), 0
+    for threshold in np.unique(np.append(lat, np.inf)).tolist():
+        below = int(np.searchsorted(lat, threshold))
+        for part in np.array_split(np.arange(done, below), 3):
+            components.union(u[part], v[part])
+        done = below
+        yield threshold, components.labels()
 
 
 def rng_pair(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -109,9 +132,14 @@ class TestGraph:
         assert_same_graph(WeightedGraph(*edges), oracle.build_graph(*edges))
 
     @COMPARE
-    @given(graphs())
+    @given(graphs(latencies=WITH_INF))
     def test_component_numbering_is_the_depth_first_one(self, g):
         assert same_arrays(g.connected_components(), oracle.connected_components(g))
+        u, v, _, lat = g.edge_list()
+        for threshold, labels in grown_labels(g):
+            below = lat < threshold
+            sub = oracle.build_graph(g.num_vertices, u[below], v[below])
+            assert same_arrays(labels, oracle.connected_components(sub)), threshold
 
     @COMPARE
     @given(graphs(), SEEDS)
@@ -126,7 +154,11 @@ class TestGraph:
         assert same_arrays(new.labels, old_labels)
 
     @COMPARE
-    @given(graphs(), st.sampled_from(LATENCIES), st.sampled_from((0.0, 1e-9, -1e-9)))
+    @given(
+        graphs(latencies=WITH_INF),
+        st.sampled_from(WITH_INF),
+        st.sampled_from((0.0, 1e-9, -1e-9)),
+    )
     def test_collapse_below_latency(self, g, latency, nudge):
         u, v, _, lat = g.edge_list()
         below = lat < latency + nudge
@@ -134,6 +166,10 @@ class TestGraph:
         coarse, labels = oracle.collapse_below_latency(g, latency + nudge)
         assert_same_graph(new.coarse, coarse)
         assert same_arrays(new.labels, labels)
+        # The sweep's way: the clusters of every smaller threshold, grown.
+        grown = next(grown for t, grown in grown_labels(g) if t >= latency + nudge)
+        assert same_arrays(grown, labels)
+        assert_same_graph(g.contract(grown).coarse, coarse)
 
     @COMPARE
     @given(graphs(), SEEDS)
@@ -327,13 +363,18 @@ class TestSweep:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        graphs(min_vertices=6, max_vertices=48),
+        graphs(min_vertices=6, max_vertices=48, latencies=WITH_INF),
         st.integers(0, 7),
         st.integers(2, 3),
         st.sampled_from((0.02e-3, 0.12e-3)),
         st.sampled_from((0.1e-3, 0.05e-3, 0.3e-3)),
         st.sampled_from((None, 1.2e-3)),
         st.sampled_from((2.0, 1.0)),
+    )
+    @example(  # its last two records are deferred at every seed; the 1 ms edge collapses
+        WeightedGraph(6, [0, 3, 4, 1], [2, 4, 5, 3], None, [0.1e-3, 1e-3, 0.1e-3, np.inf],
+                      [1.0, 1.0, 1.0, 1.0, 1.0, 3.0]),
+        0, 3, 0.02e-3, 0.05e-3, None, 1.0,
     )
     def test_hierarchical_partition(self, g, seed, num_parts, sync, step, tmll_max, factor):
         handed: list[WeightedGraph] = []
@@ -346,6 +387,7 @@ class TestSweep:
         new = hierarchical_partition(
             g, num_parts, sync, seed, step, tmll_max, factor, partitioner=recording
         )
+        eager = len(handed)  # the records after these were deferred
         assignment, tmll, evaluation, sweep, candidates = oracle.hierarchical_partition(
             g, num_parts, sync, seed, step, tmll_max, factor
         )
@@ -360,3 +402,10 @@ class TestSweep:
         assert len(handed) == len(candidates) == len(sweep)
         for graph, (old_graph, _) in zip(handed, candidates):
             assert_same_graph(graph, old_graph)
+        # A deferred record, read, scores what partitioning its dumped
+        # graph on the spot scores.
+        for record in new.sweep[eager:]:
+            contraction = g.contract(oracle.collapse_below_latency(g, record.tmll_s)[1])
+            part = partition_kway(contraction.coarse, num_parts, seed=seed).assignment
+            on_the_spot = evaluate_partition(g, contraction.project(part), num_parts, sync)
+            assert evaluation_key(record.evaluation) == evaluation_key(on_the_spot)

@@ -8,7 +8,9 @@ sweep of the shared ``flat_net`` for 4 engines, stepped at 0.01 ms so
 that, as on the benchmark's larger network, most steps change nothing.
 The sweep also hands the partitioner no candidate whose balance cap
 cannot beat the best ``E`` before it; such a record partitions once,
-when it is first read.
+when it is first read. Its clusters grow in one union-find: no edge is
+joined twice, no step labels the whole dumped graph afresh, and the
+clusters are labelled only at steps where their count falls.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Approach, MappingPipeline, build_weighted_graph, hierarchical_partition
+from repro.core import hierarchical
 from repro.partition import WeightedGraph, initial, kway, partition_kway, refine
+from repro.partition import graph as graph_module
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +33,8 @@ def _counted_sweep(flat_net, monkeypatch):
     graph = build_weighted_graph(flat_net, Approach.HTOP, None, None)
     counts = {"collapses": 0, "bisections": 0, "gain_vectors": 0, "degree_scans": 0}
     counts |= {"grows": 0, "constructions": 0}
+    counts |= {"unions": 0, "labellings": 0, "whole_graph_labellings": 0}
+    joined_edges: list[tuple[int, int]] = []
     scans_per_balance_call: list[int] = []
     constructions_per_extraction: list[int] = []
     grows_and_seeds_per_bisection: list[tuple[int, int, int]] = []  # grows, draws, distinct
@@ -95,12 +101,33 @@ def _counted_sweep(flat_net, monkeypatch):
     gains = getattr(initial, "_initial_gains", None)  # absent: that guard fails, not all three
     monkeypatch.setattr(initial, "_initial_gains", counting("gain_vectors", gains), raising=False)
 
+    components = getattr(graph_module, "Components", None)  # absent: its guards fail
+    if components is not None:
+        union = components.union
+
+        def union_noting_edges(self, u, v):
+            counts["unions"] += 1
+            joined_edges.extend(zip(u.tolist(), v.tolist()))
+            return union(self, u, v)
+
+        monkeypatch.setattr(components, "union", union_noting_edges)
+        monkeypatch.setattr(components, "labels", counting("labellings", components.labels))
+    for module in (graph_module, hierarchical):  # a labelling from scratch, however reached
+        labelling = counting("whole_graph_labellings", module.component_labels)
+        monkeypatch.setattr(module, "component_labels", labelling)
+    monkeypatch.setattr(
+        WeightedGraph,
+        "connected_components",
+        counting("whole_graph_labellings", WeightedGraph.connected_components),
+    )
+
     pipeline = MappingPipeline.for_network(flat_net, num_engines=4)
     result = hierarchical_partition(graph, 4, pipeline.sync_cost_s, seed=0, tmll_step_s=0.01e-3)
     per_call = {
         "balance_scans": scans_per_balance_call,
         "extract_constructions": constructions_per_extraction,
         "bisection_grows_and_seeds": grows_and_seeds_per_bisection,
+        "joined_edges": joined_edges,
     }
     return result, counts, per_call
 
@@ -110,6 +137,26 @@ def test_one_collapsed_graph_per_candidate(counted_sweep):
     steps = (result.sweep[-1].tmll_s - result.sweep[1].tmll_s) / 0.01e-3
     assert steps > len(result.sweep) + 10  # or collapsing at every step would pass too
     assert 0 < counts["collapses"] <= len(result.sweep) + 1
+
+
+def test_each_sub_threshold_edge_is_joined_once(counted_sweep):
+    joined = counted_sweep[2]["joined_edges"]
+    assert joined, "the sweep no longer grows its clusters edge by edge"
+    assert len(set(joined)) == len(joined)
+
+
+def test_clusters_are_labelled_once_per_component_count(counted_sweep):
+    result, counts, _ = counted_sweep
+    # Steps that add edges outnumber the counts they reach (or labelling
+    # at every such step would pass too) ...
+    assert counts["unions"] > len(result.sweep) - 1
+    # ... and each count the sweep records was labelled once.
+    assert counts["labellings"] == len(result.sweep) - 1
+
+
+def test_no_whole_graph_labelling_during_the_sweep(counted_sweep):
+    _, counts, _ = counted_sweep
+    assert counts["whole_graph_labellings"] == 0
 
 
 def test_balance_partition_does_not_rescan_the_graph_per_move(counted_sweep):
