@@ -6,7 +6,7 @@ the six ``FIGURE_APPROACHES`` (Figures 7/11 add TOP and PROF).
 Scale is selected with ``REPRO_SCALE`` (default ``small``).
 
 Pass ``--obs-out DIR`` to record every cached experiment's observability
-snapshot (per-node/per-link counters, gauges, histograms, timers) as
+snapshot (counters and per-node/per-link/per-LP vectors) as
 ``DIR/<network>_<app>_seed<seed>_<scale>.json`` — the PROF/HPROF input
 of each benchmark run, captured live (see docs/observability.md).
 """

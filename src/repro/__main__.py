@@ -125,7 +125,6 @@ def _cmd_experiment_mp(args, scale) -> int:
     from .experiments.parallel import run_executed_workload
     from .experiments.runner import MappingPipeline, build_network, cluster_for_scale
     from .obs import blame
-    from .obs import names as obs_names
     from .obs.distributed import merged_snapshot_document
     from .obs.registry import observed_run
     from .obs.trace import get_tracer, traced_run
@@ -224,11 +223,7 @@ def _cmd_experiment_mp(args, scale) -> int:
         print(blame.format_blame_table(blame.analyze(
             run.result.window_stats, run.merged_trace, num_units=run.procs
         )))
-        wait = run.merged_registry.histograms().get(obs_names.PARALLEL_BARRIER_WAIT)
-        if wait is not None and wait.count:
-            print(f"barrier wait per window: p50 {wait.quantile(0.5) * 1e3:.4f} ms, "
-                  f"p95 {wait.quantile(0.95) * 1e3:.4f} ms, "
-                  f"p99 {wait.quantile(0.99) * 1e3:.4f} ms")
+        _print_wait_percentiles([m.barrier_wait_s * 1e3 for m in run.merged_trace.measured])
         if run.calibration and run.calibration["worst_window"] is not None:
             worst = run.calibration["worst_window"]
             print(f"calibration: measured/predicted wall ratio "
@@ -238,6 +233,16 @@ def _cmd_experiment_mp(args, scale) -> int:
                   f"predicted {worst['predicted_s'] * 1e3:.3f} ms)")
         print(f"\nmerged observability snapshot written to {out}")
     return 0
+
+
+def _print_wait_percentiles(wait_ms) -> None:
+    """The barrier-wait line: exact percentiles of the waits, in ms."""
+    import numpy as np
+
+    if len(wait_ms):
+        p50, p95, p99 = np.percentile(wait_ms, (50, 95, 99))
+        print(f"barrier wait per window: p50 {p50:.4f} ms, p95 {p95:.4f} ms, "
+              f"p99 {p99:.4f} ms")
 
 
 def cmd_figures(args) -> int:
@@ -310,7 +315,6 @@ def _cmd_trace_timeline(args) -> int:
     from .experiments.report import format_whatif_table
     from .experiments.runner import cluster_for_scale, evaluate_mappings
     from .obs import blame
-    from .obs.registry import Registry
     from .obs.trace_export import write_chrome_trace
     from .routing.fib import ForwardingPlane
 
@@ -351,20 +355,7 @@ def _cmd_trace_timeline(args) -> int:
           f"(critical compute {report.critical_s * 1e3:.3f} ms + "
           f"sync {prediction.sync_s * 1e3:.3f} ms); "
           f"aggregate LP idle at barriers {report.total_wait_s * 1e3:.3f} ms")
-    if report.num_windows:
-        # Barrier-wait distribution through the histogram instrument so
-        # the p-line exercises the same quantile path a scrape would.
-        wait_ms = report.window_wait_s * 1e3
-        top = max(float(wait_ms.max()), 1e-9)
-        hist = Registry(enabled=True).histogram(
-            "timeline.window_wait_ms",
-            tuple(top * k / 16.0 for k in range(1, 17)),
-        )
-        for w in wait_ms:
-            hist.observe(float(w))
-        print(f"barrier wait per window: p50 {hist.quantile(0.5):.4f} ms, "
-              f"p95 {hist.quantile(0.95):.4f} ms, "
-              f"p99 {hist.quantile(0.99):.4f} ms")
+    _print_wait_percentiles(report.window_wait_s * 1e3)
     print()
     print(blame.format_blame_table(report))
     print(f"critical path: {len(report.critical_path)} windows, "

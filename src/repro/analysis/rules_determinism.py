@@ -113,10 +113,9 @@ def check_wall_clock(ctx: ModuleContext) -> Iterator[tuple[ast.AST, str]]:
 
     Simulated components must only observe *simulated* time
     (``sim.now``); a wall-clock read makes event outcomes depend on host
-    speed and destroys repeatability. Measurement goes through the
-    observability layer (``repro.obs.timers.SpanTimer`` / ``Stopwatch``),
-    the one package allowed to read the clock, so timing stays behind the
-    registry's enable gate and out of simulated behaviour.
+    speed and destroys repeatability. Measurement goes through
+    ``repro.obs.timers.Stopwatch``, from the one package allowed to read
+    the clock, so timing stays out of simulated behaviour.
     """
     if _OBS_PACKAGE in ctx.rel_path:
         return
@@ -130,5 +129,5 @@ def check_wall_clock(ctx: ModuleContext) -> Iterator[tuple[ast.AST, str]]:
             yield node, (
                 f"wall-clock read `{dotted}()` outside repro.obs; simulated "
                 "code reads `sim.now`, measurement uses "
-                "`repro.obs.timers.SpanTimer` or `Stopwatch`"
+                "`repro.obs.timers.Stopwatch`"
             )

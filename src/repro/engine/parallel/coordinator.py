@@ -29,7 +29,6 @@ from ...obs.trace import TraceBuffer, get_tracer
 from ..recovery import CheckpointStore, RecoveryExhaustedError, is_checkpoint_window
 from ..windows import WindowStats, iter_windows, positive_lookahead
 from .shard import (
-    WINDOW_EVENTS_BOUNDS,
     ScenarioSpec,
     WorkerCrashError,
     _expect,
@@ -48,13 +47,8 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Controller-side instruments
+# Controller-side reads
 # ----------------------------------------------------------------------
-#: bucket bounds of the blame-concentration histogram — shared between
-#: eager registration and per-migration recording (histograms only
-#: merge across identical bounds)
-_CONCENTRATION_BOUNDS = (0.25, 0.5, 0.75, 0.9, 1.0)
-
 #: The counts the controller keeps, read off a run (a backend's
 #: ``last_run``): the window rows every shard's ``window`` message adds
 #: to (workers never fill ``window_stats``) and, with their configs, the
@@ -77,26 +71,6 @@ _RECOVERY_READS: dict[str, Callable[["Coordinator"], Any]] = {
     obs_names.RECOVERY_REPLAYED: lambda run: run.stats["windows_replayed"],
     obs_names.RECOVERY_ADOPTIONS: lambda run: run.stats["adoptions"],
 }
-
-
-def _record_migration_obs(decision, state_bytes: int) -> None:
-    """Controller-side rebalance instruments + trace record (obs-gated)."""
-    reg = get_registry()
-    if not reg.enabled:
-        return
-    reg.counter(obs_names.REBALANCE_STATE_BYTES).inc(float(state_bytes))
-    reg.histogram(
-        obs_names.REBALANCE_CONCENTRATION, _CONCENTRATION_BOUNDS
-    ).observe(float(decision.concentration))
-    get_tracer().migration(
-        decision.window_index,
-        decision.lp,
-        decision.src_shard,
-        decision.dst_shard,
-        decision.concentration,
-        decision.predicted_gain_s,
-        state_bytes,
-    )
 
 
 def _build_rebalancer(config, shards, num_lps, spec, until):
@@ -398,7 +372,11 @@ class Coordinator:
             install = outgoing if shard_id == dst else {}
             self.send(shard_id, ("install", w, install))
         self.migrations.append(decision)
-        _record_migration_obs(decision, sum(len(b) for b in outgoing.values()))
+        get_tracer().migration(
+            decision.window_index, decision.lp, decision.src_shard, decision.dst_shard,
+            decision.concentration, decision.predicted_gain_s,
+            sum(len(b) for b in outgoing.values()),
+        )
 
     def commit_checkpoint(self, w: int) -> None:
         """Transactional commit of window ``w``'s checkpoint round.
@@ -427,9 +405,8 @@ class Coordinator:
             self.seen[shard_id] = 0
 
     def record_window(self, w: int) -> None:
-        """Close window ``w``: its rows are final, its event total observed."""
+        """Close window ``w``: its rows are final."""
         self.recorded = w + 1
-        self.backend._obs_window_hist.observe(float(self.events[w].sum()))
 
     def collect_results(self) -> list[dict]:
         """Receive ``done`` from every live shard; one result per shard."""
@@ -632,20 +609,15 @@ class ParallelConservativeEngine:
         self.rebalance = rebalance
         self.recovery = recovery
 
-        # Controller-side instruments; per-worker ones arrive by snapshot
+        # Controller-side reads; per-worker ones arrive by snapshot
         # merging (repro.obs.distributed), or in process directly.
         #: the run the registry reads: the last ``run_scenario``'s, or
         #: before it a run of no windows
         self.last_run = Coordinator(self, None, None, 0.0)
         reg = get_registry()
-        self._obs_window_hist = reg.histogram(
-            obs_names.ENGINE_WINDOW_EVENTS_HIST, WINDOW_EVENTS_BOUNDS
-        )
         reads = dict(_RUN_READS)
         if rebalance is not None:
             reads.update(_REBALANCE_READS)
-            reg.counter(obs_names.REBALANCE_STATE_BYTES)
-            reg.histogram(obs_names.REBALANCE_CONCENTRATION, _CONCENTRATION_BOUNDS)
         if recovery is not None:
             reads.update(_RECOVERY_READS)
         for name, count in reads.items():

@@ -71,12 +71,6 @@ class UnregisteredHandlerError(ParallelBackendError):
     """A cross-shard event's handler has no registered wire name."""
 
 
-#: Bucket bounds of the per-worker barrier-wait histogram (seconds).
-_BARRIER_WAIT_BOUNDS = (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)
-#: Bucket bounds of the events-per-window histogram (events).
-WINDOW_EVENTS_BOUNDS = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5)
-
-
 # ----------------------------------------------------------------------
 # Scenario contract
 # ----------------------------------------------------------------------
@@ -306,17 +300,6 @@ class ShardEngine:
         reg.read(obs_names.PARALLEL_WORKER_EVENTS, lambda: np.bincount(
             [self.shard_id], [self.events_executed], minlength=self.num_shards))
         reg.read(obs_names.PARALLEL_MAIL_BYTES, lambda: self.mail_bytes)
-        self._obs_window_hist = reg.histogram(
-            obs_names.ENGINE_WINDOW_EVENTS_HIST, WINDOW_EVENTS_BOUNDS
-        )
-        self._obs_barrier = reg.timer(obs_names.ENGINE_BARRIER_WAIT)
-        self._obs_barrier_hist = reg.histogram(
-            obs_names.PARALLEL_BARRIER_WAIT, _BARRIER_WAIT_BOUNDS
-        )
-        self._obs_window_execute = reg.timer(obs_names.PARALLEL_WINDOW_EXECUTE)
-        self._obs_mail_encode = reg.timer(obs_names.PARALLEL_MAIL_ENCODE)
-        self._obs_mail_decode = reg.timer(obs_names.PARALLEL_MAIL_DECODE)
-        self._obs_checkpoint = reg.timer(obs_names.PARALLEL_CHECKPOINT)
         self._trace = get_tracer()
 
     # -- scheduler protocol -------------------------------------------
@@ -460,7 +443,6 @@ class ShardEngine:
         ):
             executed = self.run_window(window_index, window_end)
             executed_total += executed
-            self._obs_window_hist.observe(float(executed))
             self.window_stats.append(
                 WindowStats(
                     window_index=window_index,
@@ -501,12 +483,10 @@ class ShardEngine:
         # Barrier-time scheduling keys after every event this window
         # scheduled, mail included, as it was scheduled after them.
         self._epoch, self._lane = window_index + 2, 0
-        barrier_token = self._obs_barrier.start()
         for i, mail in enumerate(self._local_mail):
             for ev in mail:
                 self._queues[i].push_event(ev)
             mail.clear()
-        self._obs_barrier.stop(barrier_token)
         self.now = self._lp_now = window_end
         self.events_executed += executed
         return executed
@@ -666,18 +646,11 @@ class ShardEngine:
 
         Called by the worker loop with externally measured spans (the
         loop owns the stopwatches so the barrier wait includes the pipe
-        round-trip, which the engine cannot see). Feeds the per-worker
-        ``parallel.*`` spans and the tracer's measured channel; every
-        write is guarded, so an unobserved run records nothing.
-        ``checkpoint_s`` is the checkpoint cut after the window, ``0.0``
-        for a window without one (the timer counts cuts, not windows).
+        round-trip, which the engine cannot see) as one record of the
+        tracer's measured channel; the write is guarded, so an untraced
+        run records nothing. ``checkpoint_s`` is the checkpoint cut after
+        the window, ``0.0`` for a window without one.
         """
-        self._obs_window_execute.add(execute_s)
-        self._obs_barrier_hist.observe(barrier_wait_s)
-        self._obs_mail_encode.add(mail_encode_s)
-        self._obs_mail_decode.add(mail_decode_s)
-        if checkpoint_s > 0.0:
-            self._obs_checkpoint.add(checkpoint_s)
         self._trace.measured_window(
             window_index,
             self.shard_id,

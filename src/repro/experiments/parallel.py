@@ -344,9 +344,6 @@ def run_executed_workload(
     )
     merged_registry = merged_trace = calibration = None
     if result.worker_registries:
-        # Order matters: calibration records its calibration.* instruments
-        # into the controller registry, and the registries are merged
-        # afterwards so the merge includes them.
         merged_trace = merged_trace_snapshot(result)
         calibration = window_calibration(
             merged_trace.measured,

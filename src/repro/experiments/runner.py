@@ -229,9 +229,9 @@ def run_experiment(
     """End-to-end experiment for one (network, application) pair.
 
     With ``obs_out`` set, the measured run executes under an enabled
-    observability registry and its snapshot (counters, per-node/per-link
-    vectors, gauges, histograms, timers) is written to that path as JSON —
-    the ``--obs-out`` plumbing the benchmarks expose.
+    observability registry and its snapshot (counters and per-node,
+    per-link and per-LP vectors) is written to that path as JSON — the
+    ``--obs-out`` plumbing the benchmarks expose.
     """
     watch = Stopwatch()
     scale = scale if scale is not None else default_scale()

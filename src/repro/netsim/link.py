@@ -70,7 +70,7 @@ class TransmitResult(NamedTuple):
     start_time: float = 0.0
     arrival_time: float = 0.0
     #: bytes already queued ahead of this packet when it was offered
-    #: (the queue-depth signal observability turns into high-water marks)
+    #: (the depth drop-tail admission and the RED decision act on)
     backlog_bytes: float = 0.0
     #: rejected by an injected fault (loss/corruption burst), not by the
     #: queue — the simulator keeps fault drops out of the traffic counters

@@ -151,10 +151,10 @@ class NetworkSimulator:
         "link_table", "counters", "_node_packets", "_down_nodes", "dropped_fault",
         "_flow_ids", "tx_times", "tx_from", "tx_to",
     )
-    #: Everything else ``__init__`` sets (observability instruments
-    #: aside): configuration, caches a rebuilt twin re-derives, and the
-    #: transport demux tables — callbacks only the replayed setup
-    #: registers in every scenario that shards today (ROADMAP item 2).
+    #: Everything else ``__init__`` sets: configuration, caches a
+    #: rebuilt twin re-derives, and the transport demux tables —
+    #: callbacks only the replayed setup registers in every scenario
+    #: that shards today (ROADMAP item 2).
     #: tests/test_state_owners.py fails on an attribute in neither tuple.
     STATIC = (
         "net", "fib", "sched", "hop_processing_s", "record_transmissions", "links",
@@ -232,12 +232,9 @@ class NetworkSimulator:
         self.tx_from: list[int] = []
         self.tx_to: list[int] = []
 
-        # Observability: the registry reads the counts above. Only the
-        # queue high-water marks are written on the hop, behind one
-        # `enabled` check and no dict lookups (docs/observability.md).
+        # Observability: the registry reads the counts above; nothing is
+        # written on the hop (docs/observability.md).
         reg = get_registry()
-        self._obs = reg
-        self._obs_queue_hwm = reg.max_gauge(obs_names.NETSIM_LINK_QUEUE_HWM, len(net.links))
         reg.read(obs_names.NETSIM_NODE_EVENTS, lambda: self.node_packets)
         reg.read(obs_names.NETSIM_LINK_BYTES, self.link_bytes)
         reg.read(obs_names.NETSIM_LINK_PACKETS, self.link_packets)
@@ -390,10 +387,7 @@ class NetworkSimulator:
                 arrival = finish + table.latency_s[link_id]
         if not accepted:
             result = self.links[link_id].transmit(node, packet, depart)
-            backlog_bytes = result.backlog_bytes
             if not result.accepted:
-                if self._obs.enabled:
-                    self._obs_queue_hwm.observe(link_id, backlog_bytes)
                 if result.faulted:
                     # Injected loss/corruption — accounted separately so the
                     # queue-drop counter (and the regression fingerprint)
@@ -406,8 +400,6 @@ class NetworkSimulator:
             arrival = result.arrival_time
         packet.ttl -= 1
         packet.hops += 1
-        if self._obs.enabled:
-            self._obs_queue_hwm.observe(link_id, backlog_bytes)
         if self.record_transmissions:
             self.tx_times.append(start)
             self.tx_from.append(node)

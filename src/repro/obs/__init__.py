@@ -1,14 +1,15 @@
-"""Runtime observability: counters, timers, traces and their exporters.
+"""Runtime observability: counts read off their owners, traces and their exporters.
 
-The zero-dependency instrumentation subsystem behind the paper's
-profile-based load balancing. Hook points live in
-:class:`~repro.engine.parallel.ShardEngine` (per-LP event and
-remote-send counts, barrier-wait spans), the packet simulator
-(per-node events, per-link bytes/packets/drops, queue-depth high-water
-marks), the fault injector (``faults.*``), and the BGP engine (updates,
-decision-process invocations, convergence spans), behind a process-global
-:class:`Registry` that reads the counts its components keep and is
-disabled by default, costing one guard branch per hook point when off.
+The zero-dependency observability subsystem behind the paper's
+profile-based load balancing. A process-global :class:`Registry` reads
+the counts its components keep — :class:`~repro.engine.parallel.ShardEngine`
+(per-LP event and remote-send counts), the packet simulator (per-node
+events, per-link bytes/packets/drops), the coordinator (windows,
+rebalance and recovery tallies) and the fault injector (``faults.*``) —
+and writes nothing on the hot path. A process-global
+:class:`TraceBuffer` keeps individual records (cross-LP edges, measured
+worker windows, BGP convergence spans, faults, migrations), one guard
+branch per hook point when off. Both are disabled by default.
 
 Typical use::
 
@@ -28,7 +29,7 @@ See ``docs/observability.md`` for the full catalogue of instruments.
 from __future__ import annotations
 
 from . import blame, distributed, export, names, trace_export
-from .counters import Counter, Histogram, MaxGauge, VectorCounter
+from .counters import Counter, VectorCounter
 from .registry import (
     Registry,
     disable,
@@ -37,7 +38,7 @@ from .registry import (
     observed_run,
     reset,
 )
-from .timers import SpanTimer, Stopwatch
+from .timers import Stopwatch
 from .trace import (
     DEFAULT_TRACE_CAPACITY,
     EdgeRecord,
@@ -56,9 +57,6 @@ __all__ = [
     "observed_run",
     "Counter",
     "VectorCounter",
-    "MaxGauge",
-    "Histogram",
-    "SpanTimer",
     "Stopwatch",
     "export",
     "names",

@@ -1,50 +1,45 @@
 """Distributed observability: ship and merge worker obs state.
 
 The multi-process backend (:mod:`repro.engine.parallel`) runs each shard
-in its own OS process, so each worker accumulates instruments in its own
+in its own OS process, so each worker registers its reads in its own
 process-global :class:`~repro.obs.registry.Registry` and records into
 its own :class:`~repro.obs.trace.TraceBuffer`. This module is the bridge
 that makes a distributed run observable *exactly like* a single-process
 one:
 
-- Workers ship the owners themselves: after the last window a worker
-  puts its process-global registry and tracer into the ``("done", ...)``
-  result envelope, which pickles them as a copy over the existing
-  ``mp.Pipe`` control plane — never inside barrier mail, so a
-  disabled-obs run ships *zero* extra bytes
+- Workers ship their registry and tracer: after the last window a
+  worker puts both into the ``("done", ...)`` result envelope, which
+  pickles them (a read as its value) over the existing ``mp.Pipe``
+  control plane — never inside barrier mail, so a disabled-obs run
+  ships *zero* extra bytes
   (``tests/test_obs_overhead.py`` proves byte-identical mail batches).
 - :func:`merged_registry_snapshot` / :func:`merged_trace_snapshot` fold
   the controller's own registry / tracer and every worker's into one
   fresh, disabled :class:`~repro.obs.registry.Registry` /
   :class:`~repro.obs.trace.TraceBuffer`, through the owners'
-  ``merge_from``: counters and vectors sum, high-water gauges take the
-  element-wise max, histograms add bin-wise (mismatched bounds are a
-  typed error, never a silent re-bin), span timers add counts and
-  totals; an instrument that holds nothing is the identity whatever
-  its shape. For
-  deterministic instruments the merge *equals* the single-process
-  observed run on the same workload (``tests/test_obs_distributed_mp.py``
-  asserts this for procs 1/2/4 under both fork and spawn).
+  ``merge_from``: counters and vectors sum, and an all-zero vector is
+  the identity whatever its shape. The merge *equals* the
+  single-process observed run on the same workload
+  (``tests/test_obs_distributed_mp.py`` asserts this for procs 1/2/4
+  under both fork and spawn).
 - :func:`worker_obs_config` / :func:`configure_worker_observability`
   carry the controller's enablement over the worker-config payload —
-  spawn-safe, and explicitly resetting fork-inherited instrument values
+  spawn-safe, and explicitly resetting fork-inherited reads and values
   so a worker's registry covers only the worker's own run.
-- :class:`CalibrationRecorder` + :func:`window_calibration` compare
-  measured per-window wall-clock (the workers'
-  :class:`~repro.obs.trace.MeasuredWindowRecord` spans) against the cost
-  model's prediction, per window — the measured-vs-modeled table the
-  ``--obs-out`` snapshot embeds as its ``calibration`` section.
+- :func:`window_calibration` compares measured per-window wall-clock
+  (the workers' :class:`~repro.obs.trace.MeasuredWindowRecord` spans)
+  against the cost model's prediction, per window — the
+  measured-vs-modeled table the ``--obs-out`` snapshot embeds as its
+  ``calibration`` section.
 
 Everything here runs *after* the simulation (shipping and merging are
-cold paths); the hot-path contract of the obs layer — one guard branch,
-no writes when disabled — is untouched.
+cold paths), off the hot path.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Mapping
 
-from . import names as _names
 from .counters import SnapshotMergeError
 from .registry import Registry, get_registry
 from .trace import MeasuredWindowRecord, TraceBuffer, get_tracer
@@ -55,10 +50,8 @@ __all__ = [
     "configure_worker_observability",
     "merged_registry_snapshot",
     "merged_trace_snapshot",
-    "CalibrationRecorder",
     "window_calibration",
     "merged_snapshot_document",
-    "CALIBRATION_RATIO_BOUNDS",
 ]
 
 
@@ -90,7 +83,7 @@ def worker_obs_config(
 def configure_worker_observability(config: Mapping[str, Any] | None) -> bool:
     """Apply a :func:`worker_obs_config` stanza inside a worker process.
 
-    Clears the worker's process-global registry and tracer before
+    Resets the worker's process-global registry and tracer before
     enabling them: under the ``fork`` start method the child inherits
     whatever the parent recorded before the run (e.g. the single-process
     reference pass), and the registry a worker ships must cover only the
@@ -100,7 +93,7 @@ def configure_worker_observability(config: Mapping[str, Any] | None) -> bool:
         return False
     reg = get_registry()
     tr = get_tracer()
-    reg.clear()
+    reg.reset()
     reg.enabled = bool(config.get("registry", False))
     tr.reset()
     tr.capacity = int(config.get("capacity", tr.capacity))
@@ -136,42 +129,9 @@ def merged_trace_snapshot(result, tracer: TraceBuffer | None = None) -> TraceBuf
 # ----------------------------------------------------------------------
 # Measured-vs-modeled window calibration
 # ----------------------------------------------------------------------
-#: Ratio-histogram bucket bounds: measured/predicted per window. A
-#: perfectly calibrated cost model concentrates mass around the 1.0
-#: buckets; the tails say which direction the model is wrong.
-CALIBRATION_RATIO_BOUNDS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0, 10.0)
-
-
-class CalibrationRecorder:
-    """Registers and feeds the ``calibration.*`` instruments.
-
-    Instruments resolve once at construction (the registry contract);
-    :meth:`record` is guarded per instrument, so an unobserved
-    calibration pass writes nothing.
-    """
-
-    def __init__(self, registry: Registry | None = None) -> None:
-        reg = registry if registry is not None else get_registry()
-        self._windows = reg.counter(_names.CALIBRATION_WINDOWS)
-        self._measured = reg.counter(_names.CALIBRATION_MEASURED_WALL)
-        self._predicted = reg.counter(_names.CALIBRATION_PREDICTED_WALL)
-        self._ratio = reg.histogram(
-            _names.CALIBRATION_RATIO, CALIBRATION_RATIO_BOUNDS
-        )
-
-    def record(self, measured_s: float, predicted_s: float) -> None:
-        """Record one window's measured and predicted wall-clock."""
-        self._windows.inc()
-        self._measured.inc(float(measured_s))
-        self._predicted.inc(float(predicted_s))
-        if predicted_s > 0:
-            self._ratio.observe(float(measured_s) / float(predicted_s))
-
-
 def window_calibration(
     measured: Iterable[MeasuredWindowRecord],
     predicted_by_window: Mapping[int, float],
-    registry: Registry | None = None,
 ) -> dict:
     """Per-window measured vs cost-model-predicted wall-clock table.
 
@@ -179,15 +139,12 @@ def window_calibration(
     that window (execute + mail encode + barrier wait + mail decode) —
     the barrier semantics make the straggler's span the window's wall.
     The *predicted* wall comes from the caller (the cost model's
-    per-window ``max_shard(busy) + C(N)``). Also feeds the
-    ``calibration.*`` instruments of ``registry`` so the numbers appear
-    in the merged snapshot / Prometheus exposition.
+    per-window ``max_shard(busy) + C(N)``).
     """
     by_window: dict[int, float] = {}
     for record in measured:
         w = record.window_index
         by_window[w] = max(by_window.get(w, 0.0), record.total_s)
-    recorder = CalibrationRecorder(registry)
     rows = []
     worst = None
     for w in sorted(by_window):
@@ -195,7 +152,6 @@ def window_calibration(
             continue
         measured_s = by_window[w]
         predicted_s = float(predicted_by_window[w])
-        recorder.record(measured_s, predicted_s)
         ratio = measured_s / predicted_s if predicted_s > 0 else float("inf")
         row = {
             "window": int(w),

@@ -1,7 +1,7 @@
 """Canonical instrument names shared by hook points and consumers.
 
-Instrumented modules (engine, netsim, BGP) and consumers (the profile
-bridge, exporters, tests) must agree on names; declaring each instrument
+Instrumented modules (engine, netsim, faults, the coordinator) and
+consumers (exporters, the distributed merge, tests) must agree on names; declaring each instrument
 once here — its name and its exporter ``# HELP`` text together — keeps
 the contract greppable and typo-proof, and a new instrument cannot ship
 without scrape-side documentation. Naming convention:
@@ -30,55 +30,18 @@ ENGINE_LP_EVENTS = _declare("engine.lp.events", "Events executed per logical pro
 ENGINE_LP_REMOTE_SENDS = _declare(
     "engine.lp.remote_sends", "Cross-LP events sent per logical process."
 )
-ENGINE_WINDOW_EVENTS_HIST = _declare(
-    "engine.window.events", "Distribution of per-window total event counts."
-)
-ENGINE_BARRIER_WAIT = _declare(
-    "engine.barrier.wait", "Wall-clock spent delivering cross-LP mail at barriers."
-)
 ENGINE_LOOKAHEAD_VIOLATIONS = _declare(
     "engine.lookahead.violations", "Tolerated lookahead violations (strict engines raise)."
 )
 
 # --- multi-process backend (repro.engine.parallel) --------------------
-# These are recorded *inside each worker process* and reach the
-# controller in the worker's shipped registry, merged by
+# These are read *inside each worker process* and reach the controller
+# as values in the worker's shipped registry, merged by
 # repro.obs.distributed.merged_registry_snapshot.
-PARALLEL_BARRIER_WAIT = _declare(
-    "parallel.barrier.wait_s",
-    "Per-worker wall-clock blocked at multi-process barriers, one sample per window.",
-)
 PARALLEL_MAIL_BYTES = _declare(
     "parallel.mail.bytes", "Serialized cross-shard mail bytes shipped between workers."
 )
 PARALLEL_WORKER_EVENTS = _declare("parallel.worker.events", "Events executed per worker process.")
-PARALLEL_WINDOW_EXECUTE = _declare(
-    "parallel.window.execute", "Per-worker wall-clock executing window events."
-)
-PARALLEL_MAIL_ENCODE = _declare(
-    "parallel.mail.encode", "Per-worker wall-clock serializing outbound mail batches."
-)
-PARALLEL_MAIL_DECODE = _declare(
-    "parallel.mail.decode", "Per-worker wall-clock decoding and enqueueing inbound mail."
-)
-PARALLEL_CHECKPOINT = _declare(
-    "parallel.checkpoint.seconds",
-    "Per-worker wall-clock cutting barrier checkpoints: capture, encode and digest.",
-)
-
-# --- measured-vs-modeled window calibration (repro.obs.distributed) ---
-CALIBRATION_WINDOWS = _declare(
-    "calibration.windows.compared", "Windows with both a measured and a predicted wall-clock."
-)
-CALIBRATION_RATIO = _declare(
-    "calibration.window.ratio", "Distribution of per-window measured/predicted wall ratios."
-)
-CALIBRATION_MEASURED_WALL = _declare(
-    "calibration.measured.wall_s", "Summed measured per-window wall-clock in seconds."
-)
-CALIBRATION_PREDICTED_WALL = _declare(
-    "calibration.predicted.wall_s", "Summed cost-model predicted per-window wall-clock in seconds."
-)
 
 # --- packet-level network simulator ----------------------------------
 NETSIM_NODE_EVENTS = _declare(
@@ -87,9 +50,6 @@ NETSIM_NODE_EVENTS = _declare(
 NETSIM_LINK_BYTES = _declare("netsim.link.bytes", "Bytes carried per link, both directions.")
 NETSIM_LINK_PACKETS = _declare("netsim.link.packets", "Packets carried per link, both directions.")
 NETSIM_LINK_DROPS = _declare("netsim.link.drops", "Packets dropped per link.")
-NETSIM_LINK_QUEUE_HWM = _declare(
-    "netsim.link.queue_hwm_bytes", "Queue-backlog high-water mark per link in bytes."
-)
 NETSIM_PACKETS_SENT = _declare("netsim.packets.sent", "Packets injected by transport endpoints.")
 NETSIM_PACKETS_DELIVERED = _declare(
     "netsim.packets.delivered", "Packets delivered to their destination node."
@@ -102,27 +62,6 @@ NETSIM_PACKETS_DROPPED_TTL = _declare(
 )
 NETSIM_PACKETS_UNROUTABLE = _declare(
     "netsim.packets.unroutable", "Packets with no forwarding-table next hop."
-)
-
-# --- BGP machinery ----------------------------------------------------
-BGP_UPDATES_SENT = _declare("bgp.updates.sent", "Route announcements exported to neighbors.")
-BGP_UPDATES_RECEIVED = _declare(
-    "bgp.updates.received", "Announcements surviving receiver-side loop filtering."
-)
-BGP_DECISIONS = _declare("bgp.decisions", "Decision-process (best-route selection) invocations.")
-BGP_ITERATIONS = _declare(
-    "bgp.iterations", "Synchronous propagation rounds to the last fixed point."
-)
-BGP_CONVERGENCE = _declare("bgp.convergence", "Wall-clock span of each convergence run.")
-
-# --- OSPF shortest path first (repro.routing.ospf) --------------------
-# Every process builds its own trees, so on a multi-process run these
-# sum over workers: replicated work, not a share of one total.
-ROUTING_SPF_TREES = _declare(
-    "routing.spf.trees", "Reverse shortest-path trees built by OSPF domains."
-)
-ROUTING_SPF_SECONDS = _declare(
-    "routing.spf.seconds", "Wall-clock building OSPF trees, member-graph rebuilds included."
 )
 
 # --- fault injection (repro.faults) -----------------------------------
@@ -144,8 +83,8 @@ FAULTS_BGP_REESTABLISHED = _declare(
 )
 
 # --- online re-partitioning (repro.partition.rebalance) ---------------
-# Recorded on the controller: migration decisions are made centrally so
-# the instruments never disagree across shards.
+# Read on the controller: migration decisions are made centrally so the
+# counts never disagree across shards.
 REBALANCE_TRIGGERS = _declare(
     "rebalance.triggers",
     "Blame-concentration threshold crossings that produced a migration decision.",
@@ -156,18 +95,11 @@ REBALANCE_MIGRATIONS = _declare(
 REBALANCE_CANDIDATES = _declare(
     "rebalance.candidates.scored", "Candidate placements scored by the what-if model."
 )
-REBALANCE_STATE_BYTES = _declare(
-    "rebalance.state.bytes", "Serialized migration payload bytes shipped over the control plane."
-)
-REBALANCE_CONCENTRATION = _declare(
-    "rebalance.blame.concentration",
-    "Distribution of blame concentration at each rebalance trigger.",
-)
 
 # --- fault tolerance (repro.engine.recovery) ---------------------------
-# Recorded on the controller: checkpoints are committed and worker
-# deaths declared centrally, so the instruments never disagree across
-# shards (and survive the death of the worker they describe).
+# Read on the controller: checkpoints are committed and worker deaths
+# declared centrally, so the counts never disagree across shards (and
+# survive the death of the worker they describe).
 RECOVERY_CHECKPOINTS = _declare(
     "recovery.checkpoints.taken", "Barrier checkpoints committed across all shards."
 )

@@ -1,7 +1,7 @@
 """Bounded structured trace: causal records behind one guard branch.
 
-Where the registry (:mod:`repro.obs.registry`) aggregates — totals,
-histograms, high-water marks — the tracer keeps *individual records*:
+Where the registry (:mod:`repro.obs.registry`) reads totals off their
+owners, the tracer keeps *individual records*:
 one record per cross-LP message edge, per BGP convergence span, per
 fault injection or recovery transition (:mod:`repro.faults`), per worker
 window measured by the multi-process backend, per migration and per
@@ -14,7 +14,7 @@ per-event or per-hop samples: an engine built with ``record_trace=True``
 and a simulator built with ``record_transmissions=True`` keep those
 whole, for the what-if scoring of candidate mappings.
 
-The tracer follows the registry's design contract exactly:
+The tracer's design contract:
 
 1. **Cheap when disabled.** Instrumented code resolves the process-global
    :class:`TraceBuffer` once at construction (:func:`get_tracer`); every
@@ -212,11 +212,6 @@ class SpanRecord:
     start_s: float
     end_s: float
     meta: dict = field(default_factory=dict)
-
-    @property
-    def elapsed_s(self) -> float:
-        """Span duration in wall-clock seconds."""
-        return self.end_s - self.start_s
 
 
 class TraceBuffer:

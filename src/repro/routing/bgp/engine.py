@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ...obs import names as obs_names
-from ...obs.registry import get_registry
 from ...obs.trace import get_tracer
 from .attributes import Route
 from .decision import best_route, decision_key
@@ -67,14 +65,6 @@ class BgpEngine:
     def __init__(self, speakers: dict[int, BgpSpeaker]) -> None:
         self.speakers = speakers
         self.iterations = 0
-        # Observability hook points (resolved once; writes are guarded).
-        reg = get_registry()
-        self._obs = reg
-        self._obs_sent = reg.counter(obs_names.BGP_UPDATES_SENT)
-        self._obs_received = reg.counter(obs_names.BGP_UPDATES_RECEIVED)
-        self._obs_decisions = reg.counter(obs_names.BGP_DECISIONS)
-        self._obs_iterations = reg.counter(obs_names.BGP_ITERATIONS)
-        self._obs_convergence = reg.timer(obs_names.BGP_CONVERGENCE)
         # Structured trace hook point: convergence spans with iteration
         # counts land in the trace buffer's span channel.
         self._trace = get_tracer()
@@ -112,7 +102,6 @@ class BgpEngine:
                     rel_of_us = self.speakers[nbr].relationships[as_id]
                     received = route.announced_by(as_id, import_local_pref(rel_of_us))
                     inbox[nbr].append(received)
-                    self._obs_sent.inc()
 
         changed = False
         for as_id, sp in sorted(self.speakers.items()):
@@ -121,7 +110,6 @@ class BgpEngine:
                 if route.contains_loop(as_id):
                     continue
                 candidates.setdefault(route.prefix, []).append(route)
-                self._obs_received.inc()
             new_rib: dict[int, Route] = (
                 {as_id: Route.originate(as_id)} if sp.originates else {}
             )
@@ -129,7 +117,6 @@ class BgpEngine:
                 if prefix == as_id:
                     continue
                 chosen = best_route(cands)
-                self._obs_decisions.inc()
                 if chosen is not None:
                     new_rib[prefix] = chosen
             if _rib_differs(sp.rib, new_rib):
@@ -144,19 +131,16 @@ class BgpEngine:
         with consistent Gao-Rexford policies; the guard catches bugs and
         hand-built pathological policies).
         """
-        token = self._obs_convergence.start()
         trace_token = self._trace.span_begin()
         for i in range(max_iterations):
             if not self._iterate_once():
                 self.iterations = i + 1
-                self._obs_convergence.stop(token)
                 self._trace.span_end(
                     trace_token,
                     "bgp.convergence",
                     iterations=self.iterations,
                     speakers=len(self.speakers),
                 )
-                self._obs_iterations.inc(self.iterations)
                 return self.iterations
         raise RuntimeError(f"BGP did not converge within {max_iterations} iterations")
 

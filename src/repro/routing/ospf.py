@@ -28,8 +28,6 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import dijkstra
 
-from ..obs import names as obs_names
-from ..obs.registry import get_registry
 from ..topology.models import Network
 
 __all__ = ["OspfRouting", "SPF_BLOCK", "ospf_link_metric"]
@@ -112,10 +110,6 @@ class OspfRouting:
         #: reverse SPTs built since construction (re-convergence signal),
         #: every tree of every block counted
         self.trees_built = 0
-        # Observability hook points (resolved once; writes are guarded).
-        reg = get_registry()
-        self._obs_trees = reg.counter(obs_names.ROUTING_SPF_TREES)
-        self._obs_seconds = reg.timer(obs_names.ROUTING_SPF_SECONDS)
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in self._row
@@ -176,7 +170,6 @@ class OspfRouting:
         distances to it), and one pick over every stored entry of every
         tree applies the module docstring's tie-break rule.
         """
-        token = self._obs_seconds.start()
         graph = self._graph
         if graph is None:
             graph = self._graph = self._build_graph()
@@ -215,8 +208,6 @@ class OspfRouting:
         for dest_node, tree in zip(graph.node_of_row[roots].tolist(), trees):
             self._trees[dest_node] = tree
         self.trees_built += len(roots)
-        self._obs_trees.inc(len(roots))
-        self._obs_seconds.stop(token)
 
     def next_hop(self, node: int, dest: int) -> int | None:
         """Next node on the shortest path from ``node`` to ``dest``.

@@ -16,7 +16,10 @@ loop is mirrored here. Only the imports differ from the original
 per-event sample, which the tracer's ``events`` channel used to take,
 goes to the ``EventRecorder`` both engines then recorded into (frozen in
 ``tests/_kernel_oracle.py`` since ``ShardEngine`` keeps its own samples),
-and two attributes shipped code reads are set after the class.
+two attributes shipped code reads are set after the class, and its
+written instruments are gone: the registry reads the totals it keeps
+(``window_stats``, ``lookahead_violations``) instead, as it reads the
+shipped engine's.
 """
 
 from __future__ import annotations
@@ -103,21 +106,18 @@ class OracleConservativeEngine(EventRecorder):
         self._events_this_window = np.zeros(self.num_lps, dtype=np.int64)
         self._remote_this_window = np.zeros(self.num_lps, dtype=np.int64)
 
-        # Observability hook points: instruments resolved once here (the
-        # only name lookups); per-window flushes are guarded writes.
+        # Observability: the registry reads the totals kept above. The
+        # event total is summed over the window rows, so a run() call a
+        # violation ends counts the windows it completed.
         reg = get_registry()
-        self._obs = reg
-        self._obs_events = reg.counter(obs_names.ENGINE_EVENTS)
-        self._obs_windows = reg.counter(obs_names.ENGINE_WINDOWS)
-        self._obs_violations = reg.counter(obs_names.ENGINE_LOOKAHEAD_VIOLATIONS)
-        self._obs_lp_events = reg.vector_counter(obs_names.ENGINE_LP_EVENTS, self.num_lps)
-        self._obs_lp_remote = reg.vector_counter(
-            obs_names.ENGINE_LP_REMOTE_SENDS, self.num_lps
-        )
-        self._obs_window_hist = reg.histogram(
-            obs_names.ENGINE_WINDOW_EVENTS_HIST, (1.0, 10.0, 100.0, 1e3, 1e4, 1e5)
-        )
-        self._obs_barrier = reg.timer(obs_names.ENGINE_BARRIER_WAIT)
+        reg.read(obs_names.ENGINE_EVENTS, lambda: sum(
+            int(ws.events_per_lp.sum()) for ws in self.window_stats))
+        reg.read(obs_names.ENGINE_WINDOWS, lambda: len(self.window_stats))
+        reg.read(obs_names.ENGINE_LOOKAHEAD_VIOLATIONS, lambda: self.lookahead_violations)
+        reg.read(obs_names.ENGINE_LP_EVENTS, lambda: sum(
+            (ws.events_per_lp for ws in self.window_stats), np.zeros(self.num_lps)))
+        reg.read(obs_names.ENGINE_LP_REMOTE_SENDS, lambda: sum(
+            (ws.remote_sends_per_lp for ws in self.window_stats), np.zeros(self.num_lps)))
         # Structured trace hook point (same resolve-once contract): per
         # cross-LP mailbox edge.
         self._trace = get_tracer()
@@ -174,7 +174,6 @@ class OracleConservativeEngine(EventRecorder):
         else:
             if time < self._window_end - WINDOW_EPSILON_FRACTION * self.lookahead:
                 self.lookahead_violations += 1
-                self._obs_violations.inc()
                 if self.strict:
                     raise LookaheadViolation(
                         f"cross-LP event at t={time:.9f} lands inside the current "
@@ -237,18 +236,10 @@ class OracleConservativeEngine(EventRecorder):
                 executed_total += n
             self._current_lp = None
             # Barrier: deliver cross-LP mail, advance global time.
-            barrier_token = self._obs_barrier.start()
             for lp, mail in enumerate(self._mailboxes):
                 for ev in mail:
                     self._queues[lp].push_event(ev)
                 mail.clear()
-            self._obs_barrier.stop(barrier_token)
-            if self._obs.enabled:
-                self._obs_windows.inc()
-                self._obs_events.inc(int(self._events_this_window.sum()))
-                self._obs_lp_events.add_array(self._events_this_window)
-                self._obs_lp_remote.add_array(self._remote_this_window)
-                self._obs_window_hist.observe(float(self._events_this_window.sum()))
             self.window_stats.append(
                 WindowStats(
                     window_index=window_index,

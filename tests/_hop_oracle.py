@@ -22,7 +22,8 @@ link`` dict (first-created link wins — the parallel-link bug is the old
 code's, so the suite compares on networks without parallel links) and
 ``node_packets`` as the live ``int64`` array. One arm is gone from the
 old hop path: the tracer's per-hop sample, a channel that no longer
-exists; the hop is recorded through ``record_transmissions`` alone.
+exists; the hop is recorded through ``record_transmissions`` alone. So
+is its queue high-water-mark write: the registry only reads now.
 
 Beside them, the forwarding state of commit 6c304f0, the reference of
 ``tests/test_forwarding_state_oracle.py``: ``ForwardingPlane.next_hop``,
@@ -425,8 +426,8 @@ class OracleSimulator(NetworkSimulator):
     """``NetworkSimulator`` with the old ``_handle_at`` over old links.
 
     Its counts are the ones the registry reads (``node_packets`` and the
-    per-link sums), kept by the old code; only the rate bins and the
-    queue high-water marks are written on the hop, as they ship.
+    per-link sums), kept by the old code; nothing is written on the hop,
+    as it ships.
     """
 
     #: a plain attribute again, as it was: the live array
@@ -471,8 +472,6 @@ class OracleSimulator(NetworkSimulator):
         assert runtime is not None, "forwarding plane returned a non-adjacent hop"
         depart = self.now + (self.hop_processing_s if node != packet.src else 0.0)
         result = runtime.transmit(node, packet, depart)
-        if self._obs.enabled:
-            self._obs_queue_hwm.observe(runtime.link.link_id, result.backlog_bytes)
         if not result.accepted:
             if result.faulted:
                 # Injected loss/corruption — accounted separately so the

@@ -284,6 +284,21 @@ class TestRawPerfCounter:
         assert findings[0].severity is Severity.ERROR
         assert "repro.obs" in findings[0].message
 
+    def test_the_stopwatch_is_the_one_sanctioned_reader(self):
+        findings = lint(
+            """
+            import time
+
+            def measure():
+                return time.perf_counter()
+            """,
+            path="src/repro/experiments/timing.py",
+        )
+        assert "`repro.obs.timers.Stopwatch`" in findings[0].message
+        (rule,) = [r for r in all_rules() if r.rule_id == "SIM102"]
+        assert "`repro.obs.timers.Stopwatch`" in rule.check.__doc__
+        assert "SpanTimer" not in rule.check.__doc__ + findings[0].message
+
     def test_perf_counter_ns_fires(self):
         findings = lint(
             """

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.__main__ import main
@@ -255,6 +256,22 @@ class TestSweepCommand:
             assert f"{e:.3f}" == f"{record.evaluation.efficiency:.3f}"
 
 
+class TestWaitPercentiles:
+    def test_the_line_holds_exact_percentiles(self, capsys):
+        from repro.__main__ import _print_wait_percentiles
+
+        _print_wait_percentiles([0.0, 1.0, 2.0, 3.0, 4.0])
+        assert capsys.readouterr().out == (
+            "barrier wait per window: p50 2.0000 ms, p95 3.8000 ms, p99 3.9600 ms\n"
+        )
+
+    def test_no_waits_print_no_line(self, capsys):
+        from repro.__main__ import _print_wait_percentiles
+
+        _print_wait_percentiles(np.zeros(0))
+        assert capsys.readouterr().out == ""
+
+
 class TestTraceCommand:
     def test_trace_writes_validated_snapshot(self, capsys, tmp_path):
         out = tmp_path / "trace.json"
@@ -268,7 +285,7 @@ class TestTraceCommand:
         assert "node events" in printed
 
         data = json.loads(out.read_text())
-        assert data["version"] == 2
+        assert data["version"] == 3
         assert data["meta"]["network"] == "single-as"
         assert data["meta"]["approach"] == "PROF"
         assert "efficiency" in data["meta"]["partition"]
@@ -326,6 +343,21 @@ class TestTraceCommand:
         assert any(e["ph"] == "M" for e in events)
         slices = [e for e in events if e["ph"] == "X"]
         assert slices and all("ts" in e and "dur" in e for e in slices)
+
+    def test_timeline_wait_percentiles_are_exact(self, capsys, tmp_path, monkeypatch):
+        from repro.obs import blame
+
+        reports = []
+        analyze = blame.analyze
+        monkeypatch.setattr(
+            blame, "analyze", lambda *a, **kw: reports.append(analyze(*a, **kw)) or reports[-1]
+        )
+        assert main(["trace", "--timeline", "--duration", "0.2",
+                     "--out", str(tmp_path / "timeline.json")]) == 0
+        (report,) = reports
+        p50, p95, p99 = np.percentile(report.window_wait_s * 1e3, (50, 95, 99))
+        assert (f"barrier wait per window: p50 {p50:.4f} ms, p95 {p95:.4f} ms, "
+                f"p99 {p99:.4f} ms") in capsys.readouterr().out
 
     def test_timeline_trace_capacity_bounds_the_ring(self, capsys, tmp_path):
         def run(*capacity):

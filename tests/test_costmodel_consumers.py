@@ -29,7 +29,6 @@ from repro.engine.windows import WindowStats
 from repro.experiments.parallel import predict_from_windows
 from repro.obs import blame
 from repro.obs.distributed import window_calibration
-from repro.obs.registry import Registry
 from repro.obs.trace import MeasuredWindowRecord, TraceBuffer
 from repro.obs.trace_export import to_chrome_trace
 from repro.partition.rebalance import RebalanceConfig, Rebalancer, span_multipliers
@@ -149,7 +148,6 @@ def test_every_consumer_reports_the_same_wall(scenario):
     table = window_calibration(
         measured,
         {ws.window_index: wall for ws, wall in zip(windows, sharded.window_wall_s)},
-        registry=Registry(),
     )
     assert table["predicted_total_s"] == pytest.approx(sharded.total_s, rel=REL)
 

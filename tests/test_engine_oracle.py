@@ -82,20 +82,15 @@ FOLDED = recording(ShardEngine)
 
 
 def instruments(reg) -> dict:
-    """Every instrument's value but wall time; the shard-only ``parallel.*``
-    set is left out (a one-shard run registers it, the oracle never did)."""
+    """Every instrument's value; the shard-only ``parallel.*`` set is left
+    out (a one-shard run registers it, the oracle never did)."""
     snap = export.snapshot(reg)
-    out = {}
-    for group, table in snap.items():
-        if not isinstance(table, dict) or group == "meta":
-            continue
-        for name, value in table.items():
-            if name.startswith("parallel."):
-                continue
-            if group == "timers":
-                value = {"count": value["count"]}
-            out[(group, name)] = value
-    return out
+    return {
+        (group, name): value
+        for group in ("counters", "vectors")
+        for name, value in snap[group].items()
+        if not name.startswith("parallel.")
+    }
 
 
 def run_one(engine_cls, build, assignment, num_lps, lookahead, untils,

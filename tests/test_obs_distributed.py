@@ -1,7 +1,7 @@
 """Unit tests for the distributed observability layer (``obs.distributed``).
 
 The owners' ``merge_from`` per instrument kind and per trace channel (the
-empty-instrument identity, typed errors that leave the target untouched,
+empty-vector identity, typed errors that leave the target untouched,
 a hypothesis property that k merged parts equal one sink), a registry
 and a tracer over the wire codec, measured blame decomposition,
 measured-vs-modeled calibration, the ``--obs-out`` document, and a
@@ -24,11 +24,8 @@ from hypothesis import strategies as st
 import repro.serialization as ser
 from repro.cluster import teragrid_cluster
 from repro.engine.windows import WindowStats
-from repro.obs import blame, export, names, trace_export
-from repro.obs.counters import HistogramMergeError
+from repro.obs import blame, export, trace_export
 from repro.obs.distributed import (
-    CALIBRATION_RATIO_BOUNDS,
-    CalibrationRecorder,
     SnapshotMergeError,
     configure_worker_observability,
     merged_registry_snapshot,
@@ -40,25 +37,21 @@ from repro.obs.distributed import (
 from repro.obs.registry import Registry
 from repro.obs.trace import MeasuredWindowRecord, TraceBuffer
 
-BOUNDS = (1.0, 2.0, 4.0)
 CLUSTER = teragrid_cluster(2)
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
-def populated_registry(scale: float = 1.0) -> Registry:
-    """A registry with one instrument of every kind, scaled values."""
+def reading(name: str, value) -> Registry:
+    """A registry reading ``value`` under ``name``."""
     reg = Registry(enabled=True)
-    reg.counter("c.events").inc(10 * scale)
-    vec = reg.vector_counter("v.per_lp", 4)
-    vec.add_array(np.array([1.0, 2.0, 3.0, 4.0]) * scale)
-    gauge = reg.max_gauge("g.depth", 3)
-    gauge.observe(0, 5.0 * scale)
-    gauge.observe(2, 1.0 * scale)
-    hist = reg.histogram("h.wait", BOUNDS)
-    hist.observe(0.5 * scale)
-    hist.observe(3.0 * scale)
-    timer = reg.timer("t.span")
-    timer.add(0.25 * scale)
+    reg.read(name, lambda: value)
+    return reg
+
+
+def populated_registry(scale: float = 1.0) -> Registry:
+    """A registry reading one counter and one vector, scaled values."""
+    reg = reading("c.events", 10 * scale)
+    reg.read("v.per_lp", lambda: np.array([1.0, 2.0, 3.0, 4.0]) * scale)
     return reg
 
 
@@ -82,25 +75,12 @@ class TestRegistryCopy:
         reg = merged(populated_registry())
         assert reg.get_counter("c.events").value == 10.0
         assert reg.get_vector("v.per_lp").values.tolist() == [1.0, 2.0, 3.0, 4.0]
-        assert reg.get_gauge("g.depth").values.tolist() == [5.0, 0.0, 1.0]
-        hist = reg.get_histogram("h.wait")
-        assert hist.bounds == BOUNDS
-        assert hist.counts.tolist() == [1, 0, 1, 0]
-        assert hist.sum == 3.5
-        timer = reg.get_timer("t.span")
-        assert (timer.count, timer.total_s) == (1, 0.25)
 
     def test_merge_is_a_copy_not_a_view(self):
-        reg = populated_registry()
+        reg = merged(populated_registry())  # holds values, not reads
         copy = merged(reg)
-        reg.get_counter("c.events").inc(99)
-        reg.get_vector("v.per_lp").inc(0, 99)
-        reg.get_histogram("h.wait").observe(0.5)
-        assert copy.get_counter("c.events").value == 10.0
+        reg.get_vector("v.per_lp").values[0] += 99
         assert copy.get_vector("v.per_lp").values[0] == 1.0
-        assert copy.get_histogram("h.wait").count == 2
-        # ...and the copy records into its own registry, not the part's
-        assert copy.get_counter("c.events")._reg is copy
 
     def test_pickle_round_trip_over_the_wire_codec(self):
         reg = populated_registry()
@@ -118,130 +98,46 @@ class TestRegistryCopy:
 class TestRegistryMerge:
     def test_merge_semantics_per_kind(self):
         out = merged(populated_registry(1.0), populated_registry(2.0))
-        # counters / vectors / histograms / timers sum
+        # counters and vectors sum
         assert out.get_counter("c.events").value == 30.0
         assert out.get_vector("v.per_lp").values.tolist() == [3.0, 6.0, 9.0, 12.0]
-        # scale=1 observed (0.5, 3.0) -> [1,0,1,0]; scale=2 observed
-        # (1.0, 6.0) -> [1,0,0,1] (bounds are upper-inclusive)
-        hist = out.get_histogram("h.wait")
-        assert hist.counts.tolist() == [2, 0, 1, 1]
-        assert hist.sum == 3.5 + 7.0
-        timer = out.get_timer("t.span")
-        assert (timer.count, timer.total_s) == (2, 0.75)
-        # high-water gauges take the element-wise max
-        assert out.get_gauge("g.depth").values.tolist() == [10.0, 0.0, 2.0]
         assert not out.enabled
 
     def test_merge_handles_disjoint_instruments(self):
-        reg = Registry(enabled=True)
-        reg.counter("only.here").inc(7)
-        out = merged(reg, populated_registry())
+        out = merged(reading("only.here", 7), populated_registry())
         assert out.get_counter("only.here").value == 7.0
         assert out.get_counter("c.events").value == 10.0
 
     def test_vector_size_mismatch_is_a_typed_error(self):
-        ra, rb = Registry(enabled=True), Registry(enabled=True)
-        ra.vector_counter("v", 2).inc(0)
-        rb.vector_counter("v", 3).inc(0)
         with pytest.raises(SnapshotMergeError, match="vector 'v'"):
-            merged(ra, rb)
-
-    def test_histogram_bounds_mismatch_is_a_typed_error(self):
-        ra, rb = Registry(enabled=True), Registry(enabled=True)
-        ra.histogram("h", (1.0, 2.0)).observe(0.5)
-        rb.histogram("h", (1.0, 3.0)).observe(0.5)
-        with pytest.raises(HistogramMergeError, match="histogram 'h' bounds"):
-            merged(ra, rb)
+            merged(reading("v", [1, 0]), reading("v", [1, 0, 0]))
 
     def test_merged_registry_snapshot_is_disabled(self):
         reg = merged_registry_snapshot(FakeResult([populated_registry()]), Registry())
         assert not reg.enabled
-        reg.get_counter("c.events").inc()  # guarded: must be a no-op
+        reg.read("later", lambda: 5)  # disabled: a zero, no owner kept
+        assert reg.get_counter("later").value == 0.0
         assert reg.get_counter("c.events").value == 10.0
 
 
 class TestEmptyIsTheIdentity:
-    """An instrument that holds nothing merges away whatever its shape."""
+    """A vector that holds nothing merges away whatever its shape."""
 
     def test_stale_zero_vector_takes_the_workers_size(self):
-        controller, worker = Registry(enabled=True), Registry(enabled=True)
-        controller.vector_counter("v", 12)  # zeroed, from a bigger network
-        controller.max_gauge("g", 12)
-        worker.vector_counter("v", 8).inc(3, 2.0)
-        worker.max_gauge("g", 8).observe(5, 4.0)
+        controller = reading("v", np.zeros(12))  # zero, from a bigger network
+        worker = reading("v", [0, 0, 0, 2.0, 0, 0, 0, 0])
         out = merged(controller, worker)
         assert out.get_vector("v").values.tolist() == [0, 0, 0, 2.0, 0, 0, 0, 0]
-        assert out.get_gauge("g").size == 8
         # and the other way round: a zeroed part changes nothing
         again = merged(worker, controller)
         assert export.snapshot(again) == export.snapshot(out)
 
-    def test_empty_histogram_takes_the_other_bounds(self):
-        ra, rb = Registry(enabled=True), Registry(enabled=True)
-        ra.histogram("h", (9.0,))
-        rb.histogram("h", BOUNDS).observe(3.0)
-        for out in (merged(ra, rb), merged(rb, ra)):
-            hist = out.get_histogram("h")
-            assert hist.bounds == BOUNDS and hist.counts.tolist() == [0, 0, 1, 0]
-
-    @pytest.mark.parametrize("kind", ["vector", "gauge", "histogram"])
-    def test_disagreeing_instruments_raise_without_mutating(self, kind):
-        ra, rb = Registry(enabled=True), Registry(enabled=True)
-        if kind == "vector":
-            ra.vector_counter("x", 2).inc(0)
-            rb.vector_counter("x", 3).inc(0)
-        elif kind == "gauge":
-            ra.max_gauge("x", 2).observe(0, 1.0)
-            rb.max_gauge("x", 3).observe(0, 1.0)
-        else:
-            ra.histogram("x", (1.0,)).observe(0.5)
-            rb.histogram("x", (2.0,)).observe(0.5)
-        before = export.snapshot(ra)
+    def test_disagreeing_vectors_raise_without_mutating(self):
+        target = merged(reading("x", [1, 0]))
+        before = export.snapshot(target)
         with pytest.raises(SnapshotMergeError):
-            ra.merge_from(rb)
-        assert export.snapshot(ra) == before
-
-
-class TestHistogramMergeExact:
-    """Satellite: bin-wise-exact histogram merging at the instrument level."""
-
-    def test_same_bounds_merge_is_binwise_sum(self):
-        ra, rb = Registry(enabled=True), Registry(enabled=True)
-        ha = ra.histogram("h", BOUNDS)
-        hb = rb.histogram("h", BOUNDS)
-        for v in (0.5, 1.5, 3.0, 100.0):
-            ha.observe(v)
-        for v in (0.2, 8.0):
-            hb.observe(v)
-        ha.merge_from(hb)
-        assert ha.counts.tolist() == [2, 1, 1, 2]
-        assert ha.count == 6
-        assert ha.sum == pytest.approx(113.2)
-
-    def test_mismatched_bounds_raise_without_mutating(self):
-        ra, rb = Registry(enabled=True), Registry(enabled=True)
-        ha = ra.histogram("h", BOUNDS)
-        ha.observe(0.5)
-        hb = rb.histogram("h", (9.0,))
-        hb.observe(0.5)
-        before = ha.counts.copy()
-        with pytest.raises(HistogramMergeError):
-            ha.merge_from(hb)
-        assert ha.counts.tolist() == before.tolist()
-
-    def test_quantile_correct_on_merged_data(self):
-        # 50 values below 1.0 in one histogram, 50 above 4.0 in the other:
-        # the merged median sits exactly at the 1.0 boundary.
-        ra, rb = Registry(enabled=True), Registry(enabled=True)
-        ha = ra.histogram("h", BOUNDS)
-        hb = rb.histogram("h", BOUNDS)
-        for _ in range(50):
-            ha.observe(0.5)
-            hb.observe(5.0)
-        ha.merge_from(hb)
-        assert ha.quantile(0.5) == pytest.approx(1.0)
-        assert ha.quantile(0.25) <= 1.0
-        assert ha.quantile(0.9) >= 4.0
+            target.merge_from(reading("x", [1, 0, 0]))
+        assert export.snapshot(target) == before
 
 
 def measured(w, shard, execute, wait=0.0, encode=0.0, decode=0.0, events=10, mb=0):
@@ -307,25 +203,26 @@ SIZE = 4
 #: one integer-valued write: (part, kind, index, value)
 WRITE = st.tuples(
     st.integers(0, 3),
-    st.sampled_from(
-        ["counter", "vector", "gauge", "histogram", "timer", "measured", "edge"]
-    ),
+    st.sampled_from(["counter", "vector", "measured", "edge"]),
     st.integers(0, SIZE - 1),
     st.integers(0, 6),
 )
 
 
-def apply_write(reg: Registry, tr: TraceBuffer, kind: str, i: int, v: int) -> None:
+def observed_part() -> tuple[Registry, TraceBuffer, dict]:
+    """A registry reading one owner's counter and vector, and a tracer."""
+    owner = {"c": 0, "v": np.zeros(SIZE)}
+    reg = Registry(enabled=True)
+    reg.read("c", lambda: owner["c"])
+    reg.read("v", lambda: owner["v"])
+    return reg, TraceBuffer(1024, True), owner
+
+
+def apply_write(tr: TraceBuffer, owner: dict, kind: str, i: int, v: int) -> None:
     if kind == "counter":
-        reg.counter("c").inc(v)
+        owner["c"] += v
     elif kind == "vector":
-        reg.vector_counter("v", SIZE).inc(i, v)
-    elif kind == "gauge":
-        reg.max_gauge("g", SIZE).observe(i, v)
-    elif kind == "histogram":
-        reg.histogram("h", BOUNDS).observe(v)
-    elif kind == "timer":
-        reg.timer("t").add(v)
+        owner["v"][i] += v
     elif kind == "measured":
         tr.measured_window(v, i, float(v), 1.0, 0.0, 0.0, v)
     else:
@@ -337,14 +234,6 @@ def channels(tr: TraceBuffer) -> dict:
     return {name: list(getattr(tr, name)) for name, _ in TraceBuffer.CHANNELS}
 
 
-def scribble(reg: Registry) -> None:
-    """Bump, in place, every array a part owns."""
-    for inst in (*reg.vectors().values(), *reg.gauges().values()):
-        inst.values[:] += 1
-    for hist in reg.histograms().values():
-        hist.counts[:] += 1
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     k=st.integers(1, 4),
@@ -352,17 +241,17 @@ def scribble(reg: Registry) -> None:
     faults=st.lists(st.tuples(st.integers(0, 5), st.integers(0, SIZE - 1)), max_size=4),
 )
 def test_merged_parts_equal_one_sink(k, writes, faults):
-    parts = [(Registry(True), TraceBuffer(1024, True)) for _ in range(k)]
-    sink_reg, sink_tr = Registry(True), TraceBuffer(1024, True)
+    parts = [observed_part() for _ in range(k)]
+    sink_reg, sink_tr, sink_owner = observed_part()
     for part, kind, i, v in writes:
-        apply_write(*parts[part % k], kind, i, v)
-        apply_write(sink_reg, sink_tr, kind, i, v)
+        apply_write(*parts[part % k][1:], kind, i, v)
+        apply_write(sink_tr, sink_owner, kind, i, v)
     for t, node in faults:
         sink_tr.fault(float(t), "node.down", "inject", (node,), attempt=1)
-        for _, tr in parts:  # every worker replays the control plane
+        for _, tr, _ in parts:  # every worker replays the control plane
             tr.fault(float(t), "node.down", "inject", (node,), attempt=1)
 
-    result = FakeResult([reg for reg, _ in parts], [tr for _, tr in parts])
+    result = FakeResult([reg for reg, _, _ in parts], [tr for _, tr, _ in parts])
     reg = merged_registry_snapshot(result, Registry())
     tr = merged_trace_snapshot(result, TraceBuffer())
     sink_order = TraceBuffer()
@@ -370,18 +259,19 @@ def test_merged_parts_equal_one_sink(k, writes, faults):
 
     assert export.snapshot(reg) == export.snapshot(sink_reg)
     assert channels(tr) == channels(sink_order)
-    # The merge shares no array with any part.
+    # The merge holds values, not the parts' owners.
     before = (export.snapshot(reg), channels(tr))
-    for part, _ in parts:
-        scribble(part)
+    for _, _, owner in parts:
+        owner["c"] += 1
+        owner["v"] += 1
     assert (export.snapshot(reg), channels(tr)) == before
 
 
 # ----------------------------------------------------------------------
 # Source guard: an instrument's state is named only where it is defined
 # ----------------------------------------------------------------------
-_INSTRUMENT_STATE = {"_value", "_values", "_counts", "_sum", "_count", "_total_s"}
-_DEFINING_MODULES = {"obs/counters.py", "obs/timers.py"}
+_INSTRUMENT_STATE = {"_value", "_values"}
+_DEFINING_MODULES = {"obs/counters.py"}
 
 
 def test_only_the_defining_module_names_instrument_state():
@@ -418,8 +308,7 @@ class TestWorkerObsConfig:
         import repro.obs.registry as registry_mod
         import repro.obs.trace as trace_mod
 
-        reg = Registry(enabled=True)
-        reg.counter("inherited").inc(5)
+        reg = reading("inherited", 5)
         tr = TraceBuffer(capacity=8, enabled=True)
         tr.edge(0, 1, 0.1, 0.2)
         monkeypatch.setattr(registry_mod, "_GLOBAL", reg)
@@ -438,8 +327,7 @@ class TestWindowCalibration:
             measured(0, 0, 0.10), measured(0, 1, 0.30),
             measured(1, 0, 0.20), measured(1, 1, 0.05),
         ]
-        reg = Registry(enabled=True)
-        table = window_calibration(records, {0: 0.15, 1: 0.10}, registry=reg)
+        table = window_calibration(records, {0: 0.15, 1: 0.10})
         assert [r["window"] for r in table["windows"]] == [0, 1]
         assert table["windows"][0]["measured_s"] == pytest.approx(0.30)
         assert table["windows"][0]["ratio"] == pytest.approx(2.0)
@@ -448,43 +336,28 @@ class TestWindowCalibration:
         assert table["overall_ratio"] == pytest.approx(2.0)
         assert table["worst_window"]["window"] == 0
         assert table["worst_window"]["deviation_s"] == pytest.approx(0.15)
-        # the calibration.* instruments got fed
-        assert reg.get_counter(names.CALIBRATION_WINDOWS).value == 2
-        assert reg.get_counter(names.CALIBRATION_MEASURED_WALL).value == (
-            pytest.approx(0.50)
-        )
-        hist = reg.get_histogram(names.CALIBRATION_RATIO)
-        assert hist.bounds == CALIBRATION_RATIO_BOUNDS
-        assert hist.count == 2
 
     def test_windows_without_predictions_are_skipped(self):
-        table = window_calibration(
-            [measured(0, 0, 0.1), measured(7, 0, 0.2)],
-            {0: 0.1},
-            registry=Registry(enabled=True),
-        )
+        table = window_calibration([measured(0, 0, 0.1), measured(7, 0, 0.2)], {0: 0.1})
         assert [r["window"] for r in table["windows"]] == [0]
 
+    def test_a_zero_prediction_has_an_infinite_ratio_and_no_overall_ratio(self):
+        table = window_calibration([measured(0, 0, 0.1)], {0: 0.0})
+        assert table["windows"][0]["ratio"] == float("inf")
+        assert table["predicted_total_s"] == 0.0
+        assert table["overall_ratio"] is None
+        assert table["worst_window"]["deviation_s"] == pytest.approx(0.1)
+
     def test_empty_measured_channel_yields_empty_table(self):
-        table = window_calibration([], {0: 0.1}, registry=Registry(enabled=True))
+        table = window_calibration([], {0: 0.1})
         assert table["windows"] == []
         assert table["overall_ratio"] is None
         assert table["worst_window"] is None
 
-    def test_recorder_is_guarded_when_registry_disabled(self):
-        reg = Registry(enabled=False)
-        recorder = CalibrationRecorder(reg)
-        recorder.record(0.1, 0.2)
-        reg.enable()
-        assert reg.get_counter(names.CALIBRATION_WINDOWS).value == 0
-
-
 class TestMergedSnapshotDocument:
     def test_document_schema_and_json_round_trip(self):
         tr = tracer_with([measured(0, 0, 0.1, mb=64)])
-        calibration = window_calibration(
-            tr.measured, {0: 0.1}, registry=Registry(enabled=True)
-        )
+        calibration = window_calibration(tr.measured, {0: 0.1})
         doc = merged_snapshot_document(
             populated_registry(), tr, meta={"backend": "mp"},
             calibration=calibration, shards=[0],

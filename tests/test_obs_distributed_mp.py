@@ -1,18 +1,17 @@
 """End-to-end distributed observability over real worker processes.
 
-The headline invariant of ``obs.distributed``: for deterministic
-instruments, the merge of N shipped worker registries (plus the
-controller's own) *equals* the single-process observed run on the same
-workload — procs 1, 2, and 4, under both fork and spawn start methods —
-even after an observed run on a bigger network in the same process.
-Plus the ``--backend mp --obs-out`` CLI path writing one merged JSON
-document.
+The headline invariant of ``obs.distributed``: the merge of N shipped
+worker registries (plus the controller's own) *equals* the
+single-process observed run on the same workload — procs 1, 2, and 4,
+under both fork and spawn start methods — even after an observed run on
+a bigger network in the same process. Plus the ``--backend mp
+--obs-out`` CLI path writing one merged JSON document, with exact
+barrier-wait percentiles.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,12 +34,9 @@ NUM_LPS = 2
 LOOKAHEAD = 1e-4
 DURATION = 0.02
 
-#: Instruments only a distributed run records; excluded from the
-#: single-process identity comparison by construction.
-MP_ONLY = ("parallel.", "calibration.")
-#: Work every process repeats for itself (each worker builds its own
-#: OSPF trees): it sums over workers, so no single process can equal it.
-PER_PROCESS = ("routing.spf.",)
+#: Instruments whose placement only a distributed run has; excluded
+#: from the single-process identity comparison by construction.
+MP_ONLY = ("parallel.",)
 
 
 def spec():
@@ -48,15 +44,10 @@ def spec():
 
 
 def deterministic_view(reg: Registry) -> dict:
-    """``export.snapshot`` minus the wall-clock timers and the names no
-    single process can match."""
+    """``export.snapshot`` minus the names no single process can match."""
     doc = export.snapshot(reg)
-    del doc["timers"]
-    for section in ("counters", "vectors", "gauges", "histograms"):
-        doc[section] = {
-            n: v for n, v in doc[section].items()
-            if not n.startswith(MP_ONLY + PER_PROCESS)
-        }
+    for section in ("counters", "vectors"):
+        doc[section] = {n: v for n, v in doc[section].items() if not n.startswith(MP_ONLY)}
     return doc
 
 
@@ -113,53 +104,12 @@ class TestMergedSnapshotIdentity:
         assert deterministic_view(merged) == single_process_view
 
 
-def build_chain_reporting_trees(engine, params):
-    """``build_chain_scenario`` whose ``collect()`` adds the shard's own
-    ``trees_built`` — the ground truth the merged counter must sum to."""
-    scenario = build_chain_scenario(engine, params)
-    collect = scenario.collect
-    fib = collect.__self__.sim.fib
-
-    def collect_with_trees():
-        out = collect()
-        out["trees_built"] = fib.route_recompute_stats()["trees_built"]
-        return out
-
-    scenario.collect = collect_with_trees
-    return scenario
-
-
-class TestPerWorkerSpf:
-    def test_merged_spf_trees_sum_the_workers_trees_built(self):
-        reporting = replace(spec(), builder=f"{__name__}:build_chain_reporting_trees")
-        with observed_run():
-            engine = ParallelConservativeEngine(
-                ASSIGNMENT, NUM_LPS, LOOKAHEAD, procs=2, start_method="fork"
-            )
-            result = engine.run_scenario(reporting, until=DURATION)
-            merged = merged_registry_snapshot(result)
-        built = [part["trees_built"] for part in result.collected]
-        # Packets cross the chain both ways, so both workers need both
-        # trees, and the first ask builds the 8-member chain's one block
-        # of trees: the work is replicated, and the merge must say so.
-        assert built == [8, 8]
-        assert merged.get_counter(names.ROUTING_SPF_TREES).value == sum(built)
-        timer = merged.get_timer(names.ROUTING_SPF_SECONDS)
-        assert timer.count == 2 and timer.total_s > 0.0  # one block per worker
-        per_worker = [
-            reg.get_counter(names.ROUTING_SPF_TREES).value
-            for reg in result.worker_registries.values()
-        ]
-        assert per_worker == built
-
-
-class TestPerWorkerBgp:
+class TestMultiAsSessionReset:
     """Every worker converges BGP for its own plane and replays every
-    session reset on the control lane, so ``bgp.*`` is work repeated
-    per worker, like ``routing.spf.*``: a merged snapshot sums it, and
-    reads ``procs`` times the 1-process reference. Nothing else moves."""
+    session reset on the control lane; what the registry reads of the
+    run still merges to the 1-process reference's."""
 
-    def test_merged_bgp_counts_are_the_reference_once_per_worker(self):
+    def test_merged_equals_the_reference(self):
         net = multi_as_executed.generate_multi_as_network(
             num_ases=6, routers_per_as=6, num_hosts=24, seed=0
         )
@@ -174,16 +124,7 @@ class TestPerWorkerBgp:
                 assignment, 2, lookahead, procs=2, start_method="fork"
             ).run_scenario(reset, until=until)
             merged = deterministic_view(merged_registry_snapshot(result))
-        bgp = {n: v for n, v in ref["counters"].items() if n.startswith("bgp.")}
-        assert set(bgp) == {
-            names.BGP_UPDATES_SENT, names.BGP_UPDATES_RECEIVED,
-            names.BGP_DECISIONS, names.BGP_ITERATIONS,
-        }
-        assert all(v > 0 for v in bgp.values())
-        assert {n: merged["counters"][n] for n in bgp} == {n: 2 * v for n, v in bgp.items()}
         assert ref["counters"][names.FAULTS_BGP_SESSION_RESETS] == 1
-        for doc in (ref, merged):
-            doc["counters"] = {n: v for n, v in doc["counters"].items() if n not in bgp}
         assert merged == ref
 
 
@@ -215,14 +156,10 @@ class TestMeasuredChannelEndToEnd:
             )
             result = engine.run_scenario(spec(), until=DURATION)
             merged = merged_trace_snapshot(result)
-            registry = merged_registry_snapshot(result)
         cut = [m for m in merged.measured if is_checkpoint_window(m.window_index, every)]
         assert len(cut) == result.recovery["checkpoints_taken"] > 0
         assert all(m.checkpoint_s > 0.0 for m in cut)
         assert all(m.checkpoint_s == 0.0 for m in merged.measured if m not in cut)
-        timer = registry.get_timer(names.PARALLEL_CHECKPOINT)
-        assert timer.count == len(cut)
-        assert timer.total_s == pytest.approx(sum(m.checkpoint_s for m in cut))
 
 
 class TestObsOutCli:
@@ -270,3 +207,8 @@ class TestObsOutCli:
         out = capsys.readouterr().out
         assert "measured per-shard wall decomposition" in out
         assert "merged observability snapshot written to" in out
+        # The p-line gives exact percentiles of one wait per (window, shard).
+        waits_ms = [m["barrier_wait_s"] * 1e3 for m in doc["measured_windows"]]
+        p50, p95, p99 = np.percentile(waits_ms, (50, 95, 99))
+        assert (f"barrier wait per window: p50 {p50:.4f} ms, p95 {p95:.4f} ms, "
+                f"p99 {p99:.4f} ms") in out

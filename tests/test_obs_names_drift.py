@@ -40,7 +40,6 @@ def registered_names(monkeypatch) -> set[str]:
     from repro.faults import FaultInjector, FaultSchedule
     from repro.netsim.simulator import NetworkSimulator
     from repro.engine.recovery import RecoveryConfig
-    from repro.obs.distributed import CalibrationRecorder
     from repro.partition.rebalance import RebalanceConfig
     from repro.routing.bgp.engine import BgpEngine, BgpSpeaker
 
@@ -50,28 +49,20 @@ def registered_names(monkeypatch) -> set[str]:
     net.add_link(r0, h0, 1e9, 1e-3)
     engine = ShardEngine(np.zeros(net.num_nodes, dtype=np.int64), 1, 1.0)
     # The shard engine registers the engine.* set and the worker-side
-    # parallel.* set (per-worker recording with shard labels);
-    # constructing the controller registers the controller-side parallel
-    # instruments (with a rebalance config the rebalance.* set too, with
-    # a recovery config the recovery.* set), and the calibration.* set
-    # lives in the CalibrationRecorder. No worker processes start until
+    # parallel.* set (per-worker reads with shard labels); constructing
+    # the controller registers the controller-side reads (with a
+    # rebalance config the rebalance.* set too, with a recovery config
+    # the recovery.* set). No worker processes start until
     # run_scenario().
     ParallelConservativeEngine(
         np.zeros(net.num_nodes, dtype=np.int64), 1, 1.0,
         rebalance=RebalanceConfig(), recovery=RecoveryConfig(),
     )
-    CalibrationRecorder()
     fib = ForwardingPlane(net)
     sim = NetworkSimulator(net, fib, engine)
     BgpEngine({1: BgpSpeaker(1, {2: "peer"}), 2: BgpSpeaker(2, {1: "peer"})})
     FaultInjector(sim, fib, FaultSchedule.from_events([]))
-    return (
-        set(reg.counters())
-        | set(reg.vectors())
-        | set(reg.gauges())
-        | set(reg.histograms())
-        | set(reg.timers())
-    )
+    return set(reg.counters()) | set(reg.vectors())
 
 
 def test_every_registered_instrument_has_a_names_constant(monkeypatch):
@@ -107,7 +98,6 @@ WINDOW_NAMES = {
     names.ENGINE_WINDOWS,
     names.ENGINE_LP_EVENTS,
     names.ENGINE_LP_REMOTE_SENDS,
-    names.ENGINE_WINDOW_EVENTS_HIST,
 }
 
 
@@ -122,7 +112,6 @@ def registrations_by_component(monkeypatch) -> dict[str, dict[str, set[str]]]:
     from repro.engine.recovery import RecoveryConfig
     from repro.faults import FaultInjector, FaultSchedule
     from repro.netsim.simulator import NetworkSimulator
-    from repro.obs.distributed import CalibrationRecorder
     from repro.partition.rebalance import RebalanceConfig
     from repro.routing.bgp.engine import BgpEngine, BgpSpeaker
 
@@ -137,9 +126,7 @@ def registrations_by_component(monkeypatch) -> dict[str, dict[str, set[str]]]:
         reg = Registry()
         monkeypatch.setattr(registry_mod, "_GLOBAL", reg)
         component = make()
-        written = set().union(
-            reg._counters, reg._vectors, reg._gauges, reg._histograms, reg._timers
-        )
+        written = set().union(reg._counters, reg._vectors)
         mine = out.setdefault(type(component).__name__, {"read": set(), "written": set()})
         mine["read"] |= set(reg._reads)
         mine["written"] |= written
@@ -149,7 +136,6 @@ def registrations_by_component(monkeypatch) -> dict[str, dict[str, set[str]]]:
     construct(lambda: ParallelConservativeEngine(
         assignment, 1, 1.0, rebalance=RebalanceConfig(), recovery=RecoveryConfig(),
     ))
-    construct(CalibrationRecorder)
     fib = construct(lambda: ForwardingPlane(net))
     sim = construct(lambda: NetworkSimulator(net, fib, engine))
     construct(lambda: BgpEngine({1: BgpSpeaker(1, {2: "peer"}), 2: BgpSpeaker(2, {1: "peer"})}))

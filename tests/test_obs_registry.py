@@ -1,15 +1,22 @@
-"""Unit tests for the observability layer: registry, instruments,
-exporters, and the registry's reads of a real run's traffic profile."""
+"""Unit tests for the observability layer: registry, reads, exporters,
+and the registry's reads of a real run's traffic profile."""
 
 from __future__ import annotations
 
+import gc
 import json
+import pickle
 import re
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.obs import Registry, Stopwatch, export, names, observed_run
+from repro.obs import Counter, Registry, Stopwatch, VectorCounter, export, names, observed_run
+from repro.obs import registry as registry_module
+from repro.obs import timers
+from repro.obs.counters import SnapshotMergeError, holding
 from repro.obs.registry import get_registry
 
 
@@ -25,101 +32,87 @@ class TestRegistryLifecycle:
     def test_global_registry_is_a_singleton(self):
         assert get_registry() is get_registry()
 
-    def test_factories_are_idempotent_by_name(self, reg):
-        assert reg.counter("a") is reg.counter("a")
-        assert reg.vector_counter("v", 4) is reg.vector_counter("v", 4)
-        assert reg.timer("t") is reg.timer("t")
-
-    def test_vector_resized_on_topology_change(self, reg):
-        small = reg.vector_counter("v", 4)
-        big = reg.vector_counter("v", 9)
-        assert big is not small
-        assert big.size == 9
-        assert reg.get_vector("v") is big
-
     def test_lookup_unknown_name_lists_known(self, reg):
-        reg.counter("known.counter")
+        reg.read("known.counter", lambda: 1)
         with pytest.raises(KeyError, match="known.counter"):
             reg.get_counter("nope")
 
-    def test_reset_zeroes_but_keeps_registrations(self, reg):
-        c = reg.counter("c")
-        v = reg.vector_counter("v", 3)
-        c.inc(5)
-        v.inc(1, 2.0)
-        reg.reset()
-        assert c.value == 0
-        assert v.total == 0
-        assert reg.get_counter("c") is c
+    def test_lookup_unknown_vector_lists_known(self, reg):
+        reg.read("known.vector", lambda: [1, 2])
+        with pytest.raises(KeyError, match="known.vector"):
+            reg.get_vector("nope")
 
-    def test_clear_drops_registrations(self, reg):
-        reg.counter("c")
-        reg.clear()
-        with pytest.raises(KeyError):
-            reg.get_counter("c")
+    def test_module_functions_act_on_the_global_registry(self):
+        glob = get_registry()
+        was = glob.enabled
+        try:
+            registry_module.enable()
+            assert glob.enabled
+            glob.read("module.level", lambda: 2)
+            assert glob.get_counter("module.level").value == 2.0
+            registry_module.reset()
+            assert "module.level" not in glob.counters()
+            registry_module.disable()
+            assert not glob.enabled
+        finally:
+            glob.reset()
+            glob.enabled = was
+
+    def test_pickled_registry_keeps_its_enabled_flag(self, reg):
+        assert pickle.loads(pickle.dumps(reg)).enabled is True
+        assert pickle.loads(pickle.dumps(Registry())).enabled is False
+
+
+class _Owner:
+    """An owner keeping a count, for the reads' lifetime tests."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    def count(self) -> int:
+        return self.n
 
 
 class TestInstruments:
-    def test_counter_accumulates_only_when_enabled(self, reg):
-        c = reg.counter("c")
-        c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
-        reg.disable()
-        c.inc(100)
-        assert c.value == 3.5
-
-    def test_vector_counter_inc_and_add_array(self, reg):
-        v = reg.vector_counter("v", 3)
-        v.inc(0)
-        v.inc(2, 4.0)
-        v.add_array(np.array([1.0, 1.0, 1.0]))
-        np.testing.assert_allclose(v.values, [2.0, 1.0, 5.0])
-        assert v.total == 8.0
-
-    def test_max_gauge_keeps_high_water_mark(self, reg):
-        g = reg.max_gauge("g", 2)
-        g.observe(0, 5.0)
-        g.observe(0, 3.0)
-        g.observe(1, 7.0)
-        np.testing.assert_allclose(g.values, [5.0, 7.0])
-
-    def test_histogram_bucketing_and_overflow(self, reg):
-        h = reg.histogram("h", (1.0, 10.0, 100.0))
-        for value in (0.5, 1.0, 5.0, 50.0, 1000.0):
-            h.observe(value)
-        assert h.counts.tolist() == [2, 1, 1, 1]
-        assert h.count == 5
-        assert h.sum == pytest.approx(1056.5)
-
-    def test_histogram_rejects_unsorted_bounds(self, reg):
-        with pytest.raises(ValueError, match="sorted"):
-            reg.histogram("bad", (10.0, 1.0))
-
-    def test_span_timer_protocol(self, reg):
-        t = reg.timer("t")
-        token = t.start()
-        assert token >= 0.0
-        t.stop(token)
-        with t.span():
-            pass
-        assert t.count == 2
-        assert t.total_s >= 0.0
-        assert t.mean_s == t.total_s / 2
-
-    def test_span_timer_disabled_token_is_noop(self, reg):
-        t = reg.timer("t")
-        reg.disable()
-        token = t.start()
-        assert token == -1.0
-        t.stop(token)
-        assert t.count == 0
-
     def test_stopwatch_is_registry_independent(self):
         watch = Stopwatch()
         assert watch.elapsed() >= 0.0
         watch.restart()
         assert watch.elapsed() >= 0.0
+
+    def test_stopwatch_measures_from_its_last_restart(self, monkeypatch):
+        clock = iter([10.0, 12.5, 20.0, 21.0])
+        monkeypatch.setattr(timers, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        watch = Stopwatch()  # 10.0
+        assert watch.elapsed() == 2.5  # 12.5
+        watch.restart()  # 20.0
+        assert watch.elapsed() == 1.0  # 21.0
+
+    @pytest.mark.parametrize(
+        "value, kind", [(3.0, Counter), (np.array([1.0, 2.0]), VectorCounter)],
+        ids=["scalar", "array"],
+    )
+    def test_holding_picks_the_kind_of_its_value(self, value, kind):
+        inst = holding("x", value)
+        assert type(inst) is kind and inst.name == "x"
+
+    def test_counter_merge_adds(self):
+        c = Counter("c", 2.0)
+        c.merge_from(Counter("c", 3.5))
+        assert c.value == 5.5
+
+    def test_vector_merge_adds_slot_by_slot(self):
+        v = VectorCounter("v", np.array([1.0, 0.0, 2.0]))
+        v.merge_from(VectorCounter("v", np.array([0.0, 4.0, 1.0])))
+        assert v.values.tolist() == [1.0, 4.0, 3.0]
+        assert v.size == 3 and v.total == 8.0
+
+    def test_an_all_zero_vector_merges_away_whatever_its_shape(self):
+        v = VectorCounter("v", np.array([1.0, 2.0]))
+        v.merge_from(VectorCounter("v", np.zeros(5)))
+        assert v.values.tolist() == [1.0, 2.0]
+        with pytest.raises(SnapshotMergeError, match="size 3 != merged size 2"):
+            v.merge_from(VectorCounter("v", np.ones(3)))
 
 
 class TestReads:
@@ -143,9 +136,11 @@ class TestReads:
 
     def test_reset_drops_the_reads(self, reg):
         reg.read("c", lambda: 3)
+        shipped = Registry(enabled=True)
+        shipped.read("v", lambda: [1, 2])
+        reg.merge_from(shipped)
         reg.reset()
-        with pytest.raises(KeyError):
-            reg.get_counter("c")
+        assert reg.counters() == {} and reg.vectors() == {}
 
     def test_another_size_replaces_the_earlier_reads(self, reg):
         reg.read("v", lambda: [1, 1, 1])
@@ -153,8 +148,6 @@ class TestReads:
         assert reg.get_vector("v").values.tolist() == [2.0, 2.0]
 
     def test_pickle_and_merge_carry_values_not_owners(self, reg):
-        import pickle
-
         owner = {"n": 4}
         reg.read("c", lambda: owner["n"])  # a lambda: pickling the owner would fail
         shipped = pickle.loads(pickle.dumps(reg))
@@ -164,19 +157,81 @@ class TestReads:
         assert shipped.get_counter("c").value == merged.get_counter("c").value == 4.0
         assert shipped._reads == merged._reads == {}
 
+    def test_a_zero_dimensional_array_reads_as_a_counter(self, reg):
+        reg.read("c", lambda: np.int64(4))
+        assert reg.get_counter("c").value == 4.0
+        assert "c" not in reg.vectors()
+
+    def test_scalar_and_vector_reads_stay_in_their_kind(self, reg):
+        reg.read("c", lambda: 1)
+        reg.read("v", lambda: [1, 2])
+        assert list(reg.counters()) == ["c"]
+        assert list(reg.vectors()) == ["v"]
+
+    def test_a_read_and_a_merged_value_of_one_name_sum(self, reg):
+        reg.read("c", lambda: 2)
+        reg.read("v", lambda: [1, 1])
+        shipped = Registry(enabled=True)
+        shipped.read("c", lambda: 5)
+        shipped.read("v", lambda: [0, 3])
+        reg.merge_from(shipped)
+        assert reg.get_counter("c").value == 7.0
+        assert reg.get_vector("v").values.tolist() == [1.0, 4.0]
+
+    def test_handed_out_instruments_are_fresh_each_time(self, reg):
+        owner = np.array([1, 2])
+        reg.read("v", lambda: owner)
+        reg.get_vector("v").values[0] = 99.0
+        assert reg.get_vector("v").values.tolist() == [1.0, 2.0]
+        assert owner.tolist() == [1, 2]
+        idle = Registry()  # no owner: the name's zero is handed out
+        idle.read("v", lambda: owner)
+        idle.get_vector("v").values[0] = 99.0
+        assert idle.get_vector("v").values.tolist() == [0.0, 0.0]
+
+    def test_a_read_made_while_disabled_stays_a_zero(self):
+        reg = Registry()
+        reg.read("c", lambda: 7)
+        reg.enable()
+        assert reg.get_counter("c").value == 0.0
+        reg.read("c", lambda: 3)  # enabled now: this owner is kept
+        assert reg.get_counter("c").value == 3.0
+
+    def test_a_disabled_registry_keeps_no_owner_alive(self):
+        reg = Registry()
+        owner = _Owner(3)
+        ref = weakref.ref(owner)
+        reg.read("c", owner.count)
+        del owner
+        gc.collect()
+        assert ref() is None
+
+    def test_reset_lets_go_of_the_owner(self, reg):
+        owner = _Owner(3)
+        ref = weakref.ref(owner)
+        reg.read("c", owner.count)
+        del owner
+        gc.collect()
+        assert ref() is not None and reg.get_counter("c").value == 3.0
+        reg.reset()
+        gc.collect()
+        assert ref() is None
+
 
 class TestObservedRun:
     def test_enables_resets_and_restores(self):
-        reg = Registry(enabled=False)
-        c = reg.counter("c")
-        c._record(7)  # simulate stale state from a previous run
+        reg = Registry(enabled=True)
+        reg.read("stale", lambda: 7)  # an owner from a previous run
+        reg.enabled = False
+        owner = {"n": 0}
         with observed_run(reg) as inner:
             assert inner is reg
             assert reg.enabled
-            assert c.value == 0  # the reset zeroed the stale state
-            c.inc()
+            assert "stale" not in reg.counters()  # the reset let it go
+            reg.read("c", lambda: owner["n"])
+            owner["n"] = 1
         assert reg.enabled is False
-        assert c.value == 1  # reads remain valid after exit
+        assert reg.get_counter("c").value == 1  # reads remain valid after exit
 
     def test_nested_observation_stays_enabled(self):
         reg = Registry(enabled=True)
@@ -188,14 +243,8 @@ class TestObservedRun:
 class TestExport:
     def _populated(self) -> Registry:
         reg = Registry(enabled=True)
-        reg.counter("pkts.sent").inc(3)
-        v = reg.vector_counter("node.events", 2)
-        v.inc(0, 2.0)
-        v.inc(1, 1.0)
-        reg.max_gauge("queue.hwm", 1).observe(0, 9.5)
-        reg.histogram("win.events", (1.0, 10.0)).observe(5.0)
-        t = reg.timer("barrier.wait")
-        t.stop(t.start())
+        reg.read("pkts.sent", lambda: 3)
+        reg.read("node.events", lambda: [2, 1])
         return reg
 
     def test_json_snapshot_roundtrip(self, tmp_path):
@@ -203,24 +252,18 @@ class TestExport:
         path = tmp_path / "snap.json"
         export.write_snapshot(str(path), reg, meta={"seed": 7})
         data = json.loads(path.read_text())
-        assert data["version"] == 2
+        assert data["version"] == 3
         assert data["meta"] == {"seed": 7}
         assert data["counters"]["pkts.sent"] == 3
         assert data["vectors"]["node.events"]["values"] == [2.0, 1.0]
-        assert data["gauges"]["queue.hwm"]["values"] == [9.5]
-        assert data["histograms"]["win.events"]["bucket_counts"] == [0, 1, 0]
-        assert data["timers"]["barrier.wait"]["count"] == 1
-        assert "series" not in data
+        assert set(data) == {"version", "meta", "counters", "vectors"}
 
     def test_prometheus_exposition(self):
         text = export.to_prometheus(self._populated())
         assert "# TYPE repro_pkts_sent counter" in text
         assert "repro_pkts_sent 3" in text
         assert 'repro_node_events{index="1"} 1' in text
-        assert 'repro_win_events_bucket{le="+Inf"} 1' in text
-        assert "repro_barrier_wait_spans_total 1" in text
-        # cumulative-le convention: the 10.0 bucket includes the 1.0 bucket
-        assert 'repro_win_events_bucket{le="10"} 1' in text
+        assert "repro_node_events_sum 3" in text
 
     def test_prom_format_via_write_snapshot(self, tmp_path):
         path = tmp_path / "snap.prom"
@@ -229,7 +272,7 @@ class TestExport:
 
     #: metric family sample line: name, optional one-label set, value
     _SAMPLE = re.compile(
-        r'^[a-zA-Z_][a-zA-Z0-9_]*(\{(index|le)="[^"]+"\})? [0-9eE.+-]+$|'
+        r'^[a-zA-Z_][a-zA-Z0-9_]*(\{index="[^"]+"\})? [0-9eE.+-]+$|'
         r"^[a-zA-Z_][a-zA-Z0-9_]* [0-9eE.+-]+$"
     )
 
@@ -247,14 +290,11 @@ class TestExport:
                 typed.add(name)
             else:
                 assert self._SAMPLE.match(line), f"malformed sample line: {line!r}"
-        assert typed == helped
-        # one family per instrument, two for the timer's counter pair
-        assert "repro_barrier_wait_seconds_total" in typed
-        assert "repro_barrier_wait_spans_total" in typed
+        assert typed == helped == {"repro_pkts_sent", "repro_node_events"}
 
     def test_prometheus_help_uses_canonical_text(self):
         reg = Registry(enabled=True)
-        reg.counter(names.ENGINE_EVENTS).inc()
+        reg.read(names.ENGINE_EVENTS, lambda: 1)
         text = export.to_prometheus(reg)
         assert f"# HELP repro_engine_events_executed {names.HELP[names.ENGINE_EVENTS]}" in text
 
@@ -262,101 +302,43 @@ class TestExport:
         with pytest.raises(ValueError, match="unknown snapshot format"):
             export.write_snapshot(str(tmp_path / "x"), self._populated(), fmt="xml")
 
+    def test_snapshot_copies_its_meta(self):
+        meta = {"seed": 1}
+        data = export.snapshot(self._populated(), meta)
+        meta["seed"] = 2
+        assert data["meta"] == {"seed": 1}
 
-class TestHistogramQuantile:
-    def _hist(self, bounds, observations):
+    def test_snapshot_sorts_names_within_each_section(self):
         reg = Registry(enabled=True)
-        h = reg.histogram("q.test", bounds)
-        for v in observations:
-            h.observe(v)
-        return h
+        for name in ("z.c", "a.c", "m.c"):
+            reg.read(name, lambda: 1)
+        assert list(export.snapshot(reg)["counters"]) == ["a.c", "m.c", "z.c"]
 
-    def test_linear_interpolation_within_first_bucket(self):
-        h = self._hist((10.0, 20.0), (1.0, 2.0, 3.0, 4.0))
-        # Uniform-in-bucket assumption over (0, 10]: rank 2 of 4 -> 5.0
-        assert h.quantile(0.5) == pytest.approx(5.0)
-        assert h.quantile(1.0) == pytest.approx(10.0)
-        assert h.quantile(0.0) == pytest.approx(0.0)
+    def test_an_empty_registry_exports_empty_sections(self):
+        data = export.snapshot(Registry())
+        assert data["counters"] == {} and data["vectors"] == {}
+        assert export.to_prometheus(Registry()) == "\n"
 
-    def test_interpolation_uses_previous_bound_as_lower_edge(self):
-        h = self._hist((10.0, 20.0), (5.0, 15.0))
-        assert h.quantile(0.5) == pytest.approx(10.0)
-        assert h.quantile(0.75) == pytest.approx(15.0)
-        assert h.quantile(1.0) == pytest.approx(20.0)
+    def test_to_json_without_indent_is_one_line(self):
+        text = export.to_json(self._populated(), indent=None)
+        assert "\n" not in text
+        assert json.loads(text) == export.snapshot(self._populated())
 
-    def test_overflow_bucket_clamps_to_last_finite_bound(self):
-        # The +Inf bucket cannot be interpolated; the documented behavior
-        # is a clamp to bounds[-1] (the histogram knows nothing more).
-        h = self._hist((10.0, 20.0), (5.0, 100.0, 200.0))
-        assert h.quantile(0.9) == 20.0
-        assert h.quantile(1.0) == 20.0
+    def test_prometheus_renders_fractions_exactly(self):
+        reg = Registry(enabled=True)
+        reg.read("frac", lambda: 0.1)
+        reg.read("vec", lambda: [2.5, 3.0])
+        text = export.to_prometheus(reg)
+        assert "repro_frac 0.1\n" in text
+        assert 'repro_vec{index="0"} 2.5\n' in text
+        assert 'repro_vec{index="1"} 3\n' in text
+        assert "repro_vec_sum 5.5\n" in text
 
-    def test_empty_and_out_of_range_raise(self):
-        h = self._hist((10.0,), ())
-        with pytest.raises(ValueError, match="empty"):
-            h.quantile(0.5)
-        with pytest.raises(ValueError, match="0, 1"):
-            self._hist((10.0,), (1.0,)).quantile(1.5)
-
-    def test_quantiles_are_monotone(self):
-        rng = np.random.default_rng(0)
-        h = self._hist((0.5, 1.0, 2.0, 4.0, 8.0), rng.exponential(2.0, 500))
-        qs = [h.quantile(q) for q in (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)]
-        assert qs == sorted(qs)
-
-    def test_rank_on_cumulative_boundary_does_not_skip_empty_buckets(self):
-        # 7 obs in (0, 1], none in (1, 2], 93 in (2, 3]. quantile(0.07)
-        # asks for rank 7 of 100 — exactly the last observation of the
-        # first bucket, so the answer is its bound, 1.0. In floats
-        # 0.07 * 100 == 7.000000000000001; without the boundary snap the
-        # overshoot skips the completing bucket and lands at fraction
-        # ~0 of the (2, 3] bucket, jumping the estimate to 2.0.
-        h = self._hist((1.0, 2.0, 3.0), [0.5] * 7 + [2.5] * 93)
-        assert h.quantile(0.07) == pytest.approx(1.0)
-
-    def test_non_positive_first_bound_is_its_own_lower_edge(self):
-        # A first bucket bounded at <= 0 has no usable width: every rank
-        # inside it resolves to the bound itself, never below it.
-        h = self._hist((-5.0, 10.0), (-7.0, -6.0))
-        assert h.quantile(0.25) == pytest.approx(-5.0)
-        assert h.quantile(1.0) == pytest.approx(-5.0)
-
-    def test_quantile_matches_sorted_sample_reference(self):
-        hypothesis = pytest.importorskip("hypothesis")
-        st = pytest.importorskip("hypothesis.strategies")
-
-        bounds = (0.5, 1.0, 2.0, 4.0, 8.0)
-
-        def bucket_range(value):
-            """Bucket edges of ``value`` under the quantile convention."""
-            for i, b in enumerate(bounds):
-                if value <= b:
-                    lo = bounds[i - 1] if i else min(0.0, b)
-                    return lo, b
-            return bounds[-1], bounds[-1]  # overflow clamps
-
-        @hypothesis.given(
-            sample=st.lists(
-                st.floats(0.001, 16.0, allow_nan=False), min_size=1, max_size=60
-            ),
-            qs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
-        )
-        def check(sample, qs):
-            h = self._hist(bounds, sample)
-            ordered = sorted(sample)
-            estimates = [(q, h.quantile(q)) for q in sorted(qs)]
-            for q, est in estimates:
-                # The estimate must land within the bucket bounds of the
-                # true sample quantile: rank ceil(q*n) in 1-indexed
-                # order statistics (rank 0 -> the first observation's
-                # bucket, lower edge side).
-                rank = max(1, int(np.ceil(q * len(ordered) - 1e-9)))
-                lo, hi = bucket_range(ordered[rank - 1])
-                assert lo - 1e-9 <= est <= hi + 1e-9
-            values = [est for _, est in estimates]
-            assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
-
-        check()
+    def test_prometheus_help_escapes_backslash_and_newline(self, monkeypatch):
+        monkeypatch.setitem(names.HELP, "odd.help", "a\\b\nc")
+        reg = Registry(enabled=True)
+        reg.read("odd.help", lambda: 1)
+        assert "# HELP repro_odd_help a\\\\b\\nc\n" in export.to_prometheus(reg)
 
 
 class TestProfileOfARun:

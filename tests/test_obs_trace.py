@@ -424,6 +424,6 @@ class TestBgpSpans:
             engine = configure_bgp(net)
         spans = [s for s in tr.spans if s.kind == "bgp.convergence"]
         assert len(spans) == 1
-        assert spans[0].elapsed_s >= 0.0
+        assert spans[0].end_s >= spans[0].start_s
         assert spans[0].meta["iterations"] == engine.iterations
         assert spans[0].meta["speakers"] == len(engine.speakers)
