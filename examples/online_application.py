@@ -56,7 +56,7 @@ def main() -> None:
 
     # Map the network and ask: can this run in real time on the cluster?
     profile = TrafficProfile.from_simulation(sim, DURATION_S)
-    pipeline = MappingPipeline.for_network(net, NUM_ENGINES)
+    pipeline = MappingPipeline(net, NUM_ENGINES)
     mapping = pipeline.run(Approach.HPROF, profile)
 
     times, nodes = engine.trace()

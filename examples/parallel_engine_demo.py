@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import Approach, MappingPipeline
-from repro.experiments import ExperimentScale, build_network
-from repro.experiments.parallel import predict_from_windows, run_parallel_workload
+from repro.experiments import ExperimentScale, build_network, run_workload_simulation
+from repro.experiments.parallel import predict_from_windows
 from repro.experiments.runner import cluster_for_scale
 from repro.metrics import load_imbalance
 from repro.routing.fib import ForwardingPlane
@@ -52,8 +52,8 @@ def main() -> None:
     print(f"HTOP mapping: {SCALE.num_engines} LPs, "
           f"achieved MLL {mapping.achieved_mll_ms:.3f} ms")
 
-    engine, sim, handles = run_parallel_workload(
-        net, fib, "scalapack", SCALE, mapping, duration_s=SCALE.duration_s, seed=3
+    engine, sim, handles = run_workload_simulation(
+        net, fib, "scalapack", SCALE, SCALE.duration_s, seed=3, mapping=mapping
     )
 
     print(f"\nparallel run: {engine.events_executed} events over "

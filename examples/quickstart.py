@@ -36,7 +36,7 @@ def main() -> None:
     print(f"profiled {profile.total_events:.0f} events over {profile.duration_s:.0f}s")
 
     # 3. Map the network onto 12 simulation engines.
-    pipeline = MappingPipeline.for_network(net, num_engines=12)
+    pipeline = MappingPipeline(net, num_engines=12)
     print(f"cluster sync cost C(12) = {pipeline.sync_cost_s * 1e3:.3f} ms\n")
 
     for approach in (Approach.TOP, Approach.TOP2, Approach.HPROF):

@@ -21,7 +21,7 @@ Quickstart
 ----------
 >>> from repro import generate_flat_network, MappingPipeline, Approach
 >>> net = generate_flat_network(num_routers=200, num_hosts=50, seed=1)
->>> pipeline = MappingPipeline.for_network(net, num_engines=8)
+>>> pipeline = MappingPipeline(net, num_engines=8)
 >>> mapping = pipeline.run(Approach.HPROF)
 """
 

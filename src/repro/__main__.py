@@ -117,22 +117,23 @@ def _cmd_experiment_mp(args, scale) -> int:
     measured per-window worker spans and the measured-vs-modeled
     calibration table — is written as one JSON document
     (:func:`repro.obs.distributed.merged_snapshot_document`).
+
+    The run checks itself against its 1-process reference: the command
+    prints the delivery-log verdict and exits 1 when the multi-process
+    output diverged or a worker loss went unrecovered, as ``chaos`` does.
     """
     import json
+    from contextlib import nullcontext
     from pathlib import Path
 
-    from .core.approaches import Approach
-    from .experiments.parallel import run_executed_workload
-    from .experiments.runner import MappingPipeline, build_network, cluster_for_scale
-    from .obs import blame
+    from .experiments.parallel import run_executed_workload, top_mapping
+    from .experiments.runner import build_network, cluster_for_scale
+    from .obs import blame, observed_run, traced_run
     from .obs.distributed import merged_snapshot_document
-    from .obs.registry import observed_run
-    from .obs.trace import get_tracer, traced_run
 
     net = build_network(args.network, scale, args.seed)
     cluster = cluster_for_scale(scale)
-    pipeline = MappingPipeline(net, scale.num_engines, cluster, args.seed)
-    mapping = pipeline.run_all([Approach.TOP])[Approach.TOP]
+    mapping = top_mapping(net, scale, args.seed)
     recovery = None
     if args.checkpoint_every is not None:
         from .engine.recovery import RecoveryConfig
@@ -154,17 +155,17 @@ def _cmd_experiment_mp(args, scale) -> int:
             cluster=cluster,
         )
 
-    def execute():
-        return run_executed_workload(
-            net, mapping, scale.profile_duration_s,
-            scale=scale, seed=args.seed, procs=args.procs,
-            rebalance=rebalance,
-            recovery=recovery,
+    observe = bool(args.obs_out)
+    with observed_run() if observe else nullcontext(), \
+            traced_run() if observe else nullcontext():
+        run = run_executed_workload(
+            net, mapping, scale.profile_duration_s, scale,
+            seed=args.seed, procs=args.procs, rebalance=rebalance, recovery=recovery,
         )
-
-    if args.obs_out:
-        with observed_run(), traced_run(get_tracer()):
-            run = execute()
+    if run.error is not None:
+        print(f"executed multi-process run FAILED: {run.error}")
+        return 1
+    if observe:
         out = Path(args.obs_out)
         if out.is_dir():
             out = out / "obs_mp_snapshot.json"
@@ -183,8 +184,6 @@ def _cmd_experiment_mp(args, scale) -> int:
             shards=list(run.result.worker_registries),
         )
         out.write_text(json.dumps(doc, indent=2))
-    else:
-        run = execute()
 
     s = run.summary()
     print(f"executed multi-process run: {args.network} / udp-background "
@@ -199,6 +198,9 @@ def _cmd_experiment_mp(args, scale) -> int:
           f"(sync fraction {s['predicted_sync_fraction']:.2f})")
     print(f"  cross-shard mail   {s['mail_bytes']:>12,} bytes over "
           f"{s['num_windows']} windows")
+    identical = run.byte_identical and run.counters_match
+    print("  delivery log       " + ("byte-identical to the 1-process reference"
+                                     if identical else "DIVERGED from the reference"))
     if recovery is not None and run.result.recovery is not None:
         r = run.result.recovery
         print(f"  checkpoints        {r['checkpoints_taken']:>12} "
@@ -217,7 +219,7 @@ def _cmd_experiment_mp(args, scale) -> int:
                   f"{d.src_shard} -> {d.dst_shard} "
                   f"(concentration {d.concentration:.2f}, "
                   f"predicted gain {d.predicted_gain_s * 1e3:.3f} ms)")
-    if args.obs_out:
+    if observe:
         print()
         print("measured per-shard wall decomposition:")
         print(blame.format_blame_table(blame.analyze(
@@ -232,7 +234,7 @@ def _cmd_experiment_mp(args, scale) -> int:
                   f"{worst['window']} (measured {worst['measured_s'] * 1e3:.3f} ms, "
                   f"predicted {worst['predicted_s'] * 1e3:.3f} ms)")
         print(f"\nmerged observability snapshot written to {out}")
-    return 0
+    return 0 if identical else 1
 
 
 def _print_wait_percentiles(wait_ms) -> None:
@@ -311,10 +313,14 @@ def _cmd_trace_timeline(args) -> int:
     from .core import Approach, MappingPipeline
     from .core.mapping import run_profiling_simulation
     from .experiments import build_network, install_workload
-    from .experiments.parallel import predict_from_windows, run_traced_workload
+    from .experiments.parallel import predict_from_windows
     from .experiments.report import format_whatif_table
-    from .experiments.runner import cluster_for_scale, evaluate_mappings
-    from .obs import blame
+    from .experiments.runner import (
+        cluster_for_scale,
+        evaluate_mappings,
+        run_workload_simulation,
+    )
+    from .obs import blame, observed_run, traced_run
     from .obs.trace_export import write_chrome_trace
     from .routing.fib import ForwardingPlane
 
@@ -339,10 +345,10 @@ def _cmd_trace_timeline(args) -> int:
     )
     base = candidates[approach]
 
-    engine, sim, handles, reg, tr = run_traced_workload(
-        net, fib, args.app, scale, base, duration,
-        seed=args.seed, trace_capacity=args.trace_capacity,
-    )
+    with observed_run(), traced_run(capacity=args.trace_capacity) as tr:
+        engine, sim, _ = run_workload_simulation(
+            net, fib, args.app, scale, duration, args.seed, mapping=base
+        )
 
     report = blame.analyze(engine.window_stats, tr, cluster, num_units=engine.num_lps)
     write_chrome_trace(args.out, engine.window_stats, tr, cluster)
@@ -383,13 +389,10 @@ def _cmd_trace_timeline(args) -> int:
 def _cmd_trace_snapshot(args) -> int:
     from .analysis.partition_check import validate_partition
     from .core import Approach, MappingPipeline, build_weighted_graph
-    from .engine.parallel import ShardEngine
+    from .core.mapping import run_profiling_simulation
     from .experiments import build_network, install_workload
     from .experiments.runner import cluster_for_scale
-    from .netsim.simulator import NetworkSimulator
     from .obs import export, observed_run
-    from .online.agent import Agent
-    from .profilers import TrafficProfile
     from .routing.fib import ForwardingPlane
 
     scale = _resolve_scale(args)
@@ -402,16 +405,12 @@ def _cmd_trace_snapshot(args) -> int:
 
     net = build_network(args.network, scale, seed=args.seed)
     fib = ForwardingPlane(net)
-    with observed_run() as reg:
-        engine = ShardEngine([0] * net.num_nodes, 1, lookahead=duration)
-        sim = NetworkSimulator(net, fib, engine)
-        agent = Agent(sim)
-        install_workload(
-            sim, agent, net, args.app, scale, args.seed, duration_s=duration
-        )
-        engine.run(until=duration)
 
-    profile = TrafficProfile.from_simulation(sim, duration)
+    def setup(sim, agent):
+        install_workload(sim, agent, net, args.app, scale, args.seed, duration_s=duration)
+
+    with observed_run() as reg:
+        profile = run_profiling_simulation(net, fib, setup, duration)
     if profile.total_events == 0:
         # An all-zero profile would weight every node alike: no PROF input.
         print(f"error: the run carried no traffic in --duration {duration:g}s; "

@@ -79,16 +79,6 @@ class MappingPipeline:
         self.cluster = cluster if cluster is not None else teragrid_cluster(num_engines)
         self.seed = seed
 
-    @classmethod
-    def for_network(
-        cls,
-        net: Network,
-        num_engines: int,
-        cluster: ClusterSpec | None = None,
-        seed: int = 0,
-    ) -> "MappingPipeline":
-        return cls(net, num_engines, cluster, seed)
-
     @property
     def sync_cost_s(self) -> float:
         """Barrier cost of the configured engine count (seconds)."""

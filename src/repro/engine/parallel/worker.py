@@ -181,8 +181,13 @@ class ShardWorker:
                 yield out
 
     def _loop(self, i: int) -> Generator[tuple | None, tuple | None, None]:
-        """Run every window from ``i`` on, then report ``done``."""
-        obs_on = self.obs_on
+        """Run every window from ``i`` on, then report ``done``.
+
+        The execute / encode / decode / checkpoint spans reach only the
+        tracer's measured channel, so they are timed only when it is on;
+        the barrier wait is always timed (the run result reports it).
+        """
+        timed = self.obs_on and get_tracer().enabled
         clock = Stopwatch()
         waiting = Stopwatch()
         barrier_wait_s = 0.0
@@ -190,16 +195,16 @@ class ShardWorker:
             w, _start, end = self.boundaries[i]
             engine = self.engine
             self._fault(w, False)
-            if obs_on:
+            if timed:
                 clock.restart()
             executed = engine.run_window(w, end)
-            execute_s = clock.elapsed() if obs_on else 0.0
-            if obs_on:
+            execute_s = clock.elapsed() if timed else 0.0
+            if timed:
                 clock.restart()
             payloads = _encode_outbound(
                 engine, self.shard_of, self.fn_to_name, self.procs
             )
-            encode_s = clock.elapsed() if obs_on else 0.0
+            encode_s = clock.elapsed() if timed else 0.0
             window_mail = sum(len(p) for p in payloads)
             engine.mail_bytes += window_mail
             yield (
@@ -216,10 +221,10 @@ class ShardWorker:
             wait_s = waiting.elapsed()
             barrier_wait_s += wait_s
             _expect(msg, "mail", w, "the coordinator")
-            if obs_on:
+            if timed:
                 clock.restart()
             _deliver_encoded_mail(engine, msg[2], end, self.name_to_fn)
-            decode_s = clock.elapsed() if obs_on else 0.0
+            decode_s = clock.elapsed() if timed else 0.0
             plan = msg[3] if self.rb_on and len(msg) > 3 else None
             if plan:
                 # Mail was routed by the *old* placement, so inbound
@@ -240,16 +245,16 @@ class ShardWorker:
                 self._install(inst[2])
             checkpoint_s = 0.0
             if is_checkpoint_window(w, self.ckpt_every):
-                if obs_on:
+                if timed:
                     clock.restart()
                 blob = _encode_worker_checkpoint(
                     engine, self.scenario, self.fn_to_name, w, engine.mail_bytes
                 )
                 digest = checkpoint_digest(blob)
-                if obs_on:
+                if timed:
                     checkpoint_s = clock.elapsed()
                 yield ("ckpt", w, digest, blob)
-            if obs_on:
+            if timed:
                 engine.observe_window_walls(
                     w, executed, execute_s, wait_s, encode_s, decode_s, window_mail,
                     checkpoint_s,
@@ -257,7 +262,7 @@ class ShardWorker:
             i += 1
         result = _shard_result(self.engine, self.scenario)
         result["barrier_wait_s"] = barrier_wait_s
-        if obs_on:
+        if self.obs_on:
             # The process-global owners themselves; encoding pickles a copy.
             result["obs"] = {"registry": get_registry(), "trace": get_tracer()}
         last = self.boundaries[-1][0] if self.boundaries else -1

@@ -19,8 +19,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
+from ..engine.costmodel import window_for_mapping
 from ..engine.parallel import ShardEngine
+from ..engine.recovery import RecoveryConfig
+from ..engine.windows import iter_windows
 from ..faults.injector import FaultCounts, FaultInjector
+from ..faults.plan import FaultPlan
 from ..faults.schedule import FaultScenario, FaultSchedule
 from ..netsim.simulator import NetworkSimulator
 from ..obs import export as obs_export
@@ -30,6 +34,7 @@ from ..online.agent import Agent
 from ..routing.fib import ForwardingPlane
 from ..routing.bgp.session import BgpSessionManager, SessionStats
 from .config import ExperimentScale, default_scale
+from .parallel import run_executed_workload, top_mapping
 from .runner import build_network
 from .workloads import install_workload
 
@@ -226,60 +231,37 @@ def run_process_chaos(
     checkpoint_every: int = 8,
     max_respawns: int = 2,
     duration_s: float | None = None,
-    start_method: str = "fork",
 ) -> ProcessChaosResult:
     """Kill ``kills`` workers at seeded random windows; verify recovery.
 
-    The packet-mediated UDP workload (the only workload that shards —
-    see :mod:`repro.experiments.shard`) runs once on the single-process
-    engine (ground truth) and once on the multi-process backend with a
-    seeded :meth:`FaultPlan.random_kills` plan plus barrier
-    checkpointing. The verdict is RECOVERED when the crashed run's
-    delivery log and traffic counters byte-match the uninterrupted
-    reference with every shard respawned, DEGRADED when a survivor had
-    to adopt a dead shard (output still byte-identical), FAILED on
-    divergence or an exhausted recovery ladder.
+    The executed run (:func:`repro.experiments.parallel
+    .run_executed_workload`) of the packet-mediated UDP workload — the
+    only workload that shards, see :mod:`repro.experiments.shard` — with
+    a seeded :meth:`FaultPlan.random_kills` plan plus barrier
+    checkpointing; the run checks itself against its single-process
+    reference. The verdict is RECOVERED when the crashed run's delivery
+    log and traffic counters byte-match the uninterrupted reference with
+    every shard respawned, DEGRADED when a survivor had to adopt a dead
+    shard (output still byte-identical), FAILED on divergence or an
+    exhausted recovery ladder.
     """
-    from ..core.approaches import Approach
-    from ..engine.costmodel import window_for_mapping
-    from ..engine.parallel import ParallelConservativeEngine, RecoveryExhaustedError
-    from ..engine.recovery import RecoveryConfig
-    from ..engine.windows import iter_windows
-    from ..faults.plan import FaultPlan
-    from .runner import MappingPipeline, cluster_for_scale
-    from .shard import delivery_log_bytes, merge_collected, run_reference, udp_spec
-
     scale = scale if scale is not None else default_scale()
     duration = duration_s if duration_s is not None else scale.profile_duration_s
     net = build_network(network_kind, scale, seed)
-    cluster = cluster_for_scale(scale)
-    pipeline = MappingPipeline(net, scale.num_engines, cluster, seed)
-    mapping = pipeline.run_all([Approach.TOP])[Approach.TOP]
+    mapping = top_mapping(net, scale, seed)
     lookahead = window_for_mapping(mapping.achieved_mll_s, duration)
     num_windows = sum(1 for _ in iter_windows(0.0, lookahead, duration))
     plan = FaultPlan.random_kills(num_windows, procs, kills=kills, seed=seed)
-    spec = udp_spec(
-        net, duration, packets=4 * scale.http_clients, seed=seed,
-        record_deliveries=True,
-    )
-    _ref_engine, ref_collected = run_reference(
-        spec, mapping.assignment, mapping.num_engines, lookahead, duration
-    )
     recovery = RecoveryConfig(
         checkpoint_every_n_windows=checkpoint_every,
         max_respawns=max_respawns,
         on_worker_loss=on_worker_loss,
         fault_plan=plan,
     )
-    engine = ParallelConservativeEngine(
-        mapping.assignment,
-        mapping.num_engines,
-        lookahead,
-        procs=procs,
-        start_method=start_method,
-        recovery=recovery,
+    run = run_executed_workload(
+        net, mapping, duration, scale, seed=seed, procs=procs, recovery=recovery
     )
-    base = dict(
+    return ProcessChaosResult(
         network=network_kind,
         procs=procs,
         seed=seed,
@@ -288,23 +270,11 @@ def run_process_chaos(
         on_worker_loss=on_worker_loss,
         plan_digest=plan.digest(),
         fault_lines=[pf.canonical() for pf in plan],
-        reference_counters=dict(ref_collected["counters"]),
-    )
-    try:
-        result = engine.run_scenario(spec, until=duration)
-    except RecoveryExhaustedError as exc:
-        return ProcessChaosResult(
-            **base, recovery=None, byte_identical=False,
-            counters_match=False, error=str(exc),
-        )
-    mp_collected = merge_collected(result.collected)
-    return ProcessChaosResult(
-        **base,
-        recovery=result.recovery,
-        byte_identical=(
-            delivery_log_bytes(ref_collected) == delivery_log_bytes(mp_collected)
-        ),
-        counters_match=ref_collected["counters"] == mp_collected["counters"],
+        reference_counters=dict(run.reference["counters"]),
+        recovery=run.result.recovery if run.result is not None else None,
+        byte_identical=run.byte_identical,
+        counters_match=run.counters_match,
+        error=run.error,
     )
 
 

@@ -1,20 +1,23 @@
 """Run the experiment workload on the conservative *parallel* engine.
 
 The figure pipeline scores mappings against a sequentially recorded trace
-(sound, because virtual-network behavior is mapping-independent). This
-module closes the loop twice:
+(sound, because virtual-network behavior is mapping-independent). The
+loop closes twice, each way through one function:
 
-- **Modeled** (:func:`run_parallel_workload`): the workload runs
-  on one :class:`repro.engine.ShardEngine` that owns every LP under a
-  given mapping — per-LP event queues, cross-LP mailboxes, barrier
-  windows of one achieved-MLL — exactly the structure of MaSSF's
-  distributed engine, and the cost model converts its window counters
-  into predicted cluster wall-clock.
-- **Executed** (:func:`run_executed_workload`):
-  the packet-mediated UDP workload actually runs across real worker
-  processes on the :class:`repro.engine.ParallelConservativeEngine`, and
-  the *measured* multi-process wall-clock is returned next to the cost
-  model's prediction over the same window counters. Only packet-mediated
+- **Modeled** (:func:`repro.experiments.runner.run_workload_simulation`
+  with a ``mapping``): the workload runs on one
+  :class:`repro.engine.ShardEngine` that owns every LP under the mapping
+  — per-LP event queues, cross-LP mailboxes, barrier windows of one
+  achieved-MLL — exactly the structure of MaSSF's distributed engine,
+  and :func:`predict_from_windows` converts its window counters into
+  predicted cluster wall-clock.
+- **Executed** (:func:`run_executed_workload`): the packet-mediated UDP
+  workload actually runs across real worker processes on the
+  :class:`repro.engine.ParallelConservativeEngine`, next to a
+  single-process reference of the same seeded spec. The run reports the
+  *measured* multi-process wall-clock beside the cost model's prediction
+  over the same window counters, and whether its delivery log and
+  traffic counters byte-match the reference. Only packet-mediated
   traffic shards (see :mod:`repro.experiments.shard`), so the executed
   path substitutes seeded UDP background traffic for the online
   application mix — the modeled path keeps the full mix.
@@ -26,35 +29,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.mapping import NetworkMapping
+from ..core.approaches import Approach
+from ..core.mapping import MappingPipeline, NetworkMapping
 from ..engine.costmodel import (
     WallclockPrediction,
     predict_wallclock,
     sequential_time_estimate,
     window_for_mapping,
 )
-from ..engine.parallel import ParallelConservativeEngine, ParallelRunResult, ShardEngine
+from ..engine.parallel import ParallelConservativeEngine, ParallelRunResult, WorkerCrashError
+from ..engine.recovery import RecoveryExhaustedError
 from ..engine.windows import WindowStats
 from ..cluster.syncmodel import ClusterSpec
-from ..netsim.simulator import NetworkSimulator
 from ..obs.distributed import (
     merged_registry_snapshot,
     merged_trace_snapshot,
     window_calibration,
 )
-from ..obs.registry import Registry, get_registry, observed_run
+from ..obs.registry import Registry, get_registry
 from ..obs.timers import Stopwatch
-from ..obs.trace import TraceBuffer, get_tracer, traced_run
-from ..online.agent import Agent
-from ..routing.fib import ForwardingPlane
+from ..obs.trace import TraceBuffer, get_tracer
 from ..topology.models import Network
 from .config import ExperimentScale
-from .shard import merge_collected, run_reference, udp_spec
-from .workloads import WorkloadHandles, install_workload
+from .runner import cluster_for_scale
+from .shard import delivery_log_bytes, merge_collected, run_reference, udp_spec
 
 __all__ = [
-    "run_parallel_workload",
-    "run_traced_workload",
+    "top_mapping",
     "run_executed_workload",
     "ExecutedParallelRun",
     "calibrated_cluster",
@@ -62,64 +63,10 @@ __all__ = [
 ]
 
 
-def run_parallel_workload(
-    net: Network,
-    fib: ForwardingPlane,
-    app_kind: str,
-    scale: ExperimentScale,
-    mapping: NetworkMapping,
-    duration_s: float,
-    seed: int = 0,
-    strict: bool = True,
-) -> tuple[ShardEngine, NetworkSimulator, WorkloadHandles]:
-    """Execute the workload on the parallel engine under ``mapping``.
-
-    The engine's lookahead is the mapping's achieved MLL (clamped to the
-    run length when nothing is cut), which the partition guarantees is a
-    lower bound on every cross-LP link latency.
-    """
-    lookahead = window_for_mapping(mapping.achieved_mll_s, duration_s)
-    engine = ShardEngine(
-        mapping.assignment, mapping.num_engines, lookahead, strict=strict
-    )
-    sim = NetworkSimulator(net, fib, engine)
-    agent = Agent(sim)
-    handles = install_workload(sim, agent, net, app_kind, scale, seed, duration_s)
-    engine.run(until=duration_s)
-    return engine, sim, handles
-
-
-def run_traced_workload(
-    net: Network,
-    fib: ForwardingPlane,
-    app_kind: str,
-    scale: ExperimentScale,
-    mapping: NetworkMapping,
-    duration_s: float,
-    seed: int = 0,
-    strict: bool = True,
-    trace_capacity: int | None = None,
-) -> tuple[ShardEngine, NetworkSimulator, WorkloadHandles, Registry, TraceBuffer]:
-    """Execute the workload with the registry, the tracer and the recorders live.
-
-    The structured-trace variant of :func:`run_parallel_workload`: the
-    registry and the trace buffer are reset and enabled for the run, the
-    engine records every executed event (``record_trace``) and the
-    simulator every hop (``record_transmissions``). The post-run state
-    feeds blame analysis (:mod:`repro.obs.blame`) and the what-if
-    scoring of other mappings against this one run
-    (:func:`repro.experiments.runner.evaluate_mappings`).
-    """
-    lookahead = window_for_mapping(mapping.achieved_mll_s, duration_s)
-    with observed_run() as reg, traced_run(capacity=trace_capacity) as tr:
-        engine = ShardEngine(
-            mapping.assignment, mapping.num_engines, lookahead, strict=strict,
-            record_trace=True,
-        )
-        sim = NetworkSimulator(net, fib, engine, record_transmissions=True)
-        handles = install_workload(sim, Agent(sim), net, app_kind, scale, seed, duration_s)
-        engine.run(until=duration_s)
-    return engine, sim, handles, reg, tr
+def top_mapping(net: Network, scale: ExperimentScale, seed: int = 0) -> NetworkMapping:
+    """The executed backend's partition: TOP over the scale's engines."""
+    pipeline = MappingPipeline(net, scale.num_engines, cluster_for_scale(scale), seed)
+    return pipeline.run(Approach.TOP)
 
 
 def predict_from_windows(
@@ -181,7 +128,7 @@ def calibrated_cluster(
 
 @dataclass
 class ExecutedParallelRun:
-    """One executed multi-process run next to its cost-model prediction.
+    """One executed multi-process run next to its reference and prediction.
 
     ``measured_speedup`` is single-process wall over multi-process wall
     on this machine; ``predicted_speedup`` is the cost model's
@@ -189,17 +136,25 @@ class ExecutedParallelRun:
     machine-calibrated event rate (:func:`calibrated_cluster`). Both are
     honest: on a single-core container the measured number is <= 1 while
     the model — which assumes one core per engine node — predicts > 1.
+    ``byte_identical`` and ``counters_match`` are the determinism
+    verdict: the multi-process delivery log and traffic counters against
+    the reference's. When a worker loss was not recovered, ``error``
+    says why and ``result``, ``collected`` and ``predicted`` are ``None``.
     """
 
     procs: int
     duration_s: float
     lookahead: float
-    result: ParallelRunResult
-    collected: dict
+    #: the 1-process reference's collected result (delivery log, counters)
+    reference: dict
     reference_wall_s: float
     reference_events: int
     cluster: ClusterSpec
-    predicted: WallclockPrediction
+    result: ParallelRunResult | None = None
+    #: the shards' collected results, merged into the reference's shape
+    collected: dict | None = None
+    predicted: WallclockPrediction | None = None
+    error: str | None = None
     meta: dict = field(default_factory=dict)
     #: merged worker+controller registry, disabled (obs enabled only)
     merged_registry: Registry | None = None
@@ -207,6 +162,20 @@ class ExecutedParallelRun:
     merged_trace: TraceBuffer | None = None
     #: measured-vs-modeled per-window wall table (obs enabled only)
     calibration: dict | None = None
+
+    @property
+    def byte_identical(self) -> bool:
+        """The multi-process delivery log byte-matches the reference's."""
+        return self.collected is not None and (
+            delivery_log_bytes(self.collected) == delivery_log_bytes(self.reference)
+        )
+
+    @property
+    def counters_match(self) -> bool:
+        """The multi-process traffic counters equal the reference's."""
+        return self.collected is not None and (
+            self.collected["counters"] == self.reference["counters"]
+        )
 
     @property
     def measured_wall_s(self) -> float:
@@ -272,44 +241,39 @@ def run_executed_workload(
     net: Network,
     mapping: NetworkMapping,
     duration_s: float,
-    scale: ExperimentScale | None = None,
-    packets: int | None = None,
+    scale: ExperimentScale,
     seed: int = 0,
     procs: int = 2,
     rebalance=None,
     recovery=None,
-    faults: list | None = None,
 ) -> ExecutedParallelRun:
     """Execute UDP background traffic across real worker processes.
 
-    The same seeded workload runs twice: once on one
-    :class:`ShardEngine` owning every LP (the measured baseline — and, by
-    determinism, the ground truth the multi-process delivery log must
-    byte-match) and once on the :class:`ParallelConservativeEngine` with
-    ``procs`` workers. The returned :class:`ExecutedParallelRun` carries
-    the measured wall-clocks and the cost-model prediction computed from
-    the multi-process run's own window counters with a
-    machine-calibrated event rate.
-
-    ``packets`` defaults from ``scale`` (four per HTTP client — enough
-    cross-shard traffic to exercise the mail path without drowning the
-    run in serialization) or to 2000 when no scale is given.
+    The same seeded workload (four packets per HTTP client of ``scale``
+    — enough cross-shard traffic to exercise the mail path without
+    drowning the run in serialization) runs twice: once on one
+    :class:`ShardEngine` owning every LP — the measured baseline and, by
+    determinism, the ground truth — and once on the
+    :class:`ParallelConservativeEngine` with ``procs`` workers. Both
+    record their delivery logs, and the returned
+    :class:`ExecutedParallelRun` says whether the multi-process one
+    byte-matches, beside the measured wall-clocks and the cost-model
+    prediction computed from the multi-process run's own window counters
+    with a machine-calibrated event rate.
 
     ``rebalance`` (a :class:`repro.partition.rebalance.RebalanceConfig`)
     turns on blame-driven online LP re-partitioning at barriers;
     ``recovery`` (a :class:`repro.engine.recovery.RecoveryConfig`) turns
     on barrier-aligned checkpointing plus worker respawn/adoption by
-    replay, and the two combine; ``faults`` injects a fault schedule into the workload
-    (both the reference and the multi-process pass see it, so the
-    byte-identity guarantee still holds).
+    replay, and the two combine. A worker loss the run did not recover
+    from — a :class:`RecoveryExhaustedError`, or the
+    :class:`WorkerCrashError` of ``on_worker_loss="fail"`` or of a run
+    without ``recovery`` — is returned as the run's ``error``, with the
+    reference kept.
     """
-    if packets is None:
-        packets = 4 * scale.http_clients if scale is not None else 2000
+    packets = 4 * scale.http_clients
     lookahead = window_for_mapping(mapping.achieved_mll_s, duration_s)
-    spec = udp_spec(
-        net, duration_s, packets=packets, seed=seed,
-        record_deliveries=False, faults=faults,
-    )
+    spec = udp_spec(net, duration_s, packets=packets, seed=seed)
     # The reference pass is a timing baseline, not an observed run: shield
     # the process-global registry and tracer so the merged multi-process
     # snapshot covers exactly one execution of the workload (the
@@ -321,14 +285,23 @@ def run_executed_workload(
     tracer.enabled = False
     watch = Stopwatch()
     try:
-        ref_engine, _ref_collected = run_reference(
+        ref_engine, reference = run_reference(
             spec, mapping.assignment, mapping.num_engines, lookahead, duration_s
         )
     finally:
         reference_wall_s = watch.elapsed()
         reg.enabled = reg_was
         tracer.enabled = tracer_was
-    cluster = calibrated_cluster(procs, reference_wall_s, ref_engine.events_executed)
+    run = ExecutedParallelRun(
+        procs=procs,
+        duration_s=duration_s,
+        lookahead=lookahead,
+        reference=reference,
+        reference_wall_s=reference_wall_s,
+        reference_events=ref_engine.events_executed,
+        cluster=calibrated_cluster(procs, reference_wall_s, ref_engine.events_executed),
+        meta={"packets": packets, "seed": seed},
+    )
     engine = ParallelConservativeEngine(
         mapping.assignment,
         mapping.num_engines,
@@ -337,34 +310,24 @@ def run_executed_workload(
         rebalance=rebalance,
         recovery=recovery,
     )
-    result = engine.run_scenario(spec, until=duration_s)
-    collected = merge_collected(result.collected)
-    predicted = predict_from_windows(
-        result.window_stats, mapping.num_engines, cluster, shards=engine.shards
+    try:
+        result = engine.run_scenario(spec, until=duration_s)
+    except (RecoveryExhaustedError, WorkerCrashError) as exc:
+        run.error = str(exc)
+        return run
+    run.result = result
+    run.collected = merge_collected(result.collected)
+    run.predicted = predict_from_windows(
+        result.window_stats, mapping.num_engines, run.cluster, shards=engine.shards
     )
-    merged_registry = merged_trace = calibration = None
     if result.worker_registries:
-        merged_trace = merged_trace_snapshot(result)
-        calibration = window_calibration(
-            merged_trace.measured,
+        run.merged_trace = merged_trace_snapshot(result)
+        run.calibration = window_calibration(
+            run.merged_trace.measured,
             {
                 ws.window_index: wall
-                for ws, wall in zip(result.window_stats, predicted.window_wall_s)
+                for ws, wall in zip(result.window_stats, run.predicted.window_wall_s)
             },
         )
-        merged_registry = merged_registry_snapshot(result)
-    return ExecutedParallelRun(
-        procs=procs,
-        duration_s=duration_s,
-        lookahead=lookahead,
-        result=result,
-        collected=collected,
-        reference_wall_s=reference_wall_s,
-        reference_events=ref_engine.events_executed,
-        cluster=cluster,
-        predicted=predicted,
-        meta={"packets": packets, "seed": seed},
-        merged_registry=merged_registry,
-        merged_trace=merged_trace,
-        calibration=calibration,
-    )
+        run.merged_registry = merged_registry_snapshot(result)
+    return run

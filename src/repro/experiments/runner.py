@@ -17,6 +17,7 @@ the mapping; only the parallel execution cost differs (see DESIGN.md).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..cluster.syncmodel import ClusterSpec, teragrid_cluster
@@ -155,14 +156,27 @@ def run_workload_simulation(
     scale: ExperimentScale,
     duration_s: float,
     seed: int = 0,
+    mapping: NetworkMapping | None = None,
 ) -> tuple[ShardEngine, NetworkSimulator, WorkloadHandles]:
     """Run the measured simulation with trace + transmission recording.
 
-    One LP: the engine on the trivial partition, whose window is the
-    whole run. The virtual network's behavior does not depend on the
-    mapping, so this one run is scored under every candidate.
+    Without ``mapping``, one LP: the engine on the trivial partition,
+    whose window is the whole run. The virtual network's behavior does
+    not depend on the mapping, so this one run is scored under every
+    candidate. With ``mapping``, the engine owns every LP of that
+    partition — per-LP queues, cross-LP mailboxes, barrier windows of
+    the mapping's achieved MLL (clamped to the run length when nothing
+    is cut), a lower bound on every cross-LP link latency — so its
+    ``window_stats`` are the windows the distributed engine would run.
+    Run it under ``observed_run()`` / ``traced_run()`` to observe it.
     """
-    engine = ShardEngine([0] * net.num_nodes, 1, lookahead=duration_s, record_trace=True)
+    if mapping is None:
+        engine = ShardEngine([0] * net.num_nodes, 1, lookahead=duration_s, record_trace=True)
+    else:
+        engine = ShardEngine(
+            mapping.assignment, mapping.num_engines,
+            window_for_mapping(mapping.achieved_mll_s, duration_s), record_trace=True,
+        )
     sim = NetworkSimulator(net, fib, engine, record_transmissions=True)
     agent = Agent(sim)
     handles = install_workload(sim, agent, net, app_kind, scale, seed, duration_s)
@@ -249,11 +263,11 @@ def run_experiment(
     if any(a.uses_profile for a in approaches):
         profile = run_profiling_simulation(net, fib, profile_setup, scale.profile_duration_s)
 
+    with observed_run() if obs_out is not None else nullcontext() as reg:
+        engine, sim, handles = run_workload_simulation(
+            net, fib, app_kind, scale, scale.duration_s, seed
+        )
     if obs_out is not None:
-        with observed_run() as reg:
-            engine, sim, handles = run_workload_simulation(
-                net, fib, app_kind, scale, scale.duration_s, seed
-            )
         obs_export.write_snapshot(
             obs_out,
             reg,
@@ -264,10 +278,6 @@ def run_experiment(
                 "seed": seed,
                 "duration_s": scale.duration_s,
             },
-        )
-    else:
-        engine, sim, handles = run_workload_simulation(
-            net, fib, app_kind, scale, scale.duration_s, seed
         )
 
     cluster = cluster_for_scale(scale)

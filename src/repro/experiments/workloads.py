@@ -74,21 +74,18 @@ def install_workload(
     scale: ExperimentScale,
     seed: int = 0,
     duration_s: float | None = None,
-    rng: np.random.Generator | None = None,
 ) -> WorkloadHandles:
     """Install background + live-application traffic into a simulator.
 
     ``app_kind`` is ``"scalapack"`` or ``"gridnpb"`` (the paper's two
     workloads). Applications start at t=1 s (after background warms up).
 
-    Randomness (the client/server/app host split) flows through ``rng``
-    when given; otherwise a generator is derived from ``seed``, so both
-    paths are fully deterministic.
+    The client/server/app host split draws from a generator seeded with
+    ``seed``, so the install is fully deterministic.
     """
     if app_kind not in APP_KINDS:
         raise ValueError(f"unknown app kind {app_kind!r}; expected one of {APP_KINDS}")
-    rng = rng if rng is not None else np.random.default_rng(seed)
-    clients, servers, app_hosts = _split_hosts(net, scale, rng)
+    clients, servers, app_hosts = _split_hosts(net, scale, np.random.default_rng(seed))
     stop = duration_s if duration_s is not None else scale.duration_s
 
     http = HttpTraffic(

@@ -218,6 +218,73 @@ class TestChaosCommand:
             main(["chaos", "multi-as", "scalapack", "--scenario", "nope"])
 
 
+#: A scale small enough for a real executed run in a second or two.
+TINY = dict(
+    flat_routers=24, flat_hosts=12, num_ases=2, routers_per_as=4, multi_hosts=8,
+    http_clients=6, http_servers=2, http_mean_gap_s=0.5, num_engines=2,
+    app_processes=2, scalapack_iterations=1, duration_s=1.0, profile_duration_s=0.5,
+)
+
+
+class TestExecutedRunVerdict:
+    """The executed run checks its delivery log against its own 1-process
+    reference; ``experiment --backend mp`` and ``chaos --kill-workers``
+    print that verdict and exit 1 when it fails."""
+
+    @pytest.fixture
+    def tiny(self, monkeypatch):
+        from repro.experiments import SCALES
+        from repro.experiments.config import ExperimentScale
+
+        scale = ExperimentScale(name="small", **TINY)
+        monkeypatch.setitem(SCALES, "small", scale)
+        return scale
+
+    MP = ["experiment", "single-as", "scalapack", "--backend", "mp", "--scale", "small"]
+
+    def test_backend_mp_prints_a_byte_identical_delivery_log(self, tiny, capsys):
+        assert main(self.MP) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "  delivery log       byte-identical to the 1-process reference" in lines
+
+    def test_backend_mp_exits_1_when_the_log_diverges(self, tiny, capsys, monkeypatch):
+        from repro.experiments import parallel
+        from repro.experiments.shard import merge_collected
+
+        def drop_one_delivery(collected):
+            merged = merge_collected(collected)
+            merged["log"] = merged["log"][1:]
+            return merged
+
+        monkeypatch.setattr(parallel, "merge_collected", drop_one_delivery)
+        assert main(self.MP) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "  delivery log       DIVERGED from the reference" in lines
+
+    @pytest.mark.parametrize("on_loss, max_respawns", [("respawn", 0), ("fail", 2)])
+    def test_an_unrecovered_loss_reports_failed_with_the_reference(
+        self, tiny, on_loss, max_respawns
+    ):
+        """An exhausted ladder (``RecoveryExhaustedError``) and the ``fail``
+        rung (``WorkerCrashError``) both end in the FAILED report."""
+        from repro.experiments.chaos import format_process_chaos_report, run_process_chaos
+
+        result = run_process_chaos(
+            "single-as", scale=tiny, kills=1, on_worker_loss=on_loss,
+            max_respawns=max_respawns, duration_s=1.0,
+        )
+        assert result.error is not None
+        assert result.recovery is None and not result.recovered
+        ref = result.reference_counters
+        assert ref["delivered"] > 0
+        lines = format_process_chaos_report(result).splitlines()
+        assert lines[-2] == (
+            f"reference run  : {ref['delivered']} delivered, {ref['unroutable']} "
+            f"unroutable of {ref['sent']} sent"
+        )
+        assert lines[-1].startswith("verdict        : FAILED (worker ")
+
+
 class TestSweepCommand:
     def test_prints_one_numeric_row_per_record(self, capsys, monkeypatch):
         """Every record is printed, the ones the sweep did not partition too."""

@@ -129,7 +129,7 @@ class TestHierarchicalPartition:
 
 class TestMappingPipeline:
     def test_flat_and_hierarchical_paths(self, flat_net):
-        pipe = MappingPipeline.for_network(flat_net, num_engines=4)
+        pipe = MappingPipeline(flat_net, num_engines=4)
         m_top = pipe.run(Approach.TOP)
         assert m_top.tmll_s == 0.0
         assert not m_top.sweep
@@ -138,7 +138,7 @@ class TestMappingPipeline:
         assert set(m_htop.assignment.tolist()) <= set(range(4))
 
     def test_hierarchical_mll_at_least_flat(self, flat_net):
-        pipe = MappingPipeline.for_network(flat_net, num_engines=4)
+        pipe = MappingPipeline(flat_net, num_engines=4)
         m_top = pipe.run(Approach.TOP)
         m_htop = pipe.run(Approach.HTOP)
         assert m_htop.achieved_mll_s >= m_top.achieved_mll_s
@@ -152,14 +152,14 @@ class TestMappingPipeline:
             link_packets=np.ones(flat_net.num_links),
             duration_s=1.0,
         )
-        pipe = MappingPipeline.for_network(flat_net, num_engines=4)
+        pipe = MappingPipeline(flat_net, num_engines=4)
         mappings = pipe.run_all([Approach.TOP2, Approach.HPROF], profile)
         assert set(mappings) == {Approach.TOP2, Approach.HPROF}
 
     def test_invalid_engines(self, flat_net):
         with pytest.raises(ValueError):
-            MappingPipeline.for_network(flat_net, num_engines=0)
+            MappingPipeline(flat_net, num_engines=0)
 
     def test_sync_cost_exposed(self, flat_net):
-        pipe = MappingPipeline.for_network(flat_net, num_engines=16)
+        pipe = MappingPipeline(flat_net, num_engines=16)
         assert pipe.sync_cost_s == pipe.cluster.sync_cost_s(16)

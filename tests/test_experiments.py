@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import Approach
@@ -135,19 +134,6 @@ class TestInstallWorkload:
         sim = NetworkSimulator(net, fib, k)
         with pytest.raises(ValueError):
             install_workload(sim, Agent(sim), net, "hadoop", MICRO)
-
-    def test_explicit_rng_matches_seed_path(self):
-        """The explicit-Generator parameter replays the seed-derived split."""
-        net = build_network("single-as", MICRO, seed=1)
-        fib = ForwardingPlane(net)
-
-        def split(**kwargs):
-            k = ShardEngine([0] * net.num_nodes, 1, lookahead=1.0)
-            sim = NetworkSimulator(net, fib, k)
-            h = install_workload(sim, Agent(sim), net, "scalapack", MICRO, **kwargs)
-            return (h.clients, h.servers, h.app_hosts)
-
-        assert split(seed=9) == split(rng=np.random.default_rng(9))
 
     def test_same_seeded_run_twice_in_one_process_delivers_identically(self):
         """Flow ids are the simulator's, not the process's: the second run

@@ -207,6 +207,29 @@ class TestDistributedDisabledMeansNoObs:
         # control plane; mail volume is invariant.
         assert enabled.mail_bytes == disabled.mail_bytes
 
+    def test_a_registry_only_run_times_no_worker_span(self, monkeypatch, tmp_path):
+        """The worker's execute / encode / decode / checkpoint stopwatches
+        feed only the tracer's measured channel: with the registry on and
+        the tracer off, no window hands its spans to the engine."""
+        calls = tmp_path / "observe_window_walls"
+
+        def count(self, *args):  # runs in the forked worker: count in a file
+            with open(calls, "a", encoding="utf-8") as fh:
+                fh.write(f"{self.shard_id}\n")
+
+        monkeypatch.setattr(ShardEngine, "observe_window_walls", count)
+        monkeypatch.setattr(get_tracer(), "enabled", False)
+        with observed_run():
+            registry_only = run_chain_mp()
+        assert list(registry_only.worker_registries) == [0, 1]
+        assert not calls.exists()
+
+        # Positive control: traced, every worker times every window.
+        with observed_run(), traced_run(get_tracer()):
+            traced = run_chain_mp()
+        lines = calls.read_text(encoding="utf-8").split()
+        assert len(lines) == 2 * len(traced.window_stats) > 0
+
     def test_worker_snapshots_carry_provenance(self):
         with observed_run(), traced_run(get_tracer()):
             result = run_chain_mp()

@@ -32,10 +32,13 @@ from repro.engine.costmodel import (
 )
 from repro.engine.windows import WindowStats
 from repro.experiments import ExperimentScale, build_network
-from repro.experiments.parallel import run_traced_workload
 from repro.experiments.report import format_whatif_table
-from repro.experiments.runner import cluster_for_scale, evaluate_mappings
-from repro.obs import blame
+from repro.experiments.runner import (
+    cluster_for_scale,
+    evaluate_mappings,
+    run_workload_simulation,
+)
+from repro.obs import blame, observed_run
 from repro.obs.trace import TraceBuffer, get_tracer, traced_run
 from repro.obs.trace_export import to_chrome_trace
 from repro.routing.fib import ForwardingPlane
@@ -95,10 +98,11 @@ def traced_run_result():
     pipeline = MappingPipeline(net, SCALE.num_engines, cluster_for_scale(SCALE), seed=0)
     candidates = pipeline.run_all([Approach.TOP, Approach.HTOP])
     cluster = cluster_for_scale(SCALE)
-    engine, sim, handles, reg, tr = run_traced_workload(
-        net, fib, "scalapack", SCALE, candidates[Approach.HTOP], DURATION, seed=0
-    )
-    # run_traced_workload hands back the process-global tracer, which the
+    with observed_run(), traced_run() as tr:
+        engine, sim, _ = run_workload_simulation(
+            net, fib, "scalapack", SCALE, DURATION, seed=0, mapping=candidates[Approach.HTOP]
+        )
+    # traced_run() hands back the process-global tracer, which the
     # per-test isolation fixture resets; keep an independent copy.
     snap = copy.deepcopy(tr)
     return net, engine, sim, snap, candidates, cluster

@@ -14,8 +14,8 @@ import pytest
 from repro.core import Approach, MappingPipeline
 from repro.engine import ShardEngine
 from repro.experiments import ExperimentScale, build_network, install_workload
-from repro.experiments.parallel import predict_from_windows, run_parallel_workload
-from repro.experiments.runner import cluster_for_scale
+from repro.experiments.parallel import predict_from_windows
+from repro.experiments.runner import cluster_for_scale, run_workload_simulation
 from repro.netsim import NetworkSimulator
 from repro.netsim.app import HttpTraffic
 from repro.online import Agent
@@ -96,8 +96,8 @@ class TestFullWorkloadParallel:
     @pytest.mark.parametrize("app_kind", ["scalapack", "gridnpb"])
     def test_runs_strict_without_violations(self, mapped_network, app_kind):
         net, fib, mapping = mapped_network
-        engine, sim, handles = run_parallel_workload(
-            net, fib, app_kind, SCALE, mapping, duration_s=8.0, seed=1, strict=True
+        engine, sim, handles = run_workload_simulation(
+            net, fib, app_kind, SCALE, 8.0, seed=1, mapping=mapping
         )
         assert engine.lookahead_violations == 0
         assert engine.events_executed > 1000
@@ -107,22 +107,22 @@ class TestFullWorkloadParallel:
 
     def test_apps_complete_in_parallel_mode(self, mapped_network):
         net, fib, mapping = mapped_network
-        engine, sim, handles = run_parallel_workload(
-            net, fib, "scalapack", SCALE, mapping, duration_s=30.0, seed=1
+        engine, sim, handles = run_workload_simulation(
+            net, fib, "scalapack", SCALE, 30.0, seed=1, mapping=mapping
         )
         assert handles.apps_finished
 
     def test_window_stats_account_all_events(self, mapped_network):
         net, fib, mapping = mapped_network
-        engine, sim, handles = run_parallel_workload(
-            net, fib, "gridnpb", SCALE, mapping, duration_s=6.0, seed=3
+        engine, sim, handles = run_workload_simulation(
+            net, fib, "gridnpb", SCALE, 6.0, seed=3, mapping=mapping
         )
         assert sum(ws.total_events for ws in engine.window_stats) == engine.events_executed
 
     def test_prediction_from_measured_windows(self, mapped_network):
         net, fib, mapping = mapped_network
-        engine, sim, handles = run_parallel_workload(
-            net, fib, "scalapack", SCALE, mapping, duration_s=6.0, seed=1
+        engine, sim, handles = run_workload_simulation(
+            net, fib, "scalapack", SCALE, 6.0, seed=1, mapping=mapping
         )
         cluster = cluster_for_scale(SCALE)
         pred = predict_from_windows(engine.window_stats, engine.num_lps, cluster)

@@ -121,7 +121,7 @@ def _counted_sweep(flat_net, monkeypatch):
         counting("whole_graph_labellings", WeightedGraph.connected_components),
     )
 
-    pipeline = MappingPipeline.for_network(flat_net, num_engines=4)
+    pipeline = MappingPipeline(flat_net, num_engines=4)
     result = hierarchical_partition(graph, 4, pipeline.sync_cost_s, seed=0, tmll_step_s=0.01e-3)
     per_call = {
         "balance_scans": scans_per_balance_call,
@@ -192,7 +192,7 @@ def _handed_sweep(flat_net):
         handed.append(target.num_vertices)
         return partition_kway(target, num_parts, **kwargs)
 
-    pipeline = MappingPipeline.for_network(flat_net, num_engines=4)
+    pipeline = MappingPipeline(flat_net, num_engines=4)
     result = hierarchical_partition(
         graph, 4, pipeline.sync_cost_s, seed=0, tmll_step_s=0.01e-3, partitioner=noting
     )
